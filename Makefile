@@ -38,14 +38,17 @@ bench-real:
 	python3 ci/check_bench_regression.py --validate-real BENCH_real.json
 
 # CI smoke for the real runtime: pool + domain-determinism suites, the
-# interning hammer, the sim-vs-real equivalence oracle, a 4-domain
-# end-to-end CLI run, and the wall-clock sweep.
+# interning hammer, the sim-vs-real equivalence oracle, end-to-end CLI
+# runs at 4 domains and at 1 (the caller alone: no domain spawned), and
+# the wall-clock sweep.
 real-smoke:
 	dune exec test/test_main.exe -- test runtime
 	dune exec test/test_main.exe -- test mvstore
 	dune exec test/test_main.exe -- test cross-engine
 	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
 	  --compute planned --runtime real --domains 4 --measure-ms 200
+	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
+	  --compute planned --runtime real --domains 1 --measure-ms 200
 	$(MAKE) bench-real
 
 # Randomized fault schedules against all three engines, 25 seeds each.

@@ -230,8 +230,9 @@ let micro () =
 
 (* Wall-clock txn/s of the functor-computing phase on real OCaml 5 domains
    (--runtime real): one closed epoch of commutative ADD-heavy YCSB-style
-   updates, planned and evaluated stratum-by-stratum on a Runtime.Pool,
-   timed from plan build to last finalisation, at 1/2/4/8 domains.
+   updates, planned and evaluated level by level (one task per key run) on
+   a Runtime.Pool, timed from plan build to last finalisation, at
+   1/2/4/8 domains.
 
    Two series, because speedup has two different limiting resources:
 
@@ -239,10 +240,12 @@ let micro () =
      a 1-core host this honestly reports ~1x (the pool can interleave but
      not parallelise compute-bound work).
    - "latency-bound": a user functor that blocks ~200us per evaluation (a
-     stand-in for the storage/WAL read a production evaluator performs).
-     Blocked time overlaps across domains even on 1 core, so this series
-     shows the real >=2x stratum-level win everywhere — it is the shape
-     ALOHA's compute phase takes whenever evaluation touches storage.
+     stand-in for the storage/WAL read a production evaluator performs)
+     and reads its own key, so each version is its own level of one node
+     per key.  Blocked time overlaps across domains even on 1 core, so
+     this series shows the real >=2x level-parallel win everywhere — it
+     is the shape ALOHA's compute phase takes whenever evaluation touches
+     storage.
 
    The host core count is recorded in the JSON so readers can interpret
    the cpu-add series; ci/check_bench_regression.py validates structure

@@ -79,13 +79,14 @@ let run_cmd =
          & info [ "runtime" ]
              ~doc:"Execution backend (ALOHA only): sim (default; \
                    single-domain simulation) or real (evaluate planned \
-                   functor strata on OCaml 5 worker domains; pair with \
-                   --compute planned).")
+                   functors on OCaml 5 domains, one task per key run; \
+                   pair with --compute planned).")
   in
   let domains =
     Arg.(value & opt (some int) None
          & info [ "domains" ]
-             ~doc:"Worker domains for --runtime real (default: engine \
+             ~doc:"Evaluating domains for --runtime real, the calling \
+                   domain included: N spawns N-1 (default: engine \
                    default).")
   in
   let replicas =

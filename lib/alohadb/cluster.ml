@@ -33,7 +33,7 @@ type t = {
   real_pool : Runtime.Pool.t option;
       (* one shared worker-domain pool across the cluster's BEs: the
          simulation is single-threaded, so at most one server evaluates
-         strata at any moment and per-server pools would just multiply
+         a plan at any moment and per-server pools would just multiply
          idle domains *)
   replicas : int;  (* effective k = min(config.replicas, n) *)
   route : Net.Route.t option;  (* Some iff replicas > 1 *)
@@ -332,7 +332,7 @@ let create ?registry options =
           match real_pool with
           | None -> ()
           | Some p ->
-              (* Strata evaluate synchronously inside the epoch-close
+              (* Plans evaluate synchronously inside the epoch-close
                  event, so an instantaneous sample would always read the
                  pool at rest; the high-water marks are what show
                  real-runtime occupancy next to the pipeline stages. *)

@@ -12,9 +12,9 @@ let compute_mode_to_string = function
   | Planned -> "planned"
 
 (* Execution backend: Sim keeps every event on the simulation domain;
-   Real additionally evaluates planned functor strata on a shared pool
-   of OCaml 5 worker domains (only the Planned compute mode has the
-   dependency strata that make parallelism safe — under Ondemand/Pool
+   Real additionally evaluates planned functors, one task per key run, on
+   a shared pool of OCaml 5 domains (only the Planned compute mode has
+   the dependency graph that makes parallelism safe — under Ondemand/Pool
    the Real runtime degenerates to Sim). *)
 type runtime_mode = Sim | Real
 

@@ -28,10 +28,10 @@ type runtime_mode =
       (** everything on the simulation domain (the default): compute
           costs are charged in simulated time only *)
   | Real
-      (** additionally evaluate planned functor strata on a shared pool
-          of OCaml 5 worker domains, for wall-clock throughput.  Only
-          the [Planned] compute mode has the dependency strata that make
-          parallelism safe; under [Ondemand]/[Pool] this degenerates to
+      (** additionally evaluate planned functors, one task per key run,
+          on a shared pool of OCaml 5 domains, for wall-clock throughput.
+          Only the [Planned] compute mode has the dependency graph that
+          makes parallelism safe; under [Ondemand]/[Pool] this degenerates to
           [Sim] *)
 
 val runtime_mode_of_string : string -> runtime_mode option

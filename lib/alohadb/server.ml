@@ -1070,9 +1070,9 @@ let spawn_engine t =
       ~now:(fun () -> Sim.Engine.now t.sim)
       ?on_dispatch
       ~on_stratum:(fun ~size ->
-        (* The strata of one plan run back-to-back on the orchestrating
-           domain, so a single ref carries the wall-clock start from
-           dispatch to the matching [on_stratum_done]. *)
+        (* The level batches of one plan run back-to-back on the
+           orchestrating domain, so a single ref carries the wall-clock
+           start from dispatch to the matching [on_stratum_done]. *)
         strat_t0 := Obs.Ledger.wall_us ();
         if live () then
           emit t ~txn:(-1) ~stage:Obs.Trace.Stratum_dispatch ~arg:size ())

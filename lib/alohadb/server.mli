@@ -38,7 +38,7 @@ val create :
 (** Wires up all handlers; the server is passive until the EM grants the
     first epoch.  [obs] turns on lifecycle tracing for every transaction
     this server coordinates or stores.  [real_pool] (shared cluster-wide)
-    makes the planned compute mode evaluate its strata on worker domains
+    makes the planned compute mode evaluate its key runs on worker domains
     — the [--runtime real] backend. *)
 
 val submit : t -> Txn.request -> (Txn.result -> unit) -> unit

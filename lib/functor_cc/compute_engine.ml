@@ -421,19 +421,25 @@ let merge_delta t ~key ~version =
 
 (* ---- real-runtime parallel evaluation (--runtime real) ---------------- *)
 
-(* A planner stratum contains at most one functor per key (intra-key
-   edges chain same-key versions into distinct strata), and every
-   in-plan read dependency resolves in an earlier stratum.  So inside a
-   stratum each worker domain touches only its own item's chain: resolve
-   the previous own-key value over final records, evaluate, flip the
-   record final, advance the watermark.  Everything cross-cutting —
-   recipient pushes, dependent writes, waiter continuations, metric
-   counters, key interning — is stashed in the task slot and applied by
-   the orchestrating domain after the stratum barrier ([par_commit]),
-   which also keeps `Sim.Metrics` and the obs tracer single-domain.
+(* The planner hands the worker domains one task per key run: a key's
+   version-ascending plan nodes at one level, evaluated in order by one
+   worker.  Every in-plan read dependency of a run resolves in an earlier
+   level (read→write edges weigh one level), and no two runs of a level
+   share a key, so each worker domain touches only its own run's chain:
+   claim the record, resolve the previous own-key value over final
+   records, evaluate, flip the record final, advance the watermark.
+   Everything cross-cutting — recipient pushes, dependent writes, waiter
+   continuations, metric counters, key interning — is stashed in the task
+   slot and applied by the orchestrating domain after the batch barrier
+   ([par_commit]), which also keeps `Sim.Metrics` and the obs tracer
+   single-domain.
 
    The three phases split by domain:
-   - [par_stage]   main domain, workers idle: eligibility + read staging
+   - [par_stage]   eligibility + claim + read staging: on the worker, as
+                   part of its run, when the node has no read set (only
+                   its own record is touched); on the orchestrator before
+                   the batch when it has one (the reads walk other keys'
+                   chains and push buffers)
    - [par_eval]    worker domain: chain-local work only
    - [par_commit]  main domain, after the barrier: deferred effects
 
@@ -445,50 +451,49 @@ let merge_delta t ~key ~version =
 
 type par_task = {
   pt_node : prepared;
-  pt_handler : Registry.handler option; (* Some ⇔ user functor *)
-  pt_reads : (Key.t * Value.t option) list; (* staged on the main domain *)
-  pt_push_hits : int;
+  pt_user : par_user option; (* Some ⇔ user functor *)
   mutable pt_out : par_out;
 }
 
-and par_out =
-  | Par_fallback
-  | Par_done of {
-      outcome : Registry.outcome;
-      prev : Value.t option; (* own key below [version], for pushes *)
-      final : Funct.final;
-    }
+and par_user = {
+  handler : Registry.handler;
+  reads : (Key.t * Value.t option) list; (* staged on the main domain *)
+  push_hits : int;
+}
+
+(* A task stays this small because a whole level's tasks live until its
+   commit: the final value is the record's, and the own-key value below
+   (for recipient pushes) is re-read at commit from the now-final chain. *)
+and par_out = Par_fallback | Par_done of Registry.outcome
+
+exception Pending_below
 
 (* Value of [chain] at the highest version <= [version] reachable through
    final records only — [get]'s skip-aborted walk, minus the ability to
-   wait.  [None] means a pending record blocks the walk. *)
+   wait: raises [Pending_below] when a pending record blocks the walk. *)
 let rec final_value_le chain ~version =
   match Mvstore.Chain.find_le chain ~version with
-  | None -> Some None
+  | None -> None
   | Some (ver, record) -> (
       match record.Funct.state with
-      | Funct.Final (Funct.Committed v) -> Some (Some v)
-      | Funct.Final Funct.Deleted_v -> Some None
+      | Funct.Final (Funct.Committed v) -> Some v
+      | Funct.Final Funct.Deleted_v -> None
       | Funct.Final Funct.Aborted_v ->
-          if ver = 0 then Some None
-          else final_value_le chain ~version:(ver - 1)
-      | Funct.Pending _ -> None)
+          if ver = 0 then None else final_value_le chain ~version:(ver - 1)
+      | Funct.Pending _ -> raise Pending_below)
 
-let par_stage t pr =
+(* Claim [p] for the parallel path.  Mirrors [ensure_computing]'s entry
+   bookkeeping so a fallback reset (or a raced on-demand read) observes a
+   consistent record; workers never touch [status] otherwise. *)
+let claim ~now pr (p : Funct.pending) user =
+  p.status <- Funct.Computing;
+  if p.retrieved_at_us < 0 then p.retrieved_at_us <- now;
+  Some { pt_node = pr; pt_user = user; pt_out = Par_fallback }
+
+let par_stage t ~now pr =
   match pr.p_record.Funct.state with
   | Funct.Final _ -> None (* raced to final; the dispatch job no-ops *)
   | Funct.Pending p -> (
-      let stage ?handler ?(reads = []) ?(push_hits = 0) () =
-        (* Mirror [ensure_computing]'s entry bookkeeping so a fallback
-           reset (or a raced on-demand read) observes a consistent
-           record; workers never touch [status]. *)
-        p.Funct.status <- Funct.Computing;
-        if p.Funct.retrieved_at_us < 0 then
-          p.Funct.retrieved_at_us <- t.cb.now ();
-        Some
-          { pt_node = pr; pt_handler = handler; pt_reads = reads;
-            pt_push_hits = push_hits; pt_out = Par_fallback }
-      in
       match p.Funct.status with
       | Funct.Computing -> None
       | Funct.Installed -> (
@@ -498,14 +503,16 @@ let par_stage t pr =
               (* Marker resolution may chase remote determinate functors;
                  leave it to the sequential machinery. *)
               None
-          | Ftype.Add | Ftype.Subtr | Ftype.Max | Ftype.Min -> stage ()
+          | Ftype.Add | Ftype.Subtr | Ftype.Max | Ftype.Min ->
+              claim ~now pr p None
           | Ftype.User name -> (
               match Registry.find t.registry name with
               | None -> None (* fallback counts m_missing_handler *)
               | Some handler -> (
-                  (* Resolve the read set here, on the orchestrating
-                     domain: push-buffer hits and cross-chain walks both
-                     touch state other workers may own. *)
+                  (* The planner stages any node with a read set on the
+                     orchestrating domain: push-buffer hits and
+                     cross-chain walks both touch state other workers
+                     may own. *)
                   let push_hits = ref 0 in
                   let rec resolve acc = function
                     | [] -> Some (List.rev acc)
@@ -524,59 +531,63 @@ let par_stage t pr =
                                     final_value_le rchain
                                       ~version:(pr.p_version - 1)
                                   with
-                                  | None -> None (* pending: must wait *)
-                                  | Some v -> resolve ((rk, v) :: acc) rest)))
+                                  | v -> resolve ((rk, v) :: acc) rest
+                                  | exception Pending_below -> None)))
                   in
                   match resolve [] p.Funct.farg.Funct.read_set with
                   | None -> None
                   | Some reads ->
-                      stage ~handler ~reads ~push_hits:!push_hits ()))))
+                      claim ~now pr p
+                        (Some { handler; reads; push_hits = !push_hits })))))
 
 let par_eval _t task =
   let pr = task.pt_node in
   let p = pr.p_pending in
   (* Own-chain walk: the only mutable state this domain touches.  If the
-     walk (or the handler) fails, [pt_out] stays [Par_fallback] and the
-     record is still Pending — the sequential path takes over. *)
+     walk finds a pending record, or the handler raises past the catch
+     below, [pt_out] stays [Par_fallback] and the record is still
+     Pending — the sequential path takes over. *)
   match final_value_le pr.p_chain ~version:(pr.p_version - 1) with
-  | None -> ()
-  | Some prev ->
+  | exception Pending_below -> ()
+  | prev ->
       let outcome =
-        match (p.Funct.ftype, task.pt_handler) with
-        | (Ftype.Add | Ftype.Subtr | Ftype.Max | Ftype.Min), _ ->
-            eval_builtin p.Funct.ftype prev p.Funct.farg.Funct.args
-        | Ftype.User _, Some handler -> (
+        match task.pt_user with
+        | None -> eval_builtin p.Funct.ftype prev p.Funct.farg.Funct.args
+        | Some { handler; reads; _ } -> (
             let ctx =
               { Registry.key = Key.name pr.p_key; version = pr.p_version;
-                reads =
-                  List.map (fun (rk, v) -> (Key.name rk, v)) task.pt_reads;
+                reads = List.map (fun (rk, v) -> (Key.name rk, v)) reads;
                 args = p.Funct.farg.Funct.args }
             in
             try handler ctx
             with Not_found | Invalid_argument _ -> Registry.Abort)
-        | _ -> assert false
       in
-      let final = final_of_outcome outcome in
-      pr.p_record.Funct.state <- Funct.Final final;
+      pr.p_record.Funct.state <- Funct.Final (final_of_outcome outcome);
       refresh_watermark pr.p_chain;
-      task.pt_out <- Par_done { outcome; prev; final }
+      task.pt_out <- Par_done outcome
 
 let par_commit t task =
   let pr = task.pt_node in
   let p = pr.p_pending in
   let key = pr.p_key and ver = pr.p_version in
-  match task.pt_out with
-  | Par_fallback ->
+  match (task.pt_out, pr.p_record.Funct.state) with
+  | Par_fallback, _ ->
       (* Undo the staging claim; the simulated dispatch job re-runs
          [ensure_computing] with the full waiting machinery. *)
       p.Funct.status <- Funct.Installed;
       false
-  | Par_done { outcome; prev; final } ->
-      if task.pt_push_hits > 0 then
-        t.m_push_hits := !(t.m_push_hits) + task.pt_push_hits;
+  | Par_done _, Funct.Pending _ -> assert false (* par_eval flipped it *)
+  | Par_done outcome, Funct.Final final ->
+      (match task.pt_user with
+      | Some { push_hits; _ } when push_hits > 0 ->
+          t.m_push_hits := !(t.m_push_hits) + push_hits
+      | Some _ | None -> ());
       (match p.Funct.farg.Funct.recipients with
       | [] -> ()
       | recipients ->
+          (* Every record below [ver] was final when the worker read it and
+             stays final, so this re-read sees the same value. *)
+          let prev = final_value_le pr.p_chain ~version:(ver - 1) in
           List.iter
             (fun dst_key ->
               incr t.m_pushes_sent;

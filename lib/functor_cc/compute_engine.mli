@@ -113,35 +113,43 @@ val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
 
 (** {2 Real-runtime parallel evaluation}
 
-    The [--runtime real] backend evaluates one planner stratum at a time
-    on a pool of worker domains.  A stratum holds at most one functor per
-    key and only reads values finalised by earlier strata, so the worker
-    side ({!par_eval}) touches nothing but its own item's chain; every
-    cross-cutting effect (pushes, dependent writes, waiters, metrics,
-    interning) is staged in the task and applied by {!par_commit} on the
-    orchestrating domain after the stratum barrier.  Items the stager
-    rejects — or whose evaluation could not complete chain-locally — fall
-    back to the unchanged sequential dispatch path. *)
+    The [--runtime real] backend evaluates one planner level at a time on
+    a pool of worker domains, one task per key run (a key's
+    version-ascending nodes at that level, in order, on one worker).  A
+    level's runs have distinct keys and only read other keys' values
+    finalised by earlier levels, so the worker side touches nothing but
+    its own run's chain; every cross-cutting effect (pushes, dependent
+    writes, waiters, metrics, interning) is staged in the task and
+    applied by {!par_commit} on the orchestrating domain after the batch
+    barrier.  Items the stager rejects — or whose evaluation could not
+    complete chain-locally — fall back to the unchanged sequential
+    dispatch path. *)
 
 type par_task
 
-val par_stage : t -> prepared -> par_task option
-(** Main domain, workers idle.  [None] when the item must take the
+val par_stage : t -> now:int -> prepared -> par_task option
+(** Claim and stage one node.  [None] when the item must take the
     sequential path (already final/computing, Dep_marker, missing
     handler, remote or still-pending reads).  A returned task has
-    claimed the record ([Installed] → [Computing]). *)
+    claimed the record ([Installed] → [Computing]) and stamped
+    [retrieved_at_us] with [now] if unset.  A node without a read set
+    touches only its own record and may be staged on a worker domain
+    inside its run; a node with a read set walks other keys' chains and
+    must be staged on the orchestrating domain while workers are idle. *)
 
 val par_eval : t -> par_task -> unit
 (** Worker domain.  Chain-local only: resolve own-key prev over final
-    records, evaluate, flip the record final, advance the watermark.  On
-    any failure the task reverts to fallback and the record stays
-    pending. *)
+    records, evaluate, flip the record final, advance the watermark.  If
+    the own-key walk finds a pending record the task stays a fallback and
+    the record stays pending; an exception other than [Not_found] /
+    [Invalid_argument] from a user handler propagates with the same
+    effect. *)
 
 val par_commit : t -> par_task -> bool
-(** Main domain, after the stratum barrier.  Applies the deferred
-    effects in stratum order and returns [true]; or, for a fallback
-    task, releases the claim ([Computing] → [Installed]) so the
-    sequential dispatch re-evaluates it, and returns [false]. *)
+(** Main domain, after the batch barrier.  Applies the deferred effects
+    and returns [true]; or, for a fallback task, releases the claim
+    ([Computing] → [Installed]) so the sequential dispatch re-evaluates
+    it, and returns [false]. *)
 
 val deliver_push :
   t -> key:Mvstore.Key.t -> version:int -> src_key:Mvstore.Key.t ->

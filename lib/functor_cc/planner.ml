@@ -51,37 +51,171 @@ let create ~engine ~pool ?real ~dispatch_cost_us ~metrics
 
 let plans t = t.plans
 
-(* Kahn levels over the adjacency/indegree arrays.  Edges strictly
-   increase version, so the graph is a DAG and the peeling consumes every
-   node; the level count is the length (in nodes) of the longest chain.
-   Returns the per-level node-index membership (each level sorted in plan
-   order) — the simulated runtime only reads the count, the real runtime
-   dispatches each level as one batch. *)
-let stratify ~n ~succs ~indeg =
-  let indeg = Array.copy indeg in
-  let frontier = ref [] in
+let read_set node =
+  (Compute_engine.prepared_pending node).Funct.farg.Funct.read_set
+
+(* Read→write edges as a CSR: the readers of node [u] are
+   [adj.(off.(u)) .. adj.(off.(u + 1) - 1)]; both arrays are empty when the
+   plan has no read edge. *)
+let csr ~n read_edges =
+  match read_edges with
+  | [] -> ([||], [||])
+  | _ ->
+      (* Count into [off.(src)], prefix-sum to end offsets, then place each
+         edge by decrementing its source's offset down to the start. *)
+      let off = Array.make (n + 1) 0 in
+      List.iter (fun (src, _) -> off.(src) <- off.(src) + 1) read_edges;
+      for i = 1 to n do
+        off.(i) <- off.(i) + off.(i - 1)
+      done;
+      let adj = Array.make off.(n) 0 in
+      List.iter
+        (fun (src, dst) ->
+          off.(src) <- off.(src) - 1;
+          adj.(off.(src)) <- dst)
+        read_edges;
+      (off, adj)
+
+(* One topological pass (Kahn peeling with an array queue) over the plan
+   graph: intra-key edges [u -> next.(u)] (-1: none) and the read→write
+   CSR [r_off]/[r_adj].  For every node it computes:
+   - [depth]: 1 + the longest chain of edges reaching it — the Kahn
+     stratum it would peel in, so the maximum depth is the stratum count;
+   - [level]: the same longest path with intra-key edges weighing 0 and
+     read→write edges 1 — the batch the real runtime evaluates it in.
+   Both are maxima over predecessors, so the peeling order does not
+   matter.  Edges strictly increase version, so the graph is a DAG and
+   the pass consumes every node.  Consumes [indeg]. *)
+let topo_levels ~next ~r_off ~r_adj ~indeg =
+  let n = Array.length next in
+  let depth = Array.make n 1 and level = Array.make n 0 in
+  let queue = Array.make n 0 and head = ref 0 and tail = ref 0 in
+  let push v =
+    queue.(!tail) <- v;
+    incr tail
+  in
+  let relax u v ~w =
+    if depth.(u) + 1 > depth.(v) then depth.(v) <- depth.(u) + 1;
+    if level.(u) + w > level.(v) then level.(v) <- level.(u) + w;
+    indeg.(v) <- indeg.(v) - 1;
+    if indeg.(v) = 0 then push v
+  in
+  for i = 0 to n - 1 do
+    if indeg.(i) = 0 then push i
+  done;
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    if next.(u) >= 0 then relax u next.(u) ~w:0;
+    if Array.length r_off > 0 then
+      for k = r_off.(u) to r_off.(u + 1) - 1 do
+        relax u r_adj.(k) ~w:1
+      done
+  done;
+  assert (!tail = n);
+  (depth, level)
+
+(* A key run: one key's version-ascending plan nodes at one level — from
+   [r_head] along [next] — and the commit buffer its task fills: slot [k]
+   holds the run's [k]-th node's staged task, if any. *)
+type run = { r_head : int; r_staged : Compute_engine.par_task option array }
+
+let iter_run ~next r f =
+  let i = ref r.r_head in
+  for k = 0 to Array.length r.r_staged - 1 do
+    f k !i;
+    i := next.(!i)
+  done
+
+(* Split every key's chain of [next] links into maximal same-level runs
+   (levels never decrease along a key: intra-key edges weigh 0) and group
+   them per level, each level's runs ordered by their first node's plan
+   index, so the commit order depends on the plan alone. *)
+let runs_by_level ~next ~level =
+  let n = Array.length next in
+  let same_level i = next.(i) >= 0 && level.(next.(i)) = level.(i) in
+  let is_head = Array.make n true in
+  for i = 0 to n - 1 do
+    if same_level i then is_head.(next.(i)) <- false
+  done;
+  let by_level = Array.make (Array.fold_left max 0 level + 1) [] in
   for i = n - 1 downto 0 do
-    if indeg.(i) = 0 then frontier := i :: !frontier
+    if is_head.(i) then begin
+      let len = ref 1 and j = ref i in
+      while same_level !j do
+        j := next.(!j);
+        incr len
+      done;
+      by_level.(level.(i)) <-
+        { r_head = i; r_staged = Array.make !len None } :: by_level.(level.(i))
+    end
   done;
-  let levels = ref [] in
-  let consumed = ref 0 in
-  while !frontier <> [] do
-    let level = List.sort compare !frontier in
-    levels := Array.of_list level :: !levels;
-    let next = ref [] in
-    List.iter
-      (fun i ->
-        incr consumed;
-        List.iter
-          (fun j ->
-            indeg.(j) <- indeg.(j) - 1;
-            if indeg.(j) = 0 then next := j :: !next)
-          succs.(i))
-      level;
-    frontier := !next
-  done;
-  assert (!consumed = n);
-  Array.of_list (List.rev !levels)
+  by_level
+
+(* One run on one worker: stage (unless the orchestrator already did, for
+   a node with a read set) and record the task before evaluating it, so
+   if a handler raises, the commit still sees every claimed record and
+   releases it, and the run's later nodes stay unclaimed. *)
+let eval_run engine ~now ~nodes ~next r () =
+  iter_run ~next r (fun k i ->
+      let node = nodes.(i) in
+      if read_set node = [] then
+        r.r_staged.(k) <- Compute_engine.par_stage engine ~now node;
+      match r.r_staged.(k) with
+      | Some task -> Compute_engine.par_eval engine task
+      | None -> ())
+
+(* Real runtime: evaluate the plan eagerly, level by level, one pool
+   batch per level and one task per key run.  [run_batch] is the level
+   barrier; [par_commit] then applies every cross-cutting effect back on
+   this domain, level by level and run by run in plan order, so commit
+   order does not depend on the domain count. *)
+let eval_levels t rpool ~now ~nodes ~next ~level =
+  Array.iter
+    (fun runs ->
+      let size =
+        List.fold_left (fun acc r -> acc + Array.length r.r_staged) 0 runs
+      in
+      (match t.on_stratum with Some f -> f ~size | None -> ());
+      incr t.m_real_strata;
+      List.iter
+        (fun r ->
+          iter_run ~next r (fun k i ->
+              if read_set nodes.(i) <> [] then
+                r.r_staged.(k) <-
+                  Compute_engine.par_stage t.engine ~now nodes.(i)))
+        runs;
+      let before =
+        match t.on_stratum_done with
+        | Some _ -> Runtime.Pool.worker_stats rpool
+        | None -> [||]
+      in
+      Runtime.Pool.run_batch rpool
+        (Array.of_list
+           (List.map (fun r -> eval_run t.engine ~now ~nodes ~next r) runs));
+      (match t.on_stratum_done with
+      | Some f ->
+          let after = Runtime.Pool.worker_stats rpool in
+          f ~size
+            ~workers:
+              (Array.mapi
+                 (fun i (c1, s1, q1) ->
+                   let c0, s0, _ = before.(i) in
+                   (c1 - c0, s1 - s0, q1))
+                 after)
+      | None -> ());
+      List.iter
+        (fun r ->
+          Array.iter
+            (function
+              | None -> ()
+              | Some task ->
+                  if Compute_engine.par_commit t.engine task then
+                    incr t.m_real_evaluated
+                  else incr t.m_real_fallback)
+            r.r_staged)
+        runs)
+    (runs_by_level ~next ~level)
 
 let run t ~items =
   let build_t0 = Sys.time () in
@@ -108,49 +242,43 @@ let run t ~items =
         Hashtbl.add chains kid c;
         c
   in
-  let entries =
+  let prepared =
     Array.map
-      (fun ({ Processor.key; version } as item) ->
+      (fun { Processor.key; version } ->
         match chain_for key with
-        | None -> (item, None)
-        | Some chain ->
-            (item, Compute_engine.prepare_in ~chain ~key ~version))
+        | None -> None
+        | Some chain -> Compute_engine.prepare_in ~chain ~key ~version)
       items_a
   in
-  let n = Array.fold_left (fun acc (_, o) -> if o = None then acc else acc + 1) 0 entries in
+  let n = Array.fold_left (fun acc o -> if o = None then acc else acc + 1) 0 prepared in
   let nodes =
     let a = ref [||] and i = ref 0 in
     Array.iter
-      (fun (_, o) ->
-        match o with
+      (function
         | None -> ()
         | Some node ->
             if !i = 0 then a := Array.make n node;
             !a.(!i) <- node;
             incr i)
-      entries;
+      prepared;
     !a
   in
-  (* 2. Writer buckets: key id -> version-ascending (version, node index)
-     array.  Nodes are appended in plan order; installs arrive mostly in
-     version order, so buckets are usually born sorted and the sort is
-     skipped. *)
-  let buckets : (int, (int * int) list ref * bool ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Array.iteri
-    (fun i node ->
-      let kid = Key.id (Compute_engine.prepared_key node) in
-      let ver = Compute_engine.prepared_version node in
-      match Hashtbl.find_opt buckets kid with
-      | Some (r, sorted) ->
-          (match !r with
-          | (prev, _) :: _ -> if ver < prev then sorted := false
-          | [] -> ());
-          r := (ver, i) :: !r
-      | None -> Hashtbl.add buckets kid (ref [ (ver, i) ], ref true))
-    nodes;
-  let frozen : (int, (int * int) array) Hashtbl.t =
+  let version i = Compute_engine.prepared_version nodes.(i) in
+  (* 2. Writer buckets: key id -> version-ascending node indices.  Nodes
+     are appended in plan order; installs arrive mostly in version order,
+     so buckets are usually born sorted and the sort is skipped. *)
+  let buckets : (int, int list ref * bool ref) Hashtbl.t = Hashtbl.create 64 in
+  for i = 0 to n - 1 do
+    let kid = Key.id (Compute_engine.prepared_key nodes.(i)) in
+    match Hashtbl.find_opt buckets kid with
+    | Some (r, sorted) ->
+        (match !r with
+        | prev :: _ -> if version i < version prev then sorted := false
+        | [] -> ());
+        r := i :: !r
+    | None -> Hashtbl.add buckets kid (ref [ i ], ref true)
+  done;
+  let frozen : (int, int array) Hashtbl.t =
     Hashtbl.create (Hashtbl.length buckets)
   in
   Hashtbl.iter
@@ -166,64 +294,69 @@ let run t ~items =
         done
       else
         Array.sort
-          (fun (v1, _) (v2, _) ->
-            if (v1 : int) < v2 then -1 else if v1 > v2 then 1 else 0)
+          (fun i j ->
+            let v1 = version i and v2 = version j in
+            if v1 < v2 then -1 else if v1 > v2 then 1 else 0)
           a;
       Hashtbl.add frozen kid a)
     buckets;
-  (* Largest plan version <= bound for a key, if any. *)
+  (* Node index of the largest plan version <= bound for a key, or -1. *)
   let producer_le kid ~bound =
     match Hashtbl.find_opt frozen kid with
-    | None -> None
+    | None -> -1
     | Some a ->
         let lo = ref 0 and hi = ref (Array.length a - 1) and ans = ref (-1) in
         while !lo <= !hi do
           let mid = (!lo + !hi) / 2 in
-          if fst a.(mid) <= bound then begin
+          if version a.(mid) <= bound then begin
             ans := mid;
             lo := mid + 1
           end
           else hi := mid - 1
         done;
-        if !ans < 0 then None else Some a.(!ans)
+        if !ans < 0 then -1 else a.(!ans)
   in
-  let succs = Array.make n [] in
-  let indeg = Array.make n 0 in
+  let next = Array.make n (-1) and indeg = Array.make n 0 in
   let edges = ref 0 in
   let subs = ref 0 in
-  let add_edge src dst =
-    succs.(src) <- dst :: succs.(src);
-    indeg.(dst) <- indeg.(dst) + 1;
-    incr edges
-  in
   (* 3a. Intra-key edges: each functor depends on the plan's next-lower
      version of its own key — exactly the previous element of its
      version-ascending bucket, so no lookup is needed.  Built-ins really
      do read own-key at version - 1; for user functors the edge is
      conservative (the watermark publishes in version order even though
-     their records may finalise out of it). *)
+     their records may finalise out of it).  They weigh no level: a key's
+     run is evaluated in version order on one worker. *)
   Hashtbl.iter
     (fun _kid a ->
       for k = 1 to Array.length a - 1 do
-        add_edge (snd a.(k - 1)) (snd a.(k))
+        next.(a.(k - 1)) <- a.(k);
+        indeg.(a.(k)) <- indeg.(a.(k)) + 1;
+        incr edges
       done)
     frozen;
-  (* 3b. Read→write edges for explicit read sets. *)
+  (* 3b. Read→write edges for explicit read sets, own key included.  They
+     weigh one level: the reader is staged on the orchestrator, which
+     needs its producers final before the reader's batch starts. *)
+  let read_edges = ref [] in
   Array.iteri
     (fun i node ->
-      let p = Compute_engine.prepared_pending node in
-      match p.Funct.farg.Funct.read_set with
+      match read_set node with
       | [] -> ()
       | read_set ->
+          let p = Compute_engine.prepared_pending node in
           let key = Compute_engine.prepared_key node in
           let ver = Compute_engine.prepared_version node in
           let pushed = p.Funct.farg.Funct.pushed_reads in
           List.iter
             (fun rk ->
-              if t.is_local rk then (
-                match producer_le (Key.id rk) ~bound:(ver - 1) with
-                | Some (_, j) -> add_edge j i
-                | None -> ())
+              if t.is_local rk then begin
+                let j = producer_le (Key.id rk) ~bound:(ver - 1) in
+                if j >= 0 then begin
+                  read_edges := (j, i) :: !read_edges;
+                  indeg.(i) <- indeg.(i) + 1;
+                  incr edges
+                end
+              end
               else if not (List.exists (Key.equal rk) pushed) then begin
                 (* Cross-partition read: subscribe to the owner's value at
                    the bound version; the reply rides the §IV-B push
@@ -234,8 +367,9 @@ let run t ~items =
               end)
             read_set)
     nodes;
-  let strata_levels = if n = 0 then [||] else stratify ~n ~succs ~indeg in
-  let strata = Array.length strata_levels in
+  let r_off, r_adj = csr ~n !read_edges in
+  let depth, level = topo_levels ~next ~r_off ~r_adj ~indeg in
+  let strata = Array.fold_left max 0 depth in
   let critical_path = if strata = 0 then 0 else strata - 1 in
   let build_us =
     int_of_float (Float.max 0. ((Sys.time () -. build_t0) *. 1e6))
@@ -252,73 +386,30 @@ let run t ~items =
     Sim.Metrics.record_latency t.metrics "plan.build_us" build_us;
     Sim.Metrics.record_latency t.metrics "plan.strata" strata;
     Sim.Metrics.record_latency t.metrics "plan.critical_path" critical_path;
-    (* Completion tracking: one waiter per node, host-side only, so the
-       evaluation histogram costs the simulation nothing. *)
+    (* Completion tracking: one shared waiter on every node, host-side
+       only, so the evaluation histogram costs the simulation nothing. *)
     let remaining = ref n in
+    let on_final _ =
+      decr remaining;
+      if !remaining = 0 then begin
+        let elapsed_us = t.now () - sim_t0 in
+        Sim.Metrics.record_latency t.metrics "plan.evaluate_us" elapsed_us;
+        match t.on_evaluated with
+        | Some f -> f ~elapsed_us
+        | None -> ()
+      end
+    in
     Array.iter
-      (fun node ->
-        Funct.add_waiter (Compute_engine.prepared_pending node) (fun _ ->
-            decr remaining;
-            if !remaining = 0 then begin
-              let elapsed_us = t.now () - sim_t0 in
-              Sim.Metrics.record_latency t.metrics "plan.evaluate_us"
-                elapsed_us;
-              match t.on_evaluated with
-              | Some f -> f ~elapsed_us
-              | None -> ()
-            end))
+      (fun node -> Funct.add_waiter (Compute_engine.prepared_pending node) on_final)
       nodes
   end;
-  (* 3r. Real runtime: evaluate the plan eagerly, stratum by stratum, on
-     the worker-domain pool.  Each level's items have pairwise-distinct
-     keys and only read values finalised by earlier levels, so the
-     workers' chain-local writes cannot conflict; [run_batch] is the
-     stratum barrier and [par_commit] applies every cross-cutting effect
-     back on this domain.  The simulated dispatch below still runs —
-     evaluated records no-op through [compute_prepared] (keeping the
+  (* 3r. Real runtime: evaluate the plan eagerly on the worker-domain
+     pool before the simulated dispatch below.  That dispatch still runs
+     — evaluated records no-op through [compute_prepared] (keeping the
      simulated timeline identical to `--runtime sim`), while items the
      stager rejected are computed there with the full machinery. *)
   (match t.real with
-  | Some rpool when n > 0 ->
-      Array.iter
-        (fun level ->
-          (match t.on_stratum with
-          | Some f -> f ~size:(Array.length level)
-          | None -> ());
-          incr t.m_real_strata;
-          let tasks =
-            Array.to_list level
-            |> List.filter_map (fun i ->
-                   Compute_engine.par_stage t.engine nodes.(i))
-            |> Array.of_list
-          in
-          let before =
-            match t.on_stratum_done with
-            | Some _ -> Runtime.Pool.worker_stats rpool
-            | None -> [||]
-          in
-          Runtime.Pool.run_batch rpool
-            (Array.map
-               (fun task () -> Compute_engine.par_eval t.engine task)
-               tasks);
-          (match t.on_stratum_done with
-          | Some f ->
-              let after = Runtime.Pool.worker_stats rpool in
-              f ~size:(Array.length level)
-                ~workers:
-                  (Array.mapi
-                     (fun i (c1, s1, q1) ->
-                       let c0, s0, _ = before.(i) in
-                       (c1 - c0, s1 - s0, q1))
-                     after)
-          | None -> ());
-          Array.iter
-            (fun task ->
-              if Compute_engine.par_commit t.engine task then
-                incr t.m_real_evaluated
-              else incr t.m_real_fallback)
-            tasks)
-        strata_levels
+  | Some rpool when n > 0 -> eval_levels t rpool ~now:sim_t0 ~nodes ~next ~level
   | Some _ | None -> ());
   (* 3. Dispatch one job per *item* in install order — identical job
      sequence (count, order, cost) to the pool processor, so the
@@ -326,14 +417,16 @@ let run t ~items =
      differs.  Items without a node were already final and dispatch as
      no-ops, exactly like the pool's empty rescan. *)
   if n_items > 0 then
-    Array.iter
-      (fun ({ Processor.key; version }, node) ->
+    Array.iteri
+      (fun i node ->
         (match t.on_dispatch with
-        | Some f -> f ~key ~version
+        | Some f ->
+            let { Processor.key; version } = items_a.(i) in
+            f ~key ~version
         | None -> ());
         Sim.Worker_pool.submit t.pool ~cost:t.dispatch_cost_us (fun () ->
             match node with
             | Some node -> Compute_engine.compute_prepared t.engine node
             | None -> ()))
-      entries;
+      prepared;
   stats

@@ -13,17 +13,20 @@
       bound on the evaluation waves);
     - {e read→write edges}: a user functor reading key [k] at version
       [v - 1] depends on the plan node writing [k] at the largest version
-      <= [v - 1], when that producer is local and in the plan.
+      <= [v - 1], when that producer is local and in the plan — its own
+      key included, when the read set names it.
 
     Reads are always of strictly lower versions, so edges strictly
-    increase version and the graph is a DAG.  The planner stratifies it
-    (Kahn levels) purely for statistics — strata count and critical-path
-    length — and then dispatches one worker-pool job per node {e in the
-    original install order}, each evaluating its node directly through
-    {!Compute_engine.compute_prepared}: no table probe and no
-    watermark-to-version chain rescan per evaluation, which is where the
-    planned mode's constant-factor win over the [pool] processor comes
-    from.
+    increase version and the graph is a DAG.  One topological pass gives
+    every node a {e depth} (its Kahn stratum: the strata count and
+    critical-path length are statistics) and, under the real runtime, a
+    {e level}, the longest path with intra-key edges weighing 0 and
+    read→write edges 1.  The planner then dispatches one worker-pool job
+    per node {e in the original install order}, each evaluating its node
+    directly through {!Compute_engine.compute_prepared}: no table probe
+    and no watermark-to-version chain rescan per evaluation, which is
+    where the planned mode's constant-factor win over the [pool]
+    processor comes from.
 
     For read-set keys owned by another partition (and not already covered
     by a §IV-B pushed read), the planner emits a {e plan subscription}
@@ -42,7 +45,7 @@ type t
 type stats = {
   nodes : int;  (** prepared (still-pending) functors in the plan *)
   edges : int;  (** dependency edges (intra-key + read→write) *)
-  strata : int;  (** Kahn levels: independent waves of evaluation *)
+  strata : int;  (** Kahn strata: independent waves of evaluation *)
   critical_path : int;
       (** edges on the longest dependency chain ([strata - 1] for a
           non-empty plan) *)
@@ -73,15 +76,22 @@ val create :
     the plan for the pool (lifecycle tracing); [on_evaluated] fires once
     when the last node of a plan finalises.
 
-    [real] switches on the [--runtime real] backend: each Kahn stratum
-    is evaluated eagerly as one batch on the worker-domain pool
-    (barriering between strata) before the simulated dispatch runs;
-    evaluated records then no-op through {!Compute_engine.compute_prepared},
-    so the simulated timeline is unchanged.  [on_stratum] observes each
-    batch leaving for the domain pool (lifecycle tracing);
-    [on_stratum_done] fires after the stratum barrier with the per-worker
+    [real] switches on the [--runtime real] backend: the plan is
+    evaluated eagerly, one {!Runtime.Pool.run_batch} per level, before the
+    simulated dispatch runs.  Each task of a batch is one key's
+    version-ascending run of nodes at that level, evaluated in order on
+    one worker, so an epoch of built-ins alone is a single batch; user
+    functors with read sets are staged on the calling domain before their
+    level's batch.  Each run fills its own commit buffer, which the
+    calling domain applies level by level in plan order, so commit order
+    does not depend on the domain count.  Evaluated records then no-op
+    through {!Compute_engine.compute_prepared}, so the simulated timeline
+    is unchanged.  [on_stratum] observes each level's batch leaving for
+    the domain pool (lifecycle tracing; [size] counts its nodes);
+    [on_stratum_done] fires after the batch barrier with the per-worker
     (completed, stolen, queue) deltas across the batch — the occupancy
-    feed for the epoch ledger's per-worker profiling tracks. *)
+    feed for the epoch ledger's per-worker profiling tracks.  The
+    [plan.real_strata] counter counts these level batches. *)
 
 val run : t -> items:Processor.item list -> stats
 (** Build and dispatch one plan over [items] (an epoch's drained buffer,

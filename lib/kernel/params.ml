@@ -16,7 +16,7 @@ type t = {
          phase ignore it. *)
   runtime : string option;
       (* execution backend: "sim" (default; everything on the simulation
-         domain) or "real" (ALOHA evaluates planned functor strata on a
+         domain) or "real" (ALOHA evaluates planned functors' key runs on a
          pool of OCaml 5 worker domains).  Engines without a real
          backend ignore it. *)
   domains : int option;

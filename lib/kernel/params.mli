@@ -25,7 +25,7 @@ type t = {
           phase ignore it *)
   runtime : string option;
       (** execution backend: "sim" (default; single-domain simulation) or
-          "real" (ALOHA evaluates planned functor strata on a pool of
+          "real" (ALOHA evaluates planned functors' key runs on a pool of
           OCaml 5 worker domains, for wall-clock measurements); engines
           without a real backend ignore it *)
   domains : int option;

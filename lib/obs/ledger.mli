@@ -61,7 +61,7 @@ type event = {
   e_partition : int;  (** -1 when not partition-scoped *)
 }
 
-(** One real-runtime stratum evaluated on the worker pool: wall-clock
+(** One real-runtime level batch evaluated on the worker pool: wall-clock
     bounds plus the per-worker (completed, stolen, queue) counter deltas
     across the batch — the raw material for the per-worker Perfetto
     tracks in {!Export}. *)
@@ -69,7 +69,7 @@ type stratum = {
   s_node : int;
   s_t0_us : int;  (** host wall clock, µs *)
   s_t1_us : int;
-  s_size : int;  (** plan nodes in the stratum *)
+  s_size : int;  (** plan nodes in the batch *)
   s_workers : (int * int * int) array;
       (** per worker: completed delta, stolen delta, queue length after *)
 }

@@ -44,7 +44,7 @@ type stage =
       (** the last node of a plan finalised ([arg] = elapsed µs since the
           plan was dispatched) *)
   | Stratum_dispatch
-      (** real runtime: a planner stratum left for the worker-domain pool
+      (** real runtime: a planner level batch left for the worker-domain pool
           ([arg] = batch size) *)
   (* replication *)
   | Wal_ship

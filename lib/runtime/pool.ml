@@ -1,36 +1,48 @@
-(** Fixed pool of OCaml 5 worker domains for the real-parallelism runtime.
+(** Caller-runs fork-join pool of OCaml 5 domains for the real-parallelism
+    runtime.
 
-    The design is the classic per-worker-queue + work-stealing shape:
+    The design is the classic per-worker-queue + work-stealing shape, with
+    the calling domain as one of the workers:
 
-    - [create ~domains] spawns [domains] worker domains, each owning one
-      mutex-guarded FIFO.  Producers (the main/orchestrating domain — the
-      queues are MPSC-safe but ALOHA only ever submits from the domain
-      driving the simulation) push round-robin with {!submit}, or to a
-      chosen queue with {!submit_to} (used by tests to manufacture skew).
-    - A worker first drains its own queue, then scans the other queues
-      and steals from the first non-empty one ([Mutex.try_lock] so a
-      busy victim is skipped rather than waited on).  Only when every
+    - [create ~domains:n] makes [n] worker slots, each owning one
+      mutex-guarded FIFO, and spawns [n - 1] domains for slots [1..n-1].
+      Slot 0 is the caller: the domain that creates the pool and drives
+      the simulation.  [~domains:1] spawns nothing and every task runs on
+      the caller.  Producers (the caller — the queues are MPSC-safe but
+      ALOHA only ever submits from the domain driving the simulation) push
+      round-robin over all slots with {!submit}, or to a chosen slot with
+      {!submit_to} (used by tests to manufacture skew).
+    - A spawned worker first drains its own queue, then scans the other
+      queues and steals from the first non-empty one ([Mutex.try_lock] so
+      a busy victim is skipped rather than waited on).  Only when every
       queue looks empty does it sleep on the shared idle bell.
-    - {!run_batch} is the stratum barrier: it slices the task array into
-      contiguous chunks (a few per worker, so stealing can still even
-      out skew without paying one queue round-trip per task), submits
-      them, and blocks until the pool's in-flight count returns to zero.
-    - {!shutdown} drains everything already submitted, then joins the
-      domains; it is idempotent, and {!submit} after shutdown raises.
+    - The caller works only inside {!run_batch}, {!drain} and {!shutdown}:
+      it pops slot 0, then steals, until the pool's in-flight count
+      returns to zero; when nothing is left to take but tasks are still
+      running on spawned workers, it sleeps on the completion bell.  So
+      the caller never idles while work is queued, and an [n]-domain pool
+      keeps exactly [n] domains busy.
+    - {!run_batch} is the fork-join barrier: it slices the task array into
+      contiguous chunks (a few per slot, so stealing can still even out
+      skew without paying one queue round-trip per task), queues them,
+      and helps until every chunk has run.
+    - {!shutdown} runs everything already submitted, then joins the
+      spawned domains; it is idempotent, and {!submit} after shutdown
+      raises.
 
     Memory-model note: every task result handed between domains crosses
     at least one [Mutex] acquire/release or [Atomic] edge (queue mutex on
     the way in, the in-flight atomic + completion mutex on the way out),
     so plain mutable writes made by a task happen-before any read the
-    orchestrator — or a task of a later batch — performs after the
-    barrier.  Callers rely on this: stratum [k] freely reads record
-    fields written by stratum [k-1] without per-field atomics. *)
+    caller — or a task of a later batch — performs after the barrier.
+    Callers rely on this: level [k] freely reads record fields written by
+    level [k-1] without per-field atomics. *)
 
 type worker = {
   queue : (unit -> unit) Queue.t;
   lock : Mutex.t;
-  (* per-worker occupancy counters: written only by the owning worker
-     domain, read (racily, gauge-style) by the orchestrator *)
+  (* per-worker occupancy counters: written only by the slot's own domain
+     (the caller for slot 0), read (racily, gauge-style) by the caller *)
   w_completed : int Atomic.t;
   w_stolen : int Atomic.t;
 }
@@ -47,11 +59,13 @@ type t = {
   busy : int Atomic.t;
   busy_peak : int Atomic.t;
   queue_peak : int Atomic.t;
-  (* idle bell: workers sleep here; any submit (or shutdown) rings it *)
+  (* idle bell: spawned workers sleep here; any submit (or shutdown)
+     rings it *)
   bell : Mutex.t;
   bell_cv : Condition.t;
   work_sig : int Atomic.t;
-  (* completion: run_batch/drain sleep here; the last finisher rings it *)
+  (* completion: the helping caller sleeps here; the last finisher rings
+     it *)
   done_lock : Mutex.t;
   done_cv : Condition.t;
   rr : int Atomic.t;
@@ -70,9 +84,9 @@ let queue_peak t = Atomic.get t.queue_peak
 let queue_depth t = max 0 (Atomic.get t.in_flight - Atomic.get t.busy)
 
 (* Per-worker (tasks completed, tasks stolen, queue length) snapshot.  The
-   counters are cumulative; the orchestrator diffs consecutive snapshots
-   around a stratum barrier for per-stratum occupancy.  The queue length
-   is a racy plain read — a gauge, like {!queue_depth}. *)
+   counters are cumulative; the caller diffs consecutive snapshots around
+   a batch for per-batch occupancy.  The queue length is a racy plain
+   read — a gauge, like {!queue_depth}. *)
 let worker_stats t =
   Array.map
     (fun w ->
@@ -103,6 +117,11 @@ let steal t ~self =
     end;
     incr i
   done;
+  (match !found with
+  | Some _ ->
+      Atomic.incr t.stolen;
+      Atomic.incr t.workers.(self).w_stolen
+  | None -> ());
   !found
 
 let run_task t ~self task =
@@ -133,10 +152,7 @@ let worker_loop t self =
     | Some task -> run_task t ~self task
     | None -> (
         match steal t ~self with
-        | Some task ->
-            Atomic.incr t.stolen;
-            Atomic.incr w.w_stolen;
-            run_task t ~self task
+        | Some task -> run_task t ~self task
         | None ->
             (* Nothing anywhere.  Exit on stop (queues are drained first
                by construction: stop is only checked after a full failed
@@ -178,7 +194,8 @@ let create ~domains =
       shut = false }
   in
   t.handles <-
-    Array.init domains (fun i -> Domain.spawn (fun () -> worker_loop t i));
+    Array.init (domains - 1) (fun i ->
+        Domain.spawn (fun () -> worker_loop t (i + 1)));
   t
 
 let ring t =
@@ -187,7 +204,8 @@ let ring t =
   Condition.broadcast t.bell_cv;
   Mutex.unlock t.bell
 
-let submit_to t ~worker task =
+(* Queue without ringing; callers ring once per submission burst. *)
+let enqueue t ~worker task =
   if t.shut then invalid_arg "Runtime.Pool: submit after shutdown";
   let w = t.workers.(worker mod Array.length t.workers) in
   Atomic.incr t.in_flight;
@@ -195,48 +213,65 @@ let submit_to t ~worker task =
   Queue.push task w.queue;
   let len = Queue.length w.queue in
   Mutex.unlock w.lock;
-  bump_max t.queue_peak len;
+  bump_max t.queue_peak len
+
+let submit_to t ~worker task =
+  enqueue t ~worker task;
   ring t
 
 let submit t task =
   let i = Atomic.fetch_and_add t.rr 1 in
   submit_to t ~worker:(i mod Array.length t.workers) task
 
-(* Barrier: wait until every submitted task (from any producer) finished. *)
+(* Barrier with the caller as worker slot 0: run own work, then steal,
+   until every submitted task (from any producer) finished. *)
 let drain t =
-  Mutex.lock t.done_lock;
+  let w = t.workers.(0) in
   while Atomic.get t.in_flight > 0 do
-    Condition.wait t.done_cv t.done_lock
-  done;
-  Mutex.unlock t.done_lock
+    match pop_own w with
+    | Some task -> run_task t ~self:0 task
+    | None -> (
+        match steal t ~self:0 with
+        | Some task -> run_task t ~self:0 task
+        | None ->
+            (* Nothing left to take: the remaining tasks are running on
+               spawned workers, and the last of them rings [done_cv]. *)
+            Mutex.lock t.done_lock;
+            while Atomic.get t.in_flight > 0 do
+              Condition.wait t.done_cv t.done_lock
+            done;
+            Mutex.unlock t.done_lock)
+  done
 
 let run_batch t tasks =
   let n = Array.length tasks in
   if n > 0 then begin
     let nw = Array.length t.workers in
     (* A few chunks per worker: big enough to amortize the queue mutex,
-       small enough that stealing can rebalance a skewed stratum. *)
-    let chunks = min n (max 1 (nw * 4)) in
+       small enough that stealing can rebalance a skewed batch. *)
+    let chunks = min n (nw * 4) in
     let base = n / chunks and rem = n mod chunks in
     let off = ref 0 in
     for c = 0 to chunks - 1 do
       let len = base + if c < rem then 1 else 0 in
       let lo = !off in
       off := lo + len;
-      if len > 0 then
-        submit_to t ~worker:c (fun () ->
-            for i = lo to lo + len - 1 do
-              tasks.(i) ()
-            done)
+      enqueue t ~worker:c (fun () ->
+          for i = lo to lo + len - 1 do
+            (* per task, so one raise does not skip its chunk-mates *)
+            try tasks.(i) () with _ -> Atomic.incr t.tasks_raised
+          done)
     done;
+    if nw > 1 then ring t;
     drain t
   end
 
 let shutdown t =
   if not t.shut then begin
+    (* Run what is already queued (slot 0's share included) before the
+       spawned workers are told to exit, so nothing submitted is lost. *)
+    drain t;
     t.shut <- true;
-    (* Let pending work finish: workers only exit once a full scan finds
-       every queue empty, so nothing submitted before shutdown is lost. *)
     Atomic.set t.stop true;
     ring t;
     Array.iter Domain.join t.handles;

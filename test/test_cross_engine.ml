@@ -111,7 +111,7 @@ let test_compute_modes_agree () =
    functor evaluation on simulated workers (--runtime sim) and on real
    OCaml 5 domains (--runtime real) must commit the same transactions and
    leave identical final state, for every compute mode.  Deliberately NOT
-   a throughput check: the real runtime evaluates strata eagerly at epoch
+   a throughput check: the real runtime evaluates plans eagerly at epoch
    close, which shifts simulated completion timing (see DESIGN.md §12) —
    state equivalence is the invariant, wall clock is the benchmark's job.
    run_engine already asserts the committed/aborted counts match the

@@ -585,6 +585,194 @@ let prop_planner_epoch =
       && Engine.pending_count e = 0
       && edges_ok)
 
+(* The list-based Kahn stratification the planner used before its
+   array-based level pass, kept here as the reference for the plan
+   statistics: the number of peeling rounds over [succs]/[indeg]. *)
+let kahn_strata ~n ~succs ~indeg =
+  let indeg = Array.copy indeg in
+  let frontier = ref [] in
+  for i = n - 1 downto 0 do
+    if indeg.(i) = 0 then frontier := i :: !frontier
+  done;
+  let levels = ref 0 and consumed = ref 0 in
+  while !frontier <> [] do
+    incr levels;
+    let next = ref [] in
+    List.iter
+      (fun i ->
+        incr consumed;
+        List.iter
+          (fun j ->
+            indeg.(j) <- indeg.(j) - 1;
+            if indeg.(j) = 0 then next := j :: !next)
+          succs.(i))
+      !frontier;
+    frontier := !next
+  done;
+  assert (!consumed = n);
+  !levels
+
+(* qcheck (planner levels): random epochs of ADD chains and "sum" user
+   functors whose read sets span keys, own key included.  The plan
+   statistics must equal the reference Kahn stratification's over the
+   same edges, and evaluating the plan on the real runtime at 1, 2 and 4
+   domains — one batch per level, one task per key run — must leave the
+   same final state as the simulated runtime, equal to serial replay in
+   version order, with no item sent back to the sequential fallback. *)
+let prop_planner_levels =
+  let n_keys = 5 in
+  let op_gen =
+    QCheck2.Gen.(
+      pair
+        (int_range 0 (n_keys - 1))
+        (oneof
+           [ map (fun d -> `Add d) (int_range 1 9);
+             map2
+               (fun own rks -> `Sum (own, rks))
+               bool
+               (list_size (int_range 0 3) (int_range 0 (n_keys - 1))) ]))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (fun (k, op) ->
+           match op with
+           | `Add d -> Printf.sprintf "p%d+=%d" k d
+           | `Sum (own, rks) ->
+               Printf.sprintf "p%d=sum(%s%s)" k
+                 (if own then "own," else "")
+                 (String.concat "," (List.map string_of_int rks)))
+         ops)
+  in
+  QCheck2.Test.make ~name:"planner: levels keep Kahn stats, real = sim"
+    ~count:60 ~print
+    QCheck2.Gen.(list_size (int_range 1 40) op_gen)
+    (fun ops ->
+      let ops = Array.of_list ops in
+      let n = Array.length ops in
+      (* op i writes key [fst ops.(i)] at version i + 1 *)
+      let reads i =
+        match snd ops.(i) with
+        | `Add _ -> []
+        | `Sum (own, rks) ->
+            List.sort_uniq compare
+              (if own then fst ops.(i) :: rks else rks)
+      in
+      let name k = Printf.sprintf "lv%d" k in
+      let run_epoch real =
+        let sim = Sim.Engine.create () in
+        let pool = Sim.Worker_pool.create sim ~workers:3 in
+        let registry = Registry.with_builtins () in
+        Registry.register registry "sum" (fun ctx ->
+            Registry.Commit
+              (Value.int
+                 (List.fold_left
+                    (fun acc (_, v) ->
+                      acc + match v with Some v -> Value.to_int v | None -> 0)
+                    0 ctx.Registry.reads)));
+        let finals = Hashtbl.create 64 in
+        let callbacks =
+          { Engine.is_local = (fun _ -> true);
+            remote_get = (fun ~key:_ ~version:_ k -> k None);
+            send_push = (fun ~dst_key:_ ~version:_ ~src_key:_ _ -> ());
+            send_dep_write = (fun ~key:_ ~version:_ _ -> ());
+            notify_final =
+              (fun ~key ~version ~pending:_ ~final ->
+                Hashtbl.replace finals (Mvstore.Key.name key, version) final);
+            exec = (fun ~cost k -> Sim.Worker_pool.submit pool ~cost k);
+            now = (fun () -> Sim.Engine.now sim) }
+        in
+        let metrics = Sim.Metrics.create () in
+        let e =
+          Engine.create ~registry ~callbacks ~compute_cost_us:1 ~metrics ()
+        in
+        for k = 0 to n_keys - 1 do
+          Engine.load_initial e ~key:(ik (name k)) (Value.int 0)
+        done;
+        let items =
+          List.init n (fun i ->
+              let key = ik (name (fst ops.(i))) and version = i + 1 in
+              let funct =
+                match snd ops.(i) with
+                | `Add d ->
+                    Funct.mk_pending ~ftype:Ftype.Add
+                      ~farg:(Funct.farg_args [ Value.int d ])
+                      ~txn_id:version ~coordinator:0
+                | `Sum _ ->
+                    Funct.mk_pending ~ftype:(Ftype.User "sum")
+                      ~farg:
+                        { Funct.farg_empty with
+                          read_set = List.map (fun r -> ik (name r)) (reads i) }
+                      ~txn_id:version ~coordinator:0
+              in
+              (match Engine.install e ~key ~version ~lo:0 ~hi:max_int funct with
+              | Ok () -> ()
+              | Error _ -> Alcotest.fail "install failed");
+              { Functor_cc.Processor.key; version })
+        in
+        let rpool = Option.map (fun domains -> Runtime.Pool.create ~domains) real in
+        let planner =
+          Functor_cc.Planner.create ~engine:e ~pool ?real:rpool
+            ~dispatch_cost_us:1 ~metrics ()
+        in
+        let stats = Functor_cc.Planner.run planner ~items in
+        Sim.Engine.run sim;
+        Option.iter Runtime.Pool.shutdown rpool;
+        let state =
+          List.sort compare (Hashtbl.fold (fun kv f acc -> (kv, f) :: acc) finals [])
+        in
+        (stats, state, Sim.Metrics.get metrics "plan.real_evaluated",
+         Sim.Metrics.get metrics "plan.real_fallback")
+      in
+      (* reference graph: intra-key edge from the key's next-lower plan
+         version, read→write edge from each read key's largest plan
+         version <= v - 1 *)
+      let producer k ~bound =
+        let best = ref (-1) in
+        Array.iteri
+          (fun j (kj, _) -> if kj = k && j + 1 <= bound then best := j)
+          ops;
+        !best
+      in
+      let succs = Array.make n [] and indeg = Array.make n 0 in
+      let edges = ref 0 in
+      let edge src dst =
+        if src >= 0 then begin
+          succs.(src) <- dst :: succs.(src);
+          indeg.(dst) <- indeg.(dst) + 1;
+          incr edges
+        end
+      in
+      Array.iteri
+        (fun i (k, _) ->
+          edge (producer k ~bound:i) i;
+          List.iter (fun r -> edge (producer r ~bound:i) i) (reads i))
+        ops;
+      let strata = kahn_strata ~n ~succs ~indeg in
+      (* serial replay in version order *)
+      let cur = Array.make n_keys 0 in
+      let serial =
+        List.sort compare
+          (List.init n (fun i ->
+               let k = fst ops.(i) in
+               (cur.(k) <-
+                 (match snd ops.(i) with
+                 | `Add d -> cur.(k) + d
+                 | `Sum _ -> List.fold_left (fun acc r -> acc + cur.(r)) 0 (reads i)));
+               ((name k, i + 1), Funct.Committed (Value.int cur.(k)))))
+      in
+      let stats_ok (s : Functor_cc.Planner.stats) =
+        s.nodes = n && s.edges = !edges && s.strata = strata
+        && s.critical_path = strata - 1
+      in
+      let sim_stats, sim_state, _, _ = run_epoch None in
+      stats_ok sim_stats && sim_state = serial
+      && List.for_all
+           (fun domains ->
+             let stats, state, evaluated, fallback = run_epoch (Some domains) in
+             stats_ok stats && state = sim_state && evaluated = n && fallback = 0)
+           [ 1; 2; 4 ])
+
 let suite =
   [ Alcotest.test_case "value accessors" `Quick test_value_accessors;
     Alcotest.test_case "value equal/compare" `Quick test_value_equal_compare;
@@ -614,4 +802,5 @@ let suite =
       test_optimistic_validation;
     QCheck_alcotest.to_alcotest prop_numeric_series;
     QCheck_alcotest.to_alcotest prop_watermark_complete;
-    QCheck_alcotest.to_alcotest prop_planner_epoch ]
+    QCheck_alcotest.to_alcotest prop_planner_epoch;
+    QCheck_alcotest.to_alcotest prop_planner_levels ]

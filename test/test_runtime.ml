@@ -1,7 +1,9 @@
 (* The real-parallelism runtime: the domain pool in isolation (barrier
-   semantics, work stealing, shutdown discipline) and the end-to-end
-   guarantee the planner builds on it — evaluating an epoch's strata on
-   1 domain and on 8 domains is observationally identical. *)
+   semantics, work stealing, shutdown discipline, the caller as worker
+   slot 0) and the end-to-end guarantees the planner builds on it —
+   evaluating an epoch's key runs on 1 domain and on 8 domains is
+   observationally identical, and a handler that raises mid-run leaves no
+   record claimed. *)
 
 module Pool = Runtime.Pool
 module Value = Functor_cc.Value
@@ -23,10 +25,18 @@ let test_batch_barrier () =
   Alcotest.(check int) "n_workers" 4 (Pool.n_workers p);
   let n = 256 in
   let a = Array.make n 0 in
-  Pool.run_batch p (Array.init n (fun i () -> a.(i) <- i + 1));
+  let ran_on = Array.make n (-1) in
+  Pool.run_batch p
+    (Array.init n (fun i () ->
+         a.(i) <- i + 1;
+         ran_on.(i) <- (Domain.self () :> int)));
   let expect = n * (n + 1) / 2 in
   Alcotest.(check int)
     "all writes visible after barrier" expect (Array.fold_left ( + ) 0 a);
+  (* the caller plus three spawned domains, never more *)
+  Alcotest.(check bool)
+    "at most n_workers domains ran tasks" true
+    (List.length (List.sort_uniq compare (Array.to_list ran_on)) <= 4);
   let sums = Array.make 8 0 in
   Pool.run_batch p
     (Array.init 8 (fun w () -> sums.(w) <- Array.fold_left ( + ) 0 a));
@@ -88,14 +98,45 @@ let test_shutdown () =
     (Invalid_argument "Runtime.Pool.create: domains < 1") (fun () ->
       ignore (Pool.create ~domains:0))
 
+(* ---- pool: one domain is the caller alone -------------------------------- *)
+
+(* [~domains:1] spawns nothing: every task of [run_batch], of [submit] +
+   [drain], and of a [shutdown] that finds work still queued runs on the
+   calling domain, and the pool still reports one worker. *)
+let test_one_domain_caller_runs () =
+  let p = Pool.create ~domains:1 in
+  Alcotest.(check int) "n_workers" 1 (Pool.n_workers p);
+  let self = (Domain.self () :> int) in
+  let others = Atomic.make 0 and hits = Atomic.make 0 in
+  let task () =
+    Atomic.incr hits;
+    if (Domain.self () :> int) <> self then Atomic.incr others
+  in
+  Pool.run_batch p (Array.make 64 task);
+  Alcotest.(check int) "run_batch ran everything" 64 (Atomic.get hits);
+  for _ = 1 to 16 do
+    Pool.submit p task
+  done;
+  Pool.drain p;
+  Alcotest.(check int) "drain ran the submits" 80 (Atomic.get hits);
+  for _ = 1 to 8 do
+    Pool.submit p task
+  done;
+  Pool.shutdown p;
+  Alcotest.(check int) "shutdown ran the queued submits" 88 (Atomic.get hits);
+  Alcotest.(check int) "every task ran on the caller" 0 (Atomic.get others);
+  (* run_batch queues four chunks per worker *)
+  Alcotest.(check int) "completed counter" (4 + 16 + 8) (Pool.completed p)
+
 (* ---- planner on the real pool: 1 domain = 8 domains --------------------- *)
 
 (* 1000 commutative ADDs (50 keys x 20 versions) through the planner with
-   a real pool.  The strata are wide (every key, one version) so every
-   worker evaluates concurrently, and every item must take the parallel
-   path (builtins with intra-key deps never fall back).  The final store
-   state must be byte-identical across domain counts — the determinism
-   half of the sim-vs-real oracle, without a cluster around it. *)
+   a real pool.  Intra-key edges weigh no level, so the whole epoch is one
+   level of 50 key runs, evaluated concurrently, and every item must take
+   the parallel path (builtins with intra-key deps never fall back).  The
+   final store state must be byte-identical across domain counts — the
+   determinism half of the sim-vs-real oracle, without a cluster around
+   it. *)
 let n_keys = 50
 let n_versions = 20
 
@@ -148,11 +189,11 @@ let run_adds ~domains =
     done
   done;
   let rpool = Pool.create ~domains in
-  let stratum_sizes = ref [] in
+  let level_sizes = ref [] in
   let planner =
     Functor_cc.Planner.create ~engine:e ~pool ~real:rpool ~dispatch_cost_us:1
       ~metrics
-      ~on_stratum:(fun ~size -> stratum_sizes := size :: !stratum_sizes)
+      ~on_stratum:(fun ~size -> level_sizes := size :: !level_sizes)
       ()
   in
   let stats = Functor_cc.Planner.run planner ~items:!items in
@@ -166,11 +207,10 @@ let run_adds ~domains =
     (Sim.Metrics.get metrics "plan.real_evaluated");
   Alcotest.(check int) "no fallbacks" 0
     (Sim.Metrics.get metrics "plan.real_fallback");
-  Alcotest.(check int) "one callback per stratum"
-    (Sim.Metrics.get metrics "plan.real_strata")
-    (List.length !stratum_sizes);
-  Alcotest.(check int) "stratum sizes cover the epoch" (n_keys * n_versions)
-    (List.fold_left ( + ) 0 !stratum_sizes);
+  Alcotest.(check int) "an ADD-only epoch is one level" 1
+    (Sim.Metrics.get metrics "plan.real_strata");
+  Alcotest.(check (list int)) "one callback per level, covering the epoch"
+    [ n_keys * n_versions ] !level_sizes;
   List.init n_keys (fun i ->
       match Hashtbl.find_opt finals (Printf.sprintf "rt:%d" i, n_versions) with
       | Some (Funct.Committed v) -> Value.to_int v
@@ -180,13 +220,118 @@ let run_adds ~domains =
 let test_domain_count_determinism () =
   let expected = List.init n_keys expected_total in
   let one = run_adds ~domains:1 in
+  let two = run_adds ~domains:2 in
   let eight = run_adds ~domains:8 in
   Alcotest.(check (list int)) "1 domain = oracle" expected one;
+  Alcotest.(check (list int)) "2 domains = 1 domain" one two;
   Alcotest.(check (list int)) "8 domains = 1 domain" one eight
+
+(* ---- real planner: a handler raising mid-run ----------------------------- *)
+
+(* One key run holds ADDs, a user functor without a read set (staged by
+   the worker, inside the run) whose handler raises [Failure] on its first
+   call, and after it a user functor with a read set (staged by the
+   orchestrator before the batch).  The raise ends the run: the raiser
+   and the orchestrator-staged reader must be released back to
+   [Installed] at commit, the ADDs after the raiser must never have been
+   claimed, and the simulated dispatch then computes them all.  A second
+   key's run is unaffected.  No record may stay [Computing]. *)
+let test_raise_mid_run () =
+  List.iter
+    (fun domains ->
+      let sim = Sim.Engine.create () in
+      let pool = Sim.Worker_pool.create sim ~workers:3 in
+      let registry = Registry.with_builtins () in
+      let raised = Atomic.make false in
+      Registry.register registry "flaky" (fun ctx ->
+          if not (Atomic.exchange raised true) then failwith "flaky";
+          Registry.Commit (Registry.arg ctx 0));
+      Registry.register registry "copy" (fun ctx ->
+          match Registry.read ctx "rx:other" with
+          | Some v -> Registry.Commit v
+          | None -> Registry.Abort);
+      let callbacks =
+        { Engine.is_local = (fun _ -> true);
+          remote_get = (fun ~key:_ ~version:_ k -> k None);
+          send_push = (fun ~dst_key:_ ~version:_ ~src_key:_ _ -> ());
+          send_dep_write = (fun ~key:_ ~version:_ _ -> ());
+          notify_final = (fun ~key:_ ~version:_ ~pending:_ ~final:_ -> ());
+          exec = (fun ~cost k -> Sim.Worker_pool.submit pool ~cost k);
+          now = (fun () -> Sim.Engine.now sim) }
+      in
+      let metrics = Sim.Metrics.create () in
+      let e =
+        Engine.create ~registry ~callbacks ~compute_cost_us:1 ~metrics ()
+      in
+      let k = ik "rx:k" and j = ik "rx:j" and other = ik "rx:other" in
+      List.iter (fun key -> Engine.load_initial e ~key (Value.int 0)) [ k; j ];
+      Engine.load_initial e ~key:other (Value.int 7);
+      let add = (Ftype.Add, Funct.farg_args [ Value.int 1 ]) in
+      let k_ops =
+        [ add; add; add;
+          (Ftype.User "flaky", Funct.farg_args [ Value.int 10 ]);
+          add;
+          (Ftype.User "copy", { Funct.farg_empty with read_set = [ other ] });
+          add; add ]
+      in
+      let items = ref [] in
+      let install key version (ftype, farg) =
+        let funct = Funct.mk_pending ~ftype ~farg ~txn_id:version ~coordinator:0 in
+        (match Engine.install e ~key ~version ~lo:0 ~hi:max_int funct with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "install failed");
+        items := { Functor_cc.Processor.key; version } :: !items
+      in
+      List.iteri (fun i op -> install k (i + 1) op) k_ops;
+      List.iter (fun v -> install j v add) [ 1; 2; 3; 4 ];
+      let rpool = Pool.create ~domains in
+      let planner =
+        Functor_cc.Planner.create ~engine:e ~pool ~real:rpool
+          ~dispatch_cost_us:1 ~metrics ()
+      in
+      ignore (Functor_cc.Planner.run planner ~items:(List.rev !items));
+      let name fmt = Printf.sprintf ("%d domain(s): " ^^ fmt) domains in
+      Alcotest.(check int) (name "one task raised") 1 (Pool.tasks_raised rpool);
+      Alcotest.(check int)
+        (name "evaluated: k@1-3 and j@1-4") 7
+        (Sim.Metrics.get metrics "plan.real_evaluated");
+      Alcotest.(check int)
+        (name "released: the raiser and the staged reader") 2
+        (Sim.Metrics.get metrics "plan.real_fallback");
+      let chain = Option.get (Mvstore.Table.chain (Engine.table e) k) in
+      let state v =
+        match (Option.get (Mvstore.Chain.find_exact chain ~version:v)).Funct.state with
+        | Funct.Final _ -> `Final
+        | Funct.Pending { Funct.status = Funct.Installed; _ } -> `Installed
+        | Funct.Pending { Funct.status = Funct.Computing; _ } -> `Computing
+      in
+      Alcotest.(check bool)
+        (name "k@1-3 final, k@4-8 back to or still installed") true
+        (List.map state [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+        = [ `Final; `Final; `Final; `Installed; `Installed; `Installed;
+            `Installed; `Installed ]);
+      Sim.Engine.run sim;
+      Pool.shutdown rpool;
+      let value key v =
+        let r = ref None in
+        Engine.get e ~key ~version:v (fun x -> r := x);
+        match !r with Some x -> Value.to_int x | None -> -1
+      in
+      Alcotest.(check (list int))
+        (name "k after the sequential fallback")
+        [ 1; 2; 3; 10; 11; 7; 8; 9 ]
+        (List.map (value k) [ 1; 2; 3; 4; 5; 6; 7; 8 ]);
+      Alcotest.(check int) (name "j unaffected") 4 (value j 4);
+      Alcotest.(check int) (name "nothing pending") 0 (Engine.pending_count e))
+    [ 1; 2 ]
 
 let suite =
   [ Alcotest.test_case "run_batch barrier" `Quick test_batch_barrier;
     Alcotest.test_case "work stealing under skew" `Quick test_work_stealing;
     Alcotest.test_case "shutdown drains pending work" `Quick test_shutdown;
     Alcotest.test_case "1 vs 8 domains deterministic" `Quick
-      test_domain_count_determinism ]
+      test_domain_count_determinism;
+    Alcotest.test_case "1 domain runs on the caller" `Quick
+      test_one_domain_caller_runs;
+    Alcotest.test_case "raising handler falls back mid-run" `Quick
+      test_raise_mid_run ]
