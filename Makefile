@@ -8,13 +8,9 @@ build:
 test:
 	dune runtest
 
-# Full benchmark sweep (all figures at quick scale + micro suite).  Each
-# ALOHA series prints the compute mode it used ([fig9]/[fig10] lines and
-# the pool/planned micro names); lock-based engines have no compute phase.
+# Full benchmark sweep (all figures at quick scale + micro suite).
 bench:
 	dune exec bench/main.exe -- --json all
-	@echo "compute-mode attribution: see '[fig9] ALOHA(...)' / '[fig10]' lines above;"
-	@echo "  micro series 'functor_cc epoch 64x128 pool|planned' name their mode."
 
 # CI smoke: one macro figure + the micro suite, with JSON emission, so the
 # bench binary and BENCH_*.json output can't silently rot.
@@ -46,9 +42,9 @@ real-smoke:
 	dune exec test/test_main.exe -- test mvstore
 	dune exec test/test_main.exe -- test cross-engine
 	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
-	  --compute planned --runtime real --domains 4 --measure-ms 200
+	  --runtime real --domains 4 --measure-ms 200
 	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
-	  --compute planned --runtime real --domains 1 --measure-ms 200
+	  --runtime real --domains 1 --measure-ms 200
 	$(MAKE) bench-real
 
 # Randomized fault schedules against all three engines, 25 seeds each.
@@ -57,23 +53,19 @@ real-smoke:
 chaos:
 	dune exec bin/alohadb_cli.exe -- chaos --engine all --seed 1 --count 25
 
-# CI smoke: fewer seeds so the job stays fast.  The second lane reruns
-# ALOHA with the planned compute mode so the planner path stays under
-# fault injection too.
+# CI smoke: fewer seeds so the job stays fast.
 chaos-smoke:
 	dune exec bin/alohadb_cli.exe -- chaos --engine all --seed 1 --count 8
-	dune exec bin/alohadb_cli.exe -- chaos --engine aloha --seed 1 --count 2 \
-	  --compute planned
 
 # The byte-identical oracle for behaviour-neutral changes: the ALOHA
-# chaos trace hash for seeds 1-10 x k = 1/2/3 x fast lane off/on, one
+# chaos trace hash for seeds 1-50 x k = 1/2/3 x fast lane off/on, one
 # line each.  The committed ci/chaos_digests.txt is this output; a
 # refactor either reproduces it or explains the difference.
 chaos-digests:
 	@dune build bin/alohadb_cli.exe
 	@for k in 1 2 3; do for fp in "" --fastpath; do \
 	  ./_build/default/bin/alohadb_cli.exe chaos --engine aloha --seed 1 \
-	    --count 10 --replicas $$k $$fp; \
+	    --count 50 --replicas $$k $$fp; \
 	done; done | sed -E \
 	  's/.*"seed":([0-9]+).*"replicas":([0-9]+),"fastpath":([a-z]+),"trace_hash":"([0-9a-f]+)".*/seed=\1 k=\2 fastpath=\3 \4/'
 

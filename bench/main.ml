@@ -132,12 +132,10 @@ let micro () =
   in
   (* One closed epoch of 64 keys x 128 pending ADD versions (a
      commutative-heavy epoch: hot counters absorb dozens of blind ADDs
-     per epoch), evaluated to completion under each compute mode.
-     [exec] routes through the worker pool, so every dispatch job runs
-     before any evaluation finalises — the worst case for the pool
-     mode's watermark-to-version rescan (quadratic in chain depth) and
-     exactly the regime the planner's prepared handles avoid. *)
-  let run_epoch ~planned =
+     per epoch), planned and evaluated to completion.  [exec] routes
+     through the worker pool, so every dispatch job runs before any
+     evaluation finalises. *)
+  let run_epoch () =
     let sim = Sim.Engine.create () in
     let pool = Sim.Worker_pool.create sim ~workers:4 in
     let registry = Functor_cc.Registry.with_builtins () in
@@ -155,10 +153,7 @@ let micro () =
       Functor_cc.Compute_engine.create ~registry ~callbacks
         ~compute_cost_us:1 ~metrics ()
     in
-    let proc =
-      Functor_cc.Processor.create ~engine:e ~pool ~dispatch_cost_us:1
-        ~metrics ()
-    in
+    let proc = Functor_cc.Processor.create () in
     let keys =
       Array.init 64 (fun i -> Mvstore.Key.intern (Printf.sprintf "bk%d" i))
     in
@@ -180,25 +175,18 @@ let micro () =
           Functor_cc.Processor.buffer proc ~epoch:1 ~key ~version:v)
         keys
     done;
-    if planned then begin
-      let planner =
-        Functor_cc.Planner.create ~engine:e ~pool ~dispatch_cost_us:1
-          ~metrics ()
-      in
-      let items = Functor_cc.Processor.drain proc ~upto_epoch:1 in
-      ignore (Functor_cc.Planner.run planner ~items)
-    end
-    else Functor_cc.Processor.release proc ~upto_epoch:1;
+    let planner =
+      Functor_cc.Planner.create ~engine:e ~pool ~dispatch_cost_us:1 ~metrics
+        ()
+    in
+    let items = Functor_cc.Processor.drain proc ~upto_epoch:1 in
+    ignore (Functor_cc.Planner.run planner ~items);
     Sim.Engine.run sim;
     assert (Functor_cc.Compute_engine.watermark e ~key:keys.(0) = 128)
   in
-  let epoch_pool =
-    Test.make ~name:"functor_cc epoch 64x128 pool"
-      (Staged.stage (fun () -> run_epoch ~planned:false))
-  in
   let epoch_planned =
     Test.make ~name:"functor_cc epoch 64x128 planned"
-      (Staged.stage (fun () -> run_epoch ~planned:true))
+      (Staged.stage run_epoch)
   in
   (* WAL flush+ship pair: append 64 entries, run the group-commit flush,
      and from its hook read the freshly durable range the way a
@@ -250,7 +238,7 @@ let micro () =
   let wal_32k = wal_flush_ship ~log:32_768 in
   let tests =
     [ chain_insert; ts_gen; zipf; lock_manager; functor_compute;
-      epoch_pool; epoch_planned; rng_bench; tracer_off; tracer_on; wal_1k;
+      epoch_planned; rng_bench; tracer_off; tracer_on; wal_1k;
       wal_32k ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
@@ -422,7 +410,7 @@ let fastpath () =
       Harness.Setup.ycsb ~engine:aloha ~n:4 ~ci:0.01 ~epoch_us:10_000
         ~fastpath ~seed:7 ()
     in
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 4 })
       ~warmup_us:100_000 ~measure_us:1_000_000 ()
   in

@@ -63,24 +63,14 @@ let run_cmd =
     Arg.(value & opt int 100 & info [ "measure-ms" ] ~doc:"Measured window.")
   in
   let seed = Arg.(value & opt int 17 & info [ "seed" ] ~doc:"Workload seed.") in
-  let compute =
-    let modes =
-      Arg.enum
-        [ ("ondemand", "ondemand"); ("pool", "pool"); ("planned", "planned") ]
-    in
-    Arg.(value & opt (some modes) None
-         & info [ "compute" ]
-             ~doc:"Compute-phase mode (ALOHA only): ondemand, pool, or \
-                   planned.  Omitted = engine default.")
-  in
   let runtime =
     let modes = Arg.enum [ ("sim", "sim"); ("real", "real") ] in
     Arg.(value & opt (some modes) None
          & info [ "runtime" ]
              ~doc:"Execution backend (ALOHA only): sim (default; \
-                   single-domain simulation) or real (evaluate planned \
-                   functors on OCaml 5 domains, one task per key run; \
-                   pair with --compute planned).")
+                   single-domain simulation) or real (evaluate each \
+                   epoch's planned functors on OCaml 5 domains, one task \
+                   per key run).")
   in
   let domains =
     Arg.(value & opt (some int) None
@@ -107,7 +97,7 @@ let run_cmd =
                    close + compute.  Omitted = off.")
   in
   let run (sys_name, engine) workload n per_host ci clients rate epoch_ms
-      warmup_ms measure_ms seed compute runtime domains replicas fastpath =
+      warmup_ms measure_ms seed runtime domains replicas fastpath =
     let epoch_us = epoch_ms * 1000 in
     let warmup_us = warmup_ms * 1000 in
     let measure_us = measure_ms * 1000 in
@@ -124,30 +114,25 @@ let run_cmd =
       match workload with
       | `Tpcc ->
           Harness.Setup.tpcc ~engine ~n ~warehouses_per_host:per_host
-            ~kind:`NewOrder ~epoch_us ?compute ?runtime ?domains ?replicas
-            ?fastpath ~seed ()
+            ~kind:`NewOrder ~epoch_us ?runtime ?domains ?replicas ?fastpath
+            ~seed ()
       | `Tpcc_payment ->
           Harness.Setup.tpcc ~engine ~n ~warehouses_per_host:per_host
-            ~kind:`Payment ~epoch_us ?compute ?runtime ?domains ?replicas
-            ?fastpath ~seed ()
+            ~kind:`Payment ~epoch_us ?runtime ?domains ?replicas ?fastpath
+            ~seed ()
       | `Stpcc ->
           Harness.Setup.stpcc ~engine ~n ~districts_per_host:per_host
-            ~epoch_us ?compute ?runtime ?domains ?replicas ?fastpath ~seed ()
+            ~epoch_us ?runtime ?domains ?replicas ?fastpath ~seed ()
       | `Ycsb ->
-          Harness.Setup.ycsb ~engine ~n ~ci ~epoch_us ?compute ?runtime
-            ?domains ?replicas ?fastpath ~seed ()
+          Harness.Setup.ycsb ~engine ~n ~ci ~epoch_us ?runtime ?domains
+            ?replicas ?fastpath ~seed ()
     in
     let wall_t0 = Unix.gettimeofday () in
-    let result =
-      Harness.Driver.run built ~arrival ~warmup_us ~measure_us ()
-    in
+    let result = Harness.Setup.run built ~arrival ~warmup_us ~measure_us () in
     let wall_s = Unix.gettimeofday () -. wall_t0 in
     (* Quiesce: joins the real runtime's worker domains (no-op on sim). *)
     (let (Harness.Setup.Built ((module E), c, _)) = built in
      E.stop c);
-    (match compute with
-    | Some mode -> Format.printf "compute mode: %s@." mode
-    | None -> ());
     (match replicas with
     | Some k when k > 1 -> Format.printf "replication: k=%d@." k
     | _ -> ());
@@ -161,24 +146,24 @@ let run_cmd =
           | Some d when mode = "real" -> Printf.sprintf " (%d domains)" d
           | _ -> "")
     | None -> ());
-    Format.printf "%a@." Harness.Driver.pp_result result;
+    Format.printf "%a@." Kernel.Result.pp result;
     (* Wall-clock throughput: the first-class series under --runtime real
        (simulated tps is unchanged by construction there). *)
     Format.printf "wall clock: %.3f s (%.0f committed txn/s wall)@." wall_s
-      (float_of_int result.Harness.Driver.committed /. wall_s);
+      (float_of_int result.Kernel.Result.committed /. wall_s);
     List.iter
       (fun (stage, (st : Kernel.Result.stage_stat)) ->
         Format.printf "  %-22s %8.2f ms  p99 %6.2f ms  p999 %6.2f ms@." stage
           (st.Kernel.Result.mean_us /. 1000.0)
           (float_of_int st.p99_us /. 1000.0)
           (float_of_int st.p999_us /. 1000.0))
-      result.Harness.Driver.stage_stats
+      result.Kernel.Result.stage_stats
   in
   let doc = "Run one experiment point and print its metrics." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ system $ workload $ servers $ per_host $ ci $ clients
-          $ rate $ epoch_ms $ warmup_ms $ measure_ms $ seed $ compute
-          $ runtime $ domains $ replicas $ fastpath)
+          $ rate $ epoch_ms $ warmup_ms $ measure_ms $ seed $ runtime
+          $ domains $ replicas $ fastpath)
 
 let figure_cmd =
   let target =
@@ -242,16 +227,6 @@ let chaos_cmd =
     Arg.(value & flag
          & info [ "verbose"; "v" ] ~doc:"Print each schedule's events.")
   in
-  let compute =
-    let modes =
-      Arg.enum
-        [ ("ondemand", "ondemand"); ("pool", "pool"); ("planned", "planned") ]
-    in
-    Arg.(value & opt (some modes) None
-         & info [ "compute" ]
-             ~doc:"Compute-phase mode for engines that have one (ALOHA: \
-                   ondemand, pool, or planned).  Omitted = engine default.")
-  in
   let replicas =
     Arg.(value & opt int 1
          & info [ "replicas"; "k" ]
@@ -267,7 +242,7 @@ let chaos_cmd =
                    The chaos workload is all-commutative, so every \
                    transaction takes it.")
   in
-  let run engine seed count servers verbose compute replicas fastpath =
+  let run engine seed count servers verbose replicas fastpath =
     let names =
       if engine = "all" then List.map fst Chaos.Driver.targets else [ engine ]
     in
@@ -292,8 +267,7 @@ let chaos_cmd =
       List.iter
         (fun (name, target) ->
           let r =
-            Chaos.Driver.run_schedule ?compute ~replicas ~fastpath target
-              ~schedule
+            Chaos.Driver.run_schedule ~replicas ~fastpath target ~schedule
           in
           let ok = Chaos.Driver.passed r in
           if not ok then incr failures;
@@ -303,17 +277,12 @@ let chaos_cmd =
              so CI artifacts have full drop accounting without rerunning. *)
           let d = r.Chaos.Driver.drop_detail in
           Format.printf
-            "{\"engine\":\"%s\",\"seed\":%d,\"compute\":\"%s\",\
-             \"replicas\":%d,\"fastpath\":%b,\"trace_hash\":\"%s\",\
+            "{\"engine\":\"%s\",\"seed\":%d,\"replicas\":%d,\"fastpath\":%b,\"trace_hash\":\"%s\",\
              \"trace_events\":%d,\
              \"committed\":%d,\"submitted\":%d,\
              \"drops\":{\"injected\":%d,\"partitioned\":%d,\"crashed\":%d,\
              \"unregistered\":%d,\"total\":%d},\"ok\":%b}@."
-            name s
-            (match r.Chaos.Driver.compute with
-            | Some m -> m
-            | None -> "default")
-            r.Chaos.Driver.replicas r.Chaos.Driver.fastpath
+            name s r.Chaos.Driver.replicas r.Chaos.Driver.fastpath
             r.Chaos.Driver.trace_hash
             r.Chaos.Driver.trace_events r.Chaos.Driver.committed
             r.Chaos.Driver.submitted d.Net.Network.injected
@@ -337,8 +306,8 @@ let chaos_cmd =
      with its seed."
   in
   Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(const run $ engine $ seed $ count $ servers $ verbose $ compute
-          $ replicas $ fastpath)
+    Term.(const run $ engine $ seed $ count $ servers $ verbose $ replicas
+          $ fastpath)
 
 
 (* ---- traced runs (trace / stats subcommands) ---------------------------- *)
@@ -382,7 +351,7 @@ let traced_run ~sys_name ~engine ~n ~ci ~sample ~epoch_us ~warmup_us
               (fun _ -> ()))
       done;
       let result =
-        Harness.Driver.run_engine
+        Kernel.Run.run
           (module Alohadb.Engine)
           ~cluster:c ~gen ~arrival ~obs:ctl ~warmup_us ~measure_us ~seed ()
       in
@@ -392,7 +361,7 @@ let traced_run ~sys_name ~engine ~n ~ci ~sample ~epoch_us ~warmup_us
         Harness.Setup.ycsb ~engine ~n ~ci ~epoch_us ~obs:ctl ~seed ()
       in
       let result =
-        Harness.Driver.run built ~arrival ~obs:ctl ~warmup_us ~measure_us
+        Harness.Setup.run built ~arrival ~obs:ctl ~warmup_us ~measure_us
           ~seed ()
       in
       (result, ctl, None)
@@ -467,7 +436,7 @@ let trace_cmd =
       "wrote %s: %d events in ring (%d emitted, %d dropped, sampling 1/%d), \
        %d committed@."
       out (Obs.Trace.length tr) (Obs.Trace.total tr) (Obs.Trace.dropped tr)
-      sample result.Harness.Driver.committed
+      sample result.Kernel.Result.committed
   in
   let doc =
     "Run a small traced YCSB experiment and export a Chrome trace_events      JSON file (load it in chrome://tracing or ui.perfetto.dev)."
@@ -485,7 +454,7 @@ let stats_cmd =
       traced_run ~sys_name ~engine ~n ~ci ~sample ~epoch_us:(epoch_ms * 1000)
         ~warmup_us:(warmup_ms * 1000) ~measure_us:(measure_ms * 1000) ~seed
     in
-    Format.printf "%a@." Harness.Driver.pp_result result;
+    Format.printf "%a@." Kernel.Result.pp result;
     List.iter
       (fun (stage, (st : Kernel.Result.stage_stat)) ->
         Format.printf
@@ -496,7 +465,7 @@ let stats_cmd =
           (float_of_int st.p95_us /. 1000.0)
           (float_of_int st.p99_us /. 1000.0)
           (float_of_int st.p999_us /. 1000.0))
-      result.Harness.Driver.stage_stats;
+      result.Kernel.Result.stage_stats;
     let tr = Obs.Ctl.trace ctl in
     let rollup = Obs.Export.epoch_rollup tr in
     if rollup <> [] then Format.printf "%a@." Obs.Export.pp_rollup rollup;

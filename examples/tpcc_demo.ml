@@ -18,27 +18,27 @@ let () =
     let built =
       Harness.Setup.tpcc ~engine ~n ~warehouses_per_host:1 ~kind:`NewOrder ()
     in
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Harness.Arrivals.Closed { clients_per_fe = clients })
       ~warmup_us:75_000 ~measure_us:100_000 ()
   in
 
   let aloha = run aloha_engine 1_000 in
-  Format.printf "ALOHA-DB : %a@." Harness.Driver.pp_result aloha;
+  Format.printf "ALOHA-DB : %a@." Kernel.Result.pp aloha;
   List.iter
     (fun (stage, us) ->
       Format.printf "           %-22s %6.2f ms@." stage (us /. 1000.0))
-    aloha.Harness.Driver.stages;
+    aloha.Kernel.Result.stages;
 
   let calvin = run calvin_engine 300 in
-  Format.printf "@.Calvin   : %a@." Harness.Driver.pp_result calvin;
+  Format.printf "@.Calvin   : %a@." Kernel.Result.pp calvin;
   List.iter
     (fun (stage, us) ->
       Format.printf "           %-22s %6.2f ms@." stage (us /. 1000.0))
-    calvin.Harness.Driver.stages;
+    calvin.Kernel.Result.stages;
 
   Format.printf "@.speedup  : %.1fx (paper reports 13-112x depending on scale)@."
-    (aloha.Harness.Driver.throughput_tps /. calvin.Harness.Driver.throughput_tps);
+    (aloha.Kernel.Result.throughput_tps /. calvin.Kernel.Result.throughput_tps);
   Format.printf
     "aborts   : ALOHA %d installed-phase aborts (the required 1%%), Calvin %d (cannot abort)@."
     (Kernel.Result.abort aloha "install")

@@ -23,11 +23,11 @@ let () =
           Harness.Setup.ycsb ~engine ~n ~ci ~keys_per_partition:20_000 ()
         in
         let r =
-          Harness.Driver.run built
+          Harness.Setup.run built
             ~arrival:(Harness.Arrivals.Closed { clients_per_fe = clients })
             ~warmup_us:60_000 ~measure_us:80_000 ()
         in
-        r.Harness.Driver.throughput_tps
+        r.Kernel.Result.throughput_tps
       in
       Format.printf "%-12g %-14.0f %-14.0f %-14.0f@." ci
         (point "aloha" 1_200) (point "calvin" 300) (point "twopl" 300))

@@ -1,21 +1,6 @@
-type compute_mode = Ondemand | Pool | Planned
-
-let compute_mode_of_string = function
-  | "ondemand" -> Some Ondemand
-  | "pool" -> Some Pool
-  | "planned" -> Some Planned
-  | _ -> None
-
-let compute_mode_to_string = function
-  | Ondemand -> "ondemand"
-  | Pool -> "pool"
-  | Planned -> "planned"
-
 (* Execution backend: Sim keeps every event on the simulation domain;
-   Real additionally evaluates planned functors, one task per key run, on
-   a shared pool of OCaml 5 domains (only the Planned compute mode has
-   the dependency graph that makes parallelism safe — under Ondemand/Pool
-   the Real runtime degenerates to Sim). *)
+   Real additionally evaluates each epoch's planned functors, one task per
+   key run, on a shared pool of OCaml 5 domains. *)
 type runtime_mode = Sim | Real
 
 let runtime_mode_of_string = function
@@ -27,7 +12,6 @@ let runtime_mode_to_string = function Sim -> "sim" | Real -> "real"
 
 type t = {
   cores : int;
-  compute_mode : compute_mode;
   runtime_mode : runtime_mode;
   domains : int;
       (* worker domains in the real runtime's shared pool (>= 1) *)
@@ -53,7 +37,6 @@ type t = {
 
 let default =
   { cores = 8;
-    compute_mode = Pool;
     runtime_mode = Sim;
     domains = 4;
     straggler_opt = true;

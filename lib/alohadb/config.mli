@@ -6,41 +6,20 @@
     m4.4xlarge instances — but every experiment can override them; they
     are inputs of the model, not hidden constants. *)
 
-type compute_mode =
-  | Ondemand
-      (** demand-driven: epoch close issues one [Compute_engine.get] per
-          buffered functor, so evaluation happens lazily along read
-          chains *)
-  | Pool
-      (** processor pool (Algorithm 1's dispatcher): one [compute_key]
-          rescan job per buffered item *)
-  | Planned
-      (** per-epoch dependency-graph planner: at epoch close a plan maps
-          the epoch's functors to prepared node handles, stratifies the
-          read→write edge graph and evaluates nodes directly, pushing
-          read-set values instead of round-tripping *)
-
-val compute_mode_of_string : string -> compute_mode option
-val compute_mode_to_string : compute_mode -> string
-
 type runtime_mode =
   | Sim
       (** everything on the simulation domain (the default): compute
           costs are charged in simulated time only *)
   | Real
-      (** additionally evaluate planned functors, one task per key run,
-          on a shared pool of OCaml 5 domains, for wall-clock throughput.
-          Only the [Planned] compute mode has the dependency graph that
-          makes parallelism safe; under [Ondemand]/[Pool] this degenerates to
-          [Sim] *)
+      (** additionally evaluate each epoch's planned functors, one task
+          per key run, on a shared pool of OCaml 5 domains, for
+          wall-clock throughput *)
 
 val runtime_mode_of_string : string -> runtime_mode option
 val runtime_mode_to_string : runtime_mode -> string
 
 type t = {
   cores : int;  (** worker pool width (the paper's 8-core VMs) *)
-  compute_mode : compute_mode;
-      (** how the BE evaluates an epoch's functors after epoch close *)
   runtime_mode : runtime_mode;  (** execution backend (sim | real) *)
   domains : int;
       (** worker domains in the real runtime's shared pool (>= 1) *)
@@ -93,7 +72,7 @@ type t = {
   cost_install_us : int;  (** BE: marginal cost per functor installed *)
   cost_get_us : int;  (** BE: one storage read *)
   cost_compute_us : int;  (** BE: one handler execution *)
-  cost_dispatch_us : int;  (** processor: dequeue one metadata item *)
+  cost_dispatch_us : int;  (** planner: dispatch one buffered item *)
   cost_msg_us : int;  (** generic one-way message handling *)
 }
 

@@ -28,19 +28,12 @@ let options_of ?seed (params : Kernel.Params.t) =
                install_retry_us = 10_000;
                ack_after_flush = true }
        in
-       let cfg =
-         match params.compute with
-         | None -> cfg
-         | Some s -> (
-             match Config.compute_mode_of_string s with
-             | Some compute_mode -> { cfg with Config.compute_mode }
-             | None ->
-                 invalid_arg
-                   (Printf.sprintf
-                      "Alohadb.Engine: unknown compute mode %S \
-                       (expected ondemand|pool|planned)"
-                      s))
-       in
+       (match params.compute with
+       | None | Some "planned" -> ()
+       | Some s ->
+           invalid_arg
+             (Printf.sprintf
+                "Alohadb.Engine: unknown compute mode %S (expected planned)" s));
        let cfg =
          match params.runtime with
          | None -> cfg
@@ -145,7 +138,7 @@ let abort_keys =
   [ ("install", "aloha.aborted_install"); ("compute", "aloha.aborted_compute") ]
 
 let counter_keys =
-  (* Planner accounting: all-zero outside the planned compute mode. *)
+  (* Planner accounting. *)
   [ ("plans", "plan.plans");
     ("plan nodes", "plan.nodes");
     ("plan edges", "plan.edges");
@@ -158,11 +151,5 @@ let stage_keys =
   [ ("functor installing", "aloha.lat_install_us");
     ("wait for processing", "aloha.lat_wait_us");
     ("processing", "aloha.lat_proc_us");
-    (* Planner stages: no samples outside the planned mode, so
-       Result.extract drops them from pool/ondemand breakdowns.  The
-       unitless plan.strata / plan.critical_path series stay out of the
-       latency breakdown and are read straight from the metrics. *)
-    ("plan build", "plan.build_us");
-    ("plan evaluate", "plan.evaluate_us");
     (* Coordination-free commit latency: no samples unless --fastpath on. *)
     ("fastpath commit", "aloha.lat_fastpath_us") ]

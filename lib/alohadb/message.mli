@@ -67,9 +67,10 @@ type oneway =
       dst_key : Mvstore.Key.t;
       dst_version : int;
     }
-      (** planned compute mode: the sender's plan has a functor at
-          ([dst_key], [dst_version]) reading [key]@[version]; evaluate the
-          producer and push the value back (a {!Plan_push}).  Lossy
+      (** the planner's push (sent only with [push_opt]): the sender's
+          plan has a functor at ([dst_key], [dst_version]) reading
+          [key]@[version]; evaluate the producer and push the value back
+          (a {!Plan_push}).  Lossy
           networks may drop either leg — the consumer's gather still
           races its own remote read, so the subscription is an
           optimisation, never a liveness requirement *)

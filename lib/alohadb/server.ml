@@ -969,7 +969,7 @@ let on_functor_final t ~key ~pending ~final =
 
 (* ---- engine (re)spawn -------------------------------------------------- *)
 
-(* (Re)create the partition's compute engine and processor — at
+(* (Re)create the partition's compute engine, buffer and planner — at
    construction and again after a backend crash.  The outward-acting
    callbacks are guarded by a liveness check: continuations of the dead
    incarnation's in-flight computations may still fire after a crash, and
@@ -1053,20 +1053,25 @@ let spawn_engine t =
                 | Funct.Final _ -> ())
             | Some _ | None -> ())
   in
-  t.processor <-
-    Functor_cc.Processor.create ~engine ~pool:t.pool
-      ~dispatch_cost_us:t.config.Config.cost_dispatch_us ~metrics:t.metrics
-      ?on_dispatch ();
+  t.processor <- Functor_cc.Processor.create ();
+  (* Plan subscriptions push remote read-set values ahead of the reader,
+     so they belong to the §IV-B push optimisation and follow its switch. *)
+  let send_plan_sub =
+    if not t.config.Config.push_opt then None
+    else
+      Some
+        (fun ~key ~version ~dst_key ~dst_version ->
+          if live () then
+            Net.Rpc.send t.data ~src:t.address
+              ~dst:(t.addr_of_partition (t.partition_of key))
+              (Message.One
+                 (Message.Plan_sub { key; version; dst_key; dst_version })))
+  in
   t.planner <-
     Functor_cc.Planner.create ~engine ~pool:t.pool ?real:t.real_pool
       ~dispatch_cost_us:t.config.Config.cost_dispatch_us ~metrics:t.metrics
       ~is_local:(fun key -> owns t key)
-      ~send_plan_sub:(fun ~key ~version ~dst_key ~dst_version ->
-        if live () then
-          Net.Rpc.send t.data ~src:t.address
-            ~dst:(t.addr_of_partition (t.partition_of key))
-            (Message.One
-               (Message.Plan_sub { key; version; dst_key; dst_version })))
+      ?send_plan_sub
       ~now:(fun () -> Sim.Engine.now t.sim)
       ?on_dispatch
       ~on_stratum:(fun ~size ->
@@ -1090,30 +1095,23 @@ let spawn_engine t =
           emit t ~txn:(-1) ~stage:Obs.Trace.Plan_evaluate ~arg:elapsed_us ())
       ()
 
-(* Epoch-close (and restart) release of buffered functor metadata, routed
-   by the configured compute mode.  All three modes submit the same
-   dispatch-job sequence to the pool — one job per buffered item, install
-   order, [cost_dispatch_us] each — so the simulated timeline does not
-   depend on the mode; only the per-job evaluation strategy does. *)
+(* Epoch-close (and restart) release of buffered functor metadata: the
+   closed epochs' items become one plan, dispatched to the worker pool in
+   install order, [cost_dispatch_us] each. *)
 let release_closed t ~upto_epoch =
-  (match t.config.Config.compute_mode with
-  | Config.Pool -> Functor_cc.Processor.release t.processor ~upto_epoch
-  | Config.Ondemand ->
-      Functor_cc.Processor.release_ondemand t.processor ~upto_epoch
-  | Config.Planned ->
-      let items = Functor_cc.Processor.drain t.processor ~upto_epoch in
-      let stats = Functor_cc.Planner.run t.planner ~items in
-      if stats.Functor_cc.Planner.nodes > 0 then begin
-        emit t ~txn:(-1) ~stage:Obs.Trace.Plan_build
-          ~arg:stats.Functor_cc.Planner.nodes ();
-        lnote t (fun l ->
-            Obs.Ledger.note_plan l ~node:t.node_id ~epoch:upto_epoch
-              ~nodes:stats.Functor_cc.Planner.nodes
-              ~edges:stats.Functor_cc.Planner.edges
-              ~strata:stats.Functor_cc.Planner.strata
-              ~critical_path:stats.Functor_cc.Planner.critical_path)
-      end);
-  (* Fast-path deltas never enter the processor (or a plan): fold the
+  let items = Functor_cc.Processor.drain t.processor ~upto_epoch in
+  let stats = Functor_cc.Planner.run t.planner ~items in
+  if stats.Functor_cc.Planner.nodes > 0 then begin
+    emit t ~txn:(-1) ~stage:Obs.Trace.Plan_build
+      ~arg:stats.Functor_cc.Planner.nodes ();
+    lnote t (fun l ->
+        Obs.Ledger.note_plan l ~node:t.node_id ~epoch:upto_epoch
+          ~nodes:stats.Functor_cc.Planner.nodes
+          ~edges:stats.Functor_cc.Planner.edges
+          ~strata:stats.Functor_cc.Planner.strata
+          ~critical_path:stats.Functor_cc.Planner.critical_path)
+  end;
+  (* Fast-path deltas never enter the buffer (or a plan): fold the
      closed epochs' remainder directly.  Already-final records (folded by
      an on-demand read) are skipped by the engine. *)
   merge_fast_deltas t ~upto_epoch
@@ -1267,9 +1265,7 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
       m_be_dropped = c "aloha.be_dropped";
       pool; real_pool; ts_source; part; registry;
       engine = bootstrap_engine;
-      processor =
-        Functor_cc.Processor.create ~engine:bootstrap_engine ~pool
-          ~dispatch_cost_us:0 ~metrics ();
+      processor = Functor_cc.Processor.create ();
       planner =
         Functor_cc.Planner.create ~engine:bootstrap_engine ~pool
           ~dispatch_cost_us:0 ~metrics ();
@@ -1303,11 +1299,11 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
     ~on_closed:(fun ~epoch ->
       emit t ~txn:(-1) ~stage:Obs.Trace.Epoch_close ~arg:epoch ();
       if epoch > t.last_closed_epoch then t.last_closed_epoch <- epoch;
-      (* The backend part of epoch close (log the close, release the
-         processor) is skipped while the backend is down; the restart
-         releases everything up to [last_closed_epoch] instead.  Under
-         the replication gate the close markers were already logged by
-         the gate itself (at grant time, before the barrier). *)
+      (* The backend part of epoch close (log the close, plan the closed
+         epochs' functors) is skipped while the backend is down; the
+         restart releases everything up to [last_closed_epoch] instead.
+         Under the replication gate the close markers were already logged
+         by the gate itself (at grant time, before the barrier). *)
       if not t.be_down then begin
         if not t.repl_gated then log_close_markers t ~epoch;
         release_closed t ~upto_epoch:epoch

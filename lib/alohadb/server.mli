@@ -38,8 +38,8 @@ val create :
 (** Wires up all handlers; the server is passive until the EM grants the
     first epoch.  [obs] turns on lifecycle tracing for every transaction
     this server coordinates or stores.  [real_pool] (shared cluster-wide)
-    makes the planned compute mode evaluate its key runs on worker domains
-    — the [--runtime real] backend. *)
+    makes the planner evaluate its key runs on worker domains — the
+    [--runtime real] backend. *)
 
 val submit : t -> Txn.request -> (Txn.result -> unit) -> unit
 (** Client entry point (clients talk to their frontend directly, as the
@@ -70,8 +70,8 @@ val wal : t -> Wal.t option
 (** The partition's write-ahead log when [config.durability] is on. *)
 
 val compute_queue_depth : t -> int
-(** Functor items awaiting dispatch or CPU (buffered in the processor
-    plus queued at the worker pool) — gauge probe. *)
+(** Functor items awaiting dispatch or CPU (buffered until their epoch
+    closes plus queued at the worker pool) — gauge probe. *)
 
 val inflight_functors : t -> int
 (** Installed functors not yet final on this partition — gauge probe. *)

@@ -202,7 +202,7 @@ type run_out = {
 }
 
 let exec (type c) (module T : TARGET with type cluster = c)
-    ?compute ?replicas ?fastpath ?obs ~(schedule : Schedule.t) ~faulted () =
+    ?replicas ?fastpath ?obs ~(schedule : Schedule.t) ~faulted () =
   let n = schedule.Schedule.n_servers in
   let w = make_workload ~seed:schedule.Schedule.seed ~n_servers:n in
   let faults =
@@ -211,7 +211,7 @@ let exec (type c) (module T : TARGET with type cluster = c)
   let params =
     Kernel.Params.make
       ?faults:(if faulted then Some faults else None)
-      ?compute ?replicas ?fastpath ?obs ~n_servers:n ()
+      ?replicas ?fastpath ?obs ~n_servers:n ()
   in
   let cluster = T.create ~seed:schedule.Schedule.seed params in
   List.iter (fun k -> T.load cluster k (Functor_cc.Value.int 0)) w.keys;
@@ -300,7 +300,6 @@ let exec (type c) (module T : TARGET with type cluster = c)
 type report = {
   seed : int;
   engine : string;
-  compute : string option;
   replicas : int;
   fastpath : bool;
   trace_hash : string;
@@ -329,24 +328,24 @@ let check_state ~label ~(expected : int array) ~(actual : int array)
     keys;
   !acc
 
-let run_schedule ?compute ?replicas ?fastpath ?obs (Target (module T))
+let run_schedule ?replicas ?fastpath ?obs (Target (module T))
     ~(schedule : Schedule.t) =
   (* Only the faulted run carries the observability handle: the replay
      and reference runs exist to check invariants, and the ledger (when
      one is attached) should describe the run the timeline is about. *)
   let w, faulted =
-    exec (module T) ?compute ?replicas ?fastpath ?obs ~schedule ~faulted:true
+    exec (module T) ?replicas ?fastpath ?obs ~schedule ~faulted:true
       ()
   in
   let _, replay =
-    exec (module T) ?compute ?replicas ?fastpath ~schedule ~faulted:true ()
+    exec (module T) ?replicas ?fastpath ~schedule ~faulted:true ()
   in
   (* The reference runs at the same replication degree: the survival
      invariant is "a replicated faulted run equals a replicated fault-free
      run", and replication itself is proven behaviour-neutral against
      k = 1 by the differential test. *)
   let _, reference =
-    exec (module T) ?compute ?replicas ?fastpath ~schedule ~faulted:false ()
+    exec (module T) ?replicas ?fastpath ~schedule ~faulted:false ()
   in
   let submitted = List.length w.batch in
   let v = ref [] in
@@ -411,7 +410,6 @@ let run_schedule ?compute ?replicas ?fastpath ?obs (Target (module T))
   end;
   { seed = schedule.Schedule.seed;
     engine = T.name;
-    compute;
     replicas = (match replicas with Some k -> max 1 k | None -> 1);
     fastpath = (match fastpath with Some b -> b | None -> false);
     trace_hash = Trace.to_hex faulted.trace;
@@ -434,7 +432,7 @@ let run_schedule ?compute ?replicas ?fastpath ?obs (Target (module T))
       | None -> []);
     violations = List.rev !v }
 
-let run_seed ?compute ?replicas ?fastpath ?obs t ~seed ~n_servers =
+let run_seed ?replicas ?fastpath ?obs t ~seed ~n_servers =
   let schedule =
     (* Replicated battery: crash every backend once (staggered); the
        generic mixed schedule otherwise. *)
@@ -442,11 +440,11 @@ let run_seed ?compute ?replicas ?fastpath ?obs t ~seed ~n_servers =
     | Some k when k > 1 -> Schedule.generate_replicated ~seed ~n_servers
     | Some _ | None -> Schedule.generate ~seed ~n_servers
   in
-  run_schedule ?compute ?replicas ?fastpath ?obs t ~schedule
+  run_schedule ?replicas ?fastpath ?obs t ~schedule
 
-let trace_hash_of ?compute ?replicas ?fastpath (Target (module T))
+let trace_hash_of ?replicas ?fastpath (Target (module T))
     ~(schedule : Schedule.t) =
   let _, out =
-    exec (module T) ?compute ?replicas ?fastpath ~schedule ~faulted:true ()
+    exec (module T) ?replicas ?fastpath ~schedule ~faulted:true ()
   in
   Trace.to_hex out.trace

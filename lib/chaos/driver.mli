@@ -50,9 +50,6 @@ val target_of_name : string -> packed option
 type report = {
   seed : int;
   engine : string;
-  compute : string option;
-      (** compute-phase mode the runs used (engine-specific; [None] =
-          engine default) *)
   replicas : int;  (** replication degree the runs used (1 = none) *)
   fastpath : bool;
       (** the runs used the coordination-free commit lane for commutative
@@ -79,11 +76,9 @@ type report = {
 val passed : report -> bool
 
 val run_schedule :
-  ?compute:string -> ?replicas:int -> ?fastpath:bool -> ?obs:Obs.Ctl.t ->
+  ?replicas:int -> ?fastpath:bool -> ?obs:Obs.Ctl.t ->
   packed -> schedule:Schedule.t -> report
-(** [compute] selects an engine-specific compute mode (ALOHA:
-    "ondemand" / "pool" / "planned") for all three runs of the schedule.
-    [replicas] sets the replication degree (engines without replication
+(** [replicas] sets the replication degree (engines without replication
     ignore it); the crash-free reference runs at the {e same} degree, so
     the state check reads "a replicated faulted run converges to a
     replicated fault-free run" — behaviour-neutrality of replication
@@ -93,13 +88,13 @@ val run_schedule :
     bare replay); a ledger on it fills [report.timeline]. *)
 
 val run_seed :
-  ?compute:string -> ?replicas:int -> ?fastpath:bool -> ?obs:Obs.Ctl.t ->
+  ?replicas:int -> ?fastpath:bool -> ?obs:Obs.Ctl.t ->
   packed -> seed:int -> n_servers:int -> report
 (** [run_schedule] on [Schedule.generate ~seed ~n_servers] — or, when
     [replicas > 1], on [Schedule.generate_replicated ~seed ~n_servers]
     (every backend crashed once, staggered). *)
 
 val trace_hash_of :
-  ?compute:string -> ?replicas:int -> ?fastpath:bool -> packed ->
+  ?replicas:int -> ?fastpath:bool -> packed ->
   schedule:Schedule.t -> string
 (** One faulted run, digest only (replay verification in tests). *)

@@ -7,7 +7,8 @@ type t = {
   dispatch_cost_us : int;
   is_local : Key.t -> bool;
   send_plan_sub :
-    key:Key.t -> version:int -> dst_key:Key.t -> dst_version:int -> unit;
+    (key:Key.t -> version:int -> dst_key:Key.t -> dst_version:int -> unit)
+    option;
   now : unit -> int;
   on_dispatch : (key:Key.t -> version:int -> unit) option;
   on_stratum : (size:int -> unit) option;
@@ -34,7 +35,7 @@ type stats = {
 
 let create ~engine ~pool ?real ~dispatch_cost_us ~metrics
     ?(is_local = fun _ -> true)
-    ?(send_plan_sub = fun ~key:_ ~version:_ ~dst_key:_ ~dst_version:_ -> ())
+    ?send_plan_sub
     ?(now = fun () -> 0) ?on_dispatch ?on_stratum ?on_stratum_done
     ?on_evaluated () =
   let c = Sim.Metrics.counter metrics in
@@ -224,8 +225,8 @@ let run t ~items =
   let n_items = Array.length items_a in
   (* 1. Prepare: bind each still-pending item to its chain + record.
      Already-final items (blind VALUE/DELETE writes, raced computations)
-     carry no node but still get a dispatch job below, so the job
-     sequence seen by the simulator matches the pool processor's.
+     carry no node but still get a dispatch job below, so the simulator
+     sees one job per buffered item.
      Commutative-heavy epochs put dozens of versions of the same hot key
      in one plan, so the table is probed once per distinct key and the
      chain handle reused across its items. *)
@@ -357,14 +358,16 @@ let run t ~items =
                   incr edges
                 end
               end
-              else if not (List.exists (Key.equal rk) pushed) then begin
-                (* Cross-partition read: subscribe to the owner's value at
-                   the bound version; the reply rides the §IV-B push
-                   path. *)
-                incr subs;
-                t.send_plan_sub ~key:rk ~version:(ver - 1) ~dst_key:key
-                  ~dst_version:ver
-              end)
+              else
+                match t.send_plan_sub with
+                | Some send when not (List.exists (Key.equal rk) pushed) ->
+                    (* Cross-partition read: subscribe to the owner's value
+                       at the bound version; the reply rides the §IV-B push
+                       path. *)
+                    incr subs;
+                    send ~key:rk ~version:(ver - 1) ~dst_key:key
+                      ~dst_version:ver
+                | Some _ | None -> ())
             read_set)
     nodes;
   let r_off, r_adj = csr ~n !read_edges in
@@ -411,11 +414,10 @@ let run t ~items =
   (match t.real with
   | Some rpool when n > 0 -> eval_levels t rpool ~now:sim_t0 ~nodes ~next ~level
   | Some _ | None -> ());
-  (* 3. Dispatch one job per *item* in install order — identical job
-     sequence (count, order, cost) to the pool processor, so the
-     simulated timeline is mode-invariant; only the per-job host work
-     differs.  Items without a node were already final and dispatch as
-     no-ops, exactly like the pool's empty rescan. *)
+  (* 3. Dispatch one job per *item* in install order, [dispatch_cost_us]
+     each, so the simulated job sequence does not depend on the graph's
+     shape or the runtime.  Items without a node were already final and
+     dispatch as no-ops. *)
   if n_items > 0 then
     Array.iteri
       (fun i node ->

@@ -1,5 +1,5 @@
-(** Per-epoch dependency-graph planner for the functor-computing phase
-    (the [planned] compute mode).
+(** Per-epoch dependency-graph planner: the functor-computing phase, the
+    paper's asynchronous processor pool (§IV-D).
 
     At epoch close the planner takes the epoch's buffered (key, version)
     items, binds each still-pending record to a {!Compute_engine.prepared}
@@ -24,9 +24,7 @@
     read→write edges 1.  The planner then dispatches one worker-pool job
     per node {e in the original install order}, each evaluating its node
     directly through {!Compute_engine.compute_prepared}: no table probe
-    and no watermark-to-version chain rescan per evaluation, which is
-    where the planned mode's constant-factor win over the [pool]
-    processor comes from.
+    and no watermark-to-version chain rescan per evaluation.
 
     For read-set keys owned by another partition (and not already covered
     by a §IV-B pushed read), the planner emits a {e plan subscription}
@@ -69,9 +67,9 @@ val create :
   ?on_evaluated:(elapsed_us:int -> unit) ->
   unit -> t
 (** [is_local] defaults to treating every key as local (single-partition
-    and unit-test setups); [send_plan_sub] defaults to a no-op, in which
-    case remote read-set values arrive through gather's ordinary
-    push/remote-read race.  [now] (simulated time) feeds the
+    and unit-test setups); without [send_plan_sub] no subscription is issued
+    (or counted), and remote read-set values arrive through gather's
+    ordinary push/remote-read race.  [now] (simulated time) feeds the
     plan-evaluation histogram; [on_dispatch] observes each node leaving
     the plan for the pool (lifecycle tracing); [on_evaluated] fires once
     when the last node of a plan finalises.

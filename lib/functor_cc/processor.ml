@@ -1,81 +1,30 @@
 type item = { key : Mvstore.Key.t; version : int }
 
-type t = {
-  engine : Compute_engine.t;
-  pool : Sim.Worker_pool.t;
-  dispatch_cost_us : int;
-  m_dispatched : int ref;
-  buffers : (int, item list ref) Hashtbl.t;  (* epoch -> reverse order *)
-  mutable dispatched : int;
-  on_dispatch : (key:Mvstore.Key.t -> version:int -> unit) option;
-}
+(* epoch -> that epoch's items, newest first *)
+type t = (int, item list ref) Hashtbl.t
 
-let create ~engine ~pool ~dispatch_cost_us ~metrics ?on_dispatch () =
-  { engine; pool; dispatch_cost_us;
-    m_dispatched = Sim.Metrics.counter metrics "proc.dispatched";
-    buffers = Hashtbl.create 8; dispatched = 0; on_dispatch }
+let create () = Hashtbl.create 8
 
 let buffer t ~epoch ~key ~version =
   let items =
-    match Hashtbl.find_opt t.buffers epoch with
+    match Hashtbl.find_opt t epoch with
     | Some r -> r
     | None ->
         let r = ref [] in
-        Hashtbl.add t.buffers epoch r;
+        Hashtbl.add t epoch r;
         r
   in
   items := { key; version } :: !items
 
-let dispatch_with t job { key; version } =
-  t.dispatched <- t.dispatched + 1;
-  incr t.m_dispatched;
-  (match t.on_dispatch with
-  | Some f -> f ~key ~version
-  | None -> ());
-  Sim.Worker_pool.submit t.pool ~cost:t.dispatch_cost_us (fun () ->
-      job ~key ~version)
-
-let dispatch t item =
-  dispatch_with t
-    (fun ~key ~version -> Compute_engine.compute_key t.engine ~key ~version)
-    item
-
-(* Demand-driven variant: the dispatch job issues a Get at the item's own
-   version, so evaluation unfolds lazily down the read chain instead of
-   scanning the whole key from the watermark.  The value itself is
-   discarded — only the computation side effect matters. *)
-let dispatch_ondemand t item =
-  dispatch_with t
-    (fun ~key ~version ->
-      Compute_engine.get t.engine ~key ~version (fun _ -> ()))
-    item
-
-let ready_epochs t ~upto_epoch =
+let drain t ~upto_epoch =
   Hashtbl.fold
     (fun epoch items acc ->
       if epoch <= upto_epoch then (epoch, items) :: acc else acc)
-    t.buffers []
+    t []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let release_with t ~upto_epoch dispatch_one =
-  List.iter
-    (fun (epoch, items) ->
-      Hashtbl.remove t.buffers epoch;
-      List.iter dispatch_one (List.rev !items))
-    (ready_epochs t ~upto_epoch)
-
-let release t ~upto_epoch = release_with t ~upto_epoch (dispatch t)
-let release_ondemand t ~upto_epoch =
-  release_with t ~upto_epoch (dispatch_ondemand t)
-
-let drain t ~upto_epoch =
-  List.concat_map
-    (fun (epoch, items) ->
-      Hashtbl.remove t.buffers epoch;
-      List.rev !items)
-    (ready_epochs t ~upto_epoch)
+  |> List.concat_map (fun (epoch, items) ->
+         Hashtbl.remove t epoch;
+         List.rev !items)
 
 let buffered t =
-  Hashtbl.fold (fun _ items acc -> acc + List.length !items) t.buffers 0
-
-let dispatched t = t.dispatched
+  Hashtbl.fold (fun _ items acc -> acc + List.length !items) t 0

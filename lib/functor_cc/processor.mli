@@ -1,47 +1,26 @@
-(** The backend's asynchronous functor processor (§IV-D).
+(** The backend's per-epoch functor buffer (§IV-D).
 
     While an epoch is open, installs only buffer (key, version) metadata,
-    tagged with the installing transaction's epoch.  When an epoch closes
-    ({!release}), the metadata buffered for it moves to the live queue and
-    each item is dispatched to the server's worker pool, which evaluates
-    the key's uncomputed functors in ascending version order through
-    {!Compute_engine.compute_key}.  On-demand reads may beat the processor
-    to a functor; the engine's at-most-once discipline makes that race
-    benign. *)
+    tagged with the installing transaction's epoch.  When an epoch closes,
+    {!drain} hands the closed epochs' metadata to the {!Planner}, which
+    plays the paper's asynchronous processor pool: it evaluates every
+    buffered functor after epoch close, while on-demand reads may beat it
+    to any of them (the engine's at-most-once discipline makes that race
+    benign). *)
 
 type t
 
 type item = { key : Mvstore.Key.t; version : int }
 
-val create :
-  engine:Compute_engine.t ->
-  pool:Sim.Worker_pool.t ->
-  dispatch_cost_us:int ->
-  metrics:Sim.Metrics.t ->
-  ?on_dispatch:(key:Mvstore.Key.t -> version:int -> unit) ->
-  unit -> t
-(** [on_dispatch] observes each item as it leaves the buffer for the
-    worker pool (lifecycle tracing); absent on untraced runs. *)
+val create : unit -> t
 
 val buffer : t -> epoch:int -> key:Mvstore.Key.t -> version:int -> unit
 (** Record metadata for a functor installed in the given (open) epoch. *)
 
-val release : t -> upto_epoch:int -> unit
-(** Epochs <= [upto_epoch] closed: enqueue their buffered items for
-    asynchronous processing. *)
-
-val release_ondemand : t -> upto_epoch:int -> unit
-(** Like {!release}, but each dispatch job issues a [Get] at the item's
-    own version instead of a watermark-to-version rescan: evaluation is
-    demand-driven down the read chain (the [ondemand] compute mode). *)
-
 val drain : t -> upto_epoch:int -> item list
-(** Remove and return the buffered items of epochs <= [upto_epoch], in
-    release order (epochs ascending, items in install order within an
-    epoch) without dispatching them — the planner's entry point. *)
+(** Remove and return the buffered items of epochs <= [upto_epoch]:
+    epochs ascending, items in install order within an epoch.  Later
+    epochs stay buffered. *)
 
 val buffered : t -> int
-(** Items awaiting release (test helper). *)
-
-val dispatched : t -> int
-(** Total items handed to the pool since creation. *)
+(** Items awaiting release (gauge probe and test helper). *)

@@ -1,4 +1,5 @@
 module Value = Functor_cc.Value
+module Result = Kernel.Result
 
 type scale = {
   label : string;
@@ -55,23 +56,23 @@ let fmt_tps tps = Printf.sprintf "tps=%-9.0f" tps
 
 let fmt_lat r =
   Printf.sprintf "lat_ms=%-7.2f p99_ms=%-7.2f"
-    (r.Driver.lat_mean_us /. 1000.0)
-    (float_of_int r.Driver.lat_p99_us /. 1000.0)
+    (r.Result.lat_mean_us /. 1000.0)
+    (float_of_int r.Result.lat_p99_us /. 1000.0)
 
 (* Structured row helpers: print the human-readable line and record the
    same point for BENCH_macro.json. *)
 
-let lat_mean_ms r = r.Driver.lat_mean_us /. 1000.0
-let lat_p99_ms r = float_of_int r.Driver.lat_p99_us /. 1000.0
+let lat_mean_ms r = r.Result.lat_mean_us /. 1000.0
+let lat_p99_ms r = float_of_int r.Result.lat_p99_us /. 1000.0
 
 let row_tps_lat fig ~series ~point ?(extra = []) r =
-  Report.record_point ~fig ~series ~point ~tps:r.Driver.throughput_tps
+  Report.record_point ~fig ~series ~point ~tps:r.Result.throughput_tps
     ~lat_mean_ms:(lat_mean_ms r) ~lat_p99_ms:(lat_p99_ms r) ();
-  row fig ([ series; point; fmt_tps r.Driver.throughput_tps; fmt_lat r ] @ extra)
+  row fig ([ series; point; fmt_tps r.Result.throughput_tps; fmt_lat r ] @ extra)
 
 let row_tps fig ~series ~point ?(extra = []) r =
-  Report.record_point ~fig ~series ~point ~tps:r.Driver.throughput_tps ();
-  row fig ([ series; point; fmt_tps r.Driver.throughput_tps ] @ extra)
+  Report.record_point ~fig ~series ~point ~tps:r.Result.throughput_tps ();
+  row fig ([ series; point; fmt_tps r.Result.throughput_tps ] @ extra)
 
 let row_lat fig ~series ~point r =
   Report.record_point ~fig ~series ~point ~lat_mean_ms:(lat_mean_ms r)
@@ -101,22 +102,20 @@ type workload =
   | STPCC of { per_host : int }
   | YCSB of { ci : float }
 
-let run_point ?epoch_us ?compute ~engine ~n ~workload ~arrival scale =
+let run_point ?epoch_us ~engine ~n ~workload ~arrival scale =
   let built =
     match workload with
     | TPCC { per_host; kind } ->
-        Setup.tpcc ~engine ~n ~warehouses_per_host:per_host ~kind ?epoch_us
-          ?compute ()
+        Setup.tpcc ~engine ~n ~warehouses_per_host:per_host ~kind ?epoch_us ()
     | STPCC { per_host } ->
-        Setup.stpcc ~engine ~n ~districts_per_host:per_host ?epoch_us
-          ?compute ()
-    | YCSB { ci } -> Setup.ycsb ~engine ~n ~ci ?epoch_us ?compute ()
+        Setup.stpcc ~engine ~n ~districts_per_host:per_host ?epoch_us ()
+    | YCSB { ci } -> Setup.ycsb ~engine ~n ~ci ?epoch_us ()
   in
-  Driver.run built ~arrival ~warmup_us:scale.warmup_us
+  Setup.run built ~arrival ~warmup_us:scale.warmup_us
     ~measure_us:scale.measure_us ()
 
-let peak ?compute ~engine ~n ~workload scale =
-  run_point ?compute ~engine ~n ~workload
+let peak ~engine ~n ~workload scale =
+  run_point ~engine ~n ~workload
     ~arrival:(Arrivals.Closed { clients_per_fe = clients_for scale engine })
     scale
 
@@ -141,7 +140,7 @@ let fig6 scale =
       row_tps_lat "fig6" ~series:name ~point:"peak(closed)" peak_r;
       List.iter
         (fun f ->
-          let rate = peak_r.Driver.throughput_tps *. f /. float_of_int n in
+          let rate = peak_r.Result.throughput_tps *. f /. float_of_int n in
           if rate >= 1.0 then begin
             let arrival = Arrivals.Open_poisson { rate_per_fe = rate } in
             let r = run_point ~engine ~n ~workload ~arrival scale in
@@ -208,44 +207,34 @@ let fig9 scale =
   let n = 8 in
   row "fig9" [ "system"; "ci"; "throughput" ];
   (* All three engines, including the conventional 2PL/2PC baseline the
-     introduction argues against.  ALOHA runs once per compute mode: the
-     three modes dispatch identical job sequences to the simulated pool,
-     so their throughput must agree exactly — any divergence is a bug in
-     the planner (checked by the cross-mode equivalence test). *)
+     introduction argues against. *)
   List.iter
-    (fun (name, engine, compute) ->
-      (match compute with
-      | Some mode ->
-          Printf.printf "[fig9] %s: compute mode = %s\n%!" name mode
-      | None -> ());
+    (fun (name, engine) ->
       List.iter
         (fun ci ->
-          let r = peak ?compute ~engine ~n ~workload:(YCSB { ci }) scale in
+          let r = peak ~engine ~n ~workload:(YCSB { ci }) scale in
           row_tps "fig9"
             ~series:(Printf.sprintf "%-6s" name)
             ~point:(Printf.sprintf "ci=%-7g" ci)
             r)
         scale.fig9_cis)
-    [ ("ALOHA(pool)", aloha, Some "pool");
-      ("ALOHA(ondemand)", aloha, Some "ondemand");
-      ("ALOHA(planned)", aloha, Some "planned");
-      ("Calvin", calvin, None); ("2PL", twopl, None) ]
+    [ ("ALOHA", aloha); ("Calvin", calvin); ("2PL", twopl) ]
 
 (* ---- Figure 10: latency breakdown --------------------------------------- *)
 
 let print_stages fig name r =
-  let total = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 r.Driver.stages in
+  let total = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 r.Result.stages in
   let total = if total <= 0.0 then 1.0 else total in
   List.iter
-    (fun (stage, (st : Kernel.Result.stage_stat)) ->
+    (fun (stage, (st : Result.stage_stat)) ->
       row fig
         [ name; Printf.sprintf "%-20s" stage;
           Printf.sprintf "%5.1f%%"
-            (100.0 *. st.Kernel.Result.mean_us /. total);
+            (100.0 *. st.Result.mean_us /. total);
           Printf.sprintf "(%.2f ms)" (st.mean_us /. 1000.0);
           Printf.sprintf "p99 %.2f ms" (float_of_int st.p99_us /. 1000.0);
           Printf.sprintf "p999 %.2f ms" (float_of_int st.p999_us /. 1000.0) ])
-    r.Driver.stage_stats
+    r.Result.stage_stats
 
 let fig10 scale =
   let n = 8 in
@@ -260,16 +249,6 @@ let fig10 scale =
       in
       print_stages "fig10" (Printf.sprintf "ALOHA ci=%g" ci) r)
     [ 1e-4; 0.1 ];
-  (* Same breakdown under the planner: identical end-to-end stages plus
-     the plan build/evaluate rows (zero in the other modes). *)
-  (let ci = 0.1 in
-   Printf.printf "[fig10] ALOHA(planned): compute mode = planned\n%!";
-   let r =
-     run_point ~engine:aloha ~n ~workload:(YCSB { ci }) ~compute:"planned"
-       ~arrival:(Arrivals.Open_poisson { rate_per_fe = 5_000.0 })
-       scale
-   in
-   print_stages "fig10" (Printf.sprintf "ALOHA(planned) ci=%g" ci) r);
   List.iter
     (fun ci ->
       let rate = if ci >= 0.1 then 150.0 else 500.0 in
@@ -374,7 +353,7 @@ let ablation_straggler scale =
          the whole cycle and the system keeps up.  Windows span ~10 switch
          cycles so the close-burst quantisation averages out. *)
       let r =
-        Driver.run_engine
+        Kernel.Run.run
           (module Alohadb.Engine)
           ~cluster:c
           ~gen:(fun ~fe -> Workload.Ycsb.gen gen ~fe)
@@ -384,7 +363,7 @@ let ablation_straggler scale =
       ignore scale;
       let m = Alohadb.Cluster.metrics c in
       row "ablation-straggler"
-        [ (if opt then "on " else "off"); fmt_tps r.Driver.throughput_tps;
+        [ (if opt then "on " else "off"); fmt_tps r.Result.throughput_tps;
           fmt_lat r;
           Printf.sprintf "noauth_starts=%d"
             (Sim.Metrics.get m "aloha.noauth_starts") ])
@@ -443,7 +422,7 @@ let ablation_push scale =
                  args = [ Value.int 10 ] }) ]
       in
       let r =
-        Driver.run_engine
+        Kernel.Run.run
           (module Alohadb.Engine)
           ~cluster:c ~gen
           ~arrival:(Arrivals.Closed { clients_per_fe = scale.aloha_clients })
@@ -451,7 +430,7 @@ let ablation_push scale =
       in
       let m = Alohadb.Cluster.metrics c in
       row "ablation-push"
-        [ (if opt then "on " else "off"); fmt_tps r.Driver.throughput_tps;
+        [ (if opt then "on " else "off"); fmt_tps r.Result.throughput_tps;
           fmt_lat r;
           Printf.sprintf "remote_reads=%d" (Sim.Metrics.get m "fcc.remote_reads");
           Printf.sprintf "push_hits=%d" (Sim.Metrics.get m "fcc.push_hits") ])
@@ -512,15 +491,15 @@ let ablation_dependent scale =
                dependents = [ receipt ] }) ]
     in
     let r =
-      Driver.run_engine
+      Kernel.Run.run
         (module Alohadb.Engine)
         ~cluster:c ~gen
         ~arrival:(Arrivals.Closed { clients_per_fe = scale.aloha_clients / 2 })
         ~warmup_us:scale.warmup_us ~measure_us:scale.measure_us ()
     in
     row "ablation-dependent"
-      [ "determinate"; fmt_tps r.Driver.throughput_tps;
-        Printf.sprintf "aborted=%d" (Kernel.Result.abort r "compute");
+      [ "determinate"; fmt_tps r.Result.throughput_tps;
+        Printf.sprintf "aborted=%d" (Result.abort r "compute");
         fmt_lat r ]
   in
   (* Optimistic method: read the balance from a snapshot, then install a
@@ -599,14 +578,14 @@ let ext_conventional scale =
         (fun (name, engine) ->
           let r = peak ~engine ~n ~workload:(YCSB { ci }) scale in
           let diagnostics =
-            match r.Driver.counters with
+            match r.Result.counters with
             | [] -> ""
             | counters ->
                 String.concat " "
                   (List.map
                      (fun (label, v) -> Printf.sprintf "%s=%d" label v)
                      (counters
-                      @ List.filter (fun (_, v) -> v > 0) r.Driver.aborts))
+                      @ List.filter (fun (_, v) -> v > 0) r.Result.aborts))
           in
           row_tps "ext-conventional"
             ~series:(Printf.sprintf "%-6s" name)

@@ -4,9 +4,7 @@
     creates the engine's cluster, registers the workload's handlers,
     loads the initial data, starts the cluster, and pairs it with the
     workload's request generator.  The result is a {!built} existential
-    ready for {!Driver.run}.  [compute] selects an engine-specific
-    compute-phase mode (ALOHA: "ondemand" / "pool" / "planned");
-    [runtime] selects the execution backend ("sim" / "real") and
+    ready for {!run}.  [runtime] selects the execution backend ("sim" / "real") and
     [domains] the real runtime's worker-domain count. *)
 
 type built =
@@ -30,7 +28,6 @@ val build :
   n:int ->
   ?epoch_us:int ->
   ?obs:Obs.Ctl.t ->
-  ?compute:string ->
   ?runtime:string ->
   ?domains:int ->
   ?replicas:int ->
@@ -41,7 +38,7 @@ val build :
 (** [build engine workload cfg ~n] — create, register, load, start.
     [seed] (default 17) seeds the workload generator.  [obs] threads an
     observability handle into the engine's cluster (pass the same handle
-    to {!Driver.run}). *)
+    to {!run}). *)
 
 (* -- convenience wrappers over the bundled workloads -- *)
 
@@ -52,7 +49,6 @@ val tpcc :
   kind:[ `NewOrder | `Payment ] ->
   ?epoch_us:int ->
   ?obs:Obs.Ctl.t ->
-  ?compute:string ->
   ?runtime:string ->
   ?domains:int ->
   ?replicas:int ->
@@ -67,7 +63,6 @@ val stpcc :
   districts_per_host:int ->
   ?epoch_us:int ->
   ?obs:Obs.Ctl.t ->
-  ?compute:string ->
   ?runtime:string ->
   ?domains:int ->
   ?replicas:int ->
@@ -83,7 +78,6 @@ val ycsb :
   ?keys_per_partition:int ->
   ?epoch_us:int ->
   ?obs:Obs.Ctl.t ->
-  ?compute:string ->
   ?runtime:string ->
   ?domains:int ->
   ?replicas:int ->
@@ -91,3 +85,15 @@ val ycsb :
   ?seed:int ->
   unit ->
   built
+
+val run :
+  built ->
+  arrival:Arrivals.t ->
+  ?obs:Obs.Ctl.t ->
+  ?warmup_us:int ->
+  ?measure_us:int ->
+  ?seed:int ->
+  unit ->
+  Kernel.Result.t
+(** {!Kernel.Run.run} on a {!built} deployment (already created, loaded
+    and started by {!build}). *)

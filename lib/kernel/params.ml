@@ -11,9 +11,8 @@ type t = {
          None (the default) compiles the hot paths down to a single
          option test per emit site. *)
   compute : string option;
-      (* engine-specific compute-phase selector (e.g. ALOHA's
-         "ondemand" / "pool" / "planned"); engines without a compute
-         phase ignore it. *)
+      (* compute-phase selector: ALOHA accepts only "planned" (its one
+         strategy); engines without a compute phase ignore it. *)
   runtime : string option;
       (* execution backend: "sim" (default; everything on the simulation
          domain) or "real" (ALOHA evaluates planned functors' key runs on a

@@ -20,9 +20,10 @@ type t = {
           correlation); [None] (the default) keeps every hot path down to
           one option test per emit site. *)
   compute : string option;
-      (** engine-specific compute-phase selector (ALOHA accepts
-          "ondemand" / "pool" / "planned"); engines without a compute
-          phase ignore it *)
+      (** compute-phase selector: ALOHA has one strategy, the per-epoch
+          planner, and accepts only "planned" (anything else raises
+          [Invalid_argument]); engines without a compute phase ignore
+          it *)
   runtime : string option;
       (** execution backend: "sim" (default; single-domain simulation) or
           "real" (ALOHA evaluates planned functors' key runs on a pool of

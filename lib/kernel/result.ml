@@ -54,9 +54,9 @@ let extract ~metrics ~measure_us ~committed_key ~latency_key ~abort_keys
     ~counter_keys ~stage_keys =
   let committed = Sim.Metrics.get metrics committed_key in
   let lat = hist_stats metrics latency_key in
-  (* Stages with no samples (e.g. planner stages outside the planned
-     compute mode) would show as 0 µs rows in every breakdown; drop them
-     so the stage list reflects what the run actually exercised. *)
+  (* Stages with no samples (e.g. the fast-lane commit stage without
+     --fastpath) would show as 0 µs rows in every breakdown; drop them so
+     the stage list reflects what the run actually exercised. *)
   let stage_stats =
     List.filter_map
       (fun (label, key) ->

@@ -38,7 +38,7 @@ type stage =
   (* network fault markers (emitted via {!Ctl.note_fault}) *)
   | Fault_drop
   | Fault_delay
-  (* planned compute mode (per-epoch dependency-graph planner) *)
+  (* per-epoch dependency-graph planner *)
   | Plan_build  (** a plan was built at epoch close ([arg] = node count) *)
   | Plan_evaluate
       (** the last node of a plan finalised ([arg] = elapsed µs since the

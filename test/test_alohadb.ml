@@ -262,6 +262,71 @@ let test_ack_on_install () =
   in
   ignore (commit_exn r)
 
+(* Cross-partition transfers: the destination functor reads the source
+   account, owned by the other server.  With the §IV-B push optimisation
+   off, neither recipient-set pushes nor the planner's subscriptions
+   (which ride the same push path) may carry the value: every such read
+   is a remote read. *)
+let xfer_handler (ctx : Functor_cc.Registry.ctx) =
+  let own =
+    match Functor_cc.Registry.read ctx ctx.Functor_cc.Registry.key with
+    | Some v -> Value.to_int v
+    | None -> 0
+  in
+  Functor_cc.Registry.Commit
+    (Value.int (own + Value.to_int (Functor_cc.Registry.arg ctx 0)))
+
+let run_transfers ~push_opt =
+  let registry = Functor_cc.Registry.with_builtins () in
+  Functor_cc.Registry.register registry "xfer" xfer_handler;
+  let c =
+    Cluster.create ~registry
+      { Cluster.default_options with
+        n_servers = 2;
+        partitioner = `Prefix;
+        config = { Alohadb.Config.default with push_opt } }
+  in
+  let acct p i = Printf.sprintf "a:%d:%d" p i in
+  for i = 0 to 3 do
+    Cluster.load c ~key:(acct 0 i) (Value.int 100);
+    Cluster.load c ~key:(acct 1 i) (Value.int 100)
+  done;
+  Cluster.start c;
+  let committed = ref 0 in
+  for i = 0 to 15 do
+    let src = acct 0 (i mod 4) and dst = acct 1 (i / 4) in
+    Cluster.submit c ~fe:(i mod 2)
+      (Txn.read_write
+         [ (src,
+            Txn.Call
+              { handler = "xfer"; read_set = [ src ];
+                args = [ Value.int (-1) ] });
+           (dst,
+            Txn.Call
+              { handler = "xfer"; read_set = [ src; dst ];
+                args = [ Value.int 1 ] }) ])
+      (function Txn.Committed _ -> incr committed | _ -> ())
+  done;
+  Cluster.run_for c 500_000;
+  Alcotest.(check int) "all transfers commit" 16 !committed;
+  let values =
+    values_exn
+      (await c 0
+         (Txn.Read_only
+            { keys = List.init 4 (acct 0) @ List.init 4 (acct 1) }))
+  in
+  Alcotest.(check int) "money conserved" 800
+    (List.fold_left (fun acc (k, _) -> acc + int_of values k) 0 values);
+  Sim.Metrics.get (Cluster.metrics c)
+
+let test_push_off_no_plan_subs () =
+  let off = run_transfers ~push_opt:false in
+  Alcotest.(check int) "push_hits" 0 (off "fcc.push_hits");
+  Alcotest.(check int) "plan subs sent" 0 (off "plan.subs_sent");
+  Alcotest.(check bool) "remote reads instead" true (off "fcc.remote_reads" > 0);
+  let on = run_transfers ~push_opt:true in
+  Alcotest.(check bool) "push on: pushes hit" true (on "fcc.push_hits" > 0)
+
 let suite =
   [ Alcotest.test_case "blind multi-write (Fig 5 T1)" `Quick test_blind_write;
     Alcotest.test_case "add/subtr transfer (Fig 5 T2)" `Quick test_transfer;
@@ -276,4 +341,6 @@ let suite =
     Alcotest.test_case "historical read" `Quick test_historical_read;
     Alcotest.test_case "read absent key" `Quick test_read_absent_key;
     Alcotest.test_case "delete tombstone" `Quick test_delete;
-    Alcotest.test_case "ack on install" `Quick test_ack_on_install ]
+    Alcotest.test_case "ack on install" `Quick test_ack_on_install;
+    Alcotest.test_case "push off sends no plan subscriptions" `Quick
+      test_push_off_no_plan_subs ]

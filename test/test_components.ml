@@ -1,5 +1,5 @@
-(* Focused unit tests for smaller components: the processor's per-epoch
-   buffering, the FE's functor transforms, and recipient-set derivation. *)
+(* Focused unit tests for smaller components: the per-epoch functor
+   buffer, the FE's functor transforms, and recipient-set derivation. *)
 
 module Value = Functor_cc.Value
 module Funct = Functor_cc.Funct
@@ -12,59 +12,35 @@ let names = List.map Mvstore.Key.name
 
 (* ---- processor ------------------------------------------------------- *)
 
-let mk_proc () =
-  let sim = Sim.Engine.create () in
-  let callbacks =
-    { Functor_cc.Compute_engine.is_local = (fun _ -> true);
-      remote_get = (fun ~key:_ ~version:_ k -> k None);
-      send_push = (fun ~dst_key:_ ~version:_ ~src_key:_ _ -> ());
-      send_dep_write = (fun ~key:_ ~version:_ _ -> ());
-      notify_final = (fun ~key:_ ~version:_ ~pending:_ ~final:_ -> ());
-      exec = (fun ~cost:_ k -> k ());
-      now = (fun () -> Sim.Engine.now sim) }
+let test_processor_drain_by_epoch () =
+  let proc = Functor_cc.Processor.create () in
+  let buffer epoch key version =
+    Functor_cc.Processor.buffer proc ~epoch ~key:(ik key) ~version
   in
-  let engine =
-    Functor_cc.Compute_engine.create
-      ~registry:(Functor_cc.Registry.with_builtins ())
-      ~callbacks ~compute_cost_us:0 ~metrics:(Sim.Metrics.create ()) ()
+  (* Epochs buffered out of order, items interleaved across keys. *)
+  buffer 2 "b" 7;
+  buffer 1 "a" 3;
+  buffer 3 "c" 9;
+  buffer 1 "b" 1;
+  buffer 2 "a" 5;
+  buffer 1 "a" 2;
+  Alcotest.(check int) "all buffered" 6 (Functor_cc.Processor.buffered proc);
+  let drained upto_epoch =
+    List.map
+      (fun { Functor_cc.Processor.key; version } ->
+        (Mvstore.Key.name key, version))
+      (Functor_cc.Processor.drain proc ~upto_epoch)
   in
-  let pool = Sim.Worker_pool.create sim ~workers:2 in
-  let proc =
-    Functor_cc.Processor.create ~engine ~pool ~dispatch_cost_us:1
-      ~metrics:(Sim.Metrics.create ()) ()
-  in
-  (sim, engine, proc)
-
-let test_processor_release_by_epoch () =
-  let sim, engine, proc = mk_proc () in
-  Functor_cc.Compute_engine.load_initial engine ~key:(ik "k") (Value.int 0);
-  let install version =
-    ignore
-      (Functor_cc.Compute_engine.install engine ~key:(ik "k") ~version ~lo:0
-         ~hi:max_int
-         (Funct.mk_pending ~ftype:Ftype.Add
-            ~farg:(Funct.farg_args [ Value.int 1 ])
-            ~txn_id:version ~coordinator:0))
-  in
-  install 1;
-  install 2;
-  Functor_cc.Processor.buffer proc ~epoch:1 ~key:(ik "k") ~version:1;
-  Functor_cc.Processor.buffer proc ~epoch:2 ~key:(ik "k") ~version:2;
-  Alcotest.(check int) "both buffered" 2 (Functor_cc.Processor.buffered proc);
-  (* Closing epoch 1 must not release epoch 2's metadata. *)
-  Functor_cc.Processor.release proc ~upto_epoch:1;
-  Alcotest.(check int) "one still buffered" 1
+  let items = Alcotest.(list (pair string int)) in
+  (* Epochs <= 2 in ascending order, install order within each. *)
+  Alcotest.check items "epochs 1 and 2"
+    [ ("a", 3); ("b", 1); ("a", 2); ("b", 7); ("a", 5) ]
+    (drained 2);
+  Alcotest.(check int) "epoch 3 stays buffered" 1
     (Functor_cc.Processor.buffered proc);
-  Sim.Engine.run sim;
-  Alcotest.(check int) "epoch-1 item dispatched" 1
-    (Functor_cc.Processor.dispatched proc);
-  Functor_cc.Processor.release proc ~upto_epoch:2;
-  Sim.Engine.run sim;
-  Alcotest.(check int) "all dispatched" 2
-    (Functor_cc.Processor.dispatched proc);
-  (* Both functors computed through the pool. *)
-  Alcotest.(check int) "computed" 0
-    (Functor_cc.Compute_engine.pending_count engine)
+  Alcotest.check items "nothing left up to 2" [] (drained 2);
+  Alcotest.check items "epoch 3" [ ("c", 9) ] (drained 3);
+  Alcotest.(check int) "empty" 0 (Functor_cc.Processor.buffered proc)
 
 (* ---- transaction -> functor transforms -------------------------------- *)
 
@@ -156,7 +132,7 @@ let test_value_size () =
 
 let suite =
   [ Alcotest.test_case "processor epoch buffering" `Quick
-      test_processor_release_by_epoch;
+      test_processor_drain_by_epoch;
     Alcotest.test_case "fspec shapes" `Quick test_fspec_of_op_shapes;
     Alcotest.test_case "fspec final forms" `Quick
       test_functor_of_fspec_final_forms;

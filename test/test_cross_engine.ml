@@ -33,10 +33,8 @@ let txn_keys (k1, k2) =
 (* One scripted submission per batch entry, alternating frontends.  The
    warmup window ends before the first arrival, so the committed counter
    covers the whole history. *)
-let run_engine ?compute ?runtime ?domains (Kernel.Intf.Pack (module E)) =
-  let c =
-    E.create (Kernel.Params.make ?compute ?runtime ?domains ~n_servers:n ())
-  in
+let run_engine ?runtime ?domains (Kernel.Intf.Pack (module E)) =
+  let c = E.create (Kernel.Params.make ?runtime ?domains ~n_servers:n ()) in
   List.iter (fun k -> E.load c k (Value.int 0)) keys;
   E.start c;
   let remaining = ref batch in
@@ -69,7 +67,7 @@ let run_engine ?compute ?runtime ?domains (Kernel.Intf.Pack (module E)) =
   (* Joins the real runtime's worker domains when there are any; a no-op
      for purely simulated runs. *)
   E.stop c;
-  (totals, r)
+  (totals, r, E.metrics c)
 
 let engines =
   [ Kernel.Intf.Pack (module Alohadb.Engine);
@@ -81,54 +79,54 @@ let test_three_engines_agree () =
   List.iter
     (fun (Kernel.Intf.Pack (module E) as engine) ->
       Alcotest.(check (list int))
-        (E.name ^ " = oracle") expected (fst (run_engine engine)))
+        (E.name ^ " = oracle") expected
+        (let totals, _, _ = run_engine engine in
+         totals))
     engines
-
-(* Compute-mode equivalence: the same scripted history through ALOHA's
-   three functor-computing strategies must be indistinguishable in the
-   simulation — identical committed state AND identical throughput.  All
-   three modes submit one dispatch job per buffered item at the same
-   simulated cost; only the host-side work per job differs, so any tps
-   divergence means a mode leaked real work into simulated time. *)
-let test_compute_modes_agree () =
-  let expected = Array.to_list (expected_totals ()) in
-  let aloha = Kernel.Intf.Pack (module Alohadb.Engine) in
-  let runs =
-    List.map
-      (fun mode -> (mode, run_engine ~compute:mode aloha))
-      [ "ondemand"; "pool"; "planned" ]
-  in
-  let _, (_, r0) = List.hd runs in
-  List.iter
-    (fun (mode, (totals, r)) ->
-      Alcotest.(check (list int)) (mode ^ " totals = oracle") expected totals;
-      Alcotest.(check (float 0.0))
-        (mode ^ " tps matches ondemand")
-        r0.Kernel.Result.throughput_tps r.Kernel.Result.throughput_tps)
-    runs
 
 (* Sim-vs-real equivalence: the same scripted history through ALOHA with
    functor evaluation on simulated workers (--runtime sim) and on real
    OCaml 5 domains (--runtime real) must commit the same transactions and
-   leave identical final state, for every compute mode.  Deliberately NOT
-   a throughput check: the real runtime evaluates plans eagerly at epoch
-   close, which shifts simulated completion timing (see DESIGN.md §12) —
-   state equivalence is the invariant, wall clock is the benchmark's job.
-   run_engine already asserts the committed/aborted counts match the
-   script, so a totals match here means identical committed sets. *)
+   leave identical final state.  Deliberately NOT a throughput check: the
+   real runtime evaluates plans eagerly at epoch close, which shifts
+   simulated completion timing (see DESIGN.md §12) — state equivalence is
+   the invariant, wall clock is the benchmark's job.  run_engine already
+   asserts the committed/aborted counts match the script, so a totals
+   match here means identical committed sets. *)
 let test_sim_vs_real_agree () =
   let expected = Array.to_list (expected_totals ()) in
   let aloha = Kernel.Intf.Pack (module Alohadb.Engine) in
+  let sim_totals, _, _ = run_engine aloha in
+  let real_totals, _, _ = run_engine ~runtime:"real" ~domains:4 aloha in
+  Alcotest.(check (list int)) "sim = oracle" expected sim_totals;
+  Alcotest.(check (list int)) "real(4 domains) = sim" sim_totals real_totals
+
+(* --runtime real takes effect without any other option: the planner is
+   the one compute strategy, so its key runs land on the domain pool. *)
+let test_real_runtime_evaluates_on_domains () =
+  let aloha = Kernel.Intf.Pack (module Alohadb.Engine) in
+  let _, _, metrics = run_engine ~runtime:"real" ~domains:2 aloha in
+  Alcotest.(check bool) "plan.real_evaluated > 0" true
+    (Sim.Metrics.get metrics "plan.real_evaluated" > 0)
+
+let test_retired_strategies_rejected () =
+  ignore
+    (Alohadb.Engine.create
+       (Kernel.Params.make ~compute:"planned" ~n_servers:2 ()));
   List.iter
     (fun mode ->
-      let sim_totals, _ = run_engine ~compute:mode aloha in
-      let real_totals, _ =
-        run_engine ~compute:mode ~runtime:"real" ~domains:4 aloha
-      in
-      Alcotest.(check (list int)) (mode ^ " sim = oracle") expected sim_totals;
-      Alcotest.(check (list int))
-        (mode ^ " real(4 domains) = sim") sim_totals real_totals)
-    [ "ondemand"; "pool"; "planned" ]
+      match
+        Alohadb.Engine.create
+          (Kernel.Params.make ~compute:mode ~n_servers:2 ())
+      with
+      | _ -> Alcotest.failf "compute %S accepted" mode
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "names the one valid mode"
+            (Printf.sprintf
+               "Alohadb.Engine: unknown compute mode %S (expected planned)"
+               mode)
+            msg)
+    [ "pool"; "ondemand" ]
 
 (* ---- model-based lock manager check -------------------------------------- *)
 
@@ -193,7 +191,10 @@ let prop_lock_manager_safety =
 
 let suite =
   [ Alcotest.test_case "three engines agree" `Slow test_three_engines_agree;
-    Alcotest.test_case "compute modes agree" `Slow test_compute_modes_agree;
     Alcotest.test_case "sim vs real runtime agree" `Slow
       test_sim_vs_real_agree;
+    Alcotest.test_case "real runtime evaluates on domains" `Quick
+      test_real_runtime_evaluates_on_domains;
+    Alcotest.test_case "retired compute modes rejected" `Quick
+      test_retired_strategies_rejected;
     QCheck_alcotest.to_alcotest prop_lock_manager_safety ]

@@ -55,21 +55,46 @@ let test_driver_ycsb_both_systems () =
     let built =
       Harness.Setup.ycsb ~engine ~n:2 ~ci:0.01 ~keys_per_partition:1_000 ()
     in
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Harness.Arrivals.Closed { clients_per_fe = clients })
       ~warmup_us:50_000 ~measure_us:50_000 ()
   in
   let ra = point "aloha" 200 in
   let rc = point "calvin" 100 in
-  Alcotest.(check bool) "aloha progresses" true (ra.Harness.Driver.committed > 100);
-  Alcotest.(check bool) "calvin progresses" true (rc.Harness.Driver.committed > 50);
+  Alcotest.(check bool) "aloha progresses" true (ra.Kernel.Result.committed > 100);
+  Alcotest.(check bool) "calvin progresses" true (rc.Kernel.Result.committed > 50);
   Alcotest.(check bool) "aloha beats calvin" true
-    (ra.Harness.Driver.throughput_tps > rc.Harness.Driver.throughput_tps);
+    (ra.Kernel.Result.throughput_tps > rc.Kernel.Result.throughput_tps);
   Alcotest.(check bool) "aloha stages recorded" true
-    (List.length ra.Harness.Driver.stages = 3);
+    (List.length ra.Kernel.Result.stages = 3);
   Alcotest.(check bool) "latencies sane" true
-    (ra.Harness.Driver.lat_mean_us > 0.0
-     && ra.Harness.Driver.lat_p99_us >= ra.Harness.Driver.lat_p50_us)
+    (ra.Kernel.Result.lat_mean_us > 0.0
+     && ra.Kernel.Result.lat_p99_us >= ra.Kernel.Result.lat_p50_us)
+
+(* The stage breakdown is simulated per-transaction time only: two runs
+   of one seeded point must report it identically (host-timed series such
+   as the planner's build time stay out of it). *)
+let test_stage_stats_deterministic () =
+  let engine = List.assoc "aloha" Harness.Setup.engines in
+  let stages () =
+    let built =
+      Harness.Setup.ycsb ~engine ~n:2 ~ci:0.1 ~keys_per_partition:1_000
+        ~seed:5 ()
+    in
+    let r =
+      Harness.Setup.run built
+        ~arrival:(Harness.Arrivals.Open_poisson { rate_per_fe = 5_000.0 })
+        ~warmup_us:30_000 ~measure_us:50_000 ()
+    in
+    List.map
+      (fun (label, (st : Kernel.Result.stage_stat)) ->
+        Printf.sprintf "%s mean=%.3f p50=%d p95=%d p99=%d p999=%d" label
+          st.Kernel.Result.mean_us st.p50_us st.p95_us st.p99_us st.p999_us)
+      r.Kernel.Result.stage_stats
+  in
+  let first = stages () in
+  Alcotest.(check int) "three stages" 3 (List.length first);
+  Alcotest.(check (list string)) "identical stage_stats" first (stages ())
 
 let test_driver_tpcc_abort_accounting () =
   let engine = List.assoc "aloha" Harness.Setup.engines in
@@ -77,18 +102,18 @@ let test_driver_tpcc_abort_accounting () =
     Harness.Setup.tpcc ~engine ~n:2 ~warehouses_per_host:1 ~kind:`NewOrder ()
   in
   let r =
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 100 })
       ~warmup_us:50_000 ~measure_us:100_000 ()
   in
-  Alcotest.(check bool) "commits" true (r.Harness.Driver.committed > 100);
+  Alcotest.(check bool) "commits" true (r.Kernel.Result.committed > 100);
   (* 1 % of NewOrders reference an unknown item and must abort in the
      write-only phase. *)
   let aborted_install = Kernel.Result.abort r "install" in
   Alcotest.(check bool) "install aborts occur" true (aborted_install > 0);
   let ratio =
     float_of_int aborted_install
-    /. float_of_int (r.Harness.Driver.committed + aborted_install)
+    /. float_of_int (r.Kernel.Result.committed + aborted_install)
   in
   Alcotest.(check bool) "abort rate ~1%" true (ratio > 0.001 && ratio < 0.05)
 
@@ -109,6 +134,8 @@ let suite =
     Alcotest.test_case "closed loop" `Quick test_closed_loop_sustains;
     Alcotest.test_case "driver ycsb both systems" `Slow
       test_driver_ycsb_both_systems;
+    Alcotest.test_case "stage stats deterministic" `Quick
+      test_stage_stats_deterministic;
     Alcotest.test_case "driver tpcc aborts" `Slow
       test_driver_tpcc_abort_accounting;
     Alcotest.test_case "scale profiles" `Quick test_scale_profiles_sane ]

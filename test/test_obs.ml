@@ -282,19 +282,19 @@ let test_overhead_neutral () =
       Harness.Setup.ycsb ~engine ~n:2 ~ci:0.01 ~keys_per_partition:1_000
         ?obs ~seed:23 ()
     in
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 100 })
       ?obs ~warmup_us:30_000 ~measure_us:40_000 ~seed:23 ()
   in
   let bare = point None in
   let ctl = Obs.Ctl.create ~sample:16 () in
   let traced = point (Some ctl) in
-  Alcotest.(check int) "identical commits" bare.Harness.Driver.committed
-    traced.Harness.Driver.committed;
+  Alcotest.(check int) "identical commits" bare.Kernel.Result.committed
+    traced.Kernel.Result.committed;
   Alcotest.(check (float 1e-9)) "identical tps"
-    bare.Harness.Driver.throughput_tps traced.Harness.Driver.throughput_tps;
+    bare.Kernel.Result.throughput_tps traced.Kernel.Result.throughput_tps;
   Alcotest.(check (float 1e-9)) "identical mean latency"
-    bare.Harness.Driver.lat_mean_us traced.Harness.Driver.lat_mean_us;
+    bare.Kernel.Result.lat_mean_us traced.Kernel.Result.lat_mean_us;
   (* And the traced run actually recorded something. *)
   Alcotest.(check bool) "trace non-empty" true
     (Obs.Trace.total (Obs.Ctl.trace ctl) > 0);
@@ -309,7 +309,7 @@ let test_telemetry_file () =
       ~obs:ctl ()
   in
   let result =
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 50 })
       ~obs:ctl ~warmup_us:20_000 ~measure_us:20_000 ()
   in

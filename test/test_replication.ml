@@ -299,7 +299,7 @@ let prop_repl_matches_reference =
    state and EXACTLY identical simulated throughput (the ship plane has
    its own RNG stream and its handlers are off the worker pool, so not
    one data-plane event may shift).  Pinned with a 0.0-epsilon float
-   check across all three compute modes. *)
+   check. *)
 
 let diff_n = 2
 let diff_keys =
@@ -313,10 +313,9 @@ let diff_batch =
       let delta = 1 + Sim.Rng.int rng 9 in
       ((k1, k2), delta))
 
-let run_aloha ?compute ~replicas () =
+let run_aloha ~replicas () =
   let c =
-    Alohadb.Engine.create
-      (Kernel.Params.make ?compute ~replicas ~n_servers:diff_n ())
+    Alohadb.Engine.create (Kernel.Params.make ~replicas ~n_servers:diff_n ())
   in
   List.iter (fun k -> Alohadb.Engine.load c k (Value.int 0)) diff_keys;
   Alohadb.Engine.start c;
@@ -354,19 +353,13 @@ let run_aloha ?compute ~replicas () =
   (totals, r)
 
 let test_replicas_behaviour_neutral () =
-  List.iter
-    (fun compute ->
-      let t1, r1 = run_aloha ~compute ~replicas:1 () in
-      let t2, r2 = run_aloha ~compute ~replicas:2 () in
-      Alcotest.(check (list int))
-        (compute ^ ": k=2 state = k=1 state") t1 t2;
-      Alcotest.(check int)
-        (compute ^ ": k=2 committed = k=1")
-        r1.Kernel.Result.committed r2.Kernel.Result.committed;
-      Alcotest.(check (float 0.0))
-        (compute ^ ": k=2 tps = k=1 tps (exact)")
-        r1.Kernel.Result.throughput_tps r2.Kernel.Result.throughput_tps)
-    [ "ondemand"; "pool"; "planned" ]
+  let t1, r1 = run_aloha ~replicas:1 () in
+  let t2, r2 = run_aloha ~replicas:2 () in
+  Alcotest.(check (list int)) "k=2 state = k=1 state" t1 t2;
+  Alcotest.(check int) "k=2 committed = k=1" r1.Kernel.Result.committed
+    r2.Kernel.Result.committed;
+  Alcotest.(check (float 0.0)) "k=2 tps = k=1 tps (exact)"
+    r1.Kernel.Result.throughput_tps r2.Kernel.Result.throughput_tps
 
 let suite =
   [ Alcotest.test_case "battery k=2 (crash every backend)" `Slow

@@ -225,7 +225,7 @@ let test_ledger_neutral () =
       Harness.Setup.ycsb ~engine ~n:2 ~ci:0.01 ~keys_per_partition:1_000
         ?obs ~seed:31 ()
     in
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 100 })
       ?obs ~warmup_us:30_000 ~measure_us:40_000 ~seed:31 ()
   in
@@ -233,13 +233,13 @@ let test_ledger_neutral () =
   let ledger = Obs.Ledger.create () in
   let ctl = Obs.Ctl.create ~ledger () in
   let with_ledger = point (Some ctl) in
-  Alcotest.(check int) "identical commits" bare.Harness.Driver.committed
-    with_ledger.Harness.Driver.committed;
+  Alcotest.(check int) "identical commits" bare.Kernel.Result.committed
+    with_ledger.Kernel.Result.committed;
   Alcotest.(check (float 1e-9)) "identical tps"
-    bare.Harness.Driver.throughput_tps
-    with_ledger.Harness.Driver.throughput_tps;
+    bare.Kernel.Result.throughput_tps
+    with_ledger.Kernel.Result.throughput_tps;
   Alcotest.(check (float 1e-9)) "identical mean latency"
-    bare.Harness.Driver.lat_mean_us with_ledger.Harness.Driver.lat_mean_us;
+    bare.Kernel.Result.lat_mean_us with_ledger.Kernel.Result.lat_mean_us;
   (* And the ledger actually accumulated epoch rows. *)
   Alcotest.(check bool) "ledger recorded rows" true
     (Obs.Ledger.rows ledger <> [])
