@@ -408,6 +408,7 @@ let compute_prepared t pr =
 let prepared_key pr = pr.p_key
 let prepared_version pr = pr.p_version
 let prepared_pending pr = pr.p_pending
+let prepared_is_final pr = Funct.is_final pr.p_record
 
 let merge_delta t ~key ~version =
   (* Fold a fast-path pending delta into its chain.  [prepare] returns
@@ -463,8 +464,11 @@ and par_user = {
 
 (* A task stays this small because a whole level's tasks live until its
    commit: the final value is the record's, and the own-key value below
-   (for recipient pushes) is re-read at commit from the now-final chain. *)
-and par_out = Par_fallback | Par_done of Registry.outcome
+   (for recipient pushes) is re-read at commit from the now-final chain.
+   [Par_plain] is a built-in with no recipients and no dependents: its
+   commit has nothing to push or write, so the worker records no
+   outcome. *)
+and par_out = Par_fallback | Par_plain | Par_done of Registry.outcome
 
 exception Pending_below
 
@@ -564,7 +568,24 @@ let par_eval _t task =
       in
       pr.p_record.Funct.state <- Funct.Final (final_of_outcome outcome);
       refresh_watermark pr.p_chain;
-      task.pt_out <- Par_done outcome
+      task.pt_out <-
+        (match (task.pt_user, outcome, p.Funct.farg) with
+        | None, Registry.Commit _, { Funct.recipients = []; dependents = []; _ }
+          ->
+            Par_plain
+        | _ -> Par_done outcome)
+
+(* [finalize] minus the state flip and watermark advance, which the
+   worker already did on the record's own chain. *)
+let par_finish t pr (p : Funct.pending) final =
+  (match final with
+  | Funct.Aborted_v -> incr t.m_aborts_computed
+  | Funct.Committed _ | Funct.Deleted_v -> ());
+  incr t.m_computed;
+  t.cb.notify_final ~key:pr.p_key ~version:pr.p_version ~pending:p ~final;
+  let waiters = p.Funct.waiters in
+  p.Funct.waiters <- [];
+  List.iter (fun w -> w final) waiters
 
 let par_commit t task =
   let pr = task.pt_node in
@@ -576,7 +597,11 @@ let par_commit t task =
          [ensure_computing] with the full waiting machinery. *)
       p.Funct.status <- Funct.Installed;
       false
-  | Par_done _, Funct.Pending _ -> assert false (* par_eval flipped it *)
+  | (Par_plain | Par_done _), Funct.Pending _ ->
+      assert false (* par_eval flipped it *)
+  | Par_plain, Funct.Final final ->
+      par_finish t pr p final;
+      true
   | Par_done outcome, Funct.Final final ->
       (match task.pt_user with
       | Some { push_hits; _ } when push_hits > 0 ->
@@ -596,16 +621,7 @@ let par_commit t task =
       List.iter
         (fun (dk, dfinal) -> t.cb.send_dep_write ~key:dk ~version:ver dfinal)
         (dep_writes_for p outcome);
-      (* [finalize] minus the state flip and watermark advance, which the
-         worker already did on the record's own chain. *)
-      (match final with
-      | Funct.Aborted_v -> incr t.m_aborts_computed
-      | Funct.Committed _ | Funct.Deleted_v -> ());
-      incr t.m_computed;
-      t.cb.notify_final ~key ~version:ver ~pending:p ~final;
-      let waiters = p.Funct.waiters in
-      p.Funct.waiters <- [];
-      List.iter (fun w -> w final) waiters;
+      par_finish t pr p final;
       true
 
 (* ---- deliveries from the network ------------------------------------ *)

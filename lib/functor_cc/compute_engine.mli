@@ -103,6 +103,9 @@ val prepared_key : prepared -> Mvstore.Key.t
 val prepared_version : prepared -> int
 val prepared_pending : prepared -> Funct.pending
 
+val prepared_is_final : prepared -> bool
+(** Whether the node's record has turned final since it was prepared. *)
+
 val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
 (** Fold a coordination-free fast-path delta (a commutative built-in
     installed outside any epoch batch) into its chain: evaluate the
@@ -149,7 +152,9 @@ val par_commit : t -> par_task -> bool
 (** Main domain, after the batch barrier.  Applies the deferred effects
     and returns [true]; or, for a fallback task, releases the claim
     ([Computing] → [Installed]) so the sequential dispatch re-evaluates
-    it, and returns [false]. *)
+    it, and returns [false].  A built-in with no recipients and no
+    dependents has no deferred effect beyond counting, [notify_final]
+    and its record's waiters, and its commit does only that. *)
 
 val deliver_push :
   t -> key:Mvstore.Key.t -> version:int -> src_key:Mvstore.Key.t ->

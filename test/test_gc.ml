@@ -49,6 +49,32 @@ let test_chain_truncate_releases () =
     (Weak.check watch 0);
   Alcotest.(check (list int)) "suffix kept" [ 8; 9; 10 ] (Chain.versions c)
 
+(* The event agenda must release what it fires.  Every event's closure
+   captures its own watched block; once the agenda has run dry, no slot
+   of the heap's array (sized by its high-water mark) may still pin a
+   fired closure. *)
+let schedule_watched des ~watch =
+  for i = 0 to Weak.length watch - 1 do
+    let block = Bytes.make 16 'e' in
+    Weak.set watch i (Some block);
+    Sim.Engine.schedule des ~at:(i mod 5) (fun () ->
+        ignore (Sys.opaque_identity block))
+  done
+[@@inline never]
+
+let test_agenda_releases_fired () =
+  let des = Sim.Engine.create () in
+  let watch = Weak.create 100 in
+  schedule_watched des ~watch;
+  Sim.Engine.run des;
+  Gc.full_major ();
+  let pinned = ref 0 in
+  for i = 0 to Weak.length watch - 1 do
+    if Weak.check watch i then incr pinned
+  done;
+  Alcotest.(check int) "fired closures collected" 0 !pinned;
+  Alcotest.(check int) "every event fired" 100 (Sim.Engine.events_fired des)
+
 let mk_engine () =
   let callbacks =
     { Engine.is_local = (fun _ -> true);
@@ -118,6 +144,8 @@ let suite =
       test_chain_truncate_all_below;
     Alcotest.test_case "chain truncate releases payloads" `Quick
       test_chain_truncate_releases;
+    Alcotest.test_case "agenda releases fired events" `Quick
+      test_agenda_releases_fired;
     Alcotest.test_case "engine gc preserves reads" `Quick
       test_engine_gc_preserves_reads;
     Alcotest.test_case "engine gc spares pending" `Quick

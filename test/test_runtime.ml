@@ -325,6 +325,187 @@ let test_raise_mid_run () =
       Alcotest.(check int) (name "nothing pending") 0 (Engine.pending_count e))
     [ 1; 2 ]
 
+(* ---- real planner: completion tracking and the commit ------------------- *)
+
+(* One plan through the planner on the simulated runtime ([domains] = 0)
+   or on the real one, with synchronous push / dependent-write delivery
+   and immediate [exec], over one simulated worker: every node computed
+   by the simulated dispatch finalises inside its own dispatch job. *)
+type plan_run = {
+  metrics : Sim.Metrics.t;
+  finals : (string * int * Funct.final) list;  (* notify_final, sorted *)
+  evaluated : (int * int) list;  (* on_evaluated: elapsed_us, sim time *)
+}
+
+let run_plan ~domains setup =
+  let sim = Sim.Engine.create () in
+  let pool = Sim.Worker_pool.create sim ~workers:1 in
+  let registry = Registry.with_builtins () in
+  let finals = ref [] in
+  let engine = ref None in
+  let callbacks =
+    { Engine.is_local = (fun _ -> true);
+      remote_get = (fun ~key:_ ~version:_ k -> k None);
+      send_push =
+        (fun ~dst_key ~version ~src_key v ->
+          Engine.deliver_push (Option.get !engine) ~key:dst_key ~version
+            ~src_key v);
+      send_dep_write =
+        (fun ~key ~version final ->
+          Engine.deliver_dep_write (Option.get !engine) ~key ~version ~final);
+      notify_final =
+        (fun ~key ~version ~pending:_ ~final ->
+          finals := (Mvstore.Key.name key, version, final) :: !finals);
+      exec = (fun ~cost:_ k -> k ());
+      now = (fun () -> Sim.Engine.now sim) }
+  in
+  let metrics = Sim.Metrics.create () in
+  let e = Engine.create ~registry ~callbacks ~compute_cost_us:1 ~metrics () in
+  engine := Some e;
+  let install key version ftype farg =
+    let key = ik key in
+    (match
+       Engine.install e ~key ~version ~lo:0 ~hi:max_int
+         (Funct.mk_pending ~ftype ~farg ~txn_id:version ~coordinator:0)
+     with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "install failed");
+    { Functor_cc.Processor.key; version }
+  in
+  let items = setup registry e install in
+  let rpool = if domains > 0 then Some (Pool.create ~domains) else None in
+  let evaluated = ref [] in
+  let planner =
+    Functor_cc.Planner.create ~engine:e ~pool ?real:rpool ~dispatch_cost_us:1
+      ~metrics
+      ~now:(fun () -> Sim.Engine.now sim)
+      ~on_evaluated:(fun ~elapsed_us ->
+        evaluated := (elapsed_us, Sim.Engine.now sim) :: !evaluated)
+      ()
+  in
+  ignore (Functor_cc.Planner.run planner ~items);
+  Sim.Engine.run sim;
+  Option.iter Pool.shutdown rpool;
+  Alcotest.(check int) "nothing left pending" 0 (Engine.pending_count e);
+  { metrics; finals = List.sort compare !finals; evaluated = List.rev !evaluated }
+
+let evaluate_samples r =
+  match Sim.Metrics.latency r.metrics "plan.evaluate_us" with
+  | None -> []
+  | Some h ->
+      if Sim.Stats.Histogram.count h = 0 then []
+      else
+        List.init (Sim.Stats.Histogram.count h) (fun _ ->
+            Sim.Stats.Histogram.max h)
+
+let adds ~prefix ~keys ~versions install =
+  List.concat_map
+    (fun v ->
+      List.init keys (fun k ->
+          install (Printf.sprintf "%s%d" prefix k) v Ftype.Add
+            (Funct.farg_args [ Value.int v ])))
+    (List.init versions (fun v -> v + 1))
+
+(* Domains evaluate the whole plan: it completes inside [Planner.run], so
+   it records one sample of 0 and calls [on_evaluated] once, at once. *)
+let test_completion_all_on_domains () =
+  List.iter
+    (fun domains ->
+      let r =
+        run_plan ~domains (fun registry e install ->
+            ignore registry;
+            for k = 0 to 2 do
+              Engine.load_initial e ~key:(ik (Printf.sprintf "ca:%d" k))
+                (Value.int 0)
+            done;
+            adds ~prefix:"ca:" ~keys:3 ~versions:5 install)
+      in
+      Alcotest.(check int) "all on domains" 15
+        (Sim.Metrics.get r.metrics "plan.real_evaluated");
+      Alcotest.(check (list int)) "one sample of 0" [ 0 ] (evaluate_samples r);
+      Alcotest.(check (list (pair int int))) "one callback, at once"
+        [ (0, 0) ] r.evaluated)
+    [ 1; 2 ]
+
+(* One node the stager rejects (a missing handler), dispatched last: the
+   plan completes when the simulated dispatch aborts it, at the same time
+   as under the simulated runtime. *)
+let test_completion_rejected_node () =
+  let setup _registry e install =
+    for k = 0 to 1 do
+      Engine.load_initial e ~key:(ik (Printf.sprintf "cr:%d" k)) (Value.int 0)
+    done;
+    adds ~prefix:"cr:" ~keys:2 ~versions:4 install
+    @ [ install "cr:x" 9 (Ftype.User "cr-absent") Funct.farg_empty ]
+  in
+  let sim = run_plan ~domains:0 setup in
+  Alcotest.(check (list int)) "sim: one sample, the last dispatch" [ 9 ]
+    (evaluate_samples sim);
+  List.iter
+    (fun domains ->
+      let real = run_plan ~domains setup in
+      Alcotest.(check int) "the rest on domains" 8
+        (Sim.Metrics.get real.metrics "plan.real_evaluated");
+      Alcotest.(check (list int)) "same sample" (evaluate_samples sim)
+        (evaluate_samples real);
+      Alcotest.(check (list (pair int int))) "same callback and time"
+        sim.evaluated real.evaluated;
+      Alcotest.(check bool) "same finals" true (sim.finals = real.finals))
+    [ 1; 2 ]
+
+(* Built-ins with recipients, plain built-ins, and user functors with a
+   declared dependent (behind a Dep_marker) and a dynamic one, some of
+   which abort: the real commit gives the simulated runtime's counters
+   and the same notify_final calls. *)
+let test_commit_mixed_plan () =
+  let setup registry e install =
+    Registry.register registry "cm-det" (fun ctx ->
+        let x = Value.to_int (Option.get (Registry.read ctx "cm:acct")) in
+        if x mod 3 = 1 then Registry.Abort
+        else
+          Registry.Commit_det
+            ( Value.int x,
+              [ ("cm:dep", Registry.Dep_put (Value.int (2 * x)));
+                (Printf.sprintf "cm:log%d" ctx.Registry.version,
+                 Registry.Dep_put (Value.int x)) ] ));
+    List.iter
+      (fun k -> Engine.load_initial e ~key:(ik k) (Value.int 0))
+      [ "cm:acct"; "cm:ctl"; "cm:dep"; "cm:plain" ];
+    let acct = ik "cm:acct" and ctl = ik "cm:ctl" and dep = ik "cm:dep" in
+    List.concat_map
+      (fun v ->
+        [ install "cm:acct" v Ftype.Add
+            { (Funct.farg_args [ Value.int v ]) with
+              Funct.recipients = [ ctl ] };
+          install "cm:ctl" v (Ftype.User "cm-det")
+            { Funct.farg_empty with
+              read_set = [ acct ]; pushed_reads = [ acct ];
+              dependents = [ dep ] };
+          install "cm:dep" v (Ftype.Dep_marker ctl) Funct.farg_empty;
+          install "cm:plain" v Ftype.Add (Funct.farg_args [ Value.int 1 ]) ])
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  let counters r =
+    List.map
+      (fun name -> (name, Sim.Metrics.get r.metrics name))
+      [ "fcc.computed"; "fcc.pushes_sent"; "fcc.aborts_computed";
+        "fcc.dep_writes_resolved"; "fcc.dep_write_duplicate";
+        "fcc.dep_write_direct" ]
+  in
+  let sim = run_plan ~domains:0 setup in
+  Alcotest.(check int) "sim: two aborts, each with its marker" 4
+    (Sim.Metrics.get sim.metrics "fcc.aborts_computed");
+  List.iter
+    (fun domains ->
+      let real = run_plan ~domains setup in
+      Alcotest.(check bool) "built-ins and user functors on domains" true
+        (Sim.Metrics.get real.metrics "plan.real_evaluated" >= 18);
+      Alcotest.(check (list (pair string int))) "same counters"
+        (counters sim) (counters real);
+      Alcotest.(check bool) "same notify_final multiset" true
+        (sim.finals = real.finals))
+    [ 1; 2 ]
+
 let suite =
   [ Alcotest.test_case "run_batch barrier" `Quick test_batch_barrier;
     Alcotest.test_case "work stealing under skew" `Quick test_work_stealing;
@@ -334,4 +515,10 @@ let suite =
     Alcotest.test_case "1 domain runs on the caller" `Quick
       test_one_domain_caller_runs;
     Alcotest.test_case "raising handler falls back mid-run" `Quick
-      test_raise_mid_run ]
+      test_raise_mid_run;
+    Alcotest.test_case "plan completes on domains" `Quick
+      test_completion_all_on_domains;
+    Alcotest.test_case "rejected node completes as under sim" `Quick
+      test_completion_rejected_node;
+    Alcotest.test_case "mixed plan commits as under sim" `Quick
+      test_commit_mixed_plan ]
