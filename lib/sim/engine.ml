@@ -7,7 +7,9 @@ type t = {
   mutable fired : int;
 }
 
-let create () = { agenda = Heap.create (); clock = 0; stopped = false; fired = 0 }
+let create () =
+  { agenda = Heap.create ~vacant:ignore (); clock = 0; stopped = false;
+    fired = 0 }
 
 let now t = t.clock
 

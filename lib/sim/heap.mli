@@ -7,8 +7,9 @@
 
 type 'a t
 
-val create : unit -> 'a t
-(** [create ()] is an empty heap. *)
+val create : vacant:'a -> unit -> 'a t
+(** [create ~vacant ()] is an empty heap.  [vacant] fills the slots no
+    entry occupies, so the heap never keeps a popped value reachable. *)
 
 val length : 'a t -> int
 (** Number of entries currently stored. *)

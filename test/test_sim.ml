@@ -2,7 +2,7 @@
    metrics. *)
 
 let test_heap_sorted () =
-  let h : int Sim.Heap.t = Sim.Heap.create () in
+  let h : int Sim.Heap.t = Sim.Heap.create ~vacant:0 () in
   let rng = Sim.Rng.create 1 in
   let values = List.init 500 (fun _ -> Sim.Rng.int rng 1000) in
   List.iter (fun v -> Sim.Heap.add h ~priority:v v) values;
@@ -20,7 +20,7 @@ let test_heap_sorted () =
     (List.sort compare values) drained
 
 let test_heap_fifo_ties () =
-  let h : string Sim.Heap.t = Sim.Heap.create () in
+  let h : string Sim.Heap.t = Sim.Heap.create ~vacant:"" () in
   List.iter (fun s -> Sim.Heap.add h ~priority:7 s) [ "a"; "b"; "c"; "d" ];
   let order =
     List.init 4 (fun _ -> match Sim.Heap.pop h with
@@ -31,7 +31,7 @@ let test_heap_fifo_ties () =
     [ "a"; "b"; "c"; "d" ] order
 
 let test_heap_interleaved () =
-  let h : int Sim.Heap.t = Sim.Heap.create () in
+  let h : int Sim.Heap.t = Sim.Heap.create ~vacant:0 () in
   Sim.Heap.add h ~priority:5 5;
   Sim.Heap.add h ~priority:1 1;
   Alcotest.(check (option int)) "peek" (Some 1) (Sim.Heap.peek_priority h);
@@ -304,7 +304,7 @@ let prop_heap_sorts =
   QCheck2.Test.make ~name:"heap pops sorted permutation" ~count:200
     QCheck2.Gen.(list_size (int_bound 200) (int_bound 10_000))
     (fun xs ->
-      let h : int Sim.Heap.t = Sim.Heap.create () in
+      let h : int Sim.Heap.t = Sim.Heap.create ~vacant:0 () in
       List.iter (fun v -> Sim.Heap.add h ~priority:v v) xs;
       let rec drain acc =
         match Sim.Heap.pop h with
