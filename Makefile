@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check clean bench bench-smoke bench-guard bench-real real-smoke e2e-pair chaos chaos-smoke chaos-digests replication replication-smoke availability fastpath fastpath-smoke obs-smoke
+.PHONY: all build test fmt check clean bench bench-smoke bench-guard bench-real real-smoke e2e-pair figs-pair chaos chaos-smoke chaos-digests replication replication-smoke availability fastpath fastpath-smoke obs-smoke
 
 all: build
 
@@ -44,6 +44,16 @@ e2e-pair:
 	@test -n "$(BASE)" || { echo "usage: make e2e-pair BASE=<rev>"; exit 2; }
 	python3 ci/e2e_pair.py --base $(BASE) --seeds $(SEEDS) \
 	  $(foreach w,$(WORKLOADS),--workload $(w))
+
+# Behaviour-neutrality check: the simulated figures (fig6-fig11 and
+# ext-conventional, quick scale) of BASE against the working tree, the
+# two run side by side; exits 1 on any difference.  BASE is exported with
+# git archive into a temporary directory; outputs land in
+# figs-pair/base.txt and figs-pair/head.txt.
+#   make figs-pair BASE=HEAD~1
+figs-pair:
+	@test -n "$(BASE)" || { echo "usage: make figs-pair BASE=<rev>"; exit 2; }
+	python3 ci/figs_pair.py --base $(BASE)
 
 # CI smoke for the real runtime: pool + domain-determinism suites, the
 # interning hammer, the sim-vs-real equivalence oracle, end-to-end CLI

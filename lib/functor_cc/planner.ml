@@ -422,22 +422,27 @@ let run t ~items =
     track_completion t ~sim_t0 ~nodes ~n
   end;
   (* 4. Dispatch one job per *item* in install order, [dispatch_cost_us]
-     each, so the simulated job sequence does not depend on the graph's
-     shape or the runtime.  Items without a node were already final and
-     dispatch as no-ops. *)
-  let noop () = () in
-  for i = 0 to n_items - 1 do
-    (match t.on_dispatch with
-    | Some f ->
-        let { Processor.key; version } = items_a.(i) in
-        f ~key ~version
-    | None -> ());
-    let job =
-      if item_node.(i) < 0 then noop
-      else
-        let node = nodes.(item_node.(i)) in
-        fun () -> Compute_engine.compute_prepared t.engine node
-    in
-    Sim.Worker_pool.submit t.pool ~cost:t.dispatch_cost_us job
-  done;
+     each, as one worker-pool run, so the simulated job sequence does not
+     depend on the graph's shape or the runtime.  Items without a node
+     were already final and dispatch as no-ops.  The run releases each
+     node as its job fires: jobs of one run complete in index order and
+     node indices follow item order, so a fired node's slot (and every
+     unused slot past [n]) can point at the plan's last node, whose own
+     job drops the array. *)
+  (match t.on_dispatch with
+  | Some f ->
+      Array.iter (fun { Processor.key; version } -> f ~key ~version) items_a
+  | None -> ());
+  let live = ref nodes in
+  if n > 0 then Array.fill nodes n (Array.length nodes - n) nodes.(n - 1);
+  let job i =
+    let j = item_node.(i) in
+    if j >= 0 then begin
+      let node = !live.(j) in
+      if j = n - 1 then live := [||] else !live.(j) <- !live.(n - 1);
+      Compute_engine.compute_prepared t.engine node
+    end
+  in
+  Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
+    job;
   stats

@@ -22,9 +22,11 @@
     critical-path length are statistics) and, under the real runtime, a
     {e level}, the longest path with intra-key edges weighing 0 and
     read→write edges 1.  The planner then dispatches one worker-pool job
-    per node {e in the original install order}, each evaluating its node
-    directly through {!Compute_engine.compute_prepared}: no table probe
-    and no watermark-to-version chain rescan per evaluation.
+    per item {e in the original install order}, all as one
+    {!Sim.Worker_pool.submit_run}, each job evaluating its node directly
+    through {!Compute_engine.compute_prepared}: no table probe and no
+    watermark-to-version chain rescan per evaluation.  The run holds a
+    node only until the node's job fires.
 
     For read-set keys owned by another partition (and not already covered
     by a §IV-B pushed read), the planner emits a {e plan subscription}

@@ -3,14 +3,16 @@
     Versions are kept sorted ascending; because ECC assigns versions equal
     to transaction timestamps and epochs close before computing begins,
     inserts arrive in nearly sorted order and appending is the common case.
-    The paper implements the chain as a linked list of arrays; we use a
-    single growable array with binary-search insertion, which has the same
-    asymptotics under nearly sorted inserts and simpler invariants.
+    The paper implements the chain as a linked list of arrays; we use
+    two parallel growable arrays (versions in an [int array], payloads
+    beside it) with binary-search insertion, which has the same
+    asymptotics under nearly sorted inserts and simpler invariants, and
+    allocates no object per version.
 
     Each chain carries the key's {e value watermark}: the version below
     (or equal to) which every record holds an immutable final value.
     Payload mutation (functor → final value) is the caller's business —
-    the chain stores a mutable payload cell per version. *)
+    {!update} replaces the payload stored at a version. *)
 
 type 'a t
 

@@ -61,6 +61,8 @@ let register t addr handler = Hashtbl.replace t.handlers addr handler
 
 let unregister t addr = Hashtbl.remove t.handlers addr
 
+let registered t addr = Hashtbl.mem t.handlers addr
+
 let set_trace t f = t.trace <- Some f
 
 let set_fault_hook t f = t.fault_hook <- Some f

@@ -37,6 +37,9 @@ val unregister : 'msg t -> Address.t -> unit
 (** Remove the handler; subsequent messages to this address are dropped
     (models a crashed node). *)
 
+val registered : 'msg t -> Address.t -> bool
+(** Whether the address has a handler. *)
+
 val send : 'msg t -> src:Address.t -> dst:Address.t -> 'msg -> unit
 (** Queue a message for delivery after a sampled latency.  Self-sends are
     delivered with loopback latency. *)

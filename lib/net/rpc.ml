@@ -62,8 +62,9 @@ let serve_oneway t addr handler =
   ensure_registered t addr
 
 let call t ~src ~dst payload k =
-  (* The caller must itself be registered so the response can route back. *)
-  ensure_registered t src;
+  (* The caller must itself be registered so the response can route back:
+     once, or again after {!crash} dropped it. *)
+  if not (Network.registered t.net src) then ensure_registered t src;
   let call_id = t.next_call_id in
   t.next_call_id <- t.next_call_id + 1;
   Hashtbl.replace t.pending call_id k;

@@ -28,26 +28,21 @@ let run ?until t =
   t.stopped <- false;
   let continue = ref true in
   while !continue && not t.stopped do
-    match Heap.peek_priority t.agenda with
-    | None -> continue := false
-    | Some at ->
-        let past_horizon =
-          match until with None -> false | Some h -> at > h
-        in
-        if past_horizon then begin
+    if Heap.is_empty t.agenda then continue := false
+    else begin
+      let at = Heap.min_priority t.agenda in
+      match until with
+      | Some h when at > h ->
           (* Leave the event queued; advance the clock to the horizon so
              that a subsequent [run] with a later horizon resumes cleanly. *)
-          (match until with Some h -> if h > t.clock then t.clock <- h | None -> ());
+          if h > t.clock then t.clock <- h;
           continue := false
-        end
-        else begin
-          match Heap.pop t.agenda with
-          | None -> continue := false
-          | Some (at, f) ->
-              t.clock <- at;
-              t.fired <- t.fired + 1;
-              f ()
-        end
+      | Some _ | None ->
+          let f = Heap.pop_min t.agenda in
+          t.clock <- at;
+          t.fired <- t.fired + 1;
+          f ()
+    end
   done
 
 let stop t = t.stopped <- true

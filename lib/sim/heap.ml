@@ -69,18 +69,28 @@ let add t ~priority value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
+(* [min_priority] and [pop_min] are the event loop's accessors: they
+   allocate nothing. *)
+let min_priority t =
+  if t.size = 0 then invalid_arg "Heap.min_priority: empty heap";
+  t.data.(0).prio
+
+let pop_min t =
+  if t.size = 0 then invalid_arg "Heap.pop_min: empty heap";
+  let top = t.data.(0) in
+  t.size <- t.size - 1;
+  t.data.(0) <- t.data.(t.size);
+  t.data.(t.size) <- t.vacant;
+  if t.size > 0 then sift_down t 0;
+  top.value
+
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- t.vacant;
-    if t.size > 0 then sift_down t 0;
-    Some (top.prio, top.value)
-  end
+  else
+    let prio = min_priority t in
+    Some (prio, pop_min t)
 
-let peek_priority t = if t.size = 0 then None else Some t.data.(0).prio
+let peek_priority t = if t.size = 0 then None else Some (min_priority t)
 
 let clear t =
   Array.fill t.data 0 t.size t.vacant;

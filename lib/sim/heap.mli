@@ -19,6 +19,14 @@ val is_empty : 'a t -> bool
 val add : 'a t -> priority:int -> 'a -> unit
 (** [add t ~priority v] inserts [v]. Amortised O(log n). *)
 
+val min_priority : 'a t -> int
+(** Priority of the minimum entry; [Invalid_argument] on an empty heap.
+    Allocates nothing. *)
+
+val pop_min : 'a t -> 'a
+(** Remove the minimum entry and return its value; [Invalid_argument] on
+    an empty heap.  Allocates nothing. *)
+
 val pop : 'a t -> (int * 'a) option
 (** [pop t] removes and returns the minimum entry as [(priority, value)],
     or [None] when the heap is empty. *)

@@ -18,14 +18,18 @@ val submit : t -> cost:int -> (unit -> unit) -> unit
 (** [submit t ~cost done_] enqueues a job taking [cost] (>= 0) simulated
     microseconds of one worker's time, then calls [done_] at completion. *)
 
-val submit_priority : t -> cost:int -> (unit -> unit) -> unit
-(** Like {!submit} but the job jumps ahead of the normal FIFO queue (used
-    for latency-critical control messages, e.g. epoch switches). *)
+val submit_run : t -> cost:int -> count:int -> (int -> unit) -> unit
+(** [submit_run t ~cost ~count f] enqueues [count] jobs of [cost] each as
+    one queue entry; the completion of the [i]-th job ([0 <= i < count])
+    calls [f i].  Jobs start and complete exactly as they would after
+    [count] calls to {!submit}, in index order, but the run allocates one
+    entry instead of a job and a queue cell per job. *)
 
 val workers : t -> int
 
 val queue_length : t -> int
-(** Jobs waiting (excluding the ones in service). *)
+(** Jobs waiting (excluding the ones in service); a run counts each of
+    its jobs not yet started. *)
 
 val busy_workers : t -> int
 

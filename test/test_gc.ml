@@ -138,6 +138,55 @@ let test_engine_gc_spares_pending () =
     | None -> ());
   Alcotest.(check int) "values intact after gc attempt" 10 !got
 
+(* The planner's dispatch run must release each plan node as the node's
+   job fires, as one closure per job would: four ADDs on four keys, one
+   worker, 10 us per job.  After two jobs, the first two nodes' pending
+   records are garbage; the last node's is still held by its queued job.
+   A run that kept the plan's [nodes] array until its last job would pin
+   all four. *)
+let plan_watched e ~watch =
+  List.init 4 (fun i ->
+      let key = Mvstore.Key.intern (Printf.sprintf "gc-plan-%d" i) in
+      Engine.load_initial e ~key (Value.int 0);
+      let record =
+        Funct.mk_pending ~ftype:Functor_cc.Ftype.Add
+          ~farg:(Funct.farg_args [ Value.int 1 ])
+          ~txn_id:1 ~coordinator:0
+      in
+      (match record.Funct.state with
+      | Funct.Pending p -> Weak.set watch i (Some p)
+      | Funct.Final _ -> Alcotest.fail "ADD installed final");
+      (match Engine.install e ~key ~version:1 ~lo:0 ~hi:max_int record with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "install failed");
+      { Functor_cc.Processor.key; version = 1 })
+[@@inline never]
+
+let run_plan sim e ~items =
+  let pool = Sim.Worker_pool.create sim ~workers:1 in
+  let planner =
+    Functor_cc.Planner.create ~engine:e ~pool ~dispatch_cost_us:10
+      ~metrics:(Sim.Metrics.create ()) ()
+  in
+  ignore (Functor_cc.Planner.run planner ~items)
+[@@inline never]
+
+let test_dispatch_run_releases_nodes () =
+  let sim = Sim.Engine.create () in
+  let e = mk_engine () in
+  let watch = Weak.create 4 in
+  run_plan sim e ~items:(plan_watched e ~watch);
+  Sim.Engine.run ~until:25 sim;
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "fired nodes collected, queued ones held"
+    [ false; false; true; true ]
+    (List.init 4 (Weak.check watch));
+  Sim.Engine.run sim;
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "every node collected"
+    [ false; false; false; false ]
+    (List.init 4 (Weak.check watch))
+
 let suite =
   [ Alcotest.test_case "chain truncate" `Quick test_chain_truncate;
     Alcotest.test_case "chain truncate edges" `Quick
@@ -146,6 +195,8 @@ let suite =
       test_chain_truncate_releases;
     Alcotest.test_case "agenda releases fired events" `Quick
       test_agenda_releases_fired;
+    Alcotest.test_case "dispatch run releases fired nodes" `Quick
+      test_dispatch_run_releases_nodes;
     Alcotest.test_case "engine gc preserves reads" `Quick
       test_engine_gc_preserves_reads;
     Alcotest.test_case "engine gc spares pending" `Quick

@@ -221,7 +221,12 @@ let prop_chain_ops_match_reference =
       [ (6, map2 (fun v x -> `Insert (v, x)) (int_range 0 300) (int_range 0 999));
         (2, map2 (fun v x -> `Update (v, x)) (int_range 0 300) (int_range 0 999));
         (1, map (fun v -> `Truncate v) (int_range 0 300));
-        (1, map (fun v -> `Advance v) (int_range 0 300)) ]
+        (1, map (fun v -> `Advance v) (int_range 0 300));
+        (3,
+         map3
+           (fun d x (lo, span) -> `Insert_below (d, x, lo, span))
+           (int_range 1 40) (int_range 0 999)
+           (pair (int_range 0 300) (int_range 0 120))) ]
   in
   let gen = list_size (int_range 1 120) op in
   QCheck2.Test.make ~name:"chain ops = reference model" ~count:300 gen
@@ -290,7 +295,41 @@ let prop_chain_ops_match_reference =
               if reclaimed <> before - List.length !model then ok := false
           | `Advance v ->
               Chain.advance_watermark c v;
-              if v > !wm then wm := v);
+              if v > !wm then wm := v
+          | `Insert_below (d, x, lo, span) ->
+              (* An out-of-order insert [d] below the latest version,
+                 then the watermark walk and both range scans over the
+                 shifted arrays. *)
+              let latest = List.fold_left (fun _ (v, _) -> v) 0 !model in
+              let v = max 0 (latest - d) in
+              (match Chain.insert c ~version:v x with
+              | Ok () ->
+                  if List.mem_assoc v !model then ok := false
+                  else
+                    model :=
+                      List.sort (fun (a, _) (b, _) -> compare a b)
+                        ((v, x) :: !model)
+              | Error `Duplicate ->
+                  if not (List.mem_assoc v !model) then ok := false);
+              let walkable x = x mod 4 <> 0 in
+              Chain.advance_watermark_while c ~f:walkable;
+              (let rec walk = function
+                 | (v, x) :: rest when walkable x ->
+                     wm := v;
+                     walk rest
+                 | _ -> ()
+               in
+               walk (List.filter (fun (v, _) -> v > !wm) !model));
+              let hi = lo + span in
+              let seen = ref [] in
+              Chain.iter_range c ~lo ~hi (fun v x -> seen := (v, x) :: !seen);
+              if
+                List.rev !seen
+                <> List.filter (fun (v, _) -> lo <= v && v <= hi) !model
+              then ok := false;
+              if Chain.fold c ~init:[] ~f:(fun acc v x -> (v, x) :: acc)
+                 <> List.rev !model
+              then ok := false);
           check_agreement ())
         ops;
       !ok)

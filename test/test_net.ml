@@ -184,6 +184,25 @@ let test_rpc_crash_drops () =
   Alcotest.(check bool) "no reply" false !replied;
   Alcotest.(check int) "call hangs (tracked)" 1 (Net.Rpc.outstanding_calls rpc)
 
+(* A call registers its caller once; after a crash drops the caller, its
+   next call registers it again, so the response still routes back. *)
+let test_rpc_call_after_caller_crash () =
+  let e, rpc = mk_rpc () in
+  Net.Rpc.serve rpc (addr 1) (fun ~src:_ req ~reply -> reply req);
+  let replies = ref [] in
+  let call msg =
+    Net.Rpc.call rpc ~src:(addr 0) ~dst:(addr 1) msg (fun r ->
+        replies := r :: !replies)
+  in
+  call "a";
+  Sim.Engine.run e;
+  Net.Rpc.crash rpc (addr 0);
+  call "b";
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "both answered" [ "a"; "b" ]
+    (List.rev !replies);
+  Alcotest.(check int) "no outstanding calls" 0 (Net.Rpc.outstanding_calls rpc)
+
 let test_partitioner_prefix () =
   let p = Net.Partitioner.by_prefix_int ~partitions:8 in
   Alcotest.(check int) "w:3 routes to 3" 3
@@ -240,6 +259,8 @@ let suite =
     Alcotest.test_case "rpc double reply" `Quick test_rpc_double_reply_rejected;
     Alcotest.test_case "rpc oneway" `Quick test_rpc_oneway;
     Alcotest.test_case "rpc crash" `Quick test_rpc_crash_drops;
+    Alcotest.test_case "rpc call after caller crash" `Quick
+      test_rpc_call_after_caller_crash;
     Alcotest.test_case "partitioner prefix" `Quick test_partitioner_prefix;
     Alcotest.test_case "partitioner hash spread" `Quick
       test_partitioner_hash_spread;

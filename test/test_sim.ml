@@ -107,18 +107,6 @@ let test_pool_respects_width () =
     (Sim.Worker_pool.busy_time p);
   Alcotest.(check int) "jobs completed" 4 (Sim.Worker_pool.jobs_completed p)
 
-let test_pool_priority () =
-  let e = Sim.Engine.create () in
-  let p = Sim.Worker_pool.create e ~workers:1 in
-  let order = ref [] in
-  Sim.Worker_pool.submit p ~cost:5 (fun () -> order := "first" :: !order);
-  Sim.Worker_pool.submit p ~cost:5 (fun () -> order := "normal" :: !order);
-  Sim.Worker_pool.submit_priority p ~cost:5 (fun () ->
-      order := "prio" :: !order);
-  Sim.Engine.run e;
-  Alcotest.(check (list string)) "priority jumps the queue"
-    [ "first"; "prio"; "normal" ] (List.rev !order)
-
 let test_rng_determinism () =
   let a = Sim.Rng.create 42 and b = Sim.Rng.create 42 in
   let xs = List.init 100 (fun _ -> Sim.Rng.int a 1_000_000) in
@@ -332,6 +320,71 @@ let prop_histogram_accuracy =
           abs (approx - exact) <= (exact / 8) + 16)
         [ 50; 90; 99 ])
 
+(* qcheck: a run of [count] jobs is [count] single submits.  A script is
+   a tree of submissions: the top level is scheduled at small instants,
+   and each submission's first completing job makes its children's
+   submissions from inside that continuation.  Executing a script with
+   runs and with every run expanded into single submits must give the
+   same (completion time, job label) sequence, the same pool counters,
+   and the same queue length at every sample. *)
+type sub = {
+  delay : int;
+  cost : int;
+  run : int option;  (* [Some count]: one run; [None]: one submit *)
+  children : sub list;
+}
+
+let gen_script =
+  let open QCheck2.Gen in
+  let rec sub depth =
+    let* delay = int_range 0 4 in
+    let* cost = int_range 0 5 in
+    let* run = opt (int_range 0 6) in
+    let+ children =
+      if depth = 0 then return [] else list_size (int_range 0 2) (sub (depth - 1))
+    in
+    { delay; cost; run; children }
+  in
+  pair (int_range 1 4) (list_size (int_range 1 6) (sub 2))
+
+let exec_script ~expand (workers, script) =
+  let e = Sim.Engine.create () in
+  let p = Sim.Worker_pool.create e ~workers in
+  let log = ref [] and samples = ref [] in
+  let sample () = samples := Sim.Worker_pool.queue_length p :: !samples in
+  let rec submit label s =
+    let fire i =
+      log := (Sim.Engine.now e, Printf.sprintf "%s.%d" label i) :: !log;
+      sample ();
+      if i = 0 then
+        List.iteri (fun j c -> submit (Printf.sprintf "%s/%d" label j) c)
+          s.children
+    in
+    (match s.run with
+    | None -> Sim.Worker_pool.submit p ~cost:s.cost (fun () -> fire 0)
+    | Some count when expand ->
+        for i = 0 to count - 1 do
+          Sim.Worker_pool.submit p ~cost:s.cost (fun () -> fire i)
+        done
+    | Some count -> Sim.Worker_pool.submit_run p ~cost:s.cost ~count fire);
+    sample ()
+  in
+  List.iteri
+    (fun j s ->
+      Sim.Engine.schedule e ~at:s.delay (fun () -> submit (string_of_int j) s))
+    script;
+  for at = 0 to 40 do
+    Sim.Engine.schedule e ~at sample
+  done;
+  Sim.Engine.run e;
+  ( List.rev !log, List.rev !samples, Sim.Worker_pool.busy_time p,
+    Sim.Worker_pool.jobs_completed p )
+
+let prop_run_equals_submits =
+  QCheck2.Test.make ~name:"worker-pool run = single submits" ~count:300
+    gen_script (fun script ->
+      exec_script ~expand:false script = exec_script ~expand:true script)
+
 let suite =
   [ Alcotest.test_case "heap sorted drain" `Quick test_heap_sorted;
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
@@ -341,7 +394,6 @@ let suite =
     Alcotest.test_case "engine horizon+resume" `Quick test_engine_horizon;
     Alcotest.test_case "engine stop/resume" `Quick test_engine_stop;
     Alcotest.test_case "pool width" `Quick test_pool_respects_width;
-    Alcotest.test_case "pool priority" `Quick test_pool_priority;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
@@ -359,4 +411,5 @@ let suite =
     Alcotest.test_case "bits" `Quick test_bits;
     Alcotest.test_case "metrics" `Quick test_metrics;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
+    QCheck_alcotest.to_alcotest prop_run_equals_submits;
     QCheck_alcotest.to_alcotest prop_histogram_accuracy ]
