@@ -1,4 +1,4 @@
-type entry =
+type entry = Message.log_entry =
   | Log_install of {
       key : Mvstore.Key.t;
       version : int;
@@ -156,19 +156,3 @@ let durable_range t ~from ~upto =
     if i <= lo then acc else go (i - 1) ((i, t.log.(i - 1)) :: acc)
   in
   go hi []
-
-(* Wire conversions: Message can't see [entry] (Wal depends on Message),
-   so the replication plane ships the mirrored [Message.ship_entry]. *)
-let ship_of_entry = function
-  | Log_install { key; version; spec; txn_id; coordinator; epoch; fast } ->
-      Message.Ship_install
-        { key; version; spec; txn_id; coordinator; epoch; fast }
-  | Log_abort { key; version } -> Message.Ship_abort { key; version }
-  | Log_epoch_closed e -> Message.Ship_epoch_closed e
-
-let entry_of_ship = function
-  | Message.Ship_install
-      { key; version; spec; txn_id; coordinator; epoch; fast } ->
-      Log_install { key; version; spec; txn_id; coordinator; epoch; fast }
-  | Message.Ship_abort { key; version } -> Log_abort { key; version }
-  | Message.Ship_epoch_closed e -> Log_epoch_closed e

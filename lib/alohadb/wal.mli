@@ -11,7 +11,7 @@
     stable storage after [flush_latency_us] (group commit); only flushed
     entries survive a crash. *)
 
-type entry =
+type entry = Message.log_entry =
   | Log_install of {
       key : Mvstore.Key.t;
       version : int;
@@ -90,6 +90,3 @@ val checkpoint :
 val snapshot : t -> (Mvstore.Key.t * int * Message.fspec) list
 (** The latest checkpoint (empty if none was taken). *)
 
-val ship_of_entry : entry -> Message.ship_entry
-val entry_of_ship : Message.ship_entry -> entry
-(** Wire conversions for WAL shipping (Message cannot depend on Wal). *)
