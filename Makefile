@@ -45,9 +45,11 @@ e2e-pair:
 	python3 ci/e2e_pair.py --base $(BASE) --seeds $(SEEDS) \
 	  $(foreach w,$(WORKLOADS),--workload $(w))
 
-# Behaviour-neutrality check: the simulated figures (fig6-fig11 and
-# ext-conventional, quick scale) of BASE against the working tree, the
-# two run side by side; exits 1 on any difference.  BASE is exported with
+# Behaviour-neutrality check: the simulated figures (fig6-fig11,
+# ext-conventional, availability and fastpath, quick scale, plus the
+# BENCH_availability.json and BENCH_fastpath.json they write) of BASE
+# against the working tree, the two run side by side; exits 1 on any
+# difference.  BASE is exported with
 # git archive into a temporary directory; outputs land in
 # figs-pair/base.txt and figs-pair/head.txt.
 #   make figs-pair BASE=HEAD~1

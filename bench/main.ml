@@ -179,7 +179,9 @@ let micro () =
       Functor_cc.Planner.create ~engine:e ~pool ~dispatch_cost_us:1 ~metrics
         ()
     in
-    let items = Functor_cc.Processor.drain proc ~upto_epoch:1 in
+    let items =
+      List.concat_map snd (Functor_cc.Processor.drain proc ~upto_epoch:1)
+    in
     ignore (Functor_cc.Planner.run planner ~items);
     Sim.Engine.run sim;
     assert (Functor_cc.Compute_engine.watermark e ~key:keys.(0) = 128)

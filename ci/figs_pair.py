@@ -8,13 +8,17 @@ Exports REV with `git archive` into a temporary directory (removed on
 exit; set TMPDIR to choose where it goes), builds bench/main.exe in both
 trees, and runs
 
-    bench/main.exe fig6 fig7 fig8 fig9 fig10 fig11 ext-conventional
+    bench/main.exe fig6 fig7 fig8 fig9 fig10 fig11 ext-conventional \
+        availability fastpath
 
 in each, the two trees side by side.  The figures print simulated values
 only, so a change that leaves behaviour alone prints the same bytes.  The
-outputs go to figs-pair/base.txt and figs-pair/head.txt; any difference
-is printed as a unified diff and the script exits 1.  At quick scale the
-two trees, side by side, take about 12 minutes on a 2-core host.
+outputs go to figs-pair/base.txt and figs-pair/head.txt.  availability
+and fastpath (the only targets that run failover and the fast lane) also
+write BENCH_availability.json and BENCH_fastpath.json into each tree;
+those are compared too.  Any difference is printed as a unified diff and
+the script exits 1.  At quick scale the two trees, side by side, take
+about 12 minutes on a 2-core host.
 """
 
 import argparse
@@ -28,7 +32,9 @@ import tempfile
 from e2e_pair import ROOT, export
 
 OUT = os.path.join(ROOT, "figs-pair")
-TARGETS = ["fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "ext-conventional"]
+TARGETS = ["fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "ext-conventional",
+           "availability", "fastpath"]
+JSONS = ["BENCH_availability.json", "BENCH_fastpath.json"]
 
 
 def build(tree):
@@ -61,22 +67,22 @@ def main():
         failed = [side for side, p in procs.items() if p.wait() != 0]
         if failed:
             sys.exit(f"figs_pair.py: bench/main.exe failed in {', '.join(failed)}")
+        pairs = [(os.path.join(OUT, "base.txt"), os.path.join(OUT, "head.txt"))]
+        pairs += [(os.path.join(tmp, j), os.path.join(ROOT, j)) for j in JSONS]
+        diff = []
+        for base, head in pairs:
+            with open(base) as b, open(head) as h:
+                diff += difflib.unified_diff(
+                    b.readlines(), h.readlines(), f"base/{os.path.basename(base)}",
+                    f"head/{os.path.basename(head)}"
+                )
     finally:
         shutil.rmtree(tmp)
 
-    lines = {}
-    for side in ("base", "head"):
-        with open(os.path.join(OUT, f"{side}.txt")) as f:
-            lines[side] = f.readlines()
-    diff = list(
-        difflib.unified_diff(
-            lines["base"], lines["head"], "figs-pair/base.txt", "figs-pair/head.txt"
-        )
-    )
     if diff:
         sys.stdout.writelines(diff)
         sys.exit(1)
-    print(f"figs-pair: {len(lines['head'])} lines, identical")
+    print(f"figs-pair: {len(pairs)} outputs, identical")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,11 @@ let group_layout ~n ~k partition =
    oracle rather than a gossip protocol: the paper's contribution is the
    epoch/functor machinery, and the chaos battery needs a deterministic
    detector, not a probabilistic one. *)
-let install_monitor ~sim ~servers ~route ~detect_us ?ledger () =
+(* Failure-detector delay: how long after a backend crash or restart the
+   monitor waits before promoting a replica or re-joining a member. *)
+let detect_us = 3_000
+
+let install_monitor ~sim ~servers ~route ?ledger () =
   let n = Array.length servers in
   let addr i = Net.Address.of_int i in
   let live a = not (Server.be_down servers.(Net.Address.to_int a)) in
@@ -161,10 +165,10 @@ let create ?registry options =
       ?faults:options.faults ()
   in
   let n = options.n_servers in
-  (* Effective replication degree: clamp to the cluster size; k = 1 is
-     unreplicated (today's behaviour, byte-for-byte — nothing below is
-     even allocated).  Replication is WAL shipping, so it forces
-     durability on. *)
+  (* Effective replication degree: clamp to the cluster size.  At k = 1
+     each server's home partition is a replication group of one (its WAL,
+     no followers), so no route, ship plane or monitor is allocated below.
+     Replication is WAL shipping, so it forces durability on. *)
   let k = min (max 1 options.config.Config.replicas) n in
   let config =
     if k > 1 && not options.config.Config.durability then
@@ -256,7 +260,6 @@ let create ?registry options =
             Server.attach_repl srv ~plane ~route ~members_of ~follows)
           servers;
         install_monitor ~sim ~servers ~route
-          ~detect_us:config.Config.repl_detect_us
           ?ledger:
             (match options.obs with
             | Some ctl -> Obs.Ctl.ledger ctl

@@ -68,7 +68,7 @@ val replicas : t -> int
     [k > 1] each partition's WAL is shipped to the k-1 following nodes
     (group of partition [p] = nodes [p .. p+k-1 mod n]), a failure
     monitor promotes a live follower when a primary's backend crashes
-    (detection delay [config.repl_detect_us]), and frontends re-route to
+    (after a fixed 3 ms detection delay), and frontends re-route to
     the promoted replica.  Replication forces durability on. *)
 
 val primary_server : t -> partition:int -> Server.t

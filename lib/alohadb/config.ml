@@ -19,12 +19,9 @@ type t = {
   push_opt : bool;
   durability : bool;
   wal_flush_us : int;
-  install_retry_us : int;
-  ack_after_flush : bool;
+  retry_us : int;
+  sync_acks : bool;
   replicas : int;
-  repl_detect_us : int;
-  repl_retry_us : int;
-  repl_sync : bool;
   fastpath : bool;
   cost_coord_us : int;
   cost_install_base_us : int;
@@ -43,12 +40,9 @@ let default =
     push_opt = true;
     durability = false;
     wal_flush_us = 500;
-    install_retry_us = 0;
-    ack_after_flush = false;
+    retry_us = 0;
+    sync_acks = false;
     replicas = 1;
-    repl_detect_us = 3_000;
-    repl_retry_us = 0;
-    repl_sync = false;
     fastpath = false;
     cost_coord_us = 6;
     cost_install_base_us = 3;

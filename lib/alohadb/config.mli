@@ -29,35 +29,25 @@ type t = {
       (** write-ahead logging + checkpoint support (§III-A); disabled by
           default, matching the paper's evaluation setup *)
   wal_flush_us : int;  (** modelled group-commit flush latency *)
-  install_retry_us : int;
-      (** FE data-plane RPC retransmission period; 0 (the default)
-          disables retries — appropriate on a fault-free network.  Chaos
-          runs enable it so lost installs/aborts/reads cannot wedge a
-          transaction (duplicates are idempotent at the BE). *)
-  ack_after_flush : bool;
-      (** defer install/abort acks until the WAL entries they cover are
-          flushed, so a crash can only lose writes the FE never saw
-          acknowledged (and will therefore retry).  Requires
-          [durability] *)
+  retry_us : int;
+      (** retransmission period of every loss-prone exchange: frontend
+          RPCs, Batch_done notifications and a primary's re-ship of
+          unacked WAL entries.  0 (the default) disables retries, fine on
+          a fault-free network; chaos runs enable it so a lost message
+          costs latency, not a wedged transaction (receivers answer
+          duplicates idempotently) *)
+  sync_acks : bool;
+      (** answer installs/aborts only once the log entries they cover are
+          flushed and acked by every live follower (whose epoch closes
+          gate the same way), so a crash or the loss of one replica can
+          only lose writes the frontend never saw acknowledged.  Needs
+          [durability]; off by default *)
   replicas : int;
       (** copies of each partition, including the primary; 1 (the
-          default) disables replication entirely and preserves the
-          single-copy behaviour bit for bit.  k > 1 forces [durability]
-          on (WAL shipping is the replication transport) and clamps to
-          the cluster size *)
-  repl_detect_us : int;
-      (** failure-detector delay: how long after a crash/restart the
-          cluster monitor waits before promoting a replica or
-          re-joining a member *)
-  repl_retry_us : int;
-      (** primary's re-ship period for WAL entries a follower has not
-          acked; 0 disables retransmission (fault-free networks) *)
-  repl_sync : bool;
-      (** gate install/abort acks and epoch close on every live
-          follower having acked the covering WAL prefix, so committed
-          transactions survive the loss of any single replica.  Off by
-          default: on a fault-free network asynchronous shipping is
-          behaviour-neutral and costs nothing *)
+          default) is a replication group of one: the home partition's
+          WAL with no followers.  k > 1 forces [durability] on (WAL
+          shipping is the replication transport) and clamps to the
+          cluster size *)
   fastpath : bool;
       (** coordination-free commit lane for all-commutative transactions
           (empty precondition set, every write an ADD/SUBTR/MAX/MIN):

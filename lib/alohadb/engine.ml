@@ -19,14 +19,15 @@ let options_of ?seed (params : Kernel.Params.t) =
          match params.faults with
          | None -> base.Cluster.config
          | Some _ ->
-             (* Under fault injection the protocol's liveness relies on
-                durable logging, frontend install/abort retries and
-                flush-gated acks; a lossy network with none of these would
-                wedge the epoch pipeline. *)
+             (* Under fault injection liveness relies on durable logs,
+                retransmission and acks gated on every live copy; without
+                them a lossy network wedges the epoch pipeline and a
+                crashed primary takes acked commits with it.  Fault-free
+                runs keep both off, so at k > 1 shipping stays passive. *)
              { base.Cluster.config with
                Config.durability = true;
-               install_retry_us = 10_000;
-               ack_after_flush = true }
+               retry_us = 10_000;
+               sync_acks = true }
        in
        (match params.compute with
        | None | Some "planned" -> ()
@@ -64,22 +65,7 @@ let options_of ?seed (params : Kernel.Params.t) =
        | Some k ->
            if k < 1 then
              invalid_arg "Alohadb.Engine: --replicas must be >= 1"
-           else if k = 1 then cfg
-           else
-             (* Replicated and faulted: gate install/abort acks and epoch
-                close on group durability (otherwise a crashed primary
-                takes acked-but-unreplicated commits with it), and keep a
-                retransmission loop running so a rejoined follower always
-                catches up.  Fault-free replicated runs stay async — the
-                ship traffic is passive and the timeline is identical to
-                an unreplicated run. *)
-             let cfg = { cfg with Config.replicas = k } in
-             (match params.faults with
-             | None -> cfg
-             | Some _ ->
-                 { cfg with
-                   Config.repl_sync = true;
-                   repl_retry_us = 10_000 })) }
+           else { cfg with Config.replicas = k }) }
 
 let create ?seed params =
   Cluster.create

@@ -12,10 +12,11 @@ include Kernel.Intf.ENGINE with type cluster = Cluster.t
 
 val options_of : ?seed:int -> Kernel.Params.t -> Cluster.options
 (** The options {!create} uses: prefix partitioning, default config, and
-    the epoch duration from the params (when given).  When
-    [params.faults] is set the config is hardened (WAL durability,
-    install retries, flush-gated acks) so the protocol stays live and
-    atomic under loss and crashes. *)
+    the epoch duration from the params (when given) and [replicas] from
+    [params.replicas].  When [params.faults] is set the config is
+    hardened ([durability], a 10 ms [retry_us] and [sync_acks]) so the
+    protocol stays live and atomic under loss, crashes and failover;
+    this is the only place those fields are set. *)
 
 val set_trace :
   cluster -> (src:Net.Address.t -> dst:Net.Address.t -> unit) -> unit

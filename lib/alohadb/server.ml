@@ -142,6 +142,13 @@ type t = {
   registry : Functor_cc.Registry.t;
   mutable engine : Functor_cc.Compute_engine.t;
   mutable processor : Functor_cc.Processor.t;
+  mutable fast : Functor_cc.Processor.t;
+      (* fast-lane installs awaiting their lazy merge, by epoch.  The
+         functors are already on their chains — reads fold them on demand
+         through the engine's at-most-once discipline — and epoch close
+         folds the remainder so the value watermark keeps advancing.
+         Volatile: a crash wipes it, and reintegration rebuilds it from
+         the WAL's [fast] entries *)
   mutable planner : Functor_cc.Planner.t;
   tracks : track Txn_tbl.t;  (* txn id -> frontend tracking *)
   batches : batch Txn_part_tbl.t;
@@ -155,15 +162,7 @@ type t = {
          coordinator's ack; drives the resend loop (volatile: wiped by a
          crash — recovery rebuilds the batch, and recomputation sends a
          fresh notification) *)
-  fp_pending : (int, (Key.t * int) list) Hashtbl.t;
-      (* epoch -> fast-path installs (newest first) awaiting their lazy
-         merge.  The functors are already on their chains — reads fold
-         them on demand through the engine's at-most-once discipline —
-         and epoch close folds the remainder so the value watermark keeps
-         advancing.  Volatile: a crash wipes it, and reintegration
-         rebuilds it from the WAL's [fast] entries *)
   held : (unit -> unit) Queue.t;
-  wal : Wal.t option;
   mutable be_down : bool;
       (* backend role crashed: storage/compute requests are dropped until
          {!restart_be}; the frontend role and epoch participant stay up *)
@@ -171,14 +170,14 @@ type t = {
   mutable delayed_reads : (int * (unit -> unit)) list;
       (* (epoch, run) — latest-version reads waiting for their epoch to
          close (§III-B) *)
-  (* replication (all dormant — and behaviour-neutral — until
-     {!attach_repl}, which the cluster calls only when replicas > 1) *)
+  (* replication: with durability on, the home partition starts as a
+     group of one (its WAL, no followers); everything else stays dormant
+     until {!attach_repl}, which the cluster calls only when
+     replicas > 1 *)
   mutable repl : repl_ctx option;
-  prims : (int, prim) Hashtbl.t;  (* partition -> primary-side state *)
+  prims : (int, prim) Hashtbl.t;
+      (* partition -> primary-side state: every log this server leads *)
   flws : (int, flw) Hashtbl.t;  (* partition -> follower-side state *)
-  mutable repl_gated : bool;
-      (* sync mode: the epoch-close gate is installed, so close markers
-         are logged by the gate, not by on_closed *)
   mutable pending_closes : (int * bool ref * (unit -> unit)) list;
       (* closes deferred by the replication gate: (epoch, delivered,
          deliver).  A crash force-delivers them — the EM's grant made the
@@ -212,7 +211,7 @@ let emit t ~txn ~stage ?(ts = -1) ?arg () =
 (* Epoch-ledger emit: one option test when no ledger is attached. *)
 let lnote t f = match t.ledger with None -> () | Some l -> f l
 
-(* Data-plane call with periodic retransmission (config.install_retry_us).
+(* Data-plane call with periodic retransmission (config.retry_us).
    The first reply wins; the BE side answers duplicated requests
    idempotently.  With retries enabled, a lost request or reply turns into
    latency instead of a wedged transaction — which is what keeps the epoch
@@ -221,7 +220,7 @@ let lnote t f = match t.ledger with None -> () | Some l -> f l
    attempt: after a failover the retries must chase the promoted
    replica, not the crashed primary's address. *)
 let call_with_retry t ~partition req k =
-  let period = t.config.Config.install_retry_us in
+  let period = t.config.Config.retry_us in
   if period <= 0 then
     Net.Rpc.call t.data ~src:t.address
       ~dst:(t.addr_of_partition partition)
@@ -247,9 +246,10 @@ let call_with_retry t ~partition req k =
 (* ---- partition ownership ----------------------------------------------- *)
 
 (* Which partitions this server currently serves as (primary) storage.
-   Unreplicated: exactly its home partition, forever.  Replicated: the
-   partitions in [prims] — the home partition until a failover takes it
-   away, plus any partition adopted by promotion. *)
+   Unreplicated: exactly its home partition, forever (its group of one is
+   in [prims] only when durability is on).  Replicated: the partitions in
+   [prims] — the home partition until a failover takes it away, plus any
+   partition adopted by promotion. *)
 let leads t ~partition =
   match t.repl with
   | None -> partition = t.my_partition
@@ -257,26 +257,35 @@ let leads t ~partition =
 
 let owns t key = leads t ~partition:(t.partition_of key)
 
+(* Guard of the keyed storage handlers: whether this server's backend is
+   up and owns [key]; a request it cannot serve is dropped (and counted),
+   and the sender's retry re-resolves the owner. *)
+let serves t key =
+  if (not t.be_down) && owns t key then true
+  else begin
+    incr t.m_be_dropped;
+    false
+  end
+
 let current_prim t partition = Hashtbl.find_opt t.prims partition
 
-let wal_for t ~partition =
-  match current_prim t partition with
-  | Some prim -> Some prim.p_wal
-  | None -> t.wal
-
-(* Append to the partition's log; on a replicated primary also advance
-   the group's replicated-log length, which is kept equal to the WAL
-   entry count (checkpoints are disabled under replication so positions
-   never shift). *)
+(* Append to the partition's log and advance the group's replicated-log
+   length, which is kept equal to the WAL entry count while the group
+   has followers (checkpoints are disabled under replication so
+   positions never shift). *)
 let log_entry t ~partition entry =
   match current_prim t partition with
   | Some prim ->
       Wal.append prim.p_wal entry;
       ignore (Repl.append prim.group)
-  | None -> (
-      match t.wal with
-      | Some wal -> Wal.append wal entry
-      | None -> ())
+  | None -> ()
+
+(* The epoch-close marker; on a replicated primary it doubles as the
+   epoch's replication barrier. *)
+let log_close_marker prim ~epoch =
+  Wal.append prim.p_wal (Wal.Log_epoch_closed epoch);
+  ignore (Repl.append prim.group);
+  Repl.close_epoch prim.group ~epoch
 
 (* ---- WAL shipping (primary side) ---------------------------------------- *)
 
@@ -319,11 +328,11 @@ let reship_member t prim ~member =
     (fun (seq, e) -> ship_entry_to t prim ~dst:member ~seq e)
     (Wal.durable_range prim.p_wal ~from ~upto)
 
-(* Periodic retransmission to lagging followers (repl_retry_us), running
+(* Periodic retransmission to lagging followers (retry_us), running
    while any live follower is behind.  Stale timers are disarmed by the
    identity check: a demotion or re-adoption replaces the prim record. *)
 let rec arm_retry t prim =
-  let period = t.config.Config.repl_retry_us in
+  let period = t.config.Config.retry_us in
   if period > 0 && not prim.retry_armed then begin
     prim.retry_armed <- true;
     Sim.Engine.after t.sim period (fun () ->
@@ -341,13 +350,30 @@ let rec arm_retry t prim =
         | Some _ | None -> ())
   end
 
-let install_ship_hook t prim =
-  Wal.set_on_flush prim.p_wal (fun () ->
-      match current_prim t prim.p_partition with
-      | Some pr when pr == prim && not t.be_down ->
-          ship_fresh t pr;
-          if Repl.replica_lag pr.group > 0 then arm_retry t pr
-      | Some _ | None -> ())
+(* Become the primary of [partition]'s group (term from the route, or 0
+   for the group of one): register the prim and, when the group has
+   followers, ship each flushed suffix to them. *)
+let lead t ~partition ~term ~members ~wal ~len =
+  let group =
+    Repl.create ~partition ~term ~primary:(Net.Address.to_int t.address)
+      ~members:(List.map Net.Address.to_int members)
+      ~len
+  in
+  let prim =
+    { p_partition = partition; p_wal = wal; group;
+      followers =
+        List.filter (fun a -> not (Net.Address.equal a t.address)) members;
+      shipped = 0; retry_armed = false; ship_log = [] }
+  in
+  Hashtbl.replace t.prims partition prim;
+  if prim.followers <> [] then
+    Wal.set_on_flush wal (fun () ->
+        match current_prim t partition with
+        | Some pr when pr == prim && not t.be_down ->
+            ship_fresh t pr;
+            if Repl.replica_lag pr.group > 0 then arm_retry t pr
+        | Some _ | None -> ());
+  prim
 
 (* ---- frontend: timestamp acquisition and held requests --------------- *)
 
@@ -364,6 +390,13 @@ let acquire t =
 let hold t thunk =
   incr t.m_held;
   Queue.add thunk t.held
+
+(* Run [k] with a usable timestamp window and a timestamp in it, holding
+   the request until the next window when there is none. *)
+let rec with_window t k =
+  match acquire t with
+  | Some (w, ts) -> k w ts
+  | None -> hold t (fun () -> with_window t k)
 
 let drain_held t =
   let n = Queue.length t.held in
@@ -560,201 +593,170 @@ let finish_write_phase t track =
    acknowledged it (§IV-C "arbitrary abort", in-epoch case). *)
 let abort_write_phase t track keys_by_partition =
   incr t.m_aborted_install;
-  let targets = track.acked_ok in
-  let expected = List.length targets in
   emit t ~txn:(Ts.to_int track.ts) ~stage:Obs.Trace.Aborted ~arg:track.epoch
     ();
-  if expected = 0 then begin
+  let aborted () =
     Txn_tbl.remove t.tracks (Ts.to_int track.ts);
     Epoch.Participant.txn_finished t.part ~epoch:track.epoch;
     track.reply (Txn.Aborted { ts = Some track.ts; stage = `Install })
-  end
-  else begin
-    let remaining = ref expected in
+  in
+  let remaining = ref (List.length track.acked_ok) in
+  if !remaining = 0 then aborted ()
+  else
     List.iter
       (fun partition ->
-        let keys =
-          match List.assoc_opt partition keys_by_partition with
-          | Some keys -> keys
-          | None -> []
-        in
+        let keys = List.assoc partition keys_by_partition in
         call_with_retry t ~partition
           (Message.Req (Message.Abort_txn { ts = Ts.to_int track.ts; keys }))
           (fun _resp ->
             decr remaining;
-            if !remaining = 0 then begin
-              Txn_tbl.remove t.tracks (Ts.to_int track.ts);
-              Epoch.Participant.txn_finished t.part ~epoch:track.epoch;
-              track.reply (Txn.Aborted { ts = Some track.ts; stage = `Install })
-            end))
-      targets
-  end
+            if !remaining = 0 then aborted ()))
+      track.acked_ok
 
-(* Coordination-free fast path (ROADMAP item 3).  The write set is all
-   commutative built-ins (ADD/SUBTR/MAX/MIN) with no precondition keys, so
-   any interleaving of such transactions on a chain converges to the same
-   final values — the transaction needs no epoch-close ordering and
-   commits as soon as every partition has installed (and, under
-   [ack_after_flush]/[repl_sync], made durable/replicated) its functors.
-   No track entry, no [Batch_done] round: the backends hold the functors
-   as lazily-merged pending deltas. *)
-let start_fast t ~groups ~ack:_ reply w ts ~issued_at =
-  let epoch = w.Epoch.Participant.epoch in
+(* A transaction got its timestamp [ts] in [epoch]: trace its submission
+   (at [submitted_at]) and assignment, and note it in the ledger. *)
+let note_assigned t ts ~epoch ~submitted_at =
   let txn = Ts.to_int ts in
-  let remaining = ref (List.length groups) in
+  emit t ~txn ~stage:Obs.Trace.Submit ~ts:submitted_at ();
+  emit t ~txn ~stage:Obs.Trace.Epoch_assign ~arg:epoch ();
+  lnote t (fun l -> Obs.Ledger.note_assigned l ~node:t.node_id ~epoch)
+
+(* The write-only phase of both commit lanes: one install per partition
+   group, each carrying the precondition keys that partition owns, with
+   [on_ack partition ok] called on each partition's verdict.
+   Coordination (transform + fan-out) costs FE CPU. *)
+let send_installs t ~groups ~preconditions ~fast w ts on_ack =
+  let txn = Ts.to_int ts in
   Sim.Worker_pool.submit t.pool ~cost:t.config.cost_coord_us (fun () ->
       List.iter
         (fun (partition, entries) ->
           let install =
-            { Message.txn_id = txn; epoch; ts = txn;
+            { Message.txn_id = txn;
+              epoch = w.Epoch.Participant.epoch;
+              ts = txn;
               lo = w.Epoch.Participant.lo;
               hi = w.Epoch.Participant.hi;
-              writes = entries; preconditions = []; fast = true }
+              writes = entries;
+              preconditions =
+                List.filter
+                  (fun k -> t.partition_of k = partition)
+                  preconditions;
+              fast }
           in
           call_with_retry t ~partition
             (Message.Req (Message.Install install))
             (function
-              | Message.Install_ack { ok = _ } ->
-                  (* With no preconditions a fast install cannot be
-                     rejected; any [false] verdict is a stale duplicate
-                     answer and the installed functor is authoritative. *)
-                  decr remaining;
-                  if !remaining = 0 then begin
-                    Epoch.Participant.txn_finished t.part ~epoch;
-                    incr t.m_installed;
-                    incr t.m_committed;
-                    incr t.m_fastpath_commits;
-                    let latency = now t - issued_at in
-                    Sim.Stats.Histogram.add t.h_lat_total latency;
-                    Sim.Stats.Histogram.add t.h_lat_fastpath latency;
-                    emit t ~txn ~stage:Obs.Trace.Fastpath_commit ~arg:latency
-                      ();
-                    lnote t (fun l ->
-                        Obs.Ledger.note_fast_commit l ~node:t.node_id ~epoch;
-                        if Obs.Ledger.awaiting_first_commit l then
-                          Obs.Ledger.note_commit l ~node:t.node_id
-                            ~t_us:(now t)
-                            ~partitions:(List.map fst groups));
-                    reply (Txn.Committed { ts })
-                  end
+              | Message.Install_ack { ok } -> on_ack partition ok
               | Message.Get_resp _ | Message.Abort_ack ->
                   invalid_arg "install: protocol mismatch"))
         groups)
 
-let rec submit t req reply =
-  match req with
-  | Txn.Read_write { writes; precondition_keys; ack } ->
-      submit_rw t (writes, precondition_keys, ack) reply
-  | Txn.Read_only { keys } -> submit_ro t keys reply
-  | Txn.Read_at { keys; version } -> run_read t keys version reply
+(* Coordination-free fast path.  The write set is all commutative
+   built-ins (ADD/SUBTR/MAX/MIN) with no precondition keys, so any
+   interleaving of such transactions on a chain converges to the same
+   final values — the transaction needs no epoch-close ordering and
+   commits as soon as every partition has installed (and, under
+   [sync_acks], made durable on every live copy) its functors.  No track
+   entry, no [Batch_done] round: the backends hold the functors as
+   lazily-merged pending deltas. *)
+let start_fast t ~groups reply w ts ~issued_at =
+  let epoch = w.Epoch.Participant.epoch in
+  let remaining = ref (List.length groups) in
+  send_installs t ~groups ~preconditions:[] ~fast:true w ts (fun _ _ ->
+      (* With no preconditions a fast install cannot be rejected; any
+         [false] verdict is a stale duplicate answer and the installed
+         functor is authoritative. *)
+      decr remaining;
+      if !remaining = 0 then begin
+        Epoch.Participant.txn_finished t.part ~epoch;
+        incr t.m_installed;
+        incr t.m_committed;
+        incr t.m_fastpath_commits;
+        let latency = now t - issued_at in
+        Sim.Stats.Histogram.add t.h_lat_total latency;
+        Sim.Stats.Histogram.add t.h_lat_fastpath latency;
+        emit t ~txn:(Ts.to_int ts) ~stage:Obs.Trace.Fastpath_commit
+          ~arg:latency ();
+        lnote t (fun l ->
+            Obs.Ledger.note_fast_commit l ~node:t.node_id ~epoch;
+            if Obs.Ledger.awaiting_first_commit l then
+              Obs.Ledger.note_commit l ~node:t.node_id ~t_us:(now t)
+                ~partitions:(List.map fst groups));
+        reply (Txn.Committed { ts })
+      end)
 
-and submit_rw t rw reply =
-  incr t.m_submitted_rw;
-  let submitted_at = now t in
-  match acquire t with
-  | None ->
-      hold t (fun () ->
-          (* Re-enter without double-counting the submission. *)
-          retry_rw t rw reply ~submitted_at)
-  | Some (w, ts) -> start_rw t rw reply w ts ~submitted_at
-
-and retry_rw t rw reply ~submitted_at =
-  match acquire t with
-  | None -> hold t (fun () -> retry_rw t rw reply ~submitted_at)
-  | Some (w, ts) -> start_rw t rw reply w ts ~submitted_at
-
-and start_rw t (writes, precondition_keys, ack) reply w ts ~submitted_at =
+let start_rw t ~writes ~precondition_keys ~ack reply w ts ~submitted_at =
   let issued_at = now t in
-  emit t ~txn:(Ts.to_int ts) ~stage:Obs.Trace.Submit ~ts:submitted_at ();
-  emit t ~txn:(Ts.to_int ts) ~stage:Obs.Trace.Epoch_assign
-    ~arg:w.Epoch.Participant.epoch ();
-  lnote t (fun l ->
-      Obs.Ledger.note_assigned l ~node:t.node_id
-        ~epoch:w.Epoch.Participant.epoch);
-  Epoch.Participant.txn_started t.part ~epoch:w.Epoch.Participant.epoch;
+  let epoch = w.Epoch.Participant.epoch in
+  note_assigned t ts ~epoch ~submitted_at;
+  Epoch.Participant.txn_started t.part ~epoch;
   let groups = groups_of_writes t writes in
   if
     t.config.Config.fastpath
     && Txn.all_commutative ~writes ~precondition_keys
-  then start_fast t ~groups ~ack reply w ts ~issued_at
+  then start_fast t ~groups reply w ts ~issued_at
   else begin
-  let preconditions = List.map Key.intern precondition_keys in
-  let precond_of partition =
-    List.filter (fun k -> t.partition_of k = partition) preconditions
-  in
-  let track =
-    { ts; epoch = w.Epoch.Participant.epoch; issued_at; ack; reply;
-      expected_dones = List.length groups;
-      awaiting_installs = List.length groups; install_failed = false;
-      acked_ok = []; install_done_at = issued_at; done_srcs = [];
-      any_aborted = false; max_retrieved = issued_at }
-  in
-  Txn_tbl.replace t.tracks (Ts.to_int ts) track;
-  let keys_by_partition =
-    List.map (fun (p, entries) -> (p, List.map fst entries)) groups
-  in
-  (* Coordination (transform + fan-out) costs FE CPU. *)
-  Sim.Worker_pool.submit t.pool ~cost:t.config.cost_coord_us (fun () ->
-      List.iter
-        (fun (partition, entries) ->
-          let install =
-            { Message.txn_id = Ts.to_int ts;
-              epoch = w.Epoch.Participant.epoch;
-              ts = Ts.to_int ts;
-              lo = w.Epoch.Participant.lo;
-              hi = w.Epoch.Participant.hi;
-              writes = entries;
-              preconditions = precond_of partition;
-              fast = false }
-          in
-          call_with_retry t ~partition
-            (Message.Req (Message.Install install))
-            (function
-              | Message.Install_ack { ok } ->
-                  track.awaiting_installs <- track.awaiting_installs - 1;
-                  if ok then track.acked_ok <- partition :: track.acked_ok
-                  else track.install_failed <- true;
-                  if track.awaiting_installs = 0 then
-                    if track.install_failed then
-                      abort_write_phase t track keys_by_partition
-                    else finish_write_phase t track
-              | Message.Get_resp _ | Message.Abort_ack ->
-                  invalid_arg "install: protocol mismatch"))
-        groups)
+    let track =
+      { ts; epoch; issued_at; ack; reply;
+        expected_dones = List.length groups;
+        awaiting_installs = List.length groups; install_failed = false;
+        acked_ok = []; install_done_at = issued_at; done_srcs = [];
+        any_aborted = false; max_retrieved = issued_at }
+    in
+    Txn_tbl.replace t.tracks (Ts.to_int ts) track;
+    if groups = [] then
+      (* No writes, so nothing to install or compute: the transaction
+         commits at once with its timestamp. *)
+      finish_write_phase t track
+    else
+      let keys_by_partition =
+        List.map (fun (p, entries) -> (p, List.map fst entries)) groups
+      in
+      send_installs t ~groups
+        ~preconditions:(List.map Key.intern precondition_keys)
+        ~fast:false w ts
+        (fun partition ok ->
+          track.awaiting_installs <- track.awaiting_installs - 1;
+          if ok then track.acked_ok <- partition :: track.acked_ok
+          else track.install_failed <- true;
+          if track.awaiting_installs = 0 then
+            if track.install_failed then
+              abort_write_phase t track keys_by_partition
+            else finish_write_phase t track)
   end
 
-and submit_ro t keys reply =
-  incr t.m_submitted_ro;
-  match acquire t with
-  | None -> hold t (fun () -> submit_ro_held t keys reply)
-  | Some (w, ts) -> delay_ro t keys reply w ts
-
-and submit_ro_held t keys reply =
-  match acquire t with
-  | None -> hold t (fun () -> submit_ro_held t keys reply)
-  | Some (w, ts) -> delay_ro t keys reply w ts
-
-and delay_ro t keys reply w ts =
-  (* §III-B: a latest-version read gets a timestamp in the current epoch
-     and is served as a historical read once that epoch closes. *)
+(* §III-B: a latest-version read gets a timestamp in the current epoch
+   and is served as a historical read once that epoch closes. *)
+let delay_ro t keys reply w ts =
   let issued_at = now t in
-  emit t ~txn:(Ts.to_int ts) ~stage:Obs.Trace.Submit ();
-  emit t ~txn:(Ts.to_int ts) ~stage:Obs.Trace.Epoch_assign
-    ~arg:w.Epoch.Participant.epoch ();
-  lnote t (fun l ->
-      Obs.Ledger.note_assigned l ~node:t.node_id
-        ~epoch:w.Epoch.Participant.epoch);
+  let epoch = w.Epoch.Participant.epoch in
+  note_assigned t ts ~epoch ~submitted_at:issued_at;
   let run () =
     run_read t keys (Ts.to_int ts) (fun result ->
         Sim.Stats.Histogram.add t.h_lat_ro (now t - issued_at);
         incr t.m_ro_completed;
-        emit t ~txn:(Ts.to_int ts) ~stage:Obs.Trace.Read_served
-          ~arg:w.Epoch.Participant.epoch ();
+        emit t ~txn:(Ts.to_int ts) ~stage:Obs.Trace.Read_served ~arg:epoch ();
         reply result)
   in
-  t.delayed_reads <- (w.Epoch.Participant.epoch, run) :: t.delayed_reads
+  t.delayed_reads <- (epoch, run) :: t.delayed_reads
+
+let submit t req reply =
+  match req with
+  | Txn.Read_write { writes; precondition_keys; ack } ->
+      incr t.m_submitted_rw;
+      let submitted_at = now t in
+      with_window t (fun w ts ->
+          start_rw t ~writes ~precondition_keys ~ack reply w ts ~submitted_at)
+  | Txn.Read_only { keys } ->
+      incr t.m_submitted_ro;
+      with_window t (fun w ts -> delay_ro t keys reply w ts)
+  | Txn.Read_at { keys; version } -> run_read t keys version reply
 
 (* ---- backend ----------------------------------------------------------- *)
+
+let new_batch t coordinator =
+  { coordinator; remaining = 0; batch_max_retrieved = now t;
+    batch_aborted = false }
 
 let send_batch_done t (b : batch) ~txn_id ~partition ~functors =
   let send () =
@@ -770,7 +772,7 @@ let send_batch_done t (b : batch) ~txn_id ~partition ~functors =
      the coordinator; with retries configured it is repeated until the
      coordinator's Batch_done_ack clears it (the coordinator dedupes by
      partition). *)
-  let period = t.config.Config.install_retry_us in
+  let period = t.config.Config.retry_us in
   if period > 0 then begin
     Txn_part_tbl.replace t.pending_dones (txn_id, partition) ();
     let rec again () =
@@ -783,85 +785,51 @@ let send_batch_done t (b : batch) ~txn_id ~partition ~functors =
     Sim.Engine.after t.sim period again
   end
 
-(* Acknowledge an install (or abort): with [ack_after_flush] a positive
-   ack waits until the WAL entries it covers are durable; with
-   [repl_sync] it additionally waits until every live follower of the
-   partition's group has acked the covering log prefix — so a committed
-   transaction survives the loss of any single replica.  The replication
-   sequence is captured NOW (right after this request's appends), not
-   when the flush fires, so unrelated later traffic cannot inflate the
-   gate. *)
-let ack_install t ~partition ~ok reply =
-  let finish () = reply (Message.Install_ack { ok }) in
-  let after_repl =
-    match current_prim t partition with
-    | Some prim when ok && t.config.Config.repl_sync ->
-        let seq = Repl.len prim.group in
-        fun () -> Repl.when_seq_acked prim.group ~seq finish
-    | Some _ | None -> finish
-  in
-  match wal_for t ~partition with
-  | Some wal
-    when ok && (t.config.ack_after_flush || t.config.Config.repl_sync) ->
-      Wal.after_durable wal after_repl
-  | Some _ | None -> after_repl ()
-
-let ack_abort t ~partition reply =
-  let finish () = reply Message.Abort_ack in
-  let after_repl =
-    match current_prim t partition with
-    | Some prim when t.config.Config.repl_sync ->
-        let seq = Repl.len prim.group in
-        fun () -> Repl.when_seq_acked prim.group ~seq finish
-    | Some _ | None -> finish
-  in
-  match wal_for t ~partition with
-  | Some wal when t.config.ack_after_flush || t.config.Config.repl_sync ->
-      Wal.after_durable wal after_repl
-  | Some _ | None -> after_repl ()
-
-(* Park a fast-path install for its epoch's lazy merge. *)
-let buffer_fast t ~epoch ~key ~version =
-  let prev =
-    match Hashtbl.find_opt t.fp_pending epoch with Some l -> l | None -> []
-  in
-  Hashtbl.replace t.fp_pending epoch ((key, version) :: prev)
+(* Answer an install or abort with [msg].  Under [sync_acks] a gated
+   answer waits until the partition's log entries it covers are durable:
+   flushed here and acked by every live follower of the group — so a
+   committed transaction survives the loss of any single replica.  The
+   replication sequence is captured NOW (right after this request's
+   appends), not when the flush fires, so unrelated later traffic cannot
+   inflate the gate.  A rejected install logged nothing and is answered
+   at once. *)
+let ack_logged t ~partition ~gated msg reply =
+  let finish () = reply msg in
+  match current_prim t partition with
+  | Some prim when gated && t.config.Config.sync_acks ->
+      let seq = Repl.len prim.group in
+      Wal.after_durable prim.p_wal (fun () ->
+          Repl.when_seq_acked prim.group ~seq finish)
+  | Some _ | None -> finish ()
 
 (* Fold the fast-path deltas of every epoch at or below [upto_epoch] into
    their chains (epoch order, install order within an epoch).  Each merge
    is at-most-once in the engine, so deltas an on-demand read already
    folded are skipped. *)
 let merge_fast_deltas t ~upto_epoch =
-  let ready =
-    Hashtbl.fold
-      (fun epoch items acc ->
-        if epoch <= upto_epoch then (epoch, items) :: acc else acc)
-      t.fp_pending []
-  in
   List.iter
     (fun (epoch, items) ->
-      Hashtbl.remove t.fp_pending epoch;
       lnote t (fun l ->
           Obs.Ledger.note_fast_merges l ~node:t.node_id ~epoch
             ~count:(List.length items));
       List.iter
-        (fun (key, version) ->
+        (fun { Functor_cc.Processor.key; version } ->
           Functor_cc.Compute_engine.merge_delta t.engine ~key ~version)
-        (List.rev items))
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) ready)
+        items)
+    (Functor_cc.Processor.drain t.fast ~upto_epoch)
 
 let do_install t ~src (inst : Message.install) reply =
   (* Every write of an install lives on one partition (the FE grouped
      them); a server that no longer leads it (demoted while the FE's
      routing was stale) must drop the request so the retry re-resolves. *)
-  let partition = t.partition_of (fst (List.hd inst.writes)) in
-  if t.be_down || not (leads t ~partition) then incr t.m_be_dropped
-  else
+  let first = fst (List.hd inst.writes) in
+  if serves t first then
+    let partition = t.partition_of first in
     match Txn_part_tbl.find_opt t.install_verdicts (inst.txn_id, partition) with
     | Some ok ->
         (* Retransmission of an install we already answered (the ack was
            lost): repeat the verdict, without re-applying anything. *)
-        ack_install t ~partition ~ok reply
+        ack_logged t ~partition ~gated:ok (Message.Install_ack { ok }) reply
     | None ->
         let present key =
           match
@@ -875,15 +843,14 @@ let do_install t ~src (inst : Message.install) reply =
         if not (List.for_all present inst.preconditions) then begin
           incr t.m_precondition_failures;
           Txn_part_tbl.replace t.install_verdicts (inst.txn_id, partition) false;
-          ack_install t ~partition ~ok:false reply
+          ack_logged t ~partition ~gated:false
+            (Message.Install_ack { ok = false })
+            reply
         end
         else begin
           let lo = Ts.to_int (Ts.window_lo ~time_us:inst.lo) in
           let hi = Ts.to_int (Ts.window_hi ~time_us:inst.hi) in
-          let b =
-            { coordinator = src; remaining = 0;
-              batch_max_retrieved = now t; batch_aborted = false }
-          in
+          let b = new_batch t src in
           let installed = now t in
           List.iter
             (fun (key, spec) ->
@@ -910,8 +877,8 @@ let do_install t ~src (inst : Message.install) reply =
                         (* Pre-committed at the coordinator: no epoch
                            batch, no Batch_done — the delta merges lazily
                            at the next read or epoch close. *)
-                        buffer_fast t ~epoch:inst.epoch ~key
-                          ~version:inst.ts
+                        Functor_cc.Processor.buffer t.fast
+                          ~epoch:inst.epoch ~key ~version:inst.ts
                       else begin
                         b.remaining <- b.remaining + 1;
                         Functor_cc.Processor.buffer t.processor
@@ -932,22 +899,23 @@ let do_install t ~src (inst : Message.install) reply =
                 ~functors:(List.length inst.writes)
             else Txn_part_tbl.replace t.batches (inst.txn_id, partition) b;
           Txn_part_tbl.replace t.install_verdicts (inst.txn_id, partition) true;
-          ack_install t ~partition ~ok:true reply
+          ack_logged t ~partition ~gated:true
+            (Message.Install_ack { ok = true })
+            reply
         end
 
 let do_abort t ~ts ~keys reply =
   match keys with
   | [] -> reply Message.Abort_ack
   | first :: _ ->
-      let partition = t.partition_of first in
-      if t.be_down || not (leads t ~partition) then incr t.m_be_dropped
-      else begin
+      if serves t first then begin
+        let partition = t.partition_of first in
         List.iter
           (fun key ->
             log_entry t ~partition (Wal.Log_abort { key; version = ts });
             Functor_cc.Compute_engine.abort_version t.engine ~key ~version:ts)
           keys;
-        ack_abort t ~partition reply
+        ack_logged t ~partition ~gated:true Message.Abort_ack reply
       end
 
 let on_batch_done t ~txn_id ~partition ~max_retrieved_at ~aborted =
@@ -990,6 +958,15 @@ let on_functor_final t ~key ~pending ~final =
         send_batch_done t b ~txn_id:pending.Funct.txn_id ~partition
           ~functors:0
       end
+
+(* How far the value watermark [v] (the youngest version every key of
+   this partition is final up to) lags behind now, in µs; 0 before any
+   functor finalises. *)
+let watermark_lag_us t v =
+  if v <= 0 then 0
+  else
+    let lag = now t - Ts.time_us (Ts.of_int v) in
+    if lag > 0 then lag else 0
 
 (* ---- engine (re)spawn -------------------------------------------------- *)
 
@@ -1078,6 +1055,7 @@ let spawn_engine t =
             | Some _ | None -> ())
   in
   t.processor <- Functor_cc.Processor.create ();
+  t.fast <- Functor_cc.Processor.create ();
   (* Plan subscriptions push remote read-set values ahead of the reader,
      so they belong to the §IV-B push optimisation and follow its switch. *)
   let send_plan_sub =
@@ -1123,7 +1101,9 @@ let spawn_engine t =
    closed epochs' items become one plan, dispatched to the worker pool in
    install order, [cost_dispatch_us] each. *)
 let release_closed t ~upto_epoch =
-  let items = Functor_cc.Processor.drain t.processor ~upto_epoch in
+  let items =
+    List.concat_map snd (Functor_cc.Processor.drain t.processor ~upto_epoch)
+  in
   let stats = Functor_cc.Planner.run t.planner ~items in
   if stats.Functor_cc.Planner.nodes > 0 then begin
     emit t ~txn:(-1) ~stage:Obs.Trace.Plan_build
@@ -1135,9 +1115,9 @@ let release_closed t ~upto_epoch =
           ~strata:stats.Functor_cc.Planner.strata
           ~critical_path:stats.Functor_cc.Planner.critical_path)
   end;
-  (* Fast-path deltas never enter the buffer (or a plan): fold the
-     closed epochs' remainder directly.  Already-final records (folded by
-     an on-demand read) are skipped by the engine. *)
+  (* Fast-path deltas never enter a plan: fold the closed epochs'
+     remainder directly.  Already-final records (folded by an on-demand
+     read) are skipped by the engine. *)
   merge_fast_deltas t ~upto_epoch
 
 (* Rebuild backend batch tracking from a replayed log, so the
@@ -1150,12 +1130,7 @@ let reintegrate t ~partition ~entries =
     match Txn_part_tbl.find_opt t.batches (txn_id, partition) with
     | Some b -> b
     | None ->
-        let b =
-          { coordinator = Net.Address.of_int coordinator;
-            remaining = 0;
-            batch_max_retrieved = now t;
-            batch_aborted = false }
-        in
+        let b = new_batch t (Net.Address.of_int coordinator) in
         Txn_part_tbl.replace t.batches (txn_id, partition) b;
         b
   in
@@ -1171,7 +1146,7 @@ let reintegrate t ~partition ~entries =
                   (* Fast-path installs have no batch and send no
                      Batch_done — the coordinator committed at install
                      time; just re-park the delta for its lazy merge. *)
-                  buffer_fast t ~epoch ~key ~version
+                  Functor_cc.Processor.buffer t.fast ~epoch ~key ~version
               | Funct.Pending _ ->
                   Functor_cc.Processor.buffer t.processor ~epoch ~key
                     ~version;
@@ -1195,37 +1170,20 @@ let reintegrate t ~partition ~entries =
     (fun txn_id coordinator ->
       if not (Txn_part_tbl.mem t.batches (txn_id, partition)) then
         send_batch_done t
-          { coordinator = Net.Address.of_int coordinator;
-            remaining = 0;
-            batch_max_retrieved = now t;
-            batch_aborted = false }
+          (new_batch t (Net.Address.of_int coordinator))
           ~txn_id ~partition ~functors:0)
     finals
 
 (* ---- replication: epoch-close gating and pending closes ---------------- *)
 
-(* Log the epoch-close marker on every partition this server leads.  On
-   a replicated primary the marker doubles as the epoch's replication
-   barrier. *)
+(* Log the epoch-close marker on every partition this server leads. *)
 let log_close_markers t ~epoch =
-  match t.repl with
-  | None -> (
-      match t.wal with
-      | Some wal -> Wal.append wal (Wal.Log_epoch_closed epoch)
-      | None -> ())
-  | Some _ ->
-      Hashtbl.iter
-        (fun _ prim ->
-          Wal.append prim.p_wal (Wal.Log_epoch_closed epoch);
-          ignore (Repl.append prim.group);
-          Repl.close_epoch prim.group ~epoch)
-        t.prims
+  Hashtbl.iter (fun _ prim -> log_close_marker prim ~epoch) t.prims
 
 (* Crash: closes deferred by the replication gate are force-delivered —
    the EM's grant made them a cluster-global fact, and the Repl waiters
    that would have delivered them died with the process (Repl.crash).
-   on_closed then runs under be_down and skips the backend-side work,
-   exactly like the unreplicated crash path. *)
+   on_closed then runs under be_down and skips the backend-side work. *)
 let fire_pending_closes t =
   let pending =
     List.sort
@@ -1290,6 +1248,7 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
       pool; real_pool; ts_source; part; registry;
       engine = bootstrap_engine;
       processor = Functor_cc.Processor.create ();
+      fast = Functor_cc.Processor.create ();
       planner =
         Functor_cc.Planner.create ~engine:bootstrap_engine ~pool
           ~dispatch_cost_us:0 ~metrics ();
@@ -1297,23 +1256,24 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
       batches = Txn_part_tbl.create 1024;
       install_verdicts = Txn_part_tbl.create 1024;
       pending_dones = Txn_part_tbl.create 64;
-      fp_pending = Hashtbl.create 64;
       held = Queue.create ();
-      wal =
-        (if config.Config.durability then
-           Some (Wal.create sim ~flush_latency_us:config.Config.wal_flush_us ())
-         else None);
       be_down = false;
       last_closed_epoch = 0;
       delayed_reads = [];
       repl = None;
       prims = Hashtbl.create 4;
       flws = Hashtbl.create 4;
-      repl_gated = false;
       pending_closes = [];
       on_crash = ignore;
       on_restart = ignore }
   in
+  (* The home partition's log: a replication group of one, until
+     {!attach_repl} gives it followers. *)
+  if config.Config.durability then
+    ignore
+      (lead t ~partition:my_partition ~term:0 ~members:[ addr ]
+         ~wal:(Wal.create sim ~flush_latency_us:config.Config.wal_flush_us ())
+         ~len:0);
   spawn_engine t;
   Epoch.Participant.set_hooks part
     ~on_open:(fun ~epoch ~lo:_ ~hi:_ ->
@@ -1329,23 +1289,16 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
          Under the replication gate the close markers were already logged
          by the gate itself (at grant time, before the barrier). *)
       if not t.be_down then begin
-        if not t.repl_gated then log_close_markers t ~epoch;
+        if Option.is_none t.repl || not config.Config.sync_acks then
+          log_close_markers t ~epoch;
         release_closed t ~upto_epoch:epoch
       end;
       lnote t (fun l ->
-          let tnow = now t in
-          let wm, lag =
-            if t.be_down then (-1, 0)
-            else
-              let v = Recovery.max_final_version t.engine in
-              let lag =
-                if v <= 0 then 0
-                else max 0 (tnow - Ts.time_us (Ts.of_int v))
-              in
-              (v, lag)
+          let wm =
+            if t.be_down then -1 else Recovery.max_final_version t.engine
           in
-          Obs.Ledger.note_close l ~node:t.node_id ~epoch ~t_us:tnow
-            ~watermark:wm ~watermark_lag_us:lag;
+          Obs.Ledger.note_close l ~node:t.node_id ~epoch ~t_us:(now t)
+            ~watermark:wm ~watermark_lag_us:(watermark_lag_us t wm);
           Hashtbl.iter
             (fun partition prim ->
               let live = List.length (Repl.live_followers prim.group) in
@@ -1381,8 +1334,7 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
       | Message.Req (Message.Get_req { key; version }) ->
           Sim.Worker_pool.submit pool ~cost:config.Config.cost_get_us
             (fun () ->
-              if t.be_down || not (owns t key) then incr t.m_be_dropped
-              else
+              if serves t key then
                 Functor_cc.Compute_engine.get t.engine ~key ~version
                   (fun v ->
                     emit t ~txn:version ~stage:Obs.Trace.Read_served ();
@@ -1390,18 +1342,18 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
       | Message.One _ -> ());
   Net.Rpc.serve_oneway data addr (fun ~src wire ->
       match wire with
-      | Message.One (Message.Push { key; version; src_key; value }) ->
+      | Message.One
+          ( Message.Push { key; version; src_key; value }
+          | Message.Plan_push { key; version; src_key; value } ) ->
           Sim.Worker_pool.submit pool ~cost:config.Config.cost_msg_us
             (fun () ->
-              if t.be_down || not (owns t key) then incr t.m_be_dropped
-              else
+              if serves t key then
                 Functor_cc.Compute_engine.deliver_push t.engine ~key ~version
                   ~src_key value)
       | Message.One (Message.Dep_write { key; version; final }) ->
           Sim.Worker_pool.submit pool ~cost:config.Config.cost_msg_us
             (fun () ->
-              if t.be_down || not (owns t key) then incr t.m_be_dropped
-              else
+              if serves t key then
                 Functor_cc.Compute_engine.deliver_dep_write t.engine ~key
                   ~version ~final)
       | Message.One (Message.Batch_done { txn_id; partition; functors = _;
@@ -1421,8 +1373,7 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
              discipline) and push the value back.  Charged like a Get. *)
           Sim.Worker_pool.submit pool ~cost:config.Config.cost_get_us
             (fun () ->
-              if t.be_down || not (owns t key) then incr t.m_be_dropped
-              else
+              if serves t key then
                 Functor_cc.Compute_engine.get t.engine ~key ~version
                   (fun value ->
                     Net.Rpc.send t.data ~src:t.address ~dst:src
@@ -1430,13 +1381,6 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
                          (Message.Plan_push
                             { key = dst_key; version = dst_version;
                               src_key = key; value }))))
-      | Message.One (Message.Plan_push { key; version; src_key; value }) ->
-          Sim.Worker_pool.submit pool ~cost:config.Config.cost_msg_us
-            (fun () ->
-              if t.be_down || not (owns t key) then incr t.m_be_dropped
-              else
-                Functor_cc.Compute_engine.deliver_push t.engine ~key ~version
-                  ~src_key value)
       | Message.One (Message.Wal_ship _)
       | Message.One (Message.Ship_ack _) ->
           (* replication traffic travels on its own plane *)
@@ -1450,7 +1394,8 @@ let load_initial t ~key value =
     invalid_arg "Server.load_initial: key not owned by this partition";
   Functor_cc.Compute_engine.load_initial t.engine ~key value
 
-let wal t = t.wal
+let wal t =
+  Option.map (fun prim -> prim.p_wal) (current_prim t t.my_partition)
 
 (* ---- gauge probes (observability) -------------------------------------- *)
 
@@ -1460,18 +1405,12 @@ let compute_queue_depth t =
 
 let inflight_functors t = Functor_cc.Compute_engine.pending_count t.engine
 
-(* How far the newest final value lags behind now: the age (µs) of the
-   youngest version every key of this partition is final up to.  0 before
-   any functor finalises. *)
 let value_watermark_lag_us t =
-  let v = Recovery.max_final_version t.engine in
-  if v <= 0 then 0
-  else
-    let lag = now t - Ts.time_us (Ts.of_int v) in
-    if lag > 0 then lag else 0
+  watermark_lag_us t (Recovery.max_final_version t.engine)
 
 let wal_pending_bytes t =
-  match t.wal with Some wal -> Wal.pending_bytes wal | None -> 0
+  Hashtbl.fold (fun _ p acc -> acc + Wal.pending_bytes p.p_wal) t.prims 0
+  + Hashtbl.fold (fun _ f acc -> acc + Wal.pending_bytes f.f_wal) t.flws 0
 
 let replication_lag t =
   Hashtbl.fold (fun _ prim acc -> acc + Repl.replica_lag prim.group) t.prims 0
@@ -1480,18 +1419,16 @@ let replication_lag t =
    quiesced between epochs): everything below the snapshot becomes
    recoverable without replay. *)
 let checkpoint_now t =
-  match t.repl with
-  | Some _ ->
+  match (t.repl, current_prim t t.my_partition) with
+  | Some _, _ ->
       (* A checkpoint renumbers the log, but WAL positions are the
          replication ship sequence. *)
       invalid_arg "Server.checkpoint_now: unsupported under replication"
-  | None -> (
-      match t.wal with
-      | None -> invalid_arg "Server.checkpoint_now: durability disabled"
-      | Some wal ->
-          let snapshot = Recovery.snapshot_of_engine t.engine in
-          let retain_above = Recovery.max_final_version t.engine in
-          Wal.checkpoint wal ~snapshot ~retain_above)
+  | None, None -> invalid_arg "Server.checkpoint_now: durability disabled"
+  | None, Some prim ->
+      let snapshot = Recovery.snapshot_of_engine t.engine in
+      let retain_above = Recovery.max_final_version t.engine in
+      Wal.checkpoint prim.p_wal ~snapshot ~retain_above
 
 (* ---- replication: ship plane handlers ----------------------------------- *)
 
@@ -1594,45 +1531,36 @@ let set_lifecycle_hooks t ~on_crash ~on_restart =
   t.on_crash <- on_crash;
   t.on_restart <- on_restart
 
+(* Follow [partition] from an empty log under [term]. *)
+let new_follower t ~partition ~term =
+  Hashtbl.replace t.flws partition
+    { f_partition = partition;
+      f_term = term;
+      f_wal =
+        Wal.create t.sim ~flush_latency_us:t.config.Config.wal_flush_us ();
+      f_applied = 0;
+      f_buf = Hashtbl.create 16;
+      f_ack_pending = false }
+
 let attach_repl t ~plane ~route ~members_of ~follows =
   if t.repl <> None then invalid_arg "Server.attach_repl: already attached";
-  let ctx = { plane; route; members_of } in
-  t.repl <- Some ctx;
-  let self = Net.Address.to_int t.address in
-  (* Primary of the home partition. *)
-  (match t.wal with
-  | None -> invalid_arg "Server.attach_repl: durability required"
-  | Some wal ->
-      let members = members_of t.my_partition in
-      let group =
-        Repl.create ~partition:t.my_partition
-          ~term:(Net.Route.term route ~partition:t.my_partition)
-          ~primary:self
-          ~members:(List.map Net.Address.to_int members)
-          ~len:0
-      in
-      let prim =
-        { p_partition = t.my_partition; p_wal = wal; group;
-          followers =
-            List.filter
-              (fun a -> not (Net.Address.equal a t.address))
-              members;
-          shipped = 0; retry_armed = false; ship_log = [] }
-      in
-      Hashtbl.replace t.prims t.my_partition prim;
-      install_ship_hook t prim);
+  let home =
+    match current_prim t t.my_partition with
+    | Some prim -> prim
+    | None -> invalid_arg "Server.attach_repl: durability required"
+  in
+  t.repl <- Some { plane; route; members_of };
+  (* The home partition's group of one becomes the real group, on the
+     same log. *)
+  ignore
+    (lead t ~partition:t.my_partition
+       ~term:(Net.Route.term route ~partition:t.my_partition)
+       ~members:(members_of t.my_partition) ~wal:home.p_wal
+       ~len:(Repl.len home.group));
   (* Follower of every other partition whose group includes us. *)
   List.iter
     (fun partition ->
-      Hashtbl.replace t.flws partition
-        { f_partition = partition;
-          f_term = Net.Route.term route ~partition;
-          f_wal =
-            Wal.create t.sim ~flush_latency_us:t.config.Config.wal_flush_us
-              ();
-          f_applied = 0;
-          f_buf = Hashtbl.create 16;
-          f_ack_pending = false })
+      new_follower t ~partition ~term:(Net.Route.term route ~partition))
     follows;
   (* Ship-plane handlers run off the worker pool: replication bookkeeping
      is modelled as free, so the data-plane timeline is not perturbed. *)
@@ -1643,8 +1571,7 @@ let attach_repl t ~plane ~route ~members_of ~follows =
       | Message.One (Message.Ship_ack { partition; term; seq }) ->
           on_ship_ack t ~src ~partition ~term ~seq
       | Message.One _ | Message.Req _ -> ());
-  if t.config.Config.repl_sync then begin
-    t.repl_gated <- true;
+  if t.config.Config.sync_acks then begin
     (* Sync mode: an epoch may close (advancing the value watermark past
        its blind writes) only once its close marker — and with it every
        entry of the epoch — is durable on all live replicas of every
@@ -1655,12 +1582,7 @@ let attach_repl t ~plane ~route ~members_of ~follows =
         if t.be_down || Hashtbl.length t.prims = 0 then fire ()
         else begin
           let prims = Hashtbl.fold (fun _ p acc -> p :: acc) t.prims [] in
-          List.iter
-            (fun prim ->
-              Wal.append prim.p_wal (Wal.Log_epoch_closed epoch);
-              ignore (Repl.append prim.group);
-              Repl.close_epoch prim.group ~epoch)
-            prims;
+          List.iter (fun prim -> log_close_marker prim ~epoch) prims;
           let entered = now t in
           let delivered = ref false in
           let deliver () =
@@ -1717,32 +1639,24 @@ let crash_be t =
      the install-verdict cache, and the engine (a fresh empty one replaces
      it immediately, which also cuts off — via the spawn liveness guard —
      any continuation of the dead incarnation still in flight). *)
-  (match t.repl with
-  | None -> (
-      match t.wal with
-      | Some wal -> ignore (Wal.lose_unflushed wal)
-      | None -> ())
-  | Some _ ->
-      Hashtbl.iter
-        (fun _ prim ->
-          ignore (Wal.lose_unflushed prim.p_wal);
-          (* Truncate the replicated log to the durable prefix and drop
-             the gates whose replies died with the process. *)
-          Repl.crash prim.group
-            ~durable_len:(Wal.durable_count prim.p_wal))
-        t.prims;
-      Hashtbl.iter
-        (fun _ f ->
-          ignore (Wal.lose_unflushed f.f_wal);
-          Hashtbl.reset f.f_buf;
-          f.f_applied <- Wal.durable_count f.f_wal;
-          f.f_ack_pending <- false)
-        t.flws;
-      fire_pending_closes t);
+  Hashtbl.iter
+    (fun _ prim ->
+      ignore (Wal.lose_unflushed prim.p_wal);
+      (* Truncate the replicated log to the durable prefix and drop the
+         gates whose replies died with the process. *)
+      Repl.crash prim.group ~durable_len:(Wal.durable_count prim.p_wal))
+    t.prims;
+  Hashtbl.iter
+    (fun _ f ->
+      ignore (Wal.lose_unflushed f.f_wal);
+      Hashtbl.reset f.f_buf;
+      f.f_applied <- Wal.durable_count f.f_wal;
+      f.f_ack_pending <- false)
+    t.flws;
+  fire_pending_closes t;
   Txn_part_tbl.reset t.batches;
   Txn_part_tbl.reset t.install_verdicts;
   Txn_part_tbl.reset t.pending_dones;
-  Hashtbl.reset t.fp_pending;
   spawn_engine t;
   lnote t (fun l ->
       Obs.Ledger.note_event l ~kind:Obs.Ledger.Crash ~node:t.node_id
@@ -1755,35 +1669,15 @@ let crash_be t =
 let demote t ~partition =
   Hashtbl.remove t.prims partition;
   Sim.Metrics.incr t.metrics "aloha.demotions";
-  Hashtbl.replace t.flws partition
-    { f_partition = partition;
-      f_term = 0;
-      f_wal =
-        Wal.create t.sim ~flush_latency_us:t.config.Config.wal_flush_us ();
-      f_applied = 0;
-      f_buf = Hashtbl.create 16;
-      f_ack_pending = false }
+  new_follower t ~partition ~term:0
 
 let restart_be t =
   if not t.be_down then invalid_arg "Server.restart_be: backend is up";
   Sim.Metrics.incr t.metrics "aloha.be_restarts";
+  (* Partitions promoted away while we were down: rejoin as followers. *)
   (match t.repl with
-  | None -> (
-      match t.wal with
-      | Some wal ->
-          ignore (Recovery.rebuild ~engine:t.engine ~wal);
-          (* Replayed installs that are still pending re-enter the
-             processor at their logged epoch; epochs that closed while we
-             were down (or before the crash) are then released for
-             recomputation — the epoch-close work the crash made us miss.
-             Later epochs stay buffered until their own close. *)
-          reintegrate t ~partition:t.my_partition ~entries:(Wal.durable wal);
-          release_closed t ~upto_epoch:t.last_closed_epoch
-      | None -> ())
+  | None -> ()
   | Some ctx ->
-      (* Partitions promoted away while we were down: rejoin as
-         followers.  The rest we still lead — recover them from our own
-         durable logs, exactly like the unreplicated path. *)
       let led = Hashtbl.fold (fun p _ acc -> p :: acc) t.prims [] in
       List.iter
         (fun p ->
@@ -1793,30 +1687,32 @@ let restart_be t =
                  (Net.Route.resolve ctx.route ~partition:p)
                  t.address)
           then demote t ~partition:p)
-        led;
-      Hashtbl.iter
-        (fun p prim ->
-          ignore
-            (Recovery.replay ~engine:t.engine
-               ~snapshot:(Wal.snapshot prim.p_wal)
-               ~entries:(Wal.durable prim.p_wal));
-          reintegrate t ~partition:p ~entries:(Wal.durable prim.p_wal))
-        t.prims;
-      if Hashtbl.length t.prims > 0 then
-        release_closed t ~upto_epoch:t.last_closed_epoch);
+        led);
+  (* The rest we still lead: recover them from our own durable logs.
+     Replayed installs that are still pending re-enter the processor at
+     their logged epoch; epochs that closed while we were down (or before
+     the crash) are then released for recomputation — the epoch-close
+     work the crash made us miss.  Later epochs stay buffered until their
+     own close.  Without a log the backend restarts empty. *)
+  Hashtbl.iter
+    (fun p prim ->
+      ignore (Recovery.rebuild ~engine:t.engine ~wal:prim.p_wal);
+      reintegrate t ~partition:p ~entries:(Wal.durable prim.p_wal))
+    t.prims;
+  if Hashtbl.length t.prims > 0 then
+    release_closed t ~upto_epoch:t.last_closed_epoch;
   t.be_down <- false;
-  (match t.repl with
-  | None -> ()
-  | Some _ ->
-      (* Follower acks are volatile on both sides: re-ship everything and
-         let the cumulative acks re-establish the floor. *)
-      Hashtbl.iter
-        (fun _ prim ->
-          prim.shipped <- 0;
-          ship_fresh t prim;
-          arm_retry t prim)
-        t.prims;
-      t.on_restart ());
+  (* Follower acks are volatile on both sides: re-ship everything and let
+     the cumulative acks re-establish the floor. *)
+  Hashtbl.iter
+    (fun _ prim ->
+      if prim.followers <> [] then begin
+        prim.shipped <- 0;
+        ship_fresh t prim;
+        arm_retry t prim
+      end)
+    t.prims;
+  t.on_restart ();
   lnote t (fun l ->
       Obs.Ledger.note_event l ~kind:Obs.Ledger.Restart ~node:t.node_id
         ~t_us:(now t) ())
@@ -1850,30 +1746,17 @@ let adopt_partition t ~partition ~down =
         let entries = Wal.all f.f_wal in
         ignore (Recovery.replay ~engine:t.engine ~snapshot:[] ~entries);
         reintegrate t ~partition ~entries;
-        let members = ctx.members_of partition in
-        let group =
-          Repl.create ~partition
-            ~term:(Net.Route.term ctx.route ~partition)
-            ~primary:(Net.Address.to_int t.address)
-            ~members:(List.map Net.Address.to_int members)
+        let prim =
+          lead t ~partition ~term:(Net.Route.term ctx.route ~partition)
+            ~members:(ctx.members_of partition) ~wal:f.f_wal
             ~len:(List.length entries)
         in
         List.iter
-          (fun a -> Repl.member_down group ~id:(Net.Address.to_int a))
+          (fun a -> Repl.member_down prim.group ~id:(Net.Address.to_int a))
           down;
         (* Epochs closed so far are durable by adoption (this replica has
            them); future closes barrier at the log positions they reach. *)
-        Repl.close_epoch group ~epoch:t.last_closed_epoch;
-        let prim =
-          { p_partition = partition; p_wal = f.f_wal; group;
-            followers =
-              List.filter
-                (fun a -> not (Net.Address.equal a t.address))
-                members;
-            shipped = 0; retry_armed = false; ship_log = [] }
-        in
-        Hashtbl.replace t.prims partition prim;
-        install_ship_hook t prim;
+        Repl.close_epoch prim.group ~epoch:t.last_closed_epoch;
         (* Pendings recovered from epochs that already closed are released
            for recomputation right away. *)
         release_closed t ~upto_epoch:t.last_closed_epoch;

@@ -67,7 +67,9 @@ val held_requests : t -> int
 (** Client requests waiting for a usable timestamp window. *)
 
 val wal : t -> Wal.t option
-(** The partition's write-ahead log when [config.durability] is on. *)
+(** The home partition's write-ahead log, while this server leads it:
+    [None] when [config.durability] is off, or after a failover promoted
+    another replica of the home partition. *)
 
 val compute_queue_depth : t -> int
 (** Functor items awaiting dispatch or CPU (buffered until their epoch
@@ -81,8 +83,9 @@ val value_watermark_lag_us : t -> int
     functor finalises) — gauge probe. *)
 
 val wal_pending_bytes : t -> int
-(** Nominal unflushed WAL bytes (0 when durability is off) — gauge
-    probe. *)
+(** Nominal unflushed bytes summed over every log this server writes —
+    the partitions it leads and the ones it follows (0 when durability is
+    off) — gauge probe. *)
 
 val replication_lag : t -> int
 (** Total entries shipped-but-unacked across the replication groups this
@@ -108,12 +111,14 @@ val crash_be : t -> unit
     the crash.  Raises [Invalid_argument] if already down. *)
 
 val restart_be : t -> unit
-(** Restart a crashed backend through {!Recovery.rebuild}: reload the
-    checkpoint, replay the durable log, re-buffer still-pending functors
-    at their logged epochs, and release every epoch that closed before or
-    during the outage.  Requires [config.durability] for state to
-    survive; without a WAL the backend restarts empty.  Raises
-    [Invalid_argument] if not down. *)
+(** Restart a crashed backend: rejoin as a follower every partition a
+    failover promoted away meanwhile, then, for every log this server
+    still leads, go through {!Recovery.rebuild} (reload the checkpoint,
+    replay the durable log), re-buffer still-pending functors at their
+    logged epochs, and release every epoch that closed before or during
+    the outage.  Requires [config.durability] for state to survive;
+    without a WAL the backend restarts empty.  Raises [Invalid_argument]
+    if not down. *)
 
 val be_down : t -> bool
 
@@ -125,9 +130,11 @@ val leads : t -> partition:int -> bool
 
 (** {2 Replication (cluster-internal wiring)}
 
-    All of the following are called by {!Cluster} when
-    [config.replicas > 1]; a server never attached behaves byte-for-byte
-    as before. *)
+    With [config.durability] on, every server starts as the primary of a
+    replication group of one: its home partition's WAL, with no
+    followers, so k = 1 takes the same logging, ack-gating, crash and
+    restart path as k > 1.  All of the following are called by
+    {!Cluster} when [config.replicas > 1]. *)
 
 val attach_repl :
   t ->
@@ -136,13 +143,14 @@ val attach_repl :
   members_of:(int -> Net.Address.t list) ->
   follows:int list ->
   unit
-(** Join the replication fabric: become the primary of the home
-    partition's group (shipping durable WAL entries to the other members
-    over [plane]) and a follower of every partition in [follows].  With
-    [config.repl_sync], installs/aborts ack only after the covering log
-    prefix is durable on all live followers, and epoch close gates on the
-    epoch being durable group-wide.  Requires [config.durability];
-    raises [Invalid_argument] otherwise or if already attached. *)
+(** Join the replication fabric: replace the home partition's group of
+    one with its real group, on the same WAL (shipping durable entries to
+    the other members over [plane]), and become a follower of every
+    partition in [follows].  With [config.sync_acks], installs/aborts ack
+    only after the covering log prefix is durable on all live followers,
+    and epoch close gates on the epoch being durable group-wide.
+    Requires [config.durability]; raises [Invalid_argument] otherwise or
+    if already attached. *)
 
 val adopt_partition :
   t -> partition:int -> down:Net.Address.t list -> unit

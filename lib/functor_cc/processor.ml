@@ -22,9 +22,9 @@ let drain t ~upto_epoch =
       if epoch <= upto_epoch then (epoch, items) :: acc else acc)
     t []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.concat_map (fun (epoch, items) ->
+  |> List.map (fun (epoch, items) ->
          Hashtbl.remove t epoch;
-         List.rev !items)
+         (epoch, List.rev !items))
 
 let buffered t =
   Hashtbl.fold (fun _ items acc -> acc + List.length !items) t 0

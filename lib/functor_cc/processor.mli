@@ -6,7 +6,8 @@
     plays the paper's asynchronous processor pool: it evaluates every
     buffered functor after epoch close, while on-demand reads may beat it
     to any of them (the engine's at-most-once discipline makes that race
-    benign). *)
+    benign).  A server keeps a second buffer for its fast-lane deltas,
+    which epoch close folds directly instead of planning. *)
 
 type t
 
@@ -17,10 +18,10 @@ val create : unit -> t
 val buffer : t -> epoch:int -> key:Mvstore.Key.t -> version:int -> unit
 (** Record metadata for a functor installed in the given (open) epoch. *)
 
-val drain : t -> upto_epoch:int -> item list
-(** Remove and return the buffered items of epochs <= [upto_epoch]:
-    epochs ascending, items in install order within an epoch.  Later
-    epochs stay buffered. *)
+val drain : t -> upto_epoch:int -> (int * item list) list
+(** Remove and return the buffered items of epochs <= [upto_epoch] as
+    [(epoch, items)] groups: epochs ascending, items in install order
+    within an epoch.  Later epochs stay buffered. *)
 
 val buffered : t -> int
 (** Items awaiting release (gauge probe and test helper). *)

@@ -327,6 +327,35 @@ let test_push_off_no_plan_subs () =
   let on = run_transfers ~push_opt:true in
   Alcotest.(check bool) "push on: pushes hit" true (on "fcc.push_hits" > 0)
 
+(* An empty read-write transaction has nothing to install, yet it holds
+   its epoch open until it finishes: it must commit at once with its
+   timestamp, or the epoch's revoke is never acked and no epoch closes
+   again. *)
+let test_empty_read_write () =
+  let c = mk_cluster () in
+  let sim = Cluster.sim c in
+  let closed () = Sim.Metrics.get (Cluster.metrics c) "em.epochs_closed" in
+  Cluster.run_for c 50_000;
+  let empty = ref None in
+  Cluster.submit c ~fe:0 (Txn.read_write []) (fun r -> empty := Some r);
+  let closed_at_submit = closed () in
+  let committed = ref 0 in
+  for i = 0 to 19 do
+    Sim.Engine.schedule sim
+      ~at:(Sim.Engine.now sim + 5_000 + (i * 10_000))
+      (fun () ->
+        Cluster.submit c ~fe:(i mod 2)
+          (Txn.read_write [ (Printf.sprintf "ctr:%d" (i mod 4), Txn.Add 1) ])
+          (function Txn.Committed _ -> incr committed | _ -> ()))
+  done;
+  Cluster.run_for c 600_000;
+  (match !empty with
+  | Some r -> ignore (commit_exn r)
+  | None -> Alcotest.fail "empty transaction never answered");
+  Alcotest.(check int) "later transactions commit" 20 !committed;
+  Alcotest.(check bool) "epochs keep closing" true
+    (closed () - closed_at_submit >= 10)
+
 let suite =
   [ Alcotest.test_case "blind multi-write (Fig 5 T1)" `Quick test_blind_write;
     Alcotest.test_case "add/subtr transfer (Fig 5 T2)" `Quick test_transfer;
@@ -343,4 +372,6 @@ let suite =
     Alcotest.test_case "delete tombstone" `Quick test_delete;
     Alcotest.test_case "ack on install" `Quick test_ack_on_install;
     Alcotest.test_case "push off sends no plan subscriptions" `Quick
-      test_push_off_no_plan_subs ]
+      test_push_off_no_plan_subs;
+    Alcotest.test_case "empty read-write commits" `Quick
+      test_empty_read_write ]

@@ -26,20 +26,23 @@ let test_processor_drain_by_epoch () =
   buffer 1 "a" 2;
   Alcotest.(check int) "all buffered" 6 (Functor_cc.Processor.buffered proc);
   let drained upto_epoch =
-    List.map
-      (fun { Functor_cc.Processor.key; version } ->
-        (Mvstore.Key.name key, version))
+    List.concat_map
+      (fun (epoch, items) ->
+        List.map
+          (fun { Functor_cc.Processor.key; version } ->
+            (epoch, Mvstore.Key.name key, version))
+          items)
       (Functor_cc.Processor.drain proc ~upto_epoch)
   in
-  let items = Alcotest.(list (pair string int)) in
+  let items = Alcotest.(list (triple int string int)) in
   (* Epochs <= 2 in ascending order, install order within each. *)
   Alcotest.check items "epochs 1 and 2"
-    [ ("a", 3); ("b", 1); ("a", 2); ("b", 7); ("a", 5) ]
+    [ (1, "a", 3); (1, "b", 1); (1, "a", 2); (2, "b", 7); (2, "a", 5) ]
     (drained 2);
   Alcotest.(check int) "epoch 3 stays buffered" 1
     (Functor_cc.Processor.buffered proc);
   Alcotest.check items "nothing left up to 2" [] (drained 2);
-  Alcotest.check items "epoch 3" [ ("c", 9) ] (drained 3);
+  Alcotest.check items "epoch 3" [ (3, "c", 9) ] (drained 3);
   Alcotest.(check int) "empty" 0 (Functor_cc.Processor.buffered proc)
 
 (* ---- transaction -> functor transforms -------------------------------- *)

@@ -242,14 +242,18 @@ let registry_with_xfer () =
 
 let keys = List.init 8 (fun i -> Printf.sprintf "k:%d:a%d" (i mod 2) i)
 
-let run_mixed_load c sim =
-  let rng = Sim.Rng.create 77 in
+(* [n] transactions, one every 600 µs from [from_us]: ADDs, transfers
+   and guarded transfers with cross-partition reads.  Runs the cluster
+   until [until_us] and checks that every transaction resolved. *)
+let run_mixed_load ?(seed = 77) ?(from_us = 1_000) ?(n = 80)
+    ?(until_us = 400_000) c sim =
+  let rng = Sim.Rng.create seed in
   let resolved = ref 0 and submitted = ref 0 in
-  for i = 0 to 79 do
+  for i = 0 to n - 1 do
     incr submitted;
     let src = List.nth keys (Sim.Rng.int rng 8) in
     let dst = List.nth keys (Sim.Rng.int rng 8) in
-    Sim.Engine.schedule sim ~at:(1_000 + (i * 600)) (fun () ->
+    Sim.Engine.schedule sim ~at:(from_us + (i * 600)) (fun () ->
         let req =
           if String.equal src dst then
             Txn.read_write [ (src, Txn.Add 1) ]
@@ -269,7 +273,7 @@ let run_mixed_load c sim =
         in
         Cluster.submit c ~fe:(i mod 2) req (fun _ -> incr resolved))
   done;
-  Sim.Engine.run ~until:400_000 sim;
+  Sim.Engine.run ~until:until_us sim;
   Alcotest.(check int) "load resolved" !submitted !resolved
 
 (* Read every key's latest value directly from an engine. *)
@@ -385,6 +389,44 @@ let test_recovery_replay () = crash_and_recover ~checkpoint_midway:false ()
 let test_recovery_with_checkpoint () =
   crash_and_recover ~checkpoint_midway:true ()
 
+(* The same scenario through the server itself, at k = 1: the home
+   partition's log is a replication group of one, and the checkpoint
+   renumbers it mid-run.  After more load, crash_be and restart_be must
+   bring back every key's pre-crash value, and new transactions must
+   still commit on top of it. *)
+let test_checkpoint_crash_restart () =
+  let c = Cluster.create ~registry:(registry_with_xfer ()) (durable_options 2) in
+  List.iter (fun k -> Cluster.load c ~key:k (Value.int 100)) keys;
+  Cluster.start c;
+  let sim = Cluster.sim c in
+  let victim = Cluster.server c 1 in
+  let on_victim key = Cluster.partition_of c key = 1 in
+  run_mixed_load c sim ~n:40 ~until_us:150_000;
+  Alohadb.Server.checkpoint_now victim;
+  run_mixed_load c sim ~seed:78 ~from_us:151_000 ~n:40 ~until_us:400_000;
+  let state () =
+    List.filter (fun (k, _) -> on_victim k)
+      (engine_state (Alohadb.Server.engine victim))
+  in
+  let before = state () in
+  Alcotest.(check int) "every victim key has a value" 4 (List.length before);
+  Alohadb.Server.crash_be victim;
+  Sim.Engine.run ~until:(Sim.Engine.now sim + 5_000) sim;
+  Alohadb.Server.restart_be victim;
+  Sim.Engine.run ~until:(Sim.Engine.now sim + 100_000) sim;
+  Alcotest.(check (list (pair string int))) "pre-crash state" before (state ());
+  let committed = ref 0 in
+  List.iteri
+    (fun i (key, _) ->
+      Cluster.submit c ~fe:(i mod 2)
+        (Txn.read_write [ (key, Txn.Add 1) ])
+        (function Txn.Committed _ -> incr committed | _ -> ()))
+    before;
+  Sim.Engine.run ~until:(Sim.Engine.now sim + 200_000) sim;
+  Alcotest.(check int) "new transactions commit" 4 !committed;
+  Alcotest.(check (list (pair string int)))
+    "new writes on top" (List.map (fun (k, v) -> (k, v + 1)) before) (state ())
+
 let test_unflushed_tail_lost () =
   let sim = Sim.Engine.create () in
   let wal = Wal.create sim ~flush_latency_us:1_000 () in
@@ -404,4 +446,6 @@ let suite =
     Alcotest.test_case "recovery by replay" `Quick test_recovery_replay;
     Alcotest.test_case "recovery with checkpoint" `Quick
       test_recovery_with_checkpoint;
+    Alcotest.test_case "checkpoint, crash, restart (k=1)" `Quick
+      test_checkpoint_crash_restart;
     Alcotest.test_case "unflushed tail lost" `Quick test_unflushed_tail_lost ]
