@@ -59,7 +59,8 @@ figs-pair:
 
 # CI smoke for the real runtime: pool + domain-determinism suites, the
 # interning hammer, the sim-vs-real equivalence oracle, end-to-end CLI
-# runs at 4 domains and at 1 (the caller alone: no domain spawned), and
+# runs at 4 domains and at 1 (the caller alone: no domain spawned), a
+# Scaled TPC-C run whose user handlers evaluate on worker domains, and
 # the wall-clock sweep.
 real-smoke:
 	dune exec test/test_main.exe -- test runtime
@@ -67,6 +68,9 @@ real-smoke:
 	dune exec test/test_main.exe -- test cross-engine
 	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
 	  --runtime real --domains 4 --measure-ms 200
+	dune exec bin/alohadb_cli.exe -- run --system aloha --workload stpcc \
+	  --runtime real --domains 4 --servers 4 --per-host 1 --clients 100 \
+	  --measure-ms 100
 	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
 	  --runtime real --domains 1 --measure-ms 200
 	$(MAKE) bench-real

@@ -85,23 +85,10 @@ let sim = Cluster.sim
 let metrics = Cluster.metrics
 let n_servers = Cluster.n_servers
 
-let lower_op : Kernel.Txn.op -> Txn.op = function
-  | Kernel.Txn.Put v -> Txn.Put v
-  | Kernel.Txn.Delete -> Txn.Delete
-  | Kernel.Txn.Add d -> Txn.Add d
-  | Kernel.Txn.Subtr d -> Txn.Subtr d
-  | Kernel.Txn.Max d -> Txn.Max d
-  | Kernel.Txn.Min d -> Txn.Min d
-  | Kernel.Txn.Call { handler; read_set; args } ->
-      Txn.Call { handler; read_set; args }
-  | Kernel.Txn.Det { handler; read_set; args; dependents } ->
-      Txn.Det { handler; read_set; args; dependents }
-
 let submit c ~fe txn ~k =
   let d = Kernel.Txn.functor_form txn in
-  let writes = List.map (fun (key, op) -> (key, lower_op op)) d.writes in
   Cluster.submit c ~fe
-    (Txn.read_write ~precondition_keys:d.precondition_keys writes)
+    (Txn.read_write ~precondition_keys:d.precondition_keys d.writes)
     (fun result ->
       k
         (match result with

@@ -1,4 +1,4 @@
-type op =
+type op = Kernel.Txn.op =
   | Put of Functor_cc.Value.t
   | Delete
   | Add of int

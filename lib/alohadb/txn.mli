@@ -10,9 +10,12 @@
 
     Read-only transactions at the latest version are delayed to the next
     epoch and served as historical reads (§III-B); reads at an explicit
-    historical timestamp execute immediately. *)
+    historical timestamp execute immediately.
 
-type op =
+    [op] is {!Kernel.Txn.op}: a kernel description's write list is
+    submitted as it is. *)
+
+type op = Kernel.Txn.op =
   | Put of Functor_cc.Value.t  (** blind write (f-type VALUE) *)
   | Delete  (** tombstone (f-type DELETED) *)
   | Add of int  (** numeric increment (f-type ADD) *)

@@ -167,20 +167,21 @@ and get_record t ~chain ~key ~ver record k =
 (* ---- read-set gathering --------------------------------------------- *)
 
 (* Collect the values of [keys], each at the latest version strictly below
-   [ver].  Local keys recurse through [get]; remote keys race a proactive
-   push (if one is destined for this functor) against an explicit remote
-   read, whichever lands first. *)
+   [ver], paired with the key's name as a handler reads it.  Local keys
+   recurse through [get]; remote keys race a proactive push (if one is
+   destined for this functor) against an explicit remote read, whichever
+   lands first. *)
 and gather t ~p ~ver keys k =
   match keys with
   | [] -> k []
   | first :: _ ->
       let n = List.length keys in
-      let results = Array.make n (first, None) in
+      let results = Array.make n (Key.name first, None) in
       let remaining = ref n in
       let deliver i rk got v =
         if not !got then begin
           got := true;
-          results.(i) <- (rk, v);
+          results.(i) <- (Key.name rk, v);
           decr remaining;
           if !remaining = 0 then k (Array.to_list results)
         end
@@ -291,9 +292,7 @@ and begin_compute t ~chain ~key ~ver record p =
           gather t ~p ~ver p.farg.Funct.read_set (fun reads ->
               t.cb.exec ~cost:t.compute_cost_us (fun () ->
                   let ctx =
-                    { Registry.key = Key.name key; version = ver;
-                      reads =
-                        List.map (fun (rk, v) -> (Key.name rk, v)) reads;
+                    { Registry.key = Key.name key; version = ver; reads;
                       args = p.farg.Funct.args }
                   in
                   let outcome =
@@ -458,7 +457,7 @@ type par_task = {
 
 and par_user = {
   handler : Registry.handler;
-  reads : (Key.t * Value.t option) list; (* staged on the main domain *)
+  reads : (string * Value.t option) list; (* staged on the main domain *)
   push_hits : int;
 }
 
@@ -524,18 +523,19 @@ let par_stage t ~now pr =
                         match Funct.pushed_value p rk with
                         | Some v ->
                             incr push_hits;
-                            resolve ((rk, v) :: acc) rest
+                            resolve ((Key.name rk, v) :: acc) rest
                         | None ->
                             if not (t.cb.is_local rk) then None
                             else (
                               match Mvstore.Table.chain t.table rk with
-                              | None -> resolve ((rk, None) :: acc) rest
+                              | None ->
+                                  resolve ((Key.name rk, None) :: acc) rest
                               | Some rchain -> (
                                   match
                                     final_value_le rchain
                                       ~version:(pr.p_version - 1)
                                   with
-                                  | v -> resolve ((rk, v) :: acc) rest
+                                  | v -> resolve ((Key.name rk, v) :: acc) rest
                                   | exception Pending_below -> None)))
                   in
                   match resolve [] p.Funct.farg.Funct.read_set with
@@ -560,8 +560,7 @@ let par_eval _t task =
         | Some { handler; reads; _ } -> (
             let ctx =
               { Registry.key = Key.name pr.p_key; version = pr.p_version;
-                reads = List.map (fun (rk, v) -> (Key.name rk, v)) reads;
-                args = p.Funct.farg.Funct.args }
+                reads; args = p.Funct.farg.Funct.args }
             in
             try handler ctx
             with Not_found | Invalid_argument _ -> Registry.Abort)

@@ -14,9 +14,12 @@ let read_exn ctx key =
   match read ctx key with Some v -> v | None -> raise Not_found
 
 let arg ctx i =
-  match List.nth_opt ctx.args i with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Registry.arg: index %d" i)
+  (* A negative index never reaches 0, so it fails at the end. *)
+  let rec walk j = function
+    | v :: rest -> if j = 0 then v else walk (j - 1) rest
+    | [] -> invalid_arg (Printf.sprintf "Registry.arg: index %d" i)
+  in
+  walk i ctx.args
 
 type dep_write =
   | Dep_put of Value.t

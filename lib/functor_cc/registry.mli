@@ -28,6 +28,8 @@ val read_exn : ctx -> string -> Value.t
 (** Like {!read} but also raises [Not_found] when the key is absent. *)
 
 val arg : ctx -> int -> Value.t
+(** The [i]th client argument; raises [Invalid_argument] for an index
+    outside [args]. *)
 
 type dep_write =
   | Dep_put of Value.t  (** deferred write of a dependent key *)

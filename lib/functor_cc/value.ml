@@ -6,7 +6,17 @@ type t =
   | Tup of t list
 
 let unit = Unit
-let int i = Int i
+
+(* The small ints that rows are made of (counts, quantities, ids,
+   prices) get one box each, allocated once and shared by every value
+   that holds them.  Values are immutable, so no caller can tell a
+   shared box from a fresh one. *)
+let small_ints = Array.init 1024 (fun i -> Int i)
+
+let int i =
+  if i >= 0 && i < Array.length small_ints then Array.unsafe_get small_ints i
+  else Int i
+
 let float f = Float f
 let str s = Str s
 let tup l = Tup l
@@ -35,10 +45,13 @@ let to_tup = function Tup l -> l | v -> type_error "tup" v
 
 let nth v i =
   match v with
-  | Tup l -> (
-      match List.nth_opt l i with
-      | Some x -> x
-      | None -> invalid_arg (Printf.sprintf "Value.nth: index %d" i))
+  | Tup l ->
+      (* A negative index never reaches 0, so it fails at the end. *)
+      let rec walk j = function
+        | x :: rest -> if j = 0 then x else walk (j - 1) rest
+        | [] -> invalid_arg (Printf.sprintf "Value.nth: index %d" i)
+      in
+      walk i l
   | v -> type_error "tup" v
 
 let set_nth v i x =

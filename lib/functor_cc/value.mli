@@ -12,7 +12,11 @@ type t =
   | Tup of t list
 
 val unit : t
+
 val int : int -> t
+(** Ints in 0..1023 share one preallocated box each; build [Int] only
+    through this function so every value gets them. *)
+
 val float : float -> t
 val str : string -> t
 val tup : t list -> t
@@ -27,7 +31,8 @@ val to_str : t -> string
 val to_tup : t -> t list
 
 val nth : t -> int -> t
-(** Field access on a [Tup]. *)
+(** Field access on a [Tup].  Raises [Invalid_argument] for an index
+    outside the tuple and for a value that is not a [Tup]. *)
 
 val set_nth : t -> int -> t -> t
 (** Functional field update on a [Tup]. *)

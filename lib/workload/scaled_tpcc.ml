@@ -19,13 +19,27 @@ let default_cfg ~n_servers ~districts_per_host =
     ol_max = 15;
     invalid_item_fraction = 0.01 }
 
-let dnoid_key d = Printf.sprintf "d:%d:noid" d
-let cust_key ~d c = Printf.sprintf "d:%d:cust:%d" d c
-let item_key i = Printf.sprintf "i:%d:item" i
-let stock_key i = Printf.sprintf "i:%d:stock" i
-let order_key ~d ~o = Printf.sprintf "d:%d:order:%d" d o
-let neworder_key ~d ~o = Printf.sprintf "d:%d:no:%d" d o
-let orderline_key ~d ~o ~n = Printf.sprintf "d:%d:ol:%d:%d" d o n
+(* District, item and stock keys name a fixed domain: they come from
+   tables that [load] and [generator] cover for the configuration (items
+   past the catalog included, for the invalid lines), so handlers, which
+   run after the load, find them there too.  Order, new-order and
+   order-line ids are unbounded. *)
+let dnoid_table = Keys.table (fun d -> Keys.int1 "d:" d ":noid")
+let item_table = Keys.table (fun i -> Keys.int1 "i:" i ":item")
+let stock_table = Keys.table (fun i -> Keys.int1 "i:" i ":stock")
+let dnoid_key d = Keys.get dnoid_table d
+let cust_key ~d c = Keys.int2 "d:" d ":cust:" c
+let item_key i = Keys.get item_table i
+let stock_key i = Keys.get stock_table i
+let order_key ~d ~o = Keys.int2 "d:" d ":order:" o
+let neworder_key ~d ~o = Keys.int2 "d:" d ":no:" o
+let orderline_key ~d ~o ~n = Keys.int3 "d:" d ":ol:" o n
+
+(* Invalid lines draw from [items + 1 .. items + 1000]. *)
+let cover_keys cfg =
+  Keys.cover dnoid_table cfg.districts;
+  Keys.cover item_table (cfg.items + 1001);
+  Keys.cover stock_table (cfg.items + 1001)
 
 type line = { item : int; qty : int }
 
@@ -101,6 +115,7 @@ let register ~register:reg =
   reg "stpcc_orderline" orderline_handler
 
 let load cfg ~put =
+  cover_keys cfg;
   for d = 0 to cfg.districts - 1 do
     put (dnoid_key d) (Value.int 1);
     for c = 0 to cfg.customers - 1 do
@@ -117,10 +132,14 @@ type generator = {
   cfg : cfg;
   rng : Sim.Rng.t;
   static_noid : (int, int ref) Hashtbl.t;
+  seen : int array; (* item -> the last draw that picked it *)
+  mutable draws : int;
 }
 
 let generator cfg ~seed =
-  { cfg; rng = Sim.Rng.create seed; static_noid = Hashtbl.create 256 }
+  cover_keys cfg;
+  { cfg; rng = Sim.Rng.create seed; static_noid = Hashtbl.create 256;
+    seen = Array.make cfg.items (-1); draws = 0 }
 
 let draw g =
   let cfg = g.cfg in
@@ -130,17 +149,14 @@ let draw g =
   let invalid = Sim.Rng.bernoulli g.rng cfg.invalid_item_fraction in
   let invalid_line = if invalid then Sim.Rng.int g.rng n_lines else -1 in
   (* Distinct items per order: one functor per key per transaction. *)
-  let seen = Hashtbl.create 16 in
-  let fresh_item () =
-    let rec draw () =
-      let i = Sim.Rng.int g.rng cfg.items in
-      if Hashtbl.mem seen i then draw ()
-      else begin
-        Hashtbl.add seen i ();
-        i
-      end
-    in
-    draw ()
+  g.draws <- g.draws + 1;
+  let rec fresh_item () =
+    let i = Sim.Rng.int g.rng cfg.items in
+    if g.seen.(i) = g.draws then fresh_item ()
+    else begin
+      g.seen.(i) <- g.draws;
+      i
+    end
   in
   let lines =
     List.init n_lines (fun n ->

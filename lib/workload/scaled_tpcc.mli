@@ -28,6 +28,10 @@ type cfg = {
 
 val default_cfg : n_servers:int -> districts_per_host:int -> cfg
 
+(** Keys are built without [Printf] ({!Keys}).  District, item and stock
+    keys come from tables that {!load} and {!generator} cover for their
+    configuration; the strings are the same either way. *)
+
 val dnoid_key : int -> string
 val item_key : int -> string
 val stock_key : int -> string

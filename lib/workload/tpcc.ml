@@ -25,19 +25,17 @@ let default_cfg ~n_servers ~warehouses_per_host =
 
 (* ---- keys -------------------------------------------------------------- *)
 
-let wytd_key w = Printf.sprintf "w:%d:wytd" w
-let dtax_key ~w ~d = Printf.sprintf "w:%d:dtax:%d" w d
-let dytd_key ~w ~d = Printf.sprintf "w:%d:dytd:%d" w d
-let dnoid_key ~w ~d = Printf.sprintf "w:%d:dnoid:%d" w d
-let cust_key ~w ~d c = Printf.sprintf "w:%d:cust:%d:%d" w d c
-let item_key ~w i = Printf.sprintf "w:%d:item:%d" w i
-let stock_key ~w i = Printf.sprintf "w:%d:stock:%d" w i
-let order_key ~w ~d ~o = Printf.sprintf "w:%d:order:%d:%d" w d o
-let neworder_key ~w ~d ~o = Printf.sprintf "w:%d:no:%d:%d" w d o
-
-let orderline_key ~w ~d ~o ~n = Printf.sprintf "w:%d:ol:%d:%d:%d" w d o n
-
-let hist_key ~w ~d ~c uid = Printf.sprintf "w:%d:hist:%d:%d:%d" w d c uid
+let wytd_key w = Keys.int1 "w:" w ":wytd"
+let dtax_key ~w ~d = Keys.int2 "w:" w ":dtax:" d
+let dytd_key ~w ~d = Keys.int2 "w:" w ":dytd:" d
+let dnoid_key ~w ~d = Keys.int2 "w:" w ":dnoid:" d
+let cust_key ~w ~d c = Keys.int3 "w:" w ":cust:" d c
+let item_key ~w i = Keys.int2 "w:" w ":item:" i
+let stock_key ~w i = Keys.int2 "w:" w ":stock:" i
+let order_key ~w ~d ~o = Keys.int3 "w:" w ":order:" d o
+let neworder_key ~w ~d ~o = Keys.int3 "w:" w ":no:" d o
+let orderline_key ~w ~d ~o ~n = Keys.int4 "w:" w ":ol:" d o n
+let hist_key ~w ~d ~c uid = Keys.int4 "w:" w ":hist:" d c uid
 
 (* ---- row encodings ------------------------------------------------------ *)
 

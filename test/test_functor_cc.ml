@@ -31,6 +31,57 @@ let test_value_equal_compare () =
   Alcotest.(check bool) "unequal" false
     (Value.equal a (Value.tup [ Value.int 2 ]))
 
+(* Every bad index raises the accessor's own message, negative ones
+   included, and a non-tuple raises the type error. *)
+let test_value_nth_bad_index () =
+  let t = Value.tup [ Value.int 1; Value.str "a" ] in
+  Alcotest.(check string) "last field" "a" (Value.to_str (Value.nth t 1));
+  List.iter
+    (fun i ->
+      Alcotest.check_raises
+        (Printf.sprintf "index %d" i)
+        (Invalid_argument (Printf.sprintf "Value.nth: index %d" i))
+        (fun () -> ignore (Value.nth t i)))
+    [ -1; min_int; 2; 3; max_int ];
+  Alcotest.check_raises "empty tuple" (Invalid_argument "Value.nth: index 0")
+    (fun () -> ignore (Value.nth (Value.tup []) 0));
+  Alcotest.check_raises "not a tuple"
+    (Invalid_argument "Value: expected tup, got int") (fun () ->
+      ignore (Value.nth (Value.int 3) 0))
+
+(* A small int is one shared box; equality, order, size and printing
+   cannot tell it from a fresh [Int], on either side of the shared range
+   and for negative ints. *)
+let prop_shared_ints_invisible =
+  QCheck2.Test.make ~name:"shared small ints are invisible" ~count:500
+    QCheck2.Gen.(
+      let near = oneof [ int_range (-3) 3; int_range 1020 1028 ] in
+      pair (oneof [ near; int_range (-2000) 2000; int ])
+        (oneof [ near; int_range (-2000) 2000; int ]))
+    (fun (a, b) ->
+      let sa = Value.int a and sb = Value.int b in
+      let fa = Value.Int a and fb = Value.Int b in
+      let box x y = Value.tup [ x; Value.str "k"; y ] in
+      Value.equal sa fa
+      && Value.equal sa fb = Value.equal fa fb
+      && Value.compare sa sb = Value.compare fa fb
+      && Value.compare sa fb = Value.compare fa fb
+      && Value.compare (box sa sb) (box fa fb) = 0
+      && Value.equal (box sa sb) (box fb fa)
+         = Value.equal (box fa fb) (box fb fa)
+      && Value.size_bytes sa = Value.size_bytes fa
+      && Value.size_bytes (box sa sb) = Value.size_bytes (box fa fb)
+      && String.equal (Value.to_string sa) (Value.to_string fa)
+      && String.equal
+           (Value.to_string (box sa sb))
+           (Value.to_string (box fa fb))
+      && Value.to_int sa = a
+      && Value.to_float sa = Value.to_float fa)
+
+let test_shared_ints_shared () =
+  Alcotest.(check bool) "0 shared" true (Value.int 0 == Value.int 0);
+  Alcotest.(check bool) "1023 shared" true (Value.int 1023 == Value.int 1023)
+
 (* ---- Ftype -------------------------------------------------------------- *)
 
 let test_ftype () =
@@ -50,6 +101,22 @@ let test_registry_duplicate () =
     (Invalid_argument "Registry.register: duplicate handler \"h\"") (fun () ->
       Registry.register r "h" (fun _ -> Registry.Abort));
   Alcotest.(check (list string)) "names" [ "h" ] (Registry.names r)
+
+let test_registry_arg_bad_index () =
+  let ctx =
+    { Registry.key = "k"; version = 1; reads = [];
+      args = [ Value.int 7; Value.str "x" ] }
+  in
+  Alcotest.(check string) "last arg" "x" (Value.to_str (Registry.arg ctx 1));
+  List.iter
+    (fun i ->
+      Alcotest.check_raises
+        (Printf.sprintf "index %d" i)
+        (Invalid_argument (Printf.sprintf "Registry.arg: index %d" i))
+        (fun () -> ignore (Registry.arg ctx i)))
+    [ -1; min_int; 2; max_int ];
+  Alcotest.check_raises "no args" (Invalid_argument "Registry.arg: index 0")
+    (fun () -> ignore (Registry.arg { ctx with Registry.args = [] } 0))
 
 (* ---- engine harness ------------------------------------------------------ *)
 
@@ -1032,7 +1099,12 @@ let suite =
   [ Alcotest.test_case "value accessors" `Quick test_value_accessors;
     Alcotest.test_case "value equal/compare" `Quick test_value_equal_compare;
     Alcotest.test_case "ftype" `Quick test_ftype;
+    Alcotest.test_case "value nth bad index" `Quick test_value_nth_bad_index;
+    QCheck_alcotest.to_alcotest prop_shared_ints_invisible;
+    Alcotest.test_case "small ints shared" `Quick test_shared_ints_shared;
     Alcotest.test_case "registry duplicate" `Quick test_registry_duplicate;
+    Alcotest.test_case "registry arg bad index" `Quick
+      test_registry_arg_bad_index;
     Alcotest.test_case "builtin add chain" `Quick test_builtin_add_chain;
     Alcotest.test_case "max/min" `Quick test_max_min;
     Alcotest.test_case "add on absent defaults to zero" `Quick

@@ -330,6 +330,107 @@ let test_tpcc_generator_distribution () =
     Alcotest.(check bool) "always distributed" true remote
   done
 
+(* ---- key builders ------------------------------------------------------ *)
+
+let stpcc_reference (d, i, o, n) =
+  [ Printf.sprintf "d:%d:noid" d; Printf.sprintf "d:%d:order:%d" d o;
+    Printf.sprintf "d:%d:no:%d" d o; Printf.sprintf "d:%d:ol:%d:%d" d o n;
+    Printf.sprintf "i:%d:item" i; Printf.sprintf "i:%d:stock" i ]
+
+let stpcc_keys (d, i, o, n) =
+  [ Stpcc.dnoid_key d; Stpcc.order_key ~d ~o; Stpcc.neworder_key ~d ~o;
+    Stpcc.orderline_key ~d ~o ~n; Stpcc.item_key i; Stpcc.stock_key i ]
+
+let tpcc_reference (w, d, i, o, n) =
+  [ Printf.sprintf "w:%d:wytd" w; Printf.sprintf "w:%d:dtax:%d" w d;
+    Printf.sprintf "w:%d:dytd:%d" w d; Printf.sprintf "w:%d:dnoid:%d" w d;
+    Printf.sprintf "w:%d:cust:%d:%d" w d n; Printf.sprintf "w:%d:item:%d" w i;
+    Printf.sprintf "w:%d:stock:%d" w i; Printf.sprintf "w:%d:order:%d:%d" w d o;
+    Printf.sprintf "w:%d:no:%d:%d" w d o;
+    Printf.sprintf "w:%d:ol:%d:%d:%d" w d o n ]
+
+let tpcc_keys (w, d, i, o, n) =
+  [ Tpcc.wytd_key w; Tpcc.dtax_key ~w ~d; Tpcc.dytd_key ~w ~d;
+    Tpcc.dnoid_key ~w ~d; Tpcc.cust_key ~w ~d n; Tpcc.item_key ~w i;
+    Tpcc.stock_key ~w i; Tpcc.order_key ~w ~d ~o; Tpcc.neworder_key ~w ~d ~o;
+    Tpcc.orderline_key ~w ~d ~o ~n ]
+
+(* Ids as the generators draw them, plus the ends: items inside the
+   catalog, past it (invalid lines, inside and outside the key tables)
+   and order ids past a million. *)
+let id_gen =
+  QCheck2.Gen.(
+    oneof
+      [ int_range 0 20; int_range 0 2_500; int_range 999_990 1_000_010;
+        int_range 0 max_int ])
+
+(* Loading covers the key tables: ids below 4 districts and 2,001 items
+   read them, the rest are built. *)
+let prop_stpcc_keys =
+  let loaded =
+    lazy
+      (Stpcc.load
+         (Stpcc.default_cfg ~n_servers:2 ~districts_per_host:2)
+         ~put:(fun _ _ -> ()))
+  in
+  QCheck2.Test.make ~name:"stpcc keys = sprintf" ~count:500
+    QCheck2.Gen.(quad id_gen id_gen id_gen id_gen)
+    (fun ids ->
+      Lazy.force loaded;
+      List.equal String.equal (stpcc_keys ids) (stpcc_reference ids))
+
+let prop_tpcc_keys =
+  QCheck2.Test.make ~name:"tpcc keys = sprintf" ~count:500
+    QCheck2.Gen.(tup5 id_gen id_gen id_gen id_gen id_gen)
+    (fun ids -> List.equal String.equal (tpcc_keys ids) (tpcc_reference ids))
+
+(* The builders write any int, sign and all. *)
+let prop_keys_any_int =
+  QCheck2.Test.make ~name:"Keys.int1..int4 = sprintf" ~count:1000
+    QCheck2.Gen.(quad int int int (oneofl [ min_int; max_int; -1; 0; 9; 10 ]))
+    (fun (a, x, y, z) ->
+      let module K = Workload.Keys in
+      String.equal (K.int1 "p" a ":s") (Printf.sprintf "p%d:s" a)
+      && String.equal (K.int2 "" a "" x) (Printf.sprintf "%d%d" a x)
+      && String.equal (K.int3 "a:" a ":m:" x y)
+           (Printf.sprintf "a:%d:m:%d:%d" a x y)
+      && String.equal (K.int4 "w:" a ":ol:" x y z)
+           (Printf.sprintf "w:%d:ol:%d:%d:%d" a x y z))
+
+(* Handlers build keys on worker domains under --runtime real: four
+   domains build keys at once, two of them growing a table while the
+   others read it, and every string matches the reference. *)
+let test_keys_four_domains () =
+  let table = Workload.Keys.table (fun i -> Workload.Keys.int1 "t:" i ":x") in
+  let ok =
+    Array.init 4 (fun dom ->
+        Domain.spawn (fun () ->
+            let ok = ref true in
+            for i = 0 to 3_000 do
+              if dom < 2 && i mod 50 = 0 then
+                Workload.Keys.cover table (i + 100);
+              let id = (i * 7) + dom in
+              let ids = (id mod 80, id, id + 1_000_000, i mod 15) in
+              ok :=
+                !ok
+                && String.equal (Workload.Keys.get table i)
+                     (Printf.sprintf "t:%d:x" i)
+                && List.equal String.equal (stpcc_keys ids)
+                     (stpcc_reference ids)
+                && List.equal String.equal
+                     (tpcc_keys (dom, id mod 10, id, id + 1_000_000, i mod 15))
+                     (tpcc_reference
+                        (dom, id mod 10, id, id + 1_000_000, i mod 15))
+            done;
+            !ok))
+  in
+  Array.iteri
+    (fun dom d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d" dom)
+        true (Domain.join d))
+    ok
+
 let suite =
   [ Alcotest.test_case "aloha tpcc neworder invariants" `Quick
       test_aloha_tpcc_neworder_invariants;
@@ -341,4 +442,8 @@ let suite =
     Alcotest.test_case "ycsb conservation" `Quick test_ycsb_aloha_conservation;
     Alcotest.test_case "ycsb generator shape" `Quick test_ycsb_generator_shape;
     Alcotest.test_case "tpcc generator distribution" `Quick
-      test_tpcc_generator_distribution ]
+      test_tpcc_generator_distribution;
+    QCheck_alcotest.to_alcotest prop_stpcc_keys;
+    QCheck_alcotest.to_alcotest prop_tpcc_keys;
+    QCheck_alcotest.to_alcotest prop_keys_any_int;
+    Alcotest.test_case "keys from four domains" `Quick test_keys_four_domains ]
