@@ -33,6 +33,47 @@ let micro () =
            done;
            ignore (Mvstore.Chain.find_le c ~version:128)))
   in
+  (* The two key indexes on the install path: an engine's key -> chain
+     table, and the process-wide intern table, each probed in a shuffled
+     order over keys that are all present.  Their keys stay live
+     (interned keys are never freed) and a bigger heap slows every later
+     test, so these two build their data when their turn comes and run
+     last. *)
+  let shuffled n =
+    let a = Array.init n Fun.id and rng = Sim.Rng.create 5 in
+    for i = n - 1 downto 1 do
+      let j = Sim.Rng.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    a
+  in
+  let table_chain () =
+    let n = 50_000 in
+    let keys =
+      Array.init n (fun i -> Mvstore.Key.intern (Printf.sprintf "micro:t:%d" i))
+    in
+    let t : int Mvstore.Table.t = Mvstore.Table.create () in
+    Array.iter (fun key -> ignore (Mvstore.Table.chain_of t key)) keys;
+    let keys = Array.map (fun i -> keys.(i)) (shuffled n) in
+    let i = ref 0 in
+    Test.make ~name:"mvstore.table chain (50k keys)"
+      (Staged.stage (fun () ->
+           i := (!i + 1) mod n;
+           ignore (Sys.opaque_identity (Mvstore.Table.chain t keys.(!i)))))
+  in
+  let intern_hit () =
+    let n = 400_000 in
+    let names = Array.init n (fun i -> Printf.sprintf "micro:k:%d" i) in
+    Array.iter (fun name -> ignore (Mvstore.Key.intern name)) names;
+    let names = Array.map (fun i -> names.(i)) (shuffled n) in
+    let i = ref 0 in
+    Test.make ~name:"mvstore.key intern hit (400k names)"
+      (Staged.stage (fun () ->
+           i := (!i + 1) mod n;
+           ignore (Sys.opaque_identity (Mvstore.Key.intern names.(!i)))))
+  in
   let ts_gen =
     let e = Sim.Engine.create () in
     let clk = Clocksync.Node_clock.perfect e in
@@ -239,15 +280,16 @@ let micro () =
   let wal_1k = wal_flush_ship ~log:1024 in
   let wal_32k = wal_flush_ship ~log:32_768 in
   let tests =
-    [ chain_insert; ts_gen; zipf; lock_manager; functor_compute;
-      epoch_planned; rng_bench; tracer_off; tracer_on; wal_1k;
-      wal_32k ]
+    List.map Fun.const
+      [ chain_insert; ts_gen; zipf; lock_manager; functor_compute;
+        epoch_planned; rng_bench; tracer_off; tracer_on; wal_1k; wal_32k ]
+    @ [ table_chain; intern_hit ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   List.iter
     (fun test ->
-      let results = Benchmark.all cfg instances test in
+      let results = Benchmark.all cfg instances (test ()) in
       let analysis =
         Analyze.all
           (Analyze.ols ~bootstrap:0 ~r_square:false

@@ -40,23 +40,18 @@ type batch = {
    node id and a sequence number and whose varying bits sit high (see
    {!Clocksync.Timestamp}), so the hash folds the high bits down before
    the table masks off the low ones. *)
-let mix_id x =
-  let x = (x lxor (x lsr 31)) * 0x3c6ef372fe94f82b in
-  let x = (x lxor (x lsr 29)) * 0x1ce4e5b9bf58476d in
-  x lxor (x lsr 32)
-
 module Txn_tbl = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
-  let hash = mix_id
+  let hash = Sim.Bits.mix
 end)
 
 module Txn_part_tbl = Hashtbl.Make (struct
   type t = int * int
 
   let equal (a, p) (b, q) = Int.equal a b && Int.equal p q
-  let hash (txn_id, partition) = mix_id txn_id + partition
+  let hash (txn_id, partition) = Sim.Bits.mix txn_id + partition
 end)
 
 (* ---- replication state -------------------------------------------------- *)

@@ -337,7 +337,7 @@ and apply_outcome t ~chain ~key ~ver record p outcome =
   finalize t ~chain ~key ~ver record p final
 
 and finalize t ~chain ~key ~ver record p final =
-  record.Funct.state <- Funct.Final final;
+  record.Funct.state <- Funct.final_state final;
   (match final with
   | Funct.Aborted_v -> incr t.m_aborts_computed
   | Funct.Committed _ | Funct.Deleted_v -> ());
@@ -565,7 +565,7 @@ let par_eval _t task =
             try handler ctx
             with Not_found | Invalid_argument _ -> Registry.Abort)
       in
-      pr.p_record.Funct.state <- Funct.Final (final_of_outcome outcome);
+      pr.p_record.Funct.state <- Funct.final_state (final_of_outcome outcome);
       refresh_watermark pr.p_chain;
       task.pt_out <-
         (match (task.pt_user, outcome, p.Funct.farg) with
@@ -672,7 +672,7 @@ let abort_version t ~key ~version =
                  in-epoch versions are invisible to reads until the epoch
                  closes (§III-D). *)
               incr t.m_aborted_in_epoch;
-              record.Funct.state <- Funct.Final Funct.Aborted_v)
+              record.Funct.state <- Funct.final_state Funct.Aborted_v)
       | Some _ | None -> ())
 
 let gc t ~before =

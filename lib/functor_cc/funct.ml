@@ -38,7 +38,25 @@ type state =
 
 type t = { mutable state : state }
 
-let mk_final f = { state = Final f }
+(* Most final versions hold a small int (counters, quantities), ABORTED
+   or DELETED.  Each of those states gets one block, built once and
+   shared by every record that reaches it; states are immutable, so no
+   caller can tell a shared block from a fresh one.  Records stay
+   distinct: only their [state] field points at the shared block. *)
+let small_committed =
+  Array.init 1024 (fun i -> Final (Committed (Value.int i)))
+
+let final_aborted = Final Aborted_v
+let final_deleted = Final Deleted_v
+
+let final_state = function
+  | Committed (Value.Int i) when i >= 0 && i < Array.length small_committed ->
+      Array.unsafe_get small_committed i
+  | Aborted_v -> final_aborted
+  | Deleted_v -> final_deleted
+  | Committed _ as f -> Final f
+
+let mk_final f = { state = final_state f }
 
 let mk_value v = mk_final (Committed v)
 

@@ -60,6 +60,11 @@ type state =
 
 type t = { mutable state : state }
 
+val final_state : final -> state
+(** [Final f], shared: every small int (0..1023), ABORTED and DELETED
+    has one preallocated block, returned instead of a fresh one.  Write
+    final states through this. *)
+
 val mk_final : final -> t
 val mk_value : Value.t -> t
 

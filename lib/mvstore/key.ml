@@ -6,16 +6,23 @@
    names, which is exactly the behaviour a per-run table would give for a
    single run, without threading an interner through every constructor.
 
+   The table is one flat array of records, probed linearly from
+   [Hashtbl.hash name] and compared with [String.equal]; empty slots hold
+   the shared [vacant] record.  A second array maps id -> record for
+   {!of_id}.  Both grow x2 and start small, so a process that interns a
+   few dozen keys pays a few hundred bytes.  Against a [Hashtbl] this
+   drops one cell (4 words) per key.
+
    Domain safety (--runtime real): the table is process-global mutable
    state, so [intern] takes a mutex.  The whole lookup is inside the
    critical section — not just the miss path — because a concurrent
-   [Hashtbl.add] can resize the table out from under a lock-free
-   [find_opt].  The lock is uncontended in practice (the real runtime's
-   worker domains never intern: read sets are staged and dependent keys
-   interned on the orchestrating domain), so the cost is a single
-   uncontended lock/unlock — a few tens of nanoseconds on the install
-   path, which the interning regression test hammers from 4 domains to
-   keep honest. *)
+   insert can grow the table out from under a lock-free probe.  The lock
+   is uncontended in practice (the real runtime's worker domains never
+   intern: read sets are staged and dependent keys interned on the
+   orchestrating domain), so the cost is a single uncontended
+   lock/unlock — a few tens of nanoseconds on the install path, which
+   the interning regression test hammers from 4 domains to keep
+   honest. *)
 
 type t = {
   id : int;
@@ -28,30 +35,61 @@ type t = {
          from the orchestrating domain only (see [memo_int]). *)
 }
 
-let table : (string, t) Hashtbl.t = Hashtbl.create 65_536
+let vacant = { id = -1; name = ""; memo_stamp = -1; memo = 0 }
+let slots = ref (Array.make 64 vacant) (* length a power of two *)
+let by_id = ref (Array.make 64 vacant)
 let next_id = ref 0
 let lock = Mutex.create ()
 
+(* Index of [name]'s slot, or of the vacant slot where it belongs. *)
+let slot slots name =
+  let mask = Array.length slots - 1 in
+  let rec go i =
+    let k = Array.unsafe_get slots i in
+    if k == vacant || String.equal k.name name then i
+    else go ((i + 1) land mask)
+  in
+  go (Hashtbl.hash name land mask)
+
+(* Grow x2 once more than 4/5 of the slots are taken: a flat slot costs
+   one word, so at a load of 0.4-0.8 a key pays 10-20 bytes here. *)
+let grow_slots () =
+  let old = !slots in
+  let fresh = Array.make (2 * Array.length old) vacant in
+  Array.iter (fun k -> if k != vacant then fresh.(slot fresh k.name) <- k) old;
+  slots := fresh
+
+let add name i =
+  let id = !next_id in
+  let k = { id; name; memo_stamp = -1; memo = 0 } in
+  !slots.(i) <- k;
+  if id = Array.length !by_id then begin
+    let fresh = Array.make (2 * id) vacant in
+    Array.blit !by_id 0 fresh 0 id;
+    by_id := fresh
+  end;
+  !by_id.(id) <- k;
+  next_id := id + 1;
+  if 5 * !next_id > 4 * Array.length !slots then grow_slots ();
+  k
+
 let intern name =
   Mutex.lock lock;
-  let k =
-    match Hashtbl.find_opt table name with
-    | Some k -> k
-    | None ->
-        let k = { id = !next_id; name; memo_stamp = -1; memo = 0 } in
-        incr next_id;
-        Hashtbl.add table name k;
-        k
-  in
+  let i = slot !slots name in
+  let k = !slots.(i) in
+  let k = if k == vacant then add name i else k in
   Mutex.unlock lock;
   k
+
+let of_id id =
+  if id < 0 || id >= !next_id then invalid_arg "Key.of_id";
+  !by_id.(id)
 
 let id k = k.id
 let name k = k.name
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
 let hash k = k.id
-let interned_count () = !next_id
 
 let next_stamp = ref 0
 

@@ -14,13 +14,16 @@ val intern : string -> t
 val id : t -> int
 (** Dense id, assigned in intern order starting at 0. *)
 
+val of_id : int -> t
+(** The record with this id.  Raises [Invalid_argument] for an id not yet
+    assigned.  Not synchronized with {!intern}: call it from the
+    orchestrating domain only, never while worker domains intern. *)
+
 val name : t -> string
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-
-val interned_count : unit -> int
 
 val new_stamp : unit -> int
 (** Fresh generation stamp for {!memo_int} users (e.g. a cluster caching

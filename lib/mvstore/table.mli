@@ -7,8 +7,8 @@
     enforced by the read path in the functor layer, which supplies the
     epoch-start bound.
 
-    Keys are interned ({!Key.t}); the table hashes their dense int ids, so
-    a lookup costs an int probe rather than a string hash. *)
+    Keys are interned ({!Key.t}); the table probes a flat array of their
+    int ids, so a lookup costs an int probe rather than a string hash. *)
 
 type 'a t
 
@@ -16,7 +16,7 @@ type put_error =
   [ `Duplicate_version  (** the (key, version) pair already exists *)
   | `Version_out_of_window  (** version outside the allowed window *) ]
 
-val create : ?initial_capacity:int -> unit -> 'a t
+val create : unit -> 'a t
 
 val put :
   'a t -> key:Key.t -> version:int -> lo:int -> hi:int -> 'a ->
@@ -39,10 +39,9 @@ val chain_of : 'a t -> Key.t -> 'a Chain.t
 
 val find_le : 'a t -> key:Key.t -> version:int -> (int * 'a) option
 
-val update : 'a t -> key:Key.t -> version:int -> 'a -> bool
-
 val iter : 'a t -> f:(Key.t -> 'a Chain.t -> unit) -> unit
-(** Visit every (key, chain) pair without materialising a key list. *)
+(** Visit every (key, chain) pair without materialising a key list, in
+    no particular order.  Keys [f] adds may or may not be visited. *)
 
 val fold_chains : 'a t -> init:'b -> f:(Key.t -> 'a Chain.t -> 'b -> 'b) -> 'b
 

@@ -19,3 +19,10 @@ let ceil_pow2 v =
   if v <= 0 then invalid_arg "Bits.ceil_pow2: non-positive";
   if v = 1 then 1
   else 1 lsl (63 - count_leading_zeros (v - 1))
+
+(* Two multiply-xorshift rounds: every input bit reaches the low bits,
+   which power-of-two tables mask off. *)
+let mix x =
+  let x = (x lxor (x lsr 31)) * 0x3c6ef372fe94f82b in
+  let x = (x lxor (x lsr 29)) * 0x1ce4e5b9bf58476d in
+  x lxor (x lsr 32)

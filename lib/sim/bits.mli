@@ -6,3 +6,7 @@ val count_leading_zeros : int -> int
 
 val ceil_pow2 : int -> int
 (** Smallest power of two >= the argument (argument must be positive). *)
+
+val mix : int -> int
+(** Integer hash for tables that mask off the low bits: spreads ids whose
+    varying bits sit high or follow a stride. *)

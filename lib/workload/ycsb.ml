@@ -14,7 +14,7 @@ let cfg_of_contention_index ?(keys_per_partition = 100_000) ci =
   let hot = if hot < 1 then 1 else hot in
   { keys_per_partition; hot_keys = hot; rw_keys = 10; distributed = true }
 
-let key ~partition idx = Printf.sprintf "y:%d:%d" partition idx
+let key ~partition idx = Keys.int2 "y:" partition ":" idx
 
 (* Process-wide cache of key names, one array per partition.  Names depend
    only on (partition, idx), so the load phase and every generator — across

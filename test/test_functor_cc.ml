@@ -379,6 +379,98 @@ let test_abort_version_pending () =
   (* notify fired exactly once for the aborted functor *)
   Alcotest.(check int) "one final notification" 1 (List.length !(h.finals))
 
+(* Final states for small ints, ABORTED and DELETED are shared blocks.
+   Sharing must not show: records stay distinct, aborting one version
+   leaves another with the same value alone, and printing, a recovery
+   snapshot and its replay treat shared and fresh states alike, for ints
+   on both sides of the shared range. *)
+let test_shared_final_states_invisible () =
+  let h = mk_engine () in
+  List.iter (fun key -> load_initial h ~key (Value.int 0)) [ "a"; "b" ];
+  List.iter
+    (fun key ->
+      install_pending h ~key ~version:5 ~ftype:Ftype.Add
+        ~farg:(Funct.farg_args [ Value.int 7 ]);
+      compute_key h ~key ~version:5)
+    [ "a"; "b" ];
+  let record key =
+    match Mvstore.Table.chain (Engine.table h.engine) (ik key) with
+    | Some c -> Option.get (Mvstore.Chain.find_exact c ~version:5)
+    | None -> Alcotest.fail "no chain"
+  in
+  let ra = record "a" and rb = record "b" in
+  Alcotest.(check bool) "distinct records" false (ra == rb);
+  Alcotest.(check bool) "one shared state" true
+    (ra.Funct.state == rb.Funct.state);
+  abort_version h ~key:"a" ~version:5;
+  Alcotest.(check (option int)) "aborted rolls back" (Some 0)
+    (get_int h ~key:"a" ~version:9);
+  Alcotest.(check (option int)) "sibling untouched" (Some 7)
+    (get_int h ~key:"b" ~version:9);
+  let show r = Format.asprintf "%a" Funct.pp r in
+  Alcotest.(check string) "sibling state" "VALUE 7" (show rb);
+  let ints = [ 0; 3; 1023; 1024; 5000; -1 ] in
+  let fresh f = { Funct.state = Funct.Final f } in
+  List.iter
+    (fun i ->
+      Alcotest.(check string)
+        (Printf.sprintf "pp %d" i)
+        (show (fresh (Funct.Committed (Value.Int i))))
+        (show (Funct.mk_value (Value.int i))))
+    ints;
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "pp ABORTED/DELETED" (show (fresh f))
+        (show (Funct.mk_final f)))
+    [ Funct.Aborted_v; Funct.Deleted_v ];
+  (* The same versions, stored once through the shared path and once as
+     fresh boxes: equal snapshots, equal replays. *)
+  let stored mk vint =
+    let h = mk_engine () in
+    let finals =
+      (ik "snap:del", Funct.Deleted_v)
+      :: List.map
+           (fun i ->
+             (ik (Printf.sprintf "snap:%d" i), Funct.Committed (vint i)))
+           ints
+    in
+    List.iteri
+      (fun v (key, f) ->
+        match
+          Engine.install h.engine ~key ~version:(v + 1) ~lo:0 ~hi:max_int
+            (mk f)
+        with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "install failed")
+      finals;
+    h
+  in
+  let snapshot h =
+    Alohadb.Recovery.snapshot_of_engine h.engine
+    |> List.map (fun (k, v, spec) ->
+           ( Mvstore.Key.name k, v,
+             show (Alohadb.Message.functor_of_fspec spec ~txn_id:0
+                     ~coordinator:0) ))
+    |> List.sort compare
+  in
+  let replayed h =
+    let r = mk_engine () in
+    ignore
+      (Alohadb.Recovery.replay ~engine:r.engine
+         ~snapshot:(Alohadb.Recovery.snapshot_of_engine h.engine) ~entries:[]);
+    List.map
+      (fun i -> get_int r ~key:(Printf.sprintf "snap:%d" i) ~version:max_int)
+      ints
+  in
+  let shared_h = stored Funct.mk_final Value.int in
+  let fresh_h = stored fresh (fun i -> Value.Int i) in
+  Alcotest.(check (list (triple string int string))) "snapshots"
+    (snapshot fresh_h) (snapshot shared_h);
+  Alcotest.(check (list (option int))) "replays" (replayed fresh_h)
+    (replayed shared_h);
+  Alcotest.(check (list (option int))) "replayed values"
+    (List.map Option.some ints) (replayed shared_h)
+
 let test_recipient_push_emitted () =
   let registry = Registry.create () in
   Registry.register registry "recv" (fun ctx ->
@@ -1124,6 +1216,8 @@ let suite =
     Alcotest.test_case "abort rolls back final" `Quick
       test_abort_version_rolls_back_final;
     Alcotest.test_case "abort pending" `Quick test_abort_version_pending;
+    Alcotest.test_case "shared final states invisible" `Quick
+      test_shared_final_states_invisible;
     Alcotest.test_case "recipient push" `Quick test_recipient_push_emitted;
     Alcotest.test_case "optimistic validation" `Quick
       test_optimistic_validation;

@@ -89,15 +89,44 @@ let test_key_interning () =
   ignore (Mvstore.Key.memo_int a ~stamp:s2 ~f);
   Alcotest.(check int) "new stamp recomputes" 2 !calls
 
+(* Fresh names get consecutive ids, a repeated name its record back, and
+   [of_id] finds every record across several doublings of both arrays. *)
+let test_intern_dense_of_id () =
+  let fresh = Array.init 5_000 (fun i -> ik (Printf.sprintf "dense:%d" i)) in
+  let id0 = Mvstore.Key.id fresh.(0) in
+  Array.iteri
+    (fun i k ->
+      if Mvstore.Key.id k <> id0 + i then
+        Alcotest.failf "id of name %d: %d, want %d" i (Mvstore.Key.id k)
+          (id0 + i))
+    fresh;
+  Array.iteri
+    (fun i k ->
+      if ik (Printf.sprintf "dense:%d" i) != k then
+        Alcotest.failf "name %d: re-intern returned another record" i;
+      if Mvstore.Key.of_id (Mvstore.Key.id k) != k then
+        Alcotest.failf "of_id of name %d: another record" i)
+    fresh;
+  let next = id0 + Array.length fresh in
+  Alcotest.check_raises "unassigned id" (Invalid_argument "Key.of_id")
+    (fun () -> ignore (Mvstore.Key.of_id next));
+  Alcotest.check_raises "negative id" (Invalid_argument "Key.of_id")
+    (fun () -> ignore (Mvstore.Key.of_id (-1)))
+
 (* Regression for the intern mutex (--runtime real): 4 domains hammer the
    global intern table with a mix of shared names (every domain must get
    the same record — checked via stable ids) and per-domain fresh names
-   (which force concurrent Hashtbl growth, the resize race that makes a
-   lock-free find_opt unsafe).  Before the mutex this segfaulted or
-   returned duplicate records under parallel load. *)
+   (which force concurrent growth of the intern arrays, the race that
+   makes a lock-free probe unsafe).  Before the mutex this segfaulted or
+   returned duplicate records under parallel load.  Meanwhile the
+   orchestrating domain interns its own keys and grows a [Table.t] over
+   them. *)
 let test_intern_four_domain_hammer () =
   let n_shared = 32 in
-  let iters = 4_000 in
+  (* More fresh names than are interned so far: both intern arrays
+     double at least once during the hammer. *)
+  let interned = Mvstore.Key.id (ik "hammer:count") in
+  let iters = max 4_000 (interned / 2 + 1) in
   let shared = Array.init n_shared (fun i -> Printf.sprintf "hammer:s:%d" i) in
   let results =
     Array.init 4 (fun d ->
@@ -116,7 +145,20 @@ let test_intern_four_domain_hammer () =
             done;
             (ids, !stable)))
   in
+  let table : int Table.t = Table.create () in
+  let own = Array.init 3_000 (fun i -> ik (Printf.sprintf "hammer:t:%d" i)) in
+  Array.iteri
+    (fun i k -> ignore (Table.put_unchecked table ~key:k ~version:1 i))
+    own;
   let out = Array.map Domain.join results in
+  let seen = Array.make (Array.length own) 0 in
+  Table.iter table ~f:(fun k chain ->
+      match Chain.find_exact chain ~version:1 with
+      | Some i when own.(i) == k -> seen.(i) <- seen.(i) + 1
+      | _ ->
+          Alcotest.failf "table: %s on the wrong chain" (Mvstore.Key.name k));
+  Alcotest.(check bool) "table visits each key once" true
+    (Array.for_all (( = ) 1) seen);
   Array.iteri
     (fun d (_, stable) ->
       Alcotest.(check bool)
@@ -138,6 +180,105 @@ let test_intern_four_domain_hammer () =
         ids0.(i)
         (Mvstore.Key.id (ik name)))
     shared
+
+(* qcheck: a random op sequence keeps the flat table agreeing with a
+   [Hashtbl] model keyed by id.  Keys are dense (consecutive ids) or
+   sparse (every 10th id) and up to a few hundred per case, so the table
+   doubles several times from its initial 8 slots. *)
+let key_pool = lazy (Array.init 4_000 (fun i -> ik (Printf.sprintf "tq:%d" i)))
+
+let prop_table_matches_model =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [ (4, map (fun k -> `Chain_of k) (int_range 0 399));
+        (4,
+         map3
+           (fun k v (lo, x) -> `Put (k, v, lo, x))
+           (int_range 0 399) (int_range 0 20)
+           (pair (int_range 0 20) (int_range 0 999)));
+        (2, map (fun k -> `Chain k) (int_range 0 399));
+        (2,
+         map2 (fun k v -> `Find_le (k, v)) (int_range 0 399) (int_range 0 25));
+        (1, pure `Walk) ]
+  in
+  QCheck2.Test.make ~name:"table = Hashtbl model" ~count:200
+    (pair bool (list_size (int_range 1 600) op))
+    (fun (sparse, ops) ->
+      let pool = Lazy.force key_pool in
+      let key i = pool.(if sparse then 10 * i else i) in
+      let t : int Table.t = Table.create () in
+      let model : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
+      let model_chain k =
+        Option.map
+          (List.sort (fun (a, _) (b, _) -> compare a b))
+          (Hashtbl.find_opt model (Mvstore.Key.id k))
+      in
+      let chain_agrees k c =
+        let vs = Chain.fold c ~init:[] ~f:(fun acc v x -> (v, x) :: acc) in
+        Some (List.rev vs) = model_chain k
+      in
+      let walk_agrees () =
+        let seen = Hashtbl.create 16 in
+        let once = ref true in
+        Table.iter t ~f:(fun k c ->
+            if Hashtbl.mem seen (Mvstore.Key.id k) then once := false;
+            Hashtbl.replace seen (Mvstore.Key.id k) ();
+            if not (chain_agrees k c) then once := false);
+        let folded =
+          Table.fold_chains t ~init:[] ~f:(fun k _ acc ->
+              Mvstore.Key.id k :: acc)
+        in
+        !once
+        && Hashtbl.length seen = Hashtbl.length model
+        && List.sort compare folded
+           = List.sort compare
+               (Hashtbl.fold (fun id _ acc -> id :: acc) model [])
+        && Table.key_count t = Hashtbl.length model
+        && Table.record_count t
+           = Hashtbl.fold (fun _ l acc -> acc + List.length l) model 0
+      in
+      List.for_all
+        (function
+          | `Chain_of i ->
+              let k = key i in
+              let c = Table.chain_of t k in
+              if not (Hashtbl.mem model (Mvstore.Key.id k)) then
+                Hashtbl.add model (Mvstore.Key.id k) [];
+              chain_agrees k c
+              && (match Table.chain t k with Some c' -> c == c' | None -> false)
+          | `Put (i, v, lo, x) -> (
+              let k = key i in
+              let hi = lo + 5 in
+              let id = Mvstore.Key.id k in
+              match Table.put t ~key:k ~version:v ~lo ~hi x with
+              | Error `Version_out_of_window -> v < lo || v > hi
+              | Error `Duplicate_version ->
+                  List.mem_assoc v (Option.value ~default:[] (model_chain k))
+              | Ok () ->
+                  let l =
+                    Option.value ~default:[] (Hashtbl.find_opt model id)
+                  in
+                  Hashtbl.replace model id ((v, x) :: l);
+                  (not (List.mem_assoc v l)) && lo <= v && v <= hi)
+          | `Chain i -> (
+              let k = key i in
+              match (Table.chain t k, model_chain k) with
+              | None, None -> true
+              | Some c, Some _ -> chain_agrees k c
+              | _ -> false)
+          | `Find_le (i, v) ->
+              let k = key i in
+              let want =
+                Option.bind (model_chain k) (fun l ->
+                    List.fold_left
+                      (fun acc (v', x) -> if v' <= v then Some (v', x) else acc)
+                      None l)
+              in
+              Table.find_le t ~key:k ~version:v = want
+          | `Walk -> walk_agrees ())
+        ops
+      && walk_agrees ())
 
 let test_table_window () =
   let t : int Table.t = Table.create () in
@@ -336,6 +477,8 @@ let prop_chain_ops_match_reference =
 
 let suite =
   [ Alcotest.test_case "key interning" `Quick test_key_interning;
+    Alcotest.test_case "intern dense ids and of_id" `Quick
+      test_intern_dense_of_id;
     Alcotest.test_case "intern 4-domain hammer" `Quick
       test_intern_four_domain_hammer;
     Alcotest.test_case "chain insert/find" `Quick test_chain_insert_find;
@@ -348,4 +491,5 @@ let suite =
     Alcotest.test_case "table window" `Quick test_table_window;
     Alcotest.test_case "table counts" `Quick test_table_counts;
     QCheck_alcotest.to_alcotest prop_chain_matches_reference;
-    QCheck_alcotest.to_alcotest prop_chain_ops_match_reference ]
+    QCheck_alcotest.to_alcotest prop_chain_ops_match_reference;
+    QCheck_alcotest.to_alcotest prop_table_matches_model ]

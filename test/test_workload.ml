@@ -384,13 +384,17 @@ let prop_tpcc_keys =
     QCheck2.Gen.(tup5 id_gen id_gen id_gen id_gen id_gen)
     (fun ids -> List.equal String.equal (tpcc_keys ids) (tpcc_reference ids))
 
-(* The builders write any int, sign and all. *)
+(* The builders write any int, sign and all; YCSB keys are built by one. *)
 let prop_keys_any_int =
   QCheck2.Test.make ~name:"Keys.int1..int4 = sprintf" ~count:1000
     QCheck2.Gen.(quad int int int (oneofl [ min_int; max_int; -1; 0; 9; 10 ]))
     (fun (a, x, y, z) ->
       let module K = Workload.Keys in
       String.equal (K.int1 "p" a ":s") (Printf.sprintf "p%d:s" a)
+      && String.equal (Ycsb.key ~partition:a x)
+           (Printf.sprintf "y:%d:%d" a x)
+      && String.equal (Ycsb.key ~partition:z y)
+           (Printf.sprintf "y:%d:%d" z y)
       && String.equal (K.int2 "" a "" x) (Printf.sprintf "%d%d" a x)
       && String.equal (K.int3 "a:" a ":m:" x y)
            (Printf.sprintf "a:%d:m:%d:%d" a x y)
