@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check clean bench bench-smoke bench-guard bench-real real-smoke e2e-pair figs-pair chaos chaos-smoke chaos-digests replication replication-smoke availability fastpath fastpath-smoke obs-smoke
+.PHONY: all build test fmt check clean bench bench-smoke bench-guard real-smoke e2e-pair figs-pair chaos chaos-smoke chaos-digests replication replication-smoke availability fastpath fastpath-smoke obs-smoke
 
 all: build
 
@@ -8,30 +8,26 @@ build:
 test:
 	dune runtest
 
-# Full benchmark sweep (all figures at quick scale + micro suite).
+# Full benchmark sweep (all figures at quick scale + micro suite); every
+# bench/main.exe run writes its measurement records to BENCH.jsonl.
 bench:
-	dune exec bench/main.exe -- --json all
+	dune exec bench/main.exe -- all
 
-# CI smoke: one macro figure + the micro suite, with JSON emission, so the
-# bench binary and BENCH_*.json output can't silently rot.
+# CI smoke: one macro figure + the micro suite + a traced run's telemetry
+# record, all through the record gate, so the bench binary and its
+# records can't silently rot.
 bench-smoke:
-	dune exec bench/main.exe -- --json fig6 micro
+	dune exec bench/main.exe -- fig6 micro
 	dune exec bin/alohadb_cli.exe -- trace --engine aloha --sample 16 \
-	  --out TRACE_aloha.json --telemetry TELEMETRY.json
+	  --out TRACE_aloha.json --telemetry TELEMETRY.jsonl
+	python3 ci/check_bench_regression.py BENCH.jsonl TELEMETRY.jsonl
 
 # Compare the micro suite against the committed baseline; fails on >30%
 # ns/op regressions (see ci/check_bench_regression.py for how to update).
 bench-guard:
-	dune exec bench/main.exe -- --json micro
-	python3 ci/check_bench_regression.py BENCH_micro.json bench/baseline_micro.json
-
-# Wall-clock domain-scaling sweep for --runtime real: writes
-# BENCH_real.json (cpu-add + latency-bound series at 1/2/4/8 domains,
-# host core count recorded).  Numbers are machine-dependent; the checker
-# validates structure, it never compares them across machines.
-bench-real:
-	dune exec bench/main.exe -- --json real
-	python3 ci/check_bench_regression.py --validate-real BENCH_real.json
+	dune exec bench/main.exe -- micro
+	python3 ci/check_bench_regression.py BENCH.jsonl \
+	  --baseline bench/baseline_micro.jsonl
 
 # Paired end-to-end runs of BASE against the working tree: every
 # workload (or WORKLOADS="a b"), seeds 1-5 (or SEEDS=1,2,3), 20 s each,
@@ -47,11 +43,10 @@ e2e-pair:
 
 # Behaviour-neutrality check: the simulated figures (fig6-fig11,
 # ext-conventional, availability and fastpath, quick scale, plus the
-# BENCH_availability.json and BENCH_fastpath.json they write) of BASE
-# against the working tree, the two run side by side; exits 1 on any
-# difference.  BASE is exported with
-# git archive into a temporary directory; outputs land in
-# figs-pair/base.txt and figs-pair/head.txt.
+# BENCH.jsonl records they write, host blocks and wall times dropped) of
+# BASE against the working tree, the two run side by side; exits 1 on
+# any difference.  BASE is exported with git archive into a temporary
+# directory; outputs land in figs-pair/base.txt and figs-pair/head.txt.
 #   make figs-pair BASE=HEAD~1
 figs-pair:
 	@test -n "$(BASE)" || { echo "usage: make figs-pair BASE=<rev>"; exit 2; }
@@ -59,9 +54,8 @@ figs-pair:
 
 # CI smoke for the real runtime: pool + domain-determinism suites, the
 # interning hammer, the sim-vs-real equivalence oracle, end-to-end CLI
-# runs at 4 domains and at 1 (the caller alone: no domain spawned), a
-# Scaled TPC-C run whose user handlers evaluate on worker domains, and
-# the wall-clock sweep.
+# runs at 4 domains and at 1 (the caller alone: no domain spawned), and
+# a Scaled TPC-C run whose user handlers evaluate on worker domains.
 real-smoke:
 	dune exec test/test_main.exe -- test runtime
 	dune exec test/test_main.exe -- test mvstore
@@ -73,7 +67,6 @@ real-smoke:
 	  --measure-ms 100
 	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
 	  --runtime real --domains 1 --measure-ms 200
-	$(MAKE) bench-real
 
 # Randomized fault schedules against all three engines, 25 seeds each.
 # A failing (engine, seed) pair replays with:
@@ -117,20 +110,18 @@ replication-smoke:
 	  --replicas 3
 
 # The availability figure: committed-work-over-time under a permanent
-# primary crash at k = 1/2/3; writes BENCH_availability.json and
-# validates its structure.
+# primary crash at k = 1/2/3; writes its records to BENCH.jsonl and
+# runs the availability checks over them.
 availability:
 	dune exec bench/main.exe -- availability
-	python3 ci/check_bench_regression.py --validate-availability \
-	  BENCH_availability.json
+	python3 ci/check_bench_regression.py BENCH.jsonl
 
 # The latency-collapse figure: the counter-heavy workload with the
-# coordination-free commit lane off and on; writes BENCH_fastpath.json
-# and gates on the on-series p50 beating the off-series p50.
+# coordination-free commit lane off and on; writes its records to
+# BENCH.jsonl and gates on the on-series p50 beating the off-series p50.
 fastpath:
 	dune exec bench/main.exe -- fastpath
-	python3 ci/check_bench_regression.py --validate-fastpath \
-	  BENCH_fastpath.json
+	python3 ci/check_bench_regression.py BENCH.jsonl
 
 # CI smoke for the fast path: the dedicated test suite (classifier
 # unit + qcheck, interleaving oracle, on-vs-off equivalence, chaos

@@ -7,20 +7,16 @@
      dune exec bench/main.exe -- --full      -- all figures, paper scale
      dune exec bench/main.exe -- fig9        -- one figure
      dune exec bench/main.exe -- micro       -- Bechamel micro suite
-     dune exec bench/main.exe -- --json ...  -- also write BENCH_micro.json /
-                                                BENCH_macro.json in the cwd
-     dune exec bench/main.exe -- --json real -- wall-clock domain scaling;
-                                                writes BENCH_real.json only
-                                                (run it on its own, not mixed
-                                                with simulated targets)
      dune exec bench/main.exe -- availability -- committed-work-over-time
                                                 under a fixed crash schedule
-                                                at k = 1/2/3; always writes
-                                                BENCH_availability.json
+                                                at k = 1/2/3
      dune exec bench/main.exe -- fastpath    -- counter-heavy latency with
                                                 the coordination-free lane
-                                                off vs on; always writes
-                                                BENCH_fastpath.json *)
+                                                off vs on
+
+   Every run writes the measurement records it made (figure points, micro
+   ns/op, availability and fast-lane series, per-target wall time) to
+   BENCH.jsonl in the cwd; see Harness.Report. *)
 
 let micro () =
   let open Bechamel in
@@ -287,6 +283,7 @@ let micro () =
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
+  let estimates = ref [] in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances (test ()) in
@@ -299,141 +296,16 @@ let micro () =
       Hashtbl.iter
         (fun name ols ->
           match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-              Harness.Report.record_micro ~name ~ns_per_op:est;
+          | Some [ est ] when Float.is_finite est ->
+              estimates := (name, (est, "ns")) :: !estimates;
               Printf.printf "[micro] %-44s %12.1f ns/op\n%!" name est
           | Some _ | None ->
               Printf.printf "[micro] %-44s (no estimate)\n%!" name)
         analysis)
-    tests
-
-(* ---- real-runtime wall clock (BENCH_real.json) --------------------------- *)
-
-(* Wall-clock txn/s of the functor-computing phase on real OCaml 5 domains
-   (--runtime real): one closed epoch of commutative ADD-heavy YCSB-style
-   updates, planned and evaluated level by level (one task per key run) on
-   a Runtime.Pool, timed from plan build to last finalisation, at
-   1/2/4/8 domains.
-
-   Two series, because speedup has two different limiting resources:
-
-   - "cpu-add": built-in ADDs, pure CPU.  Scales with physical cores; on
-     a 1-core host this honestly reports ~1x (the pool can interleave but
-     not parallelise compute-bound work).
-   - "latency-bound": a user functor that blocks ~200us per evaluation (a
-     stand-in for the storage/WAL read a production evaluator performs)
-     and reads its own key, so each version is its own level of one node
-     per key.  Blocked time overlaps across domains even on 1 core, so
-     this series shows the real >=2x level-parallel win everywhere — it
-     is the shape ALOHA's compute phase takes whenever evaluation touches
-     storage.
-
-   The host core count is recorded in the JSON so readers can interpret
-   the cpu-add series; ci/check_bench_regression.py validates structure
-   only and never gates on these machine-dependent numbers. *)
-let real_epoch ~domains ~n_keys ~n_ops ~latency_bound =
-  let sim = Sim.Engine.create () in
-  let pool = Sim.Worker_pool.create sim ~workers:4 in
-  let registry = Functor_cc.Registry.with_builtins () in
-  Functor_cc.Registry.register registry "sladd" (fun ctx ->
-      (* simulated storage read on the evaluation path *)
-      Unix.sleepf 0.0002;
-      let cur =
-        match Functor_cc.Registry.read ctx ctx.Functor_cc.Registry.key with
-        | Some v -> Functor_cc.Value.to_int v
-        | None -> 0
-      in
-      Functor_cc.Registry.Commit
-        (Functor_cc.Value.int
-           (cur + Functor_cc.Value.to_int (Functor_cc.Registry.arg ctx 0))));
-  let metrics = Sim.Metrics.create () in
-  let callbacks =
-    { Functor_cc.Compute_engine.is_local = (fun _ -> true);
-      remote_get = (fun ~key:_ ~version:_ k -> k None);
-      send_push = (fun ~dst_key:_ ~version:_ ~src_key:_ _ -> ());
-      send_dep_write = (fun ~key:_ ~version:_ _ -> ());
-      notify_final = (fun ~key:_ ~version:_ ~pending:_ ~final:_ -> ());
-      exec = (fun ~cost k -> Sim.Worker_pool.submit pool ~cost k);
-      now = (fun () -> Sim.Engine.now sim) }
-  in
-  let e =
-    Functor_cc.Compute_engine.create ~registry ~callbacks ~compute_cost_us:1
-      ~metrics ()
-  in
-  let keys =
-    Array.init n_keys (fun i -> Mvstore.Key.intern (Printf.sprintf "rb%d" i))
-  in
-  Array.iter
-    (fun key ->
-      Functor_cc.Compute_engine.load_initial e ~key (Functor_cc.Value.int 0))
-    keys;
-  (* YCSB-style update stream: uniform key choice (YCSB-A shape), one ADD
-     per op, versions dense per key in draw order. *)
-  let rng = Sim.Rng.create 42 in
-  let next_version = Array.make n_keys 0 in
-  let items = ref [] in
-  for _ = 1 to n_ops do
-    let ki = Sim.Rng.int rng n_keys in
-    next_version.(ki) <- next_version.(ki) + 1;
-    let version = next_version.(ki) in
-    let key = keys.(ki) in
-    let funct =
-      if latency_bound then
-        Functor_cc.Funct.mk_pending
-          ~ftype:(Functor_cc.Ftype.User "sladd")
-          ~farg:
-            { Functor_cc.Funct.farg_empty with
-              read_set = [ key ];
-              args = [ Functor_cc.Value.int 1 ] }
-          ~txn_id:version ~coordinator:0
-      else
-        Functor_cc.Funct.mk_pending ~ftype:Functor_cc.Ftype.Add
-          ~farg:(Functor_cc.Funct.farg_args [ Functor_cc.Value.int 1 ])
-          ~txn_id:version ~coordinator:0
-    in
-    (match
-       Functor_cc.Compute_engine.install e ~key ~version ~lo:0 ~hi:max_int
-         funct
-     with
-    | Ok () -> ()
-    | Error _ -> failwith "bench real: install failed");
-    items := { Functor_cc.Processor.key; version } :: !items
-  done;
-  let rpool = Runtime.Pool.create ~domains in
-  let planner =
-    Functor_cc.Planner.create ~engine:e ~pool ~real:rpool ~dispatch_cost_us:1
-      ~metrics ()
-  in
-  let t0 = Unix.gettimeofday () in
-  ignore (Functor_cc.Planner.run planner ~items:!items);
-  Sim.Engine.run sim;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Runtime.Pool.shutdown rpool;
-  assert (Sim.Metrics.get metrics "plan.real_evaluated" = n_ops);
-  wall_s
-
-let real () =
-  let host_cores = Domain.recommended_domain_count () in
-  Printf.printf "[real] host cores: %d\n%!" host_cores;
-  let series ~name ~latency_bound ~n_keys ~n_ops =
-    let workload =
-      Printf.sprintf
-        "YCSB-A-style update-only, uniform over %d keys, %d %s/epoch" n_keys
-        n_ops
-        (if latency_bound then "sladd (200us blocking read)" else "ADD")
-    in
-    List.iter
-      (fun domains ->
-        let wall_s = real_epoch ~domains ~n_keys ~n_ops ~latency_bound in
-        Harness.Report.record_real ~series:name ~workload ~domains ~wall_s
-          ~txns:n_ops;
-        Printf.printf "[real] %-14s %d domain(s): %8.4f s  %10.0f txn/s\n%!"
-          name domains wall_s
-          (float_of_int n_ops /. wall_s))
-      [ 1; 2; 4; 8 ]
-  in
-  series ~name:"cpu-add" ~latency_bound:false ~n_keys:64 ~n_ops:16_384;
-  series ~name:"latency-bound" ~latency_bound:true ~n_keys:64 ~n_ops:1_024
+    tests;
+  Harness.Report.record
+    { Harness.Report.suite = "micro"; labels = [];
+      metrics = List.rev !estimates; extra = [] }
 
 (* The latency-collapse figure: one counter-heavy workload (YCSB is 10
    blind ADD-1s per txn — every transaction is all-commutative with an
@@ -441,8 +313,8 @@ let real () =
    and on.  Off, a commit waits for epoch close plus the computing phase
    (~13 ms at the 10 ms epoch); on, it commits at install-ack time, a
    couple of network round trips.  Simulated time, so the numbers are
-   deterministic; ci/check_bench_regression.py --validate-fastpath gates
-   on the on-p50 beating the off-p50. *)
+   deterministic; ci/check_bench_regression.py gates on the on-p50
+   beating the off-p50. *)
 let fastpath () =
   let aloha =
     match Harness.Setup.engine_of_name "aloha" with
@@ -458,33 +330,36 @@ let fastpath () =
       ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 4 })
       ~warmup_us:100_000 ~measure_us:1_000_000 ()
   in
-  let series =
-    List.map
-      (fun fastpath ->
-        let r = measure ~fastpath in
-        let fast_commits =
-          match List.assoc_opt "fastpath commits" r.Kernel.Result.counters with
-          | Some n -> n
-          | None -> 0
-        in
-        let mode = if fastpath then "on" else "off" in
-        Printf.printf
-          "[fastpath] %-3s: %6d committed  p50 %6d us  p99 %6d us  (%d via \
-           fast lane)\n%!"
-          mode r.Kernel.Result.committed r.Kernel.Result.lat_p50_us
-          r.Kernel.Result.lat_p99_us fast_commits;
-        { Harness.Report.fp_mode = mode;
-          fp_committed = r.Kernel.Result.committed;
-          fp_tps = r.Kernel.Result.throughput_tps;
-          fp_p50_us = r.Kernel.Result.lat_p50_us;
-          fp_p99_us = r.Kernel.Result.lat_p99_us;
-          fp_fast_commits = fast_commits })
-      [ false; true ]
+  let workload =
+    "ycsb ci=0.01 n=4, closed loop 4 clients/FE, 10 ADD-1 ops/txn"
   in
-  Harness.Report.write_fastpath ~path:"BENCH_fastpath.json"
-    ~workload:"ycsb ci=0.01 n=4, closed loop 4 clients/FE, 10 ADD-1 ops/txn"
-    ~series;
-  Printf.printf "wrote BENCH_fastpath.json\n%!"
+  List.iter
+    (fun fastpath ->
+      let r = measure ~fastpath in
+      let fast_commits =
+        match List.assoc_opt "fastpath commits" r.Kernel.Result.counters with
+        | Some n -> n
+        | None -> 0
+      in
+      let mode = if fastpath then "on" else "off" in
+      Printf.printf
+        "[fastpath] %-3s: %6d committed  p50 %6d us  p99 %6d us  (%d via \
+         fast lane)\n%!"
+        mode r.Kernel.Result.committed r.Kernel.Result.lat_p50_us
+        r.Kernel.Result.lat_p99_us fast_commits;
+      let count v = (float_of_int v, "count")
+      and us v = (float_of_int v, "sim_us") in
+      Harness.Report.record
+        { Harness.Report.suite = "fastpath";
+          labels = [ ("workload", workload); ("mode", mode) ];
+          metrics =
+            [ ("committed", count r.Kernel.Result.committed);
+              ("tps", (r.Kernel.Result.throughput_tps, "txn/sim_s"));
+              ("p50_us", us r.Kernel.Result.lat_p50_us);
+              ("p99_us", us r.Kernel.Result.lat_p99_us);
+              ("fastpath_commits", count fast_commits) ];
+          extra = [] })
+    [ false; true ]
 
 (* The availability figure: one fixed schedule — a primary crashed at
    20ms and kept dark past the run horizon — replayed at replication
@@ -508,31 +383,43 @@ let availability () =
         [ Chaos.Schedule.Crash
             { node = 1; at_us = 20_000; restart_at_us = 2_000_000 } ] }
   in
-  let series =
-    List.map
-      (fun replicas ->
-        let r = Chaos.Driver.run_schedule target ~replicas ~schedule in
-        if replicas > 1 && not (Chaos.Driver.passed r) then
-          failwith
-            (Printf.sprintf "availability: k=%d run violated invariants: %s"
-               replicas
-               (String.concat "; " r.Chaos.Driver.violations));
-        Printf.printf
-          "[availability] k=%d: %d/%d committed by horizon (%d samples)\n%!"
-          replicas r.Chaos.Driver.committed r.Chaos.Driver.submitted
-          (List.length r.Chaos.Driver.availability);
-        { Harness.Report.av_replicas = replicas;
-          av_engine = "aloha";
-          av_seed = seed;
-          av_submitted = r.Chaos.Driver.submitted;
-          av_completed = r.Chaos.Driver.committed;
-          av_points = r.Chaos.Driver.availability })
-      [ 1; 2; 3 ]
-  in
-  let sched_str = Format.asprintf "%a" Chaos.Schedule.pp schedule in
-  Harness.Report.write_availability ~path:"BENCH_availability.json"
-    ~schedule:sched_str ~series;
-  Printf.printf "wrote BENCH_availability.json\n%!"
+  let schedule_label = Format.asprintf "%a" Chaos.Schedule.pp schedule in
+  List.iter
+    (fun replicas ->
+      let r = Chaos.Driver.run_schedule target ~replicas ~schedule in
+      if replicas > 1 && not (Chaos.Driver.passed r) then
+        failwith
+          (Printf.sprintf "availability: k=%d run violated invariants: %s"
+             replicas
+             (String.concat "; " r.Chaos.Driver.violations));
+      let points = r.Chaos.Driver.availability in
+      Printf.printf
+        "[availability] k=%d: %d/%d committed by horizon (%d samples)\n%!"
+        replicas r.Chaos.Driver.committed r.Chaos.Driver.submitted
+        (List.length points);
+      let count v = (float_of_int v, "count") in
+      Harness.Report.record
+        { Harness.Report.suite = "availability";
+          labels =
+            [ ("engine", "aloha"); ("replicas", string_of_int replicas);
+              ("seed", string_of_int seed); ("schedule", schedule_label) ];
+          metrics =
+            [ ("submitted", count r.Chaos.Driver.submitted);
+              ("completed", count r.Chaos.Driver.committed);
+              ("samples", count (List.length points)) ];
+          (* the committed-over-time curve, [(t_us, committed)] samples
+             from the chaos driver's probe loop *)
+          extra =
+            [ ( "points",
+                "["
+                ^ String.concat ","
+                    (List.map
+                       (fun (t_us, committed) ->
+                         Printf.sprintf "{\"t_us\":%d,\"committed\":%d}" t_us
+                           committed)
+                       points)
+                ^ "]" ) ] })
+    [ 1; 2; 3 ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -540,7 +427,6 @@ let () =
     if List.mem "--full" args then Harness.Experiments.full
     else Harness.Experiments.quick
   in
-  if List.mem "--json" args then Harness.Report.enable ();
   let cmds =
     List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
   in
@@ -557,7 +443,6 @@ let () =
     | "ablation-dependent" -> Harness.Experiments.ablation_dependent scale
     | "ext-conventional" -> Harness.Experiments.ext_conventional scale
     | "micro" -> micro ()
-    | "real" -> real ()
     | "availability" -> availability ()
     | "fastpath" -> fastpath ()
     | "all" ->
@@ -567,32 +452,23 @@ let () =
         Printf.eprintf
           "unknown target %S (expected table1, fig6..fig11, \
            ablation-straggler, ablation-push, ablation-dependent, \
-           ext-conventional, micro, real, availability, fastpath, all)\n"
+           ext-conventional, micro, availability, fastpath, all)\n"
           other;
         exit 2
   in
+  (* host wall time per target: the one record that is not simulated *)
   let run cmd =
     let t0 = Unix.gettimeofday () in
     run_target cmd;
-    Harness.Report.record_fig_time ~fig:cmd
-      ~seconds:(Unix.gettimeofday () -. t0)
+    Harness.Report.record
+      { Harness.Report.suite = "target";
+        labels = [ ("target", cmd); ("scale", scale.Harness.Experiments.label) ];
+        metrics = [ ("wall_s", (Unix.gettimeofday () -. t0, "s")) ];
+        extra = [] }
   in
   (match cmds with
   | [] -> run "all"
   | cmds -> List.iter run cmds);
-  if Harness.Report.recording () then
-    if Harness.Report.real_recorded () then begin
-      (* the real target stands alone: wall-clock numbers go to their own
-         file so the simulated micro/macro baselines are never clobbered
-         by a machine-dependent run *)
-      Harness.Report.write_real
-        ~host_cores:(Domain.recommended_domain_count ())
-        "BENCH_real.json";
-      Printf.printf "wrote BENCH_real.json\n%!"
-    end
-    else begin
-      Harness.Report.write_micro "BENCH_micro.json";
-      Harness.Report.write_macro ~scale:scale.Harness.Experiments.label
-        "BENCH_macro.json";
-      Printf.printf "wrote BENCH_micro.json and BENCH_macro.json\n%!"
-    end
+  let records = Harness.Report.recorded () in
+  Harness.Report.write "BENCH.jsonl" records;
+  Printf.printf "wrote BENCH.jsonl (%d records)\n%!" (List.length records)

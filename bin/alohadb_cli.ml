@@ -415,7 +415,7 @@ let trace_cmd =
   let telemetry =
     Arg.(value & opt string ""
          & info [ "telemetry" ]
-             ~doc:"Also write a TELEMETRY.json run summary to this path.")
+             ~doc:"Also write the run's telemetry record (one JSON line) to this path.")
   in
   let run (sys_name, engine) n ci sample epoch_ms warmup_ms measure_ms seed
       out telemetry =
@@ -429,8 +429,9 @@ let trace_cmd =
       ~gauges:(Some (Obs.Ctl.gauges ctl))
       ();
     if telemetry <> "" then
-      Harness.Report.write_telemetry ~path:telemetry ~engine:sys_name
-        ~workload:"ycsb" ~result ?drops ~ctl ();
+      Harness.Report.write telemetry
+        [ Harness.Report.telemetry ~engine:sys_name ~workload:"ycsb" ~result
+            ?drops ~ctl () ];
     let tr = Obs.Ctl.trace ctl in
     Format.printf
       "wrote %s: %d events in ring (%d emitted, %d dropped, sampling 1/%d), \

@@ -1,227 +1,332 @@
 #!/usr/bin/env python3
-"""Fail CI when a micro-benchmark regresses past the threshold.
+"""Check measurement records, and fail CI when a micro-benchmark regresses.
 
 Usage:
-    python3 ci/check_bench_regression.py CURRENT_JSON... BASELINE_JSON
+    python3 ci/check_bench_regression.py FILE... [--baseline BASELINE]
+    python3 ci/check_bench_regression.py --validate-timeline TIMELINE.jsonl
 
-Compares ns/op per benchmark name against the committed baseline and
-exits non-zero if any benchmark is more than THRESHOLD slower (default
-30%, override with BENCH_REGRESSION_THRESHOLD, e.g. "0.5" for 50%).
-A benchmark present in the baseline but missing from the current run is
-also an error: coverage must not silently shrink.  New benchmarks are
-reported but do not fail the check until they are added to the baseline.
+Every FILE is JSONL, one measurement record per line, the shape that
+bench/main.exe (BENCH.jsonl), `alohadb_cli trace --telemetry` and
+bench/e2e write:
 
-More than one CURRENT_JSON may be given (e.g. a glob over the bench
-output directory): files whose "suite" field is not "micro" — telemetry
-summaries, Chrome traces, macro results — are skipped with a note, so
-new kinds of run artifacts never break the gate.  A "real"-suite file
-(BENCH_real.json, wall-clock domain scaling) is also skipped, but only
-after its structure validates — a malformed real file fails the run.
+    {"suite": S, "labels": {k: string},
+     "metrics": {name: {"value": number, "unit": string}},
+     "host": {"nproc": int, "ocaml": string, "commit": string}}
 
-    python3 ci/check_bench_regression.py --validate-real BENCH_real.json
+Other fields may ride beside these (an availability record carries its
+committed-over-time curve as "points").  The gate checks that shape for
+every record (finite values, non-empty units, a host block, no two
+records sharing suite and labels), then runs every check in CHECKS whose
+suite is present, over that suite's records from all the files.  Any
+failure exits 1.
 
-validates a real-suite file on its own (the bench-real / real-smoke CI
-lanes use this).
+With --baseline, the micro record among the FILEs is compared with the
+baseline's micro record: the run fails if any benchmark is more than
+THRESHOLD slower (default 30%, override with BENCH_REGRESSION_THRESHOLD,
+e.g. "0.5" for 50%) or if a baseline benchmark is missing, so coverage
+cannot silently shrink.  New benchmarks are reported but do not fail
+the check until they are added to the baseline.
 
-    python3 ci/check_bench_regression.py --validate-availability \
-        BENCH_availability.json
-
-validates an availability-suite file (committed-work-over-time series
-under a crash schedule at several replication degrees): schema, a
-series per degree with strictly increasing sample times and a monotone
-non-decreasing committed counter, completed <= submitted, and — the
-point of the figure — every replicated (k > 1) series must reach full
-completion, while the k = 1 baseline may plateau.  Like the real suite
-there is no numeric gate beyond that: the curves are the artifact.
-
-    python3 ci/check_bench_regression.py --validate-fastpath \
-        BENCH_fastpath.json
-
-validates a fastpath-suite file (the latency-collapse figure: one
-counter-heavy workload with the coordination-free commit lane off and
-on): schema, exactly one "off" and one "on" series, sane percentiles
-(0 < p50 <= p99), fast-lane commits only in the on series — and the
-headline gate, the on-series p50 must be strictly below the off-series
-p50.  Both runs are simulated time, so unlike the real suite this IS a
-deterministic numeric gate.
-
-    python3 ci/check_bench_regression.py --validate-timeline \
-        TIMELINE.jsonl
-
-validates an epoch-ledger timeline (the append-only JSONL the
-`alohadb_cli timeline` subcommand emits; one meta-delimited segment per
-run).  It is a language-independent re-statement of the OCaml doctor
-(`alohadb_cli doctor` / Obs.Analyze.check): per-line schema by "type"
-(meta / epoch / event / stratum), contiguous closed epochs per node,
-monotone watermarks (a crash of that node between two closes excuses a
-reset), every crash in a replicated segment followed by a restart or a
-promotion, and every promotion with traffic still arriving afterwards
-resolving with a first post-failover commit.  The CI obs-smoke lane
-runs both checkers over the same file so a bug in one is caught by the
-other.
-
-Why the real suite has no numeric gate: BENCH_real.json holds host
-wall-clock times, and those depend on the machine — physical core count
-(a 1-core host cannot speed up the cpu-add series at all), CPU
-frequency scaling, and co-tenant load all move the numbers by far more
-than any honest regression threshold.  Simulated suites are
-deterministic, so micro gets a 30% ns/op gate; real gets a
-well-formedness gate (schema, positive times, the 1-domain baseline
-each speedup is derived from) and the numbers themselves are for humans
-reading the artifact next to its recorded host_cores.
+--validate-timeline validates an epoch-ledger timeline (the append-only
+JSONL the `alohadb_cli timeline` subcommand emits; one meta-delimited
+segment per run).  It is a language-independent re-statement of the
+OCaml doctor (`alohadb_cli doctor` / Obs.Analyze.check): per-line schema
+by "type" (meta / epoch / event / stratum), contiguous closed epochs per
+node, monotone watermarks (a crash of that node between two closes
+excuses a reset), every crash in a replicated segment followed by a
+restart or a promotion, and every promotion with traffic still arriving
+afterwards resolving with a first post-failover commit.  The CI
+obs-smoke lane runs both checkers over the same file so a bug in one is
+caught by the other.
 
 Only the Python standard library is used.
 """
 
 import json
+import math
 import os
 import sys
 
 
-def validate_real(path, doc):
-    """Exit with an error if a real-suite document is malformed."""
-    def fail(msg):
-        sys.exit(f"error: {path}: malformed real-suite document: {msg}")
-
-    if not isinstance(doc.get("host_cores"), int) or doc["host_cores"] < 1:
-        fail("host_cores must be a positive integer")
-    series = doc.get("series")
-    if not isinstance(series, list) or not series:
-        fail("series must be a non-empty list")
-    for s in series:
-        if not isinstance(s, dict):
-            fail("series entries must be objects")
-        name = s.get("name")
-        if not isinstance(name, str) or not name:
-            fail("series name must be a non-empty string")
-        if not isinstance(s.get("workload"), str):
-            fail(f"series {name!r}: workload must be a string")
-        points = s.get("points")
-        if not isinstance(points, list) or not points:
-            fail(f"series {name!r}: points must be a non-empty list")
-        domains_seen = set()
-        for p in points:
-            if not isinstance(p, dict):
-                fail(f"series {name!r}: points must be objects")
-            d = p.get("domains")
-            if not isinstance(d, int) or d < 1:
-                fail(f"series {name!r}: domains must be a positive integer")
-            if d in domains_seen:
-                fail(f"series {name!r}: duplicate point for {d} domains")
-            domains_seen.add(d)
-            for field in ("wall_s", "txn_s"):
-                v = p.get(field)
-                if not isinstance(v, (int, float)) or v <= 0:
-                    fail(f"series {name!r} @ {d} domains: "
-                         f"{field} must be positive")
-            txns = p.get("txns")
-            if not isinstance(txns, int) or txns <= 0:
-                fail(f"series {name!r} @ {d} domains: "
-                     f"txns must be a positive integer")
-        if 1 not in domains_seen:
-            fail(f"series {name!r}: missing the 1-domain baseline point")
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def validate_availability(path, doc):
-    """Exit with an error if an availability-suite document is malformed."""
-    def fail(msg):
-        sys.exit(f"error: {path}: malformed availability document: {msg}")
-
-    if not isinstance(doc.get("schedule"), str) or not doc["schedule"]:
-        fail("schedule must be a non-empty string")
-    series = doc.get("series")
-    if not isinstance(series, list) or not series:
-        fail("series must be a non-empty list")
-    degrees_seen = set()
-    for s in series:
-        if not isinstance(s, dict):
-            fail("series entries must be objects")
-        k = s.get("replicas")
-        if not isinstance(k, int) or k < 1:
-            fail("replicas must be a positive integer")
-        if k in degrees_seen:
-            fail(f"duplicate series for replicas={k}")
-        degrees_seen.add(k)
-        if not isinstance(s.get("engine"), str) or not s["engine"]:
-            fail(f"k={k}: engine must be a non-empty string")
-        if not isinstance(s.get("seed"), int):
-            fail(f"k={k}: seed must be an integer")
-        submitted, completed = s.get("submitted"), s.get("completed")
-        if not isinstance(submitted, int) or submitted <= 0:
-            fail(f"k={k}: submitted must be a positive integer")
-        if not isinstance(completed, int) or completed < 0:
-            fail(f"k={k}: completed must be a non-negative integer")
-        if completed > submitted:
-            fail(f"k={k}: completed {completed} exceeds submitted {submitted}")
-        if k > 1 and completed != submitted:
-            fail(f"k={k}: a replicated run must complete "
-                 f"({completed}/{submitted}) — failover did not mask the "
-                 f"crash")
-        points = s.get("points")
-        if not isinstance(points, list) or not points:
-            fail(f"k={k}: points must be a non-empty list")
-        prev_t, prev_c = -1, 0
-        for p in points:
-            if not isinstance(p, dict):
-                fail(f"k={k}: points must be objects")
-            t, c = p.get("t_us"), p.get("committed")
-            if not isinstance(t, int) or t <= prev_t:
-                fail(f"k={k}: sample times must be strictly increasing")
-            if not isinstance(c, int) or c < prev_c:
-                fail(f"k={k}: committed counter regressed at t={t}us "
-                     f"({prev_c} -> {c})")
-            prev_t, prev_c = t, c
-        if prev_c != completed:
-            fail(f"k={k}: last sample {prev_c} != completed {completed}")
+def shape_problems(rec):
+    """What keeps one parsed line from being a measurement record."""
+    if not isinstance(rec, dict):
+        return ["not a JSON object"]
+    problems = []
+    if not isinstance(rec.get("suite"), str) or not rec["suite"]:
+        problems.append("suite must be a non-empty string")
+    labels = rec.get("labels")
+    if not isinstance(labels, dict) or not all(
+            isinstance(v, str) for v in labels.values()):
+        problems.append("labels must map names to strings")
+    metrics = rec.get("metrics")
+    if not isinstance(metrics, dict) or not metrics:
+        problems.append("metrics must be a non-empty object")
+    else:
+        for name, m in metrics.items():
+            if not isinstance(m, dict):
+                problems.append(f"metric {name!r} must be an object")
+                continue
+            v = m.get("value")
+            if not is_number(v) or not math.isfinite(v):
+                problems.append(f"metric {name!r}: value {v!r} is not a "
+                                f"finite number")
+            if not isinstance(m.get("unit"), str) or not m["unit"]:
+                problems.append(f"metric {name!r}: unit must be a non-empty "
+                                f"string")
+    host = rec.get("host")
+    if not (isinstance(host, dict)
+            and isinstance(host.get("nproc"), int)
+            and not isinstance(host["nproc"], bool)
+            and host["nproc"] >= 1
+            and all(isinstance(host.get(k), str) and host[k]
+                    for k in ("ocaml", "commit"))):
+        problems.append("host must hold nproc (a positive integer), ocaml "
+                        "and commit")
+    return problems
 
 
-def validate_fastpath(path, doc):
-    """Exit with an error if a fastpath-suite document is malformed."""
-    def fail(msg):
-        sys.exit(f"error: {path}: malformed fastpath document: {msg}")
+def load_records(paths):
+    """Parse and shape-check every line of every file.
 
-    if not isinstance(doc.get("workload"), str) or not doc["workload"]:
-        fail("workload must be a non-empty string")
-    series = doc.get("series")
-    if not isinstance(series, list) or not series:
-        fail("series must be a non-empty list")
-    by_mode = {}
-    for s in series:
-        if not isinstance(s, dict):
-            fail("series entries must be objects")
-        mode = s.get("mode")
-        if mode not in ("on", "off"):
-            fail(f"mode must be \"on\" or \"off\", got {mode!r}")
-        if mode in by_mode:
-            fail(f"duplicate series for mode={mode}")
-        by_mode[mode] = s
-        committed = s.get("committed")
-        if not isinstance(committed, int) or committed <= 0:
-            fail(f"mode={mode}: committed must be a positive integer")
-        tps = s.get("tps")
-        if not isinstance(tps, (int, float)) or tps <= 0:
-            fail(f"mode={mode}: tps must be positive")
-        p50, p99 = s.get("p50_us"), s.get("p99_us")
-        if not isinstance(p50, int) or p50 <= 0:
-            fail(f"mode={mode}: p50_us must be a positive integer")
-        if not isinstance(p99, int) or p99 < p50:
-            fail(f"mode={mode}: p99_us must be an integer >= p50_us")
-        fast = s.get("fastpath_commits")
-        if not isinstance(fast, int) or fast < 0:
-            fail(f"mode={mode}: fastpath_commits must be a non-negative "
-                 f"integer")
-        if mode == "off" and fast != 0:
-            fail(f"mode=off: fastpath_commits must be 0, got {fast}")
-        if mode == "on" and fast == 0:
-            fail("mode=on: no transaction took the fast lane")
-    for mode in ("off", "on"):
-        if mode not in by_mode:
-            fail(f"missing the mode={mode} series")
-    on, off = by_mode["on"], by_mode["off"]
-    if on["p50_us"] >= off["p50_us"]:
-        fail(f"fast-lane p50 ({on['p50_us']}us) must be below the "
-             f"slow-lane p50 ({off['p50_us']}us) — the lane did not "
-             f"collapse commit latency")
+    Returns ([(where, record)], problems); each record is checked on its
+    own and for a duplicate (suite, labels) across all the files."""
+    records, problems, seen = [], [], {}
+    for path in paths:
+        try:
+            with open(path) as f:
+                lines = f.read().splitlines()
+        except OSError as exc:
+            sys.exit(f"error: cannot read {path}: {exc}")
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                problems.append(f"{where}: not JSON: {exc}")
+                continue
+            bad = shape_problems(rec)
+            problems += [f"{where}: {p}" for p in bad]
+            if bad:
+                continue
+            key = (rec["suite"], tuple(sorted(rec["labels"].items())))
+            if key in seen:
+                problems.append(f"{where}: duplicate of {seen[key]} "
+                                f"(suite {key[0]!r}, labels "
+                                f"{rec['labels']})")
+            seen[key] = where
+            records.append((where, rec))
+    return records, problems
+
+
+# ---- per-suite checks ------------------------------------------------------
+
+def value(rec, name):
+    return rec["metrics"][name]["value"]
+
+
+def count(rec, name):
+    """An integer-valued metric; raises if it is not whole."""
+    v = value(rec, name)
+    if not float(v).is_integer():
+        raise ValueError(f"{name} is not an integer")
+    return int(v)
+
+
+def every(pred):
+    """A check that holds when pred holds for every record; it returns
+    the labels of the records where it does not."""
+    def check(records):
+        bad = []
+        for r in records:
+            try:
+                ok = pred(r)
+            except (KeyError, TypeError, ValueError, IndexError):
+                ok = False
+            if not ok:
+                bad.append(json.dumps(r["labels"], sort_keys=True))
+        return bad
+    return check
+
+
+def whole(pred):
+    """A check over a suite's records taken together."""
+    def check(records):
+        try:
+            ok = pred(records)
+        except (KeyError, TypeError, ValueError, IndexError, StopIteration):
+            ok = False
+        return [] if ok else ["the suite's records together"]
+    return check
+
+
+def by_mode(records, mode):
+    return next(r for r in records if r["labels"]["mode"] == mode)
+
+
+def curve(rec):
+    """The availability record's samples as [(t_us, committed)]."""
+    points = rec["points"]
+    if not isinstance(points, list) or not points:
+        raise ValueError("points must be a non-empty list")
+    out = []
+    for p in points:
+        t, c = p["t_us"], p["committed"]
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in (t, c)):
+            raise ValueError("samples must be integers")
+        out.append((t, c))
+    return out
+
+
+def increasing(xs, strict):
+    return all(a < b if strict else a <= b for a, b in zip(xs, xs[1:]))
+
+
+FASTPATH_METRICS = ("committed", "tps", "p50_us", "p99_us", "fastpath_commits")
+AVAILABILITY_METRICS = ("submitted", "completed", "samples")
+
+# (suite, description, check over that suite's records).  A check returns
+# where it fails; an empty list passes.
+CHECKS = [
+    ("macro", "labels name a fig, series and point, without padding",
+     every(lambda r: all(r["labels"][k] and r["labels"][k] == r["labels"][k].strip()
+                         for k in ("fig", "series", "point")))),
+
+    ("availability", "labels name the engine, an integer seed and the schedule",
+     every(lambda r: r["labels"]["engine"] and r["labels"]["schedule"]
+           and r["labels"]["seed"].lstrip("-").isdigit())),
+    ("availability", "metrics are submitted, completed and samples",
+     every(lambda r: all(k in r["metrics"] for k in AVAILABILITY_METRICS))),
+    ("availability", "one record per replication degree, each a positive integer",
+     whole(lambda rs: all(int(r["labels"]["replicas"]) >= 1 for r in rs)
+           and len({int(r["labels"]["replicas"]) for r in rs}) == len(rs))),
+    ("availability", "submitted > 0 and completed >= 0, both integers",
+     every(lambda r: count(r, "submitted") > 0 and count(r, "completed") >= 0)),
+    ("availability", "completed <= submitted",
+     every(lambda r: value(r, "completed") <= value(r, "submitted"))),
+    ("availability", "every replicated run (k > 1) completes",
+     every(lambda r: int(r["labels"]["replicas"]) == 1
+           or value(r, "completed") == value(r, "submitted"))),
+    ("availability", "points is a non-empty list of integer samples, "
+     "as many as the samples metric",
+     every(lambda r: len(curve(r)) == count(r, "samples"))),
+    ("availability", "sample times strictly increase",
+     every(lambda r: increasing([t for t, _ in curve(r)], strict=True))),
+    ("availability", "the committed count never falls",
+     every(lambda r: increasing([0] + [c for _, c in curve(r)], strict=False))),
+    ("availability", "the last sample equals completed",
+     every(lambda r: curve(r)[-1][1] == value(r, "completed"))),
+
+    ("fastpath", "labels name the workload and a mode of on or off",
+     every(lambda r: r["labels"]["workload"]
+           and r["labels"]["mode"] in ("on", "off"))),
+    ("fastpath", "metrics are " + ", ".join(FASTPATH_METRICS),
+     every(lambda r: all(k in r["metrics"] for k in FASTPATH_METRICS))),
+    ("fastpath", "exactly one on and one off record",
+     whole(lambda rs: sorted(r["labels"]["mode"] for r in rs) == ["off", "on"])),
+    ("fastpath", "committed is a positive integer",
+     every(lambda r: count(r, "committed") > 0)),
+    ("fastpath", "tps > 0",
+     every(lambda r: value(r, "tps") > 0)),
+    ("fastpath", "0 < p50_us <= p99_us, both integers",
+     every(lambda r: 0 < count(r, "p50_us") <= count(r, "p99_us"))),
+    ("fastpath", "fastpath_commits is a non-negative integer",
+     every(lambda r: count(r, "fastpath_commits") >= 0)),
+    ("fastpath", "no fast commits with the lane off",
+     every(lambda r: r["labels"]["mode"] != "off"
+           or value(r, "fastpath_commits") == 0)),
+    ("fastpath", "some fast commits with the lane on",
+     every(lambda r: r["labels"]["mode"] != "on"
+           or value(r, "fastpath_commits") > 0)),
+    ("fastpath", "the on-lane p50 is below the off-lane p50",
+     whole(lambda rs: value(by_mode(rs, "on"), "p50_us")
+           < value(by_mode(rs, "off"), "p50_us"))),
+]
+
+
+def run_checks(records):
+    """Run every check whose suite is present; return the records by
+    suite and the failures."""
+    suites = {}
+    for _, r in records:
+        suites.setdefault(r["suite"], []).append(r)
+    failures = []
+    for suite, desc, check in CHECKS:
+        if suite in suites:
+            failures += [f"{suite}: {desc}: fails for {where}"
+                         for where in check(suites[suite])]
+    return suites, failures
+
+
+# ---- micro threshold gate -------------------------------------------------
+
+def micro_of(records, what):
+    """The one micro record's {name: ns} and the file it came from."""
+    micro = [(where, r) for where, r in records if r["suite"] == "micro"]
+    if len(micro) != 1:
+        sys.exit(f"error: expected one micro record in {what}, found "
+                 f"{len(micro)}")
+    where, rec = micro[0]
+    return ({name: m["value"] for name, m in rec["metrics"].items()},
+            where.rsplit(":", 1)[0])
+
+
+def micro_gate(current, current_path, baseline, baseline_path):
+    threshold = float(os.environ.get("BENCH_REGRESSION_THRESHOLD", "0.30"))
+    regressions = []
+    missing = sorted(set(baseline) - set(current))
+    new = sorted(set(current) - set(baseline))
+
+    print(f"{'benchmark':48} {'baseline':>12} {'current':>12} {'delta':>8}")
+    for name in sorted(baseline):
+        if name not in current:
+            continue
+        base, cur = baseline[name], current[name]
+        delta = (cur - base) / base if base > 0 else 0.0
+        flag = "  <-- REGRESSION" if delta > threshold else ""
+        print(f"{name:48} {base:10.1f}ns {cur:10.1f}ns {delta:+7.1%}{flag}")
+        if delta > threshold:
+            regressions.append((name, base, cur, delta))
+    for name in new:
+        print(f"{name:48} {'(new)':>12} {current[name]:10.1f}ns")
+
+    ok = True
+    if missing:
+        ok = False
+        print(f"\nerror: benchmark(s) missing from {current_path}:", file=sys.stderr)
+        for name in missing:
+            print(f"  - {name}", file=sys.stderr)
+    if regressions:
+        ok = False
+        print(
+            f"\nerror: {len(regressions)} benchmark(s) regressed more than "
+            f"{threshold:.0%} vs {baseline_path}:",
+            file=sys.stderr,
+        )
+        for name, base, cur, delta in regressions:
+            print(
+                f"  - {name}: {base:.1f} -> {cur:.1f} ns/op ({delta:+.1%})",
+                file=sys.stderr,
+            )
+    if not ok:
+        print(
+            "\nIf this slowdown is intentional (e.g. the primitive now does"
+            " more work), refresh the baseline and commit it:\n"
+            "    dune exec bench/main.exe -- micro\n"
+            f"    grep '\"suite\":\"micro\"' BENCH.jsonl > {baseline_path}\n"
+            "and explain the regression in the commit message.",
+            file=sys.stderr,
+        )
+        return False
+    print("\nbench regression check passed")
+    return True
 
 
 def parse_timeline(path):
@@ -408,96 +513,7 @@ def report_timeline(path, segments):
               f"({resolved} resolved)")
 
 
-def report_fastpath(path, doc):
-    print(f"{path}: fastpath suite ok")
-    for s in doc["series"]:
-        print(f"  {s['mode']:3}: p50 {s['p50_us']}us  p99 {s['p99_us']}us  "
-              f"{s['committed']} committed "
-              f"({s['fastpath_commits']} via fast lane)")
-    on = next(s for s in doc["series"] if s["mode"] == "on")
-    off = next(s for s in doc["series"] if s["mode"] == "off")
-    print(f"  p50 collapse: {off['p50_us'] / on['p50_us']:.1f}x")
-
-
-def report_availability(path, doc):
-    print(f"{path}: availability suite ok")
-    for s in doc["series"]:
-        pts = s["points"]
-        rise = next((p["t_us"] for p in pts if p["committed"] > 0), None)
-        when = f"first commit @ {rise}us" if rise is not None else "flatline"
-        print(f"  k={s['replicas']}: {s['completed']}/{s['submitted']} "
-              f"committed, {len(pts)} samples, {when}")
-
-
-def report_real(path, doc):
-    print(f"{path}: real suite ok (host_cores={doc['host_cores']})")
-    for s in doc["series"]:
-        pts = sorted(s["points"], key=lambda p: p["domains"])
-        scaling = ", ".join(
-            f"{p['domains']}d={p['txn_s']:.0f}/s"
-            f" ({p['speedup_vs_1']:.2f}x)"
-            if isinstance(p.get("speedup_vs_1"), (int, float))
-            else f"{p['domains']}d={p['txn_s']:.0f}/s"
-            for p in pts
-        )
-        print(f"  {s['name']:16} {scaling}")
-
-
-def load(path):
-    """Parse a micro-suite document; return None for other JSON files."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as exc:
-        sys.exit(f"error: cannot read {path}: {exc}")
-    if isinstance(doc, dict) and doc.get("suite") == "real":
-        # skip, but never silently ship a broken artifact
-        validate_real(path, doc)
-        return None
-    if isinstance(doc, dict) and doc.get("suite") == "availability":
-        validate_availability(path, doc)
-        return None
-    if isinstance(doc, dict) and doc.get("suite") == "fastpath":
-        validate_fastpath(path, doc)
-        return None
-    if not isinstance(doc, dict) or doc.get("suite") != "micro":
-        return None
-    try:
-        return {r["name"]: float(r["ns_per_op"]) for r in doc["results"]}
-    except (KeyError, TypeError) as exc:
-        sys.exit(f"error: {path} is not a BENCH_micro.json document: {exc}")
-
-
 def main(argv):
-    if len(argv) >= 2 and argv[1] == "--validate-real":
-        if len(argv) != 3:
-            sys.exit(f"usage: {argv[0]} --validate-real BENCH_real.json")
-        path = argv[2]
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, ValueError) as exc:
-            sys.exit(f"error: cannot read {path}: {exc}")
-        if not isinstance(doc, dict) or doc.get("suite") != "real":
-            sys.exit(f"error: {path} is not a real-suite document")
-        validate_real(path, doc)
-        report_real(path, doc)
-        return 0
-    if len(argv) >= 2 and argv[1] == "--validate-availability":
-        if len(argv) != 3:
-            sys.exit(f"usage: {argv[0]} --validate-availability "
-                     f"BENCH_availability.json")
-        path = argv[2]
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, ValueError) as exc:
-            sys.exit(f"error: cannot read {path}: {exc}")
-        if not isinstance(doc, dict) or doc.get("suite") != "availability":
-            sys.exit(f"error: {path} is not an availability-suite document")
-        validate_availability(path, doc)
-        report_availability(path, doc)
-        return 0
     if len(argv) >= 2 and argv[1] == "--validate-timeline":
         if len(argv) != 3:
             sys.exit(f"usage: {argv[0]} --validate-timeline TIMELINE.jsonl")
@@ -514,89 +530,39 @@ def main(argv):
             return 1
         report_timeline(path, segments)
         return 0
-    if len(argv) >= 2 and argv[1] == "--validate-fastpath":
-        if len(argv) != 3:
-            sys.exit(f"usage: {argv[0]} --validate-fastpath "
-                     f"BENCH_fastpath.json")
-        path = argv[2]
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, ValueError) as exc:
-            sys.exit(f"error: cannot read {path}: {exc}")
-        if not isinstance(doc, dict) or doc.get("suite") != "fastpath":
-            sys.exit(f"error: {path} is not a fastpath-suite document")
-        validate_fastpath(path, doc)
-        report_fastpath(path, doc)
-        return 0
-    if len(argv) < 3:
-        sys.exit(f"usage: {argv[0]} CURRENT_JSON... BASELINE_JSON")
-    current_paths, baseline_path = argv[1:-1], argv[-1]
-    threshold = float(os.environ.get("BENCH_REGRESSION_THRESHOLD", "0.30"))
+    args = argv[1:]
+    baseline_path = None
+    if "--baseline" in args:
+        i = args.index("--baseline")
+        if i + 1 >= len(args):
+            sys.exit(f"usage: {argv[0]} FILE... [--baseline BASELINE]")
+        baseline_path = args[i + 1]
+        args = args[:i] + args[i + 2:]
+    if not args:
+        sys.exit(f"usage: {argv[0]} FILE... [--baseline BASELINE]")
 
-    current, current_path = None, None
-    for path in current_paths:
-        parsed = load(path)
-        if parsed is None:
-            print(f"note: {path} is not a micro-suite document, skipping")
-        elif current is not None:
-            sys.exit(f"error: more than one micro-suite file given "
-                     f"({current_path}, {path})")
-        else:
-            current, current_path = parsed, path
-    if current is None:
-        sys.exit("error: no micro-suite document among the current files")
-    baseline = load(baseline_path)
-    if baseline is None:
-        sys.exit(f"error: {baseline_path} is not a micro-suite document")
-
-    regressions = []
-    missing = sorted(set(baseline) - set(current))
-    new = sorted(set(current) - set(baseline))
-
-    print(f"{'benchmark':48} {'baseline':>12} {'current':>12} {'delta':>8}")
-    for name in sorted(baseline):
-        if name not in current:
-            continue
-        base, cur = baseline[name], current[name]
-        delta = (cur - base) / base if base > 0 else 0.0
-        flag = "  <-- REGRESSION" if delta > threshold else ""
-        print(f"{name:48} {base:10.1f}ns {cur:10.1f}ns {delta:+7.1%}{flag}")
-        if delta > threshold:
-            regressions.append((name, base, cur, delta))
-    for name in new:
-        print(f"{name:48} {'(new)':>12} {current[name]:10.1f}ns")
-
-    ok = True
-    if missing:
-        ok = False
-        print(f"\nerror: benchmark(s) missing from {current_path}:", file=sys.stderr)
-        for name in missing:
-            print(f"  - {name}", file=sys.stderr)
-    if regressions:
-        ok = False
-        print(
-            f"\nerror: {len(regressions)} benchmark(s) regressed more than "
-            f"{threshold:.0%} vs {baseline_path}:",
-            file=sys.stderr,
-        )
-        for name, base, cur, delta in regressions:
-            print(
-                f"  - {name}: {base:.1f} -> {cur:.1f} ns/op ({delta:+.1%})",
-                file=sys.stderr,
-            )
-    if not ok:
-        print(
-            "\nIf this slowdown is intentional (e.g. the primitive now does"
-            " more work), refresh the baseline and commit it:\n"
-            "    dune exec bench/main.exe -- --json micro\n"
-            f"    cp BENCH_micro.json {baseline_path}\n"
-            "and explain the regression in the commit message.",
-            file=sys.stderr,
-        )
+    records, problems = load_records(args)
+    suites, failures = run_checks(records)
+    for p in problems + failures:
+        print(f"error: {p}", file=sys.stderr)
+    if problems or failures:
         return 1
-    print("\nbench regression check passed")
-    return 0
+    checked = sum(1 for suite, _, _ in CHECKS if suite in suites)
+    print(f"{len(records)} record(s) in {len(args)} file(s), "
+          f"{checked} suite check(s) passed: "
+          + ", ".join(f"{s} {len(rs)}" for s, rs in sorted(suites.items())))
+
+    if baseline_path is None:
+        return 0
+    baseline_records, problems = load_records([baseline_path])
+    for p in problems:
+        print(f"error: {p}", file=sys.stderr)
+    if problems:
+        return 1
+    current, current_path = micro_of(records, " ".join(args))
+    baseline, _ = micro_of(baseline_records, baseline_path)
+    ok = micro_gate(current, current_path, baseline, baseline_path)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -13,16 +13,17 @@ trees, and runs
 
 in each, the two trees side by side.  The figures print simulated values
 only, so a change that leaves behaviour alone prints the same bytes.  The
-outputs go to figs-pair/base.txt and figs-pair/head.txt.  availability
-and fastpath (the only targets that run failover and the fast lane) also
-write BENCH_availability.json and BENCH_fastpath.json into each tree;
-those are compared too.  Any difference is printed as a unified diff and
-the script exits 1.  At quick scale the two trees, side by side, take
-about 12 minutes on a 2-core host.
+outputs go to figs-pair/base.txt and figs-pair/head.txt.  Each run also
+writes its measurement records to BENCH.jsonl in its tree; those are
+compared too, once each record's host block and the target records (host
+wall time per target) are dropped.  Any difference is printed as a
+unified diff and the script exits 1.  At quick scale the two trees, side
+by side, take about 12 minutes on a 2-core host.
 """
 
 import argparse
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -34,7 +35,20 @@ from e2e_pair import ROOT, export
 OUT = os.path.join(ROOT, "figs-pair")
 TARGETS = ["fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "ext-conventional",
            "availability", "fastpath"]
-JSONS = ["BENCH_availability.json", "BENCH_fastpath.json"]
+
+
+def simulated_records(path):
+    """BENCH.jsonl as lines without host blocks or target wall times."""
+    if not os.path.exists(path):
+        sys.exit(f"figs_pair.py: {path} is missing (BASE predates BENCH.jsonl?)")
+    lines = []
+    with open(path) as f:
+        for line in f:
+            rec = json.loads(line)
+            if rec["suite"] != "target":
+                rec.pop("host")
+                lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return lines
 
 
 def build(tree):
@@ -67,22 +81,25 @@ def main():
         failed = [side for side, p in procs.items() if p.wait() != 0]
         if failed:
             sys.exit(f"figs_pair.py: bench/main.exe failed in {', '.join(failed)}")
-        pairs = [(os.path.join(OUT, "base.txt"), os.path.join(OUT, "head.txt"))]
-        pairs += [(os.path.join(tmp, j), os.path.join(ROOT, j)) for j in JSONS]
+        outputs = {}
+        for side, tree in trees.items():
+            with open(os.path.join(OUT, f"{side}.txt")) as f:
+                outputs[side] = {
+                    "figures": f.readlines(),
+                    "BENCH.jsonl": simulated_records(os.path.join(tree, "BENCH.jsonl")),
+                }
         diff = []
-        for base, head in pairs:
-            with open(base) as b, open(head) as h:
-                diff += difflib.unified_diff(
-                    b.readlines(), h.readlines(), f"base/{os.path.basename(base)}",
-                    f"head/{os.path.basename(head)}"
-                )
+        for name, base in outputs["base"].items():
+            diff += difflib.unified_diff(
+                base, outputs["head"][name], f"base/{name}", f"head/{name}"
+            )
     finally:
         shutil.rmtree(tmp)
 
     if diff:
         sys.stdout.writelines(diff)
         sys.exit(1)
-    print(f"figs-pair: {len(pairs)} outputs, identical")
+    print(f"figs-pair: {len(outputs['base'])} outputs, identical")
 
 
 if __name__ == "__main__":

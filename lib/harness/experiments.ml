@@ -48,9 +48,7 @@ let aloha = Kernel.Intf.Pack (module Alohadb.Engine)
 let calvin = Kernel.Intf.Pack (module Calvin.Engine)
 let twopl = Kernel.Intf.Pack (module Twopl.Engine)
 
-let row fig cols =
-  Report.record_row ~fig ~cols;
-  Printf.printf "[%s] %s\n%!" fig (String.concat "  " cols)
+let row fig cols = Printf.printf "[%s] %s\n%!" fig (String.concat "  " cols)
 
 let fmt_tps tps = Printf.sprintf "tps=%-9.0f" tps
 
@@ -59,24 +57,35 @@ let fmt_lat r =
     (r.Result.lat_mean_us /. 1000.0)
     (float_of_int r.Result.lat_p99_us /. 1000.0)
 
-(* Structured row helpers: print the human-readable line and record the
-   same point for BENCH_macro.json. *)
+(* Structured row helpers: print the human-readable line and keep the
+   same point as a macro record.  Labels are trimmed: series and point
+   strings carry the console's column padding. *)
 
-let lat_mean_ms r = r.Result.lat_mean_us /. 1000.0
-let lat_p99_ms r = float_of_int r.Result.lat_p99_us /. 1000.0
+let record_point fig ~series ~point metrics =
+  Report.record
+    { Report.suite = "macro";
+      labels =
+        [ ("fig", fig); ("series", String.trim series);
+          ("point", String.trim point) ];
+      metrics;
+      extra = [] }
+
+let tps r = ("tps", (r.Result.throughput_tps, "txn/sim_s"))
+
+let lat r =
+  [ ("lat_mean_ms", (r.Result.lat_mean_us /. 1000.0, "sim_ms"));
+    ("lat_p99_ms", (float_of_int r.Result.lat_p99_us /. 1000.0, "sim_ms")) ]
 
 let row_tps_lat fig ~series ~point ?(extra = []) r =
-  Report.record_point ~fig ~series ~point ~tps:r.Result.throughput_tps
-    ~lat_mean_ms:(lat_mean_ms r) ~lat_p99_ms:(lat_p99_ms r) ();
+  record_point fig ~series ~point (tps r :: lat r);
   row fig ([ series; point; fmt_tps r.Result.throughput_tps; fmt_lat r ] @ extra)
 
 let row_tps fig ~series ~point ?(extra = []) r =
-  Report.record_point ~fig ~series ~point ~tps:r.Result.throughput_tps ();
+  record_point fig ~series ~point [ tps r ];
   row fig ([ series; point; fmt_tps r.Result.throughput_tps ] @ extra)
 
 let row_lat fig ~series ~point r =
-  Report.record_point ~fig ~series ~point ~lat_mean_ms:(lat_mean_ms r)
-    ~lat_p99_ms:(lat_p99_ms r) ();
+  record_point fig ~series ~point (lat r);
   row fig [ series; point; fmt_lat r ]
 
 (* ---- Table I ----------------------------------------------------------- *)

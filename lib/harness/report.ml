@@ -1,65 +1,18 @@
-(* Machine-readable benchmark reporting.
+(* Measurement records: one shape for every result the bench harness and
+   the telemetry export write (see report.mli).  The console output of
+   Experiments is meant for eyeballs; its row helpers also keep a record
+   per figure point here, and bench/main.exe writes them all at exit. *)
 
-   The console output of Experiments is meant for eyeballs; CI and the
-   regression gate want JSON.  Figures record structured points (tps /
-   latency) through the row helpers in Experiments, every console row is
-   also captured verbatim for figures without a structured shape, and the
-   micro suite records ns/op estimates.  bench/main.exe decides whether a
-   run is recording (--json) and where the files go. *)
-
-type macro_point = {
-  fig : string;
-  series : string;
-  point : string;
-  tps : float option;
-  lat_mean_ms : float option;
-  lat_p99_ms : float option;
+type record = {
+  suite : string;
+  labels : (string * string) list;
+  metrics : (string * (float * string)) list;
+  extra : (string * string) list;
 }
 
-(* One wall-clock measurement of the real runtime's compute phase:
-   [txns] functor evaluations finished in [wall_s] seconds on [domains]
-   worker domains.  Unlike macro points these are host-machine times, so
-   the file also records the host's core count — a 1-core host can only
-   show speedup on latency-bound series. *)
-type real_point = {
-  r_series : string;
-  r_workload : string;
-  r_domains : int;
-  r_wall_s : float;
-  r_txns : int;
-}
-
-let enabled = ref false
-let macro_points : macro_point list ref = ref []
-let raw_rows : (string * string list) list ref = ref []
-let fig_times : (string * float) list ref = ref []
-let micro_results : (string * float) list ref = ref []
-let real_points : real_point list ref = ref []
-
-let enable () = enabled := true
-let recording () = !enabled
-
-let record_point ~fig ~series ~point ?tps ?lat_mean_ms ?lat_p99_ms () =
-  if !enabled then
-    macro_points :=
-      { fig; series; point; tps; lat_mean_ms; lat_p99_ms } :: !macro_points
-
-let record_row ~fig ~cols = if !enabled then raw_rows := (fig, cols) :: !raw_rows
-
-let record_fig_time ~fig ~seconds =
-  if !enabled then fig_times := (fig, seconds) :: !fig_times
-
-let record_micro ~name ~ns_per_op =
-  if !enabled then micro_results := (name, ns_per_op) :: !micro_results
-
-let record_real ~series ~workload ~domains ~wall_s ~txns =
-  if !enabled then
-    real_points :=
-      { r_series = series; r_workload = workload; r_domains = domains;
-        r_wall_s = wall_s; r_txns = txns }
-      :: !real_points
-
-let real_recorded () = !real_points <> []
+let kept : record list ref = ref []
+let record r = kept := r :: !kept
+let recorded () = List.rev !kept
 
 (* ---- JSON emission (hand-rolled; no json dependency) -------------------- *)
 
@@ -80,31 +33,54 @@ let escape s =
 
 let jstr s = Printf.sprintf "\"%s\"" (escape s)
 
+(* The shortest of %.15g / %.17g that reads back as the same float. *)
 let jfloat f =
-  if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let jfloat_opt = function None -> "null" | Some f -> jfloat f
+let jobj fields =
+  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
+  ^ "}"
 
-let point_json p =
-  Printf.sprintf
-    "{\"fig\":%s,\"series\":%s,\"point\":%s,\"tps\":%s,\"lat_mean_ms\":%s,\"lat_p99_ms\":%s}"
-    (jstr p.fig) (jstr p.series) (jstr p.point) (jfloat_opt p.tps)
-    (jfloat_opt p.lat_mean_ms) (jfloat_opt p.lat_p99_ms)
+let host =
+  lazy
+    (let commit =
+       try
+         let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+         let line = try input_line ic with End_of_file -> "" in
+         match Unix.close_process_in ic with
+         | Unix.WEXITED 0 when line <> "" -> line
+         | _ -> "unknown"
+       with Unix.Unix_error _ | Sys_error _ -> "unknown"
+     in
+     jobj
+       [ ("nproc", string_of_int (Domain.recommended_domain_count ()));
+         ("ocaml", jstr Sys.ocaml_version);
+         ("commit", jstr commit) ])
 
-let row_json (fig, cols) =
-  Printf.sprintf "{\"fig\":%s,\"cols\":[%s]}" (jstr fig)
-    (String.concat "," (List.map jstr cols))
+let line r =
+  let metric (name, (value, unit)) =
+    if not (Float.is_finite value) then
+      invalid_arg
+        (Printf.sprintf "Report.write: metric %S of suite %S is %g" name
+           r.suite value);
+    (name, jobj [ ("value", jfloat value); ("unit", jstr unit) ])
+  in
+  jobj
+    ([ ("suite", jstr r.suite);
+       ("labels", jobj (List.map (fun (k, v) -> (k, jstr v)) r.labels));
+       ("metrics", jobj (List.map metric r.metrics)) ]
+    @ r.extra
+    @ [ ("host", Lazy.force host) ])
 
-let time_json (fig, seconds) =
-  Printf.sprintf "{\"fig\":%s,\"wall_s\":%s}" (jstr fig) (jfloat seconds)
-
-let micro_json (name, ns) =
-  Printf.sprintf "{\"name\":%s,\"ns_per_op\":%s}" (jstr name) (jfloat ns)
-
-let write path body =
+let write path records =
+  let lines = List.map line records in
   let oc = open_out path in
-  output_string oc body;
-  output_char oc '\n';
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    lines;
   close_out oc
 
 (* TIMELINE.jsonl is genuinely append-only: each run contributes one
@@ -119,199 +95,66 @@ let write_timeline path lines =
     lines;
   close_out oc
 
-let write_micro path =
-  write path
-    (Printf.sprintf "{\"suite\":\"micro\",\"results\":[%s]}"
-       (String.concat "," (List.rev_map micro_json !micro_results)))
+(* ---- run telemetry ------------------------------------------------------- *)
 
-let write_macro ~scale path =
-  write path
-    (Printf.sprintf
-       "{\"suite\":\"macro\",\"scale\":%s,\"points\":[%s],\"rows\":[%s],\"timings\":[%s]}"
-       (jstr scale)
-       (String.concat "," (List.rev_map point_json !macro_points))
-       (String.concat "," (List.rev_map row_json !raw_rows))
-       (String.concat "," (List.rev_map time_json !fig_times)))
+(* One run's observability summary, flattened into metric names: headline
+   result numbers, per-stage latency percentiles, final gauge values with
+   sample counts, trace-ring occupancy, and fault-correlation counters.
+   The Chrome trace carries the event-level detail. *)
 
-(* Groups points by series (preserving first-seen order), derives txn/s
-   and the speedup relative to the same series' 1-domain point.  The
-   1-domain baseline is part of the series contract: record one per
-   series or speedup_vs_1 comes out null. *)
-let write_real ~host_cores path =
-  let points = List.rev !real_points in
-  let series_names =
-    List.fold_left
-      (fun acc p -> if List.mem p.r_series acc then acc else p.r_series :: acc)
-      [] points
-    |> List.rev
-  in
-  let series_json name =
-    let pts = List.filter (fun p -> p.r_series = name) points in
-    let workload =
-      match pts with [] -> "" | p :: _ -> p.r_workload
-    in
-    let base =
-      List.find_opt (fun p -> p.r_domains = 1) pts
-      |> Option.map (fun p -> p.r_wall_s)
-    in
-    let point_json p =
-      let txn_s =
-        if p.r_wall_s > 0.0 then float_of_int p.r_txns /. p.r_wall_s else 0.0
-      in
-      let speedup =
-        match base with
-        | Some b when p.r_wall_s > 0.0 -> Some (b /. p.r_wall_s)
-        | _ -> None
-      in
-      Printf.sprintf
-        "{\"domains\":%d,\"wall_s\":%s,\"txns\":%d,\"txn_s\":%s,\"speedup_vs_1\":%s}"
-        p.r_domains (jfloat p.r_wall_s) p.r_txns (jfloat txn_s)
-        (jfloat_opt speedup)
-    in
-    Printf.sprintf "{\"name\":%s,\"workload\":%s,\"points\":[%s]}" (jstr name)
-      (jstr workload)
-      (String.concat "," (List.map point_json pts))
-  in
-  write path
-    (Printf.sprintf
-       "{\"suite\":\"real\",\"host_cores\":%d,\"series\":[%s]}" host_cores
-       (String.concat "," (List.map series_json series_names)))
-
-(* ---- availability under chaos (BENCH_availability.json) ------------------ *)
-
-(* One committed-work-over-time series per replication degree, all from
-   the same fault schedule: the availability figure.  With k = 1 the
-   committed curve plateaus while the crashed backend's partitions are
-   dark and [completed < submitted] if the crash outlives the horizon;
-   with k > 1 failover keeps the curve climbing.  Points come from the
-   chaos driver's probe loop, but the type is kept plain so the harness
-   does not depend on the chaos library. *)
-
-type avail_series = {
-  av_replicas : int;
-  av_engine : string;
-  av_seed : int;
-  av_submitted : int;
-  av_completed : int;
-  av_points : (int * int) list;
-}
-
-let write_availability ~path ~schedule ~series =
-  let point_json (t_us, committed) =
-    Printf.sprintf "{\"t_us\":%d,\"committed\":%d}" t_us committed
-  in
-  let series_json s =
-    Printf.sprintf
-      "{\"replicas\":%d,\"engine\":%s,\"seed\":%d,\"submitted\":%d,\"completed\":%d,\"points\":[%s]}"
-      s.av_replicas (jstr s.av_engine) s.av_seed s.av_submitted s.av_completed
-      (String.concat "," (List.map point_json s.av_points))
-  in
-  write path
-    (Printf.sprintf
-       "{\"suite\":\"availability\",\"schedule\":%s,\"series\":[%s]}"
-       (jstr schedule)
-       (String.concat "," (List.map series_json series)))
-
-(* ---- fast-path latency collapse (BENCH_fastpath.json) -------------------- *)
-
-(* The same counter-heavy workload run twice — coordination-free commit
-   lane on and off — so the regression gate can check the headline claim
-   directly: the on-series p50 must sit below the off-series p50 (which
-   carries the full epoch-close + compute wait).  Plain ints/floats so
-   the harness does not grow a dependency for this. *)
-
-type fastpath_series = {
-  fp_mode : string;  (* "on" | "off" *)
-  fp_committed : int;
-  fp_tps : float;
-  fp_p50_us : int;
-  fp_p99_us : int;
-  fp_fast_commits : int;  (* aloha.fastpath_commits in this run *)
-}
-
-let write_fastpath ~path ~workload ~series =
-  let series_json s =
-    Printf.sprintf
-      "{\"mode\":%s,\"committed\":%d,\"tps\":%s,\"p50_us\":%d,\"p99_us\":%d,\"fastpath_commits\":%d}"
-      (jstr s.fp_mode) s.fp_committed (jfloat s.fp_tps) s.fp_p50_us
-      s.fp_p99_us s.fp_fast_commits
-  in
-  write path
-    (Printf.sprintf "{\"suite\":\"fastpath\",\"workload\":%s,\"series\":[%s]}"
-       (jstr workload)
-       (String.concat "," (List.map series_json series)))
-
-(* ---- run telemetry (TELEMETRY.json) -------------------------------------- *)
-
-(* One run's observability summary: headline result numbers, per-stage
-   latency percentiles, final gauge values with sample counts, trace-ring
-   occupancy, and fault-correlation counters.  Small and flat on purpose —
-   the Chrome trace carries the event-level detail; this file is for the
-   regression dashboard and quick CI diffing. *)
-
-let jint = string_of_int
-
-let stage_stat_json (name, (st : Kernel.Result.stage_stat)) =
-  Printf.sprintf
-    "{\"stage\":%s,\"mean_us\":%s,\"p50_us\":%s,\"p95_us\":%s,\"p99_us\":%s,\"p999_us\":%s}"
-    (jstr name) (jfloat st.Kernel.Result.mean_us) (jint st.p50_us)
-    (jint st.p95_us) (jint st.p99_us) (jint st.p999_us)
-
-let gauge_series_json (g : Obs.Gauges.t) =
-  let series = Obs.Gauges.series g in
-  let one (name, samples) =
-    let n = List.length samples in
-    let last =
-      match List.rev samples with [] -> 0.0 | (_, v) :: _ -> v
-    in
-    let hi =
-      List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 samples
-    in
-    Printf.sprintf "{\"name\":%s,\"samples\":%s,\"last\":%s,\"max\":%s}"
-      (jstr name) (jint n) (jfloat last) (jfloat hi)
-  in
-  String.concat "," (List.map one series)
-
-let write_telemetry ~path ~engine ~workload ~(result : Kernel.Result.t)
+let telemetry ~engine ~workload ~(result : Kernel.Result.t)
     ?(drops : Net.Network.drop_stats option) ?(ctl : Obs.Ctl.t option) () =
-  let trace_json =
+  let us v = (float_of_int v, "sim_us") and count v = (float_of_int v, "count") in
+  let stage (name, (st : Kernel.Result.stage_stat)) =
+    let m field v = (Printf.sprintf "stage.%s.%s" name field, v) in
+    [ m "mean_us" (st.Kernel.Result.mean_us, "sim_us");
+      m "p50_us" (us st.p50_us); m "p95_us" (us st.p95_us);
+      m "p99_us" (us st.p99_us); m "p999_us" (us st.p999_us) ]
+  in
+  let gauge (name, samples) =
+    let name =
+      if String.starts_with ~prefix:"gauge." name then name
+      else "gauge." ^ name
+    in
+    let last = match List.rev samples with [] -> 0.0 | (_, v) :: _ -> v in
+    let hi = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 samples in
+    [ (name ^ ".samples", count (List.length samples));
+      (name ^ ".last", (last, "gauge")); (name ^ ".max", (hi, "gauge")) ]
+  in
+  let ctl_metrics =
     match ctl with
-    | None -> "null"
+    | None -> []
     | Some ctl ->
         let tr = Obs.Ctl.trace ctl in
-        Printf.sprintf
-          "{\"sample_rate\":%s,\"capacity\":%s,\"events\":%s,\"total\":%s,\"dropped\":%s,\"fault_drops\":%s,\"fault_delays\":%s}"
-          (jint (Obs.Trace.sample_rate tr))
-          (jint (Obs.Trace.capacity tr))
-          (jint (Obs.Trace.length tr))
-          (jint (Obs.Trace.total tr))
-          (jint (Obs.Trace.dropped tr))
-          (jint (Obs.Ctl.fault_drops ctl))
-          (jint (Obs.Ctl.fault_delays ctl))
+        List.concat_map gauge (Obs.Gauges.series (Obs.Ctl.gauges ctl))
+        @ [ ("trace.sample_rate", count (Obs.Trace.sample_rate tr));
+            ("trace.capacity", count (Obs.Trace.capacity tr));
+            ("trace.events", count (Obs.Trace.length tr));
+            ("trace.total", count (Obs.Trace.total tr));
+            ("trace.dropped", count (Obs.Trace.dropped tr));
+            ("trace.fault_drops", count (Obs.Ctl.fault_drops ctl));
+            ("trace.fault_delays", count (Obs.Ctl.fault_delays ctl)) ]
   in
-  let gauges_json =
-    match ctl with
-    | None -> ""
-    | Some ctl -> gauge_series_json (Obs.Ctl.gauges ctl)
-  in
-  let drops_json =
+  let drop_metrics =
     match drops with
-    | None -> "null"
+    | None -> []
     | Some d ->
-        Printf.sprintf
-          "{\"injected\":%s,\"partitioned\":%s,\"crashed\":%s,\"unregistered\":%s}"
-          (jint d.Net.Network.injected) (jint d.partitioned) (jint d.crashed)
-          (jint d.unregistered)
+        [ ("net_drops.injected", count d.Net.Network.injected);
+          ("net_drops.partitioned", count d.partitioned);
+          ("net_drops.crashed", count d.crashed);
+          ("net_drops.unregistered", count d.unregistered) ]
   in
-  write path
-    (Printf.sprintf
-       "{\"suite\":\"telemetry\",\"engine\":%s,\"workload\":%s,\"tps\":%s,\"committed\":%s,\"aborted\":%s,\"lat_mean_us\":%s,\"lat_p50_us\":%s,\"lat_p95_us\":%s,\"lat_p99_us\":%s,\"lat_p999_us\":%s,\"stages\":[%s],\"gauges\":[%s],\"trace\":%s,\"net_drops\":%s}"
-       (jstr engine) (jstr workload)
-       (jfloat result.Kernel.Result.throughput_tps)
-       (jint result.committed)
-       (jint (Kernel.Result.abort_count result))
-       (jfloat result.lat_mean_us) (jint result.lat_p50_us)
-       (jint result.lat_p95_us) (jint result.lat_p99_us)
-       (jint result.lat_p999_us)
-       (String.concat "," (List.map stage_stat_json result.stage_stats))
-       gauges_json trace_json drops_json)
+  { suite = "telemetry";
+    labels = [ ("engine", engine); ("workload", workload) ];
+    metrics =
+      [ ("tps", (result.Kernel.Result.throughput_tps, "txn/sim_s"));
+        ("committed", count result.committed);
+        ("aborted", count (Kernel.Result.abort_count result));
+        ("lat_mean_us", (result.lat_mean_us, "sim_us"));
+        ("lat_p50_us", us result.lat_p50_us);
+        ("lat_p95_us", us result.lat_p95_us);
+        ("lat_p99_us", us result.lat_p99_us);
+        ("lat_p999_us", us result.lat_p999_us) ]
+      @ List.concat_map stage result.stage_stats
+      @ ctl_metrics @ drop_metrics;
+    extra = [] }

@@ -1,101 +1,55 @@
-(* Machine-readable benchmark reporting: collects figure points, raw
-   console rows, per-figure wall-clock timings and micro ns/op estimates,
-   and emits them as JSON (BENCH_macro.json / BENCH_micro.json).
+(* Measurement records.  Every result bench/main.exe and the CLI's
+   telemetry export write is one JSON line of one shape, the bench/e2e
+   shape:
 
-   Recording is off by default; bench/main.exe turns it on with --json.
-   When off, every record_* call is a no-op, so the harness can call them
-   unconditionally. *)
+     {"suite": S, "labels": {k: string},
+      "metrics": {name: {"value": number, "unit": string}},
+      "host": {"nproc": int, "ocaml": string, "commit": string}}
 
-val enable : unit -> unit
-val recording : unit -> bool
+   ci/check_bench_regression.py checks that shape and each suite's
+   predicates over its records. *)
 
-val record_point :
-  fig:string ->
-  series:string ->
-  point:string ->
-  ?tps:float ->
-  ?lat_mean_ms:float ->
-  ?lat_p99_ms:float ->
-  unit ->
-  unit
-
-val record_row : fig:string -> cols:string list -> unit
-val record_fig_time : fig:string -> seconds:float -> unit
-val record_micro : name:string -> ns_per_op:float -> unit
-
-val record_real :
-  series:string ->
-  workload:string ->
-  domains:int ->
-  wall_s:float ->
-  txns:int ->
-  unit
-(** One wall-clock point for the real runtime's compute phase: [txns]
-    functor evaluations in [wall_s] host seconds on [domains] domains.
-    Record a [domains:1] point per series — it is the speedup baseline. *)
-
-val real_recorded : unit -> bool
-
-val write_micro : string -> unit
-val write_macro : scale:string -> string -> unit
-
-val write_timeline : string -> string list -> unit
-(** Append JSONL lines (one epoch-ledger segment, from
-    [Obs.Ledger.to_lines]) to a TIMELINE.jsonl file, creating it if
-    absent.  Append-only on purpose: successive runs accumulate segments
-    that [Obs.Analyze] separates at the meta lines.  Unconditional. *)
-
-val write_real : host_cores:int -> string -> unit
-(** Write BENCH_real.json: per-series wall-clock points with derived
-    txn/s and speedup over the same series' 1-domain run, plus the host
-    core count (wall-clock numbers are machine-dependent, unlike the
-    simulated macro suite). *)
-
-type avail_series = {
-  av_replicas : int;
-  av_engine : string;
-  av_seed : int;
-  av_submitted : int;  (** scripted transactions in the workload *)
-  av_completed : int;  (** transactions that replied by the horizon *)
-  av_points : (int * int) list;
-      (** [(t_us, committed)] samples from the chaos driver's probe loop *)
+type record = {
+  suite : string;
+  labels : (string * string) list;
+  metrics : (string * (float * string)) list;
+      (** metric name -> (value, unit); every value must be finite *)
+  extra : (string * string) list;
+      (** fields written verbatim beside [metrics] (each value is JSON
+          text), e.g. the availability curve; usually [[]] *)
 }
 
-val write_availability :
-  path:string -> schedule:string -> series:avail_series list -> unit
-(** Write BENCH_availability.json: committed-work-over-time under one
-    fault schedule, one series per replication degree — the
-    availability-under-chaos figure.  Unconditional (does not consult
-    {!recording}); kept free of chaos-library types on purpose. *)
+val record : record -> unit
+(** Keep a record for {!recorded}.  The figure row helpers and
+    bench/main.exe's targets call this unconditionally. *)
 
-type fastpath_series = {
-  fp_mode : string;  (** ["on"] or ["off"] *)
-  fp_committed : int;
-  fp_tps : float;
-  fp_p50_us : int;
-  fp_p99_us : int;
-  fp_fast_commits : int;
-      (** transactions that took the coordination-free lane in this run
-          ([aloha.fastpath_commits]); 0 in the off series *)
-}
+val recorded : unit -> record list
+(** Every record kept so far, oldest first. *)
 
-val write_fastpath :
-  path:string -> workload:string -> series:fastpath_series list -> unit
-(** Write BENCH_fastpath.json: one counter-heavy workload measured with
-    the algebraic fast path on and off — the latency-collapse figure.
-    Unconditional (does not consult {!recording}). *)
+val write : string -> record list -> unit
+(** Truncate [path] and write one JSON line per record, each with the
+    host block added ([nproc] = recommended domain count, [ocaml] =
+    [Sys.ocaml_version], [commit] = [git rev-parse HEAD] or
+    ["unknown"]).  Floats are written so they read back exactly.
+    Raises [Invalid_argument] naming the metric if a value is not
+    finite; the file is not touched then. *)
 
-val write_telemetry :
-  path:string ->
+val telemetry :
   engine:string ->
   workload:string ->
   result:Kernel.Result.t ->
   ?drops:Net.Network.drop_stats ->
   ?ctl:Obs.Ctl.t ->
   unit ->
-  unit
-(** Write one run's observability summary (TELEMETRY.json): headline
-    result numbers including p999, per-stage latency percentiles, gauge
-    series summaries, trace-ring occupancy / sampling stats, and fault
-    counters.  Unlike the record_* API this is unconditional — it does not
-    consult {!recording}. *)
+  record
+(** One run's observability summary as a [telemetry] record: headline
+    result numbers ([tps], [committed], [aborted], [lat_*_us]), per-stage
+    percentiles ([stage.<name>.p99_us], ...), gauge series summaries
+    ([gauge.<name>.samples|last|max]), trace-ring stats ([trace.*], with
+    [ctl]) and fault counters ([net_drops.*], with [drops]). *)
+
+val write_timeline : string -> string list -> unit
+(** Append JSONL lines (one epoch-ledger segment, from
+    [Obs.Ledger.to_lines]) to a TIMELINE.jsonl file, creating it if
+    absent.  Append-only on purpose: successive runs accumulate segments
+    that [Obs.Analyze] separates at the meta lines.  Unconditional. *)

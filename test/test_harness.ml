@@ -127,8 +127,91 @@ let test_scale_profiles_sane () =
     (List.mem 0.1 f.Harness.Experiments.fig9_cis
      && List.mem 1e-4 f.Harness.Experiments.fig9_cis)
 
+(* Measurement records: write a few and parse them back with the
+   ledger's JSON reader. *)
+
+let read_records path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := Obs.Analyze.Json.parse (input_line ic) :: !lines
+     done
+   with End_of_file -> close_in ic);
+  Sys.remove path;
+  List.rev !lines
+
+let field path j =
+  List.fold_left
+    (fun j name ->
+      match Option.bind j (Obs.Analyze.Json.member name) with
+      | Some v -> Some v
+      | None -> Alcotest.failf "missing field %s" (String.concat "." path))
+    (Some j) path
+
+let num path j =
+  match field path j with
+  | Some (Obs.Analyze.Json.Num f) -> f
+  | _ -> Alcotest.failf "%s is not a number" (String.concat "." path)
+
+let test_records_round_trip () =
+  let awkward = "q\"uote \\back\x01ctl\ttab" in
+  let values = [ 1e-7; 1e12; 0.1; 1. /. 3.; 2594.925; -0.0004; 42. ] in
+  let metrics =
+    List.mapi (fun i v -> (Printf.sprintf "m%d" i, (v, "ns"))) values
+  in
+  let path = Filename.temp_file "records" ".jsonl" in
+  Harness.Report.write path
+    [ { Harness.Report.suite = "micro"; labels = []; metrics; extra = [] };
+      { Harness.Report.suite = "macro"; labels = [ ("series", awkward) ];
+        metrics = [ ("tps", (5., "txn/sim_s")) ];
+        extra = [ ("points", "[1,2]") ] } ];
+  match read_records path with
+  | [ micro; macro ] ->
+      List.iteri
+        (fun i v ->
+          let name = Printf.sprintf "m%d" i in
+          Alcotest.(check (float 0.)) name v (num [ "metrics"; name; "value" ] micro);
+          Alcotest.(check string) (name ^ " unit") "ns"
+            (Obs.Analyze.Json.to_str (field [ "metrics"; name; "unit" ] micro)))
+        values;
+      Alcotest.(check string) "label" awkward
+        (Obs.Analyze.Json.to_str (field [ "labels"; "series" ] macro));
+      Alcotest.(check bool) "extra field" true
+        (field [ "points" ] macro
+        = Some Obs.Analyze.Json.(Arr [ Num 1.; Num 2. ]));
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) "nproc" true (num [ "host"; "nproc" ] r >= 1.);
+          Alcotest.(check string) "ocaml" Sys.ocaml_version
+            (Obs.Analyze.Json.to_str (field [ "host"; "ocaml" ] r));
+          Alcotest.(check bool) "commit" true
+            (Obs.Analyze.Json.to_str (field [ "host"; "commit" ] r) <> ""))
+        [ micro; macro ]
+  | l -> Alcotest.failf "expected 2 records, read %d" (List.length l)
+
+let test_records_reject_nan () =
+  let path = Filename.temp_file "records" ".jsonl" in
+  let nan_record =
+    { Harness.Report.suite = "micro"; labels = [];
+      metrics = [ ("ok", (1., "ns")); ("broken", (Float.nan, "ns")) ];
+      extra = [] }
+  in
+  (match Harness.Report.write path [ nan_record ] with
+  | () -> Alcotest.fail "a NaN metric was written"
+  | exception Invalid_argument msg ->
+      let mentions =
+        List.exists
+          (fun i -> String.sub msg i 6 = "broken")
+          (List.init (max 0 (String.length msg - 5)) Fun.id)
+      in
+      Alcotest.(check bool) ("names the metric: " ^ msg) true mentions);
+  Sys.remove path
+
 let suite =
-  [ Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
+  [ Alcotest.test_case "records round-trip" `Quick test_records_round_trip;
+    Alcotest.test_case "records reject NaN" `Quick test_records_reject_nan;
+    Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
     Alcotest.test_case "burst arrivals" `Quick
       test_burst_arrivals_cluster_at_period;
     Alcotest.test_case "closed loop" `Quick test_closed_loop_sustains;

@@ -313,24 +313,44 @@ let test_telemetry_file () =
       ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 50 })
       ~obs:ctl ~warmup_us:20_000 ~measure_us:20_000 ()
   in
-  let path = Filename.temp_file "telemetry" ".json" in
-  Harness.Report.write_telemetry ~path ~engine:"aloha" ~workload:"ycsb"
-    ~result ~ctl ();
+  let path = Filename.temp_file "telemetry" ".jsonl" in
+  Harness.Report.write path
+    [ Harness.Report.telemetry ~engine:"aloha" ~workload:"ycsb" ~result ~ctl
+        () ];
   let ic = open_in path in
-  let body = really_input_string ic (in_channel_length ic) in
+  let line = input_line ic in
   close_in ic;
   Sys.remove path;
-  let has needle =
-    let nl = String.length needle and jl = String.length body in
-    let rec go i =
-      i + nl <= jl && (String.sub body i nl = needle || go (i + 1))
-    in
-    go 0
+  let record = Obs.Analyze.Json.parse line in
+  let get path =
+    List.fold_left
+      (fun j name -> Option.bind j (Obs.Analyze.Json.member name))
+      (Some record) path
   in
-  List.iter
-    (fun n -> Alcotest.(check bool) n true (has n))
-    [ "\"suite\":\"telemetry\""; "\"engine\":\"aloha\""; "\"p999_us\"";
-      "\"gauges\":["; "\"sample_rate\"" ]
+  Alcotest.(check string) "suite" "telemetry"
+    (Obs.Analyze.Json.to_str (get [ "suite" ]));
+  Alcotest.(check string) "engine label" "aloha"
+    (Obs.Analyze.Json.to_str (get [ "labels"; "engine" ]));
+  let metric name =
+    match get [ "metrics"; name; "value" ] with
+    | Some (Obs.Analyze.Json.Num v) -> v
+    | _ -> Alcotest.failf "metric %s missing" name
+  in
+  Alcotest.(check (float 0.)) "lat_p999_us"
+    (float_of_int result.Kernel.Result.lat_p999_us)
+    (metric "lat_p999_us");
+  (match result.Kernel.Result.stage_stats with
+  | (stage, st) :: _ ->
+      Alcotest.(check (float 0.)) "stage p99"
+        (float_of_int st.Kernel.Result.p99_us)
+        (metric (Printf.sprintf "stage.%s.p99_us" stage))
+  | [] -> Alcotest.fail "no stage stats");
+  Alcotest.(check bool) "a gauge's last value" true
+    (metric "gauge.compute_queue_depth.last" >= 0.);
+  Alcotest.(check (float 0.)) "trace.sample_rate"
+    (float_of_int (Obs.Trace.sample_rate (Obs.Ctl.trace ctl)))
+    (metric "trace.sample_rate");
+  Alcotest.(check bool) "host block" true (get [ "host"; "commit" ] <> None)
 
 let suite =
   [ Alcotest.test_case "stage codec" `Quick test_stage_codec;
