@@ -130,6 +130,27 @@ let final_of_outcome = function
   | Registry.Abort -> Funct.Aborted_v
   | Registry.Delete -> Funct.Deleted_v
 
+(* A built-in's result over its own key's previous value [p].  Built-ins
+   are total: an absent (or deleted) key counts as 0.  A built-in cannot
+   abort, because it reads only its own key and so could never coordinate
+   an all-or-nothing decision with the transaction's other functors
+   (§IV-C); conditional semantics belong in user handlers whose read sets
+   include the abort-influencing keys. *)
+let builtin_result ftype p args =
+  let arg0 =
+    match args with
+    | a :: _ -> Value.to_int a
+    | [] -> invalid_arg "numeric functor: missing argument"
+  in
+  match ftype with
+  | Ftype.Add -> p + arg0
+  | Ftype.Subtr -> p - arg0
+  | Ftype.Max -> if arg0 > p then arg0 else p
+  | Ftype.Min -> if arg0 < p then arg0 else p
+  | Ftype.Value | Ftype.Aborted | Ftype.Deleted | Ftype.User _
+  | Ftype.Dep_marker _ ->
+      assert false
+
 (* ---- Algorithm 1: Get ---------------------------------------------- *)
 
 (* The chain handle is threaded through the whole per-key recursion
@@ -305,28 +326,8 @@ and begin_compute t ~chain ~key ~ver record p =
                   apply_outcome t ~chain ~key ~ver record p outcome)))
 
 and eval_builtin ftype prev args =
-  let arg0 =
-    match args with
-    | a :: _ -> Value.to_int a
-    | [] -> invalid_arg "numeric functor: missing argument"
-  in
-  (* Built-ins are total: an absent (or deleted) key counts as 0.  A
-     built-in cannot abort, because it reads only its own key and so could
-     never coordinate an all-or-nothing decision with the transaction's
-     other functors (§IV-C); conditional semantics belong in user
-     handlers whose read sets include the abort-influencing keys. *)
   let p = match prev with None -> 0 | Some prev_v -> Value.to_int prev_v in
-  let result =
-    match ftype with
-    | Ftype.Add -> p + arg0
-    | Ftype.Subtr -> p - arg0
-    | Ftype.Max -> if arg0 > p then arg0 else p
-    | Ftype.Min -> if arg0 < p then arg0 else p
-    | Ftype.Value | Ftype.Aborted | Ftype.Deleted | Ftype.User _
-    | Ftype.Dep_marker _ ->
-        assert false
-  in
-  Registry.Commit (Value.int result)
+  Registry.Commit (Value.int (builtin_result ftype p args))
 
 and apply_outcome t ~chain ~key ~ver record p outcome =
   let final = final_of_outcome outcome in
@@ -429,45 +430,56 @@ let merge_delta t ~key ~version =
    claim the record, resolve the previous own-key value over final
    records, evaluate, flip the record final, advance the watermark.
    Everything cross-cutting — recipient pushes, dependent writes, waiter
-   continuations, metric counters, key interning — is stashed in the task
-   slot and applied by the orchestrating domain after the batch barrier
-   ([par_commit]), which also keeps `Sim.Metrics` and the obs tracer
-   single-domain.
+   continuations, metric counters, key interning — is left in the node's
+   slot of the plan's [par_slot] array and applied by the orchestrating
+   domain after the batch barrier ([par_commit]), which also keeps
+   `Sim.Metrics` and the obs tracer single-domain.
 
    The three phases split by domain:
-   - [par_stage]   eligibility + claim + read staging: on the worker, as
-                   part of its run, when the node has no read set (only
-                   its own record is touched); on the orchestrator before
-                   the batch when it has one (the reads walk other keys'
-                   chains and push buffers)
-   - [par_eval]    worker domain: chain-local work only
+   - [par_stage]   eligibility + claim + read staging, on the orchestrator
+                   before the batch, for a node with a read set (the
+                   reads walk other keys' chains and push buffers)
+   - [par_eval]    worker domain: the same staging for a node without a
+                   read set (only its own record is touched), then
+                   chain-local work only
    - [par_commit]  main domain, after the barrier: deferred effects
 
+   A built-in without recipients and dependents allocates nothing on the
+   worker: its operand is read over chain indices and its result is
+   written as the shared small-int state.
+
    Anything not provably safe (Dep_marker chasing, remote or
-   still-pending reads, a missing handler) stays [Par_fallback]: the
+   still-pending reads, a missing handler) is never claimed: the
    planner's unchanged simulated dispatch path evaluates it with the
    full machinery, and [compute_prepared]'s state re-check keeps the
    whole arrangement at-most-once. *)
 
-type par_task = {
-  pt_node : prepared;
-  pt_user : par_user option; (* Some ⇔ user functor *)
-  mutable pt_out : par_out;
-}
-
-and par_user = {
+type par_user = {
   handler : Registry.handler;
   reads : (string * Value.t option) list; (* staged on the main domain *)
   push_hits : int;
 }
 
-(* A task stays this small because a whole level's tasks live until its
-   commit: the final value is the record's, and the own-key value below
-   (for recipient pushes) is re-read at commit from the now-final chain.
-   [Par_plain] is a built-in with no recipients and no dependents: its
-   commit has nothing to push or write, so the worker records no
-   outcome. *)
-and par_out = Par_fallback | Par_plain | Par_done of Registry.outcome
+(* A node's slot: [Par_free] (never claimed: left to the dispatch),
+   [Par_claimed] or [Par_staged] (a claimed built-in or user functor, not
+   evaluated), [Par_plain] (an evaluated built-in with no recipients and
+   no dependents: its commit has nothing to push or write) or [Par_done]
+   (evaluated, with its staging's push-buffer hits).  A claim is written
+   before its node is evaluated, so if a handler raises, the commit still
+   sees every claimed record and releases it, and the run's later nodes
+   stay [Par_free].  The final value is the record's; the own-key value
+   below (for recipient pushes) is re-read at commit from the now-final
+   chain. *)
+type par_slot =
+  | Par_free
+  | Par_claimed
+  | Par_staged of par_user
+  | Par_plain
+  | Par_done of Registry.outcome * int
+
+type par_result = Par_untouched | Par_evaluated | Par_released
+
+let par_slots n = Array.make n Par_free
 
 exception Pending_below
 
@@ -485,94 +497,122 @@ let rec final_value_le chain ~version =
           if ver = 0 then None else final_value_le chain ~version:(ver - 1)
       | Funct.Pending _ -> raise Pending_below)
 
-(* Claim [p] for the parallel path.  Mirrors [ensure_computing]'s entry
-   bookkeeping so a fallback reset (or a raced on-demand read) observes a
-   consistent record; workers never touch [status] otherwise. *)
-let claim ~now pr (p : Funct.pending) user =
-  p.status <- Funct.Computing;
-  if p.retrieved_at_us < 0 then p.retrieved_at_us <- now;
-  Some { pt_node = pr; pt_user = user; pt_out = Par_fallback }
+(* [final_value_le] from the entry at index [i], as a built-in's int
+   operand (absent or deleted: 0), walking indices instead of versions:
+   the entry below an aborted version [ver] is the latest one <= ver - 1. *)
+let rec final_int_at chain i =
+  if i < 0 then 0
+  else
+    match (Mvstore.Chain.payload_at chain i).Funct.state with
+    | Funct.Final (Funct.Committed v) -> Value.to_int v
+    | Funct.Final Funct.Deleted_v -> 0
+    | Funct.Final Funct.Aborted_v ->
+        if Mvstore.Chain.version_at chain i = 0 then 0
+        else final_int_at chain (i - 1)
+    | Funct.Pending _ -> raise Pending_below
 
-let par_stage t ~now pr =
+(* Claim [p] for the parallel path.  Mirrors [ensure_computing]'s entry
+   bookkeeping so a release (or a raced on-demand read) observes a
+   consistent record; workers never touch [status] otherwise. *)
+let claim ~now (p : Funct.pending) =
+  p.status <- Funct.Computing;
+  if p.retrieved_at_us < 0 then p.retrieved_at_us <- now
+
+(* Resolve a user functor's read set: push-buffer hits first, then local
+   chains over final records.  [None] when a read is remote or blocked by
+   a pending record. *)
+let stage_reads t (p : Funct.pending) ~version =
+  let push_hits = ref 0 in
+  let rec resolve acc = function
+    | [] -> Some (List.rev acc)
+    | rk :: rest -> (
+        match Funct.pushed_value p rk with
+        | Some v ->
+            incr push_hits;
+            resolve ((Key.name rk, v) :: acc) rest
+        | None ->
+            if not (t.cb.is_local rk) then None
+            else (
+              match Mvstore.Table.chain t.table rk with
+              | None -> resolve ((Key.name rk, None) :: acc) rest
+              | Some rchain -> (
+                  match final_value_le rchain ~version:(version - 1) with
+                  | v -> resolve ((Key.name rk, v) :: acc) rest
+                  | exception Pending_below -> None)))
+  in
+  match resolve [] p.Funct.farg.Funct.read_set with
+  | None -> None
+  | Some reads -> Some (reads, !push_hits)
+
+let par_stage t ~now slots i pr =
   match pr.p_record.Funct.state with
-  | Funct.Final _ -> None (* raced to final; the dispatch job no-ops *)
+  | Funct.Final _ -> () (* raced to final; the dispatch job no-ops *)
   | Funct.Pending p -> (
       match p.Funct.status with
-      | Funct.Computing -> None
+      | Funct.Computing -> ()
       | Funct.Installed -> (
           match p.Funct.ftype with
           | Ftype.Value | Ftype.Aborted | Ftype.Deleted -> assert false
           | Ftype.Dep_marker _ ->
               (* Marker resolution may chase remote determinate functors;
                  leave it to the sequential machinery. *)
-              None
+              ()
           | Ftype.Add | Ftype.Subtr | Ftype.Max | Ftype.Min ->
-              claim ~now pr p None
+              claim ~now p;
+              slots.(i) <- Par_claimed
           | Ftype.User name -> (
               match Registry.find t.registry name with
-              | None -> None (* fallback counts m_missing_handler *)
+              | None -> () (* the dispatch counts m_missing_handler *)
               | Some handler -> (
-                  (* The planner stages any node with a read set on the
-                     orchestrating domain: push-buffer hits and
-                     cross-chain walks both touch state other workers
-                     may own. *)
-                  let push_hits = ref 0 in
-                  let rec resolve acc = function
-                    | [] -> Some (List.rev acc)
-                    | rk :: rest -> (
-                        match Funct.pushed_value p rk with
-                        | Some v ->
-                            incr push_hits;
-                            resolve ((Key.name rk, v) :: acc) rest
-                        | None ->
-                            if not (t.cb.is_local rk) then None
-                            else (
-                              match Mvstore.Table.chain t.table rk with
-                              | None ->
-                                  resolve ((Key.name rk, None) :: acc) rest
-                              | Some rchain -> (
-                                  match
-                                    final_value_le rchain
-                                      ~version:(pr.p_version - 1)
-                                  with
-                                  | v -> resolve ((Key.name rk, v) :: acc) rest
-                                  | exception Pending_below -> None)))
-                  in
-                  match resolve [] p.Funct.farg.Funct.read_set with
-                  | None -> None
-                  | Some reads ->
-                      claim ~now pr p
-                        (Some { handler; reads; push_hits = !push_hits })))))
+                  match stage_reads t p ~version:pr.p_version with
+                  | None -> ()
+                  | Some (reads, push_hits) ->
+                      claim ~now p;
+                      slots.(i) <- Par_staged { handler; reads; push_hits }))))
 
-let par_eval _t task =
-  let pr = task.pt_node in
-  let p = pr.p_pending in
-  (* Own-chain walk: the only mutable state this domain touches.  If the
-     walk finds a pending record, or the handler raises past the catch
-     below, [pt_out] stays [Par_fallback] and the record is still
-     Pending — the sequential path takes over. *)
+(* A claimed built-in.  If the own-key walk finds a pending record, the
+   slot stays [Par_claimed] and the record stays pending — the commit
+   releases it to the sequential path. *)
+let eval_builtin_slot slots i pr (p : Funct.pending) =
+  let chain = pr.p_chain in
+  match
+    final_int_at chain (Mvstore.Chain.rank chain ~version:(pr.p_version - 1))
+  with
+  | exception Pending_below -> ()
+  | prev -> (
+      let result = builtin_result p.ftype prev p.farg.Funct.args in
+      pr.p_record.Funct.state <- Funct.final_int result;
+      refresh_watermark chain;
+      match p.farg with
+      | { Funct.recipients = []; dependents = []; _ } -> slots.(i) <- Par_plain
+      | _ -> slots.(i) <- Par_done (Registry.Commit (Value.int result), 0))
+
+(* A staged user functor, as [eval_builtin_slot]: it reads through its
+   read set, so the own-key walk only checks that nothing below it is
+   pending.  An exception other than [Not_found] / [Invalid_argument]
+   from the handler propagates, leaving the slot [Par_staged]. *)
+let eval_user_slot slots i pr (p : Funct.pending) u =
   match final_value_le pr.p_chain ~version:(pr.p_version - 1) with
   | exception Pending_below -> ()
-  | prev ->
+  | _prev ->
+      let ctx =
+        { Registry.key = Key.name pr.p_key; version = pr.p_version;
+          reads = u.reads; args = p.Funct.farg.Funct.args }
+      in
       let outcome =
-        match task.pt_user with
-        | None -> eval_builtin p.Funct.ftype prev p.Funct.farg.Funct.args
-        | Some { handler; reads; _ } -> (
-            let ctx =
-              { Registry.key = Key.name pr.p_key; version = pr.p_version;
-                reads; args = p.Funct.farg.Funct.args }
-            in
-            try handler ctx
-            with Not_found | Invalid_argument _ -> Registry.Abort)
+        try u.handler ctx with Not_found | Invalid_argument _ -> Registry.Abort
       in
       pr.p_record.Funct.state <- Funct.final_state (final_of_outcome outcome);
       refresh_watermark pr.p_chain;
-      task.pt_out <-
-        (match (task.pt_user, outcome, p.Funct.farg) with
-        | None, Registry.Commit _, { Funct.recipients = []; dependents = []; _ }
-          ->
-            Par_plain
-        | _ -> Par_done outcome)
+      slots.(i) <- Par_done (outcome, u.push_hits)
+
+let par_eval t ~now slots i pr =
+  let p = pr.p_pending in
+  if p.Funct.farg.Funct.read_set = [] then par_stage t ~now slots i pr;
+  match slots.(i) with
+  | Par_claimed -> eval_builtin_slot slots i pr p
+  | Par_staged u -> eval_user_slot slots i pr p u
+  | Par_free | Par_plain | Par_done _ -> ()
 
 (* [finalize] minus the state flip and watermark advance, which the
    worker already did on the record's own chain. *)
@@ -582,30 +622,29 @@ let par_finish t pr (p : Funct.pending) final =
   | Funct.Committed _ | Funct.Deleted_v -> ());
   incr t.m_computed;
   t.cb.notify_final ~key:pr.p_key ~version:pr.p_version ~pending:p ~final;
-  let waiters = p.Funct.waiters in
-  p.Funct.waiters <- [];
-  List.iter (fun w -> w final) waiters
+  match p.Funct.waiters with
+  | [] -> () (* no closure over [final] to build *)
+  | waiters ->
+      p.Funct.waiters <- [];
+      List.iter (fun w -> w final) waiters
 
-let par_commit t task =
-  let pr = task.pt_node in
+let par_commit t slots i pr =
   let p = pr.p_pending in
   let key = pr.p_key and ver = pr.p_version in
-  match (task.pt_out, pr.p_record.Funct.state) with
-  | Par_fallback, _ ->
-      (* Undo the staging claim; the simulated dispatch job re-runs
+  match (slots.(i), pr.p_record.Funct.state) with
+  | Par_free, _ -> Par_untouched
+  | (Par_claimed | Par_staged _), _ ->
+      (* Undo the claim; the simulated dispatch job re-runs
          [ensure_computing] with the full waiting machinery. *)
       p.Funct.status <- Funct.Installed;
-      false
+      Par_released
   | (Par_plain | Par_done _), Funct.Pending _ ->
       assert false (* par_eval flipped it *)
   | Par_plain, Funct.Final final ->
       par_finish t pr p final;
-      true
-  | Par_done outcome, Funct.Final final ->
-      (match task.pt_user with
-      | Some { push_hits; _ } when push_hits > 0 ->
-          t.m_push_hits := !(t.m_push_hits) + push_hits
-      | Some _ | None -> ());
+      Par_evaluated
+  | Par_done (outcome, push_hits), Funct.Final final ->
+      if push_hits > 0 then t.m_push_hits := !(t.m_push_hits) + push_hits;
       (match p.Funct.farg.Funct.recipients with
       | [] -> ()
       | recipients ->
@@ -621,7 +660,7 @@ let par_commit t task =
         (fun (dk, dfinal) -> t.cb.send_dep_write ~key:dk ~version:ver dfinal)
         (dep_writes_for p outcome);
       par_finish t pr p final;
-      true
+      Par_evaluated
 
 (* ---- deliveries from the network ------------------------------------ *)
 

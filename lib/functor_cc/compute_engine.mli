@@ -121,40 +121,52 @@ val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
     version-ascending nodes at that level, in order, on one worker).  A
     level's runs have distinct keys and only read other keys' values
     finalised by earlier levels, so the worker side touches nothing but
-    its own run's chain; every cross-cutting effect (pushes, dependent
-    writes, waiters, metrics, interning) is staged in the task and
-    applied by {!par_commit} on the orchestrating domain after the batch
-    barrier.  Items the stager rejects — or whose evaluation could not
-    complete chain-locally — fall back to the unchanged sequential
+    its own run's chain.  A plan keeps one {!par_slot} per node, indexed
+    like its nodes: the claim, then the outcome.  Every cross-cutting
+    effect (pushes, dependent writes, waiters, metrics, interning) waits
+    in the slot for {!par_commit} on the orchestrating domain after the
+    batch barrier.  Items the stager rejects — or whose evaluation could
+    not complete chain-locally — fall back to the unchanged sequential
     dispatch path. *)
 
-type par_task
+type par_slot
 
-val par_stage : t -> now:int -> prepared -> par_task option
-(** Claim and stage one node.  [None] when the item must take the
-    sequential path (already final/computing, Dep_marker, missing
-    handler, remote or still-pending reads).  A returned task has
-    claimed the record ([Installed] → [Computing]) and stamped
-    [retrieved_at_us] with [now] if unset.  A node without a read set
-    touches only its own record and may be staged on a worker domain
-    inside its run; a node with a read set walks other keys' chains and
-    must be staged on the orchestrating domain while workers are idle. *)
+val par_slots : int -> par_slot array
+(** [par_slots n]: [n] unclaimed slots, one per plan node. *)
 
-val par_eval : t -> par_task -> unit
-(** Worker domain.  Chain-local only: resolve own-key prev over final
-    records, evaluate, flip the record final, advance the watermark.  If
-    the own-key walk finds a pending record the task stays a fallback and
-    the record stays pending; an exception other than [Not_found] /
+val par_stage : t -> now:int -> par_slot array -> int -> prepared -> unit
+(** [par_stage t ~now slots i node] claims and stages plan node [i]: it
+    leaves slot [i] unclaimed when the item must take the sequential path
+    (already final/computing, Dep_marker, missing handler, remote or
+    still-pending reads).  A claim moves the record [Installed] →
+    [Computing] and stamps [retrieved_at_us] with [now] if unset.  A node
+    with a read set walks other keys' chains, so the orchestrating domain
+    stages it, while workers are idle, before its level's batch. *)
+
+val par_eval : t -> now:int -> par_slot array -> int -> prepared -> unit
+(** Worker domain.  Stages a node without a read set (as {!par_stage},
+    touching only its own record), then, if slot [i] is claimed, does
+    chain-local work only: resolve own-key prev over final records,
+    evaluate, flip the record final, advance the watermark, and record
+    the outcome in the slot.  The claim is in the slot before evaluation
+    starts.  If the own-key walk finds a pending record the slot stays
+    claimed and the record pending; an exception other than [Not_found] /
     [Invalid_argument] from a user handler propagates with the same
-    effect. *)
+    effect.  A built-in with no recipients and no dependents allocates
+    nothing. *)
 
-val par_commit : t -> par_task -> bool
-(** Main domain, after the batch barrier.  Applies the deferred effects
-    and returns [true]; or, for a fallback task, releases the claim
-    ([Computing] → [Installed]) so the sequential dispatch re-evaluates
-    it, and returns [false].  A built-in with no recipients and no
-    dependents has no deferred effect beyond counting, [notify_final]
-    and its record's waiters, and its commit does only that. *)
+type par_result =
+  | Par_untouched  (** never claimed *)
+  | Par_evaluated  (** evaluated on a worker; effects applied *)
+  | Par_released  (** claimed but not evaluated; claim released *)
+
+val par_commit : t -> par_slot array -> int -> prepared -> par_result
+(** Main domain, after the batch barrier.  Applies slot [i]'s deferred
+    effects; or, for a claim left unevaluated, releases it ([Computing] →
+    [Installed]) so the sequential dispatch re-evaluates it.  A built-in
+    with no recipients and no dependents has no deferred effect beyond
+    counting, [notify_final] and its record's waiters, and its commit
+    does only that. *)
 
 val deliver_push :
   t -> key:Mvstore.Key.t -> version:int -> src_key:Mvstore.Key.t ->

@@ -56,6 +56,11 @@ let final_state = function
   | Deleted_v -> final_deleted
   | Committed _ as f -> Final f
 
+let final_int i =
+  if i >= 0 && i < Array.length small_committed then
+    Array.unsafe_get small_committed i
+  else Final (Committed (Value.Int i))
+
 let mk_final f = { state = final_state f }
 
 let mk_value v = mk_final (Committed v)

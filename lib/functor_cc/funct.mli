@@ -65,6 +65,10 @@ val final_state : final -> state
     has one preallocated block, returned instead of a fresh one.  Write
     final states through this. *)
 
+val final_int : int -> state
+(** [final_state (Committed (Value.int i))] without building the
+    [Committed] box: a small int's shared block, else one fresh state. *)
+
 val mk_final : final -> t
 val mk_value : Value.t -> t
 

@@ -116,108 +116,132 @@ let topo_levels ~next ~r_off ~r_adj ~indeg =
   assert (!tail = n);
   (depth, level)
 
-(* A key run: one key's version-ascending plan nodes at one level — from
-   [r_head] along [next] — and the commit buffer its task fills: slot [k]
-   holds the run's [k]-th node's staged task, if any. *)
-type run = { r_head : int; r_staged : Compute_engine.par_task option array }
+(* A level's key runs: one key's version-ascending plan nodes at one
+   level, from a head along [next].  Levels never decrease along a key
+   (intra-key edges weigh 0), so every key's chain of [next] links splits
+   into maximal same-level runs.  Level [l]'s runs are
+   [head.(off.(l)) .. head.(off.(l + 1) - 1)] with their lengths in [len],
+   ordered by their head's plan index, so the commit order depends on the
+   plan alone. *)
+type runs = { off : int array; head : int array; len : int array }
 
-let iter_run ~next r f =
-  let i = ref r.r_head in
-  for k = 0 to Array.length r.r_staged - 1 do
-    f k !i;
+(* A stable counting sort of plan nodes [xs] (ascending) by level:
+   level [l]'s are [a.(off.(l)) .. a.(off.(l + 1) - 1)], in plan order. *)
+let by_level ~level ~levels xs =
+  let off = Array.make (levels + 1) 0 in
+  Array.iter (fun i -> off.(level.(i) + 1) <- off.(level.(i) + 1) + 1) xs;
+  for l = 1 to levels do
+    off.(l) <- off.(l) + off.(l - 1)
+  done;
+  let a = Array.make (Array.length xs) 0 and fill = Array.sub off 0 levels in
+  Array.iter
+    (fun i ->
+      let l = level.(i) in
+      a.(fill.(l)) <- i;
+      fill.(l) <- fill.(l) + 1)
+    xs;
+  (off, a)
+
+let runs_by_level ~next ~level ~levels =
+  let n = Array.length next in
+  let same_level i = next.(i) >= 0 && level.(next.(i)) = level.(i) in
+  let is_head = Array.make n true and n_heads = ref n in
+  for i = 0 to n - 1 do
+    if same_level i then begin
+      is_head.(next.(i)) <- false;
+      decr n_heads
+    end
+  done;
+  let heads = Array.make !n_heads 0 and k = ref 0 in
+  for i = 0 to n - 1 do
+    if is_head.(i) then begin
+      heads.(!k) <- i;
+      incr k
+    end
+  done;
+  let off, head = by_level ~level ~levels heads in
+  let len =
+    Array.map
+      (fun h ->
+        let j = ref h and m = ref 1 in
+        while same_level !j do
+          j := next.(!j);
+          incr m
+        done;
+        !m)
+      head
+  in
+  { off; head; len }
+
+(* One run on one worker.  [par_eval] writes each node's claim to its
+   slot before evaluating it, so if a handler raises, the commit still
+   sees every claimed record and releases it, and the run's later nodes
+   stay unclaimed. *)
+let eval_run engine ~now ~slots ~nodes ~next head len () =
+  let i = ref head in
+  for _ = 1 to len do
+    Compute_engine.par_eval engine ~now slots !i nodes.(!i);
     i := next.(!i)
   done
 
-(* Split every key's chain of [next] links into maximal same-level runs
-   (levels never decrease along a key: intra-key edges weigh 0) and group
-   them per level, each level's runs ordered by their first node's plan
-   index, so the commit order depends on the plan alone. *)
-let runs_by_level ~next ~level =
-  let n = Array.length next in
-  let same_level i = next.(i) >= 0 && level.(next.(i)) = level.(i) in
-  let is_head = Array.make n true in
-  for i = 0 to n - 1 do
-    if same_level i then is_head.(next.(i)) <- false
-  done;
-  let by_level = Array.make (Array.fold_left max 0 level + 1) [] in
-  for i = n - 1 downto 0 do
-    if is_head.(i) then begin
-      let len = ref 1 and j = ref i in
-      while same_level !j do
-        j := next.(!j);
-        incr len
-      done;
-      by_level.(level.(i)) <-
-        { r_head = i; r_staged = Array.make !len None } :: by_level.(level.(i))
-    end
-  done;
-  by_level
-
-(* One run on one worker: stage (unless the orchestrator already did, for
-   a node with a read set) and record the task before evaluating it, so
-   if a handler raises, the commit still sees every claimed record and
-   releases it, and the run's later nodes stay unclaimed. *)
-let eval_run engine ~now ~nodes ~next r () =
-  iter_run ~next r (fun k i ->
-      if read_set nodes.(i) = [] then
-        r.r_staged.(k) <- Compute_engine.par_stage engine ~now nodes.(i);
-      match r.r_staged.(k) with
-      | Some task -> Compute_engine.par_eval engine task
-      | None -> ())
-
 (* Real runtime: evaluate the plan eagerly, level by level, one pool
-   batch per level and one task per key run.  [run_batch] is the level
+   batch per level and one task per key run.  Only the plan's readers
+   (nodes with a read set, [readers] in descending plan order) are
+   staged here, before their level's batch.  [run_batch] is the level
    barrier; [par_commit] then applies every cross-cutting effect back on
    this domain, level by level and run by run in plan order, so commit
    order does not depend on the domain count. *)
-let eval_levels t rpool ~now ~nodes ~next ~level =
-  Array.iter
-    (fun runs ->
-      let size =
-        List.fold_left (fun acc r -> acc + Array.length r.r_staged) 0 runs
-      in
-      (match t.on_stratum with Some f -> f ~size | None -> ());
-      incr t.m_real_strata;
-      List.iter
-        (fun r ->
-          iter_run ~next r (fun k i ->
-              if read_set nodes.(i) <> [] then
-                r.r_staged.(k) <-
-                  Compute_engine.par_stage t.engine ~now nodes.(i)))
-        runs;
-      let before =
-        match t.on_stratum_done with
-        | Some _ -> Runtime.Pool.worker_stats rpool
-        | None -> [||]
-      in
-      Runtime.Pool.run_batch rpool
-        (Array.of_list
-           (List.map
-              (fun r -> eval_run t.engine ~now ~nodes ~next r)
-              runs));
-      (match t.on_stratum_done with
-      | Some f ->
-          let after = Runtime.Pool.worker_stats rpool in
-          f ~size
-            ~workers:
-              (Array.mapi
-                 (fun i (c1, s1, q1) ->
-                   let c0, s0, _ = before.(i) in
-                   (c1 - c0, s1 - s0, q1))
-                 after)
-      | None -> ());
-      List.iter
-        (fun r ->
-          Array.iter
-            (function
-              | None -> ()
-              | Some task ->
-                  if Compute_engine.par_commit t.engine task then
-                    incr t.m_real_evaluated
-                  else incr t.m_real_fallback)
-            r.r_staged)
-        runs)
-    (runs_by_level ~next ~level)
+let eval_levels t rpool ~now ~nodes ~next ~level ~readers =
+  let levels = Array.fold_left max 0 level + 1 in
+  let runs = runs_by_level ~next ~level ~levels in
+  let rd_off, readers =
+    by_level ~level ~levels (Array.of_list (List.rev readers))
+  in
+  let slots = Compute_engine.par_slots (Array.length next) in
+  for l = 0 to levels - 1 do
+    let r0 = runs.off.(l) and r1 = runs.off.(l + 1) in
+    let size = ref 0 in
+    for r = r0 to r1 - 1 do
+      size := !size + runs.len.(r)
+    done;
+    let size = !size in
+    (match t.on_stratum with Some f -> f ~size | None -> ());
+    incr t.m_real_strata;
+    for k = rd_off.(l) to rd_off.(l + 1) - 1 do
+      let i = readers.(k) in
+      Compute_engine.par_stage t.engine ~now slots i nodes.(i)
+    done;
+    let before =
+      match t.on_stratum_done with
+      | Some _ -> Runtime.Pool.worker_stats rpool
+      | None -> [||]
+    in
+    Runtime.Pool.run_batch rpool
+      (Array.init (r1 - r0) (fun r ->
+           eval_run t.engine ~now ~slots ~nodes ~next runs.head.(r0 + r)
+             runs.len.(r0 + r)));
+    (match t.on_stratum_done with
+    | Some f ->
+        let after = Runtime.Pool.worker_stats rpool in
+        f ~size
+          ~workers:
+            (Array.mapi
+               (fun i (c1, s1, q1) ->
+                 let c0, s0, _ = before.(i) in
+                 (c1 - c0, s1 - s0, q1))
+               after)
+    | None -> ());
+    for r = r0 to r1 - 1 do
+      let i = ref runs.head.(r) in
+      for _ = 1 to runs.len.(r) do
+        (match Compute_engine.par_commit t.engine slots !i nodes.(!i) with
+        | Compute_engine.Par_untouched -> ()
+        | Compute_engine.Par_evaluated -> incr t.m_real_evaluated
+        | Compute_engine.Par_released -> incr t.m_real_fallback);
+        i := next.(!i)
+      done
+    done
+  done
 
 (* Key id -> the plan's dense index of that key. *)
 module Int_tbl = Hashtbl.Make (struct
@@ -230,7 +254,8 @@ end)
 (* Plan completion: one shared waiter on every node still pending once the
    real runtime's level batches are done (every node, under the simulated
    runtime), host-side only, so the evaluation histogram costs the
-   simulation nothing.  A plan with nothing left pending completes now. *)
+   simulation nothing.  A plan with nothing left pending completes now.
+   Returns whether any node is left pending. *)
 let track_completion t ~sim_t0 ~nodes ~n =
   let finish () =
     let elapsed_us = t.now () - sim_t0 in
@@ -248,7 +273,8 @@ let track_completion t ~sim_t0 ~nodes ~n =
       Funct.add_waiter (Compute_engine.prepared_pending nodes.(i)) on_final
     end
   done;
-  if !remaining = 0 then finish ()
+  if !remaining = 0 then finish ();
+  !remaining > 0
 
 let run t ~items =
   let build_t0 = Sys.time () in
@@ -357,12 +383,14 @@ let run t ~items =
   done;
   (* 3b. Read→write edges for explicit read sets, own key included.  They
      weigh one level: the reader is staged on the orchestrator, which
-     needs its producers final before the reader's batch starts. *)
-  let read_edges = ref [] in
+     needs its producers final before the reader's batch starts.  The
+     real runtime stages exactly the nodes collected in [readers]. *)
+  let read_edges = ref [] and readers = ref [] in
   for i = 0 to n - 1 do
     match read_set nodes.(i) with
     | [] -> ()
     | read_set ->
+        if Option.is_some t.real then readers := i :: !readers;
         let p = Compute_engine.prepared_pending nodes.(i) in
         let key = Compute_engine.prepared_key nodes.(i) in
         let ver = node_ver.(i) in
@@ -402,6 +430,7 @@ let run t ~items =
   let stats =
     { nodes = n; edges = !edges; strata; critical_path; subs_sent = !subs }
   in
+  let pending_left = ref false in
   if n > 0 then begin
     t.plans <- t.plans + 1;
     incr t.m_plans;
@@ -413,36 +442,44 @@ let run t ~items =
     Sim.Metrics.record_latency t.metrics "plan.critical_path" critical_path;
     (* 3r. Real runtime: evaluate the plan eagerly on the worker-domain
        pool before the simulated dispatch below.  That dispatch still
-       runs — evaluated records no-op through [compute_prepared] (keeping
-       the simulated timeline identical to `--runtime sim`), while items
-       the stager rejected are computed there with the full machinery. *)
+       runs with the same jobs (keeping the simulated timeline that of
+       `--runtime sim`): evaluated records no-op, while items the stager
+       rejected are computed there with the full machinery. *)
     (match t.real with
-    | Some rpool -> eval_levels t rpool ~now:sim_t0 ~nodes ~next ~level
+    | Some rpool ->
+        eval_levels t rpool ~now:sim_t0 ~nodes ~next ~level ~readers:!readers
     | None -> ());
-    track_completion t ~sim_t0 ~nodes ~n
+    pending_left := track_completion t ~sim_t0 ~nodes ~n
   end;
   (* 4. Dispatch one job per *item* in install order, [dispatch_cost_us]
      each, as one worker-pool run, so the simulated job sequence does not
      depend on the graph's shape or the runtime.  Items without a node
-     were already final and dispatch as no-ops.  The run releases each
-     node as its job fires: jobs of one run complete in index order and
-     node indices follow item order, so a fired node's slot (and every
-     unused slot past [n]) can point at the plan's last node, whose own
-     job drops the array. *)
+     were already final and dispatch as no-ops.  When the real runtime
+     left no node pending, every job would be a no-op: the run is silent
+     (no callback; one completion per worker lane on an idle pool).
+     Otherwise the run releases each node as its job fires: jobs of one
+     run complete in index order and node indices follow item order, so
+     a fired node's slot (and every unused slot past [n]) can point at
+     the plan's last node, whose own job drops the array. *)
   (match t.on_dispatch with
   | Some f ->
       Array.iter (fun { Processor.key; version } -> f ~key ~version) items_a
   | None -> ());
-  let live = ref nodes in
-  if n > 0 then Array.fill nodes n (Array.length nodes - n) nodes.(n - 1);
-  let job i =
-    let j = item_node.(i) in
-    if j >= 0 then begin
-      let node = !live.(j) in
-      if j = n - 1 then live := [||] else !live.(j) <- !live.(n - 1);
-      Compute_engine.compute_prepared t.engine node
-    end
-  in
-  Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
-    job;
+  if Option.is_some t.real && not !pending_left then
+    Sim.Worker_pool.submit_silent t.pool ~cost:t.dispatch_cost_us
+      ~count:n_items
+  else begin
+    let live = ref nodes in
+    if n > 0 then Array.fill nodes n (Array.length nodes - n) nodes.(n - 1);
+    let job i =
+      let j = item_node.(i) in
+      if j >= 0 then begin
+        let node = !live.(j) in
+        if j = n - 1 then live := [||] else !live.(j) <- !live.(n - 1);
+        Compute_engine.compute_prepared t.engine node
+      end
+    in
+    Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
+      job
+  end;
   stats

@@ -80,18 +80,24 @@ val create :
     evaluated eagerly, one {!Runtime.Pool.run_batch} per level, before the
     simulated dispatch runs.  Each task of a batch is one key's
     version-ascending run of nodes at that level, evaluated in order on
-    one worker, so an epoch of built-ins alone is a single batch; user
-    functors with read sets are staged on the calling domain before their
-    level's batch.  Each run fills its own commit buffer, which the
-    calling domain applies level by level in plan order, so commit order
+    one worker, so an epoch of built-ins alone is a single batch.  The
+    plan keeps its evaluation state flat: one {!Compute_engine.par_slot}
+    per node (claim, then outcome) and each level's runs as (head,
+    length) int arrays.  User functors with read sets (the readers the
+    graph build collects) are staged on the calling domain before their
+    level's batch; a level without readers stages nothing.  The calling
+    domain commits level by level, runs in plan order, so commit order
     does not depend on the domain count.  Evaluated records then no-op
-    through {!Compute_engine.compute_prepared}, so the simulated timeline
-    is unchanged.  [on_stratum] observes each level's batch leaving for
-    the domain pool (lifecycle tracing; [size] counts its nodes);
-    [on_stratum_done] fires after the batch barrier with the per-worker
-    (completed, stolen, queue) deltas across the batch — the occupancy
-    feed for the epoch ledger's per-worker profiling tracks.  The
-    [plan.real_strata] counter counts these level batches. *)
+    through {!Compute_engine.compute_prepared}; when no node is left
+    pending, the dispatch is a {!Sim.Worker_pool.submit_silent} run of
+    the same count and cost, one completion per worker lane on an idle
+    pool instead of one event per item.  [on_stratum] observes each
+    level's batch leaving for the domain pool (lifecycle tracing; [size]
+    counts its nodes); [on_stratum_done] fires after the batch barrier
+    with the per-worker (completed, stolen, queue) deltas across the
+    batch — the occupancy feed for the epoch ledger's per-worker
+    profiling tracks.  The [plan.real_strata] counter counts these level
+    batches. *)
 
 val run : t -> items:Processor.item list -> stats
 (** Build and dispatch one plan over [items] (an epoch's drained buffer,

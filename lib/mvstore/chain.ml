@@ -87,6 +87,19 @@ let find_le t ~version =
   let pos = rank_le t version in
   if pos < 0 then None else Some (t.vers.(pos), t.payloads.(pos))
 
+let rank t ~version = rank_le t version
+
+let check_index t i =
+  if i < 0 || i >= t.size then invalid_arg "Chain: index out of range"
+
+let version_at t i =
+  check_index t i;
+  Array.unsafe_get t.vers i
+
+let payload_at t i =
+  check_index t i;
+  Array.unsafe_get t.payloads i
+
 let find_exact t ~version =
   let pos = rank_le t version in
   if pos >= 0 && t.vers.(pos) = version then Some t.payloads.(pos) else None

@@ -30,6 +30,19 @@ val find_le : 'a t -> version:int -> (int * 'a) option
 
 val find_exact : 'a t -> version:int -> 'a option
 
+val rank : 'a t -> version:int -> int
+(** Index of the latest entry with version <= the bound, or -1.  With
+    {!version_at} and {!payload_at} this is {!find_le} without its option
+    and pair: a walk over indices allocates nothing.  An index is valid
+    until the chain's next insert or truncation. *)
+
+val version_at : 'a t -> int -> int
+(** Version of the entry at an index ([0 <= i < length]); raises
+    [Invalid_argument] outside that range. *)
+
+val payload_at : 'a t -> int -> 'a
+(** Payload of the entry at an index, as {!version_at}. *)
+
 val find_next_after : 'a t -> version:int -> (int * 'a) option
 (** Earliest version strictly greater than the bound (used by readers that
     skip ABORTED versions downwards do not need this; processors scanning

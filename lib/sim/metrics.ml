@@ -4,7 +4,7 @@
    race under concurrent domains.  Rather than pay atomics on every
    simulated event, the real runtime keeps ALL metric mutation on the
    orchestrating domain: worker domains carry their per-item tallies in
-   their key run's task slots ([Compute_engine.par_task]) and the
+   the plan's per-node slots ([Compute_engine.par_slot]) and the
    orchestrator merges them into these counters after each batch
    barrier ([par_commit]) — the domain-local-shards-merged-at-epoch-close
    variant with the shard inlined into the work item.  Resolve handles

@@ -25,6 +25,18 @@ val submit_run : t -> cost:int -> count:int -> (int -> unit) -> unit
     [count] calls to {!submit}, in index order, but the run allocates one
     entry instead of a job and a queue cell per job. *)
 
+val submit_silent : t -> cost:int -> count:int -> unit
+(** [submit_silent t ~cost ~count] is {!submit_run} with no callback.  On
+    an idle pool (no busy worker, empty queue) it takes [count] jobs'
+    worker time without an event per job: lane [w] of the pool's
+    [workers] runs ⌈(count − w) / workers⌉ jobs back to back, and one
+    completion event fires per lane, when its last job would complete.
+    {!queue_length}, {!busy_time} and {!jobs_completed} read mid-run are
+    computed from that lane schedule, as a reader firing first at its
+    instant sees them after single submits; only the order of same-instant
+    events at a lane's end can differ.  On a busy pool it is a
+    {!submit_run} of no-op jobs. *)
+
 val workers : t -> int
 
 val queue_length : t -> int

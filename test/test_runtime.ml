@@ -506,6 +506,106 @@ let test_commit_mixed_plan () =
         (sim.finals = real.finals))
     [ 1; 2 ]
 
+(* ---- real planner: silent dispatch and allocation ----------------------- *)
+
+(* [ops] ADD-1 functors over [keys] keys (key [i mod keys] at version
+   [i / keys + 1]), plus, with [~rejected], one user functor with no
+   registered handler, which the stager leaves to the dispatch.  Returns
+   the simulator, its 4-worker pool's planner on a [domains]-domain real
+   pool, the real pool and the items. *)
+let adds_plan ~domains ~keys ~ops ~rejected =
+  let sim = Sim.Engine.create () in
+  let pool = Sim.Worker_pool.create sim ~workers:4 in
+  let callbacks =
+    { Engine.is_local = (fun _ -> true);
+      remote_get = (fun ~key:_ ~version:_ k -> k None);
+      send_push = (fun ~dst_key:_ ~version:_ ~src_key:_ _ -> ());
+      send_dep_write = (fun ~key:_ ~version:_ _ -> ());
+      notify_final = (fun ~key:_ ~version:_ ~pending:_ ~final:_ -> ());
+      exec = (fun ~cost k -> Sim.Worker_pool.submit pool ~cost k);
+      now = (fun () -> Sim.Engine.now sim) }
+  in
+  let metrics = Sim.Metrics.create () in
+  let e =
+    Engine.create ~registry:(Registry.with_builtins ()) ~callbacks
+      ~compute_cost_us:1 ~metrics ()
+  in
+  let key i = ik (Printf.sprintf "sd:%d" i) in
+  for i = 0 to keys - 1 do
+    Engine.load_initial e ~key:(key i) (Value.int 0)
+  done;
+  let install key version ftype farg =
+    (match
+       Engine.install e ~key ~version ~lo:0 ~hi:max_int
+         (Funct.mk_pending ~ftype ~farg ~txn_id:version ~coordinator:0)
+     with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "install failed");
+    { Functor_cc.Processor.key; version }
+  in
+  let items =
+    List.init ops (fun i ->
+        install (key (i mod keys)) ((i / keys) + 1) Ftype.Add
+          (Funct.farg_args [ Value.int 1 ]))
+    @
+    if rejected then
+      [ install (ik "sd:x") 1 (Ftype.User "sd-absent") Funct.farg_empty ]
+    else []
+  in
+  let rpool = Pool.create ~domains in
+  let planner =
+    Functor_cc.Planner.create ~engine:e ~pool ~real:rpool ~dispatch_cost_us:1
+      ~metrics ()
+  in
+  (sim, planner, rpool, items)
+
+(* A plan the domains evaluated completely leaves every dispatch job a
+   no-op, so its run is silent: one completion per simulated worker
+   lane, not one per item.  A plan with a node left to the dispatch keeps
+   one event per job. *)
+let test_silent_dispatch () =
+  let sim, planner, rpool, items =
+    adds_plan ~domains:2 ~keys:16 ~ops:1000 ~rejected:false
+  in
+  ignore (Functor_cc.Planner.run planner ~items);
+  Sim.Engine.run sim;
+  Pool.shutdown rpool;
+  Alcotest.(check bool) "at most one event per worker lane" true
+    (Sim.Engine.events_fired sim <= 4);
+  Alcotest.(check int) "ends when the last job would" 250 (Sim.Engine.now sim);
+  let sim, planner, rpool, items =
+    adds_plan ~domains:2 ~keys:16 ~ops:1000 ~rejected:true
+  in
+  ignore (Functor_cc.Planner.run planner ~items);
+  Sim.Engine.run sim;
+  Pool.shutdown rpool;
+  Alcotest.(check int) "a fallback node: one event per job" 1001
+    (Sim.Engine.events_fired sim)
+
+(* Built-ins allocate nothing per node on the workers, and the
+   orchestrator's per-node share is the plan build's prepare loop, the
+   commit and the dispatch.  4,096 ADDs over 16 keys on a 1-domain pool
+   (the caller runs every task, so [Gc.minor_words] sees all of it):
+   with a task record per node and the [find_le] option walk on the
+   workers, [Planner.run] allocated 32.3 minor words per node; with flat
+   per-plan slots and the chain-index walk, 10.2 (the plan build's
+   [prepared] records, out of this test's reach).  The bound sits between
+   the two. *)
+let test_builtin_plan_allocation () =
+  let ops = 4096 in
+  let sim, planner, rpool, items =
+    adds_plan ~domains:1 ~keys:16 ~ops ~rejected:false
+  in
+  let w0 = Gc.minor_words () in
+  ignore (Functor_cc.Planner.run planner ~items);
+  let words = Gc.minor_words () -. w0 in
+  Sim.Engine.run sim;
+  Pool.shutdown rpool;
+  let per_node = words /. float_of_int ops in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per node %.1f <= 20" per_node)
+    true (per_node <= 20.)
+
 let suite =
   [ Alcotest.test_case "run_batch barrier" `Quick test_batch_barrier;
     Alcotest.test_case "work stealing under skew" `Quick test_work_stealing;
@@ -521,4 +621,8 @@ let suite =
     Alcotest.test_case "rejected node completes as under sim" `Quick
       test_completion_rejected_node;
     Alcotest.test_case "mixed plan commits as under sim" `Quick
-      test_commit_mixed_plan ]
+      test_commit_mixed_plan;
+    Alcotest.test_case "evaluated plan dispatches silently" `Quick
+      test_silent_dispatch;
+    Alcotest.test_case "built-in plan allocation per node" `Quick
+      test_builtin_plan_allocation ]

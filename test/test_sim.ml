@@ -326,31 +326,41 @@ let prop_histogram_accuracy =
    submissions from inside that continuation.  Executing a script with
    runs and with every run expanded into single submits must give the
    same (completion time, job label) sequence, the same pool counters,
-   and the same queue length at every sample. *)
+   and the same queue length at every sample.  A silent run (no
+   callback, no children) expands into no-op single submits. *)
 type sub = {
   delay : int;
   cost : int;
   run : int option;  (* [Some count]: one run; [None]: one submit *)
+  silent : bool;  (* a [Some count] run without callbacks *)
   children : sub list;
 }
 
-let gen_script =
+let gen_script ~silent_runs =
   let open QCheck2.Gen in
   let rec sub depth =
     let* delay = int_range 0 4 in
     let* cost = int_range 0 5 in
     let* run = opt (int_range 0 6) in
-    let+ children =
-      if depth = 0 then return [] else list_size (int_range 0 2) (sub (depth - 1))
+    let* silent =
+      if silent_runs && Option.is_some run then bool else return false
     in
-    { delay; cost; run; children }
+    let+ children =
+      if depth = 0 || silent then return []
+      else list_size (int_range 0 2) (sub (depth - 1))
+    in
+    { delay; cost; run; silent; children }
   in
   pair (int_range 1 4) (list_size (int_range 1 6) (sub 2))
 
+(* Returns the callback log, the queue lengths sampled inside events, the
+   queue lengths of the grid samples at instants 0..40 (scheduled before
+   the script, so each fires first at its instant), and the final busy
+   time and completed-job count. *)
 let exec_script ~expand (workers, script) =
   let e = Sim.Engine.create () in
   let p = Sim.Worker_pool.create e ~workers in
-  let log = ref [] and samples = ref [] in
+  let log = ref [] and samples = ref [] and grid = ref [] in
   let sample () = samples := Sim.Worker_pool.queue_length p :: !samples in
   let rec submit label s =
     let fire i =
@@ -364,26 +374,77 @@ let exec_script ~expand (workers, script) =
     | None -> Sim.Worker_pool.submit p ~cost:s.cost (fun () -> fire 0)
     | Some count when expand ->
         for i = 0 to count - 1 do
-          Sim.Worker_pool.submit p ~cost:s.cost (fun () -> fire i)
+          Sim.Worker_pool.submit p ~cost:s.cost (fun () ->
+              if not s.silent then fire i)
         done
+    | Some count when s.silent ->
+        Sim.Worker_pool.submit_silent p ~cost:s.cost ~count
     | Some count -> Sim.Worker_pool.submit_run p ~cost:s.cost ~count fire);
     sample ()
   in
+  for at = 0 to 40 do
+    Sim.Engine.schedule e ~at (fun () ->
+        grid := Sim.Worker_pool.queue_length p :: !grid)
+  done;
   List.iteri
     (fun j s ->
       Sim.Engine.schedule e ~at:s.delay (fun () -> submit (string_of_int j) s))
     script;
-  for at = 0 to 40 do
-    Sim.Engine.schedule e ~at sample
-  done;
   Sim.Engine.run e;
-  ( List.rev !log, List.rev !samples, Sim.Worker_pool.busy_time p,
-    Sim.Worker_pool.jobs_completed p )
+  ( List.rev !log, List.rev !samples, List.rev !grid,
+    Sim.Worker_pool.busy_time p, Sim.Worker_pool.jobs_completed p )
 
 let prop_run_equals_submits =
   QCheck2.Test.make ~name:"worker-pool run = single submits" ~count:300
-    gen_script (fun script ->
+    (gen_script ~silent_runs:false) (fun script ->
       exec_script ~expand:false script = exec_script ~expand:true script)
+
+(* Silent runs against no-op single submits: every callback job completes
+   at the same instant (same-instant order may differ where a lane's end
+   stands in for per-job completions), and the grid samples and final
+   counters agree. *)
+let prop_silent_equals_submits =
+  QCheck2.Test.make ~name:"worker-pool silent run = no-op single submits"
+    ~count:500 (gen_script ~silent_runs:true) (fun script ->
+      let log1, _, grid1, busy1, done1 = exec_script ~expand:false script in
+      let log2, _, grid2, busy2, done2 = exec_script ~expand:true script in
+      List.sort compare log1 = List.sort compare log2
+      && grid1 = grid2 && busy1 = busy2 && done1 = done2)
+
+(* Mid-run reads of a silent run on an idle pool come from its lane
+   schedule: 10 jobs of 5 us on 4 workers run as lanes of 3, 3, 2 and 2
+   jobs, with one completion event per lane. *)
+let test_silent_lanes () =
+  let e = Sim.Engine.create () in
+  let p = Sim.Worker_pool.create e ~workers:4 in
+  let reads = ref [] in
+  List.iter
+    (fun at ->
+      Sim.Engine.schedule e ~at (fun () ->
+          reads :=
+            ( at, Sim.Worker_pool.queue_length p,
+              Sim.Worker_pool.jobs_completed p, Sim.Worker_pool.busy_time p,
+              Sim.Worker_pool.busy_workers p )
+            :: !reads))
+    [ 1; 5; 6; 10; 11; 15; 16 ];
+  Sim.Worker_pool.submit_silent p ~cost:5 ~count:10;
+  Alcotest.(check int) "first round started" 6 (Sim.Worker_pool.queue_length p);
+  Sim.Engine.run e;
+  Alcotest.(check (list (list int)))
+    "(at, queued, completed, busy_time, busy)"
+    [ [ 1; 6; 0; 0; 4 ]; [ 5; 6; 0; 0; 4 ]; [ 6; 2; 4; 20; 4 ];
+      [ 10; 2; 4; 20; 4 ]; [ 11; 0; 8; 40; 2 ]; [ 15; 0; 8; 40; 2 ];
+      [ 16; 0; 10; 50; 0 ] ]
+    (List.rev_map (fun (a, q, c, b, w) -> [ a; q; c; b; w ]) !reads);
+  Alcotest.(check int) "7 reads + 4 lane completions" 11
+    (Sim.Engine.events_fired e);
+  (* a busy pool runs it job by job *)
+  Sim.Worker_pool.submit p ~cost:3 ignore;
+  Sim.Worker_pool.submit_silent p ~cost:1 ~count:6;
+  let fired = Sim.Engine.events_fired e in
+  Sim.Engine.run e;
+  Alcotest.(check int) "one event per job" 7 (Sim.Engine.events_fired e - fired);
+  Alcotest.(check int) "all completed" 17 (Sim.Worker_pool.jobs_completed p)
 
 let suite =
   [ Alcotest.test_case "heap sorted drain" `Quick test_heap_sorted;
@@ -411,5 +472,7 @@ let suite =
     Alcotest.test_case "bits" `Quick test_bits;
     Alcotest.test_case "metrics" `Quick test_metrics;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
+    Alcotest.test_case "pool silent lanes" `Quick test_silent_lanes;
     QCheck_alcotest.to_alcotest prop_run_equals_submits;
+    QCheck_alcotest.to_alcotest prop_silent_equals_submits;
     QCheck_alcotest.to_alcotest prop_histogram_accuracy ]
