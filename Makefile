@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check clean bench bench-smoke bench-guard real-smoke e2e-pair figs-pair chaos chaos-smoke chaos-digests replication replication-smoke availability fastpath fastpath-smoke obs-smoke
+.PHONY: all build test fmt check clean loc bench bench-smoke bench-guard real-smoke e2e-pair figs-pair chaos chaos-smoke chaos-digests replication replication-smoke availability fastpath fastpath-smoke obs-smoke
 
 all: build
 
@@ -170,3 +170,15 @@ check: fmt build test
 
 clean:
 	dune clean
+
+# Source size: .ml and .mli line counts per lib/ directory, for bin/ and
+# for bench/main.ml, with totals (tests and bench/e2e are not counted).
+loc:
+	@for d in lib/*/ bin/ bench/main.ml; do \
+	  d=$${d%/}; \
+	  ml=$$(find $$d -name '*.ml' -print0 | xargs -0r cat | wc -l); \
+	  mli=$$(find $$d -name '*.mli' -print0 | xargs -0r cat | wc -l); \
+	  echo "$$d $$ml $$mli"; \
+	done | awk 'BEGIN { printf "%-16s %7s %7s\n", "dir", ".ml", ".mli" } \
+	  { printf "%-16s %7d %7d\n", $$1, $$2, $$3; ml += $$2; mli += $$3 } \
+	  END { printf "%-16s %7d %7d\n", "total", ml, mli }'

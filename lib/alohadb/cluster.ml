@@ -144,6 +144,22 @@ let install_monitor ~sim ~servers ~route ?ledger () =
           Sim.Engine.after sim detect_us (fun () -> handle_up i)))
     servers
 
+let drop_stats t =
+  let d = Net.Rpc.drop_stats t.data and c = Net.Rpc.drop_stats t.control in
+  let r =
+    match t.repl_plane with
+    | Some plane -> Net.Rpc.drop_stats plane
+    | None ->
+        { Net.Network.injected = 0; partitioned = 0; crashed = 0;
+          unregistered = 0 }
+  in
+  { Net.Network.injected =
+      d.Net.Network.injected + c.Net.Network.injected
+      + r.Net.Network.injected;
+    partitioned = d.partitioned + c.partitioned + r.partitioned;
+    crashed = d.crashed + c.crashed + r.crashed;
+    unregistered = d.unregistered + c.unregistered + r.unregistered }
+
 let create ?registry options =
   if options.n_servers <= 0 then invalid_arg "Cluster.create: n_servers";
   let registry =
@@ -295,8 +311,9 @@ let create ?registry options =
       | Some plane -> Net.Rpc.set_fault_hook plane hook
       | None -> ());
       (* Gauge probes: cluster-wide sums published before each snapshot,
-         plus the cumulative network drop counter (the sampler records its
-         level; consumers diff consecutive points for deltas). *)
+         plus the cumulative drop counter of every plane (the sampler
+         records its level; consumers diff consecutive points for
+         deltas). *)
       let g = Obs.Ctl.gauges ctl in
       Obs.Gauges.bind_metrics g metrics;
       Obs.Gauges.add_probe g (fun () ->
@@ -325,13 +342,11 @@ let create ?registry options =
           if k > 1 then
             Sim.Metrics.set_gauge metrics "gauge.repl_lag"
               (float_of_int !repl_lag);
-          let d = Net.Rpc.drop_stats data
-          and c = Net.Rpc.drop_stats control in
+          let d = drop_stats t in
           Sim.Metrics.set_gauge metrics "gauge.net_drops"
             (float_of_int
                (d.Net.Network.injected + d.partitioned + d.crashed
-              + d.unregistered + c.Net.Network.injected + c.partitioned
-              + c.crashed + c.unregistered));
+              + d.unregistered));
           match real_pool with
           | None -> ()
           | Some p ->
@@ -360,22 +375,6 @@ let set_trace t f =
   match t.repl_plane with
   | Some plane -> Net.Rpc.set_trace plane f
   | None -> ()
-
-let drop_stats t =
-  let d = Net.Rpc.drop_stats t.data and c = Net.Rpc.drop_stats t.control in
-  let r =
-    match t.repl_plane with
-    | Some plane -> Net.Rpc.drop_stats plane
-    | None ->
-        { Net.Network.injected = 0; partitioned = 0; crashed = 0;
-          unregistered = 0 }
-  in
-  { Net.Network.injected =
-      d.Net.Network.injected + c.Net.Network.injected
-      + r.Net.Network.injected;
-    partitioned = d.partitioned + c.partitioned + r.partitioned;
-    crashed = d.crashed + c.crashed + r.crashed;
-    unregistered = d.unregistered + c.unregistered + r.unregistered }
 
 let sim t = t.sim
 let metrics t = t.metrics

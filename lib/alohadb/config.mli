@@ -1,10 +1,11 @@
 (** Server configuration and CPU cost model.
 
-    All costs are in simulated microseconds of one worker's time.  The
-    defaults are calibrated so that an 8-core server sustains on the order
-    of 10^5 NewOrder transactions per second — the paper's ballpark on
-    m4.4xlarge instances — but every experiment can override them; they
-    are inputs of the model, not hidden constants. *)
+    The record holds what an experiment or the engine adapter sets; the
+    cost model and the other fixed parameters are constants below.  All
+    costs are in simulated microseconds of one worker's time, calibrated
+    so that an 8-core server sustains on the order of 10^5 NewOrder
+    transactions per second — the paper's ballpark on m4.4xlarge
+    instances. *)
 
 type runtime_mode =
   | Sim
@@ -19,7 +20,6 @@ val runtime_mode_of_string : string -> runtime_mode option
 val runtime_mode_to_string : runtime_mode -> string
 
 type t = {
-  cores : int;  (** worker pool width (the paper's 8-core VMs) *)
   runtime_mode : runtime_mode;  (** execution backend (sim | real) *)
   domains : int;
       (** worker domains in the real runtime's shared pool (>= 1) *)
@@ -28,20 +28,18 @@ type t = {
   durability : bool;
       (** write-ahead logging + checkpoint support (§III-A); disabled by
           default, matching the paper's evaluation setup *)
-  wal_flush_us : int;  (** modelled group-commit flush latency *)
-  retry_us : int;
-      (** retransmission period of every loss-prone exchange: frontend
-          RPCs, Batch_done notifications and a primary's re-ship of
-          unacked WAL entries.  0 (the default) disables retries, fine on
-          a fault-free network; chaos runs enable it so a lost message
-          costs latency, not a wedged transaction (receivers answer
-          duplicates idempotently) *)
-  sync_acks : bool;
-      (** answer installs/aborts only once the log entries they cover are
-          flushed and acked by every live follower (whose epoch closes
-          gate the same way), so a crash or the loss of one replica can
-          only lose writes the frontend never saw acknowledged.  Needs
-          [durability]; off by default *)
+  hardened : bool;
+      (** survive message loss and crashes: every loss-prone exchange
+          (frontend RPCs, Batch_done notifications, a primary's re-ship
+          of unacked WAL entries) is repeated every {!retry_us} until
+          answered (receivers answer duplicates idempotently), and
+          installs/aborts are answered only once the log entries they
+          cover are flushed and acked by every live follower, whose
+          epoch closes gate the same way — so a crash or the loss of one
+          replica can only lose writes the frontend never saw
+          acknowledged.  Needs [durability]; off by default, fine on a
+          fault-free network.  {!Engine} turns it on whenever faults
+          are injected *)
   replicas : int;
       (** copies of each partition, including the primary; 1 (the
           default) is a replication group of one: the home partition's
@@ -56,14 +54,25 @@ type t = {
           close or functor computation, and the backends fold the
           pending deltas into their chains lazily.  Off by default; when
           off, behaviour is bit-for-bit identical to previous releases *)
-  cost_coord_us : int;
-      (** FE: transform a transaction into functors and fan out installs *)
-  cost_install_base_us : int;  (** BE: fixed cost per install message *)
-  cost_install_us : int;  (** BE: marginal cost per functor installed *)
-  cost_get_us : int;  (** BE: one storage read *)
-  cost_compute_us : int;  (** BE: one handler execution *)
-  cost_dispatch_us : int;  (** planner: dispatch one buffered item *)
-  cost_msg_us : int;  (** generic one-way message handling *)
 }
 
 val default : t
+
+(** Fixed parameters: the worker pool width ([cores], the paper's 8-core
+    VMs), the modelled group-commit flush latency, and the retransmission
+    period of a [hardened] server (10 ms).  Costs: the frontend's
+    transform and install fan-out per transaction ([cost_coord_us]); per
+    install message plus per functor installed; one storage read; one
+    handler execution; the planner's dispatch of one buffered item; and
+    generic one-way message handling. *)
+
+val cores : int
+val wal_flush_us : int
+val retry_us : int
+val cost_coord_us : int
+val cost_install_base_us : int
+val cost_install_us : int
+val cost_get_us : int
+val cost_compute_us : int
+val cost_dispatch_us : int
+val cost_msg_us : int

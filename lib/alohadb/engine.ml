@@ -15,57 +15,38 @@ let options_of ?seed (params : Kernel.Params.t) =
     faults = params.faults;
     obs = params.obs;
     config =
-      (let cfg =
-         match params.faults with
-         | None -> base.Cluster.config
-         | Some _ ->
-             (* Under fault injection liveness relies on durable logs,
-                retransmission and acks gated on every live copy; without
-                them a lossy network wedges the epoch pipeline and a
-                crashed primary takes acked commits with it.  Fault-free
-                runs keep both off, so at k > 1 shipping stays passive. *)
-             { base.Cluster.config with
-               Config.durability = true;
-               retry_us = 10_000;
-               sync_acks = true }
-       in
+      (let fail fmt = Printf.ksprintf invalid_arg ("Alohadb.Engine: " ^^ fmt) in
        (match params.compute with
        | None | Some "planned" -> ()
-       | Some s ->
-           invalid_arg
-             (Printf.sprintf
-                "Alohadb.Engine: unknown compute mode %S (expected planned)" s));
-       let cfg =
+       | Some s -> fail "unknown compute mode %S (expected planned)" s);
+       let cfg = base.Cluster.config in
+       (* Under fault injection liveness relies on durable logs,
+          retransmission and acks gated on every live copy; without them a
+          lossy network wedges the epoch pipeline and a crashed primary
+          takes acked commits with it.  Fault-free runs keep them off, so
+          at k > 1 shipping stays passive. *)
+       let hardened = Option.is_some params.faults in
+       let runtime_mode =
          match params.runtime with
-         | None -> cfg
+         | None -> cfg.runtime_mode
          | Some s -> (
              match Config.runtime_mode_of_string s with
-             | Some runtime_mode -> { cfg with Config.runtime_mode }
-             | None ->
-                 invalid_arg
-                   (Printf.sprintf
-                      "Alohadb.Engine: unknown runtime %S (expected sim|real)"
-                      s))
+             | Some m -> m
+             | None -> fail "unknown runtime %S (expected sim|real)" s)
        in
-       let cfg =
-         match params.domains with
-         | None -> cfg
-         | Some d ->
-             if d < 1 then
-               invalid_arg "Alohadb.Engine: --domains must be >= 1"
-             else { cfg with Config.domains = d }
+       let positive flag default = function
+         | None -> default
+         | Some n when n >= 1 -> n
+         | Some _ -> fail "--%s must be >= 1" flag
        in
-       let cfg =
-         match params.fastpath with
-         | None | Some false -> cfg
-         | Some true -> { cfg with Config.fastpath = true }
-       in
-       match params.replicas with
-       | None -> cfg
-       | Some k ->
-           if k < 1 then
-             invalid_arg "Alohadb.Engine: --replicas must be >= 1"
-           else { cfg with Config.replicas = k }) }
+       let domains = positive "domains" cfg.domains params.domains in
+       { cfg with
+         Config.durability = hardened || cfg.Config.durability;
+         hardened;
+         runtime_mode;
+         domains;
+         fastpath = params.fastpath = Some true || cfg.fastpath;
+         replicas = positive "replicas" cfg.replicas params.replicas }) }
 
 let create ?seed params =
   Cluster.create

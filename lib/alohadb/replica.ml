@@ -1,0 +1,520 @@
+(* Cluster-level replication context, attached when replicas > 1: the ship
+   plane (a separate RPC instance so replication traffic cannot perturb
+   the data plane's latency stream), the crash-aware routing table, and
+   the static group layout. *)
+type fabric = {
+  plane : Message.rpc;
+  route : Net.Route.t;
+  members_of : int -> Net.Address.t list;
+}
+
+(* Primary-side state for one partition this server currently leads. *)
+type prim = {
+  p_partition : int;
+  p_wal : Wal.t;
+  group : Repl.t;
+  followers : Net.Address.t list;
+  mutable shipped : int;  (* highest WAL seq shipped at least once *)
+  mutable retry_armed : bool;
+  mutable ship_log : (int * int * int * int) list;
+      (* (member, seq, ship-time, epoch) of in-flight ships, newest
+         first — ledger-only bookkeeping (empty unless a ledger is
+         attached), matched against cumulative acks for WAL-ship lag *)
+}
+
+(* Follower-side state for one partition this server replicates but does
+   not lead.  Shipped entries are logged to a local WAL (acks mean
+   durable-here) and applied to the engine only at promotion. *)
+type flw = {
+  f_partition : int;
+  mutable f_term : int;
+  mutable f_wal : Wal.t;
+  mutable f_applied : int;  (* contiguous prefix logged locally *)
+  f_buf : (int, Wal.entry) Hashtbl.t;  (* out-of-order arrivals *)
+  mutable f_ack_pending : bool;
+}
+
+type t = {
+  node : Node.t;
+  mutable fabric : fabric option;
+  prims : (int, prim) Hashtbl.t;
+      (* partition -> primary-side state: every log this server leads *)
+  flws : (int, flw) Hashtbl.t;  (* partition -> follower-side state *)
+  mutable pending_closes : (int * bool ref * (unit -> unit)) list;
+      (* closes deferred by the close gate: (epoch, delivered, deliver).
+         A crash force-delivers them — the EM's grant made the close a
+         cluster-global fact the FE side must honour. *)
+}
+
+let now t = Node.now t.node
+let new_wal t = Wal.create t.node.sim ~flush_latency_us:Config.wal_flush_us ()
+
+(* Unreplicated, the home partition's group of one is in [prims] only
+   when durability is on. *)
+let leads t ~partition =
+  match t.fabric with
+  | None -> partition = t.node.my_partition
+  | Some _ -> Hashtbl.mem t.prims partition
+
+let current_prim t partition = Hashtbl.find_opt t.prims partition
+let wal t = Option.map (fun p -> p.p_wal) (current_prim t t.node.my_partition)
+let leads_any t = Hashtbl.length t.prims > 0
+
+(* A checkpoint renumbers the log, but WAL positions are the replication
+   ship sequence. *)
+let checkpoint_wal t =
+  if Option.is_some t.fabric then
+    invalid_arg "Server.checkpoint_now: unsupported under replication";
+  match wal t with
+  | Some wal -> wal
+  | None -> invalid_arg "Server.checkpoint_now: durability disabled"
+
+let iter_led t f =
+  Hashtbl.iter (fun partition p -> f ~partition p.p_wal) t.prims
+
+(* Append to the partition's log and advance the group's replicated-log
+   length, which is kept equal to the WAL entry count while the group
+   has followers (checkpoints are disabled under replication so
+   positions never shift). *)
+let log_entry t ~partition entry =
+  match current_prim t partition with
+  | Some prim ->
+      Wal.append prim.p_wal entry;
+      ignore (Repl.append prim.group)
+  | None -> ()
+
+(* The epoch-close marker; on a replicated primary it doubles as the
+   epoch's replication barrier. *)
+let log_close_marker prim ~epoch =
+  Wal.append prim.p_wal (Wal.Log_epoch_closed epoch);
+  ignore (Repl.append prim.group);
+  Repl.close_epoch prim.group ~epoch
+
+(* Under the close gate the markers were already logged by the gate
+   itself, at grant time, before the barrier. *)
+let log_close_markers t ~epoch =
+  if Option.is_none t.fabric || not t.node.config.Config.hardened then
+    Hashtbl.iter (fun _ prim -> log_close_marker prim ~epoch) t.prims
+
+(* Answer once the partition's log entries a gated answer covers are
+   durable: flushed here and acked by every live follower of the group —
+   so a committed transaction survives the loss of any single replica.
+   The replication sequence is captured NOW (right after the request's
+   appends), not when the flush fires, so unrelated later traffic cannot
+   inflate the gate. *)
+let after_logged t ~partition ~gated finish =
+  match current_prim t partition with
+  | Some prim when gated && t.node.config.Config.hardened ->
+      let seq = Repl.len prim.group in
+      Wal.after_durable prim.p_wal (fun () ->
+          Repl.when_seq_acked prim.group ~seq finish)
+  | Some _ | None -> finish ()
+
+(* ---- WAL shipping (primary side) ---------------------------------------- *)
+
+let ship_entry_to fab t prim ~dst ~seq entry =
+  Node.emit t.node ~txn:(-1) ~stage:Obs.Trace.Wal_ship ~arg:seq ();
+  Node.lnote t.node (fun _ ->
+      prim.ship_log <-
+        ( Net.Address.to_int dst, seq, now t,
+          Epoch.Participant.current_epoch t.node.part )
+        :: prim.ship_log);
+  Net.Rpc.send fab.plane ~src:t.node.address ~dst
+    (Message.One
+       (Message.Wal_ship
+          { partition = prim.p_partition; term = Repl.term prim.group; seq;
+            entry }))
+
+(* Ship the freshly durable suffix to every follower.  Called from the
+   WAL flush hook, so a follower can never ack an entry the primary
+   itself might still lose in a crash. *)
+let ship_fresh fab t prim =
+  let upto = Wal.durable_count prim.p_wal in
+  if upto > prim.shipped then begin
+    let range = Wal.durable_range prim.p_wal ~from:prim.shipped ~upto in
+    List.iter
+      (fun dst ->
+        List.iter (fun (seq, e) -> ship_entry_to fab t prim ~dst ~seq e) range)
+      prim.followers;
+    prim.shipped <- upto
+  end
+
+let reship_member fab t prim ~member =
+  let upto = Wal.durable_count prim.p_wal in
+  let from = Repl.acked prim.group ~member:(Net.Address.to_int member) in
+  List.iter
+    (fun (seq, e) -> ship_entry_to fab t prim ~dst:member ~seq e)
+    (Wal.durable_range prim.p_wal ~from ~upto)
+
+(* Periodic retransmission to lagging followers, running while any live
+   follower is behind.  Stale timers are disarmed by the identity check:
+   a demotion or re-adoption replaces the prim record. *)
+let rec arm_retry fab t prim =
+  if t.node.config.Config.hardened && not prim.retry_armed then begin
+    prim.retry_armed <- true;
+    Sim.Engine.after t.node.sim Config.retry_us (fun () ->
+        prim.retry_armed <- false;
+        match current_prim t prim.p_partition with
+        | Some pr when pr == prim && not t.node.be_down ->
+            let upto = Wal.durable_count prim.p_wal in
+            let lagging = Repl.lagging_followers prim.group ~seq:upto in
+            List.iter
+              (fun (id, _) ->
+                reship_member fab t prim ~member:(Net.Address.of_int id))
+              lagging;
+            if lagging <> [] || Repl.replica_lag prim.group > 0 then
+              arm_retry fab t prim
+        | Some _ | None -> ())
+  end
+
+(* Become the primary of [partition]'s group and register the prim: the
+   group of one without the fabric, else the route's term and members,
+   with each flushed suffix shipped to the followers. *)
+let lead ?fab t ~partition ~wal ~len =
+  let term, members =
+    match fab with
+    | None -> (0, [ t.node.address ])
+    | Some fab ->
+        (Net.Route.term fab.route ~partition, fab.members_of partition)
+  in
+  let group =
+    Repl.create ~partition ~term
+      ~primary:(Net.Address.to_int t.node.address)
+      ~members:(List.map Net.Address.to_int members)
+      ~len
+  in
+  let prim =
+    { p_partition = partition; p_wal = wal; group;
+      followers =
+        List.filter
+          (fun a -> not (Net.Address.equal a t.node.address))
+          members;
+      shipped = 0; retry_armed = false; ship_log = [] }
+  in
+  Hashtbl.replace t.prims partition prim;
+  (match fab with
+  | Some fab when prim.followers <> [] ->
+      Wal.set_on_flush wal (fun () ->
+          match current_prim t partition with
+          | Some pr when pr == prim && not t.node.be_down ->
+              ship_fresh fab t pr;
+              if Repl.replica_lag pr.group > 0 then arm_retry fab t pr
+          | Some _ | None -> ())
+  | Some _ | None -> ());
+  prim
+
+(* With durability on, the home partition's log starts as a replication
+   group of one, until {!attach} gives it followers. *)
+let create node =
+  let t =
+    { node; fabric = None; prims = Hashtbl.create 4; flws = Hashtbl.create 4;
+      pending_closes = [] }
+  in
+  if node.Node.config.Config.durability then
+    ignore (lead t ~partition:node.my_partition ~wal:(new_wal t) ~len:0);
+  t
+
+(* ---- follower side ------------------------------------------------------ *)
+
+(* Follower acks are cumulative and sent only once the received prefix is
+   durable in the follower's own WAL — so an acked entry survives the
+   follower's crash too, which is what makes the primary's gating floor
+   mean "on stable storage at every live replica". *)
+let schedule_ack fab t f ~dst =
+  if not f.f_ack_pending then begin
+    f.f_ack_pending <- true;
+    let wal = f.f_wal in
+    Wal.after_durable wal (fun () ->
+        (* a term wipe replaced the log: this ack belongs to the dead
+           one and must not be attributed to the new primary's *)
+        if f.f_wal == wal then begin
+          f.f_ack_pending <- false;
+          if not t.node.be_down then
+            Net.Rpc.send fab.plane ~src:t.node.address ~dst
+              (Message.One
+                 (Message.Ship_ack
+                    { partition = f.f_partition; term = f.f_term;
+                      seq = Wal.durable_count wal }))
+        end)
+  end
+
+(* Log the buffered entries that extend the follower's contiguous
+   prefix. *)
+let rec drain_shipped f =
+  match Hashtbl.find_opt f.f_buf (f.f_applied + 1) with
+  | Some e ->
+      Hashtbl.remove f.f_buf (f.f_applied + 1);
+      Wal.append f.f_wal e;
+      f.f_applied <- f.f_applied + 1;
+      drain_shipped f
+  | None -> ()
+
+let on_wal_ship fab t ~src ~partition ~term ~seq ~entry =
+  if not t.node.be_down then
+    match Hashtbl.find_opt t.flws partition with
+    | None -> ()  (* not (or no longer) a follower of this partition *)
+    | Some f ->
+        if term >= f.f_term then begin
+          if term > f.f_term then begin
+            (* A new primary took over.  Our log may contain entries the
+               new primary never acked and has replaced; there is no
+               truncation protocol — discard and rebuild from seq 1. *)
+            f.f_term <- term;
+            f.f_wal <- new_wal t;
+            f.f_applied <- 0;
+            Hashtbl.reset f.f_buf;
+            f.f_ack_pending <- false
+          end;
+          (* Log the contiguous prefix; later entries wait in the buffer
+             for the gap to fill (ship messages can reorder).  The buffer
+             never holds the next entry, so an in-order entry goes
+             straight to the log. *)
+          if seq = f.f_applied + 1 then begin
+            Wal.append f.f_wal entry;
+            f.f_applied <- seq;
+            drain_shipped f
+          end
+          else if seq > f.f_applied && not (Hashtbl.mem f.f_buf seq) then
+            Hashtbl.replace f.f_buf seq entry;
+          (* Re-acking a duplicate is deliberate: after the primary loses
+             its ack bookkeeping (crash) it re-ships, and the cumulative
+             ack re-establishes the floor. *)
+          schedule_ack fab t f ~dst:src
+        end
+
+let on_ship_ack t ~src ~partition ~term ~seq =
+  if not t.node.be_down then
+    match current_prim t partition with
+    | Some prim when Repl.term prim.group = term ->
+        Repl.ack prim.group ~member:(Net.Address.to_int src) ~seq;
+        Node.lnote t.node (fun l ->
+            (* The ack is cumulative: every outstanding ship to this
+               member at or below [seq] is confirmed now. *)
+            let m = Net.Address.to_int src in
+            let acked, still =
+              List.partition
+                (fun (member, s, _, _) -> member = m && s <= seq)
+                prim.ship_log
+            in
+            prim.ship_log <- still;
+            List.iter
+              (fun (_, _, sent, epoch) ->
+                Obs.Ledger.note_ship_lag l ~node:t.node.node_id ~epoch
+                  ~partition ~lag_us:(now t - sent))
+              acked)
+    | Some _ | None -> ()  (* stale term: ack for a deposed primary's log *)
+
+(* Follow [partition] from an empty log under [term]. *)
+let new_follower t ~partition ~term =
+  Hashtbl.replace t.flws partition
+    { f_partition = partition; f_term = term; f_wal = new_wal t;
+      f_applied = 0; f_buf = Hashtbl.create 16; f_ack_pending = false }
+
+(* ---- the close gate ------------------------------------------------------ *)
+
+(* An epoch may close (advancing the value watermark past its blind
+   writes) only once its close marker — and with it every entry of the
+   epoch — is durable on all live replicas of every partition this server
+   leads.  The close markers are logged HERE, at grant time, so the
+   barrier they define exists before the gate waits on it; on_open for
+   the next epoch is never delayed. *)
+let close_gate t ~epoch fire =
+  if t.node.be_down || Hashtbl.length t.prims = 0 then fire ()
+  else begin
+    let prims = Hashtbl.fold (fun _ p acc -> p :: acc) t.prims [] in
+    List.iter (fun prim -> log_close_marker prim ~epoch) prims;
+    let entered = now t in
+    let delivered = ref false in
+    let deliver () =
+      if not !delivered then begin
+        delivered := true;
+        Node.lnote t.node (fun l ->
+            let wait_us = now t - entered in
+            List.iter
+              (fun prim ->
+                Obs.Ledger.note_gate_wait l ~node:t.node.node_id ~epoch
+                  ~partition:prim.p_partition ~wait_us)
+              prims);
+        fire ()
+      end
+    in
+    t.pending_closes <-
+      (epoch, delivered, deliver)
+      :: List.filter (fun (_, d, _) -> not !d) t.pending_closes;
+    let remaining = ref (List.length prims) in
+    List.iter
+      (fun prim ->
+        Repl.when_epoch_durable prim.group ~epoch (fun () ->
+            decr remaining;
+            if !remaining <= 0 then deliver ()))
+      prims
+  end
+
+let attach t ~plane ~route ~members_of ~follows =
+  if Option.is_some t.fabric then
+    invalid_arg "Server.attach_repl: already attached";
+  let home =
+    match current_prim t t.node.my_partition with
+    | Some prim -> prim
+    | None -> invalid_arg "Server.attach_repl: durability required"
+  in
+  let fab = { plane; route; members_of } in
+  t.fabric <- Some fab;
+  (* The home partition's group of one becomes the real group, on the
+     same log. *)
+  ignore
+    (lead ~fab t ~partition:t.node.my_partition ~wal:home.p_wal
+       ~len:(Repl.len home.group));
+  (* Follower of every other partition whose group includes us. *)
+  List.iter
+    (fun partition ->
+      new_follower t ~partition ~term:(Net.Route.term route ~partition))
+    follows;
+  (* Ship-plane handlers run off the worker pool: replication bookkeeping
+     is modelled as free, so the data-plane timeline is not perturbed. *)
+  Net.Rpc.serve_oneway plane t.node.address (fun ~src wire ->
+      match wire with
+      | Message.One (Message.Wal_ship { partition; term; seq; entry }) ->
+          on_wal_ship fab t ~src ~partition ~term ~seq ~entry
+      | Message.One (Message.Ship_ack { partition; term; seq }) ->
+          on_ship_ack t ~src ~partition ~term ~seq
+      | Message.One _ | Message.Req _ -> ());
+  if t.node.config.Config.hardened then
+    Epoch.Participant.set_close_gate t.node.part (close_gate t)
+
+(* ---- membership verdicts ------------------------------------------------- *)
+
+let note_member_down t ~partition ~member =
+  match current_prim t partition with
+  | Some prim -> Repl.member_down prim.group ~id:(Net.Address.to_int member)
+  | None -> ()
+
+let note_member_rejoin t ~partition ~member =
+  match (t.fabric, current_prim t partition) with
+  | Some fab, Some prim ->
+      Repl.member_rejoin prim.group ~id:(Net.Address.to_int member);
+      (* Re-ship immediately — the rejoiner acks from zero — and keep the
+         retry loop armed until it has caught up. *)
+      if not t.node.be_down then reship_member fab t prim ~member;
+      arm_retry fab t prim
+  | (Some _ | None), _ -> ()
+
+(* ---- crash, restart, promotion ------------------------------------------- *)
+
+(* The unflushed tails are gone.  Closes deferred by the gate are
+   force-delivered — the EM's grant made them a cluster-global fact, and
+   the Repl waiters that would have delivered them died with the process
+   (Repl.crash); on_closed then runs under be_down and skips the
+   backend-side work. *)
+let crash t =
+  Hashtbl.iter
+    (fun _ prim ->
+      ignore (Wal.lose_unflushed prim.p_wal);
+      (* Truncate the replicated log to the durable prefix and drop the
+         gates whose replies died with the process. *)
+      Repl.crash prim.group ~durable_len:(Wal.durable_count prim.p_wal))
+    t.prims;
+  Hashtbl.iter
+    (fun _ f ->
+      ignore (Wal.lose_unflushed f.f_wal);
+      Hashtbl.reset f.f_buf;
+      f.f_applied <- Wal.durable_count f.f_wal;
+      f.f_ack_pending <- false)
+    t.flws;
+  let pending =
+    List.sort
+      (fun (a, _, _) (b, _, _) -> Int.compare a b)
+      (List.filter (fun (_, d, _) -> not !d) t.pending_closes)
+  in
+  t.pending_closes <- [];
+  List.iter (fun (_, _, deliver) -> deliver ()) pending
+
+(* Re-join every partition this server lost while down — the routing
+   table says someone else leads it now — as a follower with an empty
+   log; the new primary's shipments (a higher term) rebuild it from
+   seq 1. *)
+let demote_lost t =
+  match t.fabric with
+  | None -> ()
+  | Some fab ->
+      let led = Hashtbl.fold (fun p _ acc -> p :: acc) t.prims [] in
+      List.iter
+        (fun partition ->
+          if
+            not
+              (Net.Address.equal
+                 (Net.Route.resolve fab.route ~partition)
+                 t.node.address)
+          then begin
+            Hashtbl.remove t.prims partition;
+            Sim.Metrics.incr t.node.metrics "aloha.demotions";
+            new_follower t ~partition ~term:0
+          end)
+        led
+
+(* Follower acks are volatile on both sides: re-ship everything and let
+   the cumulative acks re-establish the floor. *)
+let reship_all t =
+  match t.fabric with
+  | None -> ()
+  | Some fab ->
+      Hashtbl.iter
+        (fun _ prim ->
+          if prim.followers <> [] then begin
+            prim.shipped <- 0;
+            ship_fresh fab t prim;
+            arm_retry fab t prim
+          end)
+        t.prims
+
+let adopt t ~partition ~down ~closed_epoch ~replay ~release =
+  match t.fabric with
+  | None -> invalid_arg "Server.adopt_partition: replication not attached"
+  | Some fab ->
+      if not (Hashtbl.mem t.prims partition) then begin
+        let f =
+          match Hashtbl.find_opt t.flws partition with
+          | Some f -> f
+          | None -> invalid_arg "Server.adopt_partition: not a follower"
+        in
+        Hashtbl.remove t.flws partition;
+        Sim.Metrics.incr t.node.metrics "aloha.promotions";
+        Node.emit t.node ~txn:(-1) ~stage:Obs.Trace.Promote ~arg:partition ();
+        Node.lnote t.node (fun l ->
+            Obs.Ledger.note_event l ~kind:Obs.Ledger.Promote
+              ~node:t.node.node_id ~t_us:(now t) ~partition ());
+        (* The follower did not crash, so its buffered WAL tail is still
+           valid — replay all of it, not just the durable prefix. *)
+        let entries = Wal.all f.f_wal in
+        replay entries;
+        let prim =
+          lead ~fab t ~partition ~wal:f.f_wal ~len:(List.length entries)
+        in
+        List.iter
+          (fun a -> Repl.member_down prim.group ~id:(Net.Address.to_int a))
+          down;
+        (* Epochs closed so far are durable by adoption (this replica has
+           them); future closes barrier at the log positions they reach. *)
+        Repl.close_epoch prim.group ~epoch:closed_epoch;
+        release ();
+        ship_fresh fab t prim;
+        arm_retry fab t prim
+      end
+
+(* ---- probes -------------------------------------------------------------- *)
+
+let wal_pending_bytes t =
+  Hashtbl.fold (fun _ p acc -> acc + Wal.pending_bytes p.p_wal) t.prims 0
+  + Hashtbl.fold (fun _ f acc -> acc + Wal.pending_bytes f.f_wal) t.flws 0
+
+let replication_lag t =
+  Hashtbl.fold (fun _ prim acc -> acc + Repl.replica_lag prim.group) t.prims 0
+
+let note_groups t l ~epoch =
+  Hashtbl.iter
+    (fun partition prim ->
+      let live = List.length (Repl.live_followers prim.group) in
+      Obs.Ledger.note_group l ~node:t.node.node_id ~epoch ~partition
+        ~ack_floor:(Repl.len prim.group - Repl.replica_lag prim.group)
+        ~live_followers:live ~degraded:(live = 0))
+    t.prims

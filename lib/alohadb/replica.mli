@@ -1,0 +1,86 @@
+(** The replica role of one server: the logs it leads (a primary's WAL
+    and {!Repl} group per partition), the logs it follows, WAL shipping
+    over the replication plane, the epoch close gate and which
+    partitions it [leads].
+
+    With [config.durability] on, the home partition starts as a
+    replication group of one — its WAL, no followers — so k = 1 takes
+    the same logging, ack-gating, crash and restart path as k > 1.  The
+    replication fabric (ship plane, route, group layout) exists only
+    once {!attach}ed; everything that ships takes it from there. *)
+
+type t
+
+val create : Node.t -> t
+
+val leads : t -> partition:int -> bool
+(** Unreplicated: exactly the home partition.  Replicated: the home
+    partition until a failover takes it away, plus any partition adopted
+    by promotion. *)
+
+val wal : t -> Wal.t option
+(** The home partition's log, while led. *)
+
+val leads_any : t -> bool
+
+val checkpoint_wal : t -> Wal.t
+(** The home log, for a checkpoint; raises [Invalid_argument] when
+    durability is off or replication is attached. *)
+
+val iter_led : t -> (partition:int -> Wal.t -> unit) -> unit
+(** Every log this server leads. *)
+
+val log_entry : t -> partition:int -> Wal.entry -> unit
+(** Append to [partition]'s log, if led here. *)
+
+val log_close_markers : t -> epoch:int -> unit
+(** Log [epoch]'s close marker on every led log — unless the close gate
+    already did at grant time. *)
+
+val after_logged :
+  t -> partition:int -> gated:bool -> (unit -> unit) -> unit
+(** Run the continuation once [partition]'s entries logged so far are
+    flushed and acked by every live follower, when [gated] and
+    [config.hardened]; at once otherwise. *)
+
+val attach :
+  t ->
+  plane:Message.rpc ->
+  route:Net.Route.t ->
+  members_of:(int -> Net.Address.t list) ->
+  follows:int list ->
+  unit
+(** See {!Server.attach_repl}. *)
+
+val note_member_down : t -> partition:int -> member:Net.Address.t -> unit
+val note_member_rejoin : t -> partition:int -> member:Net.Address.t -> unit
+
+val crash : t -> unit
+(** Lose every unflushed log tail, and force-deliver the closes the gate
+    deferred. *)
+
+val demote_lost : t -> unit
+(** Restart: follow, from an empty log, every partition the route says
+    someone else leads now. *)
+
+val reship_all : t -> unit
+(** Restart: re-ship every led log from the start (follower acks are
+    volatile on both sides). *)
+
+val adopt :
+  t ->
+  partition:int ->
+  down:Net.Address.t list ->
+  closed_epoch:int ->
+  replay:(Wal.entry list -> unit) ->
+  release:(unit -> unit) ->
+  unit
+(** Promotion (see {!Server.adopt_partition}): [replay] gets the
+    followed log, which this server then leads under the route's term;
+    [release] runs before shipping resumes. *)
+
+val wal_pending_bytes : t -> int
+val replication_lag : t -> int
+
+val note_groups : t -> Obs.Ledger.t -> epoch:int -> unit
+(** Ledger: each led group's ack floor and live followers at close. *)

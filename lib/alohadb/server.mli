@@ -1,20 +1,26 @@
 (** An ALOHA-DB server: one process acting as both frontend (transaction
     coordinator) and backend (partition storage + functor processors), as
-    in the paper's deployment (§III-A).
+    in the paper's deployment (§III-A), plus the replica of WAL shipping
+    and failover.  Each role is a module of its own over one shared
+    {!Node} context, and the dependencies run one way:
 
-    The frontend side accepts client requests, assigns timestamps inside
-    the epoch validity window (or the straggler window, §III-C), transforms
-    read-write transactions into per-partition batches of functors,
-    drives the write-only phase (with the second-round abort on
-    precondition failure), delays latest-version read-only transactions to
-    the next epoch, and tracks functor-computing completion for
-    latency accounting and [Ack_on_computed] replies.
+    {v
+    Node  <-  Replica  <-  Backend  <-  Frontend  <-  Server
+                 (Tracker: pure, used by Frontend)
+    v}
 
-    The backend side owns one partition: it installs functors (buffering
-    processor metadata until the epoch closes), serves reads, evaluates
-    functors through {!Functor_cc.Compute_engine}, and routes pushes and
-    deferred writes.  All CPU work is charged to the server's worker
-    pool. *)
+    - {!Replica} owns the logs this server leads and follows, shipping,
+      the epoch close gate and which partitions it leads;
+    - {!Backend} owns install, abort, batch tracking and the compute
+      engine, all in one incarnation that a backend crash replaces;
+    - {!Frontend} owns timestamps, both commit lanes, the second-round
+      abort and delayed reads; its completion decisions come from the
+      pure {!Tracker}.
+
+    This module wires them to the data plane and the epoch participant's
+    hooks, and performs the transitions that cross roles: {!crash_be},
+    {!restart_be} and {!adopt_partition}.  All CPU work is charged to
+    the server's worker pool. *)
 
 type t
 
@@ -113,8 +119,8 @@ val crash_be : t -> unit
 val restart_be : t -> unit
 (** Restart a crashed backend: rejoin as a follower every partition a
     failover promoted away meanwhile, then, for every log this server
-    still leads, go through {!Recovery.rebuild} (reload the checkpoint,
-    replay the durable log), re-buffer still-pending functors at their
+    still leads, reload the checkpoint and replay the durable log
+    ({!Recovery.replay}), re-buffer still-pending functors at their
     logged epochs, and release every epoch that closed before or during
     the outage.  Requires [config.durability] for state to survive;
     without a WAL the backend restarts empty.  Raises [Invalid_argument]
@@ -146,7 +152,7 @@ val attach_repl :
 (** Join the replication fabric: replace the home partition's group of
     one with its real group, on the same WAL (shipping durable entries to
     the other members over [plane]), and become a follower of every
-    partition in [follows].  With [config.sync_acks], installs/aborts ack
+    partition in [follows].  With [config.hardened], installs/aborts ack
     only after the covering log prefix is durable on all live followers,
     and epoch close gates on the epoch being durable group-wide.
     Requires [config.durability]; raises [Invalid_argument] otherwise or

@@ -1,6 +1,6 @@
 type options = {
   n_servers : int;
-  config : Config.t;
+  epoch_us : int;
   latency : Net.Latency.t;
   partitioner : [ `Hash | `Prefix ];
   seed : int;
@@ -10,7 +10,7 @@ type options = {
 
 let default_options =
   { n_servers = 8;
-    config = Config.default;
+    epoch_us = Config.default_epoch_us;
     latency = Net.Latency.uniform ~base:80 ~jitter:40;
     partitioner = `Hash;
     seed = 42;
@@ -49,7 +49,7 @@ let create ?registry options =
     Array.init n (fun i ->
         Server.create ~sim ~rpc ~addr:(Net.Address.of_int i) ~node_id:i
           ~n_servers:n ~partition_of ~addr_of_partition ~registry
-          ~config:options.config ~metrics ?obs:options.obs ())
+          ~epoch_us:options.epoch_us ~metrics ?obs:options.obs ())
   in
   (match options.obs with
   | None -> ()

@@ -5,7 +5,7 @@
 
 type options = {
   n_servers : int;
-  config : Config.t;
+  epoch_us : int;  (** sequencer batch length *)
   latency : Net.Latency.t;
   partitioner : [ `Hash | `Prefix ];
   seed : int;

@@ -1,20 +1,8 @@
-type t = {
-  cores : int;
-  epoch_us : int;
-  cost_seq_us : int;
-  cost_lock_us : int;
-  cost_read_us : int;
-  cost_exec_us : int;
-  cost_write_us : int;
-  cost_msg_us : int;
-}
-
-let default =
-  { cores = 8;
-    epoch_us = 20_000;
-    cost_seq_us = 2;
-    cost_lock_us = 2;
-    cost_read_us = 1;
-    cost_exec_us = 2;
-    cost_write_us = 1;
-    cost_msg_us = 1 }
+let cores = 8
+let default_epoch_us = 20_000
+let cost_seq_us = 2
+let cost_lock_us = 2
+let cost_read_us = 1
+let cost_exec_us = 2
+let cost_write_us = 1
+let cost_msg_us = 1

@@ -1,22 +1,22 @@
-(** Calvin server configuration and cost model.
+(** Calvin server cost model and fixed parameters.
 
     Mirrors the paper's experimental setup (§V-A2): the sequencer batches
-    requests in 20 ms epochs, storage is in-memory, and replication/fault
-    tolerance is disabled.  Of the server's cores, one is dedicated to the
-    sequencer and one to the scheduler's single-threaded lock manager —
-    the bottleneck the paper identifies — leaving the rest as executor
-    workers. *)
+    requests in 20 ms epochs ([default_epoch_us]; the epoch length is the
+    one setting, {!Cluster.options}), storage is in-memory, and
+    replication/fault tolerance is disabled.  Of the server's [cores],
+    one is dedicated to the sequencer and one to the scheduler's
+    single-threaded lock manager — the bottleneck the paper identifies —
+    leaving the rest as executor workers.  Costs are simulated
+    microseconds: sequencer work per transaction ([cost_seq_us]),
+    lock-manager work per key ([cost_lock_us]; release costs the same),
+    storage read and write per key, stored-procedure execution, and
+    handling one network message. *)
 
-type t = {
-  cores : int;  (** total cores; executors get [cores - 2] *)
-  epoch_us : int;  (** sequencer batch length (default 20 ms) *)
-  cost_seq_us : int;  (** sequencer work per transaction *)
-  cost_lock_us : int;  (** lock-manager work per key (acquire; release
-                           costs the same) *)
-  cost_read_us : int;  (** storage read per key *)
-  cost_exec_us : int;  (** stored-procedure execution *)
-  cost_write_us : int;  (** storage write per key *)
-  cost_msg_us : int;  (** handling one network message *)
-}
-
-val default : t
+val cores : int
+val default_epoch_us : int
+val cost_seq_us : int
+val cost_lock_us : int
+val cost_read_us : int
+val cost_exec_us : int
+val cost_write_us : int
+val cost_msg_us : int

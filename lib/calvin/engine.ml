@@ -35,10 +35,7 @@ let options_of ?seed (params : Kernel.Params.t) =
     seed = (match seed with Some s -> s | None -> base.Cluster.seed);
     faults = params.faults;
     obs = params.obs;
-    config =
-      (match params.epoch_us with
-      | Some epoch_us -> { Config.default with Config.epoch_us }
-      | None -> Config.default) }
+    epoch_us = Option.value params.epoch_us ~default:base.Cluster.epoch_us }
 
 let create ?seed params =
   let funreg = Functor_cc.Registry.with_builtins () in

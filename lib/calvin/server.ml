@@ -25,7 +25,7 @@ type t = {
   partition_of : string -> int;
   addr_of_partition : int -> Net.Address.t;
   registry : Ctxn.registry;
-  config : Config.t;
+  epoch_us : int;
   metrics : Sim.Metrics.t;
   obs : Obs.Ctl.t option;
   (* Hot-path metric handles, resolved once at creation. *)
@@ -88,7 +88,7 @@ let release_locks t (fl : inflight) =
   let nlocal =
     List.length (local_keys t (txn.Ctxn.read_set @ txn.Ctxn.write_set))
   in
-  let cost = max t.config.Config.cost_lock_us (nlocal * t.config.Config.cost_lock_us) in
+  let cost = max Config.cost_lock_us (nlocal * Config.cost_lock_us) in
   Sim.Worker_pool.submit t.lm_pool ~cost (fun () ->
       Lock_manager.release t.lm ~uid:fl.routed.Message.uid;
       send_done t fl)
@@ -106,8 +106,8 @@ let maybe_execute t (fl : inflight) =
       List.length (local_keys t txn.Ctxn.write_set)
     in
     let cost =
-      t.config.Config.cost_exec_us
-      + (local_writes_estimate * t.config.Config.cost_write_us)
+      Config.cost_exec_us
+      + (local_writes_estimate * Config.cost_write_us)
     in
     Sim.Worker_pool.submit t.exec_pool ~cost (fun () ->
         (match Ctxn.find t.registry txn.Ctxn.proc with
@@ -137,8 +137,8 @@ let on_locks_ready t uid =
       let txn = fl.routed.Message.txn in
       let locals = local_keys t txn.Ctxn.read_set in
       let cost =
-        max t.config.Config.cost_read_us
-          (List.length locals * t.config.Config.cost_read_us)
+        max Config.cost_read_us
+          (List.length locals * Config.cost_read_us)
       in
       Sim.Worker_pool.submit t.exec_pool ~cost (fun () ->
           let values =
@@ -184,8 +184,8 @@ let admit_txn t (routed : Message.routed) =
         (local_keys t txn.Ctxn.write_set)
   in
   let cost =
-    max t.config.Config.cost_lock_us
-      (List.length lock_keys * t.config.Config.cost_lock_us)
+    max Config.cost_lock_us
+      (List.length lock_keys * Config.cost_lock_us)
   in
   Sim.Worker_pool.submit t.lm_pool ~cost (fun () ->
       fl.sched_start <- Sim.Engine.now t.sim;
@@ -276,7 +276,7 @@ let ship_epoch t =
   (* Sequencing work is charged per shipped transaction. *)
   if routed <> [] then
     Sim.Worker_pool.submit t.exec_pool
-      ~cost:(List.length routed * t.config.Config.cost_seq_us)
+      ~cost:(List.length routed * Config.cost_seq_us)
       (fun () -> ())
 
 let on_done t ~uid =
@@ -313,13 +313,13 @@ let on_reads t ~uid ~values =
       buffered := values :: !buffered
 
 let create ~sim ~rpc ~addr ~node_id ~n_servers ~partition_of
-    ~addr_of_partition ~registry ~config ~metrics ?obs () =
-  let executors = max 1 (config.Config.cores - 2) in
+    ~addr_of_partition ~registry ~epoch_us ~metrics ?obs () =
+  let executors = max 1 (Config.cores - 2) in
   let c = Sim.Metrics.counter metrics in
   let h = Sim.Metrics.histogram metrics in
   let t =
     { sim; rpc; address = addr; node_id; n_servers; partition_of;
-      addr_of_partition; registry; config; metrics; obs;
+      addr_of_partition; registry; epoch_us; metrics; obs;
       m_submitted = c "calvin.submitted";
       m_committed = c "calvin.committed";
       m_missing_proc = c "calvin.missing_proc";
@@ -341,10 +341,10 @@ let create ~sim ~rpc ~addr ~node_id ~n_servers ~partition_of
   Net.Rpc.serve_oneway rpc addr (fun ~src:_ wire ->
       match wire with
       | Message.Batch { epoch; seq_id; txns } ->
-          Sim.Worker_pool.submit t.exec_pool ~cost:config.Config.cost_msg_us
+          Sim.Worker_pool.submit t.exec_pool ~cost:Config.cost_msg_us
             (fun () -> on_batch t ~epoch ~seq_id txns)
       | Message.Reads { uid; from = _; values } ->
-          Sim.Worker_pool.submit t.exec_pool ~cost:config.Config.cost_msg_us
+          Sim.Worker_pool.submit t.exec_pool ~cost:Config.cost_msg_us
             (fun () -> on_reads t ~uid ~values)
       | Message.Done { uid; partition = _ } -> on_done t ~uid);
   t
@@ -352,6 +352,6 @@ let create ~sim ~rpc ~addr ~node_id ~n_servers ~partition_of
 let start t =
   let rec tick () =
     ship_epoch t;
-    Sim.Engine.after t.sim t.config.Config.epoch_us tick
+    Sim.Engine.after t.sim t.epoch_us tick
   in
-  Sim.Engine.after t.sim t.config.Config.epoch_us tick
+  Sim.Engine.after t.sim t.epoch_us tick

@@ -30,7 +30,7 @@ val create :
   partition_of:(string -> int) ->
   addr_of_partition:(int -> Net.Address.t) ->
   registry:Ctxn.registry ->
-  config:Config.t ->
+  epoch_us:int ->
   metrics:Sim.Metrics.t ->
   ?obs:Obs.Ctl.t ->
   unit -> t

@@ -1,6 +1,5 @@
 type options = {
   n_servers : int;
-  config : Config.t;
   latency : Net.Latency.t;
   partitioner : [ `Hash | `Prefix ];
   seed : int;
@@ -10,7 +9,6 @@ type options = {
 
 let default_options =
   { n_servers = 8;
-    config = Config.default;
     latency = Net.Latency.uniform ~base:80 ~jitter:40;
     partitioner = `Prefix;
     seed = 42;
@@ -48,8 +46,7 @@ let create ?registry options =
     Array.init n (fun i ->
         Server.create ~sim ~rpc ~addr:(Net.Address.of_int i) ~node_id:i
           ~partition_of ~addr_of_partition:Net.Address.of_int ~registry
-          ~config:options.config ~metrics ?obs:options.obs
-          ~seed:options.seed ())
+          ~metrics ?obs:options.obs ~seed:options.seed ())
   in
   (match options.obs with
   | None -> ()

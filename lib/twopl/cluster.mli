@@ -2,7 +2,6 @@
 
 type options = {
   n_servers : int;
-  config : Config.t;
   latency : Net.Latency.t;
   partitioner : [ `Hash | `Prefix ];
   seed : int;

@@ -1,17 +1,16 @@
-(** Configuration for the 2PL/2PC baseline. *)
+(** Fixed parameters and cost model of the 2PL/2PC baseline: waiting
+    longer than [lock_timeout_us] for a lock aborts the transaction
+    (deadlock resolution by timeout), which the client restarts up to
+    [max_retries] times after a backoff of [retry_backoff_us], jittered
+    uniformly.  Costs are simulated microseconds ([cost_lock_us] is
+    per-key lock-table work). *)
 
-type t = {
-  cores : int;
-  lock_timeout_us : int;
-      (** waiting longer than this aborts the transaction (deadlock
-          resolution by timeout) *)
-  max_retries : int;  (** client-side restarts after lock timeouts *)
-  retry_backoff_us : int;  (** base backoff, jittered uniformly *)
-  cost_lock_us : int;  (** per-key lock-table work *)
-  cost_read_us : int;
-  cost_exec_us : int;
-  cost_write_us : int;
-  cost_msg_us : int;
-}
-
-val default : t
+val cores : int
+val lock_timeout_us : int
+val max_retries : int
+val retry_backoff_us : int
+val cost_lock_us : int
+val cost_read_us : int
+val cost_exec_us : int
+val cost_write_us : int
+val cost_msg_us : int

@@ -16,7 +16,6 @@ type t = {
   partition_of : string -> int;
   addr_of_partition : int -> Net.Address.t;
   registry : Calvin.Ctxn.registry;
-  config : Config.t;
   metrics : Sim.Metrics.t;
   obs : Obs.Ctl.t option;
   (* Hot-path metric handles, resolved once at creation. *)
@@ -64,8 +63,8 @@ let on_locks_granted t uid =
         w.settled <- true;
         Hashtbl.remove t.waits uid;
         let cost =
-          max t.config.Config.cost_read_us
-            (List.length w.reads * t.config.Config.cost_read_us)
+          max Config.cost_read_us
+            (List.length w.reads * Config.cost_read_us)
         in
         Sim.Worker_pool.submit t.pool ~cost (fun () ->
             let values =
@@ -82,15 +81,15 @@ let do_lock_and_read t ~uid ~reads ~writes reply =
   let w = { reply; reads; settled = false } in
   Hashtbl.replace t.waits uid w;
   let cost =
-    max t.config.Config.cost_lock_us
-      (List.length keys * t.config.Config.cost_lock_us)
+    max Config.cost_lock_us
+      (List.length keys * Config.cost_lock_us)
   in
   Sim.Worker_pool.submit t.pool ~cost (fun () ->
       LM.request t.lm ~uid ~keys;
       (* Deadlock resolution by timeout: if the locks are not all granted
          in time, give up and release whatever queued. *)
       if not w.settled then
-        Sim.Engine.after t.sim t.config.Config.lock_timeout_us (fun () ->
+        Sim.Engine.after t.sim Config.lock_timeout_us (fun () ->
             if not w.settled then begin
               w.settled <- true;
               Hashtbl.remove t.waits uid;
@@ -161,12 +160,12 @@ let rec attempt t txn ~tries ~submitted_at k =
     let to_release = !granted in
     let pending = ref (List.length to_release) in
     let continue () =
-      if tries < t.config.Config.max_retries then begin
+      if tries < Config.max_retries then begin
         incr t.m_restarts;
         emit t ~txn:uid ~stage:Obs.Trace.Restarted ~arg:tries ();
         let backoff =
-          t.config.Config.retry_backoff_us
-          + Sim.Rng.int t.rng (t.config.Config.retry_backoff_us * (tries + 1))
+          Config.retry_backoff_us
+          + Sim.Rng.int t.rng (Config.retry_backoff_us * (tries + 1))
         in
         Sim.Engine.after t.sim backoff (fun () ->
             attempt t txn ~tries:(tries + 1) ~submitted_at k)
@@ -190,7 +189,7 @@ let rec attempt t txn ~tries ~submitted_at k =
   in
   let proceed_commit () =
     (* Execute the procedure, then two-phase commit. *)
-    Sim.Worker_pool.submit t.pool ~cost:t.config.Config.cost_exec_us
+    Sim.Worker_pool.submit t.pool ~cost:Config.cost_exec_us
       (fun () ->
         match Calvin.Ctxn.find t.registry txn.Calvin.Ctxn.proc with
         | None ->
@@ -258,11 +257,11 @@ let submit ?(k = fun () -> ()) t txn =
 (* ---- construction -------------------------------------------------------- *)
 
 let create ~sim ~rpc ~addr ~node_id ~partition_of ~addr_of_partition
-    ~registry ~config ~metrics ?obs ~seed () =
+    ~registry ~metrics ?obs ~seed () =
   let c = Sim.Metrics.counter metrics in
   let t =
     { sim; rpc; address = addr; node_id; partition_of; addr_of_partition;
-      registry; config; metrics; obs;
+      registry; metrics; obs;
       m_submitted = c "twopl.submitted";
       m_committed = c "twopl.committed";
       m_restarts = c "twopl.restarts";
@@ -272,7 +271,7 @@ let create ~sim ~rpc ~addr ~node_id ~partition_of ~addr_of_partition
       h_lat_total = Sim.Metrics.histogram metrics "twopl.lat_total_us";
       rng = Sim.Rng.create (seed + node_id);
       store = Hashtbl.create 65536;
-      pool = Sim.Worker_pool.create sim ~workers:config.Config.cores;
+      pool = Sim.Worker_pool.create sim ~workers:Config.cores;
       lm = LM.create ~on_ready:(fun _ -> ());
       waits = Hashtbl.create 256;
       prepared = Hashtbl.create 256;
@@ -282,19 +281,19 @@ let create ~sim ~rpc ~addr ~node_id ~partition_of ~addr_of_partition
   Net.Rpc.serve rpc addr (fun ~src:_ req ~reply ->
       match req with
       | Message.Lock_and_read { uid; reads; writes } ->
-          Sim.Worker_pool.submit t.pool ~cost:config.Config.cost_msg_us
+          Sim.Worker_pool.submit t.pool ~cost:Config.cost_msg_us
             (fun () -> do_lock_and_read t ~uid ~reads ~writes reply)
       | Message.Prepare { uid; writes } ->
           let cost =
-            config.Config.cost_msg_us
-            + (List.length writes * config.Config.cost_write_us)
+            Config.cost_msg_us
+            + (List.length writes * Config.cost_write_us)
           in
           Sim.Worker_pool.submit t.pool ~cost (fun () ->
               do_prepare t ~uid ~writes reply)
       | Message.Commit { uid } ->
-          Sim.Worker_pool.submit t.pool ~cost:config.Config.cost_msg_us
+          Sim.Worker_pool.submit t.pool ~cost:Config.cost_msg_us
             (fun () -> do_commit t ~uid reply)
       | Message.Release { uid } ->
-          Sim.Worker_pool.submit t.pool ~cost:config.Config.cost_msg_us
+          Sim.Worker_pool.submit t.pool ~cost:Config.cost_msg_us
             (fun () -> do_release t ~uid reply));
   t

@@ -20,7 +20,6 @@ val create :
   partition_of:(string -> int) ->
   addr_of_partition:(int -> Net.Address.t) ->
   registry:Calvin.Ctxn.registry ->
-  config:Config.t ->
   metrics:Sim.Metrics.t ->
   ?obs:Obs.Ctl.t ->
   seed:int ->

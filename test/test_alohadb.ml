@@ -356,6 +356,123 @@ let test_empty_read_write () =
   Alcotest.(check bool) "epochs keep closing" true
     (closed () - closed_at_submit >= 10)
 
+(* ---- qcheck: the frontend's completion tracker ------------------------ *)
+
+(* One coordinated transaction over [n] partitions (0: the empty
+   read-write shape), driven by a random interleaving of its install acks
+   (one per partition, ok or rejected), Batch_dones from the partitions
+   that installed (each 0-3 times: lost, delivered, duplicated), arriving
+   before, between and after the acks.  The driver acts as the frontend
+   does: it asks for the verdict after the last ok ack and after each new
+   Batch_done, and records every terminal decision. *)
+module Tracker = Alohadb.Tracker
+
+type shape = {
+  oks : bool list;  (* install verdict per partition *)
+  dones : int list;  (* Batch_done copies per partition *)
+  aborts : bool list;  (* whether the partition's batch reports an abort *)
+  order : int list;  (* shuffle keys, one per event *)
+}
+
+type event = Ack of int | Done of int
+
+let gen_shape =
+  let open QCheck2.Gen in
+  let* n = frequency [ (1, pure 0); (6, int_range 1 4) ] in
+  let* oks = list_repeat n (frequency [ (4, pure true); (1, pure false) ]) in
+  let* dones = list_repeat n (frequency [ (1, pure 0); (4, int_range 1 3) ]) in
+  let* aborts = list_repeat n (frequency [ (5, pure false); (1, pure true) ]) in
+  let+ order = list_repeat (n * 4) (int_bound 1_000) in
+  { oks; dones; aborts; order }
+
+let print_shape s =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let bools l = String.concat ";" (List.map string_of_bool l) in
+  Printf.sprintf "oks=[%s] dones=[%s] aborts=[%s] order=[%s]" (bools s.oks)
+    (ints s.dones) (bools s.aborts) (ints s.order)
+
+let events_of s =
+  let events =
+    List.concat
+      (List.mapi
+         (fun p ok ->
+           Ack p
+           :: (if ok then List.init (List.nth s.dones p) (fun _ -> Done p)
+               else []))
+         s.oks)
+  in
+  List.mapi (fun i e -> (List.nth s.order i, i, e)) events
+  |> List.sort compare
+  |> List.map (fun (_, _, e) -> e)
+
+let prop_tracker =
+  QCheck2.Test.make ~name:"tracker: one verdict, commit iff all in" ~count:1000
+    ~print:print_shape gen_shape (fun s ->
+      let n = List.length s.oks in
+      let tr =
+        Tracker.create ~ts:(Clocksync.Timestamp.of_int 1) ~epoch:1
+          ~issued_at:0 ~ack:Txn.Ack_on_computed ~reply:ignore ~partitions:n
+      in
+      let terminals = ref [] in
+      let acks_in = ref 0 and dones_in = ref [] in
+      let fail fmt = Printf.ksprintf QCheck2.Test.fail_report fmt in
+      let ask () =
+        match Tracker.verdict tr with
+        | Tracker.Open -> ()
+        | (Tracker.Committed | Tracker.Aborted) as v ->
+            if !acks_in < n || List.length !dones_in < n then
+              fail "completed early (%d acks, %d partitions done)" !acks_in
+                (List.length !dones_in);
+            terminals := `Done v :: !terminals
+      in
+      if n = 0 then begin
+        ask ()
+      end;
+      List.iter
+        (function
+          | Ack p -> (
+              incr acks_in;
+              match
+                Tracker.install_ack tr ~partition:p ~ok:(List.nth s.oks p)
+                  ~now:1
+              with
+              | Tracker.Installing -> ()
+              | Tracker.Installed -> ask ()
+              | Tracker.Install_rejected ->
+                  terminals :=
+                    `Rejected (List.sort compare tr.Tracker.acked_ok)
+                    :: !terminals)
+          | Done p ->
+              let before = Tracker.verdict tr in
+              let fresh =
+                Tracker.batch_done tr ~partition:p
+                  ~aborted:(List.nth s.aborts p) ~max_retrieved_at:2
+              in
+              if fresh = List.mem p !dones_in then
+                fail "partition %d: new=%b on its %s Batch_done" p fresh
+                  (if fresh then "repeated" else "first");
+              if fresh then begin
+                dones_in := p :: !dones_in;
+                ask ()
+              end
+              else if Tracker.verdict tr <> before then
+                fail "a duplicate Batch_done changed the verdict")
+        (events_of s);
+      let all_ok = List.for_all Fun.id s.oks in
+      let ok_parts =
+        List.concat (List.mapi (fun p ok -> if ok then [ p ] else []) s.oks)
+      in
+      let expected =
+        if not all_ok then [ `Rejected ok_parts ]
+        else if List.exists (fun d -> d = 0) s.dones then []
+        else if List.exists Fun.id s.aborts then [ `Done Tracker.Aborted ]
+        else [ `Done Tracker.Committed ]
+      in
+      if !terminals <> expected then
+        fail "%d terminal verdicts, expected %d" (List.length !terminals)
+          (List.length expected);
+      true)
+
 let suite =
   [ Alcotest.test_case "blind multi-write (Fig 5 T1)" `Quick test_blind_write;
     Alcotest.test_case "add/subtr transfer (Fig 5 T2)" `Quick test_transfer;
@@ -374,4 +491,5 @@ let suite =
     Alcotest.test_case "push off sends no plan subscriptions" `Quick
       test_push_off_no_plan_subs;
     Alcotest.test_case "empty read-write commits" `Quick
-      test_empty_read_write ]
+      test_empty_read_write;
+    QCheck_alcotest.to_alcotest prop_tracker ]

@@ -438,6 +438,55 @@ let test_unflushed_tail_lost () =
   Alcotest.(check int) "only the flushed prefix survives" 1
     (Wal.durable_count wal)
 
+(* A crash replaces the backend's incarnation while its worker pool still
+   holds compute jobs of the closed epoch.  Those jobs belong to the dead
+   incarnation: until the restart the crashed server must send nothing
+   on their behalf (no Push, Dep_write or Batch_done), and after it the
+   recovered incarnation must still complete every transaction. *)
+let test_dead_incarnation_silent () =
+  let c =
+    Cluster.create
+      { (durable_options 2) with
+        config =
+          { Alohadb.Config.default with durability = true; hardened = true } }
+  in
+  let victim = Cluster.server c 1 in
+  let em = Net.Address.of_int 2 in
+  let sent_while_down = ref 0 in
+  Cluster.set_trace c (fun ~src ~dst ->
+      if
+        Net.Address.equal src (Alohadb.Server.addr victim)
+        && (not (Net.Address.equal dst em))
+        && Alohadb.Server.be_down victim
+      then incr sent_while_down);
+  Cluster.start c;
+  let n = 100 in
+  for i = 0 to n - 1 do
+    let writes =
+      List.init 10 (fun j -> (Printf.sprintf "k:1:g%d_%d" i j, Txn.Add 1))
+    in
+    List.iter
+      (fun (k, _) ->
+        Alcotest.(check int) "on the victim" 1 (Cluster.partition_of c k))
+      writes;
+    Cluster.submit c ~fe:0 (Txn.read_write writes) (fun _ -> ())
+  done;
+  let metrics = Cluster.metrics c in
+  let sim = Cluster.sim c in
+  while Sim.Metrics.get metrics "plan.plans" = 0 && Sim.Engine.now sim < 200_000
+  do
+    Cluster.run_for c 20
+  done;
+  Alcotest.(check bool) "compute jobs queued at the crash" true
+    (Sim.Worker_pool.queue_length (Alohadb.Server.pool victim) > 0);
+  Alohadb.Server.crash_be victim;
+  Cluster.run_for c 5_000;
+  Alcotest.(check int) "nothing sent while down" 0 !sent_while_down;
+  Alohadb.Server.restart_be victim;
+  Cluster.run_for c 300_000;
+  Alcotest.(check int) "every transaction commits" n
+    (Sim.Metrics.get metrics "aloha.committed")
+
 let suite =
   [ Alcotest.test_case "wal flush timing" `Quick test_wal_flush_timing;
     Alcotest.test_case "wal order" `Quick test_wal_order_preserved;
@@ -448,4 +497,6 @@ let suite =
       test_recovery_with_checkpoint;
     Alcotest.test_case "checkpoint, crash, restart (k=1)" `Quick
       test_checkpoint_crash_restart;
-    Alcotest.test_case "unflushed tail lost" `Quick test_unflushed_tail_lost ]
+    Alcotest.test_case "unflushed tail lost" `Quick test_unflushed_tail_lost;
+    Alcotest.test_case "dead incarnation stays silent" `Quick
+      test_dead_incarnation_silent ]

@@ -361,6 +361,55 @@ let test_replicas_behaviour_neutral () =
   Alcotest.(check (float 0.0)) "k=2 tps = k=1 tps (exact)"
     r1.Kernel.Result.throughput_tps r2.Kernel.Result.throughput_tps
 
+(* ---- the drop gauge counts every plane ----------------------------------- *)
+
+(* The WAL-ship plane shares the fault oracle with the data and control
+   planes, so at k = 2 under loss it drops messages too: the sampled
+   [gauge.net_drops] must be the cluster's whole drop count.  Loss stops
+   well before the last sample, so nothing is dropped after it. *)
+let test_gauge_counts_ship_drops () =
+  let faults = Net.Faults.create ~seed:11 () in
+  Net.Faults.install faults
+    [ Net.Faults.edict Net.Faults.Drop ~p:0.2 ~from_us:2_000 ~until_us:60_000 ];
+  let ctl = Obs.Ctl.create () in
+  let c =
+    Alohadb.Cluster.create
+      { Alohadb.Cluster.default_options with
+        n_servers;
+        faults = Some faults;
+        obs = Some ctl;
+        config =
+          { Alohadb.Config.default with
+            Alohadb.Config.replicas = 2;
+            durability = true;
+            hardened = true } }
+  in
+  let sim = Alohadb.Cluster.sim c in
+  Obs.Ctl.arm ctl ~sim ~for_us:200_000;
+  Alohadb.Cluster.start c;
+  for i = 0 to 59 do
+    Sim.Engine.schedule sim ~at:(1_000 + (i * 1_000)) (fun () ->
+        Alohadb.Cluster.submit c ~fe:(i mod n_servers)
+          (Alohadb.Txn.read_write
+             [ (Printf.sprintf "ctr:%d" (i mod 7), Alohadb.Txn.Add 1) ])
+          (fun _ -> ()))
+  done;
+  Alohadb.Cluster.run_for c 250_000;
+  let d = Alohadb.Cluster.drop_stats c in
+  let total =
+    d.Net.Network.injected + d.partitioned + d.crashed + d.unregistered
+  in
+  Alcotest.(check bool) "the lossy run dropped messages" true (total > 0);
+  let last =
+    match
+      List.assoc_opt "gauge.net_drops"
+        (Obs.Gauges.series (Obs.Ctl.gauges ctl))
+    with
+    | Some points -> snd (List.nth points (List.length points - 1))
+    | None -> Alcotest.fail "no gauge.net_drops series"
+  in
+  Alcotest.(check int) "gauge = drop_stats" total (int_of_float last)
+
 let suite =
   [ Alcotest.test_case "battery k=2 (crash every backend)" `Slow
       (test_battery 2 [ 1; 2; 3 ]);
@@ -378,4 +427,6 @@ let suite =
       test_replication_forces_durability;
     QCheck_alcotest.to_alcotest prop_repl_matches_reference;
     Alcotest.test_case "replicas=2 behaviour-neutral vs replicas=1" `Slow
-      test_replicas_behaviour_neutral ]
+      test_replicas_behaviour_neutral;
+    Alcotest.test_case "net_drops gauge counts the ship plane" `Quick
+      test_gauge_counts_ship_drops ]
