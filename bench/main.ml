@@ -327,7 +327,7 @@ let fastpath () =
         ~fastpath ~seed:7 ()
     in
     Harness.Setup.run built
-      ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 4 })
+      ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 4 })
       ~warmup_us:100_000 ~measure_us:1_000_000 ()
   in
   let workload =

@@ -102,12 +102,12 @@ let run_cmd =
     let warmup_us = warmup_ms * 1000 in
     let measure_us = measure_ms * 1000 in
     let arrival =
-      if rate > 0.0 then Harness.Arrivals.Open_poisson { rate_per_fe = rate }
+      if rate > 0.0 then Kernel.Arrivals.Open_poisson { rate_per_fe = rate }
       else
         (* ALOHA sustains far more closed-loop clients than the lock-based
            engines. *)
         let default = if sys_name = "aloha" then 2_000 else 500 in
-        Harness.Arrivals.Closed
+        Kernel.Arrivals.Closed
           { clients_per_fe = (if clients > 0 then clients else default) }
     in
     let built =
@@ -323,7 +323,7 @@ let traced_run ~sys_name ~engine ~n ~ci ~sample ~epoch_us ~warmup_us
   let ctl = Obs.Ctl.create ~sample () in
   let arrival =
     let clients = if sys_name = "aloha" then 400 else 100 in
-    Harness.Arrivals.Closed { clients_per_fe = clients }
+    Kernel.Arrivals.Closed { clients_per_fe = clients }
   in
   match sys_name with
   | "aloha" ->

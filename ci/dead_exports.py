@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""List exported values and modules that nothing outside their own
+module uses, and fail on any that the allowlist does not excuse.
+
+Usage:
+    python3 ci/dead_exports.py [--root DIR] [--allow FILE]
+
+An export is a top-level `val NAME` or `module NAME` line of a
+`lib/*/*.mli`.  It is dead when NAME occurs in no `.ml` file under lib,
+bin, bench, test or examples other than the module's own `.ml`.  The
+scan is by name, with comments and string literals removed first, so a
+name shared with another module's value always counts as used: the
+scan finds fewer dead exports than there are, never more.
+
+Each allowlist line is `PATH NAME REASON...` (PATH relative to the
+root, e.g. `lib/sim/rng.mli split because ...`); blank lines and lines
+starting with `#` are ignored, and a line without a reason is an error.
+The run exits 1 when a dead export is not allowlisted, or when an
+allowlist line names an export that is no longer dead, so the list
+cannot go stale.  --root defaults to the repository holding this
+script, --allow to ci/dead_exports_allow.txt under the root.
+"""
+
+import argparse
+import glob
+import os
+import re
+import sys
+
+CALLER_DIRS = ("lib", "bin", "bench", "test", "examples")
+EXPORT = re.compile(r"^(val|module)\s+([A-Za-z_][A-Za-z0-9_']*)")
+
+
+def strip_code(src):
+    """The source with comments (nested), string literals and character
+    literals blanked out, so names in them do not count as uses."""
+    out = []
+    i, n, depth = 0, len(src), 0
+    while i < n:
+        c = src[i]
+        if src.startswith("(*", i):
+            depth += 1
+            i += 2
+        elif depth > 0 and src.startswith("*)", i):
+            depth -= 1
+            i += 2
+        elif c == '"':
+            i += 1
+            while i < n and src[i] != '"':
+                i += 2 if src[i] == "\\" else 1
+            i += 1
+            if depth == 0:
+                out.append(' "" ')
+        elif depth == 0 and c == "'" and re.match(r"'(\\.[^']*|[^\\'])'", src[i:i + 8]):
+            i = src.index("'", i + 2) + 1
+            out.append(" ")
+        else:
+            if depth == 0:
+                out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def exports(root):
+    """(mli path relative to root, kind, name, line) for every export."""
+    found = []
+    for mli in sorted(glob.glob(os.path.join(root, "lib", "*", "*.mli"))):
+        with open(mli) as f:
+            for lineno, line in enumerate(f, 1):
+                m = EXPORT.match(line)
+                if m and not line.startswith("module type"):
+                    found.append((os.path.relpath(mli, root), m.group(1),
+                                  m.group(2), lineno))
+    return found
+
+
+def caller_sources(root):
+    """Stripped text of every .ml under the caller directories, by path."""
+    sources = {}
+    for d in CALLER_DIRS:
+        for dirpath, _, files in os.walk(os.path.join(root, d)):
+            if "_build" in dirpath.split(os.sep):
+                continue
+            for name in files:
+                if name.endswith(".ml"):
+                    path = os.path.join(dirpath, name)
+                    with open(path) as f:
+                        sources[os.path.relpath(path, root)] = strip_code(f.read())
+    return sources
+
+
+def dead_exports(root):
+    sources = caller_sources(root)
+    dead = []
+    for mli, kind, name, lineno in exports(root):
+        own = mli[:-1]
+        word = re.compile(r"(?<![\w'.])(?:[A-Z][\w']*\.)*" + re.escape(name) + r"(?![\w'])")
+        if not any(word.search(src) for path, src in sources.items() if path != own):
+            dead.append((mli, kind, name, lineno))
+    return dead
+
+
+def read_allowlist(path):
+    allowed, errors = {}, []
+    if not os.path.exists(path):
+        return allowed, errors
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(None, 2)
+            if len(fields) < 3:
+                errors.append(f"{path}:{lineno}: want PATH NAME REASON, got {line!r}")
+                continue
+            allowed[(fields[0], fields[1])] = fields[2]
+    return allowed, errors
+
+
+def main(argv=None):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=here)
+    ap.add_argument("--allow", default=None)
+    args = ap.parse_args(argv)
+    allow_path = args.allow or os.path.join(args.root, "ci", "dead_exports_allow.txt")
+    allowed, errors = read_allowlist(allow_path)
+    dead = dead_exports(args.root)
+    failed = bool(errors)
+    for e in errors:
+        print(e)
+    dead_keys = set()
+    for mli, kind, name, lineno in dead:
+        dead_keys.add((mli, name))
+        if (mli, name) in allowed:
+            print(f"{mli}:{lineno}: {kind} {name} (allowed: {allowed[(mli, name)]})")
+        else:
+            print(f"{mli}:{lineno}: {kind} {name} has no caller outside its module")
+            failed = True
+    for key in sorted(set(allowed) - dead_keys):
+        print(f"{allow_path}: {key[0]} {key[1]} is allowlisted but not a dead export")
+        failed = True
+    unexcused = sum(1 for d in dead if (d[0], d[2]) not in allowed)
+    print(f"dead exports: {len(dead)} ({unexcused} not allowlisted)")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ let () =
       Harness.Setup.tpcc ~engine ~n ~warehouses_per_host:1 ~kind:`NewOrder ()
     in
     Harness.Setup.run built
-      ~arrival:(Harness.Arrivals.Closed { clients_per_fe = clients })
+      ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = clients })
       ~warmup_us:75_000 ~measure_us:100_000 ()
   in
 

@@ -24,7 +24,7 @@ let () =
         in
         let r =
           Harness.Setup.run built
-            ~arrival:(Harness.Arrivals.Closed { clients_per_fe = clients })
+            ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = clients })
             ~warmup_us:60_000 ~measure_us:80_000 ()
         in
         r.Kernel.Result.throughput_tps

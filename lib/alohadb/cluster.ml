@@ -342,11 +342,8 @@ let create ?registry options =
           if k > 1 then
             Sim.Metrics.set_gauge metrics "gauge.repl_lag"
               (float_of_int !repl_lag);
-          let d = drop_stats t in
           Sim.Metrics.set_gauge metrics "gauge.net_drops"
-            (float_of_int
-               (d.Net.Network.injected + d.partitioned + d.crashed
-              + d.unregistered));
+            (float_of_int (Net.Network.total_drops (drop_stats t)));
           match real_pool with
           | None -> ()
           | Some p ->
@@ -405,6 +402,3 @@ let submit t ~fe req k = Server.submit t.servers.(fe) req k
 
 let run_for t us =
   Sim.Engine.run ~until:(Sim.Engine.now t.sim + us) t.sim
-
-let run_until_quiescent t ?(max_us = 10_000_000) () =
-  Sim.Engine.run ~until:(Sim.Engine.now t.sim + max_us) t.sim

@@ -91,7 +91,3 @@ val submit :
 
 val run_for : t -> int -> unit
 (** Advance the simulation by the given number of microseconds. *)
-
-val run_until_quiescent : t -> ?max_us:int -> unit -> unit
-(** Run until no events remain or the horizon passes (epoch managers never
-    quiesce, so the horizon is the practical stop). *)

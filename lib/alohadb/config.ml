@@ -8,8 +8,6 @@ let runtime_mode_of_string = function
   | "real" -> Some Real
   | _ -> None
 
-let runtime_mode_to_string = function Sim -> "sim" | Real -> "real"
-
 type t = {
   runtime_mode : runtime_mode;
   domains : int;

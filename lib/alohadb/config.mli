@@ -17,7 +17,6 @@ type runtime_mode =
           wall-clock throughput *)
 
 val runtime_mode_of_string : string -> runtime_mode option
-val runtime_mode_to_string : runtime_mode -> string
 
 type t = {
   runtime_mode : runtime_mode;  (** execution backend (sim | real) *)

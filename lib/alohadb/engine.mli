@@ -9,15 +9,13 @@
     the §IV-E dynamic dependent-write scheme. *)
 
 include Kernel.Intf.ENGINE with type cluster = Cluster.t
-
-val options_of : ?seed:int -> Kernel.Params.t -> Cluster.options
-(** The options {!create} uses: prefix partitioning, default config, and
-    the epoch duration from the params (when given) and [replicas] from
-    [params.replicas].  When [params.faults] is set the config is
-    hardened ([durability] and [hardened]: 10 ms retransmission and
-    acks gated on every live copy) so the protocol stays live and atomic
-    under loss, crashes and failover; this is the only place [hardened]
-    is set. *)
+(** [create] builds the cluster with prefix partitioning, the default
+    config, and the epoch duration from the params (when given) and
+    [replicas] from [params.replicas].  When [params.faults] is set the
+    config is hardened ([durability] and [hardened]: 10 ms
+    retransmission and acks gated on every live copy) so the protocol
+    stays live and atomic under loss, crashes and failover; this is the
+    only place [hardened] is set. *)
 
 val set_trace :
   cluster -> (src:Net.Address.t -> dst:Net.Address.t -> unit) -> unit

@@ -153,15 +153,6 @@ let when_epoch_durable t ~epoch k =
   if t.durable_epoch >= epoch then k ()
   else t.epoch_waiters <- (epoch, k) :: t.epoch_waiters
 
-let drop_waiters t =
-  let n = List.length t.seq_waiters + List.length t.epoch_waiters in
-  t.seq_waiters <- [];
-  t.epoch_waiters <- [];
-  n
-
-let reset_acks t =
-  Array.iter (fun m -> if follower t m then m.acked <- 0) t.members
-
 let crash t ~durable_len =
   (* The primary's buffered WAL tail died with the process: truncate the
      replicated log to the durable prefix, drop barriers registered into
@@ -173,9 +164,8 @@ let crash t ~durable_len =
   if durable_len > t.len then invalid_arg "Repl.crash: durable beyond log";
   t.len <- durable_len;
   t.barriers <- List.filter (fun (_, seq) -> seq <= durable_len) t.barriers;
-  reset_acks t;
+  Array.iter (fun m -> if follower t m then m.acked <- 0) t.members;
   t.seq_waiters <- [];
   t.epoch_waiters <- []
 
 let acked t ~member = (find_member t member).acked
-let is_live t ~member = (find_member t member).live

@@ -58,19 +58,9 @@ val lagging_followers : t -> seq:int -> (int * int) list
 (** Live followers whose cumulative ack is below [seq], with their acks
     (the primary's retransmission worklist). *)
 
-val drop_waiters : t -> int
-(** Crash: discard pending gates (their replies die with the process);
-    returns how many were dropped. *)
-
-val reset_acks : t -> unit
-(** Crash: follower acks are bookkeeping in volatile memory; after a
-    restart the primary assumes nothing and re-ships (followers re-ack
-    duplicates cheaply). *)
-
 val crash : t -> durable_len:int -> unit
 (** Primary crash while retaining the primary role (no live successor):
     truncate the log to the durable WAL prefix, drop barriers beyond it,
     reset acks and discard pending gates.  [durable_epoch] survives. *)
 
 val acked : t -> member:int -> int
-val is_live : t -> member:int -> bool

@@ -68,15 +68,12 @@ val write_keys : request -> string list
 (** Keys written by the request, including declared dependents (empty for
     reads). *)
 
-val op_commutative : op -> bool
-(** True for the arithmetic built-ins ([Add]/[Subtr]/[Max]/[Min]): their
-    functors read only their own key and fold commutatively, so any
-    install order converges to the same value. *)
-
 val all_commutative :
   writes:(string * op) list -> precondition_keys:string list -> bool
 (** The fast-path classifier: a non-empty write set of commutative
-    built-ins with no precondition keys.  Such a transaction needs no
+    built-ins ([Add]/[Subtr]/[Max]/[Min], whose functors read only their
+    own key and fold commutatively, so any install order converges to
+    the same value) with no precondition keys.  Such a transaction needs no
     epoch-close ordering — it can commit as soon as every partition has
     installed its functors. *)
 

@@ -26,21 +26,3 @@ let register registry name proc =
   Hashtbl.add registry name proc
 
 let find registry name = Hashtbl.find_opt registry name
-
-(* YCSB-style read-modify-write: every write-set key is incremented by the
-   first argument (keys absent from the store start at 0). *)
-let incr_all ~txn ~reads =
-  let delta =
-    match txn.args with v :: _ -> Value.to_int v | [] -> 1
-  in
-  List.map
-    (fun key ->
-      match List.assoc_opt key reads with
-      | Some (Some v) -> (key, Value.int (Value.to_int v + delta))
-      | Some None | None -> (key, Value.int delta))
-    txn.write_set
-
-let with_builtins () =
-  let r = create_registry () in
-  register r "incr_all" incr_all;
-  r

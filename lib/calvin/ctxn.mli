@@ -32,7 +32,3 @@ type registry
 val create_registry : unit -> registry
 val register : registry -> string -> proc -> unit
 val find : registry -> string -> proc option
-
-val with_builtins : unit -> registry
-(** Preloaded with ["incr_all"]: add [args.(0)] to every key in the write
-    set (the YCSB microbenchmark's procedure). *)

@@ -1,27 +1,5 @@
-(** Calvin behind the {!Kernel.Intf.ENGINE} signature.
+(** Calvin behind the {!Kernel.Intf.ENGINE} signature: the baseline
+    {!Deployment} of Calvin servers.  Procedures cannot abort, so
+    [abort_keys] is empty. *)
 
-    Transactions execute from their [static_form] facet: the write list
-    is encoded as a {!Functor_cc.Value.t} and shipped through one generic
-    stored procedure (["kernel_apply"]) that interprets it with
-    {!Kernel.Apply} against a functor registry — replacing the
-    hand-written per-workload Calvin procedures.  Workload handlers
-    registered through [register] land in that functor registry and are
-    evaluated inside the procedure. *)
-
-include Kernel.Intf.ENGINE
-
-val options_of : ?seed:int -> Kernel.Params.t -> Cluster.options
-
-val set_trace :
-  cluster -> (src:Net.Address.t -> dst:Net.Address.t -> unit) -> unit
-(** Observe every send on the cluster's RPC plane (chaos tracing). *)
-
-val drop_stats : cluster -> Net.Network.drop_stats
-
-val apply_proc : Functor_cc.Registry.t -> Ctxn.proc
-(** The generic interpreter procedure, exposed for reuse by other
-    [Ctxn]-based engines (2PL). *)
-
-val lower : version:int -> Kernel.Txn.t -> Ctxn.t
-(** Lower a neutral transaction to a ["kernel_apply"] invocation whose
-    read/write sets come from the static facet. *)
+include Deployment.S

@@ -8,10 +8,6 @@ let uid_make ~epoch ~seq_id ~idx =
   if idx < 0 || idx >= 1 lsl idx_bits then invalid_arg "uid_make: idx";
   (epoch lsl (seq_bits + idx_bits)) lor (seq_id lsl idx_bits) lor idx
 
-let uid_epoch uid = uid lsr (seq_bits + idx_bits)
-let uid_seq uid = (uid lsr idx_bits) land ((1 lsl seq_bits) - 1)
-let uid_idx uid = uid land ((1 lsl idx_bits) - 1)
-
 type routed = {
   uid : uid;
   origin : int;

@@ -10,9 +10,6 @@ type uid = int
 (** Packed (epoch, sequencer, index) — see {!uid_make}. *)
 
 val uid_make : epoch:int -> seq_id:int -> idx:int -> uid
-val uid_epoch : uid -> int
-val uid_seq : uid -> int
-val uid_idx : uid -> int
 
 type routed = {
   uid : uid;

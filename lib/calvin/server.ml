@@ -23,10 +23,8 @@ type t = {
   node_id : int;
   n_servers : int;
   partition_of : string -> int;
-  addr_of_partition : int -> Net.Address.t;
   registry : Ctxn.registry;
   epoch_us : int;
-  metrics : Sim.Metrics.t;
   obs : Obs.Ctl.t option;
   (* Hot-path metric handles, resolved once at creation. *)
   m_submitted : int ref;
@@ -79,7 +77,7 @@ let local_keys t keys = List.filter (fun k -> t.partition_of k = t.node_id) keys
 
 let send_done t (fl : inflight) =
   Net.Rpc.send t.rpc ~src:t.address
-    ~dst:(t.addr_of_partition fl.routed.Message.origin)
+    ~dst:(Net.Address.of_int fl.routed.Message.origin)
     (Message.Done { uid = fl.routed.Message.uid; partition = t.node_id })
 
 (* Locks released (through the lock-manager thread) after execution. *)
@@ -150,7 +148,7 @@ let on_locks_ready t uid =
             (fun p ->
               if p <> t.node_id then
                 Net.Rpc.send t.rpc ~src:t.address
-                  ~dst:(t.addr_of_partition p)
+                  ~dst:(Net.Address.of_int p)
                   (Message.Reads { uid; from = t.node_id; values }))
             fl.participants;
           maybe_execute t fl)
@@ -270,7 +268,7 @@ let ship_epoch t =
           if List.exists (fun p -> p = dst) participants then Some r else None)
         routed_parts
     in
-    Net.Rpc.send t.rpc ~src:t.address ~dst:(t.addr_of_partition dst)
+    Net.Rpc.send t.rpc ~src:t.address ~dst:(Net.Address.of_int dst)
       (Message.Batch { epoch; seq_id = t.node_id; txns = for_dst })
   done;
   (* Sequencing work is charged per shipped transaction. *)
@@ -312,21 +310,46 @@ let on_reads t ~uid ~values =
       in
       buffered := values :: !buffered
 
-let create ~sim ~rpc ~addr ~node_id ~n_servers ~partition_of
-    ~addr_of_partition ~registry ~epoch_us ~metrics ?obs () =
+type req = Message.wire
+type resp = unit
+
+let name = "calvin"
+let committed_key = "calvin.committed"
+let latency_key = "calvin.lat_total_us"
+
+(* Calvin procs cannot abort, so there is no abort counter to report. *)
+let abort_keys = []
+let counter_keys = [ ("missing proc", "calvin.missing_proc") ]
+
+let stage_keys =
+  [ ("sequencing", "calvin.stage_seq_us");
+    ("locking and read", "calvin.stage_lockread_us");
+    ("processing", "calvin.stage_proc_us") ]
+
+let gauges =
+  [ ("gauge.lock_queue_depth", lock_queue_depth);
+    ("gauge.inflight_txns", inflight_count) ]
+
+let create
+    { Deployment.sim; rpc; node_id; partition_of; registry; metrics; params;
+      seed = _ } =
   let executors = max 1 (Config.cores - 2) in
   let c = Sim.Metrics.counter metrics in
   let h = Sim.Metrics.histogram metrics in
+  let addr = Net.Address.of_int node_id in
   let t =
-    { sim; rpc; address = addr; node_id; n_servers; partition_of;
-      addr_of_partition; registry; epoch_us; metrics; obs;
+    { sim; rpc; address = addr; node_id; n_servers = params.n_servers;
+      partition_of; registry;
+      epoch_us =
+        Option.value params.epoch_us ~default:Config.default_epoch_us;
+      obs = params.obs;
       m_submitted = c "calvin.submitted";
-      m_committed = c "calvin.committed";
+      m_committed = c committed_key;
       m_missing_proc = c "calvin.missing_proc";
       h_stage_seq = h "calvin.stage_seq_us";
       h_stage_lockread = h "calvin.stage_lockread_us";
       h_stage_proc = h "calvin.stage_proc_us";
-      h_lat_total = h "calvin.lat_total_us";
+      h_lat_total = h latency_key;
       store = Hashtbl.create 65536;
       lm_pool = Sim.Worker_pool.create sim ~workers:1;
       exec_pool = Sim.Worker_pool.create sim ~workers:executors;

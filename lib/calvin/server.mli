@@ -19,38 +19,12 @@
     Transactions never abort (deterministic execution); the origin counts
     a transaction complete when every participant reports Done. *)
 
-type t
-
-val create :
-  sim:Sim.Engine.t ->
-  rpc:Message.rpc ->
-  addr:Net.Address.t ->
-  node_id:int ->
-  n_servers:int ->
-  partition_of:(string -> int) ->
-  addr_of_partition:(int -> Net.Address.t) ->
-  registry:Ctxn.registry ->
-  epoch_us:int ->
-  metrics:Sim.Metrics.t ->
-  ?obs:Obs.Ctl.t ->
-  unit -> t
-(** [obs] turns on lifecycle tracing (submit / sequenced / scheduled /
-    locks / exec / committed) for transactions this server touches. *)
-
-val start : t -> unit
-(** Start the sequencer's epoch timer. *)
-
-val submit : ?k:(unit -> unit) -> t -> Ctxn.t -> unit
-(** Accept a client transaction at this server's sequencer; [k] fires when
-    every participant has reported completion (closed-loop drivers). *)
-
-val load_initial : t -> key:string -> Functor_cc.Value.t -> unit
-
-val read_local : t -> string -> Functor_cc.Value.t option
-(** Direct storage peek (tests and oracle checks only). *)
-
-val lock_queue_depth : t -> int
-(** Jobs waiting on the lock-manager thread (saturation diagnostics). *)
-
-val inflight_count : t -> int
-(** Admitted transactions not yet executed locally — gauge probe. *)
+include Deployment.SERVER with type req = Message.wire and type resp = unit
+(** [create] turns on lifecycle tracing (submit / sequenced / scheduled /
+    locks / exec / committed) when the params carry an obs handle; the
+    sequencer batches for the params' [epoch_us] (default
+    {!Config.default_epoch_us}).  [start] starts the sequencer's epoch
+    timer; [submit] accepts a client transaction at this server's
+    sequencer.  Transactions never abort.  [gauges] are the jobs waiting
+    on the lock-manager thread and the admitted transactions not yet
+    executed locally. *)

@@ -110,32 +110,21 @@ module Aloha_target = struct
     committed_probe (module Alohadb.Engine) c :: watermarks
 end
 
-module Calvin_target = struct
-  include Calvin.Engine
+(* Calvin and 2PL: reliable links, the committed counter the one probe. *)
+module Baseline_target (E : Calvin.Deployment.S) = struct
+  include E
 
   let transport = Net.Faults.Reliable
   let apply _c ~faults ev = reliable_apply faults ev
-
-  let probes c ~keys:_ ~exclude_nodes:_ =
-    [ committed_probe (module Calvin.Engine) c ]
-end
-
-module Twopl_target = struct
-  include Twopl.Engine
-
-  let transport = Net.Faults.Reliable
-  let apply _c ~faults ev = reliable_apply faults ev
-
-  let probes c ~keys:_ ~exclude_nodes:_ =
-    [ committed_probe (module Twopl.Engine) c ]
+  let probes c ~keys:_ ~exclude_nodes:_ = [ committed_probe (module E) c ]
 end
 
 type packed = Target : (module TARGET with type cluster = 'c) -> packed
 
 let targets =
   [ ("aloha", Target (module Aloha_target));
-    ("calvin", Target (module Calvin_target));
-    ("twopl", Target (module Twopl_target)) ]
+    ("calvin", Target (module Baseline_target (Calvin.Engine)));
+    ("twopl", Target (module Baseline_target (Twopl.Engine))) ]
 
 let target_of_name name = List.assoc_opt name targets
 
@@ -417,11 +406,7 @@ let run_schedule ?replicas ?fastpath ?obs (Target (module T))
     committed = faulted.result.Kernel.Result.committed;
     submitted;
     availability = faulted.committed_series;
-    drops =
-      faulted.drops.Net.Network.injected
-      + faulted.drops.Net.Network.partitioned
-      + faulted.drops.Net.Network.crashed
-      + faulted.drops.Net.Network.unregistered;
+    drops = Net.Network.total_drops faulted.drops;
     drop_detail = faulted.drops;
     timeline =
       (match obs with

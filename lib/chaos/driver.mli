@@ -36,10 +36,6 @@ module type TARGET = sig
     (string * (unit -> int)) list
 end
 
-module Aloha_target : TARGET with type cluster = Alohadb.Cluster.t
-module Calvin_target : TARGET
-module Twopl_target : TARGET
-
 type packed = Target : (module TARGET with type cluster = 'c) -> packed
 
 val targets : (string * packed) list

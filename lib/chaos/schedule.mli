@@ -35,5 +35,4 @@ val generate_replicated : seed:int -> n_servers:int -> t
 
 val has_crash : t -> bool
 
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit

@@ -21,11 +21,8 @@ val now : t -> int
     when a sync step would jump it backwards (steps are slewed, as real
     NTP does for small corrections). *)
 
-val true_now : t -> int
-(** The underlying simulated time (for assertions in tests). *)
-
 val offset : t -> int
-(** Current clock error, [now - true_now]. *)
+(** Current clock error: [now] minus the simulated time. *)
 
 val skew_by : t -> us:int -> unit
 (** Shift the clock offset by [us] (positive = run fast, negative = lag).

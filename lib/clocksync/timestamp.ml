@@ -26,9 +26,6 @@ let time_us t = t lsr shift
 let node t = (t lsr seq_bits) land node_mask
 let seq t = t land seq_mask
 
-let with_time t ~time_us =
-  make ~time_us ~node:(node t) ~seq:(seq t)
-
 let window_lo ~time_us = make ~time_us ~node:0 ~seq:0
 
 let window_hi ~time_us = make ~time_us ~node:node_mask ~seq:seq_mask
@@ -39,10 +36,6 @@ let ( < ) a b = Stdlib.( < ) a b
 let ( <= ) a b = Stdlib.( <= ) a b
 let min a b = Stdlib.min a b
 let max a b = Stdlib.max a b
-
-let pred t =
-  if t <= 0 then invalid_arg "Timestamp.pred: underflow";
-  t - 1
 
 let pp fmt t =
   Format.fprintf fmt "%d.%03d@n%d" (time_us t) (seq t) (node t)

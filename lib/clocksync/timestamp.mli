@@ -34,9 +34,6 @@ val time_us : t -> int
 val node : t -> int
 val seq : t -> int
 
-val with_time : t -> time_us:int -> t
-(** Same node and seq, different time field. *)
-
 val window_lo : time_us:int -> t
 (** Smallest timestamp whose time field is >= [time_us]. *)
 
@@ -49,9 +46,5 @@ val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
-val pred : t -> t
-(** [pred ts] is the largest timestamp strictly below [ts] (integer
-    predecessor) — used for "latest version not exceeding [v - 1]" reads in
-    Algorithm 1. *)
 
 val pp : Format.formatter -> t -> unit

@@ -35,5 +35,3 @@ let next t ~lo ~hi =
     t.last <- candidate;
     Some candidate
   end
-
-let last_issued t = t.last

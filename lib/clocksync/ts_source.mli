@@ -18,6 +18,3 @@ val next : t -> lo:int -> hi:int -> Timestamp.t option
     timestamp issued before.  [None] when the window is already exhausted
     (local clock beyond [hi] with the sequence space at [lo..hi] used up) —
     the caller must then wait for the next epoch. *)
-
-val last_issued : t -> Timestamp.t
-(** The most recent timestamp issued, or {!Timestamp.zero} initially. *)

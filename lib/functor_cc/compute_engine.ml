@@ -406,7 +406,6 @@ let compute_prepared t pr =
         pr.p_record p
 
 let prepared_key pr = pr.p_key
-let prepared_version pr = pr.p_version
 let prepared_pending pr = pr.p_pending
 let prepared_is_final pr = Funct.is_final pr.p_record
 

@@ -84,15 +84,13 @@ val compute_key : t -> key:Mvstore.Key.t -> version:int -> unit
 
 type prepared
 
-val prepare : t -> key:Mvstore.Key.t -> version:int -> prepared option
-(** [None] when the (key, version) record is absent or already final. *)
-
 val prepare_in :
   chain:Funct.t Mvstore.Chain.t -> key:Mvstore.Key.t -> version:int ->
   prepared option
-(** Like {!prepare} with the key's chain already in hand — bulk callers
-    (the planner) probe the table once per distinct key, not once per
-    item.  [chain] must be [key]'s chain in the owning engine's table. *)
+(** [None] when the (key, version) record is absent or already final.
+    The key's chain is passed in, so bulk callers (the planner) probe the
+    table once per distinct key, not once per item.  [chain] must be
+    [key]'s chain in the owning engine's table. *)
 
 val compute_prepared : t -> prepared -> unit
 (** Evaluate a prepared node via [ensure_computing].  Idempotent: if the
@@ -100,7 +98,6 @@ val compute_prepared : t -> prepared -> unit
     this is a no-op — at-most-once is preserved either way. *)
 
 val prepared_key : prepared -> Mvstore.Key.t
-val prepared_version : prepared -> int
 val prepared_pending : prepared -> Funct.pending
 
 val prepared_is_final : prepared -> bool

@@ -93,5 +93,4 @@ val on_push : pending -> key:Mvstore.Key.t -> (Value.t option -> unit) -> unit
     racing a push against a remote read must guard against double
     delivery themselves. *)
 
-val pp_final : Format.formatter -> final -> unit
 val pp : Format.formatter -> t -> unit

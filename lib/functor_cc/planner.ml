@@ -22,7 +22,6 @@ type t = {
   m_real_evaluated : int ref;
   m_real_fallback : int ref;
   metrics : Sim.Metrics.t;
-  mutable plans : int;
 }
 
 type stats = {
@@ -48,9 +47,7 @@ let create ~engine ~pool ?real ~dispatch_cost_us ~metrics
     m_real_strata = c "plan.real_strata";
     m_real_evaluated = c "plan.real_evaluated";
     m_real_fallback = c "plan.real_fallback";
-    metrics; plans = 0 }
-
-let plans t = t.plans
+    metrics }
 
 let read_set node =
   (Compute_engine.prepared_pending node).Funct.farg.Funct.read_set
@@ -432,7 +429,6 @@ let run t ~items =
   in
   let pending_left = ref false in
   if n > 0 then begin
-    t.plans <- t.plans + 1;
     incr t.m_plans;
     t.m_nodes := !(t.m_nodes) + n;
     t.m_edges := !(t.m_edges) + !edges;

@@ -103,6 +103,3 @@ val run : t -> items:Processor.item list -> stats
 (** Build and dispatch one plan over [items] (an epoch's drained buffer,
     in install order).  Already-final items are skipped.  Records
     [plan.*] metrics; returns the plan's statistics. *)
-
-val plans : t -> int
-(** Number of non-empty plans built since creation. *)

@@ -10,9 +10,6 @@ let read ctx key =
   | Some v -> v
   | None -> raise Not_found
 
-let read_exn ctx key =
-  match read ctx key with Some v -> v | None -> raise Not_found
-
 let arg ctx i =
   (* A negative index never reaches 0, so it fails at the end. *)
   let rec walk j = function

@@ -24,9 +24,6 @@ val read : ctx -> string -> Value.t option
 (** Look up a read-set value; raises [Not_found] if the key was not in the
     declared read set (a handler bug worth failing loudly on). *)
 
-val read_exn : ctx -> string -> Value.t
-(** Like {!read} but also raises [Not_found] when the key is absent. *)
-
 val arg : ctx -> int -> Value.t
 (** The [i]th client argument; raises [Invalid_argument] for an index
     outside [args]. *)

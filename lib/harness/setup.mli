@@ -1,11 +1,13 @@
 (** Cluster + workload assembly through the kernel signatures.
 
-    One generic {!build} replaces the old per-engine constructors: it
-    creates the engine's cluster, registers the workload's handlers,
-    loads the initial data, starts the cluster, and pairs it with the
-    workload's request generator.  The result is a {!built} existential
-    ready for {!run}.  [runtime] selects the execution backend ("sim" / "real") and
-    [domains] the real runtime's worker-domain count. *)
+    One generic builder, behind the per-workload wrappers below, creates
+    the engine's cluster, registers the workload's handlers, loads the
+    initial data, starts the cluster, and pairs it with the workload's
+    request generator.  The result is a {!built} existential ready for
+    {!run}.  [runtime] selects the execution backend ("sim" / "real") and
+    [domains] the real runtime's worker-domain count; [seed] (default 17)
+    seeds the workload generator; [obs] threads an observability handle
+    into the engine's cluster (pass the same handle to {!run}). *)
 
 type built =
   | Built :
@@ -20,25 +22,6 @@ val engines : (string * Kernel.Intf.packed) list
 val engine_of_name : string -> Kernel.Intf.packed option
 
 val engine_name : Kernel.Intf.packed -> string
-
-val build :
-  Kernel.Intf.packed ->
-  (module Kernel.Intf.WORKLOAD with type cfg = 'k) ->
-  'k ->
-  n:int ->
-  ?epoch_us:int ->
-  ?obs:Obs.Ctl.t ->
-  ?runtime:string ->
-  ?domains:int ->
-  ?replicas:int ->
-  ?fastpath:bool ->
-  ?seed:int ->
-  unit ->
-  built
-(** [build engine workload cfg ~n] — create, register, load, start.
-    [seed] (default 17) seeds the workload generator.  [obs] threads an
-    observability handle into the engine's cluster (pass the same handle
-    to {!run}). *)
 
 (* -- convenience wrappers over the bundled workloads -- *)
 
@@ -88,7 +71,7 @@ val ycsb :
 
 val run :
   built ->
-  arrival:Arrivals.t ->
+  arrival:Kernel.Arrivals.t ->
   ?obs:Obs.Ctl.t ->
   ?warmup_us:int ->
   ?measure_us:int ->

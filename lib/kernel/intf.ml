@@ -6,7 +6,7 @@
     plus the metric-key constants the generic driver needs to extract a
     {!Result.t}.  A workload is a pure description: handler registration,
     initial data, and a request generator producing engine-neutral
-    {!Txn.t} values.  [Run.Make (E)] owns everything in between. *)
+    {!Txn.t} values.  [Run.run] owns everything in between. *)
 
 module type ENGINE = sig
   val name : string

@@ -27,11 +27,3 @@ let run (type c) (module E : Intf.ENGINE with type cluster = c)
   Result.extract ~metrics ~measure_us ~committed_key:E.committed_key
     ~latency_key:E.latency_key ~abort_keys:E.abort_keys
     ~counter_keys:E.counter_keys ~stage_keys:E.stage_keys
-
-module Make (E : Intf.ENGINE) = struct
-  let run ~cluster ~gen ~arrival ?on_reply ?obs ?warmup_us ?measure_us ?seed
-      () =
-    run
-      (module E : Intf.ENGINE with type cluster = E.cluster)
-      ~cluster ~gen ~arrival ?on_reply ?obs ?warmup_us ?measure_us ?seed ()
-end

@@ -25,17 +25,3 @@ val run :
     arms its gauge sampler over the whole run and discards trace/gauge
     data accumulated during warm-up at the measurement boundary — pass
     the same handle the cluster was built with. *)
-
-module Make (E : Intf.ENGINE) : sig
-  val run :
-    cluster:E.cluster ->
-    gen:(fe:int -> Txn.t) ->
-    arrival:Arrivals.t ->
-    ?on_reply:(fe:int -> Txn.reply -> unit) ->
-    ?obs:Obs.Ctl.t ->
-    ?warmup_us:int ->
-    ?measure_us:int ->
-    ?seed:int ->
-    unit ->
-    Result.t
-end

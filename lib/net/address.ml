@@ -10,5 +10,4 @@ let compare = Int.compare
 let hash t = t
 let pp fmt t = Format.fprintf fmt "node-%d" t
 
-module Map = Map.Make (Int)
 module Set = Set.Make (Int)

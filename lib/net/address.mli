@@ -14,5 +14,4 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
-module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

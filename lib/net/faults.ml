@@ -50,8 +50,6 @@ let partition t ~group ~from_us ~until_us =
 
 let mark_crashed t addr = t.crashed <- Address.Set.add addr t.crashed
 
-let clear_crashed t addr = t.crashed <- Address.Set.remove addr t.crashed
-
 let is_crashed t addr = Address.Set.mem addr t.crashed
 
 let clear t =

@@ -60,11 +60,9 @@ val partition : t -> group:Address.t list -> from_us:int -> until_us:int -> unit
 
 val mark_crashed : t -> Address.t -> unit
 (** Messages to or from the address are dropped (counted as crash-window
-    drops) until {!clear_crashed}.  Used when a whole host is down; a
+    drops) until {!clear}.  Used when a whole host is down; a
     process-level crash that keeps the host reachable is modelled by the
     server instead. *)
-
-val clear_crashed : t -> Address.t -> unit
 
 val is_crashed : t -> Address.t -> bool
 

@@ -176,5 +176,5 @@ let drop_stats t =
     crashed = t.d_crashed;
     unregistered = t.d_unregistered }
 
-let messages_dropped t =
-  t.d_injected + t.d_partitioned + t.d_crashed + t.d_unregistered
+let total_drops d = d.injected + d.partitioned + d.crashed + d.unregistered
+let messages_dropped t = total_drops (drop_stats t)

@@ -52,6 +52,9 @@ val messages_dropped : _ t -> int
 val drop_stats : _ t -> drop_stats
 (** Drops broken out by cause, so chaos invariants can assert precisely. *)
 
+val total_drops : drop_stats -> int
+(** The sum of the fields. *)
+
 val set_trace : 'msg t -> (src:Address.t -> dst:Address.t -> 'msg -> unit) -> unit
 (** Observe every send (for tests, debugging, and chaos trace hashing).
     The hook fires at send time, before the fault oracle — so a trace

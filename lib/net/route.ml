@@ -41,9 +41,6 @@ let resolve t ~partition = (group t ~partition).primary
 let term t ~partition = (group t ~partition).term
 let members t ~partition = Array.to_list (group t ~partition).members
 
-let is_primary t ~partition addr =
-  Address.equal (resolve t ~partition) addr
-
 let is_member t ~partition addr =
   Array.exists (Address.equal addr) (group t ~partition).members
 

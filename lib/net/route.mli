@@ -22,7 +22,6 @@ val resolve : t -> partition:int -> Address.t
 
 val term : t -> partition:int -> int
 val members : t -> partition:int -> Address.t list
-val is_primary : t -> partition:int -> Address.t -> bool
 val is_member : t -> partition:int -> Address.t -> bool
 
 (* First member in registration order that is [live] and not [avoid]. *)

@@ -167,8 +167,6 @@ val events : t -> event list
 val strata : t -> stratum list
 (** In emission order. *)
 
-val kind_name : event_kind -> string
-
 val clear : t -> unit
 (** Forget accumulated rows/events (warm-up discard); meta stays. *)
 

@@ -13,14 +13,12 @@
 type t = {
   counters : (string, int ref) Hashtbl.t;
   histograms : (string, Stats.Histogram.t) Hashtbl.t;
-  summaries : (string, Stats.Summary.t) Hashtbl.t;
   gauge_tbl : (string, float ref) Hashtbl.t;
 }
 
 let create () =
   { counters = Hashtbl.create 64;
     histograms = Hashtbl.create 16;
-    summaries = Hashtbl.create 16;
     gauge_tbl = Hashtbl.create 16 }
 
 let counter t name =
@@ -52,18 +50,6 @@ let record_latency t name v = Stats.Histogram.add (histogram t name) v
 
 let latency t name = Hashtbl.find_opt t.histograms name
 
-let summary t name =
-  match Hashtbl.find_opt t.summaries name with
-  | Some s -> s
-  | None ->
-      let s = Stats.Summary.create () in
-      Hashtbl.add t.summaries name s;
-      s
-
-let record_value t name v = Stats.Summary.add (summary t name) v
-
-let value t name = Hashtbl.find_opt t.summaries name
-
 let gauge t name =
   match Hashtbl.find_opt t.gauge_tbl name with
   | Some r -> r
@@ -88,5 +74,4 @@ let gauges t =
 let reset t =
   Hashtbl.iter (fun _ r -> r := 0) t.counters;
   Hashtbl.iter (fun _ h -> Stats.Histogram.clear h) t.histograms;
-  Hashtbl.iter (fun _ s -> Stats.Summary.clear s) t.summaries;
   Hashtbl.iter (fun _ r -> r := 0.0) t.gauge_tbl

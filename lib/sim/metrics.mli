@@ -29,11 +29,6 @@ val histogram : t -> string -> Stats.Histogram.t
 
 val latency : t -> string -> Stats.Histogram.t option
 
-val record_value : t -> string -> float -> unit
-(** Record a float sample under a named summary. *)
-
-val value : t -> string -> Stats.Summary.t option
-
 val set_gauge : t -> string -> float -> unit
 (** Publish the current value of a named gauge (last write wins; a gauge
     is an instantaneous level, not an accumulator). *)
@@ -52,5 +47,5 @@ val gauges : t -> (string * float) list
 (** All gauges with their latest values, sorted by name. *)
 
 val reset : t -> unit
-(** Zero every counter / histogram / summary / gauge (names are kept).
+(** Zero every counter / histogram / gauge (names are kept).
     Used to discard the warm-up window. *)

@@ -56,7 +56,3 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

@@ -39,6 +39,3 @@ val exponential : t -> mean:float -> float
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

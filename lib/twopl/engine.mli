@@ -1,17 +1,6 @@
-(** 2PL/2PC behind the {!Kernel.Intf.ENGINE} signature.
+(** 2PL/2PC behind the {!Kernel.Intf.ENGINE} signature: the baseline
+    {!Calvin.Deployment} of 2PL servers.  Lock-wait give-ups surface
+    through [abort_keys] (["twopl.given_up"]); restarts and lock timeouts
+    through [counter_keys]. *)
 
-    Shares Calvin's transaction lowering: the static facet is shipped
-    through the generic ["kernel_apply"] stored procedure
-    ({!Calvin.Engine.apply_proc}).  Lock-wait give-ups surface through
-    [abort_keys] (["twopl.given_up"]); restarts and lock timeouts through
-    [counter_keys]. *)
-
-include Kernel.Intf.ENGINE
-
-val options_of : ?seed:int -> Kernel.Params.t -> Cluster.options
-
-val set_trace :
-  cluster -> (src:Net.Address.t -> dst:Net.Address.t -> unit) -> unit
-(** Observe every send on the cluster's RPC plane (chaos tracing). *)
-
-val drop_stats : cluster -> Net.Network.drop_stats
+include Calvin.Deployment.S

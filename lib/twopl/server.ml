@@ -14,9 +14,7 @@ type t = {
   address : Net.Address.t;
   node_id : int;
   partition_of : string -> int;
-  addr_of_partition : int -> Net.Address.t;
   registry : Calvin.Ctxn.registry;
-  metrics : Sim.Metrics.t;
   obs : Obs.Ctl.t option;
   (* Hot-path metric handles, resolved once at creation. *)
   m_submitted : int ref;
@@ -180,7 +178,7 @@ let rec attempt t txn ~tries ~submitted_at k =
     else
       List.iter
         (fun p ->
-          Net.Rpc.call t.rpc ~src:t.address ~dst:(t.addr_of_partition p)
+          Net.Rpc.call t.rpc ~src:t.address ~dst:(Net.Address.of_int p)
             (Message.Release { uid })
             (fun _ ->
               decr pending;
@@ -203,7 +201,7 @@ let rec attempt t txn ~tries ~submitted_at k =
             let prepared = ref (List.length parts) in
             List.iter
               (fun p ->
-                Net.Rpc.call t.rpc ~src:t.address ~dst:(t.addr_of_partition p)
+                Net.Rpc.call t.rpc ~src:t.address ~dst:(Net.Address.of_int p)
                   (Message.Prepare { uid; writes = writes_for p })
                   (fun _ ->
                     decr prepared;
@@ -214,7 +212,7 @@ let rec attempt t txn ~tries ~submitted_at k =
                       List.iter
                         (fun p ->
                           Net.Rpc.call t.rpc ~src:t.address
-                            ~dst:(t.addr_of_partition p)
+                            ~dst:(Net.Address.of_int p)
                             (Message.Commit { uid })
                             (fun _ ->
                               decr committed;
@@ -231,7 +229,7 @@ let rec attempt t txn ~tries ~submitted_at k =
   in
   List.iter
     (fun p ->
-      Net.Rpc.call t.rpc ~src:t.address ~dst:(t.addr_of_partition p)
+      Net.Rpc.call t.rpc ~src:t.address ~dst:(Net.Address.of_int p)
         (Message.Lock_and_read
            { uid; reads = keys_of reads_by p; writes = keys_of writes_by p })
         (fun resp ->
@@ -256,19 +254,40 @@ let submit ?(k = fun () -> ()) t txn =
 
 (* ---- construction -------------------------------------------------------- *)
 
-let create ~sim ~rpc ~addr ~node_id ~partition_of ~addr_of_partition
-    ~registry ~metrics ?obs ~seed () =
+type req = Message.req
+type resp = Message.resp
+
+let name = "twopl"
+let committed_key = "twopl.committed"
+let latency_key = "twopl.lat_total_us"
+let abort_keys = [ ("gave up", "twopl.given_up") ]
+
+let counter_keys =
+  [ ("lock timeouts", "twopl.lock_timeouts"); ("restarts", "twopl.restarts") ]
+
+let stage_keys = []
+
+let gauges =
+  [ ("gauge.lock_waits", lock_waits); ("gauge.prepared_txns", prepared_count) ]
+
+(* 2PL has no epochs: the params' [epoch_us] is ignored and [start] has
+   nothing to start. *)
+let start (_ : t) = ()
+
+let create
+    { Calvin.Deployment.sim; rpc; node_id; partition_of; registry; metrics;
+      params; seed } =
   let c = Sim.Metrics.counter metrics in
   let t =
-    { sim; rpc; address = addr; node_id; partition_of; addr_of_partition;
-      registry; metrics; obs;
+    { sim; rpc; address = Net.Address.of_int node_id; node_id; partition_of;
+      registry; obs = params.obs;
       m_submitted = c "twopl.submitted";
-      m_committed = c "twopl.committed";
+      m_committed = c committed_key;
       m_restarts = c "twopl.restarts";
       m_given_up = c "twopl.given_up";
       m_lock_timeouts = c "twopl.lock_timeouts";
       m_missing_proc = c "twopl.missing_proc";
-      h_lat_total = Sim.Metrics.histogram metrics "twopl.lat_total_us";
+      h_lat_total = Sim.Metrics.histogram metrics latency_key;
       rng = Sim.Rng.create (seed + node_id);
       store = Hashtbl.create 65536;
       pool = Sim.Worker_pool.create sim ~workers:Config.cores;
@@ -278,7 +297,7 @@ let create ~sim ~rpc ~addr ~node_id ~partition_of ~addr_of_partition
       next_txn = node_id }
   in
   t.lm <- LM.create ~on_ready:(fun uid -> on_locks_granted t uid);
-  Net.Rpc.serve rpc addr (fun ~src:_ req ~reply ->
+  Net.Rpc.serve rpc t.address (fun ~src:_ req ~reply ->
       match req with
       | Message.Lock_and_read { uid; reads; writes } ->
           Sim.Worker_pool.submit t.pool ~cost:Config.cost_msg_us

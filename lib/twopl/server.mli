@@ -10,34 +10,16 @@
     contention footprint — which is why it collapses under contention
     while ALOHA-DB does not. *)
 
-type t
-
-val create :
-  sim:Sim.Engine.t ->
-  rpc:Message.rpc ->
-  addr:Net.Address.t ->
-  node_id:int ->
-  partition_of:(string -> int) ->
-  addr_of_partition:(int -> Net.Address.t) ->
-  registry:Calvin.Ctxn.registry ->
-  metrics:Sim.Metrics.t ->
-  ?obs:Obs.Ctl.t ->
-  seed:int ->
-  unit -> t
-(** Transactions reuse Calvin's one-shot stored-procedure model.  [obs]
-    turns on lifecycle tracing (submit / locks / prepared / committed /
-    restarted / timeouts). *)
-
-val submit : ?k:(unit -> unit) -> t -> Calvin.Ctxn.t -> unit
-(** Run a transaction to completion (retrying on lock timeouts); [k]
-    fires when it finally commits or is given up after [max_retries]. *)
-
-val load_initial : t -> key:string -> Functor_cc.Value.t -> unit
-
-val read_local : t -> string -> Functor_cc.Value.t option
-
-val lock_waits : t -> int
-(** Lock requests still waiting (or timing out) locally — gauge probe. *)
-
-val prepared_count : t -> int
-(** Staged-but-uncommitted 2PC participants — gauge probe. *)
+include
+  Calvin.Deployment.SERVER
+    with type req = Message.req
+     and type resp = Message.resp
+(** Transactions reuse Calvin's one-shot stored-procedure model.
+    [create] turns on lifecycle tracing (submit / locks / prepared /
+    committed / restarted / timeouts) when the params carry an obs
+    handle, and seeds each server's backoff jitter from the deployment
+    seed plus its node id.  [submit] runs a transaction to completion,
+    retrying on lock timeouts; its callback fires when it finally commits
+    or is given up after [max_retries].  [gauges] are the lock requests
+    still waiting locally and the staged-but-uncommitted 2PC
+    participants. *)

@@ -4,8 +4,8 @@ let test_poisson_rate () =
   let sim = Sim.Engine.create () in
   let rng = Sim.Rng.create 3 in
   let count = ref 0 in
-  Harness.Arrivals.install ~sim ~rng ~n_fes:4
-    ~arrival:(Harness.Arrivals.Open_poisson { rate_per_fe = 1000.0 })
+  Kernel.Arrivals.install ~sim ~rng ~n_fes:4
+    ~arrival:(Kernel.Arrivals.Open_poisson { rate_per_fe = 1000.0 })
     ~submit:(fun ~fe:_ ~done_k:_ -> incr count);
   Sim.Engine.run ~until:1_000_000 sim;
   (* 4 FEs x 1000/s x 1 s = 4000 expected; allow 10 %. *)
@@ -16,9 +16,9 @@ let test_burst_arrivals_cluster_at_period () =
   let sim = Sim.Engine.create () in
   let rng = Sim.Rng.create 3 in
   let times = ref [] in
-  Harness.Arrivals.install ~sim ~rng ~n_fes:1
+  Kernel.Arrivals.install ~sim ~rng ~n_fes:1
     ~arrival:
-      (Harness.Arrivals.Open_burst { rate_per_fe = 500.0; period_us = 20_000 })
+      (Kernel.Arrivals.Open_burst { rate_per_fe = 500.0; period_us = 20_000 })
     ~submit:(fun ~fe:_ ~done_k:_ -> times := Sim.Engine.now sim :: !times);
   Sim.Engine.run ~until:200_000 sim;
   Alcotest.(check bool) "some arrivals" true (List.length !times > 50);
@@ -32,8 +32,8 @@ let test_closed_loop_sustains () =
   let sim = Sim.Engine.create () in
   let rng = Sim.Rng.create 3 in
   let inflight = ref 0 and max_inflight = ref 0 and completed = ref 0 in
-  Harness.Arrivals.install ~sim ~rng ~n_fes:2
-    ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 5 })
+  Kernel.Arrivals.install ~sim ~rng ~n_fes:2
+    ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 5 })
     ~submit:(fun ~fe:_ ~done_k ->
       incr inflight;
       if !inflight > !max_inflight then max_inflight := !inflight;
@@ -56,7 +56,7 @@ let test_driver_ycsb_both_systems () =
       Harness.Setup.ycsb ~engine ~n:2 ~ci:0.01 ~keys_per_partition:1_000 ()
     in
     Harness.Setup.run built
-      ~arrival:(Harness.Arrivals.Closed { clients_per_fe = clients })
+      ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = clients })
       ~warmup_us:50_000 ~measure_us:50_000 ()
   in
   let ra = point "aloha" 200 in
@@ -83,7 +83,7 @@ let test_stage_stats_deterministic () =
     in
     let r =
       Harness.Setup.run built
-        ~arrival:(Harness.Arrivals.Open_poisson { rate_per_fe = 5_000.0 })
+        ~arrival:(Kernel.Arrivals.Open_poisson { rate_per_fe = 5_000.0 })
         ~warmup_us:30_000 ~measure_us:50_000 ()
     in
     List.map
@@ -103,7 +103,7 @@ let test_driver_tpcc_abort_accounting () =
   in
   let r =
     Harness.Setup.run built
-      ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 100 })
+      ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 100 })
       ~warmup_us:50_000 ~measure_us:100_000 ()
   in
   Alcotest.(check bool) "commits" true (r.Kernel.Result.committed > 100);

@@ -226,7 +226,7 @@ let test_ledger_neutral () =
         ?obs ~seed:31 ()
     in
     Harness.Setup.run built
-      ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 100 })
+      ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 100 })
       ?obs ~warmup_us:30_000 ~measure_us:40_000 ~seed:31 ()
   in
   let bare = point None in
