@@ -2,7 +2,7 @@
 
     Mirrors the paper's experimental setup (§V-A2): the sequencer batches
     requests in 20 ms epochs ([default_epoch_us]; the epoch length is the
-    one setting, {!Cluster.options}), storage is in-memory, and
+    one setting, [Kernel.Params.epoch_us]), storage is in-memory, and
     replication/fault tolerance is disabled.  Of the server's [cores],
     one is dedicated to the sequencer and one to the scheduler's
     single-threaded lock manager — the bottleneck the paper identifies —

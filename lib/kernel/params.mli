@@ -1,9 +1,9 @@
 (** Engine-neutral deployment parameters.
 
     The intersection of what every {!Intf.ENGINE} needs to assemble a
-    cluster.  Engine-specific tuning (ALOHA's straggler optimisation,
-    clock skew, …) stays behind each engine's native [Cluster.create];
-    adapters expose it through their own construction helpers. *)
+    cluster.  ALOHA-specific tuning (straggler optimisation, clock skew,
+    …) stays behind [Alohadb.Cluster.create]; the Calvin and 2PL
+    deployment ({!Calvin.Deployment}) reads nothing else. *)
 
 type t = {
   n_servers : int;
