@@ -3,11 +3,4 @@ type msg =
   | Revoke of { epoch : int }
   | Revoke_ack of { epoch : int }
 
-let pp fmt = function
-  | Grant { epoch; lo; hi; next_duration } ->
-      Format.fprintf fmt "Grant(e=%d, [%d,%d], next=%d)" epoch lo hi
-        next_duration
-  | Revoke { epoch } -> Format.fprintf fmt "Revoke(e=%d)" epoch
-  | Revoke_ack { epoch } -> Format.fprintf fmt "RevokeAck(e=%d)" epoch
-
 type rpc = (msg, unit) Net.Rpc.t

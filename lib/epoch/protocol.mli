@@ -20,7 +20,5 @@ type msg =
   | Revoke of { epoch : int }
   | Revoke_ack of { epoch : int }
 
-val pp : Format.formatter -> msg -> unit
-
 type rpc = (msg, unit) Net.Rpc.t
 (** Control-plane transport; replies are never used (all one-way). *)

@@ -6,6 +6,7 @@ let () =
       ("mvstore", Test_mvstore.suite);
       ("functor_cc", Test_functor_cc.suite);
       ("epoch", Test_epoch.suite);
+      ("cores", Test_cores.suite);
       ("alohadb", Test_alohadb.suite);
       ("alohadb-extra", Test_alohadb_extra.suite);
       ("calvin", Test_calvin.suite);
