@@ -68,7 +68,7 @@ let acquire f =
       match Clocksync.Ts_source.next f.ts_source ~lo:w.lo ~hi:w.hi with
       | None -> None
       | Some ts ->
-          if not w.Epoch.Participant.authorized then incr f.m_noauth_starts;
+          if not w.Cores.Auth.authorized then incr f.m_noauth_starts;
           Some (w, ts))
 
 let hold f thunk =
@@ -122,7 +122,7 @@ let note_assigned f ts ~epoch ~submitted_at =
 
 let delay_ro f keys reply w ts =
   let issued_at = now f in
-  let epoch = w.Epoch.Participant.epoch in
+  let epoch = w.Cores.Auth.epoch in
   note_assigned f ts ~epoch ~submitted_at:issued_at;
   let run () =
     run_read f keys (Ts.to_int ts) (fun result ->
@@ -325,10 +325,10 @@ let send_installs f ~groups ~preconditions ~fast w ts on_ack =
         (fun (partition, entries) ->
           let install =
             { Message.txn_id = txn;
-              epoch = w.Epoch.Participant.epoch;
+              epoch = w.Cores.Auth.epoch;
               ts = txn;
-              lo = w.Epoch.Participant.lo;
-              hi = w.Epoch.Participant.hi;
+              lo = w.Cores.Auth.lo;
+              hi = w.Cores.Auth.hi;
               writes = entries;
               preconditions =
                 List.filter
@@ -353,7 +353,7 @@ let send_installs f ~groups ~preconditions ~fast w ts on_ack =
    [Batch_done] round: the backends hold the functors as lazily-merged
    pending deltas. *)
 let start_fast f ~groups reply w ts ~issued_at =
-  let epoch = w.Epoch.Participant.epoch in
+  let epoch = w.Cores.Auth.epoch in
   let remaining = ref (List.length groups) in
   send_installs f ~groups ~preconditions:[] ~fast:true w ts (fun _ _ ->
       (* With no preconditions a fast install cannot be rejected; any
@@ -380,7 +380,7 @@ let start_fast f ~groups reply w ts ~issued_at =
 
 let start_rw f ~writes ~precondition_keys ~ack reply w ts ~submitted_at =
   let issued_at = now f in
-  let epoch = w.Epoch.Participant.epoch in
+  let epoch = w.Cores.Auth.epoch in
   note_assigned f ts ~epoch ~submitted_at;
   Epoch.Participant.txn_started f.node.part ~epoch;
   let groups = groups_of_writes f writes in
