@@ -6,7 +6,7 @@
     behind {!Kernel.Intf.ENGINE}.  Transactions execute from their
     [static_form] facet: the write list is encoded as a
     {!Functor_cc.Value.t} and shipped through one generic stored
-    procedure (["kernel_apply"]) that interprets it with {!Kernel.Apply}
+    procedure ({!apply_proc}) that interprets it with {!Kernel.Apply}
     against a functor registry.  Workload handlers registered through
     [register] land in that registry and are evaluated inside the
     procedure.
@@ -21,12 +21,19 @@ type ('req, 'resp) node = {
   rpc : ('req, 'resp) Net.Rpc.t;
   node_id : int;  (** the server's address and the partition it hosts *)
   partition_of : string -> int;
-  registry : Ctxn.registry;
+  funreg : Functor_cc.Registry.t;
+      (** the cluster's functor registry, which {!apply_proc} reads *)
   metrics : Sim.Metrics.t;
   params : Kernel.Params.t;
   seed : int;
 }
 (** What a server is built from. *)
+
+val apply_proc : Functor_cc.Registry.t -> Ctxn.proc
+(** The one stored procedure: apply the transaction's encoded writes
+    with {!Kernel.Apply} against the registry.  It cannot abort (the
+    open-source Calvin restriction the paper compares against): an
+    aborting handler writes nothing. *)
 
 module type SERVER = sig
   type t

@@ -23,13 +23,12 @@ type t = {
   node_id : int;
   n_servers : int;
   partition_of : string -> int;
-  registry : Ctxn.registry;
+  funreg : Functor_cc.Registry.t;
   epoch_us : int;
   obs : Obs.Ctl.t option;
   (* Hot-path metric handles, resolved once at creation. *)
   m_submitted : int ref;
   m_committed : int ref;
-  m_missing_proc : int ref;
   h_stage_seq : Sim.Stats.Histogram.t;
   h_stage_lockread : Sim.Stats.Histogram.t;
   h_stage_proc : Sim.Stats.Histogram.t;
@@ -108,15 +107,11 @@ let maybe_execute t (fl : inflight) =
       + (local_writes_estimate * Config.cost_write_us)
     in
     Sim.Worker_pool.submit t.exec_pool ~cost (fun () ->
-        (match Ctxn.find t.registry txn.Ctxn.proc with
-        | None -> incr t.m_missing_proc
-        | Some proc ->
-            let writes = proc ~txn ~reads:fl.gathered in
-            List.iter
-              (fun (key, v) ->
-                if t.partition_of key = t.node_id then
-                  Hashtbl.replace t.store key v)
-              writes);
+        List.iter
+          (fun (key, v) ->
+            if t.partition_of key = t.node_id then
+              Hashtbl.replace t.store key v)
+          (Deployment.apply_proc t.funreg ~txn ~reads:fl.gathered);
         Sim.Stats.Histogram.add t.h_stage_proc
           (Sim.Engine.now t.sim - exec_start);
         emit t ~txn:fl.routed.Message.uid ~stage:Obs.Trace.Exec_done ();
@@ -319,7 +314,7 @@ let latency_key = "calvin.lat_total_us"
 
 (* Calvin procs cannot abort, so there is no abort counter to report. *)
 let abort_keys = []
-let counter_keys = [ ("missing proc", "calvin.missing_proc") ]
+let counter_keys = []
 
 let stage_keys =
   [ ("sequencing", "calvin.stage_seq_us");
@@ -331,7 +326,7 @@ let gauges =
     ("gauge.inflight_txns", inflight_count) ]
 
 let create
-    { Deployment.sim; rpc; node_id; partition_of; registry; metrics; params;
+    { Deployment.sim; rpc; node_id; partition_of; funreg; metrics; params;
       seed = _ } =
   let executors = max 1 (Config.cores - 2) in
   let c = Sim.Metrics.counter metrics in
@@ -339,13 +334,12 @@ let create
   let addr = Net.Address.of_int node_id in
   let t =
     { sim; rpc; address = addr; node_id; n_servers = params.n_servers;
-      partition_of; registry;
+      partition_of; funreg;
       epoch_us =
         Option.value params.epoch_us ~default:Config.default_epoch_us;
       obs = params.obs;
       m_submitted = c "calvin.submitted";
       m_committed = c committed_key;
-      m_missing_proc = c "calvin.missing_proc";
       h_stage_seq = h "calvin.stage_seq_us";
       h_stage_lockread = h "calvin.stage_lockread_us";
       h_stage_proc = h "calvin.stage_proc_us";

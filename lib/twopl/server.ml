@@ -14,7 +14,7 @@ type t = {
   address : Net.Address.t;
   node_id : int;
   partition_of : string -> int;
-  registry : Calvin.Ctxn.registry;
+  funreg : Functor_cc.Registry.t;
   obs : Obs.Ctl.t option;
   (* Hot-path metric handles, resolved once at creation. *)
   m_submitted : int ref;
@@ -22,7 +22,6 @@ type t = {
   m_restarts : int ref;
   m_given_up : int ref;
   m_lock_timeouts : int ref;
-  m_missing_proc : int ref;
   h_lat_total : Sim.Stats.Histogram.t;
   rng : Sim.Rng.t;
   store : (string, Value.t) Hashtbl.t;
@@ -189,43 +188,40 @@ let rec attempt t txn ~tries ~submitted_at k =
     (* Execute the procedure, then two-phase commit. *)
     Sim.Worker_pool.submit t.pool ~cost:Config.cost_exec_us
       (fun () ->
-        match Calvin.Ctxn.find t.registry txn.Calvin.Ctxn.proc with
-        | None ->
-            incr t.m_missing_proc;
-            finish_abort ()
-        | Some proc ->
-            let writes = proc ~txn ~reads:!values in
-            let writes_for p =
-              List.filter (fun (key, _) -> t.partition_of key = p) writes
-            in
-            let prepared = ref (List.length parts) in
-            List.iter
-              (fun p ->
-                Net.Rpc.call t.rpc ~src:t.address ~dst:(Net.Address.of_int p)
-                  (Message.Prepare { uid; writes = writes_for p })
-                  (fun _ ->
-                    decr prepared;
-                    if !prepared = 0 then begin
-                      emit t ~txn:uid ~stage:Obs.Trace.Prepared ();
-                      (* Phase 2. *)
-                      let committed = ref (List.length parts) in
-                      List.iter
-                        (fun p ->
-                          Net.Rpc.call t.rpc ~src:t.address
-                            ~dst:(Net.Address.of_int p)
-                            (Message.Commit { uid })
-                            (fun _ ->
-                              decr committed;
-                              if !committed = 0 then begin
-                                incr t.m_committed;
-                                emit t ~txn:uid ~stage:Obs.Trace.Committed ();
-                                Sim.Stats.Histogram.add t.h_lat_total
-                                  (Sim.Engine.now t.sim - submitted_at);
-                                k ()
-                              end))
-                        parts
-                    end))
-              parts)
+        let writes =
+          Calvin.Deployment.apply_proc t.funreg ~txn ~reads:!values
+        in
+        let writes_for p =
+          List.filter (fun (key, _) -> t.partition_of key = p) writes
+        in
+        let prepared = ref (List.length parts) in
+        List.iter
+          (fun p ->
+            Net.Rpc.call t.rpc ~src:t.address ~dst:(Net.Address.of_int p)
+              (Message.Prepare { uid; writes = writes_for p })
+              (fun _ ->
+                decr prepared;
+                if !prepared = 0 then begin
+                  emit t ~txn:uid ~stage:Obs.Trace.Prepared ();
+                  (* Phase 2. *)
+                  let committed = ref (List.length parts) in
+                  List.iter
+                    (fun p ->
+                      Net.Rpc.call t.rpc ~src:t.address
+                        ~dst:(Net.Address.of_int p)
+                        (Message.Commit { uid })
+                        (fun _ ->
+                          decr committed;
+                          if !committed = 0 then begin
+                            incr t.m_committed;
+                            emit t ~txn:uid ~stage:Obs.Trace.Committed ();
+                            Sim.Stats.Histogram.add t.h_lat_total
+                              (Sim.Engine.now t.sim - submitted_at);
+                            k ()
+                          end))
+                    parts
+                end))
+          parts)
   in
   List.iter
     (fun p ->
@@ -275,18 +271,17 @@ let gauges =
 let start (_ : t) = ()
 
 let create
-    { Calvin.Deployment.sim; rpc; node_id; partition_of; registry; metrics;
+    { Calvin.Deployment.sim; rpc; node_id; partition_of; funreg; metrics;
       params; seed } =
   let c = Sim.Metrics.counter metrics in
   let t =
     { sim; rpc; address = Net.Address.of_int node_id; node_id; partition_of;
-      registry; obs = params.obs;
+      funreg; obs = params.obs;
       m_submitted = c "twopl.submitted";
       m_committed = c committed_key;
       m_restarts = c "twopl.restarts";
       m_given_up = c "twopl.given_up";
       m_lock_timeouts = c "twopl.lock_timeouts";
-      m_missing_proc = c "twopl.missing_proc";
       h_lat_total = Sim.Metrics.histogram metrics latency_key;
       rng = Sim.Rng.create (seed + node_id);
       store = Hashtbl.create 65536;
