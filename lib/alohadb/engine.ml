@@ -6,7 +6,6 @@ let options_of ?seed (params : Kernel.Params.t) =
   let base = Cluster.default_options in
   { base with
     Cluster.n_servers = params.n_servers;
-    partitioner = `Prefix;
     seed = (match seed with Some s -> s | None -> base.Cluster.seed);
     epoch =
       (match params.epoch_us with

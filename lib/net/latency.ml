@@ -12,6 +12,8 @@ let uniform ~base ~jitter =
   if base < 0 || jitter < 0 then invalid_arg "Latency.uniform: negative";
   Uniform { base; jitter }
 
+let lan = uniform ~base:80 ~jitter:40
+
 let exponential_tail ~base ~mean_tail =
   if base < 0 || mean_tail < 0.0 then
     invalid_arg "Latency.exponential_tail: negative";

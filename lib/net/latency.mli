@@ -7,6 +7,10 @@
 
 type t
 
+val lan : t
+(** The private data-centre network every deployment models:
+    [uniform ~base:80 ~jitter:40]. *)
+
 val constant : int -> t
 (** Always the given number of microseconds. *)
 

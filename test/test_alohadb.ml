@@ -283,7 +283,6 @@ let run_transfers ~push_opt =
     Cluster.create ~registry
       { Cluster.default_options with
         n_servers = 2;
-        partitioner = `Prefix;
         config = { Alohadb.Config.default with push_opt } }
   in
   let acct p i = Printf.sprintf "a:%d:%d" p i in

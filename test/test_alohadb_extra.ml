@@ -169,7 +169,7 @@ let test_single_server_cluster () =
 
 let test_twenty_server_cluster () =
   let options =
-    { Cluster.default_options with n_servers = 20; partitioner = `Prefix }
+    { Cluster.default_options with n_servers = 20 }
   in
   let c = Cluster.create options in
   for i = 0 to 19 do

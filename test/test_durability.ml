@@ -216,7 +216,6 @@ let prop_wal_matches_reference =
 let durable_options n =
   { Cluster.default_options with
     n_servers = n;
-    partitioner = `Prefix;
     config = { Alohadb.Config.default with durability = true } }
 
 let registry_with_xfer () =

@@ -214,7 +214,8 @@ let test_partitioner_prefix () =
   Alcotest.(check bool) "hash fallback in range" true (v >= 0 && v < 8)
 
 let test_partitioner_hash_spread () =
-  let p = Net.Partitioner.hash ~partitions:4 in
+  (* no ':' in these keys: every one is hashed *)
+  let p = Net.Partitioner.by_prefix_int ~partitions:4 in
   let counts = Array.make 4 0 in
   for i = 0 to 9999 do
     let k = Printf.sprintf "key-%d" i in

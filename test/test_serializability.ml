@@ -130,7 +130,7 @@ let run_case (specs : txn_spec list) =
   let registry = Functor_cc.Registry.with_builtins () in
   Functor_cc.Registry.register registry "guarded_xfer" transfer_handler;
   let options =
-    { Cluster.default_options with n_servers; partitioner = `Prefix }
+    { Cluster.default_options with n_servers }
   in
   let c = Cluster.create ~registry options in
   for i = 0 to n_keys - 1 do
