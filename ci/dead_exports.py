@@ -6,11 +6,16 @@ Usage:
     python3 ci/dead_exports.py [--root DIR] [--allow FILE]
 
 An export is a top-level `val NAME` or `module NAME` line of a
-`lib/*/*.mli`.  It is dead when NAME occurs in no `.ml` file under lib,
-bin, bench, test or examples other than the module's own `.ml`.  The
-scan is by name, with comments and string literals removed first, so a
-name shared with another module's value always counts as used: the
-scan finds fewer dead exports than there are, never more.
+`lib/*/*.mli`.  It is dead when no `.ml` file under lib, bin, bench,
+test or examples, other than the module's own `.ml`, uses it.  For the
+module `Foo` of the library `lib/bar`, a file uses NAME through
+`Bar.Foo.NAME`, through `Foo.NAME` when the file is in `lib/bar` or
+opens `Bar`, through `X.NAME` after an alias `module X = Bar.Foo` (or
+`= Foo` where `Foo.NAME` would do), or through a bare `NAME` when the
+file opens the module (`open`, `let open` or `Foo.( ... )`).  Comments
+and string literals are removed first.  A value another module also
+names is therefore not taken for a use, but an export used only
+through a functor or first-class module argument is reported.
 
 Each allowlist line is `PATH NAME REASON...` (PATH relative to the
 root, e.g. `lib/sim/rng.mli split because ...`); blank lines and lines
@@ -89,13 +94,48 @@ def caller_sources(root):
     return sources
 
 
+def module_of(mli):
+    """(library module name, module name) of a `lib/LIB/MOD.mli` path."""
+    parts = mli.split(os.sep)
+    return parts[1].capitalize(), os.path.basename(mli)[:-4].capitalize()
+
+
+def qualifiers(path, src, lib, mod):
+    """The module paths through which `src` (at `path`) reaches lib.mod,
+    and whether it opens the module."""
+    paths = [lib + "." + mod]
+    lib_open = re.search(r"(?<![\w'.])open!?\s+" + lib + r"(?![\w'.])", src)
+    if path.split(os.sep)[:2] == ["lib", lib.lower()] or lib_open:
+        paths.append(mod)
+    alias = r"(?<![\w'.])module\s+([A-Z][\w']*)\s*=\s*(?:" + "|".join(
+        re.escape(q) for q in list(paths)) + r")(?![\w'.])"
+    paths += re.findall(alias, src)
+    quals = "|".join(re.escape(q) for q in paths)
+    opens = re.search(r"(?<![\w'.])(?:open!?\s+(?:" + quals + r")(?![\w'.])"
+                      r"|(?:" + quals + r")\.\()", src)
+    return paths, bool(opens)
+
+
+def used(sources, own, lib, mod, name):
+    tail = re.escape(name) + r"(?![\w'])"
+    for path, src in sources.items():
+        if path == own:
+            continue
+        paths, opened = qualifiers(path, src, lib, mod)
+        quals = "|".join(re.escape(q) for q in paths)
+        if re.search(r"(?<![\w'.])(?:" + quals + r")\." + tail, src):
+            return True
+        if opened and re.search(r"(?<![\w'.])" + tail, src):
+            return True
+    return False
+
+
 def dead_exports(root):
     sources = caller_sources(root)
     dead = []
     for mli, kind, name, lineno in exports(root):
-        own = mli[:-1]
-        word = re.compile(r"(?<![\w'.])(?:[A-Z][\w']*\.)*" + re.escape(name) + r"(?![\w'])")
-        if not any(word.search(src) for path, src in sources.items() if path != own):
+        lib, mod = module_of(mli)
+        if not used(sources, mli[:-1], lib, mod, name):
             dead.append((mli, kind, name, lineno))
     return dead
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Tests for ci/dead_exports.py: on a fixture tree with one dead and one
-used value the scan fails, and passes once the dead value is
-allowlisted.
+"""Tests for ci/dead_exports.py: on a fixture tree with dead and used
+values the scan fails, and passes once the dead values are
+allowlisted.  Uses count only through the module: qualified, through
+an alias, bare in a file that opens it, or unqualified-library inside
+its own library; a same-name value of another module is not a use.
 
     python3 ci/test_dead_exports.py
 """
@@ -18,14 +20,25 @@ import dead_exports  # noqa: E402
 
 FILES = {
     "lib/a/foo.mli": "val used : int -> int\nval dead : int -> int\n"
-                     "module Inner : sig val x : int end\n",
+                     "module Inner : sig val x : int end\nval aliased : int\n"
+                     "val opened : int\nval samelib : int\nval shadowed : int\n",
     "lib/a/foo.ml": "let used x = x + 1\nlet dead x = used x\n"
-                    "module Inner = struct let x = 1 end\n",
+                    "module Inner = struct let x = 1 end\nlet aliased = 1\n"
+                    "let opened = 2\nlet samelib = 3\nlet shadowed = 4\n",
+    # Inside library a, Foo.samelib needs no A. prefix.
+    "lib/a/bar.ml": "let z = Foo.samelib\n",
+    # Another module's value of the same name, used bare and qualified.
+    "lib/a/baz.ml": "let shadowed = 5\nlet w = shadowed\n",
     # A name in a comment or a string, or a record field of the same
     # name, is not a use.
-    "bin/main.ml": "(* Foo.dead is dead *)\nlet () = print_int (Foo.used 1)\n"
-                   "let s = \"dead\"\nlet f r = r.dead\nlet y = Foo.Inner.x\n",
+    "bin/main.ml": "(* A.Foo.dead is dead *)\nlet () = print_int (A.Foo.used 1)\n"
+                   "let s = \"dead\"\nlet f r = r.dead\nlet y = A.Foo.Inner.x\n"
+                   "let b = A.Baz.shadowed + Baz.shadowed\n",
+    "bin/alias.ml": "module F = A.Foo\nlet v = F.aliased\n",
+    "bin/opened.ml": "open A.Foo\nlet v = opened\n",
 }
+DEAD = ["lib/a/foo.mli dead kept for a test",
+        "lib/a/foo.mli shadowed kept for a test"]
 
 
 class DeadExportsTest(unittest.TestCase):
@@ -58,8 +71,15 @@ class DeadExportsTest(unittest.TestCase):
         self.assertNotIn("val used", out)
         self.assertNotIn("Inner", out)
 
+    def test_qualified_uses(self):
+        code, out = self.run_scan()
+        for name in ("aliased", "opened", "samelib"):
+            self.assertNotIn("val " + name, out)
+        self.assertIn("lib/a/foo.mli:7: val shadowed has no caller", out)
+        self.assertIn("dead exports: 2 (2 not allowlisted)", out)
+
     def test_allowlisted_dead_value_passes(self):
-        code, out = self.run_scan(["# fixture", "lib/a/foo.mli dead kept for a test"])
+        code, out = self.run_scan(["# fixture"] + DEAD)
         self.assertEqual(code, 0, out)
         self.assertIn("allowed: kept for a test", out)
 
@@ -69,8 +89,7 @@ class DeadExportsTest(unittest.TestCase):
         self.assertIn("want PATH NAME REASON", out)
 
     def test_stale_allowlist_entry_fails(self):
-        code, out = self.run_scan(["lib/a/foo.mli dead kept for a test",
-                                   "lib/a/foo.mli used no longer dead"])
+        code, out = self.run_scan(DEAD + ["lib/a/foo.mli used no longer dead"])
         self.assertEqual(code, 1)
         self.assertIn("used is allowlisted but not a dead export", out)
 

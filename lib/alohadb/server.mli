@@ -128,12 +128,6 @@ val restart_be : t -> unit
 
 val be_down : t -> bool
 
-val leads : t -> partition:int -> bool
-(** Whether this server currently serves [partition] as its (primary)
-    storage.  Without replication: exactly its home partition.  With
-    replication: the home partition until a failover takes it away, plus
-    any partition adopted by promotion. *)
-
 (** {2 Replication (cluster-internal wiring)}
 
     With [config.durability] on, every server starts as the primary of a

@@ -34,8 +34,6 @@ let compare = Int.compare
 let equal = Int.equal
 let ( < ) a b = Stdlib.( < ) a b
 let ( <= ) a b = Stdlib.( <= ) a b
-let min a b = Stdlib.min a b
-let max a b = Stdlib.max a b
 
 let pp fmt t =
   Format.fprintf fmt "%d.%03d@n%d" (time_us t) (seq t) (node t)

@@ -9,8 +9,6 @@ let create clock ~node =
   (* validates the node id fits the field *)
   { clock; node; last = Timestamp.zero }
 
-let node t = t.node
-
 let seq_max = (1 lsl Timestamp.seq_bits) - 1
 
 let next t ~lo ~hi =

@@ -10,8 +10,6 @@ type t
 
 val create : Node_clock.t -> node:int -> t
 
-val node : t -> int
-
 val next : t -> lo:int -> hi:int -> Timestamp.t option
 (** [next t ~lo ~hi] issues a timestamp whose time field lies within
     [lo, hi] (microseconds of local-clock time), strictly greater than any

@@ -22,7 +22,6 @@ type t = {
 
 let abort_count r = List.fold_left (fun acc (_, n) -> acc + n) 0 r.aborts
 let abort r label = try List.assoc label r.aborts with Not_found -> 0
-let counter r label = try List.assoc label r.counters with Not_found -> 0
 
 let pp fmt r =
   Format.fprintf fmt

@@ -38,9 +38,6 @@ val abort_count : t -> int
 val abort : t -> string -> int
 (** Count for one abort label; 0 when absent. *)
 
-val counter : t -> string -> int
-(** Value of one auxiliary counter; 0 when absent. *)
-
 val pp : Format.formatter -> t -> unit
 
 val extract :

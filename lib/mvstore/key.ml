@@ -88,8 +88,6 @@ let of_id id =
 let id k = k.id
 let name k = k.name
 let equal a b = a.id = b.id
-let compare a b = Int.compare a.id b.id
-let hash k = k.id
 
 let next_stamp = ref 0
 
@@ -110,5 +108,3 @@ let memo_int k ~stamp ~f =
     k.memo_stamp <- stamp;
     v
   end
-
-let pp ppf k = Format.fprintf ppf "%s#%d" k.name k.id

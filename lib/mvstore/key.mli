@@ -22,8 +22,6 @@ val of_id : int -> t
 val name : t -> string
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val new_stamp : unit -> int
 (** Fresh generation stamp for {!memo_int} users (e.g. a cluster caching
@@ -33,5 +31,3 @@ val memo_int : t -> stamp:int -> f:(string -> int) -> int
 (** [memo_int k ~stamp ~f] returns the cached value when the key's memo
     slot carries [stamp], otherwise computes [f (name k)], caches it under
     [stamp] and returns it.  The slot holds one generation at a time. *)
-
-val pp : Format.formatter -> t -> unit

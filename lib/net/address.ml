@@ -6,8 +6,5 @@ let of_int i =
 
 let to_int t = t
 let equal = Int.equal
-let compare = Int.compare
-let hash t = t
-let pp fmt t = Format.fprintf fmt "node-%d" t
 
 module Set = Set.Make (Int)

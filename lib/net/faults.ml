@@ -52,11 +52,6 @@ let mark_crashed t addr = t.crashed <- Address.Set.add addr t.crashed
 
 let is_crashed t addr = Address.Set.mem addr t.crashed
 
-let clear t =
-  t.edicts <- [];
-  t.partitions <- [];
-  t.crashed <- Address.Set.empty
-
 type verdict =
   | Deliver of { extra_delay_us : int; copies : int; reorder : bool }
   | Drop_injected

@@ -60,14 +60,11 @@ val partition : t -> group:Address.t list -> from_us:int -> until_us:int -> unit
 
 val mark_crashed : t -> Address.t -> unit
 (** Messages to or from the address are dropped (counted as crash-window
-    drops) until {!clear}.  Used when a whole host is down; a
+    drops) from now on.  Used when a whole host is down; a
     process-level crash that keeps the host reachable is modelled by the
     server instead. *)
 
 val is_crashed : t -> Address.t -> bool
-
-val clear : t -> unit
-(** Remove all edicts, partitions, and crash marks. *)
 
 type verdict =
   | Deliver of { extra_delay_us : int; copies : int; reorder : bool }

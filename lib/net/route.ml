@@ -36,7 +36,6 @@ let register t ~partition members =
   t.groups.(partition) <-
     Some { members = Array.of_list members; primary = List.hd members; term = 1 }
 
-let registered t ~partition = t.groups.(partition) <> None
 let resolve t ~partition = (group t ~partition).primary
 let term t ~partition = (group t ~partition).term
 let members t ~partition = Array.to_list (group t ~partition).members

@@ -15,8 +15,6 @@ val create : partitions:int -> t
    Raises on empty lists or double registration. *)
 val register : t -> partition:int -> Address.t list -> unit
 
-val registered : t -> partition:int -> bool
-
 (* Current primary for the partition (raises if unregistered). *)
 val resolve : t -> partition:int -> Address.t
 

@@ -78,10 +78,6 @@ let crash t addr =
   Hashtbl.remove t.request_handlers addr;
   Hashtbl.remove t.oneway_handlers addr
 
-let messages_sent t = Network.messages_sent t.net
-
-let messages_dropped t = Network.messages_dropped t.net
-
 let drop_stats t = Network.drop_stats t.net
 
 let set_trace t f =

@@ -42,10 +42,6 @@ val crash : _ t -> Address.t -> unit
 (** Drop all future messages to the node (handlers removed). Outstanding
     replies from the node are lost. *)
 
-val messages_sent : _ t -> int
-
-val messages_dropped : _ t -> int
-
 val drop_stats : _ t -> Network.drop_stats
 
 val set_trace : _ t -> (src:Address.t -> dst:Address.t -> unit) -> unit

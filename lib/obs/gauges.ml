@@ -15,8 +15,6 @@ let create ?(interval_us = 5_000) () =
   if interval_us <= 0 then invalid_arg "Gauges.create: interval_us";
   { interval = interval_us; metrics = None; probes = []; tbl = Hashtbl.create 16 }
 
-let interval_us t = t.interval
-
 let bind_metrics t m = t.metrics <- Some m
 
 let add_probe t f = t.probes <- f :: t.probes

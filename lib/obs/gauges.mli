@@ -18,8 +18,6 @@ type t
 val create : ?interval_us:int -> unit -> t
 (** [interval_us] defaults to 5000 (one sample per 5 simulated ms). *)
 
-val interval_us : t -> int
-
 val bind_metrics : t -> Sim.Metrics.t -> unit
 (** Snapshot every gauge of this metrics registry at each tick.  Bound
     once per run by the cluster that owns the metrics. *)
@@ -27,9 +25,6 @@ val bind_metrics : t -> Sim.Metrics.t -> unit
 val add_probe : t -> (unit -> unit) -> unit
 (** Register a probe run at each tick before the snapshot; probes publish
     values with [Sim.Metrics.set_gauge]. *)
-
-val sample : t -> now:int -> unit
-(** Take one sample immediately (probes + snapshot). *)
 
 val arm : t -> sim:Sim.Engine.t -> for_us:int -> unit
 (** Schedule periodic sampling from now until [now + for_us]. *)

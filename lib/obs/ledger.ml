@@ -70,8 +70,6 @@ let set_meta t ~cfg_epoch_us ~nodes ~replicas =
   t.nodes <- nodes;
   t.replicas <- replicas
 
-let cfg_epoch_us t = t.cfg_epoch_us
-
 let wall_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
 let row t ~node ~epoch =

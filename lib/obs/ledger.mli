@@ -80,7 +80,6 @@ val create :
     measured against; the cluster overrides all three via {!set_meta}. *)
 
 val set_meta : t -> cfg_epoch_us:int -> nodes:int -> replicas:int -> unit
-val cfg_epoch_us : t -> int
 
 val wall_us : unit -> int
 (** Host wall clock in µs (the ledger's wall-time source). *)
@@ -160,9 +159,6 @@ val note_stratum :
 
 val rows : t -> row list
 (** Sorted by (epoch, node). *)
-
-val events : t -> event list
-(** In emission order. *)
 
 val strata : t -> stratum list
 (** In emission order. *)

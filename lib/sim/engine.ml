@@ -47,6 +47,4 @@ let run ?until t =
 
 let stop t = t.stopped <- true
 
-let pending t = Heap.length t.agenda
-
 let events_fired t = t.fired

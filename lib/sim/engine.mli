@@ -34,8 +34,5 @@ val stop : t -> unit
 (** Make the current [run] return after the in-flight event completes.
     Remaining events stay queued and a later [run] resumes them. *)
 
-val pending : t -> int
-(** Number of queued events. *)
-
 val events_fired : t -> int
 (** Total number of events executed since [create]. *)

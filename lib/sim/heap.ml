@@ -91,8 +91,3 @@ let pop t =
     Some (prio, pop_min t)
 
 let peek_priority t = if t.size = 0 then None else Some (min_priority t)
-
-let clear t =
-  Array.fill t.data 0 t.size t.vacant;
-  t.size <- 0;
-  t.next_seq <- 0

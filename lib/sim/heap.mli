@@ -33,6 +33,3 @@ val pop : 'a t -> (int * 'a) option
 
 val peek_priority : 'a t -> int option
 (** Priority of the minimum entry without removing it. *)
-
-val clear : 'a t -> unit
-(** Remove all entries. *)

@@ -63,10 +63,6 @@ let set_gauge t name v = gauge t name := v
 let gauge_value t name =
   match Hashtbl.find_opt t.gauge_tbl name with Some r -> !r | None -> 0.0
 
-let counters t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let gauges t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.gauge_tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -40,9 +40,6 @@ val gauge : t -> string -> float ref
 val gauge_value : t -> string -> float
 (** 0.0 when the gauge was never set. *)
 
-val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
-
 val gauges : t -> (string * float) list
 (** All gauges with their latest values, sorted by name. *)
 

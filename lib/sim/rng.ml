@@ -20,8 +20,6 @@ let split t =
   let s = int64 t in
   { state = mix s }
 
-let copy t = { state = t.state }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Take the top bits (better distributed in SplitMix64 output) and reduce

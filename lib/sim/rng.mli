@@ -15,11 +15,6 @@ val split : t -> t
 (** A new generator whose stream is independent of the parent's
     subsequent output. *)
 
-val copy : t -> t
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  [bound] must be positive. *)
 

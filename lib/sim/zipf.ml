@@ -39,5 +39,3 @@ let sample t rng =
     in
     let rank = int_of_float rank in
     if rank >= t.n then t.n - 1 else rank
-
-let n t = t.n

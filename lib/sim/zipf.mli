@@ -14,5 +14,3 @@ val create : n:int -> theta:float -> t
 
 val sample : t -> Rng.t -> int
 (** A rank in [0, n); rank 0 is the most popular. *)
-
-val n : t -> int
