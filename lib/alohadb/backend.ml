@@ -79,7 +79,7 @@ let send_batch_done node inc (b : batch) ~txn_id ~partition ~functors =
      the coordinator; a hardened backend repeats it until the
      coordinator's Batch_done_ack clears it (the coordinator dedupes by
      partition), for as long as this incarnation lives. *)
-  if node.config.Config.hardened then begin
+  if node.hardened then begin
     Txn_part_tbl.replace inc.pending_dones (txn_id, partition) ();
     let rec again () =
       if inc.live && Txn_part_tbl.mem inc.pending_dones (txn_id, partition)

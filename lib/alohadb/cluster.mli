@@ -6,7 +6,13 @@
 
     Addresses: servers occupy node ids [0 .. n-1]; the EM is node [n]
     (sharing a host with a server in the paper — here a separate address
-    on the same simulated network, which is equivalent for the protocol). *)
+    on the same simulated network, which is equivalent for the protocol).
+
+    There is one deployment shape for every replication degree k: each
+    partition is a replication group (of one at k = 1) registered in a
+    {!Net.Route.t}, and every server is built with the WAL-ship plane and
+    that route.  The cluster is hardened exactly when [faults] is set, and
+    durable when hardened or k > 1 (see {!Config}). *)
 
 type options = {
   n_servers : int;
@@ -17,8 +23,8 @@ type options = {
       (** per-server clock offsets are drawn uniformly from
           [-skew, +skew] *)
   faults : Net.Faults.t option;
-      (** fault-injection oracle shared by the data and control planes
-          (one physical network); [None] = fault-free *)
+      (** fault-injection oracle shared by every plane (one physical
+          network); [Some] hardens the cluster; [None] = fault-free *)
   obs : Obs.Ctl.t option;
       (** observability handle: wires lifecycle tracing into every
           server, registers cluster-wide gauge probes (compute-queue
@@ -46,10 +52,11 @@ val shutdown : t -> unit
     readable; only parallel stratum evaluation becomes unavailable. *)
 
 val set_trace : t -> (src:Net.Address.t -> dst:Net.Address.t -> unit) -> unit
-(** Observe every send on both planes (chaos trace hashing). *)
+(** Observe every send on the data, control and WAL-ship planes (chaos
+    trace hashing). *)
 
 val drop_stats : t -> Net.Network.drop_stats
-(** Drop counters summed over the data and control planes. *)
+(** Drop counters summed over the data, control and WAL-ship planes. *)
 
 val sim : t -> Sim.Engine.t
 val metrics : t -> Sim.Metrics.t
@@ -64,7 +71,7 @@ val replicas : t -> int
     (group of partition [p] = nodes [p .. p+k-1 mod n]), a failure
     monitor promotes a live follower when a primary's backend crashes
     (after a fixed 3 ms detection delay), and frontends re-route to
-    the promoted replica.  Replication forces durability on. *)
+    the promoted replica. *)
 
 val primary_server : t -> partition:int -> Server.t
 (** The server currently serving [partition]'s storage — its home server
@@ -73,7 +80,7 @@ val primary_server : t -> partition:int -> Server.t
 
 val group_members : t -> partition:int -> int list
 (** Node ids of [partition]'s replication group (just [partition] itself
-    when unreplicated).  A probe of this partition is unreliable while
+    at k = 1).  A probe of this partition is unreliable while
     {e any} member is crashed: its primary may be a promoted replica
     still replaying, or about to become one. *)
 

@@ -14,8 +14,6 @@ type t = {
       (* worker domains in the real runtime's shared pool (>= 1) *)
   straggler_opt : bool;
   push_opt : bool;
-  durability : bool;
-  hardened : bool;
   replicas : int;
   fastpath : bool;
 }
@@ -25,8 +23,6 @@ let default =
     domains = 4;
     straggler_opt = true;
     push_opt = true;
-    durability = false;
-    hardened = false;
     replicas = 1;
     fastpath = false }
 

@@ -5,7 +5,17 @@
     costs are in simulated microseconds of one worker's time, calibrated
     so that an 8-core server sustains on the order of 10^5 NewOrder
     transactions per second — the paper's ballpark on m4.4xlarge
-    instances. *)
+    instances.
+
+    Durability and hardening are not settings: {!Cluster.create} derives
+    them.  A cluster with a fault oracle is hardened: every loss-prone
+    exchange (frontend RPCs, Batch_done notifications, a primary's
+    re-ship of unacked WAL entries) repeats every {!retry_us} until
+    answered, and installs, aborts and epoch closes wait until the log
+    entries they cover are flushed and acked by every live follower.  A
+    hardened or replicated (k > 1) cluster is durable: every partition
+    writes a WAL (§III-A), which is also the replication transport.  A
+    fault-free k = 1 cluster is neither, as in the paper's evaluation. *)
 
 type runtime_mode =
   | Sim
@@ -24,27 +34,10 @@ type t = {
       (** worker domains in the real runtime's shared pool (>= 1) *)
   straggler_opt : bool;  (** §III-C unauthorized starts *)
   push_opt : bool;  (** §IV-B recipient-set pushes *)
-  durability : bool;
-      (** write-ahead logging + checkpoint support (§III-A); disabled by
-          default, matching the paper's evaluation setup *)
-  hardened : bool;
-      (** survive message loss and crashes: every loss-prone exchange
-          (frontend RPCs, Batch_done notifications, a primary's re-ship
-          of unacked WAL entries) is repeated every {!retry_us} until
-          answered (receivers answer duplicates idempotently), and
-          installs/aborts are answered only once the log entries they
-          cover are flushed and acked by every live follower, whose
-          epoch closes gate the same way — so a crash or the loss of one
-          replica can only lose writes the frontend never saw
-          acknowledged.  Needs [durability]; off by default, fine on a
-          fault-free network.  {!Engine} turns it on whenever faults
-          are injected *)
   replicas : int;
-      (** copies of each partition, including the primary; 1 (the
-          default) is a replication group of one: the home partition's
-          WAL with no followers.  k > 1 forces [durability] on (WAL
-          shipping is the replication transport) and clamps to the
-          cluster size *)
+      (** copies of each partition, including the primary, clamped to
+          the cluster size; 1 (the default) makes every partition a
+          replication group of one *)
   fastpath : bool;
       (** coordination-free commit lane for all-commutative transactions
           (empty precondition set, every write an ADD/SUBTR/MAX/MIN):
@@ -59,7 +52,7 @@ val default : t
 
 (** Fixed parameters: the worker pool width ([cores], the paper's 8-core
     VMs), the modelled group-commit flush latency, and the retransmission
-    period of a [hardened] server (10 ms).  Costs: the frontend's
+    period of a hardened server (10 ms).  Costs: the frontend's
     transform and install fan-out per transaction ([cost_coord_us]); per
     install message plus per functor installed; one storage read; one
     handler execution; the planner's dispatch of one buffered item; and

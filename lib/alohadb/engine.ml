@@ -19,12 +19,6 @@ let options_of ?seed (params : Kernel.Params.t) =
        | None | Some "planned" -> ()
        | Some s -> fail "unknown compute mode %S (expected planned)" s);
        let cfg = base.Cluster.config in
-       (* Under fault injection liveness relies on durable logs,
-          retransmission and acks gated on every live copy; without them a
-          lossy network wedges the epoch pipeline and a crashed primary
-          takes acked commits with it.  Fault-free runs keep them off, so
-          at k > 1 shipping stays passive. *)
-       let hardened = Option.is_some params.faults in
        let runtime_mode =
          match params.runtime with
          | None -> cfg.runtime_mode
@@ -40,9 +34,7 @@ let options_of ?seed (params : Kernel.Params.t) =
        in
        let domains = positive "domains" cfg.domains params.domains in
        { cfg with
-         Config.durability = hardened || cfg.Config.durability;
-         hardened;
-         runtime_mode;
+         Config.runtime_mode;
          domains;
          fastpath = params.fastpath = Some true || cfg.fastpath;
          replicas = positive "replicas" cfg.replicas params.replicas }) }

@@ -11,11 +11,10 @@
 include Kernel.Intf.ENGINE with type cluster = Cluster.t
 (** [create] builds the cluster with prefix partitioning, the default
     config, and the epoch duration from the params (when given) and
-    [replicas] from [params.replicas].  When [params.faults] is set the
-    config is hardened ([durability] and [hardened]: 10 ms
-    retransmission and acks gated on every live copy) so the protocol
-    stays live and atomic under loss, crashes and failover; this is the
-    only place [hardened] is set. *)
+    [replicas] from [params.replicas].  [params.faults] goes to the
+    cluster, which is then hardened (10 ms retransmission and acks gated
+    on every live copy; see {!Config}), so the protocol stays live and
+    atomic under loss, crashes and failover. *)
 
 val set_trace :
   cluster -> (src:Net.Address.t -> dst:Net.Address.t -> unit) -> unit

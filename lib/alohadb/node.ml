@@ -24,6 +24,8 @@ type t = {
   addr_of_partition : int -> Net.Address.t;
   my_partition : int;
   config : Config.t;
+  durable : bool;
+  hardened : bool;
   metrics : Sim.Metrics.t;
   obs : Obs.Ctl.t option;
   ledger : Obs.Ledger.t option;
@@ -45,7 +47,7 @@ let emit t ~txn ~stage ?(ts = -1) ?arg () =
 let lnote t f = match t.ledger with None -> () | Some l -> f l
 
 let call_with_retry t ~partition req k =
-  if not t.config.Config.hardened then
+  if not t.hardened then
     Net.Rpc.call t.data ~src:t.address
       ~dst:(t.addr_of_partition partition)
       req k

@@ -26,6 +26,9 @@ type t = {
       (** the partition's current primary *)
   my_partition : int;  (** the home partition *)
   config : Config.t;
+  durable : bool;  (** every led partition writes a WAL *)
+  hardened : bool;
+      (** retries and replica-gated acks (derived: see {!Config}) *)
   metrics : Sim.Metrics.t;
   obs : Obs.Ctl.t option;
   ledger : Obs.Ledger.t option;
@@ -57,7 +60,7 @@ val lnote : t -> (Obs.Ledger.t -> unit) -> unit
 
 val call_with_retry :
   t -> partition:int -> Message.wire -> (Message.resp -> unit) -> unit
-(** Data-plane call to [partition]'s primary.  With [config.hardened] it
+(** Data-plane call to [partition]'s primary.  With [hardened] it
     is repeated every {!Config.retry_us} until the first reply, which
     wins (the backend answers duplicates idempotently): a lost request
     or reply costs latency instead of wedging the transaction, which

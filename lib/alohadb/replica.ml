@@ -1,14 +1,6 @@
 module Repl = Cores.Repl
 
-(* Cluster-level replication context, attached when replicas > 1: the ship
-   plane (a separate RPC instance so replication traffic cannot perturb
-   the data plane's latency stream), the crash-aware routing table, and
-   the static group layout. *)
-type fabric = {
-  plane : Message.rpc;
-  route : Net.Route.t;
-  members_of : int -> Net.Address.t list;
-}
+type fabric = { plane : Message.rpc; route : Net.Route.t }
 
 (* Primary-side state for one partition this server currently leads. *)
 type prim = {
@@ -36,7 +28,7 @@ type flw = {
 
 type t = {
   node : Node.t;
-  mutable fabric : fabric option;
+  fabric : fabric;
   prims : (int, prim) Hashtbl.t;
       (* partition -> primary-side state: every log this server leads *)
   flws : (int, flw) Hashtbl.t;  (* partition -> follower-side state *)
@@ -46,12 +38,10 @@ type t = {
 let now t = Node.now t.node
 let new_wal t = Wal.create t.node.sim ~flush_latency_us:Config.wal_flush_us ()
 
-(* Unreplicated, the home partition's group of one is in [prims] only
-   when durability is on. *)
+(* Without a WAL nothing is in [prims], and the home partition is led. *)
 let leads t ~partition =
-  match t.fabric with
-  | None -> partition = t.node.my_partition
-  | Some _ -> Hashtbl.mem t.prims partition
+  if t.node.durable then Hashtbl.mem t.prims partition
+  else partition = t.node.my_partition
 
 let current_prim t partition = Hashtbl.find_opt t.prims partition
 let wal t = Option.map (fun p -> p.p_wal) (current_prim t t.node.my_partition)
@@ -60,7 +50,8 @@ let leads_any t = Hashtbl.length t.prims > 0
 (* A checkpoint renumbers the log, but WAL positions are the replication
    ship sequence. *)
 let checkpoint_wal t =
-  if Option.is_some t.fabric then
+  let home = t.node.my_partition in
+  if List.length (Net.Route.members t.fabric.route ~partition:home) > 1 then
     invalid_arg "Server.checkpoint_now: unsupported under replication";
   match wal t with
   | Some wal -> wal
@@ -88,7 +79,7 @@ let log_entry t ~partition entry =
    inflate the gate. *)
 let after_logged t ~partition ~gated finish =
   match current_prim t partition with
-  | Some prim when gated && t.node.config.Config.hardened ->
+  | Some prim when gated && t.node.hardened ->
       let seq = Repl.len prim.group in
       Wal.after_durable prim.p_wal (fun () ->
           Repl.when_seq_acked prim.group ~seq finish)
@@ -96,14 +87,14 @@ let after_logged t ~partition ~gated finish =
 
 (* ---- WAL shipping (primary side) ---------------------------------------- *)
 
-let ship_entry_to fab t prim ~dst ~seq entry =
+let ship_entry_to t prim ~dst ~seq entry =
   Node.emit t.node ~txn:(-1) ~stage:Obs.Trace.Wal_ship ~arg:seq ();
   Node.lnote t.node (fun _ ->
       prim.ship_log <-
         ( Net.Address.to_int dst, seq, now t,
           Epoch.Participant.current_epoch t.node.part )
         :: prim.ship_log);
-  Net.Rpc.send fab.plane ~src:t.node.address ~dst
+  Net.Rpc.send t.fabric.plane ~src:t.node.address ~dst
     (Message.One
        (Message.Wal_ship
           { partition = prim.p_partition; term = Repl.term prim.group; seq;
@@ -112,29 +103,29 @@ let ship_entry_to fab t prim ~dst ~seq entry =
 (* Ship the freshly durable suffix to every follower.  Called from the
    WAL flush hook, so a follower can never ack an entry the primary
    itself might still lose in a crash. *)
-let ship_fresh fab t prim =
+let ship_fresh t prim =
   let upto = Wal.durable_count prim.p_wal in
   if upto > prim.shipped then begin
     let range = Wal.durable_range prim.p_wal ~from:prim.shipped ~upto in
     List.iter
       (fun dst ->
-        List.iter (fun (seq, e) -> ship_entry_to fab t prim ~dst ~seq e) range)
+        List.iter (fun (seq, e) -> ship_entry_to t prim ~dst ~seq e) range)
       prim.followers;
     prim.shipped <- upto
   end
 
-let reship_member fab t prim ~member =
+let reship_member t prim ~member =
   let upto = Wal.durable_count prim.p_wal in
   let from = Repl.acked prim.group ~member:(Net.Address.to_int member) in
   List.iter
-    (fun (seq, e) -> ship_entry_to fab t prim ~dst:member ~seq e)
+    (fun (seq, e) -> ship_entry_to t prim ~dst:member ~seq e)
     (Wal.durable_range prim.p_wal ~from ~upto)
 
 (* Periodic retransmission to lagging followers, running while any live
    follower is behind.  Stale timers are disarmed by the identity check:
    a demotion or re-adoption replaces the prim record. *)
-let rec arm_retry fab t prim =
-  if t.node.config.Config.hardened && not prim.retry_armed then begin
+let rec arm_retry t prim =
+  if t.node.hardened && not prim.retry_armed then begin
     prim.retry_armed <- true;
     Sim.Engine.after t.node.sim Config.retry_us (fun () ->
         prim.retry_armed <- false;
@@ -144,25 +135,20 @@ let rec arm_retry fab t prim =
             let lagging = Repl.lagging_followers prim.group ~seq:upto in
             List.iter
               (fun (id, _) ->
-                reship_member fab t prim ~member:(Net.Address.of_int id))
+                reship_member t prim ~member:(Net.Address.of_int id))
               lagging;
             if lagging <> [] || Repl.replica_lag prim.group > 0 then
-              arm_retry fab t prim
+              arm_retry t prim
         | Some _ | None -> ())
   end
 
-(* Become the primary of [partition]'s group and register the prim: the
-   group of one without the fabric, else the route's term and members,
-   with each flushed suffix shipped to the followers. *)
-let lead ?fab t ~partition ~wal ~len =
-  let term, members =
-    match fab with
-    | None -> (0, [ t.node.address ])
-    | Some fab ->
-        (Net.Route.term fab.route ~partition, fab.members_of partition)
-  in
+(* Become the primary of [partition]'s group under the route's term and
+   register the prim; each flushed suffix is shipped to the followers. *)
+let lead t ~partition ~wal ~len =
+  let route = t.fabric.route in
+  let members = Net.Route.members route ~partition in
   let group =
-    Repl.create ~term
+    Repl.create ~term:(Net.Route.term route ~partition)
       ~primary:(Net.Address.to_int t.node.address)
       ~members:(List.map Net.Address.to_int members)
       ~len
@@ -176,27 +162,14 @@ let lead ?fab t ~partition ~wal ~len =
       shipped = 0; retry_armed = false; ship_log = [] }
   in
   Hashtbl.replace t.prims partition prim;
-  (match fab with
-  | Some fab when prim.followers <> [] ->
-      Wal.set_on_flush wal (fun () ->
-          match current_prim t partition with
-          | Some pr when pr == prim && not t.node.be_down ->
-              ship_fresh fab t pr;
-              if Repl.replica_lag pr.group > 0 then arm_retry fab t pr
-          | Some _ | None -> ())
-  | Some _ | None -> ());
+  if prim.followers <> [] then
+    Wal.set_on_flush wal (fun () ->
+        match current_prim t partition with
+        | Some pr when pr == prim && not t.node.be_down ->
+            ship_fresh t pr;
+            if Repl.replica_lag pr.group > 0 then arm_retry t pr
+        | Some _ | None -> ());
   prim
-
-(* With durability on, the home partition's log starts as a replication
-   group of one, until {!attach} gives it followers. *)
-let create node =
-  let t =
-    { node; fabric = None; prims = Hashtbl.create 4; flws = Hashtbl.create 4;
-      gate = Cores.Close_gate.create () }
-  in
-  if node.Node.config.Config.durability then
-    ignore (lead t ~partition:node.my_partition ~wal:(new_wal t) ~len:0);
-  t
 
 (* ---- follower side ------------------------------------------------------ *)
 
@@ -204,7 +177,7 @@ let create node =
    durable in the follower's own WAL — so an acked entry survives the
    follower's crash too, which is what makes the primary's gating floor
    mean "on stable storage at every live replica". *)
-let schedule_ack fab t f ~dst =
+let schedule_ack t f ~dst =
   if not f.f_ack_pending then begin
     f.f_ack_pending <- true;
     let wal = f.f_wal in
@@ -214,7 +187,7 @@ let schedule_ack fab t f ~dst =
         if f.f_wal == wal then begin
           f.f_ack_pending <- false;
           if not t.node.be_down then
-            Net.Rpc.send fab.plane ~src:t.node.address ~dst
+            Net.Rpc.send t.fabric.plane ~src:t.node.address ~dst
               (Message.One
                  (Message.Ship_ack
                     { partition = f.f_partition;
@@ -226,7 +199,7 @@ let schedule_ack fab t f ~dst =
 (* Re-acking a duplicate is deliberate: after the primary loses its ack
    bookkeeping (crash) it re-ships, and the cumulative ack re-establishes
    the floor. *)
-let on_wal_ship fab t ~src ~partition ~term ~seq ~entry =
+let on_wal_ship t ~src ~partition ~term ~seq ~entry =
   if not t.node.be_down then
     match Hashtbl.find_opt t.flws partition with
     | None -> ()  (* not (or no longer) a follower of this partition *)
@@ -242,8 +215,8 @@ let on_wal_ship fab t ~src ~partition ~term ~seq ~entry =
             (match Cores.Follower_log.take f.f_log with
             | [] -> ()
             | held -> List.iter (Wal.append f.f_wal) held);
-            schedule_ack fab t f ~dst:src
-        | Held -> schedule_ack fab t f ~dst:src)
+            schedule_ack t f ~dst:src
+        | Held -> schedule_ack t f ~dst:src)
 
 let on_ship_ack t ~src ~partition ~term ~seq =
   if not t.node.be_down then
@@ -272,6 +245,34 @@ let new_follower t ~partition ~term =
   Hashtbl.replace t.flws partition
     { f_partition = partition; f_log = Cores.Follower_log.create ~term;
       f_wal = new_wal t; f_ack_pending = false }
+
+(* A durable server leads its home partition's group from the start, on
+   an empty log, and follows every other partition whose group includes
+   it. *)
+let create node fabric =
+  let t =
+    { node; fabric; prims = Hashtbl.create 4; flws = Hashtbl.create 4;
+      gate = Cores.Close_gate.create () }
+  in
+  let home = node.Node.my_partition in
+  if node.durable then
+    ignore (lead t ~partition:home ~wal:(new_wal t) ~len:0);
+  List.iter
+    (fun partition ->
+      if partition <> home then
+        new_follower t ~partition
+          ~term:(Net.Route.term fabric.route ~partition))
+    (Net.Route.groups_of fabric.route node.address);
+  (* Ship-plane handlers run off the worker pool: replication bookkeeping
+     is modelled as free, so the data-plane timeline is not perturbed. *)
+  Net.Rpc.serve_oneway fabric.plane node.address (fun ~src wire ->
+      match wire with
+      | Message.One (Message.Wal_ship { partition; term; seq; entry }) ->
+          on_wal_ship t ~src ~partition ~term ~seq ~entry
+      | Message.One (Message.Ship_ack { partition; term; seq }) ->
+          on_ship_ack t ~src ~partition ~term ~seq
+      | Message.One _ | Message.Req _ -> ());
+  t
 
 (* ---- the close gate ------------------------------------------------------ *)
 
@@ -305,7 +306,7 @@ let gate t ~epoch close =
       Repl.close_epoch p.group ~epoch)
     prims;
   let gated =
-    if Option.is_some t.fabric && t.node.config.Config.hardened then prims
+    if t.node.hardened then List.filter (fun p -> p.followers <> []) prims
     else []
   in
   deliver t close
@@ -318,36 +319,6 @@ let gate t ~epoch close =
             (Cores.Close_gate.durable t.gate ~group:p.p_partition ~epoch)))
     gated
 
-let attach t ~plane ~route ~members_of ~follows =
-  if Option.is_some t.fabric then
-    invalid_arg "Server.attach_repl: already attached";
-  let home =
-    match current_prim t t.node.my_partition with
-    | Some prim -> prim
-    | None -> invalid_arg "Server.attach_repl: durability required"
-  in
-  let fab = { plane; route; members_of } in
-  t.fabric <- Some fab;
-  (* The home partition's group of one becomes the real group, on the
-     same log. *)
-  ignore
-    (lead ~fab t ~partition:t.node.my_partition ~wal:home.p_wal
-       ~len:(Repl.len home.group));
-  (* Follower of every other partition whose group includes us. *)
-  List.iter
-    (fun partition ->
-      new_follower t ~partition ~term:(Net.Route.term route ~partition))
-    follows;
-  (* Ship-plane handlers run off the worker pool: replication bookkeeping
-     is modelled as free, so the data-plane timeline is not perturbed. *)
-  Net.Rpc.serve_oneway plane t.node.address (fun ~src wire ->
-      match wire with
-      | Message.One (Message.Wal_ship { partition; term; seq; entry }) ->
-          on_wal_ship fab t ~src ~partition ~term ~seq ~entry
-      | Message.One (Message.Ship_ack { partition; term; seq }) ->
-          on_ship_ack t ~src ~partition ~term ~seq
-      | Message.One _ | Message.Req _ -> ())
-
 (* ---- membership verdicts ------------------------------------------------- *)
 
 let note_member_down t ~partition ~member =
@@ -356,14 +327,14 @@ let note_member_down t ~partition ~member =
   | None -> ()
 
 let note_member_rejoin t ~partition ~member =
-  match (t.fabric, current_prim t partition) with
-  | Some fab, Some prim ->
+  match current_prim t partition with
+  | Some prim ->
       Repl.member_rejoin prim.group ~id:(Net.Address.to_int member);
       (* Re-ship immediately — the rejoiner acks from zero — and keep the
          retry loop armed until it has caught up. *)
-      if not t.node.be_down then reship_member fab t prim ~member;
-      arm_retry fab t prim
-  | (Some _ | None), _ -> ()
+      if not t.node.be_down then reship_member t prim ~member;
+      arm_retry t prim
+  | None -> ()
 
 (* ---- crash, restart, promotion ------------------------------------------- *)
 
@@ -392,72 +363,61 @@ let crash t close =
    log; the new primary's shipments (a higher term) rebuild it from
    seq 1. *)
 let demote_lost t =
-  match t.fabric with
-  | None -> ()
-  | Some fab ->
-      let led = Hashtbl.fold (fun p _ acc -> p :: acc) t.prims [] in
-      List.iter
-        (fun partition ->
-          if
-            not
-              (Net.Address.equal
-                 (Net.Route.resolve fab.route ~partition)
-                 t.node.address)
-          then begin
-            Hashtbl.remove t.prims partition;
-            Sim.Metrics.incr t.node.metrics "aloha.demotions";
-            new_follower t ~partition ~term:0
-          end)
-        led
+  let led = Hashtbl.fold (fun p _ acc -> p :: acc) t.prims [] in
+  List.iter
+    (fun partition ->
+      if
+        not
+          (Net.Address.equal
+             (Net.Route.resolve t.fabric.route ~partition)
+             t.node.address)
+      then begin
+        Hashtbl.remove t.prims partition;
+        Sim.Metrics.incr t.node.metrics "aloha.demotions";
+        new_follower t ~partition ~term:0
+      end)
+    led
 
 (* Follower acks are volatile on both sides: re-ship everything and let
    the cumulative acks re-establish the floor. *)
 let reship_all t =
-  match t.fabric with
-  | None -> ()
-  | Some fab ->
-      Hashtbl.iter
-        (fun _ prim ->
-          if prim.followers <> [] then begin
-            prim.shipped <- 0;
-            ship_fresh fab t prim;
-            arm_retry fab t prim
-          end)
-        t.prims
+  Hashtbl.iter
+    (fun _ prim ->
+      if prim.followers <> [] then begin
+        prim.shipped <- 0;
+        ship_fresh t prim;
+        arm_retry t prim
+      end)
+    t.prims
 
 let adopt t ~partition ~down ~closed_epoch ~replay ~release =
-  match t.fabric with
-  | None -> invalid_arg "Server.adopt_partition: replication not attached"
-  | Some fab ->
-      if not (Hashtbl.mem t.prims partition) then begin
-        let f =
-          match Hashtbl.find_opt t.flws partition with
-          | Some f -> f
-          | None -> invalid_arg "Server.adopt_partition: not a follower"
-        in
-        Hashtbl.remove t.flws partition;
-        Sim.Metrics.incr t.node.metrics "aloha.promotions";
-        Node.emit t.node ~txn:(-1) ~stage:Obs.Trace.Promote ~arg:partition ();
-        Node.lnote t.node (fun l ->
-            Obs.Ledger.note_event l ~kind:Obs.Ledger.Promote
-              ~node:t.node.node_id ~t_us:(now t) ~partition ());
-        (* The follower did not crash, so its buffered WAL tail is still
-           valid — replay all of it, not just the durable prefix. *)
-        let entries = Wal.all f.f_wal in
-        replay entries;
-        let prim =
-          lead ~fab t ~partition ~wal:f.f_wal ~len:(List.length entries)
-        in
-        List.iter
-          (fun a -> Repl.member_down prim.group ~id:(Net.Address.to_int a))
-          down;
-        (* Epochs closed so far are durable by adoption (this replica has
-           them); future closes barrier at the log positions they reach. *)
-        Repl.close_epoch prim.group ~epoch:closed_epoch;
-        release ();
-        ship_fresh fab t prim;
-        arm_retry fab t prim
-      end
+  if not (Hashtbl.mem t.prims partition) then begin
+    let f =
+      match Hashtbl.find_opt t.flws partition with
+      | Some f -> f
+      | None -> invalid_arg "Server.adopt_partition: not a follower"
+    in
+    Hashtbl.remove t.flws partition;
+    Sim.Metrics.incr t.node.metrics "aloha.promotions";
+    Node.emit t.node ~txn:(-1) ~stage:Obs.Trace.Promote ~arg:partition ();
+    Node.lnote t.node (fun l ->
+        Obs.Ledger.note_event l ~kind:Obs.Ledger.Promote ~node:t.node.node_id
+          ~t_us:(now t) ~partition ());
+    (* The follower did not crash, so its buffered WAL tail is still
+       valid — replay all of it, not just the durable prefix. *)
+    let entries = Wal.all f.f_wal in
+    replay entries;
+    let prim = lead t ~partition ~wal:f.f_wal ~len:(List.length entries) in
+    List.iter
+      (fun a -> Repl.member_down prim.group ~id:(Net.Address.to_int a))
+      down;
+    (* Epochs closed so far are durable by adoption (this replica has
+       them); future closes barrier at the log positions they reach. *)
+    Repl.close_epoch prim.group ~epoch:closed_epoch;
+    release ();
+    ship_fresh t prim;
+    arm_retry t prim
+  end
 
 (* ---- probes -------------------------------------------------------------- *)
 

@@ -5,20 +5,28 @@
     ({!Cores.Close_gate}).  Nothing hooks into the participant: {!Server}
     passes each close to {!gate} with the work to run once it may close.
 
-    With [config.durability] on, the home partition starts as a
-    replication group of one — its WAL, no followers — so k = 1 takes
-    the same logging, ack-gating, crash and restart path as k > 1.  The
-    replication fabric (ship plane, route, group layout) exists only
-    once {!attach}ed; everything that ships takes it from there. *)
+    Every partition is a replication group, of one member at k = 1, so
+    every k takes the same logging, ack-gating, crash and restart path.
+    A durable server leads its home partition's group from the start. *)
 
 type t
 
-val create : Node.t -> t
+type fabric = {
+  plane : Message.rpc;
+      (** the WAL-ship plane: an RPC instance of its own, so ship traffic
+          cannot perturb the data plane's latency stream *)
+  route : Net.Route.t;  (** every partition's group, primary and term *)
+}
+
+val create : Node.t -> fabric -> t
+(** Lead the home partition's group when [node.durable], follow every
+    other partition whose group includes this server, and serve the
+    ship plane. *)
 
 val leads : t -> partition:int -> bool
-(** Unreplicated: exactly the home partition.  Replicated: the home
-    partition until a failover takes it away, plus any partition adopted
-    by promotion. *)
+(** Durable: the home partition until a failover takes it away, plus
+    any partition adopted by promotion.  Otherwise exactly the home
+    partition. *)
 
 val wal : t -> Wal.t option
 (** The home partition's log, while led. *)
@@ -26,8 +34,8 @@ val wal : t -> Wal.t option
 val leads_any : t -> bool
 
 val checkpoint_wal : t -> Wal.t
-(** The home log, for a checkpoint; raises [Invalid_argument] when
-    durability is off or replication is attached. *)
+(** The home log, for a checkpoint; raises [Invalid_argument] when the
+    server is not durable or the home group has followers. *)
 
 val iter_led : t -> (partition:int -> Wal.t -> unit) -> unit
 (** Every log this server leads. *)
@@ -38,24 +46,15 @@ val log_entry : t -> partition:int -> Wal.entry -> unit
 val gate : t -> epoch:int -> (epoch:int -> unit) -> unit
 (** The participant closed [epoch]: log its close marker on every led
     log (the backend up), and pass the close to the continuation through
-    the {!Cores.Close_gate}.  Under the gate (replication attached and
-    [config.hardened]) it waits until each led group is durable through
-    the marker on every live replica; otherwise it passes at once. *)
+    the {!Cores.Close_gate}.  When [node.hardened] it waits until each
+    led group with followers is durable through the marker on every
+    live replica; otherwise it passes at once. *)
 
 val after_logged :
   t -> partition:int -> gated:bool -> (unit -> unit) -> unit
 (** Run the continuation once [partition]'s entries logged so far are
     flushed and acked by every live follower, when [gated] and
-    [config.hardened]; at once otherwise. *)
-
-val attach :
-  t ->
-  plane:Message.rpc ->
-  route:Net.Route.t ->
-  members_of:(int -> Net.Address.t list) ->
-  follows:int list ->
-  unit
-(** See {!Server.attach_repl}. *)
+    [node.hardened]; at once otherwise. *)
 
 val note_member_down : t -> partition:int -> member:Net.Address.t -> unit
 val note_member_rejoin : t -> partition:int -> member:Net.Address.t -> unit

@@ -28,6 +28,7 @@ val create :
   sim:Sim.Engine.t ->
   data:Message.rpc ->
   control:Epoch.Protocol.rpc ->
+  fabric:Replica.fabric ->
   addr:Net.Address.t ->
   node_id:int ->
   em:Net.Address.t ->
@@ -37,12 +38,17 @@ val create :
   my_partition:int ->
   registry:Functor_cc.Registry.t ->
   config:Config.t ->
+  durable:bool ->
+  hardened:bool ->
   metrics:Sim.Metrics.t ->
   ?obs:Obs.Ctl.t ->
   ?real_pool:Runtime.Pool.t ->
   unit -> t
 (** Wires up all handlers; the server is passive until the EM grants the
-    first epoch.  [obs] turns on lifecycle tracing for every transaction
+    first epoch.  [fabric] is the ship plane and the route every
+    partition's group is registered in; when [durable] the server leads
+    its home partition's group from the start, and [hardened] turns on
+    retries and replica-gated acks (see {!Config}).  [obs] turns on lifecycle tracing for every transaction
     this server coordinates or stores.  [real_pool] (shared cluster-wide)
     makes the planner evaluate its key runs on worker domains — the
     [--runtime real] backend. *)
@@ -74,7 +80,7 @@ val held_requests : t -> int
 
 val wal : t -> Wal.t option
 (** The home partition's write-ahead log, while this server leads it:
-    [None] when [config.durability] is off, or after a failover promoted
+    [None] when the server is not durable, or after a failover promoted
     another replica of the home partition. *)
 
 val compute_queue_depth : t -> int
@@ -90,18 +96,18 @@ val value_watermark_lag_us : t -> int
 
 val wal_pending_bytes : t -> int
 (** Nominal unflushed bytes summed over every log this server writes —
-    the partitions it leads and the ones it follows (0 when durability is
-    off) — gauge probe. *)
+    the partitions it leads and the ones it follows (0 when not durable)
+    — gauge probe. *)
 
 val replication_lag : t -> int
 (** Total entries shipped-but-unacked across the replication groups this
-    server leads (0 when replication is off) — gauge probe. *)
+    server leads (0 at k = 1) — gauge probe. *)
 
 val checkpoint_now : t -> unit
 (** Snapshot the partition's final state into the WAL and truncate the
-    log below it.  Raises [Invalid_argument] when durability is off, or
-    when replication is attached (a checkpoint renumbers the log, but WAL
-    positions are the replication ship sequence).  Intended to be called
+    log below it.  Raises [Invalid_argument] when the server is not
+    durable, or when the home group has followers (a checkpoint renumbers
+    the log, but WAL positions are the replication ship sequence).  Intended to be called
     when the partition is quiescent (no pending functors), e.g. between
     epochs. *)
 
@@ -122,35 +128,12 @@ val restart_be : t -> unit
     still leads, reload the checkpoint and replay the durable log
     ({!Recovery.replay}), re-buffer still-pending functors at their
     logged epochs, and release every epoch that closed before or during
-    the outage.  Requires [config.durability] for state to survive;
-    without a WAL the backend restarts empty.  Raises [Invalid_argument]
-    if not down. *)
+    the outage.  State survives only on a durable server; without a WAL
+    the backend restarts empty.  Raises [Invalid_argument] if not down. *)
 
 val be_down : t -> bool
 
-(** {2 Replication (cluster-internal wiring)}
-
-    With [config.durability] on, every server starts as the primary of a
-    replication group of one: its home partition's WAL, with no
-    followers, so k = 1 takes the same logging, ack-gating, crash and
-    restart path as k > 1.  All of the following are called by
-    {!Cluster} when [config.replicas > 1]. *)
-
-val attach_repl :
-  t ->
-  plane:Message.rpc ->
-  route:Net.Route.t ->
-  members_of:(int -> Net.Address.t list) ->
-  follows:int list ->
-  unit
-(** Join the replication fabric: replace the home partition's group of
-    one with its real group, on the same WAL (shipping durable entries to
-    the other members over [plane]), and become a follower of every
-    partition in [follows].  With [config.hardened], installs/aborts ack
-    only after the covering log prefix is durable on all live followers,
-    and epoch close gates on the epoch being durable group-wide.
-    Requires [config.durability]; raises [Invalid_argument] otherwise or
-    if already attached. *)
+(** {2 Replication (the cluster's failure monitor)} *)
 
 val adopt_partition :
   t -> partition:int -> down:Net.Address.t list -> unit

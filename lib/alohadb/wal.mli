@@ -38,9 +38,9 @@ val append : t -> entry -> unit
 
 val after_durable : t -> (unit -> unit) -> unit
 (** Run the callback once everything appended so far is flushed (at once
-    if nothing is pending).  Used to defer install acks until their log
-    entries are durable ({!Config.t.hardened}).  Callbacks pending
-    at a crash are discarded by {!lose_unflushed}. *)
+    if nothing is pending).  A hardened server defers install acks until
+    their log entries are durable (see {!Config}).  Callbacks pending at
+    a crash are discarded by {!lose_unflushed}. *)
 
 val lose_unflushed : t -> int
 (** Crash the device: the buffered (unflushed) tail is lost, pending

@@ -40,8 +40,11 @@ let resolve t ~partition = (group t ~partition).primary
 let term t ~partition = (group t ~partition).term
 let members t ~partition = Array.to_list (group t ~partition).members
 
-let is_member t ~partition addr =
-  Array.exists (Address.equal addr) (group t ~partition).members
+let groups_of t addr =
+  List.filter
+    (fun partition ->
+      Array.exists (Address.equal addr) (group t ~partition).members)
+    (List.init (Array.length t.groups) Fun.id)
 
 (* First live member in registration order that is not [avoid]; the
    deterministic successor rule every run agrees on. *)

@@ -20,7 +20,9 @@ val resolve : t -> partition:int -> Address.t
 
 val term : t -> partition:int -> int
 val members : t -> partition:int -> Address.t list
-val is_member : t -> partition:int -> Address.t -> bool
+
+(* Partitions whose group includes the address, ascending. *)
+val groups_of : t -> Address.t -> int list
 
 (* First member in registration order that is [live] and not [avoid]. *)
 val find_successor :

@@ -213,10 +213,12 @@ let prop_wal_matches_reference =
 
 (* ---- end-to-end crash/recovery ------------------------------------------- *)
 
+(* A fault oracle makes a cluster durable (and hardened); one with no
+   edicts draws nothing and drops nothing. *)
 let durable_options n =
   { Cluster.default_options with
     n_servers = n;
-    config = { Alohadb.Config.default with durability = true } }
+    faults = Some (Net.Faults.create ~seed:1 ()) }
 
 let registry_with_xfer () =
   let r = Functor_cc.Registry.with_builtins () in
@@ -443,12 +445,7 @@ let test_unflushed_tail_lost () =
    on their behalf (no Push, Dep_write or Batch_done), and after it the
    recovered incarnation must still complete every transaction. *)
 let test_dead_incarnation_silent () =
-  let c =
-    Cluster.create
-      { (durable_options 2) with
-        config =
-          { Alohadb.Config.default with durability = true; hardened = true } }
-  in
+  let c = Cluster.create (durable_options 2) in
   let victim = Cluster.server c 1 in
   let em = Net.Address.of_int 2 in
   let sent_while_down = ref 0 in

@@ -119,19 +119,15 @@ let test_checkpoint_refused_under_replication () =
        "Server.checkpoint_now: unsupported under replication")
     (fun () -> Alohadb.Server.checkpoint_now (Alohadb.Cluster.server c 0))
 
-(* Replication implies durability: a replicas > 1 cluster must come up
-   with a WAL on every server even when the caller left durability off
-   (shipping volatile entries would let a follower "ack" state the
-   primary itself can lose). *)
+(* Replication implies durability: a fault-free replicas > 1 cluster must
+   come up with a WAL on every server (shipping volatile entries would let
+   a follower "ack" state the primary itself can lose). *)
 let test_replication_forces_durability () =
   let c =
     Alohadb.Cluster.create
       { Alohadb.Cluster.default_options with
         n_servers;
-        config =
-          { Alohadb.Config.default with
-            Alohadb.Config.replicas = 2;
-            durability = false } }
+        config = { Alohadb.Config.default with Alohadb.Config.replicas = 2 } }
   in
   Alcotest.(check bool) "wal present" true
     (Alohadb.Server.wal (Alohadb.Cluster.server c 0) <> None);
@@ -139,6 +135,39 @@ let test_replication_forces_durability () =
   (* groups are the k consecutive nodes *)
   Alcotest.(check (list int)) "group of partition 2" [ 2; 0 ]
     (Alohadb.Cluster.group_members c ~partition:2)
+
+(* Durability is derived, not configured: every server writes a WAL
+   exactly when the cluster has a fault oracle (an empty one here) or
+   k > 1, and at k = 1 each partition is a group of one led by its home
+   server. *)
+let test_derived_durability () =
+  List.iter
+    (fun (faulty, k) ->
+      let name = Printf.sprintf "faults=%b k=%d" faulty k in
+      let c =
+        Alohadb.Cluster.create
+          { Alohadb.Cluster.default_options with
+            n_servers;
+            faults =
+              (if faulty then Some (Net.Faults.create ~seed:1 ()) else None);
+            config = { Alohadb.Config.default with Alohadb.Config.replicas = k }
+          }
+      in
+      for p = 0 to n_servers - 1 do
+        let srv = Alohadb.Cluster.server c p in
+        Alcotest.(check bool)
+          (name ^ ": wal present") (faulty || k > 1)
+          (Alohadb.Server.wal srv <> None);
+        if k = 1 then begin
+          Alcotest.(check (list int))
+            (name ^ ": group of one") [ p ]
+            (Alohadb.Cluster.group_members c ~partition:p);
+          Alcotest.(check bool)
+            (name ^ ": primary is home") true
+            (Alohadb.Cluster.primary_server c ~partition:p == srv)
+        end
+      done)
+    [ (false, 1); (false, 2); (true, 1); (true, 2) ]
 
 (* ---- qcheck: ack gating vs a sorted-assoc reference ------------------- *)
 
@@ -378,11 +407,7 @@ let test_gauge_counts_ship_drops () =
         n_servers;
         faults = Some faults;
         obs = Some ctl;
-        config =
-          { Alohadb.Config.default with
-            Alohadb.Config.replicas = 2;
-            durability = true;
-            hardened = true } }
+        config = { Alohadb.Config.default with Alohadb.Config.replicas = 2 } }
   in
   let sim = Alohadb.Cluster.sim c in
   Obs.Ctl.arm ctl ~sim ~for_us:200_000;
@@ -426,11 +451,7 @@ let test_crash_delivers_gated_closes () =
         n_servers;
         faults = Some faults;
         obs = Some ctl;
-        config =
-          { Alohadb.Config.default with
-            Alohadb.Config.replicas = 2;
-            durability = true;
-            hardened = true } }
+        config = { Alohadb.Config.default with Alohadb.Config.replicas = 2 } }
   in
   let sim = Alohadb.Cluster.sim c in
   Obs.Ctl.arm ctl ~sim ~for_us:300_000;
@@ -473,6 +494,8 @@ let suite =
       test_checkpoint_refused_under_replication;
     Alcotest.test_case "replication forces durability" `Quick
       test_replication_forces_durability;
+    Alcotest.test_case "durability derived from faults and k" `Quick
+      test_derived_durability;
     QCheck_alcotest.to_alcotest prop_repl_matches_reference;
     Alcotest.test_case "replicas=2 behaviour-neutral vs replicas=1" `Slow
       test_replicas_behaviour_neutral;
