@@ -55,10 +55,13 @@ let grant t ~epoch ~lo ~hi ~next_duration =
     || List.mem epoch t.orphans
   then []
   else begin
+    (* Closes are delivered only here, so every epoch below the last
+       accepted grant has been. *)
+    let from = max 1 t.granted in
     t.granted <- epoch;
     t.state <- Authorized { epoch; lo; hi; next_duration };
-    let opened = [ Opened { epoch; lo; hi }; Changed ] in
-    if epoch > 1 then Closed (epoch - 1) :: opened else opened
+    List.init (epoch - from) (fun i -> Closed (from + i))
+    @ [ Opened { epoch; lo; hi }; Changed ]
   end
 
 let revoke t ~epoch =

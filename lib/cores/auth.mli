@@ -16,8 +16,9 @@
     - A grant at or below the latest grant, at or below the highest
       acked revoke, or for an orphan-revoked epoch is a reordered
       straggler and is ignored: once the revoke is acked the EM believes
-      nothing is in flight there.  The grant of [e] doubles as "[e - 1]
-      closed".
+      nothing is in flight there.  The grant of [e] doubles as "every
+      epoch below [e] closed": it delivers, in ascending order, each
+      close not yet delivered, so a lost grant loses no close.
     - §III-C: after an acked revoke, with the straggler optimisation, new
       transactions may start without authorization in the next epoch,
       with timestamps at most the previous finish plus the next epoch's

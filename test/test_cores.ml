@@ -111,7 +111,9 @@ let gen_aops =
    loses, repeats and reorders: any grant or revoke the EM has sent may
    be delivered at any time.  Epoch [e]'s window is [100e, 100e + 99]
    with a next duration of 100.  Model: in-flight transactions, acked
-   and delivered revokes, and the last grant accepted. *)
+   and delivered revokes, the last grant accepted and the closes
+   delivered, which must be 1 .. (last grant - 1), each once, ascending,
+   even when grants are lost. *)
 let prop_auth =
   QCheck2.Test.make ~name:"auth acks only drained epochs, windows bounded"
     ~count:500
@@ -130,6 +132,7 @@ let prop_auth =
     (fun (straggler_opt, ops) ->
       let a = A.create ~straggler_opt in
       let in_flight = ref [] and acked = ref [] and revoked = ref [] in
+      let closed = ref 0 in
       let grant = ref None and em = ref 1 and em_revoked = ref false in
       let count e = List.length (List.filter (( = ) e) !in_flight) in
       let max_acked () = List.fold_left max 0 !acked in
@@ -143,8 +146,14 @@ let prop_auth =
             | A.Opened { epoch; lo; hi } ->
                 if epoch <= max_acked () then
                   fail "grant %d accepted after its revoke was acked" epoch;
+                if !closed <> epoch - 1 then
+                  fail "grant %d opened with closes up to %d" epoch !closed;
                 grant := Some (epoch, lo, hi)
-            | A.Closed _ | A.Changed -> ())
+            | A.Closed e ->
+                if e <> !closed + 1 then
+                  fail "close %d delivered after close %d" e !closed;
+                closed := e
+            | A.Changed -> ())
           actions
       in
       List.iter

@@ -192,16 +192,18 @@ let drop_edict ?src ?dst ~from_us ~until_us () =
     [ Net.Faults.edict ?src ?dst Net.Faults.Drop ~p:1.0 ~from_us ~until_us ];
   faults
 
-let opened_epochs p =
-  let opened = ref [] in
+(* The epochs [p] opens and closes, newest first. *)
+let served_epochs p =
+  let opened = ref [] and closed = ref [] in
   Participant.serve p
     ~on_open:(fun ~epoch ~lo:_ ~hi:_ -> opened := epoch :: !opened)
-    ~on_closed:(fun ~epoch:_ -> ());
-  opened
+    ~on_closed:(fun ~epoch -> closed := epoch :: !closed);
+  (opened, closed)
 
 (* Grant 2 to frontend 0 is lost.  Its straggler start lands in epoch 2,
    so Revoke 2 arrives as an orphan: acked only once that transaction
-   drains, after which a late Grant 2 must be ignored. *)
+   drains, after which a late Grant 2 must be ignored.  Grant 3 closes
+   epoch 1 as well as epoch 2 at frontend 0. *)
 let test_lost_grant_orphan_revoke () =
   let w =
     mk
@@ -211,7 +213,7 @@ let test_lost_grant_orphan_revoke () =
       ()
   in
   let p0 = w.participants.(0) in
-  let opened = opened_epochs p0 in
+  let opened, closed = served_epochs p0 in
   Manager.start w.manager;
   run w 15_000;
   Alcotest.(check int) "grant 2 lost" 1 (Participant.current_epoch p0);
@@ -235,7 +237,12 @@ let test_lost_grant_orphan_revoke () =
   Alcotest.(check bool) "epochs keep closing" true
     (Manager.epochs_closed w.manager >= 4);
   Alcotest.(check int) "frontend 0 follows the EM"
-    (Manager.current_epoch w.manager) (Participant.current_epoch p0)
+    (Manager.current_epoch w.manager) (Participant.current_epoch p0);
+  let closed = List.rev !closed in
+  Alcotest.(check (list int)) "frontend 0 closes 1, 2, 3, ..."
+    (List.init (List.length closed) (fun i -> i + 1))
+    closed;
+  Alcotest.(check bool) "closes up to epoch 3" true (List.length closed >= 3)
 
 (* Frontend 1's ack for epoch 1 is lost: the EM re-sends the revoke after
    5 ms, only to frontend 1, which re-acks, and the epoch closes. *)
