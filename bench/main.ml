@@ -430,30 +430,21 @@ let () =
   let cmds =
     List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
   in
-  let run_target = function
-    | "table1" -> Harness.Experiments.table1 ()
-    | "fig6" -> Harness.Experiments.fig6 scale
-    | "fig7" -> Harness.Experiments.fig7 scale
-    | "fig8" -> Harness.Experiments.fig8 scale
-    | "fig9" -> Harness.Experiments.fig9 scale
-    | "fig10" -> Harness.Experiments.fig10 scale
-    | "fig11" -> Harness.Experiments.fig11 scale
-    | "ablation-straggler" -> Harness.Experiments.ablation_straggler scale
-    | "ablation-push" -> Harness.Experiments.ablation_push scale
-    | "ablation-dependent" -> Harness.Experiments.ablation_dependent scale
-    | "ext-conventional" -> Harness.Experiments.ext_conventional scale
-    | "micro" -> micro ()
-    | "availability" -> availability ()
-    | "fastpath" -> fastpath ()
-    | "all" ->
-        Harness.Experiments.all scale;
-        micro ()
-    | other ->
-        Printf.eprintf
-          "unknown target %S (expected table1, fig6..fig11, \
-           ablation-straggler, ablation-push, ablation-dependent, \
-           ext-conventional, micro, availability, fastpath, all)\n"
-          other;
+  let targets =
+    List.map (fun (name, run) -> (name, fun () -> run scale))
+      Harness.Experiments.targets
+    @ [ ("micro", micro); ("availability", availability);
+        ("fastpath", fastpath) ]
+  in
+  let run_target name =
+    match List.assoc_opt name targets with
+    | Some run ->
+        run ();
+        (* the bench's "all" adds the micro suite *)
+        if name = "all" then micro ()
+    | None ->
+        Printf.eprintf "unknown target %S (expected %s)\n" name
+          (String.concat ", " (List.map fst targets));
         exit 2
   in
   (* host wall time per target: the one record that is not simulated *)

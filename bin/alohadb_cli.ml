@@ -6,7 +6,7 @@
      alohadb_cli run --system calvin --workload tpcc --per-host 1 \
        --clients 500 --measure-ms 200
      alohadb_cli figure fig9 --scale full
-     alohadb_cli table1 *)
+     alohadb_cli figure table1 *)
 
 open Cmdliner
 
@@ -167,8 +167,10 @@ let run_cmd =
 
 let figure_cmd =
   let target =
-    let doc = "Figure or ablation to regenerate (fig6..fig11, table1, \
-               ablation-straggler, ablation-push, ablation-dependent, all)."
+    let doc =
+      "Table, figure or ablation to regenerate: "
+      ^ String.concat ", " (List.map fst Harness.Experiments.targets)
+      ^ "."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
   in
@@ -182,30 +184,15 @@ let figure_cmd =
          & info [ "scale" ] ~doc)
   in
   let run target scale =
-    match target with
-    | "table1" -> Harness.Experiments.table1 ()
-    | "fig6" -> Harness.Experiments.fig6 scale
-    | "fig7" -> Harness.Experiments.fig7 scale
-    | "fig8" -> Harness.Experiments.fig8 scale
-    | "fig9" -> Harness.Experiments.fig9 scale
-    | "fig10" -> Harness.Experiments.fig10 scale
-    | "fig11" -> Harness.Experiments.fig11 scale
-    | "ablation-straggler" -> Harness.Experiments.ablation_straggler scale
-    | "ablation-push" -> Harness.Experiments.ablation_push scale
-    | "ablation-dependent" -> Harness.Experiments.ablation_dependent scale
-    | "ext-conventional" -> Harness.Experiments.ext_conventional scale
-    | "all" -> Harness.Experiments.all scale
-    | other ->
-        Format.eprintf "unknown target %s@." other;
+    match List.assoc_opt target Harness.Experiments.targets with
+    | Some run -> run scale
+    | None ->
+        Format.eprintf "unknown target %s (expected %s)@." target
+          (String.concat ", " (List.map fst Harness.Experiments.targets));
         exit 2
   in
   let doc = "Regenerate one of the paper's figures." in
   Cmd.v (Cmd.info "figure" ~doc) Term.(const run $ target $ scale)
-
-let table1_cmd =
-  let doc = "Print Table I (supported f-types)." in
-  Cmd.v (Cmd.info "table1" ~doc)
-    Term.(const Harness.Experiments.table1 $ const ())
 
 let chaos_cmd =
   let engine =
@@ -545,53 +532,39 @@ let timeline_cmd =
          & info [ "out"; "o" ]
              ~doc:"Timeline output path (appended, one segment per run).")
   in
-  let inspect =
-    Arg.(value & opt (some string) None
-         & info [ "inspect" ] ~docv:"FILE"
-             ~doc:"Do not run anything; summarize an existing timeline \
-                   file instead.")
-  in
-  let run seed servers replicas out inspect =
-    match inspect with
-    | Some path ->
-        let segs = Obs.Analyze.load path in
-        Format.printf "%s: %d segment(s)@." path (List.length segs);
-        List.iteri pp_segment segs
-    | None ->
-        let target =
-          match Chaos.Driver.target_of_name "aloha" with
-          | Some t -> t
-          | None -> assert false
-        in
-        let ledger = Obs.Ledger.create () in
-        let obs = Obs.Ctl.create ~ledger () in
-        let r =
-          Chaos.Driver.run_seed ~replicas ~obs target ~seed
-            ~n_servers:servers
-        in
-        Harness.Report.write_timeline out r.Chaos.Driver.timeline;
-        Format.printf
-          "appended %d lines to %s (seed %d, k=%d, committed %d/%d)@."
-          (List.length r.Chaos.Driver.timeline)
-          out seed r.Chaos.Driver.replicas r.Chaos.Driver.committed
-          r.Chaos.Driver.submitted;
-        List.iteri pp_segment
-          (Obs.Analyze.parse_lines r.Chaos.Driver.timeline);
-        if not (Chaos.Driver.passed r) then begin
-          List.iter
-            (fun v -> Format.eprintf "  violation: %s@." v)
-            r.Chaos.Driver.violations;
-          exit 1
-        end
+  let run seed servers replicas out =
+    let target =
+      match Chaos.Driver.target_of_name "aloha" with
+      | Some t -> t
+      | None -> assert false
+    in
+    let ledger = Obs.Ledger.create () in
+    let obs = Obs.Ctl.create ~ledger () in
+    let r =
+      Chaos.Driver.run_seed ~replicas ~obs target ~seed ~n_servers:servers
+    in
+    Harness.Report.write_timeline out r.Chaos.Driver.timeline;
+    Format.printf
+      "appended %d lines to %s (seed %d, k=%d, committed %d/%d)@."
+      (List.length r.Chaos.Driver.timeline)
+      out seed r.Chaos.Driver.replicas r.Chaos.Driver.committed
+      r.Chaos.Driver.submitted;
+    List.iteri pp_segment (Obs.Analyze.parse_lines r.Chaos.Driver.timeline);
+    if not (Chaos.Driver.passed r) then begin
+      List.iter
+        (fun v -> Format.eprintf "  violation: %s@." v)
+        r.Chaos.Driver.violations;
+      exit 1
+    end
   in
   let doc =
     "Record an epoch-ledger timeline: run one replicated chaos schedule \
      with the ledger attached, append the segment to TIMELINE.jsonl, and \
-     print the reconstructed failover incidents.  --inspect summarizes an \
-     existing file instead."
+     print the reconstructed failover incidents.  $(b,doctor) FILE \
+     summarizes and checks an existing file."
   in
   Cmd.v (Cmd.info "timeline" ~doc)
-    Term.(const run $ seed $ servers $ replicas $ out $ inspect)
+    Term.(const run $ seed $ servers $ replicas $ out)
 
 let doctor_cmd =
   let file =
@@ -654,5 +627,5 @@ let () =
   in
   let info = Cmd.info "alohadb_cli" ~doc in
   exit (Cmd.eval (Cmd.group info
-       [ run_cmd; figure_cmd; table1_cmd; chaos_cmd; trace_cmd; stats_cmd;
+       [ run_cmd; figure_cmd; chaos_cmd; trace_cmd; stats_cmd;
          timeline_cmd; doctor_cmd ]))

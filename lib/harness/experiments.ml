@@ -605,16 +605,21 @@ let ext_conventional scale =
         [ ("ALOHA", aloha); ("Calvin", calvin); ("2PL", twopl) ])
     scale.fig9_cis
 
+let figures =
+  [ ("table1", fun _ -> table1 ());
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("ablation-straggler", ablation_straggler);
+    ("ablation-push", ablation_push);
+    ("ablation-dependent", ablation_dependent);
+    ("ext-conventional", ext_conventional) ]
+
 let all scale =
   Printf.printf "== scale profile: %s ==\n%!" scale.label;
-  table1 ();
-  fig6 scale;
-  fig7 scale;
-  fig8 scale;
-  fig9 scale;
-  fig10 scale;
-  fig11 scale;
-  ablation_straggler scale;
-  ablation_push scale;
-  ablation_dependent scale;
-  ext_conventional scale
+  List.iter (fun (_, run) -> run scale) figures
+
+let targets = figures @ [ ("all", all) ]

@@ -24,47 +24,26 @@ val quick : scale
 val full : scale
 (** The paper's point set (slightly thinned where the curve is flat). *)
 
-val table1 : unit -> unit
-(** Print Table I: supported f-types and f-argument representations. *)
-
-val fig6 : scale -> unit
-(** Throughput vs latency, TPC-C & Scaled TPC-C NewOrder, 8 servers,
-    1W/10W/1D/10D. *)
-
-val fig7 : scale -> unit
-(** Throughput vs warehouses/districts per host (NewOrder & Payment). *)
-
-val fig8 : scale -> unit
-(** Scale-out: NewOrder throughput for 1..20 servers. *)
-
-val fig9 : scale -> unit
-(** Microbenchmark throughput vs contention index, all three engines
-    (ALOHA, Calvin, and the conventional 2PL/2PC baseline). *)
-
-val fig10 : scale -> unit
-(** Latency breakdown by stage under low and high contention. *)
-
-val fig11 : scale -> unit
-(** Latency vs epoch duration (medium contention, light load). *)
-
-val ablation_straggler : scale -> unit
-(** §III-C: throughput with the no-authorization start optimisation on
-    vs off, under injected network delay spikes. *)
-
-val ablation_push : scale -> unit
-(** §IV-B: recipient-set pushes on vs off on a cross-partition transfer
-    workload (remote-read count and latency). *)
-
-val ablation_dependent : scale -> unit
-(** §IV-E: determinate functors vs the optimistic method on a contended
-    conditional-withdrawal workload (abort rate and throughput). *)
-
-val ext_conventional : scale -> unit
-(** Extension beyond the paper's measured baselines: the YCSB contention
-    sweep of Fig. 9 with a conventional distributed 2PL/2PC system added —
-    the "transaction-level concurrency control" the introduction argues
-    against.  2PL collapses earliest (lock timeouts + restarts + the 2PC
-    contention footprint), Calvin degrades, ALOHA-DB stays flat. *)
-
-val all : scale -> unit
-(** Every figure, table and ablation in order. *)
+val targets : (string * (scale -> unit)) list
+(** Every table, figure and ablation by name, each printing its rows:
+    - ["table1"]: Table I, the supported f-types and f-argument
+      representations (scale-free);
+    - ["fig6"]: throughput vs latency, TPC-C and Scaled TPC-C NewOrder,
+      8 servers, 1W/10W/1D/10D;
+    - ["fig7"]: throughput vs warehouses/districts per host (NewOrder and
+      Payment);
+    - ["fig8"]: scale-out, NewOrder throughput for 1..20 servers;
+    - ["fig9"]: microbenchmark throughput vs contention index, ALOHA,
+      Calvin and 2PL/2PC;
+    - ["fig10"]: latency breakdown by stage under low and high contention;
+    - ["fig11"]: latency vs epoch duration (medium contention, light load);
+    - ["ablation-straggler"]: §III-C no-authorization starts on vs off,
+      under injected network delay spikes;
+    - ["ablation-push"]: §IV-B recipient-set pushes on vs off on a
+      cross-partition transfer workload;
+    - ["ablation-dependent"]: §IV-E determinate functors vs the optimistic
+      method on contended conditional withdrawals;
+    - ["ext-conventional"]: beyond the paper, Fig. 9's sweep with a
+      conventional 2PL/2PC system, which collapses earliest while Calvin
+      degrades and ALOHA-DB stays flat;
+    - ["all"]: every one of the above, in this order. *)
