@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check dead-exports clean loc bench bench-smoke bench-guard real-smoke e2e-pair figs-pair chaos chaos-smoke chaos-digests replication replication-smoke availability fastpath fastpath-smoke obs-smoke
+.PHONY: all build test fmt check dead-exports clean loc bench bench-smoke bench-guard real-smoke e2e-pair figs-pair chaos chaos-smoke chaos-digests chaos-digests-check replication replication-smoke availability fastpath fastpath-smoke obs-smoke
 
 all: build
 
@@ -103,6 +103,12 @@ chaos-digests:
 	done | sed -E \
 	  's/.*"engine":"([a-z]+)","seed":([0-9]+).*"trace_hash":"([0-9a-f]+)".*/engine=\1 seed=\2 \3/'
 
+# The oracle's diff against the committed digests (a few seconds; part of
+# `make check`).  The file was generated with OCaml 5.1, so other
+# compilers may move hashes.
+chaos-digests-check:
+	$(MAKE) -s chaos-digests | diff -u ci/chaos_digests.txt -
+
 # The replication battery: every backend crashed once per run, k = 2,
 # failover expected to mask each loss (invariants: no committed txn
 # lost, converged state, completion).  50 seeds — the PR's acceptance
@@ -179,8 +185,8 @@ dead-exports:
 
 # fmt + build + full test run (the fastpath suite is part of dune
 # runtest; run it alone with: dune exec test/test_main.exe -- test fastpath)
-# + the dead-export scan.
-check: fmt build test dead-exports
+# + the dead-export scan + the chaos digest diff.
+check: fmt build test dead-exports chaos-digests-check
 
 clean:
 	dune clean
