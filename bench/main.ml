@@ -167,12 +167,13 @@ let micro () =
     Test.make ~name:"obs.tracer 64 emit sites 1-in-16"
       (Staged.stage (fun () -> tracer_sites obs ledger))
   in
-  (* One closed epoch of 64 keys x 128 pending ADD versions (a
+  (* One closed epoch of 64 keys x [versions] pending ADD versions (a
      commutative-heavy epoch: hot counters absorb dozens of blind ADDs
      per epoch), planned and evaluated to completion.  [exec] routes
      through the worker pool, so every dispatch job runs before any
-     evaluation finalises. *)
-  let run_epoch () =
+     evaluation finalises.  With [real], the epoch is evaluated on that
+     domain pool, as under [--runtime real]. *)
+  let run_epoch ~versions ?real () =
     let sim = Sim.Engine.create () in
     let pool = Sim.Worker_pool.create sim ~workers:4 in
     let registry = Functor_cc.Registry.with_builtins () in
@@ -199,7 +200,7 @@ let micro () =
         Functor_cc.Compute_engine.load_initial e ~key
           (Functor_cc.Value.int 0))
       keys;
-    for v = 1 to 128 do
+    for v = 1 to versions do
       Array.iter
         (fun key ->
           ignore
@@ -213,19 +214,26 @@ let micro () =
         keys
     done;
     let planner =
-      Functor_cc.Planner.create ~engine:e ~pool ~dispatch_cost_us:1 ~metrics
-        ()
+      Functor_cc.Planner.create ~engine:e ~pool ?real ~dispatch_cost_us:1
+        ~metrics ()
     in
     let items =
       List.concat_map snd (Functor_cc.Processor.drain proc ~upto_epoch:1)
     in
     ignore (Functor_cc.Planner.run planner ~items);
     Sim.Engine.run sim;
-    assert (Functor_cc.Compute_engine.watermark e ~key:keys.(0) = 128)
+    assert (Functor_cc.Compute_engine.watermark e ~key:keys.(0) = versions)
   in
   let epoch_planned =
     Test.make ~name:"functor_cc epoch 64x128 planned"
-      (Staged.stage run_epoch)
+      (Staged.stage (fun () -> run_epoch ~versions:128 ()))
+  in
+  (* The real-runtime epoch on one domain: the caller runs every task, so
+     no barrier waits on a domain a shared host has descheduled. *)
+  let epoch_real =
+    let real = Runtime.Pool.create ~domains:1 in
+    Test.make ~name:"functor_cc epoch 64x256 real, 1 domain"
+      (Staged.stage (fun () -> run_epoch ~versions:256 ~real ()))
   in
   (* WAL flush+ship pair: append 64 entries, run the group-commit flush,
      and from its hook read the freshly durable range the way a
@@ -278,7 +286,7 @@ let micro () =
   let tests =
     List.map Fun.const
       [ chain_insert; ts_gen; zipf; lock_manager; functor_compute;
-        epoch_planned; rng_bench; tracer_off; tracer_on; wal_1k; wal_32k ]
+        epoch_planned; epoch_real; rng_bench; tracer_off; tracer_on; wal_1k; wal_32k ]
     @ [ table_chain; intern_hit ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

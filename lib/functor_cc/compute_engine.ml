@@ -130,6 +130,25 @@ let final_of_outcome = function
   | Registry.Abort -> Funct.Aborted_v
   | Registry.Delete -> Funct.Deleted_v
 
+(* ADD/SUBTR/MAX/MIN as 1-4 (0: not a built-in), and a built-in's result
+   from its code, argument and previous value. *)
+let builtin_code = function
+  | Ftype.Add -> 1
+  | Ftype.Subtr -> 2
+  | Ftype.Max -> 3
+  | Ftype.Min -> 4
+  | Ftype.Value | Ftype.Aborted | Ftype.Deleted | Ftype.User _
+  | Ftype.Dep_marker _ ->
+      0
+
+let apply_builtin code arg p =
+  match code with
+  | 1 -> p + arg
+  | 2 -> p - arg
+  | 3 -> if arg > p then arg else p
+  | 4 -> if arg < p then arg else p
+  | _ -> assert false
+
 (* A built-in's result over its own key's previous value [p].  Built-ins
    are total: an absent (or deleted) key counts as 0.  A built-in cannot
    abort, because it reads only its own key and so could never coordinate
@@ -142,14 +161,7 @@ let builtin_result ftype p args =
     | a :: _ -> Value.to_int a
     | [] -> invalid_arg "numeric functor: missing argument"
   in
-  match ftype with
-  | Ftype.Add -> p + arg0
-  | Ftype.Subtr -> p - arg0
-  | Ftype.Max -> if arg0 > p then arg0 else p
-  | Ftype.Min -> if arg0 < p then arg0 else p
-  | Ftype.Value | Ftype.Aborted | Ftype.Deleted | Ftype.User _
-  | Ftype.Dep_marker _ ->
-      assert false
+  apply_builtin (builtin_code ftype) arg0 p
 
 (* ---- Algorithm 1: Get ---------------------------------------------- *)
 
@@ -365,59 +377,62 @@ and compute_key t ~key ~version =
         (fun (ver, record, p) -> ensure_computing t ~chain ~key ~ver record p)
         (List.rev !pending)
 
-(* ---- planner support: prepared node handles -------------------------- *)
+(* ---- planner support: plan nodes ------------------------------------- *)
 
-(* A prepared node binds a still-pending record to its chain once, at plan
-   construction, so plan evaluation can call [ensure_computing] directly —
-   no table probe, no watermark rescan (the O(chain) walk of
-   [compute_key]) per evaluation. *)
-type prepared = {
-  p_key : Key.t;
-  p_version : int;
-  p_chain : Funct.t Mvstore.Chain.t;
-  p_record : Funct.t;
-  p_pending : Funct.pending;
+(* A plan's nodes, as parallel arrays: node [i] is [records.(i)], of key
+   [d = node_key.(i)] ([keys.(d)], its chain [chains.(d)]) at version
+   [node_ver.(i)], still pending with [pendings.(i)] when the plan was
+   built.  Flat arrays of pointers to records the chains hold anyway, so
+   a plan allocates nothing per node. *)
+type nodes = {
+  keys : Key.t array;
+  chains : Funct.t Mvstore.Chain.t array;
+  node_key : int array;
+  node_ver : int array;
+  node_op : int array;
+  records : Funct.t array;
+  pendings : Funct.pending array;
 }
 
-let prepare_in ~chain ~key ~version =
-  match Mvstore.Chain.find_exact chain ~version with
-  | None -> None
-  | Some record -> (
-      match record.Funct.state with
-      | Funct.Final _ -> None
-      | Funct.Pending p ->
-          Some
-            { p_key = key; p_version = version; p_chain = chain;
-              p_record = record; p_pending = p })
+(* A plain built-in's operation as one int, [(arg lsl 3) lor code] with
+   its [builtin_code], so the real runtime's fold reads neither the
+   pending state nor the argument list; 0 for anything else, including
+   an argument too wide to shift. *)
+let plain_op (p : Funct.pending) =
+  match p with
+  | { status = Funct.Installed;
+      farg =
+        { Funct.read_set = []; recipients = []; dependents = [];
+          args = Value.Int arg :: _; _ };
+      ftype; _ }
+    when builtin_code ftype <> 0 && (arg asr 59 = 0 || arg asr 59 = -1) ->
+      (arg lsl 3) lor builtin_code ftype
+  | _ -> 0
 
-let prepare t ~key ~version =
-  match Mvstore.Table.chain t.table key with
-  | None -> None
-  | Some chain -> prepare_in ~chain ~key ~version
-
-let compute_prepared t pr =
+let compute_node t nodes i =
   (* The record may have turned final since the plan was built (an
      on-demand read raced us, or a dependent write resolved it);
      [ensure_computing] re-checks status, so this stays at-most-once. *)
-  match pr.p_record.Funct.state with
+  let record = nodes.records.(i) in
+  match record.Funct.state with
   | Funct.Final _ -> ()
   | Funct.Pending p ->
-      ensure_computing t ~chain:pr.p_chain ~key:pr.p_key ~ver:pr.p_version
-        pr.p_record p
-
-let prepared_key pr = pr.p_key
-let prepared_pending pr = pr.p_pending
-let prepared_is_final pr = Funct.is_final pr.p_record
+      let d = nodes.node_key.(i) in
+      ensure_computing t ~chain:nodes.chains.(d) ~key:nodes.keys.(d)
+        ~ver:nodes.node_ver.(i) record p
 
 let merge_delta t ~key ~version =
-  (* Fold a fast-path pending delta into its chain.  [prepare] returns
-     [None] when the record is absent or already final (an on-demand read
-     or an earlier merge got there first) — at-most-once either way. *)
-  match prepare t ~key ~version with
+  (* Fold a fast-path pending delta into its chain: a no-op when the
+     record is absent or already final (an on-demand read or an earlier
+     merge got there first) — at-most-once either way. *)
+  match Mvstore.Table.chain t.table key with
   | None -> ()
-  | Some pr ->
-      incr t.m_fastpath_merges;
-      compute_prepared t pr
+  | Some chain -> (
+      match Mvstore.Chain.find_exact chain ~version with
+      | Some ({ Funct.state = Funct.Pending p; _ } as record) ->
+          incr t.m_fastpath_merges;
+          ensure_computing t ~chain ~key ~ver:version record p
+      | Some { Funct.state = Funct.Final _; _ } | None -> ())
 
 (* ---- real-runtime parallel evaluation (--runtime real) ---------------- *)
 
@@ -438,19 +453,21 @@ let merge_delta t ~key ~version =
    - [par_stage]   eligibility + claim + read staging, on the orchestrator
                    before the batch, for a node with a read set (the
                    reads walk other keys' chains and push buffers)
-   - [par_eval]    worker domain: the same staging for a node without a
-                   read set (only its own record is touched), then
-                   chain-local work only
+   - [par_eval_run] worker domain, one key run: the same staging for a
+                   node without a read set (only its own record is
+                   touched), then chain-local work only; the run's plain
+                   built-ins as one fold
    - [par_commit]  main domain, after the barrier: deferred effects
 
    A built-in without recipients and dependents allocates nothing on the
-   worker: its operand is read over chain indices and its result is
-   written as the shared small-int state.
+   worker: its operand is the fold's previous result or is read over
+   chain indices, and its result is written as the shared small-int
+   state.
 
    Anything not provably safe (Dep_marker chasing, remote or
    still-pending reads, a missing handler) is never claimed: the
    planner's unchanged simulated dispatch path evaluates it with the
-   full machinery, and [compute_prepared]'s state re-check keeps the
+   full machinery, and [compute_node]'s state re-check keeps the
    whole arrangement at-most-once. *)
 
 type par_user = {
@@ -543,8 +560,8 @@ let stage_reads t (p : Funct.pending) ~version =
   | None -> None
   | Some reads -> Some (reads, !push_hits)
 
-let par_stage t ~now slots i pr =
-  match pr.p_record.Funct.state with
+let par_stage t ~now slots k nodes i =
+  match nodes.records.(i).Funct.state with
   | Funct.Final _ -> () (* raced to final; the dispatch job no-ops *)
   | Funct.Pending p -> (
       match p.Funct.status with
@@ -558,89 +575,166 @@ let par_stage t ~now slots i pr =
               ()
           | Ftype.Add | Ftype.Subtr | Ftype.Max | Ftype.Min ->
               claim ~now p;
-              slots.(i) <- Par_claimed
+              slots.(k) <- Par_claimed
           | Ftype.User name -> (
               match Registry.find t.registry name with
               | None -> () (* the dispatch counts m_missing_handler *)
               | Some handler -> (
-                  match stage_reads t p ~version:pr.p_version with
+                  match stage_reads t p ~version:nodes.node_ver.(i) with
                   | None -> ()
                   | Some (reads, push_hits) ->
                       claim ~now p;
-                      slots.(i) <- Par_staged { handler; reads; push_hits }))))
+                      slots.(k) <- Par_staged { handler; reads; push_hits }))))
 
 (* A claimed built-in.  If the own-key walk finds a pending record, the
    slot stays [Par_claimed] and the record stays pending — the commit
    releases it to the sequential path. *)
-let eval_builtin_slot slots i pr (p : Funct.pending) =
-  let chain = pr.p_chain in
-  match
-    final_int_at chain (Mvstore.Chain.rank chain ~version:(pr.p_version - 1))
-  with
+let eval_builtin_slot slots k ~chain ~ver record (p : Funct.pending) =
+  match final_int_at chain (Mvstore.Chain.rank chain ~version:(ver - 1)) with
   | exception Pending_below -> ()
   | prev -> (
       let result = builtin_result p.ftype prev p.farg.Funct.args in
-      pr.p_record.Funct.state <- Funct.final_int result;
+      record.Funct.state <- Funct.final_int result;
       refresh_watermark chain;
       match p.farg with
-      | { Funct.recipients = []; dependents = []; _ } -> slots.(i) <- Par_plain
-      | _ -> slots.(i) <- Par_done (Registry.Commit (Value.int result), 0))
+      | { Funct.recipients = []; dependents = []; _ } -> slots.(k) <- Par_plain
+      | _ -> slots.(k) <- Par_done (Registry.Commit (Value.int result), 0))
 
 (* A staged user functor, as [eval_builtin_slot]: it reads through its
    read set, so the own-key walk only checks that nothing below it is
    pending.  An exception other than [Not_found] / [Invalid_argument]
    from the handler propagates, leaving the slot [Par_staged]. *)
-let eval_user_slot slots i pr (p : Funct.pending) u =
-  match final_value_le pr.p_chain ~version:(pr.p_version - 1) with
+let eval_user_slot slots k ~chain ~key ~ver record (p : Funct.pending) u =
+  match final_value_le chain ~version:(ver - 1) with
   | exception Pending_below -> ()
   | _prev ->
       let ctx =
-        { Registry.key = Key.name pr.p_key; version = pr.p_version;
-          reads = u.reads; args = p.Funct.farg.Funct.args }
+        { Registry.key = Key.name key; version = ver; reads = u.reads;
+          args = p.Funct.farg.Funct.args }
       in
       let outcome =
         try u.handler ctx with Not_found | Invalid_argument _ -> Registry.Abort
       in
-      pr.p_record.Funct.state <- Funct.final_state (final_of_outcome outcome);
-      refresh_watermark pr.p_chain;
-      slots.(i) <- Par_done (outcome, u.push_hits)
+      record.Funct.state <- Funct.final_state (final_of_outcome outcome);
+      refresh_watermark chain;
+      slots.(k) <- Par_done (outcome, u.push_hits)
 
-let par_eval t ~now slots i pr =
-  let p = pr.p_pending in
-  if p.Funct.farg.Funct.read_set = [] then par_stage t ~now slots i pr;
-  match slots.(i) with
-  | Par_claimed -> eval_builtin_slot slots i pr p
-  | Par_staged u -> eval_user_slot slots i pr p u
+(* Node [i] in slot [k], one at a time: stage a node without a read set
+   (only its own record is touched), then evaluate a claimed one. *)
+let par_eval t ~now slots k nodes i =
+  let record = nodes.records.(i) and p = nodes.pendings.(i) in
+  if p.Funct.farg.Funct.read_set = [] then par_stage t ~now slots k nodes i;
+  let d = nodes.node_key.(i) in
+  let chain = nodes.chains.(d) and ver = nodes.node_ver.(i) in
+  match slots.(k) with
+  | Par_claimed -> eval_builtin_slot slots k ~chain ~ver record p
+  | Par_staged u ->
+      eval_user_slot slots k ~chain ~key:nodes.keys.(d) ~ver record p u
   | Par_free | Par_plain | Par_done _ -> ()
+
+(* Publish a stretch of consecutive chain entries [lo .. hi] the fold
+   finalised ([hi < lo]: none). *)
+let publish_stretch chain ~lo ~hi =
+  if hi >= lo then
+    Mvstore.Chain.advance_watermark_over chain ~lo ~hi ~f:Funct.is_final
+
+(* A key run as one fold (Algorithm 1's functor-computing loop behind the
+   value watermark).  A plain built-in ([node_op] non-zero) still pending
+   is claimed by its slot alone: nothing else touches its record before
+   the commit, which stamps its [retrieved_at_us], so the fold reads
+   neither its pending state nor its arguments.  One whose chain
+   predecessor is the entry the fold finalised last takes that entry's
+   result as its operand, without a chain walk; any other takes
+   [eval_builtin_slot]'s [rank] + [final_int_at] walk, and a pending
+   record below it leaves it claimed for the commit to release.  The
+   watermark advances once per stretch of consecutive entries the fold
+   finalised, not once per node; every other node goes through
+   [par_eval] after the stretch before it is published, so a raising
+   handler finds the watermark where the per-node path would have left
+   it; a raise ends the run with its stretch published.  Locals only, no
+   closure: the loop allocates nothing. *)
+let par_eval_run t ~now slots nodes seg ~pos ~len =
+  let chain = nodes.chains.(nodes.node_key.(seg.(pos))) in
+  (* [lo .. hi]: chain indices of the unpublished stretch; [acc]: entry
+     [hi]'s value *)
+  let lo = ref 0 and hi = ref (-1) and acc = ref 0 in
+  match
+    for k = pos to pos + len - 1 do
+      let i = seg.(k) in
+      let record = nodes.records.(i) and op = nodes.node_op.(i) in
+      match record.Funct.state with
+      | Funct.Pending _ when op <> 0 ->
+          slots.(k) <- Par_claimed;
+          let ver = nodes.node_ver.(i) in
+          let next = !hi + 1 in
+          let idx =
+            if
+              !hi >= !lo
+              && next < Mvstore.Chain.length chain
+              && Mvstore.Chain.version_at chain next = ver
+            then next
+            else begin
+              publish_stretch chain ~lo:!lo ~hi:!hi;
+              hi := -1;
+              let r = Mvstore.Chain.rank chain ~version:(ver - 1) in
+              match final_int_at chain r with
+              | prev ->
+                  acc := prev;
+                  r + 1
+              | exception Pending_below -> -1
+            end
+          in
+          if idx >= 0 then begin
+            let result = apply_builtin (op land 7) (op asr 3) !acc in
+            record.Funct.state <- Funct.final_int result;
+            slots.(k) <- Par_plain;
+            if !hi < !lo then lo := idx;
+            hi := idx;
+            acc := result
+          end
+      | Funct.Pending _ | Funct.Final _ ->
+          publish_stretch chain ~lo:!lo ~hi:!hi;
+          hi := -1;
+          par_eval t ~now slots k nodes i
+    done
+  with
+  | () -> publish_stretch chain ~lo:!lo ~hi:!hi
+  | exception e ->
+      publish_stretch chain ~lo:!lo ~hi:!hi;
+      raise e
 
 (* [finalize] minus the state flip and watermark advance, which the
    worker already did on the record's own chain. *)
-let par_finish t pr (p : Funct.pending) final =
+let par_finish t ~key ~ver (p : Funct.pending) final =
   (match final with
   | Funct.Aborted_v -> incr t.m_aborts_computed
   | Funct.Committed _ | Funct.Deleted_v -> ());
   incr t.m_computed;
-  t.cb.notify_final ~key:pr.p_key ~version:pr.p_version ~pending:p ~final;
+  t.cb.notify_final ~key ~version:ver ~pending:p ~final;
   match p.Funct.waiters with
   | [] -> () (* no closure over [final] to build *)
   | waiters ->
       p.Funct.waiters <- [];
       List.iter (fun w -> w final) waiters
 
-let par_commit t slots i pr =
-  let p = pr.p_pending in
-  let key = pr.p_key and ver = pr.p_version in
-  match (slots.(i), pr.p_record.Funct.state) with
+let par_commit t ~now slots k nodes i =
+  let p = nodes.pendings.(i) in
+  let d = nodes.node_key.(i) in
+  let key = nodes.keys.(d) and ver = nodes.node_ver.(i) in
+  match (slots.(k), nodes.records.(i).Funct.state) with
   | Par_free, _ -> Par_untouched
   | (Par_claimed | Par_staged _), _ ->
       (* Undo the claim; the simulated dispatch job re-runs
-         [ensure_computing] with the full waiting machinery. *)
+         [ensure_computing] with the full waiting machinery.  A claim of
+         the fold is stamped here. *)
       p.Funct.status <- Funct.Installed;
+      if p.retrieved_at_us < 0 then p.retrieved_at_us <- now;
       Par_released
   | (Par_plain | Par_done _), Funct.Pending _ ->
       assert false (* par_eval flipped it *)
   | Par_plain, Funct.Final final ->
-      par_finish t pr p final;
+      if p.retrieved_at_us < 0 then p.retrieved_at_us <- now;
+      par_finish t ~key ~ver p final;
       Par_evaluated
   | Par_done (outcome, push_hits), Funct.Final final ->
       if push_hits > 0 then t.m_push_hits := !(t.m_push_hits) + push_hits;
@@ -649,7 +743,7 @@ let par_commit t slots i pr =
       | recipients ->
           (* Every record below [ver] was final when the worker read it and
              stays final, so this re-read sees the same value. *)
-          let prev = final_value_le pr.p_chain ~version:(ver - 1) in
+          let prev = final_value_le nodes.chains.(d) ~version:(ver - 1) in
           List.iter
             (fun dst_key ->
               incr t.m_pushes_sent;
@@ -658,7 +752,7 @@ let par_commit t slots i pr =
       List.iter
         (fun (dk, dfinal) -> t.cb.send_dep_write ~key:dk ~version:ver dfinal)
         (dep_writes_for p outcome);
-      par_finish t pr p final;
+      par_finish t ~key ~ver p final;
       Par_evaluated
 
 (* ---- deliveries from the network ------------------------------------ *)

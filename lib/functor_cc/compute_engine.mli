@@ -77,31 +77,35 @@ val compute_key : t -> key:Mvstore.Key.t -> version:int -> unit
 
 (** {2 Planner support}
 
-    A {!prepared} handle binds a still-pending record to its chain once,
-    at plan-construction time, so the planner can evaluate it later with
-    zero table probes and no watermark rescan.  Handles are only valid
-    for the engine instance that produced them. *)
+    A plan names each still-pending record it will evaluate by index, in
+    parallel arrays the planner fills at plan-construction time, so
+    evaluation needs zero table probes and no watermark rescan, and the
+    plan allocates nothing per node.  A plan is only valid for the engine
+    instance whose table holds its records. *)
 
-type prepared
+type nodes = {
+  keys : Mvstore.Key.t array;  (** by dense key index [d] *)
+  chains : Funct.t Mvstore.Chain.t array;  (** [keys.(d)]'s chain *)
+  node_key : int array;  (** node [i]'s dense key index *)
+  node_ver : int array;  (** node [i]'s version *)
+  node_op : int array;
+      (** node [i]'s {!plain_op} under the real runtime; may be empty
+          otherwise *)
+  records : Funct.t array;  (** node [i]'s record, in its chain *)
+  pendings : Funct.pending array;
+      (** node [i]'s pending state when the plan was built *)
+}
 
-val prepare_in :
-  chain:Funct.t Mvstore.Chain.t -> key:Mvstore.Key.t -> version:int ->
-  prepared option
-(** [None] when the (key, version) record is absent or already final.
-    The key's chain is passed in, so bulk callers (the planner) probe the
-    table once per distinct key, not once per item.  [chain] must be
-    [key]'s chain in the owning engine's table. *)
+val plain_op : Funct.pending -> int
+(** Non-zero for a plain built-in the real runtime may fold: an installed
+    ADD/SUBTR/MAX/MIN without read set, recipients or dependents whose
+    first argument is an int (of up to 60 bits); the built-in and its
+    argument, packed in one int. *)
 
-val compute_prepared : t -> prepared -> unit
-(** Evaluate a prepared node via [ensure_computing].  Idempotent: if the
-    record turned final (or started computing) since the plan was built,
-    this is a no-op — at-most-once is preserved either way. *)
-
-val prepared_key : prepared -> Mvstore.Key.t
-val prepared_pending : prepared -> Funct.pending
-
-val prepared_is_final : prepared -> bool
-(** Whether the node's record has turned final since it was prepared. *)
+val compute_node : t -> nodes -> int -> unit
+(** Evaluate node [i] via [ensure_computing].  Idempotent: if the record
+    turned final (or started computing) since the plan was built, this is
+    a no-op — at-most-once is preserved either way. *)
 
 val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
 (** Fold a coordination-free fast-path delta (a commutative built-in
@@ -119,7 +123,8 @@ val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
     level's runs have distinct keys and only read other keys' values
     finalised by earlier levels, so the worker side touches nothing but
     its own run's chain.  A plan keeps one {!par_slot} per node, indexed
-    like its nodes: the claim, then the outcome.  Every cross-cutting
+    by the node's position in the plan's key order, so a run's slots are
+    contiguous: the claim, then the outcome.  Every cross-cutting
     effect (pushes, dependent writes, waiters, metrics, interning) waits
     in the slot for {!par_commit} on the orchestrating domain after the
     batch barrier.  Items the stager rejects — or whose evaluation could
@@ -131,35 +136,46 @@ type par_slot
 val par_slots : int -> par_slot array
 (** [par_slots n]: [n] unclaimed slots, one per plan node. *)
 
-val par_stage : t -> now:int -> par_slot array -> int -> prepared -> unit
-(** [par_stage t ~now slots i node] claims and stages plan node [i]: it
-    leaves slot [i] unclaimed when the item must take the sequential path
-    (already final/computing, Dep_marker, missing handler, remote or
-    still-pending reads).  A claim moves the record [Installed] →
+val par_stage : t -> now:int -> par_slot array -> int -> nodes -> int -> unit
+(** [par_stage t ~now slots k nodes i] claims and stages node [i] in slot
+    [k]: it leaves the slot unclaimed when the item must take the
+    sequential path (already final/computing, Dep_marker, missing handler,
+    remote or still-pending reads).  A claim moves the record [Installed] →
     [Computing] and stamps [retrieved_at_us] with [now] if unset.  A node
     with a read set walks other keys' chains, so the orchestrating domain
     stages it, while workers are idle, before its level's batch. *)
 
-val par_eval : t -> now:int -> par_slot array -> int -> prepared -> unit
-(** Worker domain.  Stages a node without a read set (as {!par_stage},
-    touching only its own record), then, if slot [i] is claimed, does
-    chain-local work only: resolve own-key prev over final records,
-    evaluate, flip the record final, advance the watermark, and record
-    the outcome in the slot.  The claim is in the slot before evaluation
-    starts.  If the own-key walk finds a pending record the slot stays
-    claimed and the record pending; an exception other than [Not_found] /
-    [Invalid_argument] from a user handler propagates with the same
-    effect.  A built-in with no recipients and no dependents allocates
-    nothing. *)
+val par_eval_run :
+  t -> now:int -> par_slot array -> nodes -> int array -> pos:int -> len:int ->
+  unit
+(** Worker domain: evaluate one key run, the plan nodes
+    [seg.(pos) .. seg.(pos + len - 1)] (one key's, version-ascending), in
+    order, node [seg.(k)] in slot [k].  Each node without a read set is
+    staged here (as {!par_stage}, touching only its own record); a
+    claimed node then gets chain-local work only: resolve own-key prev
+    over final records, evaluate, flip the record final, and record the
+    outcome in its slot.  The claim is in the slot before evaluation
+    starts.  The run's plain built-ins (non-zero [node_op]) are one fold,
+    which touches only their records: each is claimed by its slot alone
+    ({!par_commit} stamps it); a node whose chain predecessor the fold
+    just finalised takes that result as its operand; and the watermark
+    advances once per stretch of consecutive entries so finalised
+    ({!Mvstore.Chain.advance_watermark_over}).  If the own-key walk finds
+    a pending record the slot stays claimed and the record pending; an
+    exception other than [Not_found] / [Invalid_argument] from a user
+    handler propagates with the same effect and ends the run.  Plain
+    built-ins allocate nothing. *)
 
 type par_result =
   | Par_untouched  (** never claimed *)
   | Par_evaluated  (** evaluated on a worker; effects applied *)
   | Par_released  (** claimed but not evaluated; claim released *)
 
-val par_commit : t -> par_slot array -> int -> prepared -> par_result
-(** Main domain, after the batch barrier.  Applies slot [i]'s deferred
-    effects; or, for a claim left unevaluated, releases it ([Computing] →
+val par_commit :
+  t -> now:int -> par_slot array -> int -> nodes -> int -> par_result
+(** [par_commit t ~now slots k nodes i], main domain, after the batch
+    barrier.  Applies slot [k]'s deferred effects for node [i], stamping
+    an unset [retrieved_at_us] of a claimed record with [now]; or, for a claim left unevaluated, releases it ([Computing] →
     [Installed]) so the sequential dispatch re-evaluates it.  A built-in
     with no recipients and no dependents has no deferred effect beyond
     counting, [notify_final] and its record's waiters, and its commit

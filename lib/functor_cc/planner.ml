@@ -49,9 +49,6 @@ let create ~engine ~pool ?real ~dispatch_cost_us ~metrics
     m_real_fallback = c "plan.real_fallback";
     metrics }
 
-let read_set node =
-  (Compute_engine.prepared_pending node).Funct.farg.Funct.read_set
-
 (* Read→write edges as a CSR: the readers of node [u] are
    [adj.(off.(u)) .. adj.(off.(u + 1) - 1)]; both arrays are empty when the
    plan has no read edge. *)
@@ -113,88 +110,99 @@ let topo_levels ~next ~r_off ~r_adj ~indeg =
   assert (!tail = n);
   (depth, level)
 
-(* A level's key runs: one key's version-ascending plan nodes at one
-   level, from a head along [next].  Levels never decrease along a key
-   (intra-key edges weigh 0), so every key's chain of [next] links splits
-   into maximal same-level runs.  Level [l]'s runs are
-   [head.(off.(l)) .. head.(off.(l + 1) - 1)] with their lengths in [len],
+(* A plan's key runs, level by level: one key's version-ascending plan
+   nodes at one level, a contiguous piece of the key's writer segment
+   ([seg.(pos) .. seg.(pos + len - 1)]).  Levels never decrease along a
+   key (intra-key edges weigh 0), so every segment splits into maximal
+   same-level runs; a plan without read edges is all level 0, and each
+   of its segments is one run.  Level [l]'s runs are
+   [pos.(off.(l)) .. pos.(off.(l + 1) - 1)], with their lengths in [len],
    ordered by their head's plan index, so the commit order depends on the
    plan alone. *)
-type runs = { off : int array; head : int array; len : int array }
+type runs = { off : int array; pos : int array; len : int array }
+
+(* Node [i]'s level; an empty [level] array is a plan all at level 0. *)
+let level_of level i = if Array.length level = 0 then 0 else level.(i)
 
 (* A stable counting sort of plan nodes [xs] (ascending) by level:
    level [l]'s are [a.(off.(l)) .. a.(off.(l + 1) - 1)], in plan order. *)
 let by_level ~level ~levels xs =
   let off = Array.make (levels + 1) 0 in
-  Array.iter (fun i -> off.(level.(i) + 1) <- off.(level.(i) + 1) + 1) xs;
+  Array.iter
+    (fun i ->
+      let l = level_of level i in
+      off.(l + 1) <- off.(l + 1) + 1)
+    xs;
   for l = 1 to levels do
     off.(l) <- off.(l) + off.(l - 1)
   done;
   let a = Array.make (Array.length xs) 0 and fill = Array.sub off 0 levels in
   Array.iter
     (fun i ->
-      let l = level.(i) in
+      let l = level_of level i in
       a.(fill.(l)) <- i;
       fill.(l) <- fill.(l) + 1)
     xs;
   (off, a)
 
-let runs_by_level ~next ~level ~levels =
-  let n = Array.length next in
-  let same_level i = next.(i) >= 0 && level.(next.(i)) = level.(i) in
-  let is_head = Array.make n true and n_heads = ref n in
-  for i = 0 to n - 1 do
-    if same_level i then begin
-      is_head.(next.(i)) <- false;
-      decr n_heads
-    end
+(* Split every key's segment [seg.(start.(d)) .. seg.(start.(d + 1) - 1)]
+   into its maximal same-level runs (a plan all at level 0: the whole
+   segment, without a pass over its nodes), then order them by level and
+   head plan index. *)
+let key_runs ~start ~seg ~level ~levels =
+  let runs = ref [] in
+  for d = 0 to Array.length start - 2 do
+    let k = ref start.(d) in
+    while !k < start.(d + 1) do
+      let l = level_of level seg.(!k) in
+      let e = ref start.(d + 1) in
+      if Array.length level > 0 then begin
+        e := !k + 1;
+        while !e < start.(d + 1) && level.(seg.(!e)) = l do
+          incr e
+        done
+      end;
+      runs := (l, !k, !e - !k) :: !runs;
+      k := !e
+    done
   done;
-  let heads = Array.make !n_heads 0 and k = ref 0 in
-  for i = 0 to n - 1 do
-    if is_head.(i) then begin
-      heads.(!k) <- i;
-      incr k
-    end
+  let a = Array.of_list !runs in
+  Array.sort
+    (fun (l1, p1, _) (l2, p2, _) ->
+      if l1 <> l2 then Int.compare l1 l2 else Int.compare seg.(p1) seg.(p2))
+    a;
+  let off = Array.make (levels + 1) 0 in
+  Array.iter (fun (l, _, _) -> off.(l + 1) <- off.(l + 1) + 1) a;
+  for l = 1 to levels do
+    off.(l) <- off.(l) + off.(l - 1)
   done;
-  let off, head = by_level ~level ~levels heads in
-  let len =
-    Array.map
-      (fun h ->
-        let j = ref h and m = ref 1 in
-        while same_level !j do
-          j := next.(!j);
-          incr m
-        done;
-        !m)
-      head
-  in
-  { off; head; len }
-
-(* One run on one worker.  [par_eval] writes each node's claim to its
-   slot before evaluating it, so if a handler raises, the commit still
-   sees every claimed record and releases it, and the run's later nodes
-   stay unclaimed. *)
-let eval_run engine ~now ~slots ~nodes ~next head len () =
-  let i = ref head in
-  for _ = 1 to len do
-    Compute_engine.par_eval engine ~now slots !i nodes.(!i);
-    i := next.(!i)
-  done
+  { off; pos = Array.map (fun (_, p, _) -> p) a;
+    len = Array.map (fun (_, _, m) -> m) a }
 
 (* Real runtime: evaluate the plan eagerly, level by level, one pool
-   batch per level and one task per key run.  Only the plan's readers
-   (nodes with a read set, [readers] in descending plan order) are
-   staged here, before their level's batch.  [run_batch] is the level
-   barrier; [par_commit] then applies every cross-cutting effect back on
-   this domain, level by level and run by run in plan order, so commit
-   order does not depend on the domain count. *)
-let eval_levels t rpool ~now ~nodes ~next ~level ~readers =
-  let levels = Array.fold_left max 0 level + 1 in
-  let runs = runs_by_level ~next ~level ~levels in
-  let rd_off, readers =
-    by_level ~level ~levels (Array.of_list (List.rev readers))
+   batch per level and one task per key run, each a
+   {!Compute_engine.par_eval_run}.  Only the plan's readers (nodes with a
+   read set, [readers] in ascending plan order) are staged here, before
+   their level's batch.  [run_batch] is the level barrier; [par_commit]
+   then applies every cross-cutting effect back on this domain, level by
+   level and run by run in plan order, so commit order does not depend on
+   the domain count.  Returns how many nodes the domains evaluated. *)
+let eval_levels t rpool ~now ~nodes ~seg ~runs ~level ~readers =
+  let levels = Array.length runs.off - 1 in
+  let rd_off, readers = by_level ~level ~levels readers in
+  let n = Array.length seg in
+  (* Slot [k] is node [seg.(k)]'s, so a run's slots are contiguous and
+     two domains never write one cache line but at a run's edge. *)
+  let slots = Compute_engine.par_slots n in
+  let slot_of =
+    if Array.length readers = 0 then [||]
+    else begin
+      let a = Array.make n 0 in
+      Array.iteri (fun k i -> a.(i) <- k) seg;
+      a
+    end
   in
-  let slots = Compute_engine.par_slots (Array.length next) in
+  let evaluated = ref 0 in
   for l = 0 to levels - 1 do
     let r0 = runs.off.(l) and r1 = runs.off.(l + 1) in
     let size = ref 0 in
@@ -206,7 +214,7 @@ let eval_levels t rpool ~now ~nodes ~next ~level ~readers =
     incr t.m_real_strata;
     for k = rd_off.(l) to rd_off.(l + 1) - 1 do
       let i = readers.(k) in
-      Compute_engine.par_stage t.engine ~now slots i nodes.(i)
+      Compute_engine.par_stage t.engine ~now slots slot_of.(i) nodes i
     done;
     let before =
       match t.on_stratum_done with
@@ -214,9 +222,9 @@ let eval_levels t rpool ~now ~nodes ~next ~level ~readers =
       | None -> [||]
     in
     Runtime.Pool.run_batch rpool
-      (Array.init (r1 - r0) (fun r ->
-           eval_run t.engine ~now ~slots ~nodes ~next runs.head.(r0 + r)
-             runs.len.(r0 + r)));
+      (Array.init (r1 - r0) (fun r () ->
+           Compute_engine.par_eval_run t.engine ~now slots nodes seg
+             ~pos:runs.pos.(r0 + r) ~len:runs.len.(r0 + r)));
     (match t.on_stratum_done with
     | Some f ->
         let after = Runtime.Pool.worker_stats rpool in
@@ -229,18 +237,20 @@ let eval_levels t rpool ~now ~nodes ~next ~level ~readers =
                after)
     | None -> ());
     for r = r0 to r1 - 1 do
-      let i = ref runs.head.(r) in
-      for _ = 1 to runs.len.(r) do
-        (match Compute_engine.par_commit t.engine slots !i nodes.(!i) with
+      for k = runs.pos.(r) to runs.pos.(r) + runs.len.(r) - 1 do
+        match
+          Compute_engine.par_commit t.engine ~now slots k nodes seg.(k)
+        with
         | Compute_engine.Par_untouched -> ()
-        | Compute_engine.Par_evaluated -> incr t.m_real_evaluated
-        | Compute_engine.Par_released -> incr t.m_real_fallback);
-        i := next.(!i)
+        | Compute_engine.Par_evaluated -> incr evaluated
+        | Compute_engine.Par_released -> incr t.m_real_fallback
       done
     done
-  done
+  done;
+  t.m_real_evaluated := !(t.m_real_evaluated) + !evaluated;
+  !evaluated
 
-(* Key id -> the plan's dense index of that key. *)
+(* Key id -> the plan's record of that key. *)
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -248,12 +258,22 @@ module Int_tbl = Hashtbl.Make (struct
   let hash k = k land max_int
 end)
 
+(* A key of the plan: its dense index, its chain (empty when the table
+   has none), and the chain index of its latest item found, where the
+   next item of the key, usually the next version, is looked for first. *)
+type plan_key = {
+  d : int;
+  chain : Funct.t Mvstore.Chain.t;
+  mutable cursor : int;
+}
+
 (* Plan completion: one shared waiter on every node still pending once the
    real runtime's level batches are done (every node, under the simulated
    runtime), host-side only, so the evaluation histogram costs the
-   simulation nothing.  A plan with nothing left pending completes now.
+   simulation nothing.  A plan with nothing left pending completes now;
+   [all_final] (the domains evaluated every node) skips the scan.
    Returns whether any node is left pending. *)
-let track_completion t ~sim_t0 ~nodes ~n =
+let track_completion t ~sim_t0 ~(nodes : Compute_engine.nodes) ~n ~all_final =
   let finish () =
     let elapsed_us = t.now () - sim_t0 in
     Sim.Metrics.record_latency t.metrics "plan.evaluate_us" elapsed_us;
@@ -264,61 +284,96 @@ let track_completion t ~sim_t0 ~nodes ~n =
     decr remaining;
     if !remaining = 0 then finish ()
   in
-  for i = 0 to n - 1 do
-    if not (Compute_engine.prepared_is_final nodes.(i)) then begin
-      incr remaining;
-      Funct.add_waiter (Compute_engine.prepared_pending nodes.(i)) on_final
-    end
-  done;
+  if not all_final then
+    for i = 0 to n - 1 do
+      if not (Funct.is_final nodes.records.(i)) then begin
+        incr remaining;
+        Funct.add_waiter nodes.pendings.(i) on_final
+      end
+    done;
   if !remaining = 0 then finish ();
   !remaining > 0
 
 let run t ~items =
-  let build_t0 = Sys.time () in
+  let build_t0 = Obs.Ledger.wall_us () in
   let sim_t0 = t.now () in
-  let items_a = Array.of_list items in
-  let n_items = Array.length items_a in
-  (* 1. Prepare: bind each still-pending item to its chain + record, as
-     plan node [n] in item order.  Already-final items (blind VALUE/DELETE
-     writes, raced computations) carry no node ([item_node] -1) but still
-     get a dispatch job below, so the simulator sees one job per buffered
-     item.  Every distinct key gets a dense index [d] on first sight — one
-     int-keyed probe per item — and its chain is looked up once, there. *)
+  let n_items = List.length items in
+  (* 1. Prepare: bind each still-pending item to its record, as plan node
+     [n] in item order.  Already-final items (blind VALUE/DELETE writes,
+     raced computations) carry no node ([item_node] -1) but still get a
+     dispatch job below, so the simulator sees one job per buffered item.
+     Every distinct key gets a dense index [d] on first sight — one
+     int-keyed probe per item — and its chain is looked up once, there.
+     Installs arrive mostly in version order, so an item's record is
+     usually the chain entry after its key's previous item's, and the
+     chain is searched only when it is not. *)
   let table = Compute_engine.table t.engine in
   let key_index = Int_tbl.create 64 in
-  let chains = Array.make n_items None and n_keys = ref 0 in
-  let dense_key key =
+  let seen = ref [] and n_keys = ref 0 in
+  let plan_key key =
     let kid = Key.id key in
     match Int_tbl.find key_index kid with
-    | d -> d
+    | k -> k
     | exception Not_found ->
-        let d = !n_keys in
-        chains.(d) <- Mvstore.Table.chain table key;
-        Int_tbl.add key_index kid d;
+        let chain =
+          match Mvstore.Table.chain table key with
+          | Some chain -> chain
+          | None -> Mvstore.Chain.create ()
+        in
+        let k = { d = !n_keys; chain; cursor = -1 } in
+        seen := (key, chain) :: !seen;
+        Int_tbl.add key_index kid k;
         incr n_keys;
-        d
+        k
   in
   let item_node = Array.make n_items (-1) in
   let node_key = Array.make n_items 0 and node_ver = Array.make n_items 0 in
-  (* [nodes.(0 .. n - 1)]; allocated at the first node, [n_items] long *)
-  let nodes = ref [||] and n = ref 0 in
-  Array.iteri
+  let node_op = if Option.is_some t.real then Array.make n_items 0 else [||] in
+  (* [records] and [pendings] are allocated at the first node, [n_items]
+     long *)
+  let records = ref [||] and pendings = ref [||] in
+  let n = ref 0 and readers = ref [] in
+  List.iteri
     (fun i { Processor.key; version } ->
-      let d = dense_key key in
-      match chains.(d) with
-      | None -> ()
-      | Some chain -> (
-          match Compute_engine.prepare_in ~chain ~key ~version with
-          | None -> ()
-          | Some node ->
-              if !n = 0 then nodes := Array.make n_items node;
-              !nodes.(!n) <- node;
-              item_node.(i) <- !n;
-              node_key.(!n) <- d;
-              node_ver.(!n) <- version;
-              incr n))
-    items_a;
-  let nodes = !nodes and n = !n and n_keys = !n_keys in
+      let k = plan_key key in
+      let chain = k.chain in
+      let c = k.cursor + 1 in
+      let j =
+        if c < Mvstore.Chain.length chain && Mvstore.Chain.version_at chain c = version
+        then c
+        else Mvstore.Chain.rank chain ~version
+      in
+      if j >= 0 && Mvstore.Chain.version_at chain j = version then begin
+        k.cursor <- j;
+        let record = Mvstore.Chain.payload_at chain j in
+        match record.Funct.state with
+        | Funct.Final _ -> ()
+        | Funct.Pending p ->
+            let m = !n in
+            if m = 0 then begin
+              records := Array.make n_items record;
+              pendings := Array.make n_items p
+            end;
+            !records.(m) <- record;
+            !pendings.(m) <- p;
+            node_key.(m) <- k.d;
+            node_ver.(m) <- version;
+            if Array.length node_op > 0 then
+              node_op.(m) <- Compute_engine.plain_op p;
+            if p.farg.Funct.read_set <> [] then readers := m :: !readers;
+            item_node.(i) <- m;
+            n := m + 1
+      end)
+    items;
+  let n = !n and n_keys = !n_keys in
+  let readers = Array.of_list (List.rev !readers) in
+  let seen = Array.of_list (List.rev !seen) in
+  let keys = Array.map fst seen and chains = Array.map snd seen in
+  let records = !records and pendings = !pendings in
+  let nodes =
+    { Compute_engine.keys; chains; node_key; node_ver; node_op; records;
+      pendings }
+  in
   (* 2. Writer segments: a counting sort of the node indices by key.  Key
      [d]'s nodes are [seg.(start.(d)) .. seg.(start.(d + 1) - 1)], placed
      in plan order; installs arrive mostly in version order, so a segment
@@ -361,69 +416,76 @@ let run t ~items =
     done;
     !ans
   in
-  let next = Array.make n (-1) and indeg = Array.make n 0 in
-  let edges = ref 0 in
-  let subs = ref 0 in
   (* 3a. Intra-key edges: each functor depends on the plan's next-lower
      version of its own key — exactly the previous element of its
      segment, so no lookup is needed.  Built-ins really do read own-key
      at version - 1; for user functors the edge is conservative (the
      watermark publishes in version order even though their records may
      finalise out of it).  They weigh no level: a key's run is evaluated
-     in version order on one worker. *)
+     in version order on one worker.  A segment of [m] nodes holds
+     [m - 1] of them. *)
+  let edges = ref 0 and longest = ref 0 in
   for d = 0 to n_keys - 1 do
-    for k = start.(d) + 1 to start.(d + 1) - 1 do
-      next.(seg.(k - 1)) <- seg.(k);
-      indeg.(seg.(k)) <- indeg.(seg.(k)) + 1;
-      incr edges
-    done
+    let m = start.(d + 1) - start.(d) in
+    if m > 0 then edges := !edges + m - 1;
+    if m > !longest then longest := m
   done;
+  let subs = ref 0 in
   (* 3b. Read→write edges for explicit read sets, own key included.  They
      weigh one level: the reader is staged on the orchestrator, which
      needs its producers final before the reader's batch starts.  The
      real runtime stages exactly the nodes collected in [readers]. *)
-  let read_edges = ref [] and readers = ref [] in
-  for i = 0 to n - 1 do
-    match read_set nodes.(i) with
-    | [] -> ()
-    | read_set ->
-        if Option.is_some t.real then readers := i :: !readers;
-        let p = Compute_engine.prepared_pending nodes.(i) in
-        let key = Compute_engine.prepared_key nodes.(i) in
-        let ver = node_ver.(i) in
-        let pushed = p.Funct.farg.Funct.pushed_reads in
-        List.iter
-          (fun rk ->
-            if t.is_local rk then begin
-              match Int_tbl.find key_index (Key.id rk) with
-              | exception Not_found -> ()
-              | d ->
-                  let j = producer_le d ~bound:(ver - 1) in
-                  if j >= 0 then begin
-                    read_edges := (j, i) :: !read_edges;
-                    indeg.(i) <- indeg.(i) + 1;
-                    incr edges
-                  end
-            end
-            else
-              match t.send_plan_sub with
-              | Some send when not (List.exists (Key.equal rk) pushed) ->
-                  (* Cross-partition read: subscribe to the owner's value
-                     at the bound version; the reply rides the §IV-B push
-                     path. *)
-                  incr subs;
-                  send ~key:rk ~version:(ver - 1) ~dst_key:key
-                    ~dst_version:ver
-              | Some _ | None -> ())
-          read_set
-  done;
-  let r_off, r_adj = csr ~n !read_edges in
-  let depth, level = topo_levels ~next ~r_off ~r_adj ~indeg in
-  let strata = Array.fold_left max 0 depth in
-  let critical_path = if strata = 0 then 0 else strata - 1 in
-  let build_us =
-    int_of_float (Float.max 0. ((Sys.time () -. build_t0) *. 1e6))
+  let read_edges = ref [] in
+  Array.iter
+    (fun i ->
+      let p = pendings.(i) in
+      let key = keys.(node_key.(i)) in
+      let ver = node_ver.(i) in
+      let pushed = p.Funct.farg.Funct.pushed_reads in
+      List.iter
+        (fun rk ->
+          if t.is_local rk then begin
+            match Int_tbl.find key_index (Key.id rk) with
+            | exception Not_found -> ()
+            | { d; _ } ->
+                let j = producer_le d ~bound:(ver - 1) in
+                if j >= 0 then begin
+                  read_edges := (j, i) :: !read_edges;
+                  incr edges
+                end
+          end
+          else
+            match t.send_plan_sub with
+            | Some send when not (List.exists (Key.equal rk) pushed) ->
+                (* Cross-partition read: subscribe to the owner's value at
+                   the bound version; the reply rides the §IV-B push
+                   path. *)
+                incr subs;
+                send ~key:rk ~version:(ver - 1) ~dst_key:key ~dst_version:ver
+            | Some _ | None -> ())
+        p.farg.Funct.read_set)
+    readers;
+  (* Without read edges every node is level 0 and its depth is its
+     position in its segment plus one, so the strata are the longest
+     segment; otherwise one topological pass gives both. *)
+  let level, strata =
+    match !read_edges with
+    | [] -> ([||], !longest)
+    | read_edges ->
+        let next = Array.make n (-1) and indeg = Array.make n 0 in
+        for d = 0 to n_keys - 1 do
+          for k = start.(d) + 1 to start.(d + 1) - 1 do
+            next.(seg.(k - 1)) <- seg.(k);
+            indeg.(seg.(k)) <- indeg.(seg.(k)) + 1
+          done
+        done;
+        List.iter (fun (_, i) -> indeg.(i) <- indeg.(i) + 1) read_edges;
+        let r_off, r_adj = csr ~n read_edges in
+        let depth, level = topo_levels ~next ~r_off ~r_adj ~indeg in
+        (level, Array.fold_left max 0 depth)
   in
+  let critical_path = if strata = 0 then 0 else strata - 1 in
+  let build_us = max 0 (Obs.Ledger.wall_us () - build_t0) in
   let stats =
     { nodes = n; edges = !edges; strata; critical_path; subs_sent = !subs }
   in
@@ -441,11 +503,16 @@ let run t ~items =
        runs with the same jobs (keeping the simulated timeline that of
        `--runtime sim`): evaluated records no-op, while items the stager
        rejected are computed there with the full machinery. *)
-    (match t.real with
-    | Some rpool ->
-        eval_levels t rpool ~now:sim_t0 ~nodes ~next ~level ~readers:!readers
-    | None -> ());
-    pending_left := track_completion t ~sim_t0 ~nodes ~n
+    let all_final =
+      match t.real with
+      | Some rpool ->
+          let levels = Array.fold_left max 0 level + 1 in
+          let runs = key_runs ~start ~seg ~level ~levels in
+          eval_levels t rpool ~now:sim_t0 ~nodes ~seg ~runs ~level ~readers
+          = n
+      | None -> false
+    in
+    pending_left := track_completion t ~sim_t0 ~nodes ~n ~all_final
   end;
   (* 4. Dispatch one job per *item* in install order, [dispatch_cost_us]
      each, as one worker-pool run, so the simulated job sequence does not
@@ -455,25 +522,32 @@ let run t ~items =
      (no callback; one completion per worker lane on an idle pool).
      Otherwise the run releases each node as its job fires: jobs of one
      run complete in index order and node indices follow item order, so
-     a fired node's slot (and every unused slot past [n]) can point at
-     the plan's last node, whose own job drops the array. *)
+     a fired node's entries (and every unused one past [n]) can point at
+     the plan's last node, whose own job drops the arrays. *)
   (match t.on_dispatch with
   | Some f ->
-      Array.iter (fun { Processor.key; version } -> f ~key ~version) items_a
+      List.iter (fun { Processor.key; version } -> f ~key ~version) items
   | None -> ());
   if Option.is_some t.real && not !pending_left then
     Sim.Worker_pool.submit_silent t.pool ~cost:t.dispatch_cost_us
       ~count:n_items
   else begin
-    let live = ref nodes in
-    if n > 0 then Array.fill nodes n (Array.length nodes - n) nodes.(n - 1);
+    let live = ref (Some nodes) in
+    if n > 0 then begin
+      Array.fill records n (n_items - n) records.(n - 1);
+      Array.fill pendings n (n_items - n) pendings.(n - 1)
+    end;
     let job i =
       let j = item_node.(i) in
-      if j >= 0 then begin
-        let node = !live.(j) in
-        if j = n - 1 then live := [||] else !live.(j) <- !live.(n - 1);
-        Compute_engine.compute_prepared t.engine node
-      end
+      match !live with
+      | Some nodes when j >= 0 ->
+          Compute_engine.compute_node t.engine nodes j;
+          if j = n - 1 then live := None
+          else begin
+            records.(j) <- records.(n - 1);
+            pendings.(j) <- pendings.(n - 1)
+          end
+      | Some _ | None -> ()
     in
     Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
       job

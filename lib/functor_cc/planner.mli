@@ -2,8 +2,9 @@
     paper's asynchronous processor pool (§IV-D).
 
     At epoch close the planner takes the epoch's buffered (key, version)
-    items, binds each still-pending record to a {!Compute_engine.prepared}
-    handle, and builds a dependency graph over the plan:
+    items, binds each still-pending record to a plan node (an index into
+    the {!Compute_engine.nodes} arrays), and builds a dependency graph
+    over the plan:
 
     - {e intra-key edges}: a functor depends on the plan's next-lower
       version of its own key (built-ins implicitly read their own key at
@@ -21,10 +22,12 @@
     every node a {e depth} (its Kahn stratum: the strata count and
     critical-path length are statistics) and, under the real runtime, a
     {e level}, the longest path with intra-key edges weighing 0 and
-    read→write edges 1.  The planner then dispatches one worker-pool job
-    per item {e in the original install order}, all as one
+    read→write edges 1.  A plan without read→write edges needs no pass:
+    every node is level 0 and its depth is its place in its key's
+    version order.  The planner then dispatches one worker-pool job per
+    item {e in the original install order}, all as one
     {!Sim.Worker_pool.submit_run}, each job evaluating its node directly
-    through {!Compute_engine.compute_prepared}: no table probe and no
+    through {!Compute_engine.compute_node}: no table probe and no
     watermark-to-version chain rescan per evaluation.  The run holds a
     node only until the node's job fires.
 
@@ -79,16 +82,19 @@ val create :
     [real] switches on the [--runtime real] backend: the plan is
     evaluated eagerly, one {!Runtime.Pool.run_batch} per level, before the
     simulated dispatch runs.  Each task of a batch is one key's
-    version-ascending run of nodes at that level, evaluated in order on
-    one worker, so an epoch of built-ins alone is a single batch.  The
-    plan keeps its evaluation state flat: one {!Compute_engine.par_slot}
-    per node (claim, then outcome) and each level's runs as (head,
-    length) int arrays.  User functors with read sets (the readers the
-    graph build collects) are staged on the calling domain before their
-    level's batch; a level without readers stages nothing.  The calling
+    version-ascending run of nodes at that level, a piece of the key's
+    segment in the plan's counting sort by key, evaluated in order on one
+    worker, so an epoch of built-ins alone is a single batch whose runs
+    are the key segments ({!Compute_engine.par_eval_run} folds each).  The
+    plan keeps its nodes and evaluation state flat: parallel arrays of
+    records and versions ({!Compute_engine.nodes}) and one
+    {!Compute_engine.par_slot} per node in key order (claim, then
+    outcome).  User functors with read sets (the readers the plan build
+    collects) are staged on the calling domain before their level's
+    batch; a level without readers stages nothing.  The calling
     domain commits level by level, runs in plan order, so commit order
     does not depend on the domain count.  Evaluated records then no-op
-    through {!Compute_engine.compute_prepared}; when no node is left
+    through {!Compute_engine.compute_node}; when no node is left
     pending, the dispatch is a {!Sim.Worker_pool.submit_silent} run of
     the same count and cost, one completion per worker lane on an idle
     pool instead of one event per item.  [on_stratum] observes each

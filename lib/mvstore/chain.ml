@@ -138,6 +138,21 @@ let advance_watermark_while t ~f =
     else stop := true
   done
 
+let advance_watermark_over t ~lo ~hi ~f =
+  if lo < 0 || lo > hi || hi >= t.size then
+    invalid_arg "Chain.advance_watermark_over";
+  let w = if wm_idx_valid t then t.wm_idx else rank_le t t.watermark in
+  let i = ref (w + 1) in
+  while !i < lo && f t.payloads.(!i) do
+    incr i
+  done;
+  let top = if !i >= lo then hi else !i - 1 in
+  if top > w then begin
+    t.watermark <- t.vers.(top);
+    t.wm_idx <- top
+  end;
+  if !i >= lo then advance_watermark_while t ~f
+
 let iter_range t ~lo ~hi f =
   let start = rank_le t (lo - 1) + 1 in
   let rec go i =

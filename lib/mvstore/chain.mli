@@ -65,6 +65,17 @@ val advance_watermark_while : 'a t -> f:('a -> bool) -> unit
     walk, the hot-path form of repeated [find_next_after] +
     [advance_watermark]. *)
 
+val advance_watermark_over :
+  'a t -> lo:int -> hi:int -> f:('a -> bool) -> unit
+(** {!advance_watermark_while} for a caller that knows the entries at
+    indices [lo .. hi] satisfy [f]: those are not checked again.  Only the
+    entries between the watermark and [lo] are; when they all hold, the
+    watermark moves to entry [hi] at once, then advances as
+    {!advance_watermark_while} from [hi + 1].  An entry below [lo] that
+    fails [f] stops the watermark below it.  O(1) when the watermark sits
+    at [lo - 1] and entry [hi + 1] fails [f].  Raises [Invalid_argument]
+    unless [0 <= lo <= hi < length]. *)
+
 val iter_range : 'a t -> lo:int -> hi:int -> (int -> 'a -> unit) -> unit
 (** Apply to every record with lo <= version <= hi, ascending. *)
 

@@ -50,6 +50,60 @@ let test_chain_watermark_monotone () =
   Chain.advance_watermark c 5;
   Alcotest.(check int) "monotone" 10 (Chain.watermark c)
 
+(* [advance_watermark_over]: payloads are [true] when final.  [f] counts
+   its calls, so a run the caller vouches for is seen not to be walked. *)
+let test_chain_watermark_over () =
+  let calls = ref 0 in
+  let f final =
+    incr calls;
+    final
+  in
+  let chain entries =
+    let c : bool Chain.t = Chain.create () in
+    List.iter (fun (v, final) -> ignore (Chain.insert c ~version:v final)) entries;
+    c
+  in
+  (* A final run over a final base: the watermark reaches the run's top
+     and stops at the pending entry above it, one check in all. *)
+  let c = chain [ (0, true); (1, true); (2, true); (3, true); (4, false) ] in
+  Chain.advance_watermark c 0;
+  calls := 0;
+  Chain.advance_watermark_over c ~lo:1 ~hi:3 ~f;
+  Alcotest.(check int) "over a final run" 3 (Chain.watermark c);
+  Alcotest.(check int) "only the entry above the run checked" 1 !calls;
+  (* A pending entry between the watermark and the run holds the
+     watermark below it; once final, the same call passes it and the run,
+     and walks on over the final entry above. *)
+  let c = chain [ (0, true); (1, false); (2, true); (3, true); (4, true) ] in
+  Chain.advance_watermark c 0;
+  Chain.advance_watermark_over c ~lo:2 ~hi:3 ~f;
+  Alcotest.(check int) "refused below a pending entry" 0 (Chain.watermark c);
+  ignore (Chain.update c ~version:1 true);
+  Chain.advance_watermark_over c ~lo:2 ~hi:3 ~f;
+  Alcotest.(check int) "past it once final" 4 (Chain.watermark c);
+  (* An insert below the watermark's entry shifts it: the next advance
+     still starts from the watermark, so a pending entry inserted between
+     the watermark and a run still holds it. *)
+  let c = chain [ (10, true); (20, true); (30, false); (40, true) ] in
+  Chain.advance_watermark_over c ~lo:0 ~hi:1 ~f;
+  Alcotest.(check int) "first run" 20 (Chain.watermark c);
+  ignore (Chain.insert c ~version:5 true);
+  ignore (Chain.insert c ~version:25 false);
+  ignore (Chain.update c ~version:30 true);
+  Alcotest.(check int) "watermark entry found after the shift" 2
+    (Chain.rank c ~version:(Chain.watermark c));
+  Chain.advance_watermark_over c ~lo:4 ~hi:5 ~f;
+  Alcotest.(check int) "held by the inserted pending entry" 20
+    (Chain.watermark c);
+  ignore (Chain.update c ~version:25 true);
+  calls := 0;
+  Chain.advance_watermark_over c ~lo:4 ~hi:5 ~f;
+  Alcotest.(check int) "then over the run" 40 (Chain.watermark c);
+  Alcotest.(check int) "one gap entry checked" 1 !calls;
+  Alcotest.check_raises "run outside the chain"
+    (Invalid_argument "Chain.advance_watermark_over") (fun () ->
+      Chain.advance_watermark_over c ~lo:5 ~hi:6 ~f)
+
 let test_chain_iter_range () =
   let c : int Chain.t = Chain.create () in
   List.iter (fun v -> ignore (Chain.insert c ~version:v v)) [ 1; 3; 5; 7; 9 ];
@@ -352,9 +406,9 @@ let prop_chain_matches_reference =
       end)
 
 (* qcheck: a random op sequence (insert / update / truncate_below /
-   advance_watermark) keeps the chain agreeing with a sorted-assoc-list
-   reference on find_le, find_next_after, find_exact and versions, and the
-   watermark stays monotone throughout. *)
+   advance_watermark / advance_watermark_over) keeps the chain agreeing
+   with a sorted-assoc-list reference on find_le, find_next_after,
+   find_exact and versions, and the watermark stays monotone throughout. *)
 let prop_chain_ops_match_reference =
   let open QCheck2.Gen in
   let op =
@@ -363,6 +417,7 @@ let prop_chain_ops_match_reference =
         (2, map2 (fun v x -> `Update (v, x)) (int_range 0 300) (int_range 0 999));
         (1, map (fun v -> `Truncate v) (int_range 0 300));
         (1, map (fun v -> `Advance v) (int_range 0 300));
+        (2, map2 (fun lo span -> `Advance_over (lo, span)) nat (int_range 0 6));
         (3,
          map3
            (fun d x (lo, span) -> `Insert_below (d, x, lo, span))
@@ -437,6 +492,30 @@ let prop_chain_ops_match_reference =
           | `Advance v ->
               Chain.advance_watermark c v;
               if v > !wm then wm := v
+          | `Advance_over (lo, span) ->
+              (* A stretch of walkable entries the caller vouches for;
+                 the model walks as advance_watermark_while does. *)
+              let walkable x = x mod 4 <> 0 in
+              let a = Array.of_list !model in
+              let n = Array.length a in
+              if n > 0 then begin
+                let lo = lo mod n in
+                let hi = ref (lo - 1) in
+                while !hi + 1 < n && !hi + 1 <= lo + span
+                      && walkable (snd a.(!hi + 1)) do
+                  incr hi
+                done;
+                if !hi >= lo then begin
+                  Chain.advance_watermark_over c ~lo ~hi:!hi ~f:walkable;
+                  let rec walk = function
+                    | (v, x) :: rest when walkable x ->
+                        wm := v;
+                        walk rest
+                    | _ -> ()
+                  in
+                  walk (List.filter (fun (v, _) -> v > !wm) !model)
+                end
+              end
           | `Insert_below (d, x, lo, span) ->
               (* An out-of-order insert [d] below the latest version,
                  then the watermark walk and both range scans over the
@@ -485,6 +564,8 @@ let suite =
     Alcotest.test_case "chain duplicate" `Quick test_chain_duplicate;
     Alcotest.test_case "chain update" `Quick test_chain_update;
     Alcotest.test_case "chain watermark" `Quick test_chain_watermark_monotone;
+    Alcotest.test_case "chain watermark over a run" `Quick
+      test_chain_watermark_over;
     Alcotest.test_case "chain iter_range" `Quick test_chain_iter_range;
     Alcotest.test_case "chain find_next_after" `Quick
       test_chain_find_next_after;

@@ -506,6 +506,249 @@ let test_commit_mixed_plan () =
         (sim.finals = real.finals))
     [ 1; 2 ]
 
+(* ---- real planner: the per-key fold against the simulated runtime ------ *)
+
+(* One version of a built-in key in a random plan. *)
+type fold_version =
+  | Builtin of Ftype.t * int  (* a built-in with its argument *)
+  | Blind of int option  (* VALUE (Some) or DELETE (None), installed final *)
+  | Aborted  (* installed pending, aborted in-epoch before the plan *)
+  | Below  (* a pending ADD installed, but left out of the plan *)
+  | Gap  (* no version *)
+
+type fold_spec = {
+  keys : fold_version array array;  (* built-in key k at versions 1.. *)
+  initial : int option array;  (* key k's version-0 value *)
+  readers : (int * int * int) list;
+      (* reader j: its version, the built-in key it reads, its argument *)
+  marker : int option;  (* a Dep_marker and its determinate functor's version *)
+  shuffle : int;  (* install order seed *)
+}
+
+let print_fold_spec s =
+  let v = function
+    | Builtin (f, a) -> Printf.sprintf "%s %d" (Ftype.to_string f) a
+    | Blind (Some x) -> Printf.sprintf "VALUE %d" x
+    | Blind None -> "DELETE"
+    | Aborted -> "aborted"
+    | Below -> "below"
+    | Gap -> "-"
+  in
+  String.concat "\n"
+    (Array.to_list
+       (Array.mapi
+          (fun k vs ->
+            Printf.sprintf "pf:b%d init %s: %s" k
+              (match s.initial.(k) with Some x -> string_of_int x | None -> "-")
+              (String.concat ", " (Array.to_list (Array.map v vs))))
+          s.keys)
+    @ List.mapi
+        (fun j (ver, k, a) -> Printf.sprintf "pf:r%d@%d reads pf:b%d, +%d" j ver k a)
+        s.readers
+    @ [ (match s.marker with
+        | Some v -> Printf.sprintf "marker@%d" v
+        | None -> "no marker");
+        Printf.sprintf "shuffle %d" s.shuffle ])
+
+let gen_fold_spec =
+  let open QCheck2.Gen in
+  let version =
+    frequency
+      [ (12,
+         map2
+           (fun f a -> Builtin (f, a))
+           (oneofl [ Ftype.Add; Ftype.Add; Ftype.Subtr; Ftype.Max; Ftype.Min ])
+           (int_range (-5) 9));
+        (2, map (fun x -> Blind (Some x)) (int_range 0 20));
+        (1, return (Blind None));
+        (1, return Aborted);
+        (1, return Below);
+        (3, return Gap) ]
+  in
+  let* n_keys = int_range 1 3 in
+  let* keys = array_repeat n_keys (array_size (int_range 1 12) version) in
+  let* initial = array_repeat n_keys (opt (int_range 0 9)) in
+  let* readers =
+    list_size (int_range 0 2)
+      (triple (int_range 1 13) (int_range 0 (n_keys - 1)) (int_range 0 9))
+  in
+  let* marker = opt (int_range 1 12) in
+  let* shuffle = int in
+  return { keys; initial; readers; marker; shuffle }
+
+(* What a plan leaves behind: [notify_final] in call order, every key's
+   records (final value, or [None] while pending), watermarks, and the
+   real runtime's evaluated and fallback counts. *)
+type fold_outcome = {
+  notified : (string * int * Funct.final) list;
+  records : (string * (int * Funct.final option) list) list;
+  watermarks : (string * int) list;
+  real_evaluated : int;
+  real_fallback : int;
+}
+
+(* The plan of [spec] on the simulated runtime ([domains] = 0) or on the
+   real one, with synchronous dependent writes and immediate [exec] over
+   one simulated worker, as [run_plan]; a version left out of the plan
+   may keep its key pending. *)
+let run_fold_plan ~domains spec =
+  let sim = Sim.Engine.create () in
+  let pool = Sim.Worker_pool.create sim ~workers:1 in
+  let registry = Registry.with_builtins () in
+  Registry.register registry "pf-read" (fun ctx ->
+      match ctx.Registry.reads with
+      | [ (_, Some (Value.Int x)) ] ->
+          Registry.Commit (Value.int (x + Value.to_int (Registry.arg ctx 0)))
+      | _ -> Registry.Abort);
+  Registry.register registry "pf-det" (fun ctx ->
+      let a = Value.to_int (Registry.arg ctx 0) in
+      Registry.Commit_det
+        (Value.int a, [ ("pf:m", Registry.Dep_put (Value.int (2 * a))) ]));
+  let notified = ref [] and engine = ref None in
+  let callbacks =
+    { Engine.is_local = (fun _ -> true);
+      remote_get = (fun ~key:_ ~version:_ k -> k None);
+      send_push = (fun ~dst_key:_ ~version:_ ~src_key:_ _ -> ());
+      send_dep_write =
+        (fun ~key ~version final ->
+          Engine.deliver_dep_write (Option.get !engine) ~key ~version ~final);
+      notify_final =
+        (fun ~key ~version ~pending:_ ~final ->
+          notified := (Mvstore.Key.name key, version, final) :: !notified);
+      exec = (fun ~cost:_ k -> k ());
+      now = (fun () -> Sim.Engine.now sim) }
+  in
+  let metrics = Sim.Metrics.create () in
+  let e = Engine.create ~registry ~callbacks ~compute_cost_us:1 ~metrics () in
+  engine := Some e;
+  let bkey k = Printf.sprintf "pf:b%d" k in
+  Array.iteri
+    (fun k init ->
+      Option.iter (fun x -> Engine.load_initial e ~key:(ik (bkey k)) (Value.int x)) init)
+    spec.initial;
+  (* installs: (key, version, record, in the plan, aborted before it) *)
+  let pending ftype farg = Funct.mk_pending ~ftype ~farg ~txn_id:0 ~coordinator:0 in
+  let installs = ref [] in
+  let add key version record ~planned ~aborted =
+    installs := (key, version, record, planned, aborted) :: !installs
+  in
+  Array.iteri
+    (fun k vs ->
+      Array.iteri
+        (fun i v ->
+          let add = add (bkey k) (i + 1) in
+          let adds x = pending Ftype.Add (Funct.farg_args [ Value.int x ]) in
+          match v with
+          | Builtin (f, a) ->
+              add (pending f (Funct.farg_args [ Value.int a ])) ~planned:true
+                ~aborted:false
+          | Blind (Some x) ->
+              add (Funct.mk_final (Funct.Committed (Value.int x))) ~planned:true
+                ~aborted:false
+          | Blind None ->
+              add (Funct.mk_final Funct.Deleted_v) ~planned:true ~aborted:false
+          | Aborted -> add (adds 1) ~planned:true ~aborted:true
+          | Below -> add (adds 1) ~planned:false ~aborted:false
+          | Gap -> ())
+        vs)
+    spec.keys;
+  List.iteri
+    (fun j (ver, k, a) ->
+      add (Printf.sprintf "pf:r%d" j) ver
+        (pending (Ftype.User "pf-read")
+           { (Funct.farg_args [ Value.int a ]) with
+             Funct.read_set = [ ik (bkey k) ] })
+        ~planned:true ~aborted:false)
+    spec.readers;
+  Option.iter
+    (fun v ->
+      add "pf:m" v (pending (Ftype.Dep_marker (ik "pf:d")) Funct.farg_empty)
+        ~planned:true ~aborted:false;
+      add "pf:d" v
+        (pending (Ftype.User "pf-det")
+           { (Funct.farg_args [ Value.int v ]) with
+             Funct.dependents = [ ik "pf:m" ] })
+        ~planned:true ~aborted:false)
+    spec.marker;
+  (* Out-of-order installs: a seeded shuffle of every install. *)
+  let installs = Array.of_list (List.rev !installs) in
+  let rng = Random.State.make [| spec.shuffle |] in
+  for i = Array.length installs - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = installs.(i) in
+    installs.(i) <- installs.(j);
+    installs.(j) <- x
+  done;
+  let items =
+    Array.to_list installs
+    |> List.filter_map (fun (key, version, record, planned, _) ->
+           (match Engine.install e ~key:(ik key) ~version ~lo:0 ~hi:max_int record with
+           | Ok () -> ()
+           | Error _ -> Alcotest.fail "install failed");
+           if planned then Some { Functor_cc.Processor.key = ik key; version }
+           else None)
+  in
+  Array.iter
+    (fun (key, version, _, _, aborted) ->
+      if aborted then Engine.abort_version e ~key:(ik key) ~version)
+    installs;
+  let rpool = if domains > 0 then Some (Pool.create ~domains) else None in
+  let planner =
+    Functor_cc.Planner.create ~engine:e ~pool ?real:rpool ~dispatch_cost_us:1
+      ~metrics ~now:(fun () -> Sim.Engine.now sim) ()
+  in
+  ignore (Functor_cc.Planner.run planner ~items);
+  Sim.Engine.run sim;
+  Option.iter Pool.shutdown rpool;
+  let names =
+    List.sort_uniq compare
+      (Array.to_list (Array.map (fun (key, _, _, _, _) -> key) installs)
+      @ List.init (Array.length spec.keys) bkey)
+  in
+  let chain name = Mvstore.Table.chain (Engine.table e) (ik name) in
+  let records name =
+    match chain name with
+    | None -> []
+    | Some c ->
+        Mvstore.Chain.fold c ~init:[] ~f:(fun acc v r ->
+            (v, match r.Funct.state with Funct.Final f -> Some f | Funct.Pending _ -> None)
+            :: acc)
+        |> List.rev
+  in
+  { notified = List.rev !notified;
+    records = List.map (fun name -> (name, records name)) names;
+    watermarks = List.map (fun name -> (name, Engine.watermark e ~key:(ik name))) names;
+    real_evaluated = Sim.Metrics.get metrics "plan.real_evaluated";
+    real_fallback = Sim.Metrics.get metrics "plan.real_fallback" }
+
+(* qcheck: random plans whose built-in runs have gaps (blind VALUE/DELETE
+   versions installed final, an aborted version, a pending version left
+   out of the plan), installed out of order, with a Dep_marker and user
+   functors that read built-in keys.  The real runtime at 1 and at 2
+   domains leaves every record and watermark as the simulated runtime
+   does and makes the same [notify_final] calls; the two domain counts
+   make them in the same order and agree on the evaluated and fallback
+   counts.  (Against the simulated runtime only the calls, not their
+   order, can agree: it evaluates on demand in dispatch order, so a key
+   above a blind write can notify before the versions below it.)  A
+   fold that takes the previous node's result without checking that it
+   is the chain predecessor fails this. *)
+let prop_fold_matches_sim =
+  QCheck2.Test.make ~name:"real fold = sim on random plans" ~count:150
+    ~print:print_fold_spec gen_fold_spec (fun spec ->
+      let sim = run_fold_plan ~domains:0 spec in
+      let one = run_fold_plan ~domains:1 spec in
+      let two = run_fold_plan ~domains:2 spec in
+      let same_as_sim o =
+        o.records = sim.records
+        && o.watermarks = sim.watermarks
+        && List.sort compare o.notified = List.sort compare sim.notified
+      in
+      same_as_sim one && same_as_sim two
+      && one.notified = two.notified
+      && one.real_evaluated = two.real_evaluated
+      && one.real_fallback = two.real_fallback)
+
 (* ---- real planner: silent dispatch and allocation ----------------------- *)
 
 (* [ops] ADD-1 functors over [keys] keys (key [i mod keys] at version
@@ -588,9 +831,10 @@ let test_silent_dispatch () =
    (the caller runs every task, so [Gc.minor_words] sees all of it):
    with a task record per node and the [find_le] option walk on the
    workers, [Planner.run] allocated 32.3 minor words per node; with flat
-   per-plan slots and the chain-index walk, 10.2 (the plan build's
-   [prepared] records, out of this test's reach).  The bound sits between
-   the two. *)
+   per-plan slots and the chain-index walk, 10.2 (a [prepared] record
+   and an option per node); with the plan's nodes as parallel arrays and
+   the prepare loop's key cursor, 0.3.  The bound sits between the last
+   two. *)
 let test_builtin_plan_allocation () =
   let ops = 4096 in
   let sim, planner, rpool, items =
@@ -603,8 +847,8 @@ let test_builtin_plan_allocation () =
   Pool.shutdown rpool;
   let per_node = words /. float_of_int ops in
   Alcotest.(check bool)
-    (Printf.sprintf "minor words per node %.1f <= 20" per_node)
-    true (per_node <= 20.)
+    (Printf.sprintf "minor words per node %.1f <= 2" per_node)
+    true (per_node <= 2.)
 
 let suite =
   [ Alcotest.test_case "run_batch barrier" `Quick test_batch_barrier;
@@ -622,6 +866,7 @@ let suite =
       test_completion_rejected_node;
     Alcotest.test_case "mixed plan commits as under sim" `Quick
       test_commit_mixed_plan;
+    QCheck_alcotest.to_alcotest prop_fold_matches_sim;
     Alcotest.test_case "evaluated plan dispatches silently" `Quick
       test_silent_dispatch;
     Alcotest.test_case "built-in plan allocation per node" `Quick
