@@ -305,6 +305,26 @@ class GateTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("expected one micro record", err)
 
+    # ---- --validate-timeline --------------------------------------------
+
+    def timeline(self, worker):
+        meta = {"type": "meta", "cfg_epoch_us": 10000, "nodes": 1, "replicas": 1}
+        stratum = {"type": "stratum", "node": 0, "t0_us": 100, "t1_us": 250,
+                   "size": 4, "workers": [worker]}
+        return self.write("TIMELINE.jsonl", [meta, stratum])
+
+    def test_timeline_stratum_passes(self):
+        path = self.timeline({"worker": 0, "completed": 3, "stolen": 1})
+        code, out, err = self.run_gate("--validate-timeline", path)
+        self.assertEqual(code, 0, err)
+        self.assertIn("timeline ok", out)
+
+    def test_timeline_stratum_worker_without_stolen(self):
+        path = self.timeline({"worker": 0, "completed": 3})
+        code, _, err = self.run_gate("--validate-timeline", path)
+        self.assertEqual(code, 1)
+        self.assertIn("'stolen' must be int", err)
+
 
 if __name__ == "__main__":
     unittest.main()

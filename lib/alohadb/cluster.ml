@@ -292,18 +292,7 @@ let create ?registry options =
             Sim.Metrics.set_gauge metrics "gauge.repl_lag"
               (float_of_int !repl_lag);
           Sim.Metrics.set_gauge metrics "gauge.net_drops"
-            (float_of_int (Net.Network.total_drops (drop_stats t)));
-          match real_pool with
-          | None -> ()
-          | Some p ->
-              (* Plans evaluate synchronously inside the epoch-close
-                 event, so an instantaneous sample would always read the
-                 pool at rest; the high-water marks are what show
-                 real-runtime occupancy next to the pipeline stages. *)
-              Sim.Metrics.set_gauge metrics "runtime.pool.queue_depth"
-                (float_of_int (Runtime.Pool.queue_peak p));
-              Sim.Metrics.set_gauge metrics "runtime.pool.busy_workers"
-                (float_of_int (Runtime.Pool.busy_peak p))));
+            (float_of_int (Net.Network.total_drops (drop_stats t)))));
   t
 
 let start t = Epoch.Manager.start t.em

@@ -33,6 +33,9 @@ let options_of ?seed (params : Kernel.Params.t) =
          | Some _ -> fail "--%s must be >= 1" flag
        in
        let domains = positive "domains" cfg.domains params.domains in
+       (* OCaml 5.1's Max_domains: Domain.spawn fails past it, after the
+          pool has spawned the domains before it. *)
+       if domains > 128 then fail "--domains must be <= 128";
        { cfg with
          Config.runtime_mode;
          domains;

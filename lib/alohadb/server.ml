@@ -31,12 +31,7 @@ let close_epoch t ~epoch =
   if not node.be_down then Backend.release_closed t.backend ~upto_epoch:epoch;
   Node.lnote node (fun l ->
       Backend.note_close t.backend l ~epoch;
-      Replica.note_groups t.replica l ~epoch;
-      match node.real_pool with
-      | Some p ->
-          Obs.Ledger.note_pool l ~node:node.node_id ~epoch
-            ~workers:(Runtime.Pool.worker_stats p)
-      | None -> ());
+      Replica.note_groups t.replica l ~epoch);
   Frontend.release_reads t.frontend ~epoch
 
 let create ~sim ~data ~control ~fabric ~addr ~node_id ~em ~clock

@@ -129,16 +129,15 @@ let chrome_trace ?(engine = "aloha") ?(shards = 64) ?ledger ~trace ~gauges ()
           let t0 = s.s_t0_us - base in
           let t1 = max t0 (s.s_t1_us - base) in
           Array.iteri
-            (fun w (completed, stolen, queue) ->
+            (fun w (completed, stolen) ->
               if completed > 0 || stolen > 0 then begin
                 let tid = shards + w in
                 add_event e
                   (Printf.sprintf
                      "{\"name\":\"stratum %d\",\"ph\":\"B\",\"ts\":%d,\
                       \"pid\":%d,\"tid\":%d,\"args\":{\"size\":%d,\
-                      \"completed\":%d,\"stolen\":%d,\"queue\":%d}}"
-                     s.s_size t0 s.s_node tid s.s_size completed stolen
-                     queue);
+                      \"completed\":%d,\"stolen\":%d}}"
+                     s.s_size t0 s.s_node tid s.s_size completed stolen);
                 add_event e
                   (Printf.sprintf
                      "{\"name\":\"stratum %d\",\"ph\":\"E\",\"ts\":%d,\

@@ -28,7 +28,6 @@ type row = {
   mutable r_watermark_lag_us : int;
   mutable r_groups : group_row list;
   mutable r_plan : plan_row option;
-  mutable r_pool : (int * int * int) array option;
 }
 
 type event_kind = Crash | Restart | Detect | Promote | First_commit
@@ -45,7 +44,7 @@ type stratum = {
   s_t0_us : int;
   s_t1_us : int;
   s_size : int;
-  s_workers : (int * int * int) array;
+  s_workers : (int * int) array;
 }
 
 type t = {
@@ -81,8 +80,7 @@ let row t ~node ~epoch =
         { r_epoch = epoch; r_node = node; r_open_us = -1; r_close_us = -1;
           r_wall_open_us = -1; r_wall_close_us = -1; r_assigned = 0;
           r_fast_commits = 0; r_fast_merges = 0; r_watermark = -1;
-          r_watermark_lag_us = 0; r_groups = []; r_plan = None;
-          r_pool = None }
+          r_watermark_lag_us = 0; r_groups = []; r_plan = None }
       in
       Hashtbl.replace t.tbl key r;
       r
@@ -140,10 +138,6 @@ let note_plan t ~node ~epoch ~nodes ~edges ~strata ~critical_path =
     Some
       { pl_nodes = nodes; pl_edges = edges; pl_strata = strata;
         pl_critical_path = critical_path }
-
-let note_pool t ~node ~epoch ~workers =
-  let r = row t ~node ~epoch in
-  r.r_pool <- Some workers
 
 let note_close t ~node ~epoch ~t_us ~watermark ~watermark_lag_us =
   let r = row t ~node ~epoch in
@@ -247,19 +241,6 @@ let row_json t r =
            ",\"plan\":{\"nodes\":%d,\"edges\":%d,\"strata\":%d,\
             \"critical_path\":%d}"
            p.pl_nodes p.pl_edges p.pl_strata p.pl_critical_path));
-  (match r.r_pool with
-  | None -> ()
-  | Some ws ->
-      Buffer.add_string b ",\"pool\":[";
-      Array.iteri
-        (fun i (c, s, q) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"worker\":%d,\"completed\":%d,\"stolen\":%d,\"queue\":%d}"
-               i c s q))
-        ws;
-      Buffer.add_char b ']');
   if r.r_groups <> [] then begin
     Buffer.add_string b ",\"groups\":[";
     List.iteri
@@ -289,12 +270,11 @@ let stratum_json s =
         \"size\":%d,\"workers\":["
        s.s_node s.s_t0_us s.s_t1_us s.s_size);
   Array.iteri
-    (fun i (c, st, q) ->
+    (fun i (c, st) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf
-           "{\"worker\":%d,\"completed\":%d,\"stolen\":%d,\"queue\":%d}" i c
-           st q))
+        (Printf.sprintf "{\"worker\":%d,\"completed\":%d,\"stolen\":%d}" i c
+           st))
     s.s_workers;
   Buffer.add_string b "]}";
   Buffer.contents b

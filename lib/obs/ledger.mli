@@ -48,8 +48,6 @@ type row = {
   mutable r_watermark_lag_us : int;
   mutable r_groups : group_row list;  (** groups this node leads *)
   mutable r_plan : plan_row option;
-  mutable r_pool : (int * int * int) array option;
-      (** cumulative (completed, stolen, queue) per pool worker at close *)
 }
 
 type event_kind = Crash | Restart | Detect | Promote | First_commit
@@ -62,7 +60,7 @@ type event = {
 }
 
 (** One real-runtime level batch evaluated on the worker pool: wall-clock
-    bounds plus the per-worker (completed, stolen, queue) counter deltas
+    bounds plus the per-worker (completed, stolen) chunk-count deltas
     across the batch — the raw material for the per-worker Perfetto
     tracks in {!Export}. *)
 type stratum = {
@@ -70,8 +68,7 @@ type stratum = {
   s_t0_us : int;  (** host wall clock, µs *)
   s_t1_us : int;
   s_size : int;  (** plan nodes in the batch *)
-  s_workers : (int * int * int) array;
-      (** per worker: completed delta, stolen delta, queue length after *)
+  s_workers : (int * int) array;  (** per worker: completed, stolen *)
 }
 
 val create :
@@ -117,9 +114,6 @@ val note_plan :
   critical_path:int ->
   unit
 
-val note_pool :
-  t -> node:int -> epoch:int -> workers:(int * int * int) array -> unit
-
 val note_close :
   t ->
   node:int ->
@@ -152,7 +146,7 @@ val note_stratum :
   t0_us:int ->
   t1_us:int ->
   size:int ->
-  workers:(int * int * int) array ->
+  workers:(int * int) array ->
   unit
 
 (* Reads. *)

@@ -119,8 +119,8 @@ let stage_of_int = function
    single-writer by contract.  Every emit site runs on the orchestrating
    domain — the real runtime's workers never trace; stratum activity is
    recorded by the orchestrator via [Stratum_dispatch] (batch sizes) and
-   the [runtime.pool.*] peak gauges — so no per-event synchronization is
-   needed, keeping the tracing-off fast path a single option test. *)
+   the ledger's per-stratum worker counts — so no per-event synchronization
+   is needed, keeping the tracing-off fast path a single option test. *)
 type t = {
   cap : int;
   sample : int;

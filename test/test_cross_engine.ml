@@ -126,7 +126,16 @@ let test_retired_strategies_rejected () =
                "Alohadb.Engine: unknown compute mode %S (expected planned)"
                mode)
             msg)
-    [ "pool"; "ondemand" ]
+    [ "pool"; "ondemand" ];
+  (* rejected before Cluster.create, so no domain is spawned *)
+  match
+    Alohadb.Engine.create
+      (Kernel.Params.make ~runtime:"real" ~domains:1000 ~n_servers:2 ())
+  with
+  | _ -> Alcotest.fail "--domains 1000 accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the domain limit"
+        "Alohadb.Engine: --domains must be <= 128" msg
 
 (* ---- model-based lock manager check -------------------------------------- *)
 

@@ -167,9 +167,9 @@ let test_chrome_well_formed () =
   Sim.Engine.run ~until:6_000 sim;
   let ledger = Obs.Ledger.create () in
   Obs.Ledger.note_stratum ledger ~node:0 ~t0_us:1_000 ~t1_us:1_400 ~size:8
-    ~workers:[| (5, 0, 0); (3, 2, 1) |];
+    ~workers:[| (5, 0); (3, 2) |];
   Obs.Ledger.note_stratum ledger ~node:0 ~t0_us:1_500 ~t1_us:1_650 ~size:2
-    ~workers:[| (2, 0, 0); (0, 0, 0) |];
+    ~workers:[| (2, 0); (0, 0) |];
   let doc =
     Obs.Export.chrome_trace ~engine:"aloha" ~shards:8 ~ledger
       ~trace:(Obs.Ctl.trace ctl)

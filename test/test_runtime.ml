@@ -1,9 +1,9 @@
 (* The real-parallelism runtime: the domain pool in isolation (barrier
-   semantics, work stealing, shutdown discipline, the caller as worker
-   slot 0) and the end-to-end guarantees the planner builds on it —
-   evaluating an epoch's key runs on 1 domain and on 8 domains is
-   observationally identical, and a handler that raises mid-run leaves no
-   record claimed. *)
+   semantics, one fork-join over a shared chunk cursor, per-task raise
+   isolation, shutdown discipline, the caller as worker slot 0) and the
+   end-to-end guarantees the planner builds on it — evaluating an epoch's
+   key runs on 1 domain and on 8 domains is observationally identical, and
+   a handler that raises mid-run leaves no record claimed. *)
 
 module Pool = Runtime.Pool
 module Value = Functor_cc.Value
@@ -14,7 +14,7 @@ module Engine = Functor_cc.Compute_engine
 
 let ik = Mvstore.Key.intern
 
-(* ---- pool: submit / run_batch barrier ----------------------------------- *)
+(* ---- pool: run_batch barrier -------------------------------------------- *)
 
 (* run_batch must be a full barrier: every task's plain writes are visible
    to the caller when it returns, and to the tasks of any later batch.  A
@@ -22,7 +22,6 @@ let ik = Mvstore.Key.intern
    barrier leaked, a worker could observe a zero slot. *)
 let test_batch_barrier () =
   let p = Pool.create ~domains:4 in
-  Alcotest.(check int) "n_workers" 4 (Pool.n_workers p);
   let n = 256 in
   let a = Array.make n 0 in
   let ran_on = Array.make n (-1) in
@@ -35,7 +34,7 @@ let test_batch_barrier () =
     "all writes visible after barrier" expect (Array.fold_left ( + ) 0 a);
   (* the caller plus three spawned domains, never more *)
   Alcotest.(check bool)
-    "at most n_workers domains ran tasks" true
+    "at most 4 domains ran tasks" true
     (List.length (List.sort_uniq compare (Array.to_list ran_on)) <= 4);
   let sums = Array.make 8 0 in
   Pool.run_batch p
@@ -44,37 +43,64 @@ let test_batch_barrier () =
     (fun w s ->
       Alcotest.(check int) (Printf.sprintf "batch 2 reader %d" w) expect s)
     sums;
-  (* a raising task is counted, not fatal: the pool stays usable *)
-  Pool.submit p (fun () -> failwith "boom");
-  Pool.drain p;
-  Alcotest.(check int) "raise counted" 1 (Pool.tasks_raised p);
-  Pool.run_batch p (Array.init 4 (fun i () -> a.(i) <- -a.(i)));
-  Alcotest.(check int) "pool alive after raise" (-1) a.(0);
   Pool.shutdown p
 
-(* ---- pool: work stealing under skew ------------------------------------- *)
+(* ---- pool: a raising task ----------------------------------------------- *)
 
-(* Everything lands on worker 0's queue; the tasks block (simulating I/O
-   or an uneven stratum), so the idle workers must steal to finish.  The
-   whole point of per-worker queues + stealing over a single shared queue
-   is that this skew self-levels. *)
-let test_work_stealing () =
-  let p = Pool.create ~domains:4 in
-  let n = 32 in
+(* 64 tasks on 2 domains are 8 chunks of 8.  Task 3 raises: it is counted,
+   the seven other tasks of its chunk still run, and the pool takes the
+   next batch. *)
+let test_raising_task () =
+  let p = Pool.create ~domains:2 in
+  let ran = Array.make 64 false in
+  Pool.run_batch p
+    (Array.init 64 (fun i () ->
+         if i = 3 then failwith "boom";
+         ran.(i) <- true));
+  Alcotest.(check int) "raise counted" 1 (Pool.tasks_raised p);
+  Alcotest.(check int) "chunks completed" 8 (Pool.completed p);
+  Array.iteri
+    (fun i r ->
+      if i <> 3 then Alcotest.(check bool) (Printf.sprintf "task %d ran" i) true r)
+    ran;
   let hits = Atomic.make 0 in
-  for _ = 1 to n do
-    Pool.submit_to p ~worker:0 (fun () ->
-        Unix.sleepf 0.002;
-        Atomic.incr hits)
-  done;
-  Pool.drain p;
-  Alcotest.(check int) "all tasks ran" n (Atomic.get hits);
+  Pool.run_batch p (Array.make 16 (fun () -> Atomic.incr hits));
+  Alcotest.(check int) "pool usable after a raise" 16 (Atomic.get hits);
+  Pool.shutdown p
+
+(* ---- pool: skew self-levels --------------------------------------------- *)
+
+(* 8 tasks on 2 domains are 8 chunks of one task, home slots alternating.
+   Chunk 0 holds its domain until every other task has run, so the other
+   domain runs chunks 1..7, whose home slots include both slots: whichever
+   domain claims chunk 0, some chunk runs away from home.  The wait is
+   bounded so a pool that cannot level fails the check instead of
+   hanging. *)
+let test_work_stealing () =
+  let p = Pool.create ~domains:2 in
+  let n = 8 in
+  let others = Atomic.make 0 and levelled = ref false in
+  Pool.run_batch p
+    (Array.init n (fun i () ->
+         if i = 0 then begin
+           let deadline = Unix.gettimeofday () +. 10. in
+           while Atomic.get others < n - 1 && Unix.gettimeofday () < deadline do
+             Domain.cpu_relax ()
+           done;
+           levelled := Atomic.get others = n - 1
+         end
+         else Atomic.incr others));
+  Alcotest.(check bool) "the other domain ran every other chunk" true !levelled;
   Alcotest.(check int) "completed counter" n (Pool.completed p);
   Alcotest.(check bool)
     (Printf.sprintf "stolen > 0 (got %d)" (Pool.stolen p))
     true
     (Pool.stolen p > 0);
-  Alcotest.(check bool) "queue_peak saw the skew" true (Pool.queue_peak p > 1);
+  let ws = Pool.worker_stats p in
+  Alcotest.(check (pair int int))
+    "worker stats sum to the totals"
+    (Pool.completed p, Pool.stolen p)
+    (Array.fold_left (fun (c, s) (c', s') -> (c + c', s + s')) (0, 0) ws);
   Pool.shutdown p
 
 (* ---- pool: shutdown discipline ------------------------------------------ *)
@@ -82,30 +108,23 @@ let test_work_stealing () =
 let test_shutdown () =
   let p = Pool.create ~domains:2 in
   let hits = Atomic.make 0 in
-  let n = 200 in
-  for _ = 1 to n do
-    Pool.submit p (fun () -> Atomic.incr hits)
-  done;
-  (* no drain: shutdown itself must let already-submitted work finish *)
+  Pool.run_batch p (Array.make 8 (fun () -> Atomic.incr hits));
   Pool.shutdown p;
-  Alcotest.(check int) "pending work drained" n (Atomic.get hits);
-  Alcotest.(check int) "completed counter" n (Pool.completed p);
   Pool.shutdown p (* idempotent *);
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Runtime.Pool: submit after shutdown") (fun () ->
-      Pool.submit p (fun () -> ()));
+  Alcotest.(check int) "the batch ran before shutdown" 8 (Atomic.get hits);
+  Alcotest.check_raises "run_batch after shutdown"
+    (Invalid_argument "Runtime.Pool.run_batch: pool is shut down") (fun () ->
+      Pool.run_batch p [| (fun () -> ()) |]);
   Alcotest.check_raises "create with 0 domains"
     (Invalid_argument "Runtime.Pool.create: domains < 1") (fun () ->
       ignore (Pool.create ~domains:0))
 
 (* ---- pool: one domain is the caller alone -------------------------------- *)
 
-(* [~domains:1] spawns nothing: every task of [run_batch], of [submit] +
-   [drain], and of a [shutdown] that finds work still queued runs on the
-   calling domain, and the pool still reports one worker. *)
+(* [~domains:1] spawns nothing: every chunk of [run_batch] runs on the
+   calling domain, at home, so nothing counts as stolen. *)
 let test_one_domain_caller_runs () =
   let p = Pool.create ~domains:1 in
-  Alcotest.(check int) "n_workers" 1 (Pool.n_workers p);
   let self = (Domain.self () :> int) in
   let others = Atomic.make 0 and hits = Atomic.make 0 in
   let task () =
@@ -113,20 +132,13 @@ let test_one_domain_caller_runs () =
     if (Domain.self () :> int) <> self then Atomic.incr others
   in
   Pool.run_batch p (Array.make 64 task);
-  Alcotest.(check int) "run_batch ran everything" 64 (Atomic.get hits);
-  for _ = 1 to 16 do
-    Pool.submit p task
-  done;
-  Pool.drain p;
-  Alcotest.(check int) "drain ran the submits" 80 (Atomic.get hits);
-  for _ = 1 to 8 do
-    Pool.submit p task
-  done;
-  Pool.shutdown p;
-  Alcotest.(check int) "shutdown ran the queued submits" 88 (Atomic.get hits);
+  Pool.run_batch p (Array.make 3 task);
+  Alcotest.(check int) "run_batch ran everything" 67 (Atomic.get hits);
   Alcotest.(check int) "every task ran on the caller" 0 (Atomic.get others);
-  (* run_batch queues four chunks per worker *)
-  Alcotest.(check int) "completed counter" (4 + 16 + 8) (Pool.completed p)
+  (* four chunks for the first batch, one per task for the second *)
+  Alcotest.(check (array (pair int int)))
+    "one worker, 7 chunks, none stolen" [| (7, 0) |] (Pool.worker_stats p);
+  Pool.shutdown p
 
 (* ---- planner on the real pool: 1 domain = 8 domains --------------------- *)
 
@@ -853,7 +865,7 @@ let test_builtin_plan_allocation () =
 let suite =
   [ Alcotest.test_case "run_batch barrier" `Quick test_batch_barrier;
     Alcotest.test_case "work stealing under skew" `Quick test_work_stealing;
-    Alcotest.test_case "shutdown drains pending work" `Quick test_shutdown;
+    Alcotest.test_case "shutdown is final" `Quick test_shutdown;
     Alcotest.test_case "1 vs 8 domains deterministic" `Quick
       test_domain_count_determinism;
     Alcotest.test_case "1 domain runs on the caller" `Quick
@@ -870,4 +882,5 @@ let suite =
     Alcotest.test_case "evaluated plan dispatches silently" `Quick
       test_silent_dispatch;
     Alcotest.test_case "built-in plan allocation per node" `Quick
-      test_builtin_plan_allocation ]
+      test_builtin_plan_allocation;
+    Alcotest.test_case "raising task counted" `Quick test_raising_task ]
