@@ -276,7 +276,7 @@ let xfer_handler (ctx : Functor_cc.Registry.ctx) =
   Functor_cc.Registry.Commit
     (Value.int (own + Value.to_int (Functor_cc.Registry.arg ctx 0)))
 
-let run_transfers ~push_opt =
+let run_transfers ?(same_partition = false) ~push_opt () =
   let registry = Functor_cc.Registry.with_builtins () in
   Functor_cc.Registry.register registry "xfer" xfer_handler;
   let c =
@@ -286,14 +286,17 @@ let run_transfers ~push_opt =
         config = { Alohadb.Config.default with push_opt } }
   in
   let acct p i = Printf.sprintf "a:%d:%d" p i in
-  for i = 0 to 3 do
-    Cluster.load c ~key:(acct 0 i) (Value.int 100);
-    Cluster.load c ~key:(acct 1 i) (Value.int 100)
-  done;
+  (* Sources are accounts 0-3 of partition 0; destinations accounts 4-7
+     of partition 0 or of partition 1. *)
+  let dst_partition = if same_partition then 0 else 1 in
+  let accounts =
+    List.init 4 (acct 0) @ List.init 4 (fun i -> acct dst_partition (4 + i))
+  in
+  List.iter (fun k -> Cluster.load c ~key:k (Value.int 100)) accounts;
   Cluster.start c;
   let committed = ref 0 in
   for i = 0 to 15 do
-    let src = acct 0 (i mod 4) and dst = acct 1 (i / 4) in
+    let src = acct 0 (i mod 4) and dst = acct dst_partition (4 + (i / 4)) in
     Cluster.submit c ~fe:(i mod 2)
       (Txn.read_write
          [ (src,
@@ -308,23 +311,31 @@ let run_transfers ~push_opt =
   done;
   Cluster.run_for c 500_000;
   Alcotest.(check int) "all transfers commit" 16 !committed;
-  let values =
-    values_exn
-      (await c 0
-         (Txn.Read_only
-            { keys = List.init 4 (acct 0) @ List.init 4 (acct 1) }))
-  in
+  let values = values_exn (await c 0 (Txn.Read_only { keys = accounts })) in
   Alcotest.(check int) "money conserved" 800
     (List.fold_left (fun acc (k, _) -> acc + int_of values k) 0 values);
   Sim.Metrics.get (Cluster.metrics c)
 
 let test_push_off_no_plan_subs () =
-  let off = run_transfers ~push_opt:false in
+  let off = run_transfers ~push_opt:false () in
   Alcotest.(check int) "push_hits" 0 (off "fcc.push_hits");
   Alcotest.(check int) "plan subs sent" 0 (off "plan.subs_sent");
   Alcotest.(check bool) "remote reads instead" true (off "fcc.remote_reads" > 0);
-  let on = run_transfers ~push_opt:true in
+  let on = run_transfers ~push_opt:true () in
   Alcotest.(check bool) "push on: pushes hit" true (on "fcc.push_hits" > 0)
+
+(* The frontend's recipient rule: a functor pushes its value to a
+   sibling that reads it only when the reader lives on another partition,
+   and only with push_opt on.  Each cross-partition transfer has one such
+   reader (dst reads src); a same-partition transfer has none. *)
+let test_pushes_to_remote_readers () =
+  let pushes ?same_partition push_opt =
+    run_transfers ?same_partition ~push_opt () "fcc.pushes_sent"
+  in
+  Alcotest.(check int) "cross-partition reader" 16 (pushes true);
+  Alcotest.(check int) "same-partition reader" 0
+    (pushes ~same_partition:true true);
+  Alcotest.(check int) "push_opt off" 0 (pushes false)
 
 (* An empty read-write transaction has nothing to install, yet it holds
    its epoch open until it finishes: it must commit at once with its
@@ -489,6 +500,8 @@ let suite =
     Alcotest.test_case "ack on install" `Quick test_ack_on_install;
     Alcotest.test_case "push off sends no plan subscriptions" `Quick
       test_push_off_no_plan_subs;
+    Alcotest.test_case "pushes only to remote readers" `Quick
+      test_pushes_to_remote_readers;
     Alcotest.test_case "empty read-write commits" `Quick
       test_empty_read_write;
     QCheck_alcotest.to_alcotest prop_tracker ]
