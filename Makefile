@@ -187,8 +187,10 @@ fmt:
 	dune build @fmt
 
 # Every val and module a lib/*/*.mli exports must have a caller outside
-# its own module (ci/dead_exports.py; exceptions, each with a reason, go
-# in ci/dead_exports_allow.txt), plus the scan's own fixture tests.
+# its own module in lib, bin, bench or examples; a test is not a caller
+# (ci/dead_exports.py; exceptions go in ci/dead_exports_allow.txt, each
+# with a reason: observer, test fake or mechanism), plus the scan's own
+# fixture tests.
 dead-exports:
 	python3 ci/test_dead_exports.py
 	python3 ci/dead_exports.py

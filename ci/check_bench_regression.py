@@ -408,7 +408,7 @@ def parse_timeline(path):
             for w in workers:
                 if not isinstance(w, dict):
                     fail(lineno, "stratum line: workers must be objects")
-                for field in ("worker", "completed", "stolen"):
+                for field in ("worker", "completed"):
                     need(lineno, w, field, int, "stratum worker")
             seg["strata"].append(rec)
         else:

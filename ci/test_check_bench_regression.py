@@ -314,16 +314,16 @@ class GateTest(unittest.TestCase):
         return self.write("TIMELINE.jsonl", [meta, stratum])
 
     def test_timeline_stratum_passes(self):
-        path = self.timeline({"worker": 0, "completed": 3, "stolen": 1})
+        path = self.timeline({"worker": 0, "completed": 3})
         code, out, err = self.run_gate("--validate-timeline", path)
         self.assertEqual(code, 0, err)
         self.assertIn("timeline ok", out)
 
-    def test_timeline_stratum_worker_without_stolen(self):
-        path = self.timeline({"worker": 0, "completed": 3})
+    def test_timeline_stratum_worker_without_completed(self):
+        path = self.timeline({"worker": 0})
         code, _, err = self.run_gate("--validate-timeline", path)
         self.assertEqual(code, 1)
-        self.assertIn("'stolen' must be int", err)
+        self.assertIn("'completed' must be int", err)
 
 
 if __name__ == "__main__":

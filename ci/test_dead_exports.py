@@ -3,7 +3,8 @@
 values the scan fails, and passes once the dead values are
 allowlisted.  Uses count only through the module: qualified, through
 an alias, bare in a file that opens it, or unqualified-library inside
-its own library; a same-name value of another module is not a use.
+its own library; a same-name value of another module is not a use, and
+neither is a use under test/.
 
     python3 ci/test_dead_exports.py
 """
@@ -21,10 +22,12 @@ import dead_exports  # noqa: E402
 FILES = {
     "lib/a/foo.mli": "val used : int -> int\nval dead : int -> int\n"
                      "module Inner : sig val x : int end\nval aliased : int\n"
-                     "val opened : int\nval samelib : int\nval shadowed : int\n",
+                     "val opened : int\nval samelib : int\nval shadowed : int\n"
+                     "val testonly : int\n",
     "lib/a/foo.ml": "let used x = x + 1\nlet dead x = used x\n"
                     "module Inner = struct let x = 1 end\nlet aliased = 1\n"
-                    "let opened = 2\nlet samelib = 3\nlet shadowed = 4\n",
+                    "let opened = 2\nlet samelib = 3\nlet shadowed = 4\n"
+                    "let testonly = 6\n",
     # Inside library a, Foo.samelib needs no A. prefix.
     "lib/a/bar.ml": "let z = Foo.samelib\n",
     # Another module's value of the same name, used bare and qualified.
@@ -36,9 +39,12 @@ FILES = {
                    "let b = A.Baz.shadowed + Baz.shadowed\n",
     "bin/alias.ml": "module F = A.Foo\nlet v = F.aliased\n",
     "bin/opened.ml": "open A.Foo\nlet v = opened\n",
+    # Tests are not callers.
+    "test/test_foo.ml": "let t = A.Foo.testonly\n",
 }
 DEAD = ["lib/a/foo.mli dead kept for a test",
-        "lib/a/foo.mli shadowed kept for a test"]
+        "lib/a/foo.mli shadowed kept for a test",
+        "lib/a/foo.mli testonly observer kept for a test"]
 
 
 class DeadExportsTest(unittest.TestCase):
@@ -76,12 +82,27 @@ class DeadExportsTest(unittest.TestCase):
         for name in ("aliased", "opened", "samelib"):
             self.assertNotIn("val " + name, out)
         self.assertIn("lib/a/foo.mli:7: val shadowed has no caller", out)
-        self.assertIn("dead exports: 2 (2 not allowlisted)", out)
+        self.assertIn("dead exports: 3 (3 not allowlisted, 0 allowlisted)",
+                      out)
+
+    def test_use_only_under_test_is_reported(self):
+        code, out = self.run_scan()
+        self.assertEqual(code, 1)
+        self.assertIn("lib/a/foo.mli:8: val testonly has no caller", out)
 
     def test_allowlisted_dead_value_passes(self):
         code, out = self.run_scan(["# fixture"] + DEAD)
         self.assertEqual(code, 0, out)
         self.assertIn("allowed: kept for a test", out)
+        self.assertIn("dead exports: 3 (0 not allowlisted, 3 allowlisted)",
+                      out)
+
+    def test_allowlisted_test_only_export_passes(self):
+        code, out = self.run_scan(DEAD)
+        self.assertEqual(code, 0, out)
+        self.assertIn(
+            "lib/a/foo.mli:8: val testonly (allowed: observer kept for a test)",
+            out)
 
     def test_allowlist_needs_a_reason(self):
         code, out = self.run_scan(["lib/a/foo.mli dead"])

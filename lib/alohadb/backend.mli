@@ -58,18 +58,14 @@ val release_closed : t -> upto_epoch:int -> unit
 val note_close : t -> Obs.Ledger.t -> epoch:int -> unit
 (** Ledger: the value watermark at close (-1 while down). *)
 
-val replay :
-  t -> partition:int -> snapshot:(Mvstore.Key.t * int * Message.fspec) list ->
-  entries:Wal.entry list -> unit
-(** Load a checkpoint snapshot and replay log entries into the current
-    incarnation (restart: its own checkpoint and durable log; promotion:
-    the shipped log, which checkpoints never truncate), re-buffer
-    still-pending functors and rebuild their batches. *)
+val replay : t -> partition:int -> entries:Wal.entry list -> unit
+(** Replay log entries into the current incarnation (restart: its own
+    durable log; promotion: the shipped log), re-buffer still-pending
+    functors and rebuild their batches. *)
 
 (** {2 Storage access and probes} *)
 
 val load_initial : t -> key:Mvstore.Key.t -> Functor_cc.Value.t -> unit
-val checkpoint_now : t -> unit
 val compute_queue_depth : t -> int
 val inflight_functors : t -> int
 val value_watermark_lag_us : t -> int

@@ -119,7 +119,6 @@ val functor_of_fspec :
 (** Materialise the runtime record a BE stores for this spec. *)
 
 val fspec_value : Functor_cc.Value.t -> fspec
-val fspec_delete : fspec
 val fspec_of_op :
   key:Mvstore.Key.t -> recipients:Mvstore.Key.t list ->
   ?pushed_reads:Mvstore.Key.t list -> Txn.op -> fspec

@@ -1,48 +1,21 @@
 (** Crash recovery for one backend partition.
 
     Because functors are deterministic and read only historical versions,
-    recovery is checkpoint-load plus log replay: re-install every logged
-    functor and let the engine recompute.  Recomputation reproduces the
-    exact pre-crash values — including deferred dependent-key writes —
-    reading remote partitions' immutable history where needed, which is
-    the property §III-A borrows from ALOHA-KV's fault-tolerance design.
-
-    Scope note (see DESIGN.md): this recovers a single crashed partition
-    into a fresh engine while the rest of the cluster stays up.  Full
-    primary-backup failover (leases, client retry) is out of scope; the
-    paper's evaluation also runs with fault tolerance disabled. *)
-
-val snapshot_of_engine :
-  Functor_cc.Compute_engine.t -> (Mvstore.Key.t * int * Message.fspec) list
-(** Capture every key's latest committed/deleted final record, for
-    {!Wal.checkpoint}.  Keys whose versions are all aborted are skipped;
-    versions above each key's latest final (still-pending functors) are
-    {e not} captured — their log entries must be retained. *)
+    recovery is log replay: re-install every logged functor and let the
+    engine recompute.  Recomputation reproduces the exact pre-crash
+    values — including deferred dependent-key writes — reading remote
+    partitions' immutable history where needed, which is the property
+    §III-A borrows from ALOHA-KV's fault-tolerance design. *)
 
 val max_final_version : Functor_cc.Compute_engine.t -> int
-(** The highest version captured by {!snapshot_of_engine} — the
-    [retain_above] bound for a checkpoint taken when no functor is
-    pending. *)
+(** The highest version holding a committed or deleted final value, over
+    every key (0 when there is none): the partition's value watermark,
+    read by the ledger at each close and by the lag probe. *)
 
 val replay :
-  engine:Functor_cc.Compute_engine.t ->
-  snapshot:(Mvstore.Key.t * int * Message.fspec) list ->
-  entries:Wal.entry list ->
-  int
-(** Load a checkpoint snapshot and replay a log-entry sequence into a
-    fresh engine — the shared core of {!rebuild} (a restarted backend's
-    own WAL) and replica promotion (the shipped copy of the crashed
-    primary's WAL, with an empty snapshot: checkpoints are disabled
-    under replication).  Returns the number of records restored. *)
-
-val rebuild :
-  engine:Functor_cc.Compute_engine.t -> wal:Wal.t -> int
-(** Load the checkpoint and replay the durable log into a fresh engine:
-    installs are re-installed as pending functors (replay re-computes
-    them), aborts re-applied.  Returns the number of records restored.
-    The caller then drives recomputation (processor or on-demand). *)
-
-val recompute :
-  Functor_cc.Compute_engine.t -> unit
-(** Force computation of every replayed pending functor (ascending
-    versions per key), as the post-recovery processor sweep would. *)
+  engine:Functor_cc.Compute_engine.t -> entries:Wal.entry list -> unit
+(** Replay a log-entry sequence, oldest first, into a fresh engine:
+    installs are re-installed as pending functors (the caller's
+    recomputation evaluates them) and aborts re-applied.  Restart replays
+    the backend's own durable log, replica promotion the shipped copy of
+    the crashed primary's log. *)

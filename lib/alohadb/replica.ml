@@ -47,23 +47,12 @@ let current_prim t partition = Hashtbl.find_opt t.prims partition
 let wal t = Option.map (fun p -> p.p_wal) (current_prim t t.node.my_partition)
 let leads_any t = Hashtbl.length t.prims > 0
 
-(* A checkpoint renumbers the log, but WAL positions are the replication
-   ship sequence. *)
-let checkpoint_wal t =
-  let home = t.node.my_partition in
-  if List.length (Net.Route.members t.fabric.route ~partition:home) > 1 then
-    invalid_arg "Server.checkpoint_now: unsupported under replication";
-  match wal t with
-  | Some wal -> wal
-  | None -> invalid_arg "Server.checkpoint_now: durability disabled"
-
 let iter_led t f =
   Hashtbl.iter (fun partition p -> f ~partition p.p_wal) t.prims
 
 (* Append to the partition's log and advance the group's replicated-log
-   length, which is kept equal to the WAL entry count while the group
-   has followers (checkpoints are disabled under replication so
-   positions never shift). *)
+   length, which stays equal to the WAL entry count: the log never
+   renumbers, and a crash cuts both back to the durable prefix. *)
 let log_entry t ~partition entry =
   match current_prim t partition with
   | Some prim ->

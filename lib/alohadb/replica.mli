@@ -33,10 +33,6 @@ val wal : t -> Wal.t option
 
 val leads_any : t -> bool
 
-val checkpoint_wal : t -> Wal.t
-(** The home log, for a checkpoint; raises [Invalid_argument] when the
-    server is not durable or the home group has followers. *)
-
 val iter_led : t -> (partition:int -> Wal.t -> unit) -> unit
 (** Every log this server leads. *)
 

@@ -119,7 +119,6 @@ let load_initial t ~key value =
   Backend.load_initial t.backend ~key:(Key.intern key) value
 
 let wal t = Replica.wal t.replica
-let checkpoint_now t = Backend.checkpoint_now t.backend
 let compute_queue_depth t = Backend.compute_queue_depth t.backend
 let inflight_functors t = Backend.inflight_functors t.backend
 let value_watermark_lag_us t = Backend.value_watermark_lag_us t.backend
@@ -154,8 +153,7 @@ let restart_be t =
   Sim.Metrics.incr t.node.metrics "aloha.be_restarts";
   Replica.demote_lost t.replica;
   Replica.iter_led t.replica (fun ~partition wal ->
-      Backend.replay t.backend ~partition ~snapshot:(Wal.snapshot wal)
-        ~entries:(Wal.durable wal));
+      Backend.replay t.backend ~partition ~entries:(Wal.durable wal));
   if Replica.leads_any t.replica then
     Backend.release_closed t.backend ~upto_epoch:t.last_closed_epoch;
   t.node.be_down <- false;
@@ -169,6 +167,6 @@ let adopt_partition t ~partition ~down =
   Replica.adopt t.replica ~partition ~down
     ~closed_epoch:t.last_closed_epoch
     ~replay:(fun entries ->
-      Backend.replay t.backend ~partition ~snapshot:[] ~entries)
+      Backend.replay t.backend ~partition ~entries)
     ~release:(fun () ->
       Backend.release_closed t.backend ~upto_epoch:t.last_closed_epoch)

@@ -103,14 +103,6 @@ val replication_lag : t -> int
 (** Total entries shipped-but-unacked across the replication groups this
     server leads (0 at k = 1) — gauge probe. *)
 
-val checkpoint_now : t -> unit
-(** Snapshot the partition's final state into the WAL and truncate the
-    log below it.  Raises [Invalid_argument] when the server is not
-    durable, or when the home group has followers (a checkpoint renumbers
-    the log, but WAL positions are the replication ship sequence).  Intended to be called
-    when the partition is quiescent (no pending functors), e.g. between
-    epochs. *)
-
 val crash_be : t -> unit
 (** Crash the backend role of this server: the unflushed WAL tail and all
     volatile backend state (installed-but-unlogged functors, batch
@@ -125,11 +117,11 @@ val crash_be : t -> unit
 val restart_be : t -> unit
 (** Restart a crashed backend: rejoin as a follower every partition a
     failover promoted away meanwhile, then, for every log this server
-    still leads, reload the checkpoint and replay the durable log
-    ({!Recovery.replay}), re-buffer still-pending functors at their
-    logged epochs, and release every epoch that closed before or during
-    the outage.  State survives only on a durable server; without a WAL
-    the backend restarts empty.  Raises [Invalid_argument] if not down. *)
+    still leads, replay the durable log ({!Recovery.replay}), re-buffer
+    still-pending functors at their logged epochs, and release every
+    epoch that closed before or during the outage.  State survives only
+    on a durable server; without a WAL the backend restarts empty.
+    Raises [Invalid_argument] if not down. *)
 
 val be_down : t -> bool
 

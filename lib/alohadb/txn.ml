@@ -39,11 +39,6 @@ type result =
 let read_write ?(precondition_keys = []) ?(ack = Ack_on_computed) writes =
   Read_write { writes; precondition_keys; ack }
 
-let op_read_set key = function
-  | Put _ | Delete -> []
-  | Add _ | Subtr _ | Max _ | Min _ -> [ key ]
-  | Call { read_set; _ } | Det { read_set; _ } -> read_set
-
 let op_commutative = function
   | Add _ | Subtr _ | Max _ | Min _ -> true
   | Put _ | Delete | Call _ | Det _ -> false
@@ -52,26 +47,6 @@ let all_commutative ~writes ~precondition_keys =
   precondition_keys = []
   && writes <> []
   && List.for_all (fun (_, op) -> op_commutative op) writes
-
-let write_keys = function
-  | Read_only _ | Read_at _ -> []
-  | Read_write { writes; _ } ->
-      List.concat_map
-        (fun (key, op) ->
-          match op with
-          | Det { dependents; _ } -> key :: dependents
-          | Put _ | Delete | Add _ | Subtr _ | Max _ | Min _ | Call _ ->
-              [ key ])
-        writes
-
-let recipients_for writes key =
-  List.filter_map
-    (fun (wkey, op) ->
-      if (not (String.equal wkey key))
-         && List.exists (String.equal key) (op_read_set wkey op)
-      then Some wkey
-      else None)
-    writes
 
 let pp_result fmt = function
   | Committed { ts } ->

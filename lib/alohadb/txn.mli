@@ -64,10 +64,6 @@ val read_write :
   (string * op) list -> request
 (** Convenience constructor; [ack] defaults to [Ack_on_computed]. *)
 
-val write_keys : request -> string list
-(** Keys written by the request, including declared dependents (empty for
-    reads). *)
-
 val all_commutative :
   writes:(string * op) list -> precondition_keys:string list -> bool
 (** The fast-path classifier: a non-empty write set of commutative
@@ -76,9 +72,5 @@ val all_commutative :
     the same value) with no precondition keys.  Such a transaction needs no
     epoch-close ordering — it can commit as soon as every partition has
     installed its functors. *)
-
-val recipients_for : (string * op) list -> string -> string list
-(** §IV-B recipient-set computation: the keys among [writes] whose functor
-    read set contains the given key. *)
 
 val pp_result : Format.formatter -> result -> unit

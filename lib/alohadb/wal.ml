@@ -17,8 +17,8 @@ type entry = Message.log_entry =
    [0, durable) have reached the device and [durable, len) are buffered.
    A flush is [durable <- len] and a crash is [len <- durable], so the
    per-flush, per-ack and per-ship work is proportional to the fresh
-   entries, never to the log; only [durable], [all] and [checkpoint]
-   (recovery, promotion and checkpoint time) walk the whole log. *)
+   entries, never to the log; only [durable] and [all] (recovery and
+   promotion) walk the whole log. *)
 type t = {
   sim : Sim.Engine.t;
   flush_latency_us : int;
@@ -26,7 +26,6 @@ type t = {
   mutable len : int;
   mutable durable : int;
   mutable flush_scheduled : bool;
-  mutable ckpt : (Mvstore.Key.t * int * Message.fspec) list;
   mutable waiters : (unit -> unit) list;  (* newest first *)
   mutable generation : int;  (* bumped by lose_unflushed (crash) *)
   mutable on_flush : (unit -> unit) option;
@@ -39,7 +38,7 @@ let filler = Log_epoch_closed 0
 
 let create sim ?(flush_latency_us = 500) () =
   { sim; flush_latency_us; log = [||]; len = 0; durable = 0;
-    flush_scheduled = false; ckpt = []; waiters = []; generation = 0;
+    flush_scheduled = false; waiters = []; generation = 0;
     on_flush = None }
 
 let set_on_flush t f = t.on_flush <- Some f
@@ -119,33 +118,6 @@ let pending_bytes t =
     acc := !acc + entry_bytes t.log.(i)
   done;
   !acc
-
-let entry_version = function
-  | Log_install { version; _ } | Log_abort { version; _ } -> Some version
-  | Log_epoch_closed _ -> None
-
-let checkpoint t ~snapshot ~retain_above =
-  t.ckpt <- snapshot;
-  (* Entries covered by the snapshot are dropped; later ones (functors of
-     epochs still open or not yet computed) are retained in order and
-     made durable together with the checkpoint, which installs
-     atomically. *)
-  let kept = ref 0 in
-  for i = 0 to t.len - 1 do
-    let e = t.log.(i) in
-    match entry_version e with
-    | Some v when v > retain_above ->
-        t.log.(!kept) <- e;
-        incr kept
-    | Some _ | None -> ()
-  done;
-  Array.fill t.log !kept (t.len - !kept) filler;
-  t.len <- !kept;
-  t.durable <- !kept;
-  (* The checkpoint made everything (snapshot + retained tail) durable. *)
-  run_waiters t
-
-let snapshot t = t.ckpt
 
 (* Durable entries with 1-based positions in (from, upto], oldest first:
    the retransmission window a replication primary re-ships.  Position

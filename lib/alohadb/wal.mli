@@ -4,8 +4,8 @@
     (not its computed value!) is logged, because functor evaluation is
     deterministic — replaying the installs and recomputing reproduces the
     exact post-crash state, including deferred dependent-key writes.
-    Checkpoints bound replay work: a checkpoint captures every key's
-    latest final value at a version below which the log can be discarded.
+    The log is never truncated, so an entry's position is fixed for the
+    log's lifetime (the replication ship sequence relies on it).
 
     The log models a durable device: appends buffer in memory and reach
     stable storage after [flush_latency_us] (group commit); only flushed
@@ -45,7 +45,7 @@ val after_durable : t -> (unit -> unit) -> unit
 val lose_unflushed : t -> int
 (** Crash the device: the buffered (unflushed) tail is lost, pending
     {!after_durable} callbacks are dropped.  Returns how many entries were
-    lost.  The durable prefix and checkpoint are what recovery sees. *)
+    lost.  The durable prefix is what recovery sees. *)
 
 val durable : t -> entry list
 (** Entries that survived as of now, oldest first (what a post-crash
@@ -76,17 +76,4 @@ val pending_count : t -> int
 val pending_bytes : t -> int
 (** Nominal size of the unflushed tail (gauge for the observability
     layer; sizes are modelled, not serialized). *)
-
-val checkpoint :
-  t -> snapshot:(Mvstore.Key.t * int * Message.fspec) list ->
-  retain_above:int -> unit
-(** Atomically replace the log prefix with a checkpoint: [snapshot] holds
-    every key's latest final record (as a VALUE/DELETED/ABORTED fspec)
-    with its version; log entries whose version is <= [retain_above] are
-    discarded (their effects are captured by the snapshot), later ones are
-    kept for replay.  Checkpoint installation is treated as atomic, as in
-    shadow-paging schemes, and makes the retained entries durable. *)
-
-val snapshot : t -> (Mvstore.Key.t * int * Message.fspec) list
-(** The latest checkpoint (empty if none was taken). *)
 

@@ -212,8 +212,8 @@ let exec (type c) (module T : TARGET with type cluster = c)
       Trace.note trace ~now:(Sim.Engine.now sim) ~src ~dst);
   (* Monotonicity probes, sampled throughout the run.  Probes on a
      crashing node are excluded up front: recovery rebuilds from the
-     checkpoint and the durable log, legitimately below the pre-crash
-     in-memory watermark. *)
+     durable log, legitimately below the pre-crash in-memory
+     watermark. *)
   let crashed_nodes =
     if not faulted then []
     else

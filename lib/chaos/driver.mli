@@ -17,7 +17,7 @@
     - {b monotone probes}: per-key value watermarks (ALOHA) and
       committed counters sampled during the run never regress — probes
       on a crashing node are excluded, since recovery rebuilds from the
-      checkpoint and the durable log;
+      durable log;
     - {b at-most-once evaluation}: in crash-free ALOHA runs,
       [fcc.computed <= aloha.functors_installed]. *)
 

@@ -26,9 +26,10 @@ val offset : t -> int
 
 val skew_by : t -> us:int -> unit
 (** Shift the clock offset by [us] (positive = run fast, negative = lag).
-    Fault injection uses this to turn a node into a straggler mid-run; a
-    later {!sync} (or the sync daemon) re-disciplines it.  A negative skew
-    does not violate {!now}'s monotonicity — readings plateau instead. *)
+    Fault injection uses this to turn a node into a straggler mid-run.  No
+    deployment runs {!sync}, so an injected skew lasts for the whole run.
+    A negative skew does not violate {!now}'s monotonicity — readings
+    plateau instead. *)
 
 val sync : t -> error_bound_us:int -> unit
 (** An NTP exchange completed: clamp the offset into

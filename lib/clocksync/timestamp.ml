@@ -30,8 +30,6 @@ let window_lo ~time_us = make ~time_us ~node:0 ~seq:0
 
 let window_hi ~time_us = make ~time_us ~node:node_mask ~seq:seq_mask
 
-let compare = Int.compare
-let equal = Int.equal
 let ( < ) a b = Stdlib.( < ) a b
 let ( <= ) a b = Stdlib.( <= ) a b
 

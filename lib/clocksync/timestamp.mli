@@ -12,7 +12,6 @@
 
 type t = private int
 
-val node_bits : int
 val seq_bits : int
 
 val make : time_us:int -> node:int -> seq:int -> t
@@ -40,8 +39,6 @@ val window_lo : time_us:int -> t
 val window_hi : time_us:int -> t
 (** Largest timestamp whose time field is <= [time_us]. *)
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
 

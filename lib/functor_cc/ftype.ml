@@ -13,42 +13,6 @@ let is_final = function
   | Value | Aborted | Deleted -> true
   | Add | Subtr | Max | Min | User _ | Dep_marker _ -> false
 
-let reads_own_key = function
-  | Add | Subtr | Max | Min -> true
-  | Value | Aborted | Deleted | User _ | Dep_marker _ -> false
-
-let commutative = function
-  | Add | Subtr | Max | Min -> true
-  | Value | Aborted | Deleted | User _ | Dep_marker _ -> false
-
-let equal a b =
-  match (a, b) with
-  | Value, Value
-  | Aborted, Aborted
-  | Deleted, Deleted
-  | Add, Add
-  | Subtr, Subtr
-  | Max, Max
-  | Min, Min -> true
-  | User x, User y -> String.equal x y
-  | Dep_marker x, Dep_marker y -> Mvstore.Key.equal x y
-  | ( (Value | Aborted | Deleted | Add | Subtr | Max | Min | User _
-      | Dep_marker _),
-      _ ) -> false
-
-let to_string = function
-  | Value -> "VALUE"
-  | Aborted -> "ABORTED"
-  | Deleted -> "DELETED"
-  | Add -> "ADD"
-  | Subtr -> "SUBTR"
-  | Max -> "MAX"
-  | Min -> "MIN"
-  | User name -> Printf.sprintf "USER(%s)" name
-  | Dep_marker key -> Printf.sprintf "DEP_MARKER(%s)" (Mvstore.Key.name key)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let table_i =
   [ ("VALUE", "the literal value of the key");
     ("ABORTED", "none");

@@ -24,21 +24,6 @@ val is_final : t -> bool
 (** True for [Value], [Aborted], [Deleted] — the f-types excluded from
     computation by lines 5 and 18–20 of Algorithm 1. *)
 
-val reads_own_key : t -> bool
-(** True for the numeric built-ins, whose read set "comprises only the key
-    to which the functor was written" (§IV-B). *)
-
-val commutative : t -> bool
-(** True for the numeric built-ins [Add]/[Subtr]/[Max]/[Min].  Each is an
-    associative, commutative fold over its own key's history, so any
-    interleaving of such functors on a chain converges to the same final
-    value — the algebraic property the coordination-free fast path relies
-    on. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-
 val table_i : (string * string) list
 (** The rows of the paper's Table I: (f-type, f-argument representation),
     printed by the [table1] bench target. *)

@@ -95,15 +95,3 @@ let add_push p ~key v =
 let pushed_value p key = assoc_key key p.pushed
 
 let on_push p ~key w = p.push_waiters <- (key, w) :: p.push_waiters
-
-let pp_final fmt = function
-  | Committed v -> Format.fprintf fmt "VALUE %a" Value.pp v
-  | Aborted_v -> Format.pp_print_string fmt "ABORTED"
-  | Deleted_v -> Format.pp_print_string fmt "DELETED"
-
-let pp fmt t =
-  match t.state with
-  | Final f -> pp_final fmt f
-  | Pending p ->
-      Format.fprintf fmt "%a[%s]" Ftype.pp p.ftype
-        (match p.status with Installed -> "installed" | Computing -> "computing")

@@ -92,5 +92,3 @@ val on_push : pending -> key:Mvstore.Key.t -> (Value.t option -> unit) -> unit
 (** Register a continuation fired when a push for [key] arrives.  Callers
     racing a push against a remote read must guard against double
     delivery themselves. *)
-
-val pp : Format.formatter -> t -> unit

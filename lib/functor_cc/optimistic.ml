@@ -39,13 +39,3 @@ let validate (ctx : Registry.ctx) =
   else Registry.Abort
 
 let register registry = Registry.register registry handler_name validate
-
-let make_functor ~snapshot ~new_value ~txn_id ~coordinator =
-  let farg =
-    { Funct.read_set = List.map (fun (k, _) -> Mvstore.Key.intern k) snapshot;
-      args = [ encode_snapshot snapshot; new_value ];
-      recipients = [];
-      dependents = [];
-      pushed_reads = [] }
-  in
-  Funct.mk_pending ~ftype:(Ftype.User handler_name) ~farg ~txn_id ~coordinator

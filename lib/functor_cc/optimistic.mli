@@ -18,10 +18,3 @@ val register : Registry.t -> unit
 
 val encode_snapshot : (string * Value.t option) list -> Value.t
 (** Encode the observed snapshot for transport inside an f-argument. *)
-
-val make_functor :
-  snapshot:(string * Value.t option) list ->
-  new_value:Value.t ->
-  txn_id:int -> coordinator:int -> Funct.t
-(** A pending functor that commits [new_value] iff every key in
-    [snapshot] still has the observed value at computing time. *)

@@ -12,7 +12,7 @@ type t = {
   now : unit -> int;
   on_dispatch : (key:Key.t -> version:int -> unit) option;
   on_stratum : (size:int -> unit) option;
-  on_stratum_done : (size:int -> workers:(int * int) array -> unit) option;
+  on_stratum_done : (size:int -> workers:int array -> unit) option;
   on_evaluated : (elapsed_us:int -> unit) option;
   m_plans : int ref;
   m_nodes : int ref;
@@ -228,11 +228,7 @@ let eval_levels t rpool ~now ~nodes ~seg ~runs ~level ~readers =
     (match t.on_stratum_done with
     | Some f ->
         let after = Runtime.Pool.worker_stats rpool in
-        f ~size
-          ~workers:
-            (Array.map2
-               (fun (c0, s0) (c1, s1) -> (c1 - c0, s1 - s0))
-               before after)
+        f ~size ~workers:(Array.map2 (fun c0 c1 -> c1 - c0) before after)
     | None -> ());
     for r = r0 to r1 - 1 do
       for k = runs.pos.(r) to runs.pos.(r) + runs.len.(r) - 1 do

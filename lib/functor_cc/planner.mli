@@ -68,7 +68,7 @@ val create :
   ?now:(unit -> int) ->
   ?on_dispatch:(key:Mvstore.Key.t -> version:int -> unit) ->
   ?on_stratum:(size:int -> unit) ->
-  ?on_stratum_done:(size:int -> workers:(int * int) array -> unit) ->
+  ?on_stratum_done:(size:int -> workers:int array -> unit) ->
   ?on_evaluated:(elapsed_us:int -> unit) ->
   unit -> t
 (** [is_local] defaults to treating every key as local (single-partition
@@ -100,7 +100,7 @@ val create :
     pool instead of one event per item.  [on_stratum] observes each
     level's batch leaving for the domain pool (lifecycle tracing; [size]
     counts its nodes); [on_stratum_done] fires after the batch barrier
-    with the per-worker (completed, stolen) chunk deltas across the
+    with the per-worker completed-chunk deltas across the
     batch — the occupancy feed for the epoch ledger's per-worker
     profiling tracks.  The [plan.real_strata] counter counts these level
     batches. *)

@@ -52,12 +52,6 @@ let register t name handler =
 
 let find t name = Hashtbl.find_opt t.handlers name
 
-let names t =
-  Mutex.lock t.lock;
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) t.handlers [] in
-  Mutex.unlock t.lock;
-  List.sort String.compare names
-
 (* "cadd": add arg0 to own key's value, abort when result < arg1 (floor).
    The canonical conditional-transfer handler from Figure 5 (T3). *)
 let cadd ctx =

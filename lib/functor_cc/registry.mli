@@ -45,16 +45,11 @@ type handler = ctx -> outcome
 
 type t
 
-val create : unit -> t
-
 val register : t -> string -> handler -> unit
 (** Raises [Invalid_argument] on duplicate names — silently replacing a
     stored procedure is a deployment error. *)
 
 val find : t -> string -> handler option
-
-val names : t -> string list
-(** Registered handler names, sorted. *)
 
 val with_builtins : unit -> t
 (** A registry preloaded with the example handlers used in docs and tests:

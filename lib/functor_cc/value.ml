@@ -5,8 +5,6 @@ type t =
   | Str of string
   | Tup of t list
 
-let unit = Unit
-
 (* The small ints that rows are made of (counts, quantities, ids,
    prices) get one box each, allocated once and shared by every value
    that holds them.  Values are immutable, so no caller can tell a
@@ -34,11 +32,6 @@ let type_error expected v =
 
 let to_int = function Int i -> i | v -> type_error "int" v
 
-let to_float = function
-  | Float f -> f
-  | Int i -> float_of_int i
-  | v -> type_error "float" v
-
 let to_str = function Str s -> s | v -> type_error "str" v
 
 let to_tup = function Tup l -> l | v -> type_error "tup" v
@@ -54,14 +47,6 @@ let nth v i =
       walk i l
   | v -> type_error "tup" v
 
-let set_nth v i x =
-  match v with
-  | Tup l ->
-      if i < 0 || i >= List.length l then
-        invalid_arg (Printf.sprintf "Value.set_nth: index %d" i);
-      Tup (List.mapi (fun j y -> if j = i then x else y) l)
-  | v -> type_error "tup" v
-
 let rec equal a b =
   match (a, b) with
   | Unit, Unit -> true
@@ -70,22 +55,6 @@ let rec equal a b =
   | Str x, Str y -> String.equal x y
   | Tup x, Tup y -> List.length x = List.length y && List.for_all2 equal x y
   | (Unit | Int _ | Float _ | Str _ | Tup _), _ -> false
-
-let rec compare a b =
-  match (a, b) with
-  | Unit, Unit -> 0
-  | Int x, Int y -> Int.compare x y
-  | Float x, Float y -> Float.compare x y
-  | Str x, Str y -> String.compare x y
-  | Tup x, Tup y -> List.compare compare x y
-  | Unit, _ -> -1
-  | _, Unit -> 1
-  | Int _, _ -> -1
-  | _, Int _ -> 1
-  | Float _, _ -> -1
-  | _, Float _ -> 1
-  | Str _, _ -> -1
-  | _, Str _ -> 1
 
 let rec pp fmt = function
   | Unit -> Format.pp_print_string fmt "()"
@@ -100,10 +69,3 @@ let rec pp fmt = function
         l
 
 let to_string v = Format.asprintf "%a" pp v
-
-let rec size_bytes = function
-  | Unit -> 1
-  | Int _ -> 8
-  | Float _ -> 8
-  | Str s -> 4 + String.length s
-  | Tup l -> List.fold_left (fun acc v -> acc + size_bytes v) 4 l

@@ -11,8 +11,6 @@ type t =
   | Str of string
   | Tup of t list
 
-val unit : t
-
 val int : int -> t
 (** Ints in 0..1023 share one preallocated box each; build [Int] only
     through this function so every value gets them. *)
@@ -24,9 +22,6 @@ val tup : t list -> t
 val to_int : t -> int
 (** Raises [Invalid_argument] when the value is not an [Int]. *)
 
-val to_float : t -> float
-(** Accepts [Int] (widened) and [Float]. *)
-
 val to_str : t -> string
 val to_tup : t -> t list
 
@@ -34,13 +29,7 @@ val nth : t -> int -> t
 (** Field access on a [Tup].  Raises [Invalid_argument] for an index
     outside the tuple and for a value that is not a [Tup]. *)
 
-val set_nth : t -> int -> t -> t
-(** Functional field update on a [Tup]. *)
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val size_bytes : t -> int
-(** Approximate wire size, used by the cost model to scale message costs. *)

@@ -23,10 +23,8 @@
     For the common case where the description is already static,
     {!make} uses one description for both facets. *)
 
-module Value = Functor_cc.Value
-
 type op =
-  | Put of Value.t
+  | Put of Functor_cc.Value.t
   | Delete
   | Add of int
   | Subtr of int
@@ -35,12 +33,12 @@ type op =
   | Call of {
       handler : string;
       read_set : string list;
-      args : Value.t list;
+      args : Functor_cc.Value.t list;
     }
   | Det of {
       handler : string;
       read_set : string list;
-      args : Value.t list;
+      args : Functor_cc.Value.t list;
       dependents : string list;
     }
 
@@ -83,10 +81,10 @@ val write_keys : desc -> string list
 (** Sorted, deduplicated keys the description may write, including [Det]
     dependents. *)
 
-val encode_writes : (string * op) list -> Value.t
-(** Encode a write list as a {!Value.t} so it can be shipped as the
-    argument of a single generic stored procedure. *)
+val encode_writes : (string * op) list -> Functor_cc.Value.t
+(** Encode a write list as a {!Functor_cc.Value.t} so it can be shipped
+    as the argument of a single generic stored procedure. *)
 
-val decode_writes : Value.t -> (string * op) list
+val decode_writes : Functor_cc.Value.t -> (string * op) list
 (** Inverse of {!encode_writes}.  Raises [Invalid_argument] on malformed
     input. *)

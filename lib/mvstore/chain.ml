@@ -104,26 +104,7 @@ let find_exact t ~version =
   let pos = rank_le t version in
   if pos >= 0 && t.vers.(pos) = version then Some t.payloads.(pos) else None
 
-let find_next_after t ~version =
-  let pos = rank_le t version in
-  let next = pos + 1 in
-  if next < t.size then Some (t.vers.(next), t.payloads.(next)) else None
-
-let update t ~version payload =
-  let pos = rank_le t version in
-  if pos >= 0 && t.vers.(pos) = version then begin
-    t.payloads.(pos) <- payload;
-    true
-  end
-  else false
-
 let watermark t = t.watermark
-
-let advance_watermark t v =
-  if v > t.watermark then begin
-    t.watermark <- v;
-    t.wm_idx <- -1
-  end
 
 let advance_watermark_while t ~f =
   let i = ref ((if wm_idx_valid t then t.wm_idx else rank_le t t.watermark) + 1)
@@ -186,8 +167,3 @@ let truncate_below t ~version =
     t.wm_idx <- (if t.wm_idx >= drop then t.wm_idx - drop else -1);
     drop
   end
-
-let versions t = fold t ~init:[] ~f:(fun acc v _ -> v :: acc) |> List.rev
-
-let latest_version t =
-  if t.size = 0 then None else Some t.vers.(t.size - 1)

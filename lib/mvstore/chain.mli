@@ -11,8 +11,7 @@
 
     Each chain carries the key's {e value watermark}: the version below
     (or equal to) which every record holds an immutable final value.
-    Payload mutation (functor → final value) is the caller's business —
-    {!update} replaces the payload stored at a version. *)
+    Payload mutation (functor → final value) is the caller's business. *)
 
 type 'a t
 
@@ -43,27 +42,15 @@ val version_at : 'a t -> int -> int
 val payload_at : 'a t -> int -> 'a
 (** Payload of the entry at an index, as {!version_at}. *)
 
-val find_next_after : 'a t -> version:int -> (int * 'a) option
-(** Earliest version strictly greater than the bound (used by readers that
-    skip ABORTED versions downwards do not need this; processors scanning
-    upwards do). *)
-
-val update : 'a t -> version:int -> 'a -> bool
-(** Replace the payload at an existing version; [false] if absent. *)
-
 val watermark : 'a t -> int
 (** Highest version v such that all records with version <= v are final.
     Initially -1 (nothing final). *)
 
-val advance_watermark : 'a t -> int -> unit
-(** Monotone: lower targets are ignored (the paper's CAS loop, lines 7–9
-    of Algorithm 1, collapses to this in a single-threaded engine). *)
-
 val advance_watermark_while : 'a t -> f:('a -> bool) -> unit
 (** Advance the watermark over the contiguous run of records directly
     above it for which [f payload] holds: one rank search plus a linear
-    walk, the hot-path form of repeated [find_next_after] +
-    [advance_watermark]. *)
+    walk.  The watermark only moves up (the paper's CAS loop, lines 7–9
+    of Algorithm 1, collapses to this in a single-threaded engine). *)
 
 val advance_watermark_over :
   'a t -> lo:int -> hi:int -> f:('a -> bool) -> unit
@@ -88,8 +75,3 @@ val truncate_below : 'a t -> version:int -> int
     for historical reads at the horizon).  Returns the number of records
     reclaimed.  The watermark is unchanged; callers must only truncate
     below it (immutable finals). *)
-
-val versions : 'a t -> int list
-(** All version numbers, ascending (test helper). *)
-
-val latest_version : 'a t -> int option

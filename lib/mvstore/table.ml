@@ -90,12 +90,3 @@ let fold_chains t ~init ~f =
     if id >= 0 then acc := f (Key.of_id id) chains.(i) !acc
   done;
   !acc
-
-let iter t ~f = fold_chains t ~init:() ~f:(fun k c () -> f k c)
-
-let keys t = fold_chains t ~init:[] ~f:(fun k _ acc -> k :: acc)
-
-let key_count t = t.count
-
-let record_count t =
-  fold_chains t ~init:0 ~f:(fun _ c acc -> acc + Chain.length c)

@@ -39,16 +39,6 @@ val chain_of : 'a t -> Key.t -> 'a Chain.t
 
 val find_le : 'a t -> key:Key.t -> version:int -> (int * 'a) option
 
-val iter : 'a t -> f:(Key.t -> 'a Chain.t -> unit) -> unit
-(** Visit every (key, chain) pair without materialising a key list, in
-    no particular order.  Keys [f] adds may or may not be visited. *)
-
 val fold_chains : 'a t -> init:'b -> f:(Key.t -> 'a Chain.t -> 'b -> 'b) -> 'b
-
-val keys : 'a t -> Key.t list
-(** All keys (unordered); test/debug helper — allocates, prefer {!iter}. *)
-
-val key_count : 'a t -> int
-
-val record_count : 'a t -> int
-(** Total versions across all keys. *)
+(** Fold over every (key, chain) pair without materialising a key list,
+    in no particular order.  Keys [f] adds may or may not be visited. *)

@@ -19,7 +19,6 @@ type t = {
   transport : transport;
   mutable edicts : edict list;  (* evaluation order *)
   mutable partitions : part list;
-  mutable crashed : Address.Set.t;
 }
 
 (* Retransmission timeout model for the Reliable transport: a lost segment
@@ -34,8 +33,7 @@ let edict ?src ?dst ?(extra_max_us = 0) kind ~p ~from_us ~until_us =
   { kind; p; extra_max_us; src; dst; from_us; until_us }
 
 let create ?(transport = Lossy) ~seed () =
-  { rng = Sim.Rng.create seed; transport; edicts = []; partitions = [];
-    crashed = Address.Set.empty }
+  { rng = Sim.Rng.create seed; transport; edicts = []; partitions = [] }
 
 let transport t = t.transport
 
@@ -48,15 +46,10 @@ let partition t ~group ~from_us ~until_us =
     @ [ { members = Address.Set.of_list group;
           p_from = from_us; p_until = until_us } ]
 
-let mark_crashed t addr = t.crashed <- Address.Set.add addr t.crashed
-
-let is_crashed t addr = Address.Set.mem addr t.crashed
-
 type verdict =
   | Deliver of { extra_delay_us : int; copies : int; reorder : bool }
   | Drop_injected
   | Drop_partitioned
-  | Drop_crashed
 
 let matches e ~now ~src ~dst =
   now >= e.from_us && now < e.until_us
@@ -75,51 +68,48 @@ let partitioned t ~now ~src ~dst =
 let rto t = rto_base_us + Sim.Rng.int t.rng rto_jitter_us
 
 let decide t ~now ~src ~dst =
-  if Address.Set.mem src t.crashed || Address.Set.mem dst t.crashed then
-    Drop_crashed
-  else
-    match partitioned t ~now ~src ~dst with
-    | Some p -> (
-        match t.transport with
-        | Lossy -> Drop_partitioned
-        | Reliable ->
-            (* Buffered by the transport: delivered once the partition
-               heals, plus a retransmission backoff. *)
-            Deliver
-              { extra_delay_us = p.p_until - now + rto t;
-                copies = 1; reorder = false })
-    | None ->
-        let extra = ref 0 in
-        let copies = ref 1 in
-        let reorder = ref false in
-        let dropped = ref false in
-        List.iter
-          (fun e ->
-            if (not !dropped) && matches e ~now ~src ~dst
-               && Sim.Rng.bernoulli t.rng e.p
-            then
-              match (e.kind, t.transport) with
-              | Drop, Lossy -> dropped := true
-              | Drop, Reliable ->
-                  (* retransmitted: loss becomes latency *)
-                  extra := !extra + rto t
-              | Delay, _ ->
-                  extra :=
-                    !extra
-                    + (if e.extra_max_us <= 0 then 0
-                       else Sim.Rng.int t.rng (e.extra_max_us + 1))
-              | Duplicate, Lossy -> copies := !copies + 1
-              | Reorder, Lossy ->
-                  reorder := true;
-                  extra :=
-                    !extra
-                    + (if e.extra_max_us <= 0 then 0
-                       else Sim.Rng.int t.rng (e.extra_max_us + 1))
-              | Duplicate, Reliable | Reorder, Reliable ->
-                  (* TCP dedups and orders; nothing observable. *)
-                  ())
-          t.edicts;
-        if !dropped then Drop_injected
-        else
+  match partitioned t ~now ~src ~dst with
+  | Some p -> (
+      match t.transport with
+      | Lossy -> Drop_partitioned
+      | Reliable ->
+          (* Buffered by the transport: delivered once the partition
+             heals, plus a retransmission backoff. *)
           Deliver
-            { extra_delay_us = !extra; copies = !copies; reorder = !reorder }
+            { extra_delay_us = p.p_until - now + rto t;
+              copies = 1; reorder = false })
+  | None ->
+      let extra = ref 0 in
+      let copies = ref 1 in
+      let reorder = ref false in
+      let dropped = ref false in
+      List.iter
+        (fun e ->
+          if (not !dropped) && matches e ~now ~src ~dst
+             && Sim.Rng.bernoulli t.rng e.p
+          then
+            match (e.kind, t.transport) with
+            | Drop, Lossy -> dropped := true
+            | Drop, Reliable ->
+                (* retransmitted: loss becomes latency *)
+                extra := !extra + rto t
+            | Delay, _ ->
+                extra :=
+                  !extra
+                  + (if e.extra_max_us <= 0 then 0
+                     else Sim.Rng.int t.rng (e.extra_max_us + 1))
+            | Duplicate, Lossy -> copies := !copies + 1
+            | Reorder, Lossy ->
+                reorder := true;
+                extra :=
+                  !extra
+                  + (if e.extra_max_us <= 0 then 0
+                     else Sim.Rng.int t.rng (e.extra_max_us + 1))
+            | Duplicate, Reliable | Reorder, Reliable ->
+                (* TCP dedups and orders; nothing observable. *)
+                ())
+        t.edicts;
+      if !dropped then Drop_injected
+      else
+        Deliver
+          { extra_delay_us = !extra; copies = !copies; reorder = !reorder }

@@ -8,9 +8,9 @@
    order; delivery times are non-decreasing per link.
 
    An optional {!Faults.t} oracle is consulted on every send: it can drop
-   the message (injected loss, partition cut-off, crashed endpoint — each
-   counted under its own key), add delay, duplicate, or ask for the
-   message to bypass the link's FIFO queue (reordering). *)
+   the message (injected loss or partition cut-off, each counted under its
+   own key), add delay, duplicate, or ask for the message to bypass the
+   link's FIFO queue (reordering). *)
 
 type 'msg link = {
   l_src : Address.t;
@@ -25,7 +25,7 @@ type 'msg link = {
 type drop_stats = {
   injected : int;  (* probabilistic link faults *)
   partitioned : int;  (* partition windows *)
-  crashed : int;  (* endpoint marked crashed at send or delivery *)
+  crashed : int;  (* always 0: no fault marks an endpoint crashed *)
   unregistered : int;  (* no handler at delivery time *)
 }
 
@@ -37,10 +37,8 @@ type 'msg t = {
   faults : Faults.t option;
   handlers : (Address.t, src:Address.t -> 'msg -> unit) Hashtbl.t;
   links : (int, 'msg link) Hashtbl.t;
-  mutable sent : int;
   mutable d_injected : int;
   mutable d_partitioned : int;
-  mutable d_crashed : int;
   mutable d_unregistered : int;
   mutable trace : (src:Address.t -> dst:Address.t -> 'msg -> unit) option;
   mutable fault_hook :
@@ -51,17 +49,12 @@ let create engine rng ~latency ?(fifo = true) ?faults () =
   { engine; rng; latency; fifo; faults;
     handlers = Hashtbl.create 64;
     links = Hashtbl.create 256;
-    sent = 0;
-    d_injected = 0; d_partitioned = 0; d_crashed = 0; d_unregistered = 0;
+    d_injected = 0; d_partitioned = 0; d_unregistered = 0;
     trace = None; fault_hook = None }
 
 let engine t = t.engine
 
 let register t addr handler = Hashtbl.replace t.handlers addr handler
-
-let unregister t addr = Hashtbl.remove t.handlers addr
-
-let registered t addr = Hashtbl.mem t.handlers addr
 
 let set_trace t f = t.trace <- Some f
 
@@ -84,15 +77,8 @@ let link_of t ~src ~dst =
       Hashtbl.add t.links id l;
       l
 
-(* A message reaching a dead address: during a crash window this is a
-   crash drop (the host is down), otherwise an unregistered-address drop
-   (nobody ever served, or the process was stopped). *)
-let count_undeliverable t dst =
-  let crashed =
-    match t.faults with Some f -> Faults.is_crashed f dst | None -> false
-  in
-  if crashed then t.d_crashed <- t.d_crashed + 1
-  else t.d_unregistered <- t.d_unregistered + 1
+(* A message reaching an address nobody serves. *)
+let count_undeliverable t = t.d_unregistered <- t.d_unregistered + 1
 
 (* Deliver every queued message that is due, then re-arm for the next
    one (if any).  The handler is resolved once per dispatch: handlers
@@ -106,7 +92,7 @@ let rec dispatch t l =
         ignore (Queue.pop l.pending);
         (match handler with
         | Some h -> h ~src:l.l_src msg
-        | None -> count_undeliverable t l.l_dst);
+        | None -> count_undeliverable t);
         drain ()
     | Some _ | None -> ()
   in
@@ -126,7 +112,7 @@ let deliver_direct t ~src ~dst ~at msg =
   Sim.Engine.schedule t.engine ~at (fun () ->
       match Hashtbl.find_opt t.handlers dst with
       | Some handler -> handler ~src msg
-      | None -> count_undeliverable t dst)
+      | None -> count_undeliverable t)
 
 let enqueue_fifo t ~src ~dst ~earliest msg =
   let l = link_of t ~src ~dst in
@@ -140,7 +126,6 @@ let deliver t ~src ~dst ~earliest ~reorder msg =
   else deliver_direct t ~src ~dst ~at:earliest msg
 
 let send t ~src ~dst msg =
-  t.sent <- t.sent + 1;
   (match t.trace with Some f -> f ~src ~dst msg | None -> ());
   let lat =
     if Address.equal src dst then Latency.local_delivery
@@ -157,9 +142,6 @@ let send t ~src ~dst msg =
       | Faults.Drop_partitioned ->
           t.d_partitioned <- t.d_partitioned + 1;
           note_fault t ~dst ~kind:`Drop
-      | Faults.Drop_crashed ->
-          t.d_crashed <- t.d_crashed + 1;
-          note_fault t ~dst ~kind:`Drop
       | Faults.Deliver { extra_delay_us; copies; reorder } ->
           if extra_delay_us > 0 || copies > 1 || reorder then
             note_fault t ~dst ~kind:`Delay;
@@ -168,13 +150,10 @@ let send t ~src ~dst msg =
             deliver t ~src ~dst ~earliest ~reorder msg
           done)
 
-let messages_sent t = t.sent
-
 let drop_stats t =
   { injected = t.d_injected;
     partitioned = t.d_partitioned;
-    crashed = t.d_crashed;
+    crashed = 0;
     unregistered = t.d_unregistered }
 
 let total_drops d = d.injected + d.partitioned + d.crashed + d.unregistered
-let messages_dropped t = total_drops (drop_stats t)

@@ -6,17 +6,19 @@
     real systems do.  A per-link option enforces FIFO ordering when a
     protocol layer wants TCP-like semantics.
 
-    Delivery to an unregistered address counts as a drop (recorded), which
-    failure-injection tests exploit.  An optional {!Faults.t} oracle adds
-    deterministic, seeded fault injection: drops, delays, duplicates,
-    reorderings, partitions, and crash windows (see {!Faults}). *)
+    Delivery to an unregistered address counts as a drop (recorded).  An
+    optional {!Faults.t} oracle adds deterministic, seeded fault
+    injection: drops, delays, duplicates, reorderings and partitions (see
+    {!Faults}). *)
 
 type 'msg t
 
 type drop_stats = {
   injected : int;  (** lost to probabilistic link faults *)
   partitioned : int;  (** cut off by partition windows *)
-  crashed : int;  (** endpoint inside a crash window *)
+  crashed : int;
+      (** always 0: crashes are modelled by the servers, which stay
+          reachable, so no drop is counted here *)
   unregistered : int;  (** no handler at the destination *)
 }
 
@@ -33,21 +35,9 @@ val register : 'msg t -> Address.t -> (src:Address.t -> 'msg -> unit) -> unit
 (** Install the handler that receives messages addressed to the node.
     Re-registering replaces the handler. *)
 
-val unregister : 'msg t -> Address.t -> unit
-(** Remove the handler; subsequent messages to this address are dropped
-    (models a crashed node). *)
-
-val registered : 'msg t -> Address.t -> bool
-(** Whether the address has a handler. *)
-
 val send : 'msg t -> src:Address.t -> dst:Address.t -> 'msg -> unit
 (** Queue a message for delivery after a sampled latency.  Self-sends are
     delivered with loopback latency. *)
-
-val messages_sent : _ t -> int
-
-val messages_dropped : _ t -> int
-(** Total drops, all causes (= the sum of the {!drop_stats} fields). *)
 
 val drop_stats : _ t -> drop_stats
 (** Drops broken out by cause, so chaos invariants can assert precisely. *)

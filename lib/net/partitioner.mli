@@ -15,6 +15,3 @@ val by_prefix_int : partitions:int -> t
 
 val partition_of : t -> string -> int
 (** Partition index in [0, partitions). *)
-
-val fnv1a : string -> int
-(** The raw (non-negative) FNV-1a hash, exposed for storage sharding. *)

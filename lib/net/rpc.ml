@@ -62,9 +62,6 @@ let serve_oneway t addr handler =
   ensure_registered t addr
 
 let call t ~src ~dst payload k =
-  (* The caller must itself be registered so the response can route back:
-     once, or again after {!crash} dropped it. *)
-  if not (Network.registered t.net src) then ensure_registered t src;
   let call_id = t.next_call_id in
   t.next_call_id <- t.next_call_id + 1;
   Hashtbl.replace t.pending call_id k;
@@ -72,11 +69,6 @@ let call t ~src ~dst payload k =
 
 let send t ~src ~dst payload =
   Network.send t.net ~src ~dst (Oneway payload)
-
-let crash t addr =
-  Network.unregister t.net addr;
-  Hashtbl.remove t.request_handlers addr;
-  Hashtbl.remove t.oneway_handlers addr
 
 let drop_stats t = Network.drop_stats t.net
 

@@ -33,14 +33,11 @@ val call :
   ('req, 'resp) t -> src:Address.t -> dst:Address.t -> 'req ->
   ('resp -> unit) -> unit
 (** Send a request; the callback fires when the reply arrives back at
-    [src]. *)
+    [src], which must serve on this RPC layer ({!serve} or
+    {!serve_oneway}) for the reply to route back. *)
 
 val send : ('req, 'resp) t -> src:Address.t -> dst:Address.t -> 'req -> unit
 (** Fire-and-forget one-way message. *)
-
-val crash : _ t -> Address.t -> unit
-(** Drop all future messages to the node (handlers removed). Outstanding
-    replies from the node are lost. *)
 
 val drop_stats : _ t -> Network.drop_stats
 

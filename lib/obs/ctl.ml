@@ -44,8 +44,7 @@ let note_fault t ~now ~node ~kind =
         t.fault_delays <- t.fault_delays + 1;
         Trace.Fault_delay
   in
-  if Trace.enabled t.trace then
-    Trace.emit t.trace ~txn:(-1) ~stage ~node ~ts:now ~arg:(-1) ~tag:1
+  Trace.emit t.trace ~txn:(-1) ~stage ~node ~ts:now ~arg:(-1) ~tag:1
 
 let fault_drops t = t.fault_drops
 let fault_delays t = t.fault_delays

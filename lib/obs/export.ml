@@ -94,9 +94,9 @@ let chrome_trace ?(engine = "aloha") ?(shards = 64) ?ledger ~trace ~gauges ()
   (* Per-worker runtime tracks: each [--runtime real] stratum recorded in
      the epoch ledger becomes one B/E span per worker that did work in
      it, on tid lanes above the transaction shards (tid = shards + worker
-     index, so lanes never collide).  Stolen tasks leave an instant
-     marker at span end.  Stratum bounds are host wall-clock, rebased to
-     the first stratum so the lanes start near the sim origin. *)
+     index, so lanes never collide).  Stratum bounds are host wall-clock,
+     rebased to the first stratum so the lanes start near the sim
+     origin. *)
   (match ledger with
   | None -> ()
   | Some l ->
@@ -129,27 +129,20 @@ let chrome_trace ?(engine = "aloha") ?(shards = 64) ?ledger ~trace ~gauges ()
           let t0 = s.s_t0_us - base in
           let t1 = max t0 (s.s_t1_us - base) in
           Array.iteri
-            (fun w (completed, stolen) ->
-              if completed > 0 || stolen > 0 then begin
+            (fun w completed ->
+              if completed > 0 then begin
                 let tid = shards + w in
                 add_event e
                   (Printf.sprintf
                      "{\"name\":\"stratum %d\",\"ph\":\"B\",\"ts\":%d,\
                       \"pid\":%d,\"tid\":%d,\"args\":{\"size\":%d,\
-                      \"completed\":%d,\"stolen\":%d}}"
-                     s.s_size t0 s.s_node tid s.s_size completed stolen);
+                      \"completed\":%d}}"
+                     s.s_size t0 s.s_node tid s.s_size completed);
                 add_event e
                   (Printf.sprintf
                      "{\"name\":\"stratum %d\",\"ph\":\"E\",\"ts\":%d,\
                       \"pid\":%d,\"tid\":%d}"
-                     s.s_size t1 s.s_node tid);
-                if stolen > 0 then
-                  add_event e
-                    (Printf.sprintf
-                       "{\"name\":\"steal\",\"ph\":\"i\",\"ts\":%d,\
-                        \"pid\":%d,\"tid\":%d,\"s\":\"t\",\
-                        \"args\":{\"stolen\":%d}}"
-                       t1 s.s_node tid stolen)
+                     s.s_size t1 s.s_node tid)
               end)
             s.s_workers)
         strata);

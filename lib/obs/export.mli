@@ -7,18 +7,14 @@
     series a counter ("C") track, with one process per simulated node and
     one thread per transaction shard. *)
 
-val chrome_trace :
-  ?engine:string -> ?shards:int -> ?ledger:Ledger.t -> trace:Trace.t ->
-  gauges:Gauges.t option -> unit -> string
-(** Render a full Chrome trace_events JSON document.  [shards] (default
-    64) is the number of tid lanes transactions are folded onto.
-    [ledger] adds per-worker runtime tracks above the shard lanes
-    (tid = shards + worker): one B/E span per worker per recorded
-    [--runtime real] stratum, with steal instants at span end. *)
-
 val write_chrome_trace :
   path:string -> ?engine:string -> ?shards:int -> ?ledger:Ledger.t ->
   trace:Trace.t -> gauges:Gauges.t option -> unit -> unit
+(** Write a full Chrome trace_events JSON document to [path].  [shards]
+    (default 64) is the number of tid lanes transactions are folded onto.
+    [ledger] adds per-worker runtime tracks above the shard lanes
+    (tid = shards + worker): one B/E span per worker per recorded
+    [--runtime real] stratum. *)
 
 type rollup_row = {
   epoch : int;

@@ -44,7 +44,7 @@ type stratum = {
   s_t0_us : int;
   s_t1_us : int;
   s_size : int;
-  s_workers : (int * int) array;
+  s_workers : int array;
 }
 
 type t = {
@@ -270,11 +270,10 @@ let stratum_json s =
         \"size\":%d,\"workers\":["
        s.s_node s.s_t0_us s.s_t1_us s.s_size);
   Array.iteri
-    (fun i (c, st) ->
+    (fun i c ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "{\"worker\":%d,\"completed\":%d,\"stolen\":%d}" i c
-           st))
+        (Printf.sprintf "{\"worker\":%d,\"completed\":%d}" i c))
     s.s_workers;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -60,15 +60,14 @@ type event = {
 }
 
 (** One real-runtime level batch evaluated on the worker pool: wall-clock
-    bounds plus the per-worker (completed, stolen) chunk-count deltas
-    across the batch — the raw material for the per-worker Perfetto
-    tracks in {!Export}. *)
+    bounds plus the per-worker completed-chunk deltas across the batch —
+    the raw material for the per-worker Perfetto tracks in {!Export}. *)
 type stratum = {
   s_node : int;
   s_t0_us : int;  (** host wall clock, µs *)
   s_t1_us : int;
   s_size : int;  (** plan nodes in the batch *)
-  s_workers : (int * int) array;  (** per worker: completed, stolen *)
+  s_workers : int array;  (** chunks each worker completed *)
 }
 
 val create :
@@ -146,7 +145,7 @@ val note_stratum :
   t0_us:int ->
   t1_us:int ->
   size:int ->
-  workers:(int * int) array ->
+  workers:int array ->
   unit
 
 (* Reads. *)

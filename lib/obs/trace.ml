@@ -124,7 +124,6 @@ let stage_of_int = function
 type t = {
   cap : int;
   sample : int;
-  mutable on : bool;
   txn_a : int array;
   stage_a : int array;
   node_a : int array;
@@ -140,7 +139,6 @@ let create ?(capacity = 65536) ?(sample = 1) () =
   if sample <= 0 then invalid_arg "Trace.create: sample";
   { cap = capacity;
     sample;
-    on = true;
     txn_a = Array.make capacity 0;
     stage_a = Array.make capacity 0;
     node_a = Array.make capacity 0;
@@ -152,11 +150,8 @@ let create ?(capacity = 65536) ?(sample = 1) () =
 
 let sample_rate t = t.sample
 let capacity t = t.cap
-let enabled t = t.on
-let set_enabled t b = t.on <- b
 
-let would_sample t ~txn =
-  t.on && (txn < 0 || t.sample <= 1 || txn mod t.sample = 0)
+let would_sample t ~txn = txn < 0 || t.sample <= 1 || txn mod t.sample = 0
 
 let emit t ~txn ~stage ~node ~ts ~arg ~tag =
   let i = t.next in
@@ -200,11 +195,6 @@ let iter t ~f =
     let i = if i >= t.cap then i - t.cap else i in
     f (event_at t i)
   done
-
-let events t =
-  let acc = ref [] in
-  iter t ~f:(fun e -> acc := e :: !acc);
-  List.rev !acc
 
 let clear t =
   t.next <- 0;

@@ -62,9 +62,6 @@ val stage_name : stage -> string
 (** Stable lower-snake-case name, e.g. ["epoch_assign"] — the [name] field
     of exported Chrome trace events. *)
 
-val stage_of_int : int -> stage
-val stage_to_int : stage -> int
-
 type t
 
 val create : ?capacity:int -> ?sample:int -> unit -> t
@@ -74,11 +71,8 @@ val create : ?capacity:int -> ?sample:int -> unit -> t
 val sample_rate : t -> int
 val capacity : t -> int
 
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-
 val would_sample : t -> txn:int -> bool
-(** The hot-path gate: true when tracing is on and the txn is sampled. *)
+(** The hot-path gate: true when the txn is sampled. *)
 
 val emit :
   t -> txn:int -> stage:stage -> node:int -> ts:int -> arg:int -> tag:int ->
@@ -109,8 +103,6 @@ val iter : t -> f:(event -> unit) -> unit
 (** Oldest-to-newest emission order (timestamps are almost sorted; the
     [Submit] stage is emitted retroactively and may precede its
     neighbours — exporters that need sorted output sort). *)
-
-val events : t -> event list
 
 val clear : t -> unit
 (** Forget everything (used to discard the warm-up window). *)

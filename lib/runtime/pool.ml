@@ -37,10 +37,7 @@ let completed t = sum t.w_completed
 let stolen t = sum t.w_stolen
 let tasks_raised t = Atomic.get t.tasks_raised
 
-let worker_stats t =
-  Array.map2
-    (fun c s -> (Atomic.get c, Atomic.get s))
-    t.w_completed t.w_stolen
+let worker_stats t = Array.map Atomic.get t.w_completed
 
 let idle =
   { tasks = [||]; chunks = 0; next = Atomic.make 0; pending = Atomic.make 0 }

@@ -25,10 +25,12 @@ val shutdown : t -> unit
 val tasks_raised : t -> int
 
 (** Cumulative chunk counts.  Chunk [c] is stolen when a slot other than
-    its home slot [c mod domains] runs it. *)
+    its home slot [c mod domains] runs it; with one shared cursor that
+    depends only on claim interleaving, so it says nothing about
+    balance. *)
 
 val completed : t -> int
 val stolen : t -> int
 
-val worker_stats : t -> (int * int) array
-(** [(completed, stolen)] per slot. *)
+val worker_stats : t -> int array
+(** Completed chunks per slot. *)

@@ -15,11 +15,6 @@ let count_leading_zeros v =
     !n
   end
 
-let ceil_pow2 v =
-  if v <= 0 then invalid_arg "Bits.ceil_pow2: non-positive";
-  if v = 1 then 1
-  else 1 lsl (63 - count_leading_zeros (v - 1))
-
 (* Two multiply-xorshift rounds: every input bit reaches the low bits,
    which power-of-two tables mask off. *)
 let mix x =

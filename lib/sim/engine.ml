@@ -3,13 +3,11 @@ type time = int
 type t = {
   agenda : (unit -> unit) Heap.t;
   mutable clock : time;
-  mutable stopped : bool;
   mutable fired : int;
 }
 
 let create () =
-  { agenda = Heap.create ~vacant:ignore (); clock = 0; stopped = false;
-    fired = 0 }
+  { agenda = Heap.create ~vacant:ignore (); clock = 0; fired = 0 }
 
 let now t = t.clock
 
@@ -25,9 +23,8 @@ let after t d f =
   schedule t ~at:(t.clock + d) f
 
 let run ?until t =
-  t.stopped <- false;
   let continue = ref true in
-  while !continue && not t.stopped do
+  while !continue do
     if Heap.is_empty t.agenda then continue := false
     else begin
       let at = Heap.min_priority t.agenda in
@@ -44,7 +41,5 @@ let run ?until t =
           f ()
     end
   done
-
-let stop t = t.stopped <- true
 
 let events_fired t = t.fired

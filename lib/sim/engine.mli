@@ -30,9 +30,5 @@ val run : ?until:time -> t -> unit
 (** Fire events until the agenda is empty, or until the clock would pass
     [until] (events at exactly [until] still fire). *)
 
-val stop : t -> unit
-(** Make the current [run] return after the in-flight event completes.
-    Remaining events stay queued and a later [run] resumes them. *)
-
 val events_fired : t -> int
 (** Total number of events executed since [create]. *)

@@ -19,8 +19,6 @@ let create ~vacant () =
   { data = [||]; size = 0; next_seq = 0;
     vacant = { prio = 0; seq = 0; value = vacant } }
 
-let length t = t.size
-
 let is_empty t = t.size = 0
 
 let entry_lt a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
@@ -69,8 +67,7 @@ let add t ~priority value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-(* [min_priority] and [pop_min] are the event loop's accessors: they
-   allocate nothing. *)
+(* The event loop's accessors: they allocate nothing. *)
 let min_priority t =
   if t.size = 0 then invalid_arg "Heap.min_priority: empty heap";
   t.data.(0).prio
@@ -83,11 +80,3 @@ let pop_min t =
   t.data.(t.size) <- t.vacant;
   if t.size > 0 then sift_down t 0;
   top.value
-
-let pop t =
-  if t.size = 0 then None
-  else
-    let prio = min_priority t in
-    Some (prio, pop_min t)
-
-let peek_priority t = if t.size = 0 then None else Some (min_priority t)

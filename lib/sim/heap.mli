@@ -11,9 +11,6 @@ val create : vacant:'a -> unit -> 'a t
 (** [create ~vacant ()] is an empty heap.  [vacant] fills the slots no
     entry occupies, so the heap never keeps a popped value reachable. *)
 
-val length : 'a t -> int
-(** Number of entries currently stored. *)
-
 val is_empty : 'a t -> bool
 
 val add : 'a t -> priority:int -> 'a -> unit
@@ -26,10 +23,3 @@ val min_priority : 'a t -> int
 val pop_min : 'a t -> 'a
 (** Remove the minimum entry and return its value; [Invalid_argument] on
     an empty heap.  Allocates nothing. *)
-
-val pop : 'a t -> (int * 'a) option
-(** [pop t] removes and returns the minimum entry as [(priority, value)],
-    or [None] when the heap is empty. *)
-
-val peek_priority : 'a t -> int option
-(** Priority of the minimum entry without removing it. *)

@@ -8,7 +8,7 @@
    orchestrator merges them into these counters after each batch
    barrier ([par_commit]) — the domain-local-shards-merged-at-epoch-close
    variant with the shard inlined into the work item.  Resolve handles
-   ([counter]/[histogram]/[gauge]) and call every recording function
+   ([counter]/[histogram]) and call every recording function
    from the simulation's domain only. *)
 type t = {
   counters : (string, int ref) Hashtbl.t;
@@ -30,10 +30,6 @@ let counter t name =
       r
 
 let incr t name = Stdlib.incr (counter t name)
-
-let add t name n =
-  let r = counter t name in
-  r := !r + n
 
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -59,9 +55,6 @@ let gauge t name =
       r
 
 let set_gauge t name v = gauge t name := v
-
-let gauge_value t name =
-  match Hashtbl.find_opt t.gauge_tbl name with Some r -> !r | None -> 0.0
 
 let gauges t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.gauge_tbl []

@@ -10,7 +10,6 @@ type t
 val create : unit -> t
 
 val incr : t -> string -> unit
-val add : t -> string -> int -> unit
 val get : t -> string -> int
 (** 0 when the counter was never touched. *)
 
@@ -32,13 +31,6 @@ val latency : t -> string -> Stats.Histogram.t option
 val set_gauge : t -> string -> float -> unit
 (** Publish the current value of a named gauge (last write wins; a gauge
     is an instantaneous level, not an accumulator). *)
-
-val gauge : t -> string -> float ref
-(** Static handle to a named gauge, same contract as {!counter}: zeroed
-    in place by {!reset}, never replaced. *)
-
-val gauge_value : t -> string -> float
-(** 0.0 when the gauge was never set. *)
 
 val gauges : t -> (string * float) list
 (** All gauges with their latest values, sorted by name. *)

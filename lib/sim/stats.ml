@@ -1,71 +1,3 @@
-module Summary = struct
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-    mutable total : float;
-  }
-
-  let create () =
-    { count = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity;
-      total = 0.0 }
-
-  let add t x =
-    t.count <- t.count + 1;
-    t.total <- t.total +. x;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-
-  let count t = t.count
-  let mean t = t.mean
-  let min t = t.min
-  let max t = t.max
-  let total t = t.total
-
-  let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
-
-  let stddev t = sqrt (variance t)
-
-  let merge a b =
-    (* Chan et al. parallel merge of Welford accumulators. *)
-    if a.count = 0 then
-      { count = b.count; mean = b.mean; m2 = b.m2; min = b.min; max = b.max;
-        total = b.total }
-    else if b.count = 0 then
-      { count = a.count; mean = a.mean; m2 = a.m2; min = a.min; max = a.max;
-        total = a.total }
-    else begin
-      let n = a.count + b.count in
-      let delta = b.mean -. a.mean in
-      let mean =
-        a.mean +. (delta *. float_of_int b.count /. float_of_int n)
-      in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta
-            *. float_of_int a.count *. float_of_int b.count
-            /. float_of_int n)
-      in
-      { count = n; mean; m2;
-        min = Float.min a.min b.min;
-        max = Float.max a.max b.max;
-        total = a.total +. b.total }
-    end
-
-  let clear t =
-    t.count <- 0;
-    t.mean <- 0.0;
-    t.m2 <- 0.0;
-    t.min <- infinity;
-    t.max <- neg_infinity;
-    t.total <- 0.0
-end
-
 module Histogram = struct
   (* Log-bucketed histogram: samples are classified by (octave, 4-bit
      mantissa), i.e. 16 sub-buckets per power of two.  Values < 16 get

@@ -1,26 +1,9 @@
 (** Streaming statistics for simulation measurements.
 
-    {!Summary} tracks count/mean/min/max/variance in O(1) memory
-    (Welford's algorithm).  {!Histogram} is a log-bucketed histogram (in
-    the spirit of HDRHistogram) for non-negative integer samples such as
-    microsecond latencies; percentile queries are approximate to within
-    the bucket resolution (~6 % worst case, 16 sub-buckets per octave). *)
-
-module Summary : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val min : t -> float
-  val max : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-  val total : t -> float
-  val merge : t -> t -> t
-  val clear : t -> unit
-end
+    {!Histogram} is a log-bucketed histogram (in the spirit of
+    HDRHistogram) for non-negative integer samples such as microsecond
+    latencies; percentile queries are approximate to within the bucket
+    resolution (~6 % worst case, 16 sub-buckets per octave). *)
 
 module Histogram : sig
   type t

@@ -21,19 +21,17 @@ type t = {
   mutable queued : int;
   mutable busy : int;
   mutable busy_time : int;
-  mutable completed : int;
   mutable lanes : lanes option;
 }
 
 let create engine ~workers =
   if workers < 1 then invalid_arg "Worker_pool.create: workers must be >= 1";
   { engine; workers; queue = Queue.create (); queued = 0; busy = 0;
-    busy_time = 0; completed = 0; lanes = None }
+    busy_time = 0; lanes = None }
 
 let complete t ~cost =
   t.busy <- t.busy - 1;
-  t.busy_time <- t.busy_time + cost;
-  t.completed <- t.completed + 1
+  t.busy_time <- t.busy_time + cost
 
 (* Start the queue's next job if a worker is free. *)
 let rec dispatch t =
@@ -87,7 +85,6 @@ let submit_run t ~cost ~count f =
 let lane_done t l ~jobs =
   t.busy <- t.busy - 1;
   t.busy_time <- t.busy_time + (jobs * l.cost);
-  t.completed <- t.completed + jobs;
   l.open_lanes <- l.open_lanes - 1;
   if l.open_lanes = 0 then t.lanes <- None;
   dispatch t
@@ -129,14 +126,7 @@ let workers t = t.workers
 
 let queue_length t = t.queued + unstarted t
 
-let busy_workers t = t.busy
-
 let busy_time t =
   match t.lanes with
   | None -> t.busy_time
   | Some l -> t.busy_time + (lane_jobs_done t l * l.cost)
-
-let jobs_completed t =
-  match t.lanes with
-  | None -> t.completed
-  | Some l -> t.completed + lane_jobs_done t l

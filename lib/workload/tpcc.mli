@@ -61,20 +61,9 @@ val order_key : w:int -> d:int -> o:int -> string
 val neworder_key : w:int -> d:int -> o:int -> string
 val orderline_key : w:int -> d:int -> o:int -> n:int -> string
 
-val register : register:(string -> Functor_cc.Registry.handler -> unit) -> unit
-(** Register "tpcc_neworder", "tpcc_stock", "tpcc_payment_cust" and
-    "tpcc_orderline" through an engine's registration hook. *)
-
-val load : cfg -> put:(string -> Functor_cc.Value.t -> unit) -> unit
-
-type generator
-
-val generator : cfg -> n_servers:int -> seed:int -> generator
-
-val gen_neworder : generator -> fe:int -> Kernel.Txn.t
-val gen_payment : generator -> fe:int -> Kernel.Txn.t
-
-(** The two transactions as {!Kernel.Intf.WORKLOAD} instances. *)
+(** The two transactions as {!Kernel.Intf.WORKLOAD} instances.  Both
+    register "tpcc_neworder", "tpcc_stock", "tpcc_payment_cust" and
+    "tpcc_orderline". *)
 
 module Neworder : Kernel.Intf.WORKLOAD with type cfg = cfg
 module Payment : Kernel.Intf.WORKLOAD with type cfg = cfg

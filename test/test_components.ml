@@ -1,5 +1,5 @@
 (* Focused unit tests for smaller components: the per-epoch functor
-   buffer, the FE's functor transforms, and recipient-set derivation. *)
+   buffer and the FE's functor transforms. *)
 
 module Value = Functor_cc.Value
 module Funct = Functor_cc.Funct
@@ -52,7 +52,7 @@ let test_fspec_of_op_shapes () =
     Message.fspec_of_op ~key:(ik "k") ~recipients:[ ik "r" ] (Txn.Add 5)
   in
   Alcotest.(check bool) "ADD ftype" true
-    (Ftype.equal spec.Message.ftype Ftype.Add);
+    (match spec.Message.ftype with Ftype.Add -> true | _ -> false);
   Alcotest.(check (list string)) "recipients carried" [ "r" ]
     (names spec.Message.farg.Funct.recipients);
   let call =
@@ -79,7 +79,11 @@ let test_functor_of_fspec_final_forms () =
   | Funct.Final (Funct.Committed x) ->
       Alcotest.(check int) "value payload" 9 (Value.to_int x)
   | _ -> Alcotest.fail "VALUE should be final");
-  let d = Message.functor_of_fspec Message.fspec_delete ~txn_id:1 ~coordinator:0 in
+  let d =
+    Message.functor_of_fspec
+      (Message.fspec_of_op ~key:(ik "k") ~recipients:[] Txn.Delete)
+      ~txn_id:1 ~coordinator:0
+  in
   (match d.Funct.state with
   | Funct.Final Funct.Deleted_v -> ()
   | _ -> Alcotest.fail "DELETE should be a tombstone");
@@ -90,56 +94,14 @@ let test_functor_of_fspec_final_forms () =
   match marker.Funct.state with
   | Funct.Pending p ->
       Alcotest.(check bool) "marker carries det key" true
-        (Ftype.equal p.Funct.ftype (Ftype.Dep_marker (ik "a")))
+        (match p.Funct.ftype with
+        | Ftype.Dep_marker k -> Mvstore.Key.equal k (ik "a")
+        | _ -> false)
   | Funct.Final _ -> Alcotest.fail "marker must be pending"
-
-(* ---- recipient derivation --------------------------------------------- *)
-
-let test_recipients_for () =
-  let writes =
-    [ ("a", Txn.Add 1);
-      ("b",
-       Txn.Call { handler = "h"; read_set = [ "a"; "b" ]; args = [] });
-      ("c",
-       Txn.Call { handler = "h"; read_set = [ "a" ]; args = [] }) ]
-  in
-  (* Functors for b and c read a, so a's functor should push to them. *)
-  Alcotest.(check (list string)) "a's recipients" [ "b"; "c" ]
-    (List.sort compare (Txn.recipients_for writes "a"));
-  Alcotest.(check (list string)) "b has none" []
-    (Txn.recipients_for writes "b");
-  (* Numeric self-reads don't make a key its own recipient. *)
-  Alcotest.(check bool) "no self recipient" true
-    (not (List.mem "a" (Txn.recipients_for writes "a")))
-
-let test_write_keys_includes_dependents () =
-  let req =
-    Txn.read_write
-      [ ("det",
-         Txn.Det
-           { handler = "h"; read_set = [ "det" ]; args = [];
-             dependents = [ "dep1"; "dep2" ] });
-        ("x", Txn.Put Value.unit) ]
-  in
-  Alcotest.(check (list string)) "write keys with dependents"
-    [ "dep1"; "dep2"; "det"; "x" ]
-    (List.sort compare (Txn.write_keys req))
-
-(* ---- value wire-size model -------------------------------------------- *)
-
-let test_value_size () =
-  Alcotest.(check bool) "tuple bigger than parts" true
-    (Value.size_bytes (Value.tup [ Value.int 1; Value.str "abc" ])
-     > Value.size_bytes (Value.int 1));
-  Alcotest.(check int) "string size" 7 (Value.size_bytes (Value.str "abc"))
 
 let suite =
   [ Alcotest.test_case "processor epoch buffering" `Quick
       test_processor_drain_by_epoch;
     Alcotest.test_case "fspec shapes" `Quick test_fspec_of_op_shapes;
     Alcotest.test_case "fspec final forms" `Quick
-      test_functor_of_fspec_final_forms;
-    Alcotest.test_case "recipients_for" `Quick test_recipients_for;
-    Alcotest.test_case "write_keys dependents" `Quick
-      test_write_keys_includes_dependents;
-    Alcotest.test_case "value size" `Quick test_value_size ]
+      test_functor_of_fspec_final_forms ]

@@ -1,5 +1,5 @@
-(* §III-A fault tolerance: write-ahead logging, checkpointing, and
-   deterministic replay recovery of a crashed partition. *)
+(* §III-A fault tolerance: write-ahead logging and deterministic replay
+   recovery of a crashed partition. *)
 
 module Value = Functor_cc.Value
 module Txn = Alohadb.Txn
@@ -45,26 +45,13 @@ let test_wal_order_preserved () =
   Alcotest.(check (list int)) "replay order = append order" [ 1; 2; 3; 4; 5 ]
     versions
 
-let test_wal_checkpoint_truncates () =
-  let sim = Sim.Engine.create () in
-  let wal = Wal.create sim ~flush_latency_us:100 () in
-  for i = 1 to 6 do
-    Wal.append wal (entry "k" i)
-  done;
-  Sim.Engine.run ~until:1_000 sim;
-  Wal.checkpoint wal
-    ~snapshot:[ (ik "k", 4, Alohadb.Message.fspec_value (Value.int 99)) ]
-    ~retain_above:4;
-  Alcotest.(check int) "suffix retained" 2 (Wal.durable_count wal);
-  Alcotest.(check int) "snapshot stored" 1 (List.length (Wal.snapshot wal))
-
 (* ---- qcheck: Wal vs a newest-first list reference ------------------------ *)
 
 (* The reference is the log's original representation — two newest-first
    lists, flushed and buffered — with every observer rebuilt from them the
    obvious way.  A random interleaving of appends, flushes (the simulator
-   run to quiescence), crashes, checkpoints, durability waits and range
-   reads drives both; the indexed Wal must agree on every observer after
+   run to quiescence), crashes, durability waits and range reads drives
+   both; the indexed Wal must agree on every observer after
    every op, and after_durable callbacks must fire in registration
    order. *)
 
@@ -80,7 +67,6 @@ type wal_op =
   | W_append of int  (* 0 install, 1 abort, 2 epoch close *)
   | W_flush
   | W_lose
-  | W_checkpoint of int  (* retain_above *)
   | W_after_durable
   | W_range of int * int  (* from, upto *)
 
@@ -91,7 +77,6 @@ let gen_wal_ops =
       [ (8, map (fun k -> W_append k) (int_range 0 2));
         (3, pure W_flush);
         (1, pure W_lose);
-        (1, map (fun r -> W_checkpoint r) (int_range 0 60));
         (2, pure W_after_durable);
         (2, map2 (fun f u -> W_range (f, u)) (int_range (-2) 60)
               (int_range (-2) 60)) ]
@@ -164,16 +149,6 @@ let prop_wal_matches_reference =
               m.w_buffered <- [];
               m.w_waiting <- [];
               m.w_scheduled <- false
-          | W_checkpoint retain_above ->
-              Wal.checkpoint wal ~snapshot:[] ~retain_above;
-              let keep e = match tag_of e with
-                | (0 | 1), v -> v > retain_above
-                | _ -> false
-              in
-              m.w_flushed <- List.filter keep (m.w_buffered @ m.w_flushed);
-              m.w_buffered <- [];
-              m.w_fired <- m.w_waiting @ m.w_fired;
-              m.w_waiting <- []
           | W_after_durable ->
               incr next;
               let id = !next in
@@ -326,16 +301,14 @@ let fresh_engine ~survivor ~partition_of ~my_partition =
   self := Some e;
   e
 
-let crash_and_recover ~checkpoint_midway () =
+(* Replay the victim's durable log into a fresh engine, then compute every
+   key's latest version (ascending per key, as the post-recovery planner
+   would); remote reads go to the surviving partition's live engine. *)
+let test_recovery_replay () =
   let c = Cluster.create ~registry:(registry_with_xfer ()) (durable_options 2) in
   List.iter (fun k -> Cluster.load c ~key:k (Value.int 100)) keys;
   Cluster.start c;
   let sim = Cluster.sim c in
-  if checkpoint_midway then
-    Sim.Engine.schedule sim ~at:120_000 (fun () ->
-        (* Quiesce: by 120 ms, all load of the first ~4 epochs has been
-           computed; take the checkpoint then. *)
-        Alohadb.Server.checkpoint_now (Cluster.server c 1));
   run_mixed_load c sim;
   (* Let the WAL flush everything before the crash. *)
   Sim.Engine.run ~until:(Sim.Engine.now sim + 10_000) sim;
@@ -355,17 +328,22 @@ let crash_and_recover ~checkpoint_midway () =
       ~my_partition:1
   in
   (* Initial data is not logged (it predates the log); a real deployment
-     reloads it from the loader or the first checkpoint. *)
-  if not checkpoint_midway then
-    List.iter
-      (fun k ->
-        if Cluster.partition_of c k = 1 then
-          Functor_cc.Compute_engine.load_initial recovered ~key:(ik k)
-            (Value.int 100))
-      keys;
-  let restored = Recovery.rebuild ~engine:recovered ~wal in
-  Alcotest.(check bool) "something restored" true (restored > 0);
-  Recovery.recompute recovered;
+     reloads it from the loader. *)
+  List.iter
+    (fun k ->
+      if Cluster.partition_of c k = 1 then
+        Functor_cc.Compute_engine.load_initial recovered ~key:(ik k)
+          (Value.int 100))
+    keys;
+  Recovery.replay ~engine:recovered ~entries:(Wal.durable wal);
+  Alcotest.(check bool) "something restored" true
+    (Functor_cc.Compute_engine.pending_count recovered > 0);
+  let table = Functor_cc.Compute_engine.table recovered in
+  Mvstore.Table.fold_chains table ~init:() ~f:(fun key chain () ->
+      let latest = Mvstore.Chain.length chain - 1 in
+      if latest >= 0 then
+        Functor_cc.Compute_engine.compute_key recovered ~key
+          ~version:(Mvstore.Chain.version_at chain latest));
   Alcotest.(check int) "no pending after recompute" 0
     (Functor_cc.Compute_engine.pending_count recovered);
   (* The recovered partition's state equals the pre-crash state. *)
@@ -385,26 +363,23 @@ let crash_and_recover ~checkpoint_midway () =
       end)
     before
 
-let test_recovery_replay () = crash_and_recover ~checkpoint_midway:false ()
-
-let test_recovery_with_checkpoint () =
-  crash_and_recover ~checkpoint_midway:true ()
-
 (* The same scenario through the server itself, at k = 1: the home
-   partition's log is a replication group of one, and the checkpoint
-   renumbers it mid-run.  After more load, crash_be and restart_be must
-   bring back every key's pre-crash value, and new transactions must
-   still commit on top of it. *)
-let test_checkpoint_crash_restart () =
+   partition's log is a replication group of one.  crash_be and
+   restart_be must bring back every key's pre-crash value, and new
+   transactions must still commit on top of it.  Preloaded rows are not
+   logged, so the opening balances are written by a transaction. *)
+let test_crash_restart () =
   let c = Cluster.create ~registry:(registry_with_xfer ()) (durable_options 2) in
-  List.iter (fun k -> Cluster.load c ~key:k (Value.int 100)) keys;
   Cluster.start c;
   let sim = Cluster.sim c in
   let victim = Cluster.server c 1 in
   let on_victim key = Cluster.partition_of c key = 1 in
-  run_mixed_load c sim ~n:40 ~until_us:150_000;
-  Alohadb.Server.checkpoint_now victim;
-  run_mixed_load c sim ~seed:78 ~from_us:151_000 ~n:40 ~until_us:400_000;
+  Cluster.submit c ~fe:0
+    (Txn.read_write (List.map (fun k -> (k, Txn.Put (Value.int 100))) keys))
+    (function
+      | Txn.Committed _ -> ()
+      | _ -> Alcotest.fail "opening balances did not commit");
+  run_mixed_load c sim ~from_us:20_000;
   let state () =
     List.filter (fun (k, _) -> on_victim k)
       (engine_state (Alohadb.Server.engine victim))
@@ -486,13 +461,9 @@ let test_dead_incarnation_silent () =
 let suite =
   [ Alcotest.test_case "wal flush timing" `Quick test_wal_flush_timing;
     Alcotest.test_case "wal order" `Quick test_wal_order_preserved;
-    Alcotest.test_case "wal checkpoint" `Quick test_wal_checkpoint_truncates;
     QCheck_alcotest.to_alcotest prop_wal_matches_reference;
     Alcotest.test_case "recovery by replay" `Quick test_recovery_replay;
-    Alcotest.test_case "recovery with checkpoint" `Quick
-      test_recovery_with_checkpoint;
-    Alcotest.test_case "checkpoint, crash, restart (k=1)" `Quick
-      test_checkpoint_crash_restart;
+    Alcotest.test_case "crash, restart (k=1)" `Quick test_crash_restart;
     Alcotest.test_case "unflushed tail lost" `Quick test_unflushed_tail_lost;
     Alcotest.test_case "dead incarnation stays silent" `Quick
       test_dead_incarnation_silent ]

@@ -36,18 +36,7 @@ let test_classifier () =
     (ok [ ("a", call ~read_set:[ "b" ] "h") ]);
   Alcotest.(check bool)
     "mixed write set rejected" false
-    (ok [ ("a", ATxn.Add 1); ("b", ATxn.Put (Value.int 7)) ]);
-  (* Ftype-level view agrees with the op-level one. *)
-  List.iter
-    (fun (ft, want) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "ftype %s" (Functor_cc.Ftype.to_string ft))
-        want
-        (Functor_cc.Ftype.commutative ft))
-    [ (Functor_cc.Ftype.Add, true); (Functor_cc.Ftype.Subtr, true);
-      (Functor_cc.Ftype.Max, true); (Functor_cc.Ftype.Min, true);
-      (Functor_cc.Ftype.Value, false); (Functor_cc.Ftype.Deleted, false);
-      (Functor_cc.Ftype.User "x", false) ]
+    (ok [ ("a", ATxn.Add 1); ("b", ATxn.Put (Value.int 7)) ])
 
 (* The classifier is exactly "non-empty, preconditions empty, every op an
    arithmetic built-in" — checked against an independent fold over random

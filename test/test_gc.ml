@@ -6,12 +6,15 @@ module Value = Functor_cc.Value
 module Engine = Functor_cc.Compute_engine
 module Funct = Functor_cc.Funct
 
+let versions_of c =
+  List.rev (Chain.fold c ~init:[] ~f:(fun acc v _ -> v :: acc))
+
 let test_chain_truncate () =
   let c : int Chain.t = Chain.create () in
   List.iter (fun v -> ignore (Chain.insert c ~version:v v)) [ 1; 3; 5; 7; 9 ];
   let reclaimed = Chain.truncate_below c ~version:6 in
   Alcotest.(check int) "two dropped" 2 reclaimed;
-  Alcotest.(check (list int)) "base kept" [ 5; 7; 9 ] (Chain.versions c);
+  Alcotest.(check (list int)) "base kept" [ 5; 7; 9 ] (versions_of c);
   (* Reads at the horizon land on the kept base. *)
   (match Chain.find_le c ~version:6 with
   | Some (5, _) -> ()
@@ -25,7 +28,7 @@ let test_chain_truncate_all_below () =
     (Chain.truncate_below c ~version:5);
   Alcotest.(check int) "everything below keeps latest" 1
     (Chain.truncate_below c ~version:100);
-  Alcotest.(check (list int)) "latest survives" [ 20 ] (Chain.versions c)
+  Alcotest.(check (list int)) "latest survives" [ 20 ] (versions_of c)
 
 (* Truncation must release what it drops.  Dropping 7 of 10 versions
    leaves slots 3..9 vacated; version 5 sat in slot 4, past the kept
@@ -47,7 +50,7 @@ let test_chain_truncate_releases () =
   Gc.full_major ();
   Alcotest.(check bool) "truncated payload collected" false
     (Weak.check watch 0);
-  Alcotest.(check (list int)) "suffix kept" [ 8; 9; 10 ] (Chain.versions c)
+  Alcotest.(check (list int)) "suffix kept" [ 8; 9; 10 ] (versions_of c)
 
 (* The event agenda must release what it fires.  Every event's closure
    captures its own watched block; once the agenda has run dry, no slot

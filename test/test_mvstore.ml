@@ -5,6 +5,9 @@ module Table = Mvstore.Table
 
 let ik = Mvstore.Key.intern
 
+let versions_of c =
+  List.rev (Chain.fold c ~init:[] ~f:(fun acc v _ -> v :: acc))
+
 let test_chain_insert_find () =
   let c : string Chain.t = Chain.create () in
   List.iter
@@ -13,7 +16,7 @@ let test_chain_insert_find () =
       | Ok () -> ()
       | Error `Duplicate -> Alcotest.fail "unexpected duplicate")
     [ (10, "a"); (30, "c"); (20, "b") ];
-  Alcotest.(check (list int)) "sorted" [ 10; 20; 30 ] (Chain.versions c);
+  Alcotest.(check (list int)) "sorted" [ 10; 20; 30 ] (versions_of c);
   (match Chain.find_le c ~version:25 with
   | Some (20, "b") -> ()
   | Some (v, s) -> Alcotest.failf "got (%d,%s)" v s
@@ -36,37 +39,44 @@ let test_chain_duplicate () =
   Alcotest.(check (option int)) "original kept" (Some 1)
     (Chain.find_exact c ~version:5)
 
-let test_chain_update () =
-  let c : int Chain.t = Chain.create () in
-  ignore (Chain.insert c ~version:5 1);
-  Alcotest.(check bool) "update hits" true (Chain.update c ~version:5 9);
-  Alcotest.(check (option int)) "updated" (Some 9) (Chain.find_exact c ~version:5);
-  Alcotest.(check bool) "update misses" false (Chain.update c ~version:6 0)
-
+(* Payloads are [true] when final: the watermark walks the final run
+   above it, stops at a pending entry, and an entry inserted below it
+   never moves it back. *)
 let test_chain_watermark_monotone () =
-  let c : int Chain.t = Chain.create () in
+  let c : bool Chain.t = Chain.create () in
   Alcotest.(check int) "initial" (-1) (Chain.watermark c);
-  Chain.advance_watermark c 10;
-  Chain.advance_watermark c 5;
+  List.iter
+    (fun (v, final) -> ignore (Chain.insert c ~version:v final))
+    [ (5, true); (10, true); (15, false) ];
+  Chain.advance_watermark_while c ~f:Fun.id;
+  Alcotest.(check int) "over the final run" 10 (Chain.watermark c);
+  ignore (Chain.insert c ~version:7 false);
+  Chain.advance_watermark_while c ~f:Fun.id;
   Alcotest.(check int) "monotone" 10 (Chain.watermark c)
 
-(* [advance_watermark_over]: payloads are [true] when final.  [f] counts
-   its calls, so a run the caller vouches for is seen not to be walked. *)
+(* [advance_watermark_over]: payloads are [true] when final, and a
+   pending entry becomes final by setting its ref.  [f] counts its calls,
+   so a run the caller vouches for is seen not to be walked. *)
 let test_chain_watermark_over () =
   let calls = ref 0 in
   let f final =
     incr calls;
-    final
+    !final
   in
+  (* The watermark starts at the first entry, which is final. *)
   let chain entries =
-    let c : bool Chain.t = Chain.create () in
-    List.iter (fun (v, final) -> ignore (Chain.insert c ~version:v final)) entries;
+    let c : bool ref Chain.t = Chain.create () in
+    List.iteri
+      (fun i (v, final) ->
+        ignore (Chain.insert c ~version:v (ref final));
+        if i = 0 then Chain.advance_watermark_while c ~f)
+      entries;
     c
   in
+  let finalize c ~version = Option.get (Chain.find_exact c ~version) := true in
   (* A final run over a final base: the watermark reaches the run's top
      and stops at the pending entry above it, one check in all. *)
   let c = chain [ (0, true); (1, true); (2, true); (3, true); (4, false) ] in
-  Chain.advance_watermark c 0;
   calls := 0;
   Chain.advance_watermark_over c ~lo:1 ~hi:3 ~f;
   Alcotest.(check int) "over a final run" 3 (Chain.watermark c);
@@ -75,10 +85,9 @@ let test_chain_watermark_over () =
      watermark below it; once final, the same call passes it and the run,
      and walks on over the final entry above. *)
   let c = chain [ (0, true); (1, false); (2, true); (3, true); (4, true) ] in
-  Chain.advance_watermark c 0;
   Chain.advance_watermark_over c ~lo:2 ~hi:3 ~f;
   Alcotest.(check int) "refused below a pending entry" 0 (Chain.watermark c);
-  ignore (Chain.update c ~version:1 true);
+  finalize c ~version:1;
   Chain.advance_watermark_over c ~lo:2 ~hi:3 ~f;
   Alcotest.(check int) "past it once final" 4 (Chain.watermark c);
   (* An insert below the watermark's entry shifts it: the next advance
@@ -87,15 +96,15 @@ let test_chain_watermark_over () =
   let c = chain [ (10, true); (20, true); (30, false); (40, true) ] in
   Chain.advance_watermark_over c ~lo:0 ~hi:1 ~f;
   Alcotest.(check int) "first run" 20 (Chain.watermark c);
-  ignore (Chain.insert c ~version:5 true);
-  ignore (Chain.insert c ~version:25 false);
-  ignore (Chain.update c ~version:30 true);
+  ignore (Chain.insert c ~version:5 (ref true));
+  ignore (Chain.insert c ~version:25 (ref false));
+  finalize c ~version:30;
   Alcotest.(check int) "watermark entry found after the shift" 2
     (Chain.rank c ~version:(Chain.watermark c));
   Chain.advance_watermark_over c ~lo:4 ~hi:5 ~f;
   Alcotest.(check int) "held by the inserted pending entry" 20
     (Chain.watermark c);
-  ignore (Chain.update c ~version:25 true);
+  finalize c ~version:25;
   calls := 0;
   Chain.advance_watermark_over c ~lo:4 ~hi:5 ~f;
   Alcotest.(check int) "then over the run" 40 (Chain.watermark c);
@@ -113,18 +122,6 @@ let test_chain_iter_range () =
   let got = ref [] in
   Chain.iter_range c ~lo:4 ~hi:4 (fun v _ -> got := v :: !got);
   Alcotest.(check (list int)) "empty range" [] !got
-
-let test_chain_find_next_after () =
-  let c : int Chain.t = Chain.create () in
-  List.iter (fun v -> ignore (Chain.insert c ~version:v v)) [ 10; 20 ];
-  (match Chain.find_next_after c ~version:10 with
-  | Some (20, _) -> ()
-  | _ -> Alcotest.fail "next after 10");
-  (match Chain.find_next_after c ~version:5 with
-  | Some (10, _) -> ()
-  | _ -> Alcotest.fail "next after 5");
-  Alcotest.(check bool) "nothing after last" true
-    (Chain.find_next_after c ~version:20 = None)
 
 let test_key_interning () =
   let a = ik "same" and b = ik "same" and c = ik "other" in
@@ -206,7 +203,7 @@ let test_intern_four_domain_hammer () =
     own;
   let out = Array.map Domain.join results in
   let seen = Array.make (Array.length own) 0 in
-  Table.iter table ~f:(fun k chain ->
+  Table.fold_chains table ~init:() ~f:(fun k chain () ->
       match Chain.find_exact chain ~version:1 with
       | Some i when own.(i) == k -> seen.(i) <- seen.(i) + 1
       | _ ->
@@ -275,22 +272,11 @@ let prop_table_matches_model =
       let walk_agrees () =
         let seen = Hashtbl.create 16 in
         let once = ref true in
-        Table.iter t ~f:(fun k c ->
+        Table.fold_chains t ~init:() ~f:(fun k c () ->
             if Hashtbl.mem seen (Mvstore.Key.id k) then once := false;
             Hashtbl.replace seen (Mvstore.Key.id k) ();
             if not (chain_agrees k c) then once := false);
-        let folded =
-          Table.fold_chains t ~init:[] ~f:(fun k _ acc ->
-              Mvstore.Key.id k :: acc)
-        in
-        !once
-        && Hashtbl.length seen = Hashtbl.length model
-        && List.sort compare folded
-           = List.sort compare
-               (Hashtbl.fold (fun id _ acc -> id :: acc) model [])
-        && Table.key_count t = Hashtbl.length model
-        && Table.record_count t
-           = Hashtbl.fold (fun _ l acc -> acc + List.length l) model 0
+        !once && Hashtbl.length seen = Hashtbl.length model
       in
       List.for_all
         (function
@@ -355,17 +341,14 @@ let test_table_counts () =
   ignore (Table.put_unchecked t ~key:(ik "a") ~version:1 1);
   ignore (Table.put_unchecked t ~key:(ik "a") ~version:2 2);
   ignore (Table.put_unchecked t ~key:(ik "b") ~version:1 3);
-  Alcotest.(check int) "keys" 2 (Table.key_count t);
-  Alcotest.(check int) "records" 3 (Table.record_count t);
   Alcotest.(check (option (pair int int))) "find_le" (Some (2, 2))
     (Table.find_le t ~key:(ik "a") ~version:99);
-  let folded =
-    Table.fold_chains t ~init:0 ~f:(fun _ chain acc -> acc + Chain.length chain)
+  let keys, records =
+    Table.fold_chains t ~init:(0, 0) ~f:(fun _ chain (k, r) ->
+        (k + 1, r + Chain.length chain))
   in
-  Alcotest.(check int) "fold_chains sees all records" 3 folded;
-  let iterated = ref 0 in
-  Table.iter t ~f:(fun _ chain -> iterated := !iterated + Chain.length chain);
-  Alcotest.(check int) "iter sees all records" 3 !iterated
+  Alcotest.(check int) "fold_chains sees all keys" 2 keys;
+  Alcotest.(check int) "fold_chains sees all records" 3 records
 
 (* qcheck: chain behaves like a reference sorted association list. *)
 let prop_chain_matches_reference =
@@ -390,7 +373,7 @@ let prop_chain_matches_reference =
         Hashtbl.fold (fun v _ acc -> v :: acc) reference []
         |> List.sort compare
       in
-      if Chain.versions c <> expected then false
+      if versions_of c <> expected then false
       else begin
         (* find_le agrees with the reference for probe points *)
         List.for_all
@@ -405,18 +388,16 @@ let prop_chain_matches_reference =
           [ 0; 50; 150; 299; 1000 ]
       end)
 
-(* qcheck: a random op sequence (insert / update / truncate_below /
-   advance_watermark / advance_watermark_over) keeps the chain agreeing
-   with a sorted-assoc-list reference on find_le, find_next_after,
-   find_exact and versions, and the watermark stays monotone throughout. *)
+(* qcheck: a random op sequence (insert / truncate_below /
+   advance_watermark_over / advance_watermark_while) keeps the chain
+   agreeing with a sorted-assoc-list reference on find_le, find_exact and
+   versions, and the watermark stays monotone throughout. *)
 let prop_chain_ops_match_reference =
   let open QCheck2.Gen in
   let op =
     frequency
       [ (6, map2 (fun v x -> `Insert (v, x)) (int_range 0 300) (int_range 0 999));
-        (2, map2 (fun v x -> `Update (v, x)) (int_range 0 300) (int_range 0 999));
         (1, map (fun v -> `Truncate v) (int_range 0 300));
-        (1, map (fun v -> `Advance v) (int_range 0 300));
         (2, map2 (fun lo span -> `Advance_over (lo, span)) nat (int_range 0 6));
         (3,
          map3
@@ -437,23 +418,18 @@ let prop_chain_ops_match_reference =
         List.filter (fun (v, _) -> v <= probe) !model
         |> List.fold_left (fun _ (v, x) -> Some (v, x)) None
       in
-      let model_next_after probe =
-        List.find_opt (fun (v, _) -> v > probe) !model
-      in
       let check_agreement () =
         List.iter
           (fun probe ->
             if Chain.find_le c ~version:probe <> model_find_le probe then
               ok := false;
-            if Chain.find_next_after c ~version:probe <> model_next_after probe
-            then ok := false;
             if
               Chain.find_exact c ~version:probe
               <> Option.map snd
                    (List.find_opt (fun (v, _) -> v = probe) !model)
             then ok := false)
           probes;
-        if Chain.versions c <> List.map fst !model then ok := false;
+        if versions_of c <> List.map fst !model then ok := false;
         (* watermark monotone and equal to the model's *)
         if Chain.watermark c <> !wm then ok := false
       in
@@ -470,13 +446,6 @@ let prop_chain_ops_match_reference =
                         ((v, x) :: !model)
               | Error `Duplicate ->
                   if not (List.mem_assoc v !model) then ok := false)
-          | `Update (v, x) ->
-              let hit = Chain.update c ~version:v x in
-              if hit <> List.mem_assoc v !model then ok := false;
-              if hit then
-                model :=
-                  List.map (fun (v', x') -> if v' = v then (v, x) else (v', x'))
-                    !model
           | `Truncate v ->
               let reclaimed = Chain.truncate_below c ~version:v in
               (* model: keep everything from the latest version <= v on
@@ -489,9 +458,6 @@ let prop_chain_ops_match_reference =
               let before = List.length !model in
               model := List.filter keep !model;
               if reclaimed <> before - List.length !model then ok := false
-          | `Advance v ->
-              Chain.advance_watermark c v;
-              if v > !wm then wm := v
           | `Advance_over (lo, span) ->
               (* A stretch of walkable entries the caller vouches for;
                  the model walks as advance_watermark_while does. *)
@@ -562,13 +528,10 @@ let suite =
       test_intern_four_domain_hammer;
     Alcotest.test_case "chain insert/find" `Quick test_chain_insert_find;
     Alcotest.test_case "chain duplicate" `Quick test_chain_duplicate;
-    Alcotest.test_case "chain update" `Quick test_chain_update;
     Alcotest.test_case "chain watermark" `Quick test_chain_watermark_monotone;
     Alcotest.test_case "chain watermark over a run" `Quick
       test_chain_watermark_over;
     Alcotest.test_case "chain iter_range" `Quick test_chain_iter_range;
-    Alcotest.test_case "chain find_next_after" `Quick
-      test_chain_find_next_after;
     Alcotest.test_case "table window" `Quick test_table_window;
     Alcotest.test_case "table counts" `Quick test_table_counts;
     QCheck_alcotest.to_alcotest prop_chain_matches_reference;

@@ -8,7 +8,7 @@ let mk_net ?(fifo = true) () =
   let rng = Sim.Rng.create 11 in
   let net : int Net.Network.t =
     Net.Network.create e rng
-      ~latency:(Net.Latency.uniform ~base:50 ~jitter:100) ~fifo ()
+      ~latency:Net.Latency.lan ~fifo ()
   in
   (e, net)
 
@@ -21,31 +21,15 @@ let test_address () =
 
 let test_latency_bounds () =
   let rng = Sim.Rng.create 3 in
-  let u = Net.Latency.uniform ~base:100 ~jitter:50 in
+  let seen = Array.make 41 false in
   for _ = 1 to 1000 do
-    let s = Net.Latency.sample u rng in
-    if s < 100 || s > 150 then Alcotest.failf "uniform out of bounds: %d" s
+    let s = Net.Latency.sample Net.Latency.lan rng in
+    if s < 80 || s > 120 then Alcotest.failf "lan out of bounds: %d" s;
+    seen.(s - 80) <- true
   done;
+  Alcotest.(check bool) "both ends drawn" true (seen.(0) && seen.(40));
   let c = Net.Latency.constant 42 in
-  Alcotest.(check int) "constant" 42 (Net.Latency.sample c rng);
-  let e = Net.Latency.exponential_tail ~base:10 ~mean_tail:20.0 in
-  for _ = 1 to 1000 do
-    if Net.Latency.sample e rng < 10 then Alcotest.fail "below base"
-  done
-
-let test_latency_spiky () =
-  let rng = Sim.Rng.create 5 in
-  let l =
-    Net.Latency.spiky
-      ~normal:(Net.Latency.constant 10)
-      ~spike:(Net.Latency.constant 10_000) ~spike_probability:0.2
-  in
-  let spikes = ref 0 in
-  for _ = 1 to 5000 do
-    if Net.Latency.sample l rng = 10_000 then incr spikes
-  done;
-  let p = float_of_int !spikes /. 5000.0 in
-  Alcotest.(check bool) "spike rate ~0.2" true (abs_float (p -. 0.2) < 0.03)
+  Alcotest.(check int) "constant" 42 (Net.Latency.sample c rng)
 
 let test_delivery () =
   let e, net = mk_net () in
@@ -54,8 +38,7 @@ let test_delivery () =
       got := (Net.Address.to_int src, msg) :: !got);
   Net.Network.send net ~src:(addr 0) ~dst:(addr 1) 99;
   Sim.Engine.run e;
-  Alcotest.(check (list (pair int int))) "delivered" [ (0, 99) ] !got;
-  Alcotest.(check int) "sent" 1 (Net.Network.messages_sent net)
+  Alcotest.(check (list (pair int int))) "delivered" [ (0, 99) ] !got
 
 let test_fifo_per_link () =
   let e, net = mk_net ~fifo:true () in
@@ -72,10 +55,12 @@ let test_drop_unregistered () =
   let e, net = mk_net () in
   Net.Network.send net ~src:(addr 0) ~dst:(addr 9) 1;
   Sim.Engine.run e;
-  Alcotest.(check int) "dropped" 1 (Net.Network.messages_dropped net)
+  Alcotest.(check int) "dropped" 1
+    (Net.Network.drop_stats net).Net.Network.unregistered
 
 (* Each drop cause lands under its own counter: injected edicts,
-   partition windows, crashed endpoints, and unregistered addresses. *)
+   partition windows and unregistered addresses; no fault counts a crash
+   drop. *)
 let test_drop_accounting () =
   let e = Sim.Engine.create () in
   let rng = Sim.Rng.create 11 in
@@ -86,43 +71,31 @@ let test_drop_accounting () =
   let got = ref 0 in
   List.iter
     (fun i -> Net.Network.register net (addr i) (fun ~src:_ _ -> incr got))
-    [ 1; 2; 3 ];
+    [ 1; 2 ];
   Net.Faults.install faults
     [ Net.Faults.edict ~dst:(addr 1) Net.Faults.Drop ~p:1.0 ~from_us:0
         ~until_us:1_000 ];
   Net.Faults.partition faults ~group:[ addr 2 ] ~from_us:0 ~until_us:1_000;
-  Net.Faults.mark_crashed faults (addr 3);
   Net.Network.send net ~src:(addr 0) ~dst:(addr 1) 1;
   Net.Network.send net ~src:(addr 0) ~dst:(addr 2) 2;
-  Net.Network.send net ~src:(addr 0) ~dst:(addr 3) 3;
-  Net.Network.send net ~src:(addr 0) ~dst:(addr 9) 4;
+  Net.Network.send net ~src:(addr 0) ~dst:(addr 9) 3;
   Sim.Engine.run e;
   let d = Net.Network.drop_stats net in
   Alcotest.(check int) "injected" 1 d.Net.Network.injected;
   Alcotest.(check int) "partitioned" 1 d.Net.Network.partitioned;
-  Alcotest.(check int) "crashed" 1 d.Net.Network.crashed;
+  Alcotest.(check int) "crashed" 0 d.Net.Network.crashed;
   Alcotest.(check int) "unregistered" 1 d.Net.Network.unregistered;
-  Alcotest.(check int) "total" 4 (Net.Network.messages_dropped net);
+  Alcotest.(check int) "total" 3 (Net.Network.total_drops d);
   Alcotest.(check int) "nothing delivered" 0 !got
 
-let test_unregister_models_crash () =
-  let e, net = mk_net () in
-  let got = ref 0 in
-  Net.Network.register net (addr 1) (fun ~src:_ _ -> incr got);
-  Net.Network.send net ~src:(addr 0) ~dst:(addr 1) 1;
-  Sim.Engine.run e;
-  Net.Network.unregister net (addr 1);
-  Net.Network.send net ~src:(addr 0) ~dst:(addr 1) 2;
-  Sim.Engine.run e;
-  Alcotest.(check int) "only first delivered" 1 !got;
-  Alcotest.(check int) "second dropped" 1 (Net.Network.messages_dropped net)
-
+(* Address 0 is the caller: it serves (one-way) so replies route back. *)
 let mk_rpc () =
   let e = Sim.Engine.create () in
   let rng = Sim.Rng.create 11 in
   let rpc : (string, string) Net.Rpc.t =
     Net.Rpc.create e rng ~latency:(Net.Latency.constant 100) ()
   in
+  Net.Rpc.serve_oneway rpc (addr 0) (fun ~src:_ _ -> ());
   (e, rpc)
 
 let test_rpc_roundtrip () =
@@ -170,39 +143,6 @@ let test_rpc_oneway () =
   Sim.Engine.run e;
   Alcotest.(check (list (pair int string))) "oneway" [ (0, "hello") ] !got
 
-let test_rpc_crash_drops () =
-  let e, rpc = mk_rpc () in
-  let served = ref 0 in
-  Net.Rpc.serve rpc (addr 1) (fun ~src:_ req ~reply ->
-      incr served;
-      reply req);
-  Net.Rpc.crash rpc (addr 1);
-  let replied = ref false in
-  Net.Rpc.call rpc ~src:(addr 0) ~dst:(addr 1) "x" (fun _ -> replied := true);
-  Sim.Engine.run e;
-  Alcotest.(check int) "not served" 0 !served;
-  Alcotest.(check bool) "no reply" false !replied;
-  Alcotest.(check int) "call hangs (tracked)" 1 (Net.Rpc.outstanding_calls rpc)
-
-(* A call registers its caller once; after a crash drops the caller, its
-   next call registers it again, so the response still routes back. *)
-let test_rpc_call_after_caller_crash () =
-  let e, rpc = mk_rpc () in
-  Net.Rpc.serve rpc (addr 1) (fun ~src:_ req ~reply -> reply req);
-  let replies = ref [] in
-  let call msg =
-    Net.Rpc.call rpc ~src:(addr 0) ~dst:(addr 1) msg (fun r ->
-        replies := r :: !replies)
-  in
-  call "a";
-  Sim.Engine.run e;
-  Net.Rpc.crash rpc (addr 0);
-  call "b";
-  Sim.Engine.run e;
-  Alcotest.(check (list string)) "both answered" [ "a"; "b" ]
-    (List.rev !replies);
-  Alcotest.(check int) "no outstanding calls" 0 (Net.Rpc.outstanding_calls rpc)
-
 let test_partitioner_prefix () =
   let p = Net.Partitioner.by_prefix_int ~partitions:8 in
   Alcotest.(check int) "w:3 routes to 3" 3
@@ -227,12 +167,17 @@ let test_partitioner_hash_spread () =
       Alcotest.(check bool) "roughly uniform" true (c > 2000 && c < 3000))
     counts
 
+(* With max_int partitions a key without a prefix routes to its raw
+   FNV-1a hash, so the hash itself shows. *)
 let test_fnv_deterministic () =
-  Alcotest.(check int) "same input same hash"
-    (Net.Partitioner.fnv1a "abc") (Net.Partitioner.fnv1a "abc");
+  let hash =
+    Net.Partitioner.partition_of
+      (Net.Partitioner.by_prefix_int ~partitions:max_int)
+  in
+  Alcotest.(check int) "same input same hash" (hash "abc") (hash "abc");
   Alcotest.(check bool) "different inputs differ" true
-    (Net.Partitioner.fnv1a "abc" <> Net.Partitioner.fnv1a "abd");
-  Alcotest.(check bool) "non-negative" true (Net.Partitioner.fnv1a "x" >= 0)
+    (hash "abc" <> hash "abd");
+  Alcotest.(check bool) "non-negative" true (hash "x" >= 0)
 
 (* qcheck: FIFO holds for any message batch on a link. *)
 let prop_fifo =
@@ -249,19 +194,14 @@ let prop_fifo =
 let suite =
   [ Alcotest.test_case "address" `Quick test_address;
     Alcotest.test_case "latency bounds" `Quick test_latency_bounds;
-    Alcotest.test_case "latency spiky" `Quick test_latency_spiky;
     Alcotest.test_case "delivery" `Quick test_delivery;
     Alcotest.test_case "fifo per link" `Quick test_fifo_per_link;
     Alcotest.test_case "drop unregistered" `Quick test_drop_unregistered;
     Alcotest.test_case "drop accounting" `Quick test_drop_accounting;
-    Alcotest.test_case "unregister crash" `Quick test_unregister_models_crash;
     Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip;
     Alcotest.test_case "rpc deferred reply" `Quick test_rpc_deferred_reply;
     Alcotest.test_case "rpc double reply" `Quick test_rpc_double_reply_rejected;
     Alcotest.test_case "rpc oneway" `Quick test_rpc_oneway;
-    Alcotest.test_case "rpc crash" `Quick test_rpc_crash_drops;
-    Alcotest.test_case "rpc call after caller crash" `Quick
-      test_rpc_call_after_caller_crash;
     Alcotest.test_case "partitioner prefix" `Quick test_partitioner_prefix;
     Alcotest.test_case "partitioner hash spread" `Quick
       test_partitioner_hash_spread;

@@ -102,23 +102,6 @@ let test_failover_under_loss () =
 
 (* ---- single-copy assumption regressions ------------------------------- *)
 
-(* Checkpointing truncates and renumbers the WAL, but WAL positions ARE
-   the replication ship sequence — taking a checkpoint on a replicated
-   primary would silently desynchronise every follower.  The guard must
-   refuse. *)
-let test_checkpoint_refused_under_replication () =
-  let c =
-    Alohadb.Cluster.create
-      { Alohadb.Cluster.default_options with
-        n_servers;
-        config = { Alohadb.Config.default with Alohadb.Config.replicas = 2 } }
-  in
-  Alohadb.Cluster.start c;
-  Alcotest.check_raises "checkpoint_now refuses"
-    (Invalid_argument
-       "Server.checkpoint_now: unsupported under replication")
-    (fun () -> Alohadb.Server.checkpoint_now (Alohadb.Cluster.server c 0))
-
 (* Replication implies durability: a fault-free replicas > 1 cluster must
    come up with a WAL on every server (shipping volatile entries would let
    a follower "ack" state the primary itself can lose). *)
@@ -466,7 +449,9 @@ let test_crash_delivers_gated_closes () =
         if e.stage = Obs.Trace.Epoch_close && e.node = 0 then
           Some (e.ts, e.arg)
         else None)
-      (Obs.Trace.events (Obs.Ctl.trace ctl))
+      (let acc = ref [] in
+       Obs.Trace.iter (Obs.Ctl.trace ctl) ~f:(fun e -> acc := e :: !acc);
+       List.rev !acc)
   in
   let epochs = List.map snd closes in
   Alcotest.(check bool) "closes at node 0 after the crash" true
@@ -490,8 +475,6 @@ let suite =
       test_rejoin_then_promote_back;
     Alcotest.test_case "failover under message loss" `Slow
       test_failover_under_loss;
-    Alcotest.test_case "checkpoint refused under replication" `Quick
-      test_checkpoint_refused_under_replication;
     Alcotest.test_case "replication forces durability" `Quick
       test_replication_forces_durability;
     Alcotest.test_case "durability derived from faults and k" `Quick

@@ -13,6 +13,8 @@ module Txn = Alohadb.Txn
 module Cluster = Alohadb.Cluster
 module Ts = Clocksync.Timestamp
 
+let ts_compare (a : Ts.t) (b : Ts.t) = Int.compare (a :> int) (b :> int)
+
 (* ---- transaction specs -------------------------------------------------- *)
 
 type op_spec =
@@ -120,7 +122,7 @@ let oracle (specs : (Ts.t * txn_spec) list) =
               Hashtbl.replace state dst_key (Some (cur dst_key + amount));
               (ts, true)
             end)
-      (List.sort (fun (a, _) (b, _) -> Ts.compare a b) specs)
+      (List.sort (fun (a, _) (b, _) -> ts_compare a b) specs)
   in
   (state, outcomes)
 
@@ -183,12 +185,12 @@ let check_case specs =
   let specs_with_ts = List.map (fun (ts, spec, _) -> (ts, spec)) results in
   let _, oracle_outcomes = oracle specs_with_ts in
   let engine_outcomes =
-    List.sort (fun (a, _, _) (b, _, _) -> Ts.compare a b) results
+    List.sort (fun (a, _, _) (b, _, _) -> ts_compare a b) results
     |> List.map (fun (ts, _, ok) -> (ts, ok))
   in
   List.iter2
     (fun (ts_o, ok_o) (ts_e, ok_e) ->
-      if not (Ts.equal ts_o ts_e) then Alcotest.fail "timestamp mismatch";
+      if ts_compare ts_o ts_e <> 0 then Alcotest.fail "timestamp mismatch";
       if ok_o <> ok_e then
         Alcotest.failf "outcome mismatch at %s: oracle=%b engine=%b"
           (Format.asprintf "%a" Ts.pp ts_o)

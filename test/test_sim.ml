@@ -1,13 +1,20 @@
 (* Simulation kernel: heap, engine, worker pool, rng, zipf, stats, bits,
    metrics. *)
 
+(* Pop the minimum entry as (priority, value), or None when empty. *)
+let pop h =
+  if Sim.Heap.is_empty h then None
+  else
+    let p = Sim.Heap.min_priority h in
+    Some (p, Sim.Heap.pop_min h)
+
 let test_heap_sorted () =
   let h : int Sim.Heap.t = Sim.Heap.create ~vacant:0 () in
   let rng = Sim.Rng.create 1 in
   let values = List.init 500 (fun _ -> Sim.Rng.int rng 1000) in
   List.iter (fun v -> Sim.Heap.add h ~priority:v v) values;
   let rec drain last acc =
-    match Sim.Heap.pop h with
+    match pop h with
     | None -> List.rev acc
     | Some (p, v) ->
         Alcotest.(check bool) "non-decreasing" true (p >= last);
@@ -23,7 +30,7 @@ let test_heap_fifo_ties () =
   let h : string Sim.Heap.t = Sim.Heap.create ~vacant:"" () in
   List.iter (fun s -> Sim.Heap.add h ~priority:7 s) [ "a"; "b"; "c"; "d" ];
   let order =
-    List.init 4 (fun _ -> match Sim.Heap.pop h with
+    List.init 4 (fun _ -> match pop h with
       | Some (_, v) -> v
       | None -> Alcotest.fail "heap empty")
   in
@@ -34,15 +41,21 @@ let test_heap_interleaved () =
   let h : int Sim.Heap.t = Sim.Heap.create ~vacant:0 () in
   Sim.Heap.add h ~priority:5 5;
   Sim.Heap.add h ~priority:1 1;
-  Alcotest.(check (option int)) "peek" (Some 1) (Sim.Heap.peek_priority h);
-  (match Sim.Heap.pop h with
+  Alcotest.(check int) "peek" 1 (Sim.Heap.min_priority h);
+  (match pop h with
   | Some (1, 1) -> ()
   | _ -> Alcotest.fail "expected 1");
   Sim.Heap.add h ~priority:0 0;
-  (match Sim.Heap.pop h with
+  (match pop h with
   | Some (0, 0) -> ()
   | _ -> Alcotest.fail "expected 0");
-  Alcotest.(check int) "one left" 1 (Sim.Heap.length h)
+  (match pop h with
+  | Some (5, 5) -> ()
+  | _ -> Alcotest.fail "expected 5");
+  Alcotest.(check bool) "drained" true (Sim.Heap.is_empty h);
+  Alcotest.check_raises "pop_min on empty"
+    (Invalid_argument "Heap.pop_min: empty heap") (fun () ->
+      ignore (Sim.Heap.pop_min h))
 
 let test_engine_ordering () =
   let e = Sim.Engine.create () in
@@ -77,19 +90,6 @@ let test_engine_horizon () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "resumes" [ 10; 20; 30; 40 ] (List.rev !fired)
 
-let test_engine_stop () =
-  let e = Sim.Engine.create () in
-  let count = ref 0 in
-  for i = 1 to 10 do
-    Sim.Engine.schedule e ~at:i (fun () ->
-        incr count;
-        if !count = 3 then Sim.Engine.stop e)
-  done;
-  Sim.Engine.run e;
-  Alcotest.(check int) "stopped after 3" 3 !count;
-  Sim.Engine.run e;
-  Alcotest.(check int) "resumed the rest" 10 !count
-
 let test_pool_respects_width () =
   let e = Sim.Engine.create () in
   let p = Sim.Worker_pool.create e ~workers:2 in
@@ -104,8 +104,7 @@ let test_pool_respects_width () =
   Alcotest.(check (list int)) "two waves of two" [ 10; 10; 20; 20 ]
     (List.sort compare times);
   Alcotest.(check int) "busy time = 4 jobs x 10" 40
-    (Sim.Worker_pool.busy_time p);
-  Alcotest.(check int) "jobs completed" 4 (Sim.Worker_pool.jobs_completed p)
+    (Sim.Worker_pool.busy_time p)
 
 let test_rng_determinism () =
   let a = Sim.Rng.create 42 and b = Sim.Rng.create 42 in
@@ -151,30 +150,6 @@ let test_zipf_popularity () =
   done;
   Alcotest.(check bool) "rank 0 much more popular than rank 500" true
     (counts.(0) > 10 * (counts.(500) + 1))
-
-let test_stats_summary () =
-  let s = Sim.Stats.Summary.create () in
-  List.iter (Sim.Stats.Summary.add s) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
-  Alcotest.(check (float 1e-9)) "mean" 3.0 (Sim.Stats.Summary.mean s);
-  Alcotest.(check (float 1e-9)) "variance" 2.5 (Sim.Stats.Summary.variance s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Sim.Stats.Summary.min s);
-  Alcotest.(check (float 1e-9)) "max" 5.0 (Sim.Stats.Summary.max s);
-  Alcotest.(check (float 1e-9)) "total" 15.0 (Sim.Stats.Summary.total s)
-
-let test_stats_summary_merge () =
-  let a = Sim.Stats.Summary.create () and b = Sim.Stats.Summary.create () in
-  let whole = Sim.Stats.Summary.create () in
-  let rng = Sim.Rng.create 3 in
-  for i = 1 to 200 do
-    let x = Sim.Rng.float rng 100.0 in
-    Sim.Stats.Summary.add (if i mod 2 = 0 then a else b) x;
-    Sim.Stats.Summary.add whole x
-  done;
-  let m = Sim.Stats.Summary.merge a b in
-  Alcotest.(check (float 1e-6)) "merged mean"
-    (Sim.Stats.Summary.mean whole) (Sim.Stats.Summary.mean m);
-  Alcotest.(check (float 1e-4)) "merged variance"
-    (Sim.Stats.Summary.variance whole) (Sim.Stats.Summary.variance m)
 
 let test_histogram_percentiles () =
   let h = Sim.Stats.Histogram.create () in
@@ -238,41 +213,33 @@ let test_histogram_percentile_edges () =
 
 let test_metrics_gauges () =
   let m = Sim.Metrics.create () in
-  Alcotest.(check (float 0.0)) "unset gauge" 0.0
-    (Sim.Metrics.gauge_value m "g");
+  Alcotest.(check (list (pair string (float 0.0)))) "none set" []
+    (Sim.Metrics.gauges m);
   Sim.Metrics.set_gauge m "g" 3.5;
   Sim.Metrics.set_gauge m "g" 4.5;
-  Alcotest.(check (float 0.0)) "last write wins" 4.5
-    (Sim.Metrics.gauge_value m "g");
-  let h = Sim.Metrics.gauge m "g" in
-  h := 9.0;
-  Alcotest.(check (float 0.0)) "handle aliases table" 9.0
-    (Sim.Metrics.gauge_value m "g");
   Sim.Metrics.set_gauge m "a" 1.0;
-  Alcotest.(check bool) "sorted listing" true
-    (Sim.Metrics.gauges m = [ ("a", 1.0); ("g", 9.0) ]);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "last write wins, sorted listing"
+    [ ("a", 1.0); ("g", 4.5) ]
+    (Sim.Metrics.gauges m);
   Sim.Metrics.reset m;
-  Alcotest.(check (float 0.0)) "reset zeroes" 0.0
-    (Sim.Metrics.gauge_value m "g");
-  Alcotest.(check (float 0.0)) "handles survive reset" 0.0 !h;
-  h := 2.0;
-  Alcotest.(check (float 0.0)) "handle still live" 2.0
-    (Sim.Metrics.gauge_value m "g")
+  Alcotest.(check (list (pair string (float 0.0)))) "reset zeroes, keeps names"
+    [ ("a", 0.0); ("g", 0.0) ]
+    (Sim.Metrics.gauges m)
 
 let test_bits () =
   Alcotest.(check int) "clz 1" 62 (Sim.Bits.count_leading_zeros 1);
   Alcotest.(check int) "clz 0" 63 (Sim.Bits.count_leading_zeros 0);
   Alcotest.(check int) "clz near max" 1 (Sim.Bits.count_leading_zeros (1 lsl 61));
-  List.iter
-    (fun (v, want) ->
-      Alcotest.(check int) (Printf.sprintf "ceil_pow2 %d" v) want
-        (Sim.Bits.ceil_pow2 v))
-    [ (1, 1); (2, 2); (3, 4); (4, 4); (5, 8); (1023, 1024); (1024, 1024) ]
+  Alcotest.check_raises "negative rejected"
+    (Invalid_argument "Bits.count_leading_zeros: negative") (fun () ->
+      ignore (Sim.Bits.count_leading_zeros (-1)))
 
 let test_metrics () =
   let m = Sim.Metrics.create () in
-  Sim.Metrics.incr m "a";
-  Sim.Metrics.add m "a" 4;
+  for _ = 1 to 5 do
+    Sim.Metrics.incr m "a"
+  done;
   Sim.Metrics.incr m "b";
   Alcotest.(check int) "a" 5 (Sim.Metrics.get m "a");
   Alcotest.(check int) "absent" 0 (Sim.Metrics.get m "zzz");
@@ -295,7 +262,7 @@ let prop_heap_sorts =
       let h : int Sim.Heap.t = Sim.Heap.create ~vacant:0 () in
       List.iter (fun v -> Sim.Heap.add h ~priority:v v) xs;
       let rec drain acc =
-        match Sim.Heap.pop h with
+        match pop h with
         | None -> List.rev acc
         | Some (_, v) -> drain (v :: acc)
       in
@@ -356,7 +323,7 @@ let gen_script ~silent_runs =
 (* Returns the callback log, the queue lengths sampled inside events, the
    queue lengths of the grid samples at instants 0..40 (scheduled before
    the script, so each fires first at its instant), and the final busy
-   time and completed-job count. *)
+   time. *)
 let exec_script ~expand (workers, script) =
   let e = Sim.Engine.create () in
   let p = Sim.Worker_pool.create e ~workers in
@@ -392,7 +359,7 @@ let exec_script ~expand (workers, script) =
     script;
   Sim.Engine.run e;
   ( List.rev !log, List.rev !samples, List.rev !grid,
-    Sim.Worker_pool.busy_time p, Sim.Worker_pool.jobs_completed p )
+    Sim.Worker_pool.busy_time p )
 
 let prop_run_equals_submits =
   QCheck2.Test.make ~name:"worker-pool run = single submits" ~count:300
@@ -402,14 +369,14 @@ let prop_run_equals_submits =
 (* Silent runs against no-op single submits: every callback job completes
    at the same instant (same-instant order may differ where a lane's end
    stands in for per-job completions), and the grid samples and final
-   counters agree. *)
+   busy time agree. *)
 let prop_silent_equals_submits =
   QCheck2.Test.make ~name:"worker-pool silent run = no-op single submits"
     ~count:500 (gen_script ~silent_runs:true) (fun script ->
-      let log1, _, grid1, busy1, done1 = exec_script ~expand:false script in
-      let log2, _, grid2, busy2, done2 = exec_script ~expand:true script in
+      let log1, _, grid1, busy1 = exec_script ~expand:false script in
+      let log2, _, grid2, busy2 = exec_script ~expand:true script in
       List.sort compare log1 = List.sort compare log2
-      && grid1 = grid2 && busy1 = busy2 && done1 = done2)
+      && grid1 = grid2 && busy1 = busy2)
 
 (* Mid-run reads of a silent run on an idle pool come from its lane
    schedule: 10 jobs of 5 us on 4 workers run as lanes of 3, 3, 2 and 2
@@ -422,20 +389,17 @@ let test_silent_lanes () =
     (fun at ->
       Sim.Engine.schedule e ~at (fun () ->
           reads :=
-            ( at, Sim.Worker_pool.queue_length p,
-              Sim.Worker_pool.jobs_completed p, Sim.Worker_pool.busy_time p,
-              Sim.Worker_pool.busy_workers p )
+            (at, Sim.Worker_pool.queue_length p, Sim.Worker_pool.busy_time p)
             :: !reads))
     [ 1; 5; 6; 10; 11; 15; 16 ];
   Sim.Worker_pool.submit_silent p ~cost:5 ~count:10;
   Alcotest.(check int) "first round started" 6 (Sim.Worker_pool.queue_length p);
   Sim.Engine.run e;
   Alcotest.(check (list (list int)))
-    "(at, queued, completed, busy_time, busy)"
-    [ [ 1; 6; 0; 0; 4 ]; [ 5; 6; 0; 0; 4 ]; [ 6; 2; 4; 20; 4 ];
-      [ 10; 2; 4; 20; 4 ]; [ 11; 0; 8; 40; 2 ]; [ 15; 0; 8; 40; 2 ];
-      [ 16; 0; 10; 50; 0 ] ]
-    (List.rev_map (fun (a, q, c, b, w) -> [ a; q; c; b; w ]) !reads);
+    "(at, queued, busy_time)"
+    [ [ 1; 6; 0 ]; [ 5; 6; 0 ]; [ 6; 2; 20 ]; [ 10; 2; 20 ]; [ 11; 0; 40 ];
+      [ 15; 0; 40 ]; [ 16; 0; 50 ] ]
+    (List.rev_map (fun (a, q, b) -> [ a; q; b ]) !reads);
   Alcotest.(check int) "7 reads + 4 lane completions" 11
     (Sim.Engine.events_fired e);
   (* a busy pool runs it job by job *)
@@ -444,7 +408,7 @@ let test_silent_lanes () =
   let fired = Sim.Engine.events_fired e in
   Sim.Engine.run e;
   Alcotest.(check int) "one event per job" 7 (Sim.Engine.events_fired e - fired);
-  Alcotest.(check int) "all completed" 17 (Sim.Worker_pool.jobs_completed p)
+  Alcotest.(check int) "all busy time" 59 (Sim.Worker_pool.busy_time p)
 
 let suite =
   [ Alcotest.test_case "heap sorted drain" `Quick test_heap_sorted;
@@ -453,15 +417,12 @@ let suite =
     Alcotest.test_case "engine ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine rejects past" `Quick test_engine_past_rejected;
     Alcotest.test_case "engine horizon+resume" `Quick test_engine_horizon;
-    Alcotest.test_case "engine stop/resume" `Quick test_engine_stop;
     Alcotest.test_case "pool width" `Quick test_pool_respects_width;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng bernoulli" `Quick test_rng_bernoulli_mean;
     Alcotest.test_case "zipf popularity" `Quick test_zipf_popularity;
-    Alcotest.test_case "stats summary" `Quick test_stats_summary;
-    Alcotest.test_case "stats merge" `Quick test_stats_summary_merge;
     Alcotest.test_case "histogram percentiles" `Quick
       test_histogram_percentiles;
     Alcotest.test_case "histogram edge cases" `Quick

@@ -28,10 +28,13 @@ let aloha_cluster load_workload =
 let run_aloha_tpcc ~payments ~neworders =
   let c =
     aloha_cluster (fun c ->
-        Tpcc.register ~register:(Alohadb.Engine.register c);
-        Tpcc.load small_tpcc_cfg ~put:(Alohadb.Engine.load c))
+        Tpcc.Neworder.register small_tpcc_cfg
+          ~register:(Alohadb.Engine.register c);
+        Tpcc.Neworder.load small_tpcc_cfg ~n_servers:n
+          ~put:(Alohadb.Engine.load c))
   in
-  let gen = Tpcc.generator small_tpcc_cfg ~n_servers:n ~seed:5 in
+  let neworder = Tpcc.Neworder.generator small_tpcc_cfg ~n_servers:n ~seed:5 in
+  let payment = Tpcc.Payment.generator small_tpcc_cfg ~n_servers:n ~seed:6 in
   let committed_no = ref 0 and aborted_no = ref 0 in
   let committed_pay = ref 0 and pay_total = ref 0 in
   let outstanding = ref 0 in
@@ -40,7 +43,7 @@ let run_aloha_tpcc ~payments ~neworders =
     incr outstanding;
     let fe = i mod n in
     Sim.Engine.schedule sim ~at:(1_000 + (i * 37)) (fun () ->
-        Alohadb.Engine.submit c ~fe (Tpcc.gen_neworder gen ~fe)
+        Alohadb.Engine.submit c ~fe (neworder ~fe)
           ~k:(fun reply ->
             decr outstanding;
             match reply with
@@ -53,7 +56,7 @@ let run_aloha_tpcc ~payments ~neworders =
     Sim.Engine.schedule sim ~at:(2_000 + (i * 41)) (fun () ->
         (* The payment amount h appears as Add h on both the wytd and dytd
            keys; extract it so the invariants can track the total. *)
-        let txn = Tpcc.gen_payment gen ~fe in
+        let txn = payment ~fe in
         let amount =
           List.fold_left
             (fun acc (_, op) ->
@@ -94,7 +97,7 @@ let aloha_scan c ~prefix =
           | Some None -> ()
           | None -> Alcotest.fail "scan read did not resolve"
         end)
-      (Mvstore.Table.keys table)
+      (Mvstore.Table.fold_chains table ~init:[] ~f:(fun k _ acc -> k :: acc))
   done;
   !acc
 
@@ -180,14 +183,13 @@ let test_aloha_tpcc_payment_invariants () =
 
 let test_calvin_tpcc_neworder_invariants () =
   let c = Calvin.Engine.create (Kernel.Params.make ~n_servers:n ()) in
-  Tpcc.register ~register:(Calvin.Engine.register c);
-  Tpcc.load small_tpcc_cfg ~put:(Calvin.Engine.load c);
+  Tpcc.Neworder.register small_tpcc_cfg ~register:(Calvin.Engine.register c);
+  Tpcc.Neworder.load small_tpcc_cfg ~n_servers:n ~put:(Calvin.Engine.load c);
   Calvin.Engine.start c;
-  let gen = Tpcc.generator small_tpcc_cfg ~n_servers:n ~seed:5 in
+  let neworder = Tpcc.Neworder.generator small_tpcc_cfg ~n_servers:n ~seed:5 in
   let committed = ref 0 in
   for i = 0 to 79 do
-    Calvin.Engine.submit c ~fe:(i mod n)
-      (Tpcc.gen_neworder gen ~fe:(i mod n))
+    Calvin.Engine.submit c ~fe:(i mod n) (neworder ~fe:(i mod n))
       ~k:(fun _ -> incr committed)
   done;
   Sim.Engine.run ~until:600_000 (Calvin.Engine.sim c);
@@ -308,10 +310,10 @@ let test_ycsb_generator_shape () =
 
 let test_tpcc_generator_distribution () =
   let cfg = Tpcc.default_cfg ~n_servers:4 ~warehouses_per_host:2 in
-  let gen = Tpcc.generator cfg ~n_servers:4 ~seed:7 in
+  let neworder = Tpcc.Neworder.generator cfg ~n_servers:4 ~seed:7 in
   for fe = 0 to 3 do
     (* The static facet is what the deterministic engines see. *)
-    let d = Kernel.Txn.static_form (Tpcc.gen_neworder gen ~fe) in
+    let d = Kernel.Txn.static_form (neworder ~fe) in
     let writes = Kernel.Txn.write_keys d in
     (* The home district key routes to the submitting host. *)
     (match List.filter (fun k -> contains_sub k ":dnoid:") writes with
