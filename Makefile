@@ -60,30 +60,32 @@ figs-pair:
 	python3 ci/figs_pair.py --base $(BASE)
 
 # CI smoke for the real runtime: pool + domain-determinism suites, the
-# interning hammer, the sim-vs-real equivalence oracle, end-to-end CLI
-# runs at 4 domains and at 1 (the caller alone: no domain spawned), and
-# a Scaled TPC-C run whose user handlers evaluate on worker domains.
-# The two ycsb runs must print the same, but for their runtime: and wall
-# clock: lines (outputs in real-smoke/).
+# interning hammer, the sim-vs-real equivalence oracle, and end-to-end
+# CLI runs at 4 domains and at 1 (the caller alone: no domain spawned):
+# ycsb, whose plain built-ins the plan's bind pass folds, and Scaled
+# TPC-C, whose user handlers evaluate on worker domains.  Each pair must
+# print the same, but for its runtime: and wall clock: lines (outputs in
+# real-smoke/).
 real-smoke:
 	dune exec test/test_main.exe -- test runtime
 	dune exec test/test_main.exe -- test mvstore
 	dune exec test/test_main.exe -- test cross-engine
 	mkdir -p real-smoke
-	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
-	  --runtime real --domains 4 --measure-ms 200 > real-smoke/ycsb-d4.txt
-	cat real-smoke/ycsb-d4.txt
-	dune exec bin/alohadb_cli.exe -- run --system aloha --workload stpcc \
-	  --runtime real --domains 4 --servers 4 --per-host 1 --clients 100 \
-	  --measure-ms 100
-	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
-	  --runtime real --domains 1 --measure-ms 200 > real-smoke/ycsb-d1.txt
-	cat real-smoke/ycsb-d1.txt
 	for d in 4 1; do \
-	  sed -e '/^runtime:/d' -e '/^wall clock:/d' real-smoke/ycsb-d$$d.txt \
-	    > real-smoke/ycsb-d$$d.cmp; \
+	  dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
+	    --runtime real --domains $$d --measure-ms 200 \
+	    > real-smoke/ycsb-d$$d.txt || exit 1; \
+	  dune exec bin/alohadb_cli.exe -- run --system aloha --workload stpcc \
+	    --runtime real --domains $$d --servers 4 --per-host 1 --clients 100 \
+	    --measure-ms 100 > real-smoke/stpcc-d$$d.txt || exit 1; \
+	done
+	for f in ycsb-d4 ycsb-d1 stpcc-d4 stpcc-d1; do \
+	  cat real-smoke/$$f.txt; \
+	  sed -e '/^runtime:/d' -e '/^wall clock:/d' real-smoke/$$f.txt \
+	    > real-smoke/$$f.cmp; \
 	done
 	diff -u real-smoke/ycsb-d4.cmp real-smoke/ycsb-d1.cmp
+	diff -u real-smoke/stpcc-d4.cmp real-smoke/stpcc-d1.cmp
 
 # Randomized fault schedules against all three engines, 25 seeds each.
 # A failing (engine, seed) pair replays with:

@@ -89,7 +89,8 @@ type nodes = {
   node_key : int array;  (** node [i]'s dense key index *)
   node_ver : int array;  (** node [i]'s version *)
   node_op : int array;
-      (** node [i]'s {!plain_op} under the real runtime; may be empty
+      (** node [i]'s {!plain_op} under the real runtime, or its
+          {!fold_bind} result when the bind pass folded it; may be empty
           otherwise *)
   records : Funct.t array;  (** node [i]'s record, in its chain *)
   pendings : Funct.pending array;
@@ -101,6 +102,43 @@ val plain_op : Funct.pending -> int
     ADD/SUBTR/MAX/MIN without read set, recipients or dependents whose
     first argument is an int (of up to 60 bits); the built-in and its
     argument, packed in one int. *)
+
+(** {2 The fold of plain built-ins}
+
+    Algorithm 1's functor-computing loop behind the value watermark, for
+    one key's plain built-ins taken in version order.  Each step takes the
+    previous result as its operand when its record is the chain entry
+    after the one the fold finalised last, else the final value below it
+    over chain indices; writes the result as the record's shared
+    small-int state; and the watermark moves once per stretch of
+    consecutive entries so finalised
+    ({!Mvstore.Chain.advance_watermark_over}).  A step allocates nothing.
+    The real runtime's plan bind pass and {!par_eval_run} are its two
+    callers. *)
+
+type fold
+
+val fold_start : unit -> fold
+(** A fold that has finalised nothing. *)
+
+val fold_publish : Funct.t Mvstore.Chain.t -> fold -> unit
+(** Advance the chain's watermark over the stretch not yet published. *)
+
+val fold_bind :
+  Funct.t Mvstore.Chain.t -> fold -> idx:int -> now:int -> Funct.t ->
+  Funct.pending -> int
+(** [fold_bind chain f ~idx ~now record p]: the bind pass's step for the
+    still-pending record [record] (state [p]) at chain index [idx], when
+    every earlier plan node of its key took it.  The step takes the node
+    when it is a plain built-in, every entry below [idx] is final, and
+    its result packs in 60 bits; it then stamps an unset
+    [retrieved_at_us] with [now] and returns the node's folded
+    [node_op]: its result and whether [p] has waiters, for
+    {!par_commit}.  Otherwise it touches nothing and returns
+    [plain_op p]; the key's later nodes must not take the step. *)
+
+val is_folded : int -> bool
+(** Whether a [node_op] is a {!fold_bind} result. *)
 
 val compute_node : t -> nodes -> int -> unit
 (** Evaluate node [i] via [ensure_computing].  Idempotent: if the record
@@ -119,7 +157,8 @@ val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
 
     The [--runtime real] backend evaluates one planner level at a time on
     a pool of worker domains, one task per key run (a key's
-    version-ascending nodes at that level, in order, on one worker).  A
+    version-ascending nodes at that level, in order, on one worker) that
+    the plan's bind pass did not fold ({!fold_bind}).  A
     level's runs have distinct keys and only read other keys' values
     finalised by earlier levels, so the worker side touches nothing but
     its own run's chain.  A plan keeps one {!par_slot} per node, indexed
@@ -155,16 +194,14 @@ val par_eval_run :
     claimed node then gets chain-local work only: resolve own-key prev
     over final records, evaluate, flip the record final, and record the
     outcome in its slot.  The claim is in the slot before evaluation
-    starts.  The run's plain built-ins (non-zero [node_op]) are one fold,
-    which touches only their records: each is claimed by its slot alone
-    ({!par_commit} stamps it); a node whose chain predecessor the fold
-    just finalised takes that result as its operand; and the watermark
-    advances once per stretch of consecutive entries so finalised
-    ({!Mvstore.Chain.advance_watermark_over}).  If the own-key walk finds
-    a pending record the slot stays claimed and the record pending; an
-    exception other than [Not_found] / [Invalid_argument] from a user
-    handler propagates with the same effect and ends the run.  Plain
-    built-ins allocate nothing. *)
+    starts.  The run's plain built-ins (non-zero [node_op]) take the
+    fold's steps, which touch only their records, each claimed by its
+    slot alone ({!par_commit} stamps it); one the step cannot take goes
+    the per-node way.  If the own-key walk finds a pending record the
+    slot stays claimed and the record pending; an exception other than
+    [Not_found] / [Invalid_argument] from a user handler propagates with
+    the same effect and ends the run.  Plain built-ins allocate nothing
+    per node. *)
 
 type par_result =
   | Par_untouched  (** never claimed *)
@@ -179,7 +216,8 @@ val par_commit :
     [Installed]) so the sequential dispatch re-evaluates it.  A built-in
     with no recipients and no dependents has no deferred effect beyond
     counting, [notify_final] and its record's waiters, and its commit
-    does only that. *)
+    does only that; for a node the bind pass folded ({!is_folded}
+    [node_op]) it reads neither its slot nor its record. *)
 
 val deliver_push :
   t -> key:Mvstore.Key.t -> version:int -> src_key:Mvstore.Key.t ->
@@ -197,8 +235,9 @@ val watermark : t -> key:Mvstore.Key.t -> int
 
 val gc : t -> before:int -> int
 (** Reclaim historical versions: for every key, drop records older than
-    [min before watermark], keeping the newest final at or below the
-    horizon as the base value for reads at or above it.  Reads strictly
+    [min before watermark], keeping the newest committed or deleted
+    record at or below the horizon (reads skip an aborted one) as the
+    base value for reads at or above it.  Reads strictly
     below the horizon may observe the key as absent — GC shortens the
     historical-read window.  Returns records reclaimed.  Safe at any
     time: only immutable (sub-watermark) history is touched. *)

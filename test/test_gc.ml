@@ -141,6 +141,36 @@ let test_engine_gc_spares_pending () =
     | None -> ());
   Alcotest.(check int) "values intact after gc attempt" 10 !got
 
+(* An aborted record is no base: reads skip it.  v1 ADD 5 is computed,
+   v2 ADD 7 aborted in-epoch, v3 ADD 1 still pending, so the watermark
+   is 2.  Collecting below 2 must keep v1, the value reads at 2 and v3's
+   computation land on, and may drop only v0. *)
+let test_engine_gc_skips_aborted_base () =
+  let e = mk_engine () in
+  let key = Mvstore.Key.intern "gc-aborted" in
+  Engine.load_initial e ~key (Value.int 0);
+  List.iter
+    (fun (v, x) ->
+      ignore
+        (Engine.install e ~key ~version:v ~lo:0 ~hi:max_int
+           (Funct.mk_pending ~ftype:Functor_cc.Ftype.Add
+              ~farg:(Funct.farg_args [ Value.int x ])
+              ~txn_id:v ~coordinator:0)))
+    [ (1, 5); (2, 7); (3, 1) ];
+  Engine.compute_key e ~key ~version:1;
+  Engine.abort_version e ~key ~version:2;
+  Alcotest.(check int) "watermark" 2 (Engine.watermark e ~key);
+  Alcotest.(check int) "only v0 reclaimed" 1 (Engine.gc e ~before:2);
+  let read version =
+    let got = ref (-1) in
+    Engine.get e ~key ~version (function
+      | Some v -> got := Value.to_int v
+      | None -> ());
+    !got
+  in
+  Alcotest.(check int) "read at the horizon skips the aborted v2" 5 (read 2);
+  Alcotest.(check int) "v3 computed over v1" 6 (read 3)
+
 (* The planner's dispatch run must release each plan node as the node's
    job fires, as one closure per job would: four ADDs on four keys, one
    worker, 10 us per job.  After two jobs, the first two nodes' pending
@@ -203,4 +233,6 @@ let suite =
     Alcotest.test_case "engine gc preserves reads" `Quick
       test_engine_gc_preserves_reads;
     Alcotest.test_case "engine gc spares pending" `Quick
-      test_engine_gc_spares_pending ]
+      test_engine_gc_spares_pending;
+    Alcotest.test_case "engine gc skips an aborted base" `Quick
+      test_engine_gc_skips_aborted_base ]
