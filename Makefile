@@ -189,7 +189,8 @@ fmt:
 	dune build @fmt
 
 # Every val and module a lib/*/*.mli exports must have a caller outside
-# its own module in lib, bin, bench or examples; a test is not a caller
+# its own module in lib, bin, bench or examples, and every optional
+# label of such a val a caller that passes it; a test is not a caller
 # (ci/dead_exports.py; exceptions go in ci/dead_exports_allow.txt, each
 # with a reason: observer, test fake or mechanism), plus the scan's own
 # fixture tests.

@@ -19,14 +19,22 @@ and string literals are removed first.  A value another module also
 names is therefore not taken for a use, but an export used only
 through a functor or first-class module argument is reported.
 
+A live `val`'s optional label `?label` (in the `val` line or the
+indented lines after it) is dead when no such `.ml` file other than
+the module's own passes `~label` or `?label`.  That match is by label
+name alone, so a same-name label passed to another function counts as
+a pass: the rule finds knobs that nothing sets, not every one.
+
 Each allowlist line is `PATH NAME REASON...` (PATH relative to the
-root, e.g. `lib/sim/rng.mli split because ...`); blank lines and lines
-starting with `#` are ignored, and a line without a reason is an error.
-The run exits 1 when a dead export is not allowlisted, or when an
-allowlist line names an export that is no longer dead, so the list
-cannot go stale.  The summary line counts the dead exports, those not
-allowlisted and those the allowlist excused.  --root defaults to the repository holding this
-script, --allow to ci/dead_exports_allow.txt under the root.
+root, e.g. `lib/sim/rng.mli split because ...`, NAME `VAL?LABEL` for a
+label); blank lines and lines starting with `#` are ignored, and a
+line without a reason is an error.  The run exits 1 when a dead export
+or label is not allowlisted, or when an allowlist line names one that
+is no longer dead, so the list cannot go stale.  The two summary lines
+count the dead exports and the dead labels, those not allowlisted and
+those the allowlist excused.  --root defaults to the repository
+holding this script, --allow to ci/dead_exports_allow.txt under the
+root.
 """
 
 import argparse
@@ -133,14 +141,43 @@ def used(sources, own, lib, mod, name):
     return False
 
 
-def dead_exports(root):
-    sources = caller_sources(root)
+def dead_exports(root, sources):
     dead = []
     for mli, kind, name, lineno in exports(root):
         lib, mod = module_of(mli)
         if not used(sources, mli[:-1], lib, mod, name):
             dead.append((mli, kind, name, lineno))
     return dead
+
+
+def optional_labels(root, mli, lineno):
+    """The `?label`s in the signature of the `val` at line `lineno` of
+    `mli`: that line and the indented lines after it."""
+    with open(os.path.join(root, mli)) as f:
+        lines = f.read().split("\n")
+    sig = [lines[lineno - 1]]
+    for line in lines[lineno:]:
+        if not line.strip() or not line[0].isspace():
+            break
+        sig.append(line)
+    return re.findall(r"\?([a-z_][\w']*)\s*:", strip_code("\n".join(sig)))
+
+
+def dead_labels(root, sources, dead):
+    """(mli, "NAME?LABEL", line) for every `?label` of a live exported
+    `val` that no caller source other than the module's own passes as
+    `~label` or `?label`."""
+    dead_names = {(d[0], d[2]) for d in dead}
+    found = []
+    for mli, kind, name, lineno in exports(root):
+        if kind != "val" or (mli, name) in dead_names:
+            continue
+        for label in optional_labels(root, mli, lineno):
+            passed = re.compile(r"(?<![\w'])[~?]" + re.escape(label) + r"(?![\w'])")
+            if not any(passed.search(src) for path, src in sources.items()
+                       if path != mli[:-1]):
+                found.append((mli, name + "?" + label, lineno))
+    return found
 
 
 def read_allowlist(path):
@@ -168,7 +205,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     allow_path = args.allow or os.path.join(args.root, "ci", "dead_exports_allow.txt")
     allowed, errors = read_allowlist(allow_path)
-    dead = dead_exports(args.root)
+    sources = caller_sources(args.root)
+    dead = dead_exports(args.root, sources)
     failed = bool(errors)
     for e in errors:
         print(e)
@@ -180,12 +218,25 @@ def main(argv=None):
         else:
             print(f"{mli}:{lineno}: {kind} {name} has no caller outside its module")
             failed = True
+    labels = dead_labels(args.root, sources, dead)
+    for mli, name, lineno in labels:
+        dead_keys.add((mli, name))
+        val, label = name.split("?")
+        if (mli, name) in allowed:
+            print(f"{mli}:{lineno}: val {val} ?{label} (allowed: {allowed[(mli, name)]})")
+        else:
+            print(f"{mli}:{lineno}: val {val} ?{label} is passed by no caller "
+                  "outside its module")
+            failed = True
     for key in sorted(set(allowed) - dead_keys):
         print(f"{allow_path}: {key[0]} {key[1]} is allowlisted but not a dead export")
         failed = True
     unexcused = sum(1 for d in dead if (d[0], d[2]) not in allowed)
     print(f"dead exports: {len(dead)} ({unexcused} not allowlisted, "
           f"{len(dead) - unexcused} allowlisted)")
+    unexcused = sum(1 for d in labels if (d[0], d[1]) not in allowed)
+    print(f"dead labels: {len(labels)} ({unexcused} not allowlisted, "
+          f"{len(labels) - unexcused} allowlisted)")
     return 1 if failed else 0
 
 

@@ -4,7 +4,8 @@ values the scan fails, and passes once the dead values are
 allowlisted.  Uses count only through the module: qualified, through
 an alias, bare in a file that opens it, or unqualified-library inside
 its own library; a same-name value of another module is not a use, and
-neither is a use under test/.
+neither is a use under test/.  An optional label of a live value that
+only a test passes is reported too, and one that bin passes is not.
 
     python3 ci/test_dead_exports.py
 """
@@ -23,11 +24,13 @@ FILES = {
     "lib/a/foo.mli": "val used : int -> int\nval dead : int -> int\n"
                      "module Inner : sig val x : int end\nval aliased : int\n"
                      "val opened : int\nval samelib : int\nval shadowed : int\n"
-                     "val testonly : int\n",
+                     "val testonly : int\n"
+                     "val opts :\n  ?bybin:int -> ?bytest:int -> unit -> int\n",
     "lib/a/foo.ml": "let used x = x + 1\nlet dead x = used x\n"
                     "module Inner = struct let x = 1 end\nlet aliased = 1\n"
                     "let opened = 2\nlet samelib = 3\nlet shadowed = 4\n"
-                    "let testonly = 6\n",
+                    "let testonly = 6\n"
+                    "let opts ?(bybin = 0) ?(bytest = 0) () = bybin + bytest\n",
     # Inside library a, Foo.samelib needs no A. prefix.
     "lib/a/bar.ml": "let z = Foo.samelib\n",
     # Another module's value of the same name, used bare and qualified.
@@ -36,15 +39,17 @@ FILES = {
     # name, is not a use.
     "bin/main.ml": "(* A.Foo.dead is dead *)\nlet () = print_int (A.Foo.used 1)\n"
                    "let s = \"dead\"\nlet f r = r.dead\nlet y = A.Foo.Inner.x\n"
-                   "let b = A.Baz.shadowed + Baz.shadowed\n",
+                   "let b = A.Baz.shadowed + Baz.shadowed\n"
+                   "let o = A.Foo.opts ~bybin:1 ()\n",
     "bin/alias.ml": "module F = A.Foo\nlet v = F.aliased\n",
     "bin/opened.ml": "open A.Foo\nlet v = opened\n",
     # Tests are not callers.
-    "test/test_foo.ml": "let t = A.Foo.testonly\n",
+    "test/test_foo.ml": "let t = A.Foo.testonly\nlet o = A.Foo.opts ~bytest:2 ()\n",
 }
 DEAD = ["lib/a/foo.mli dead kept for a test",
         "lib/a/foo.mli shadowed kept for a test",
-        "lib/a/foo.mli testonly observer kept for a test"]
+        "lib/a/foo.mli testonly observer kept for a test",
+        "lib/a/foo.mli opts?bytest test fake kept for a test"]
 
 
 class DeadExportsTest(unittest.TestCase):
@@ -102,6 +107,22 @@ class DeadExportsTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn(
             "lib/a/foo.mli:8: val testonly (allowed: observer kept for a test)",
+            out)
+
+    def test_label_passed_only_by_a_test_is_reported(self):
+        code, out = self.run_scan(DEAD[:3])
+        self.assertEqual(code, 1)
+        self.assertIn(
+            "lib/a/foo.mli:9: val opts ?bytest is passed by no caller", out)
+        self.assertIn("dead labels: 1 (1 not allowlisted, 0 allowlisted)",
+                      out)
+
+    def test_label_passed_by_bin_is_not_reported(self):
+        code, out = self.run_scan(DEAD)
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("?bybin", out)
+        self.assertIn(
+            "lib/a/foo.mli:9: val opts ?bytest (allowed: test fake kept for a test)",
             out)
 
     def test_allowlist_needs_a_reason(self):

@@ -306,7 +306,6 @@ let install b ~src (inst : Message.install) reply =
           let lo = Ts.to_int (Ts.window_lo ~time_us:inst.lo) in
           let hi = Ts.to_int (Ts.window_hi ~time_us:inst.hi) in
           let batch = new_batch b.node src in
-          let installed = now b in
           List.iter
             (fun (key, spec) ->
               let record =
@@ -325,8 +324,7 @@ let install b ~src (inst : Message.install) reply =
                          coordinator = Net.Address.to_int src;
                          epoch = inst.epoch; fast = inst.fast });
                   match record.Funct.state with
-                  | Funct.Pending p ->
-                      p.Funct.installed_at_us <- installed;
+                  | Funct.Pending _ ->
                       if inst.fast then
                         (* Pre-committed at the coordinator: no epoch
                            batch, no Batch_done — the delta merges lazily

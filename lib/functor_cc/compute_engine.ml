@@ -163,6 +163,46 @@ let builtin_result ftype p args =
   in
   apply_builtin (builtin_code ftype) arg0 p
 
+(* Finalisation's effects once the record is final and its watermark
+   advanced: counters, [notify_final], then the record's waiters.
+   [waiters]: whether [p] has any, so a record known to have none builds
+   no closure over [final]. *)
+let finish t ~key ~ver (p : Funct.pending) final ~waiters =
+  (match final with
+  | Funct.Aborted_v -> incr t.m_aborts_computed
+  | Funct.Committed _ | Funct.Deleted_v -> ());
+  incr t.m_computed;
+  t.cb.notify_final ~key ~version:ver ~pending:p ~final;
+  if waiters then begin
+    let waiters = p.Funct.waiters in
+    p.Funct.waiters <- [];
+    List.iter (fun w -> w final) waiters
+  end
+
+let finalize t ~chain ~key ~ver record p final =
+  record.Funct.state <- Funct.final_state final;
+  refresh_watermark chain;
+  finish t ~key ~ver p final ~waiters:true
+
+(* A user handler's outcome for [p] at [ver] of [key] over [reads].  A
+   handler bug ([Not_found], [Invalid_argument]) is a logic error: it
+   aborts the transaction rather than wedging the engine. *)
+let run_handler handler ~key ~ver reads (p : Funct.pending) =
+  let ctx =
+    { Registry.key = Key.name key; version = ver; reads;
+      args = p.farg.Funct.args }
+  in
+  try handler ctx with Not_found | Invalid_argument _ -> Registry.Abort
+
+(* §IV-B: ship [prev], this key's value below [ver], to the functors of
+   every recipient key. *)
+let send_pushes t ~key ~ver recipients prev =
+  List.iter
+    (fun dst_key ->
+      incr t.m_pushes_sent;
+      t.cb.send_push ~dst_key ~version:ver ~src_key:key prev)
+    recipients
+
 (* ---- Algorithm 1: Get ---------------------------------------------- *)
 
 (* The chain handle is threaded through the whole per-key recursion
@@ -283,16 +323,11 @@ and begin_compute t ~chain ~key ~ver record p =
     match p.farg.Funct.recipients with
     | [] -> ()
     | recipients ->
-        let push prev =
-          List.iter
-            (fun dst_key ->
-              incr t.m_pushes_sent;
-              t.cb.send_push ~dst_key ~version:ver ~src_key:key prev)
-            recipients
-        in
         (match prev_opt with
-        | Some prev -> push prev
-        | None -> get_in t ~chain ~key ~version:(ver - 1) (fun v -> push v))
+        | Some prev -> send_pushes t ~key ~ver recipients prev
+        | None ->
+            get_in t ~chain ~key ~version:(ver - 1) (fun prev ->
+                send_pushes t ~key ~ver recipients prev))
   in
   match p.ftype with
   | Ftype.Value | Ftype.Aborted | Ftype.Deleted ->
@@ -324,17 +359,7 @@ and begin_compute t ~chain ~key ~ver record p =
           send_recipient_pushes None;
           gather t ~p ~ver p.farg.Funct.read_set (fun reads ->
               t.cb.exec ~cost:t.compute_cost_us (fun () ->
-                  let ctx =
-                    { Registry.key = Key.name key; version = ver; reads;
-                      args = p.farg.Funct.args }
-                  in
-                  let outcome =
-                    try handler ctx
-                    with Not_found | Invalid_argument _ ->
-                      (* A handler bug is a logic error: abort the txn
-                         rather than wedging the engine. *)
-                      Registry.Abort
-                  in
+                  let outcome = run_handler handler ~key ~ver reads p in
                   apply_outcome t ~chain ~key ~ver record p outcome)))
 
 and eval_builtin ftype prev args =
@@ -348,18 +373,6 @@ and apply_outcome t ~chain ~key ~ver record p outcome =
     (fun (dk, dfinal) -> t.cb.send_dep_write ~key:dk ~version:ver dfinal)
     deps;
   finalize t ~chain ~key ~ver record p final
-
-and finalize t ~chain ~key ~ver record p final =
-  record.Funct.state <- Funct.final_state final;
-  (match final with
-  | Funct.Aborted_v -> incr t.m_aborts_computed
-  | Funct.Committed _ | Funct.Deleted_v -> ());
-  incr t.m_computed;
-  refresh_watermark chain;
-  t.cb.notify_final ~key ~version:ver ~pending:p ~final;
-  let waiters = p.waiters in
-  p.waiters <- [];
-  List.iter (fun w -> w final) waiters
 
 (* ---- Algorithm 1: Compute ------------------------------------------- *)
 
@@ -440,35 +453,35 @@ let merge_delta t ~key ~version =
    version-ascending plan nodes at one level, evaluated in order by one
    worker.  Every in-plan read dependency of a run resolves in an earlier
    level (read→write edges weigh one level), and no two runs of a level
-   share a key, so each worker domain touches only its own run's chain:
-   claim the record, resolve the previous own-key value over final
-   records, evaluate, flip the record final, advance the watermark.
-   Everything cross-cutting — recipient pushes, dependent writes, waiter
-   continuations, metric counters, key interning — is left in the node's
-   slot of the plan's [par_slot] array and applied by the orchestrating
-   domain after the batch barrier ([par_commit]), which also keeps
-   `Sim.Metrics` and the obs tracer single-domain.
+   share a key, so each worker domain touches only its own run's chain.
+   Built-ins are evaluated only by the fold (below); user functors are
+   claimed, their reads staged, evaluated, their records flipped final
+   and the watermark advanced.  Everything cross-cutting — recipient
+   pushes, dependent writes, waiter continuations, metric counters, key
+   interning — is left in the node's [node_op] (a folded built-in) or in
+   its slot of the plan's [par_slot] array (a user functor) and applied
+   by the orchestrating domain after the batch barrier ([par_commit]),
+   which also keeps `Sim.Metrics` and the obs tracer single-domain.
 
    The three phases split by domain:
-   - [par_stage]   eligibility + claim + read staging, on the orchestrator
-                   before the batch, for a node with a read set (the
-                   reads walk other keys' chains and push buffers)
-   - [par_eval_run] worker domain, one key run: the same staging for a
-                   node without a read set (only its own record is
-                   touched), then chain-local work only; the run's plain
-                   built-ins as one fold
+   - [par_stage]   user functors only: eligibility + claim + read staging,
+                   on the orchestrator before the batch for a node with a
+                   read set (the reads walk other keys' chains and push
+                   buffers)
+   - [par_eval_run] worker domain, one key run: the run's built-ins as one
+                   fold; a user functor without a read set staged as
+                   above (only its own record is touched); then
+                   chain-local work only
    - [par_commit]  main domain, after the barrier: deferred effects
 
-   A built-in without recipients and dependents allocates nothing on the
-   worker: its operand is the fold's previous result or is read over
-   chain indices, and its result is written as the shared small-int
-   state.
-
-   Anything not provably safe (Dep_marker chasing, remote or
-   still-pending reads, a missing handler) is never claimed: the
-   planner's unchanged simulated dispatch path evaluates it with the
-   full machinery, and [compute_node]'s state re-check keeps the
-   whole arrangement at-most-once. *)
+   A built-in the fold refuses (one with recipients, dependents or a read
+   set, an argument or result too wide to pack, a pending record below)
+   is claimed, and released at commit.  Anything else not provably safe
+   (Dep_marker chasing, remote or still-pending reads, a missing handler)
+   is never claimed.  Either way the planner's unchanged simulated
+   dispatch path evaluates it with the full machinery, and
+   [compute_node]'s state re-check keeps the whole arrangement
+   at-most-once. *)
 
 type par_user = {
   handler : Registry.handler;
@@ -476,21 +489,19 @@ type par_user = {
   push_hits : int;
 }
 
-(* A node's slot: [Par_free] (never claimed: left to the dispatch),
-   [Par_claimed] or [Par_staged] (a claimed built-in or user functor, not
-   evaluated), [Par_plain] (an evaluated built-in with no recipients and
-   no dependents: its commit has nothing to push or write) or [Par_done]
-   (evaluated, with its staging's push-buffer hits).  A claim is written
-   before its node is evaluated, so if a handler raises, the commit still
-   sees every claimed record and releases it, and the run's later nodes
-   stay [Par_free].  The final value is the record's; the own-key value
-   below (for recipient pushes) is re-read at commit from the now-final
-   chain. *)
+(* A node's slot: [Par_free] (never claimed: left to the dispatch, or
+   folded: its [node_op] says so), [Par_claimed] (a built-in the fold
+   refused), [Par_staged] (a claimed user functor, not evaluated) or
+   [Par_done] (an evaluated user functor, with its staging's push-buffer
+   hits).  A claim is written before its node is evaluated, so if a
+   handler raises, the commit still sees every claimed record and
+   releases it, and the run's later nodes stay [Par_free].  The final
+   value is the record's; the own-key value below (for recipient pushes)
+   is re-read at commit from the now-final chain. *)
 type par_slot =
   | Par_free
   | Par_claimed
   | Par_staged of par_user
-  | Par_plain
   | Par_done of Registry.outcome * int
 
 type par_result = Par_untouched | Par_evaluated | Par_released
@@ -553,8 +564,7 @@ let fold_publish chain f =
    final value below it, over chain indices.  The result becomes the
    record's shared small-int state and extends the stretch.  Touches no
    record and returns false when a pending record lies below, or when
-   the result is too wide to pack as a folded [node_op]; the node is then
-   left to the per-node path. *)
+   the result is too wide to pack as a folded [node_op]. *)
 let fold_step chain f ~idx ~op record =
   match
     if idx = f.hi + 1 then f.acc
@@ -579,10 +589,18 @@ let fold_step chain f ~idx ~op record =
    whether the record had waiters, so the commit of a folded node without
    any never touches its pending state: those lie in install order, not
    in the commit's key order, and a read of each is a cache miss per node.
+   A folded record is final, so no waiter joins it after the fold.
    [builtin_code]s stay below both tags. *)
 let folded_plain = 6
 let folded_waiters = 7
 let is_folded op = op land 7 >= folded_plain
+
+(* The node the fold step just took, from either caller: stamp an unset
+   [retrieved_at_us] with [now], as a claim does, and pack the result. *)
+let folded_op f ~now (p : Funct.pending) =
+  if p.retrieved_at_us < 0 then p.retrieved_at_us <- now;
+  (f.acc lsl 3)
+  lor (match p.waiters with [] -> folded_plain | _ -> folded_waiters)
 
 (* Every entry below [idx] is final: those up to the entry the fold
    finalised last are; the ones above it (above the watermark, before the
@@ -601,11 +619,7 @@ let settled_below chain f idx =
 let fold_bind chain f ~idx ~now record (p : Funct.pending) =
   let op = plain_op p in
   if op <> 0 && settled_below chain f idx && fold_step chain f ~idx ~op record
-  then begin
-    if p.retrieved_at_us < 0 then p.retrieved_at_us <- now;
-    (f.acc lsl 3)
-    lor (match p.waiters with [] -> folded_plain | _ -> folded_waiters)
-  end
+  then folded_op f ~now p
   else op
 
 (* Claim [p] for the parallel path.  Mirrors [ensure_computing]'s entry
@@ -643,102 +657,69 @@ let stage_reads t (p : Funct.pending) ~version =
 
 let par_stage t ~now slots k nodes i =
   match nodes.records.(i).Funct.state with
-  | Funct.Final _ -> () (* raced to final; the dispatch job no-ops *)
-  | Funct.Pending p -> (
-      match p.Funct.status with
-      | Funct.Computing -> ()
-      | Funct.Installed -> (
-          match p.Funct.ftype with
-          | Ftype.Value | Ftype.Aborted | Ftype.Deleted -> assert false
-          | Ftype.Dep_marker _ ->
-              (* Marker resolution may chase remote determinate functors;
-                 leave it to the sequential machinery. *)
-              ()
-          | Ftype.Add | Ftype.Subtr | Ftype.Max | Ftype.Min ->
+  | Funct.Pending ({ status = Funct.Installed; ftype = Ftype.User name; _ } as p)
+    -> (
+      match Registry.find t.registry name with
+      | None -> () (* the dispatch counts m_missing_handler *)
+      | Some handler -> (
+          match stage_reads t p ~version:nodes.node_ver.(i) with
+          | None -> ()
+          | Some (reads, push_hits) ->
               claim ~now p;
-              slots.(k) <- Par_claimed
-          | Ftype.User name -> (
-              match Registry.find t.registry name with
-              | None -> () (* the dispatch counts m_missing_handler *)
-              | Some handler -> (
-                  match stage_reads t p ~version:nodes.node_ver.(i) with
-                  | None -> ()
-                  | Some (reads, push_hits) ->
-                      claim ~now p;
-                      slots.(k) <- Par_staged { handler; reads; push_hits }))))
+              slots.(k) <- Par_staged { handler; reads; push_hits }))
+  | Funct.Pending _ | Funct.Final _ ->
+      (* Raced to final (the dispatch job no-ops), claimed already, a
+         built-in (its run folds it or claims it for the fallback) or a
+         Dep_marker, whose resolution may chase remote determinate
+         functors: the sequential machinery's. *)
+      ()
 
-(* A claimed built-in.  If the own-key walk finds a pending record, the
-   slot stays [Par_claimed] and the record stays pending — the commit
-   releases it to the sequential path. *)
-let eval_builtin_slot slots k ~chain ~ver record (p : Funct.pending) =
-  match final_int_at chain (Mvstore.Chain.rank chain ~version:(ver - 1)) with
-  | exception Pending_below -> ()
-  | prev -> (
-      let result = builtin_result p.ftype prev p.farg.Funct.args in
-      record.Funct.state <- Funct.final_int result;
-      refresh_watermark chain;
-      match p.farg with
-      | { Funct.recipients = []; dependents = []; _ } -> slots.(k) <- Par_plain
-      | _ -> slots.(k) <- Par_done (Registry.Commit (Value.int result), 0))
-
-(* A staged user functor, as [eval_builtin_slot]: it reads through its
-   read set, so the own-key walk only checks that nothing below it is
-   pending.  An exception other than [Not_found] / [Invalid_argument]
-   from the handler propagates, leaving the slot [Par_staged]. *)
+(* A staged user functor.  It reads through its read set, so the own-key
+   walk only checks that nothing below it is pending; if something is,
+   the slot stays [Par_staged] for the commit to release.  An exception
+   other than [Not_found] / [Invalid_argument] from the handler
+   propagates, leaving the slot [Par_staged]. *)
 let eval_user_slot slots k ~chain ~key ~ver record (p : Funct.pending) u =
   match final_value_le chain ~version:(ver - 1) with
   | exception Pending_below -> ()
   | _prev ->
-      let ctx =
-        { Registry.key = Key.name key; version = ver; reads = u.reads;
-          args = p.Funct.farg.Funct.args }
-      in
-      let outcome =
-        try u.handler ctx with Not_found | Invalid_argument _ -> Registry.Abort
-      in
+      let outcome = run_handler u.handler ~key ~ver u.reads p in
       record.Funct.state <- Funct.final_state (final_of_outcome outcome);
       refresh_watermark chain;
       slots.(k) <- Par_done (outcome, u.push_hits)
 
-(* Node [i] in slot [k], one at a time: stage a node without a read set
-   (only its own record is touched), then evaluate a claimed one. *)
-let par_eval t ~now slots k nodes i =
-  let record = nodes.records.(i) and p = nodes.pendings.(i) in
-  if p.Funct.farg.Funct.read_set = [] then par_stage t ~now slots k nodes i;
-  let d = nodes.node_key.(i) in
-  let chain = nodes.chains.(d) and ver = nodes.node_ver.(i) in
-  match slots.(k) with
-  | Par_claimed -> eval_builtin_slot slots k ~chain ~ver record p
-  | Par_staged u ->
-      eval_user_slot slots k ~chain ~key:nodes.keys.(d) ~ver record p u
-  | Par_free | Par_plain | Par_done _ -> ()
-
-(* A key run as one fold.  A plain built-in ([node_op] non-zero) still
-   pending takes the fold step, claimed by its slot alone: nothing else
-   touches its record before the commit, which stamps its
-   [retrieved_at_us], so the fold reads neither its pending state nor its
-   arguments.  Its chain index is the entry after the one the fold
-   finalised last when that entry holds its version, else a [rank].  Any
-   other node, and one the step cannot take, goes through [par_eval]
-   after the stretch before it is published, so a raising handler finds
-   the watermark where the per-node path would have left it, and a
-   pending record below a built-in leaves it claimed for the commit to
-   release; a raise ends the run with its stretch published.  One fold
-   record per run; the loop allocates nothing per node.  The plain
+(* A key run, in version order.  A plain built-in ([node_op] non-zero)
+   takes the fold step, which touches only its record; the step leaves
+   the node's folded [node_op], as the bind pass does.  Its chain index
+   is the entry after the one the fold finalised last when that entry
+   holds its version, else a [rank].  Every other node is taken after
+   the stretch before it is published, so a raising handler finds the
+   watermark where the per-node path would have left it: a built-in the
+   step refuses, or that is not plain, is claimed for the commit to
+   release, unless it is computing on demand already; a user functor is
+   staged (if it has no read set) and evaluated; a raise ends the run
+   with its stretch published.  One fold
+   record per run; the loop allocates nothing per built-in.  The plain
    built-ins that reach it are those of a key whose bind-pass fold
-   stopped: after a user functor, above a pending version, or bound out of
-   version order, as 27% of YCSB's nodes are under the real runtime. *)
+   stopped: after a user functor, above a pending version, or bound out
+   of version order, as 27% of YCSB's nodes are under the real
+   runtime. *)
 let par_eval_run t ~now slots nodes seg ~pos ~len =
-  let chain = nodes.chains.(nodes.node_key.(seg.(pos))) in
+  let d = nodes.node_key.(seg.(pos)) in
+  let chain = nodes.chains.(d) in
   let f = fold_start () in
   match
     for k = pos to pos + len - 1 do
       let i = seg.(k) in
       let record = nodes.records.(i) and op = nodes.node_op.(i) in
-      let folded =
-        match record.Funct.state with
-        | Funct.Pending _ when op <> 0 ->
-            let ver = nodes.node_ver.(i) and next = f.hi + 1 in
+      match record.Funct.state with
+      | Funct.Final _ -> () (* raced to final; the dispatch job no-ops *)
+      | Funct.Pending p ->
+          let ver = nodes.node_ver.(i) in
+          let folded =
+            op <> 0
+            &&
+            let next = f.hi + 1 in
             let idx =
               if
                 next < Mvstore.Chain.length chain
@@ -747,13 +728,23 @@ let par_eval_run t ~now slots nodes seg ~pos ~len =
               else Mvstore.Chain.rank chain ~version:ver
             in
             fold_step chain f ~idx ~op record
-        | Funct.Pending _ | Funct.Final _ -> false
-      in
-      if folded then slots.(k) <- Par_plain
-      else begin
-        fold_publish chain f;
-        par_eval t ~now slots k nodes i
-      end
+          in
+          if folded then nodes.node_op.(i) <- folded_op f ~now p
+          else begin
+            fold_publish chain f;
+            if builtin_code p.ftype = 0 then begin
+              if p.farg.Funct.read_set = [] then par_stage t ~now slots k nodes i;
+              match slots.(k) with
+              | Par_staged u ->
+                  eval_user_slot slots k ~chain ~key:nodes.keys.(d) ~ver record
+                    p u
+              | Par_free | Par_claimed | Par_done _ -> ()
+            end
+            else if p.status = Funct.Installed then begin
+              claim ~now p;
+              slots.(k) <- Par_claimed
+            end
+          end
     done
   with
   | () -> fold_publish chain f
@@ -761,72 +752,50 @@ let par_eval_run t ~now slots nodes seg ~pos ~len =
       fold_publish chain f;
       raise e
 
-(* [finalize] minus the state flip and watermark advance, which the
-   worker already did on the record's own chain.  [waiters]: whether [p]
-   has any, so a record known to have none builds no closure over
-   [final]. *)
-let par_finish t ~key ~ver (p : Funct.pending) final ~waiters =
-  (match final with
-  | Funct.Aborted_v -> incr t.m_aborts_computed
-  | Funct.Committed _ | Funct.Deleted_v -> ());
-  incr t.m_computed;
-  t.cb.notify_final ~key ~version:ver ~pending:p ~final;
-  if waiters then begin
-    let waiters = p.Funct.waiters in
-    p.Funct.waiters <- [];
-    List.iter (fun w -> w final) waiters
-  end
-
 let has_waiters (p : Funct.pending) =
   match p.Funct.waiters with [] -> false | _ :: _ -> true
 
-let par_commit t ~now slots k nodes i =
+let par_commit t slots k nodes i =
   let p = nodes.pendings.(i) in
   let d = nodes.node_key.(i) in
   let key = nodes.keys.(d) and ver = nodes.node_ver.(i) in
   let op = nodes.node_op.(i) in
   if is_folded op then begin
-    (* Folded by the bind pass: its result and waiter tag are in [op]. *)
+    (* Folded by either caller: its result and waiter tag are in [op]. *)
     let final =
       match Funct.final_int (op asr 3) with
       | Funct.Final final -> final
       | Funct.Pending _ -> assert false
     in
-    par_finish t ~key ~ver p final ~waiters:(op land 7 = folded_waiters);
+    finish t ~key ~ver p final ~waiters:(op land 7 = folded_waiters);
     Par_evaluated
   end
   else
-    match (slots.(k), nodes.records.(i).Funct.state) with
-    | Par_free, _ -> Par_untouched
-    | (Par_claimed | Par_staged _), _ ->
+    match slots.(k) with
+    | Par_free -> Par_untouched
+    | Par_claimed | Par_staged _ ->
         (* Undo the claim; the simulated dispatch job re-runs
            [ensure_computing] with the full waiting machinery. *)
         p.Funct.status <- Funct.Installed;
-        if p.retrieved_at_us < 0 then p.retrieved_at_us <- now;
         Par_released
-    | (Par_plain | Par_done _), Funct.Pending _ ->
-        assert false (* par_eval flipped it *)
-    | Par_plain, Funct.Final final ->
-        if p.retrieved_at_us < 0 then p.retrieved_at_us <- now;
-        par_finish t ~key ~ver p final ~waiters:(has_waiters p);
-        Par_evaluated
-    | Par_done (outcome, push_hits), Funct.Final final ->
+    | Par_done (outcome, push_hits) ->
+        let final =
+          match nodes.records.(i).Funct.state with
+          | Funct.Final final -> final
+          | Funct.Pending _ -> assert false (* eval_user_slot flipped it *)
+        in
         if push_hits > 0 then t.m_push_hits := !(t.m_push_hits) + push_hits;
         (match p.Funct.farg.Funct.recipients with
         | [] -> ()
         | recipients ->
             (* Every record below [ver] was final when the worker read it and
                stays final, so this re-read sees the same value. *)
-            let prev = final_value_le nodes.chains.(d) ~version:(ver - 1) in
-            List.iter
-              (fun dst_key ->
-                incr t.m_pushes_sent;
-                t.cb.send_push ~dst_key ~version:ver ~src_key:key prev)
-              recipients);
+            send_pushes t ~key ~ver recipients
+              (final_value_le nodes.chains.(d) ~version:(ver - 1)));
         List.iter
           (fun (dk, dfinal) -> t.cb.send_dep_write ~key:dk ~version:ver dfinal)
           (dep_writes_for p outcome);
-        par_finish t ~key ~ver p final ~waiters:(has_waiters p);
+        finish t ~key ~ver p final ~waiters:(has_waiters p);
         Par_evaluated
 
 (* ---- deliveries from the network ------------------------------------ *)

@@ -89,9 +89,9 @@ type nodes = {
   node_key : int array;  (** node [i]'s dense key index *)
   node_ver : int array;  (** node [i]'s version *)
   node_op : int array;
-      (** node [i]'s {!plain_op} under the real runtime, or its
-          {!fold_bind} result when the bind pass folded it; may be empty
-          otherwise *)
+      (** node [i]'s {!plain_op} under the real runtime, or, once the
+          fold took it, its folded result ({!is_folded}); empty under the
+          simulated runtime *)
   records : Funct.t array;  (** node [i]'s record, in its chain *)
   pendings : Funct.pending array;
       (** node [i]'s pending state when the plan was built *)
@@ -113,8 +113,11 @@ val plain_op : Funct.pending -> int
     small-int state; and the watermark moves once per stretch of
     consecutive entries so finalised
     ({!Mvstore.Chain.advance_watermark_over}).  A step allocates nothing.
-    The real runtime's plan bind pass and {!par_eval_run} are its two
-    callers. *)
+    It is the only evaluator of built-ins under the real runtime, with two
+    callers: the plan's bind pass and {!par_eval_run}.  Both leave a taken
+    node's folded [node_op] (its result and whether its record had
+    waiters) and stamp an unset [retrieved_at_us] with the plan's time,
+    and {!par_commit} commits both alike. *)
 
 type fold
 
@@ -133,12 +136,11 @@ val fold_bind :
     when it is a plain built-in, every entry below [idx] is final, and
     its result packs in 60 bits; it then stamps an unset
     [retrieved_at_us] with [now] and returns the node's folded
-    [node_op]: its result and whether [p] has waiters, for
-    {!par_commit}.  Otherwise it touches nothing and returns
-    [plain_op p]; the key's later nodes must not take the step. *)
+    [node_op].  Otherwise it touches nothing and returns [plain_op p];
+    the key's later nodes must not take the step. *)
 
 val is_folded : int -> bool
-(** Whether a [node_op] is a {!fold_bind} result. *)
+(** Whether a [node_op] is a folded node's. *)
 
 val compute_node : t -> nodes -> int -> unit
 (** Evaluate node [i] via [ensure_computing].  Idempotent: if the record
@@ -158,17 +160,20 @@ val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
     The [--runtime real] backend evaluates one planner level at a time on
     a pool of worker domains, one task per key run (a key's
     version-ascending nodes at that level, in order, on one worker) that
-    the plan's bind pass did not fold ({!fold_bind}).  A
-    level's runs have distinct keys and only read other keys' values
-    finalised by earlier levels, so the worker side touches nothing but
-    its own run's chain.  A plan keeps one {!par_slot} per node, indexed
-    by the node's position in the plan's key order, so a run's slots are
-    contiguous: the claim, then the outcome.  Every cross-cutting
-    effect (pushes, dependent writes, waiters, metrics, interning) waits
-    in the slot for {!par_commit} on the orchestrating domain after the
-    batch barrier.  Items the stager rejects — or whose evaluation could
-    not complete chain-locally — fall back to the unchanged sequential
-    dispatch path. *)
+    the plan's bind pass did not fold whole ({!fold_bind}).  A level's
+    runs have distinct keys and only read other keys' values finalised by
+    earlier levels, so the worker side touches nothing but its own run's
+    chain.  Workers evaluate built-ins only through the fold; a built-in
+    it refuses (recipients, dependents, a read set, a value wider than 60
+    bits, a pending record below) is claimed and released to the
+    simulated dispatch at commit.  A plan keeps one {!par_slot} per node,
+    indexed by the node's position in the plan's key order, so a run's
+    slots are contiguous: a user functor's claim, then its outcome.
+    Every cross-cutting effect (pushes, dependent writes, waiters,
+    metrics, interning) waits in the node's [node_op] or slot for
+    {!par_commit} on the orchestrating domain after the batch barrier.
+    Items the stager rejects, or whose evaluation could not complete
+    chain-locally, fall back to the unchanged sequential dispatch path. *)
 
 type par_slot
 
@@ -176,48 +181,48 @@ val par_slots : int -> par_slot array
 (** [par_slots n]: [n] unclaimed slots, one per plan node. *)
 
 val par_stage : t -> now:int -> par_slot array -> int -> nodes -> int -> unit
-(** [par_stage t ~now slots k nodes i] claims and stages node [i] in slot
-    [k]: it leaves the slot unclaimed when the item must take the
-    sequential path (already final/computing, Dep_marker, missing handler,
-    remote or still-pending reads).  A claim moves the record [Installed] →
-    [Computing] and stamps [retrieved_at_us] with [now] if unset.  A node
-    with a read set walks other keys' chains, so the orchestrating domain
-    stages it, while workers are idle, before its level's batch. *)
+(** [par_stage t ~now slots k nodes i] claims and stages user functor
+    node [i] in slot [k]: it leaves the slot unclaimed when the node is
+    no installed user functor (a built-in, a Dep_marker, already
+    final or computing) or must take the sequential path (missing
+    handler, remote or still-pending reads).  A claim moves the record
+    [Installed] → [Computing] and stamps [retrieved_at_us] with [now] if
+    unset.  A node with a read set walks other keys' chains, so the
+    orchestrating domain stages it, while workers are idle, before its
+    level's batch. *)
 
 val par_eval_run :
   t -> now:int -> par_slot array -> nodes -> int array -> pos:int -> len:int ->
   unit
 (** Worker domain: evaluate one key run, the plan nodes
     [seg.(pos) .. seg.(pos + len - 1)] (one key's, version-ascending), in
-    order, node [seg.(k)] in slot [k].  Each node without a read set is
-    staged here (as {!par_stage}, touching only its own record); a
-    claimed node then gets chain-local work only: resolve own-key prev
-    over final records, evaluate, flip the record final, and record the
-    outcome in its slot.  The claim is in the slot before evaluation
-    starts.  The run's plain built-ins (non-zero [node_op]) take the
-    fold's steps, which touch only their records, each claimed by its
-    slot alone ({!par_commit} stamps it); one the step cannot take goes
-    the per-node way.  If the own-key walk finds a pending record the
+    order, node [seg.(k)] in slot [k].  A plain built-in (non-zero
+    [node_op]) takes the fold's step and, taken, gets its folded
+    [node_op] as in the bind pass; any other built-in, and one the step
+    refuses, is claimed in its slot, unless it is computing on demand
+    already.  A user functor without a read set
+    is staged here (as {!par_stage}, touching only its own record); a
+    staged one then gets chain-local work only: check that nothing
+    below it is pending, run its handler, flip the record final, and
+    record the outcome in its slot.  If a record below is pending the
     slot stays claimed and the record pending; an exception other than
     [Not_found] / [Invalid_argument] from a user handler propagates with
-    the same effect and ends the run.  Plain built-ins allocate nothing
-    per node. *)
+    the same effect and ends the run.  Built-ins allocate nothing per
+    node. *)
 
 type par_result =
   | Par_untouched  (** never claimed *)
   | Par_evaluated  (** evaluated on a worker; effects applied *)
   | Par_released  (** claimed but not evaluated; claim released *)
 
-val par_commit :
-  t -> now:int -> par_slot array -> int -> nodes -> int -> par_result
-(** [par_commit t ~now slots k nodes i], main domain, after the batch
-    barrier.  Applies slot [k]'s deferred effects for node [i], stamping
-    an unset [retrieved_at_us] of a claimed record with [now]; or, for a claim left unevaluated, releases it ([Computing] →
-    [Installed]) so the sequential dispatch re-evaluates it.  A built-in
-    with no recipients and no dependents has no deferred effect beyond
-    counting, [notify_final] and its record's waiters, and its commit
-    does only that; for a node the bind pass folded ({!is_folded}
-    [node_op]) it reads neither its slot nor its record. *)
+val par_commit : t -> par_slot array -> int -> nodes -> int -> par_result
+(** [par_commit t slots k nodes i], main domain, after the batch barrier.
+    A folded node ({!is_folded} [node_op]) commits from its [node_op] and
+    [pendings] entry, reading neither its slot nor its record: counting,
+    [notify_final] and its record's waiters.  An evaluated user functor
+    also sends its recipient pushes and dependent writes.  A claim left
+    unevaluated is released ([Computing] → [Installed]) so the sequential
+    dispatch re-evaluates it. *)
 
 val deliver_push :
   t -> key:Mvstore.Key.t -> version:int -> src_key:Mvstore.Key.t ->

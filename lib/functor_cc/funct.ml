@@ -28,7 +28,6 @@ type pending = {
   mutable waiters : (final -> unit) list;
   mutable pushed : (Mvstore.Key.t * Value.t option) list;
   mutable push_waiters : (Mvstore.Key.t * (Value.t option -> unit)) list;
-  mutable installed_at_us : int;
   mutable retrieved_at_us : int;
 }
 
@@ -71,8 +70,7 @@ let mk_pending ~ftype ~farg ~txn_id ~coordinator =
   { state =
       Pending
         { ftype; farg; txn_id; coordinator; status = Installed; waiters = [];
-          pushed = []; push_waiters = []; installed_at_us = -1;
-          retrieved_at_us = -1 } }
+          pushed = []; push_waiters = []; retrieved_at_us = -1 } }
 
 let is_final t = match t.state with Final _ -> true | Pending _ -> false
 

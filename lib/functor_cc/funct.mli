@@ -47,9 +47,6 @@ type pending = {
       (** proactively pushed reads received so far (assoc by key) *)
   mutable push_waiters : (Mvstore.Key.t * (Value.t option -> unit)) list;
       (** continuations waiting for a specific key's push *)
-  mutable installed_at_us : int;
-      (** when the record was installed at the BE (-1 = unset); drives the
-          Figure-10 stage breakdown *)
   mutable retrieved_at_us : int;
       (** when a processor (or an on-demand read) picked the functor up *)
 }

@@ -256,7 +256,7 @@ let eval_levels t rpool ~now ~nodes ~seg ~runs ~level ~readers ~folded =
     for r = r0 to r1 - 1 do
       for k = runs.pos.(r) to runs.pos.(r) + runs.len.(r) - 1 do
         match
-          Compute_engine.par_commit t.engine ~now slots k nodes seg.(k)
+          Compute_engine.par_commit t.engine slots k nodes seg.(k)
         with
         | Compute_engine.Par_untouched -> ()
         | Compute_engine.Par_evaluated -> incr evaluated
@@ -426,7 +426,8 @@ let run t ~items =
      [d]'s nodes are [seg.(start.(d)) .. seg.(start.(d + 1) - 1)], placed
      in plan order; installs arrive mostly in version order, so a segment
      is usually born version-ascending, and only one that is not gets
-     sorted. *)
+     sorted, in place: reversed when it was born newest first, else by
+     insertion (a step per node and per inversion).  Neither allocates. *)
   let start = Array.make (n_keys + 1) 0 in
   for i = 0 to n - 1 do
     start.(node_key.(i) + 1) <- start.(node_key.(i) + 1) + 1
@@ -446,9 +447,27 @@ let run t ~items =
   done;
   for d = 0 to n_keys - 1 do
     if not sorted.(d) then begin
-      let a = Array.sub seg start.(d) (start.(d + 1) - start.(d)) in
-      Array.stable_sort (fun i j -> Int.compare node_ver.(i) node_ver.(j)) a;
-      Array.blit a 0 seg start.(d) (Array.length a)
+      let lo = start.(d) and hi = start.(d + 1) - 1 in
+      let k = ref (lo + 1) in
+      while !k <= hi && node_ver.(seg.(!k - 1)) > node_ver.(seg.(!k)) do
+        incr k
+      done;
+      if !k > hi then
+        for j = 0 to ((hi - lo + 1) / 2) - 1 do
+          let x = seg.(lo + j) in
+          seg.(lo + j) <- seg.(hi - j);
+          seg.(hi - j) <- x
+        done
+      else
+        for k = lo + 1 to hi do
+          let x = seg.(k) in
+          let j = ref (k - 1) in
+          while !j >= lo && node_ver.(seg.(!j)) > node_ver.(x) do
+            seg.(!j + 1) <- seg.(!j);
+            decr j
+          done;
+          seg.(!j + 1) <- x
+        done
     end
   done;
   (* Node index of key [d]'s largest plan version <= bound, or -1. *)

@@ -16,22 +16,7 @@ let recorded () = List.rev !kept
 
 (* ---- JSON emission (hand-rolled; no json dependency) -------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = Printf.sprintf "\"%s\"" (escape s)
+let jstr s = Printf.sprintf "\"%s\"" (Obs.Export.jescape s)
 
 (* The shortest of %.15g / %.17g that reads back as the same float. *)
 let jfloat f =

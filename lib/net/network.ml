@@ -33,7 +33,6 @@ type 'msg t = {
   engine : Sim.Engine.t;
   rng : Sim.Rng.t;
   latency : Latency.t;
-  fifo : bool;
   faults : Faults.t option;
   handlers : (Address.t, src:Address.t -> 'msg -> unit) Hashtbl.t;
   links : (int, 'msg link) Hashtbl.t;
@@ -45,8 +44,8 @@ type 'msg t = {
     (now:int -> dst:Address.t -> kind:[ `Drop | `Delay ] -> unit) option;
 }
 
-let create engine rng ~latency ?(fifo = true) ?faults () =
-  { engine; rng; latency; fifo; faults;
+let create engine rng ~latency ?faults () =
+  { engine; rng; latency; faults;
     handlers = Hashtbl.create 64;
     links = Hashtbl.create 256;
     d_injected = 0; d_partitioned = 0; d_unregistered = 0;
@@ -106,8 +105,8 @@ and arm t l =
       l.armed <- true;
       Sim.Engine.schedule t.engine ~at (fun () -> dispatch t l)
 
-(* Direct (non-FIFO) delivery: used for the fifo=false mode and for
-   fault-reordered messages that must overtake their link queue. *)
+(* Direct (non-FIFO) delivery: for fault-reordered messages that must
+   overtake their link queue. *)
 let deliver_direct t ~src ~dst ~at msg =
   Sim.Engine.schedule t.engine ~at (fun () ->
       match Hashtbl.find_opt t.handlers dst with
@@ -122,7 +121,7 @@ let enqueue_fifo t ~src ~dst ~earliest msg =
   if not l.armed then arm t l
 
 let deliver t ~src ~dst ~earliest ~reorder msg =
-  if t.fifo && not reorder then enqueue_fifo t ~src ~dst ~earliest msg
+  if not reorder then enqueue_fifo t ~src ~dst ~earliest msg
   else deliver_direct t ~src ~dst ~at:earliest msg
 
 let send t ~src ~dst msg =

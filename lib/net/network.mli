@@ -23,11 +23,12 @@ type drop_stats = {
 }
 
 val create :
-  Sim.Engine.t -> Sim.Rng.t -> latency:Latency.t -> ?fifo:bool ->
-  ?faults:Faults.t -> unit -> 'msg t
-(** [fifo] (default [true]) delivers messages on each (src, dst) link in
-    send order, modelling a TCP connection per link.  [faults], when given,
-    is consulted on every send. *)
+  Sim.Engine.t -> Sim.Rng.t -> latency:Latency.t -> ?faults:Faults.t ->
+  unit -> 'msg t
+(** Messages on each (src, dst) link are delivered in send order,
+    modelling a TCP connection per link; only a fault reordering a
+    message lets it overtake.  [faults], when given, is consulted on every
+    send. *)
 
 val engine : _ t -> Sim.Engine.t
 

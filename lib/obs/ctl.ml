@@ -2,18 +2,18 @@ type t = {
   trace : Trace.t;
   gauges : Gauges.t;
   ledger : Ledger.t option;
-  corr_window_us : int;
   mutable last_fault_us : int;
   mutable fault_drops : int;
   mutable fault_delays : int;
 }
 
-let create ?trace_capacity ?sample ?gauge_interval_us ?ledger
-    ?(corr_window_us = 2_000) () =
-  { trace = Trace.create ?capacity:trace_capacity ?sample ();
+(* How long after an injected fault lifecycle events stay tagged. *)
+let corr_window_us = 2_000
+
+let create ?sample ?gauge_interval_us ?ledger () =
+  { trace = Trace.create ?sample ();
     gauges = Gauges.create ?interval_us:gauge_interval_us ();
     ledger;
-    corr_window_us;
     last_fault_us = min_int;
     fault_drops = 0;
     fault_delays = 0 }
@@ -25,7 +25,7 @@ let ledger t = t.ledger
 let fault_tag t ~now =
   (* [min_int] marks "no fault seen"; subtracting it from [now] would
      wrap around, so test it explicitly. *)
-  if t.last_fault_us <> min_int && now - t.last_fault_us <= t.corr_window_us
+  if t.last_fault_us <> min_int && now - t.last_fault_us <= corr_window_us
   then 1
   else 0
 

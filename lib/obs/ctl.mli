@@ -4,26 +4,17 @@
     of a cluster.
 
     Fault correlation: the cluster wires the network's fault hook to
-    {!note_fault}; every subsequent lifecycle event within
-    [corr_window_us] of the last injected fault carries [tag = 1], so a
-    latency spike in the trace can be attributed to the chaos edict that
-    caused it. *)
+    {!note_fault}; every subsequent lifecycle event within 2 ms of the
+    last injected fault carries [tag = 1], so a latency spike in the trace
+    can be attributed to the chaos edict that caused it. *)
 
 type t
 
 val create :
-  ?trace_capacity:int ->
-  ?sample:int ->
-  ?gauge_interval_us:int ->
-  ?ledger:Ledger.t ->
-  ?corr_window_us:int ->
-  unit ->
-  t
-(** [sample] keeps 1-in-N transactions (default 1); [corr_window_us]
-    (default 2000) is how long after an injected fault events stay
-    tagged.  [ledger] (default absent) attaches an epoch-granularity
-    {!Ledger} — when absent the ledger emit sites cost one option
-    test. *)
+  ?sample:int -> ?gauge_interval_us:int -> ?ledger:Ledger.t -> unit -> t
+(** [sample] keeps 1-in-N transactions (default 1).  [ledger] (default
+    absent) attaches an epoch-granularity {!Ledger} — when absent the
+    ledger emit sites cost one option test. *)
 
 val trace : t -> Trace.t
 val gauges : t -> Gauges.t

@@ -36,10 +36,12 @@ let finish_events e =
   Buffer.add_string e.buf "\n]}\n";
   Buffer.contents e.buf
 
-let tid_of ~shards txn = if txn < 0 then 0 else txn mod shards
+(* The tid lanes transactions are folded onto. *)
+let shards = 64
 
-let chrome_trace ?(engine = "aloha") ?(shards = 64) ?ledger ~trace ~gauges ()
-    =
+let tid_of txn = if txn < 0 then 0 else txn mod shards
+
+let chrome_trace ?(engine = "aloha") ?ledger ~trace ~gauges () =
   let e = start_events (Buffer.create 65536) in
   (* Process metadata: one pid per node seen in the trace. *)
   let nodes = Hashtbl.create 16 in
@@ -68,7 +70,7 @@ let chrome_trace ?(engine = "aloha") ?(shards = 64) ?ledger ~trace ~gauges ()
            "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\
             \"s\":\"t\",\"args\":%s}"
            (stage_name ev.stage) ev.ts ev.node
-           (tid_of ~shards ev.txn)
+           (tid_of ev.txn)
            (Buffer.contents args)));
   (* One "X" span per sampled transaction: first stage to last stage. *)
   let spans = Hashtbl.create 256 in
@@ -89,7 +91,7 @@ let chrome_trace ?(engine = "aloha") ?(shards = 64) ?ledger ~trace ~gauges ()
                 "{\"name\":\"txn %d\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\
                  \"pid\":%d,\"tid\":%d,\"args\":{\"txn\":%d%s}}"
                 txn lo (hi - lo) node
-                (tid_of ~shards txn) txn
+                (tid_of txn) txn
                 (if tag <> 0 then ",\"fault\":1" else "")));
   (* Per-worker runtime tracks: each [--runtime real] stratum recorded in
      the epoch ledger becomes one B/E span per worker that did work in
@@ -163,8 +165,8 @@ let chrome_trace ?(engine = "aloha") ?(shards = 64) ?ledger ~trace ~gauges ()
         (Gauges.series g));
   finish_events e
 
-let write_chrome_trace ~path ?engine ?shards ?ledger ~trace ~gauges () =
-  let doc = chrome_trace ?engine ?shards ?ledger ~trace ~gauges () in
+let write_chrome_trace ~path ?engine ?ledger ~trace ~gauges () =
+  let doc = chrome_trace ?engine ?ledger ~trace ~gauges () in
   let oc = open_out path in
   output_string oc doc;
   close_out oc

@@ -7,13 +7,18 @@
     series a counter ("C") track, with one process per simulated node and
     one thread per transaction shard. *)
 
+val jescape : string -> string
+(** [s] escaped for a JSON string literal (quote, backslash, newline,
+    tab, other control characters as [\u00XX]): the Chrome trace's and
+    [Harness.Report]'s records' one escaper. *)
+
 val write_chrome_trace :
-  path:string -> ?engine:string -> ?shards:int -> ?ledger:Ledger.t ->
-  trace:Trace.t -> gauges:Gauges.t option -> unit -> unit
-(** Write a full Chrome trace_events JSON document to [path].  [shards]
-    (default 64) is the number of tid lanes transactions are folded onto.
-    [ledger] adds per-worker runtime tracks above the shard lanes
-    (tid = shards + worker): one B/E span per worker per recorded
+  path:string -> ?engine:string -> ?ledger:Ledger.t -> trace:Trace.t ->
+  gauges:Gauges.t option -> unit -> unit
+(** Write a full Chrome trace_events JSON document to [path].
+    Transactions are folded onto 64 tid lanes (tid = txn mod 64).
+    [ledger] adds per-worker runtime tracks above those lanes
+    (tid = 64 + worker): one B/E span per worker per recorded
     [--runtime real] stratum. *)
 
 type rollup_row = {

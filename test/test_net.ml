@@ -3,12 +3,11 @@
 
 let addr = Net.Address.of_int
 
-let mk_net ?(fifo = true) () =
+let mk_net () =
   let e = Sim.Engine.create () in
   let rng = Sim.Rng.create 11 in
   let net : int Net.Network.t =
-    Net.Network.create e rng
-      ~latency:Net.Latency.lan ~fifo ()
+    Net.Network.create e rng ~latency:Net.Latency.lan ()
   in
   (e, net)
 
@@ -41,7 +40,7 @@ let test_delivery () =
   Alcotest.(check (list (pair int int))) "delivered" [ (0, 99) ] !got
 
 let test_fifo_per_link () =
-  let e, net = mk_net ~fifo:true () in
+  let e, net = mk_net () in
   let got = ref [] in
   Net.Network.register net (addr 1) (fun ~src:_ msg -> got := msg :: !got);
   for i = 1 to 50 do
@@ -184,7 +183,7 @@ let prop_fifo =
   QCheck2.Test.make ~name:"network FIFO per link" ~count:50
     QCheck2.Gen.(list_size (int_range 1 100) (int_bound 1000))
     (fun msgs ->
-      let e, net = mk_net ~fifo:true () in
+      let e, net = mk_net () in
       let got = ref [] in
       Net.Network.register net (addr 1) (fun ~src:_ m -> got := m :: !got);
       List.iter (fun m -> Net.Network.send net ~src:(addr 0) ~dst:(addr 1) m) msgs;

@@ -79,7 +79,7 @@ let test_gauges_sampler () =
       Alcotest.failf "expected one series, got %d" (List.length other)
 
 let test_fault_correlation () =
-  let ctl = Obs.Ctl.create ~corr_window_us:2_000 () in
+  let ctl = Obs.Ctl.create () in
   let tr = Obs.Ctl.trace ctl in
   (* No fault seen yet: must not tag (regression: min_int arithmetic). *)
   Obs.Ctl.emit ctl ~txn:1 ~stage:Obs.Trace.Submit ~node:0 ~ts:100 ();
@@ -185,7 +185,7 @@ let test_chrome_well_formed () =
     ~workers:[| 2; 0 |];
   let doc =
     chrome_doc (fun ~path ->
-        Obs.Export.write_chrome_trace ~path ~engine:"aloha" ~shards:8 ~ledger
+        Obs.Export.write_chrome_trace ~path ~engine:"aloha" ~ledger
           ~trace:(Obs.Ctl.trace ctl) ~gauges:(Some g) ())
   in
   let open Obs.Analyze.Json in
@@ -257,7 +257,7 @@ let test_chrome_well_formed () =
   in
   Alcotest.(check bool) "worker thread names" true
     (has "\"name\":\"worker 1\"");
-  Alcotest.(check bool) "worker tid above shards" true (has "\"tid\":9")
+  Alcotest.(check bool) "worker tid above shards" true (has "\"tid\":65")
 
 let test_epoch_rollup () =
   let t = Obs.Trace.create () in

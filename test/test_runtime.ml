@@ -496,12 +496,14 @@ let test_fold_waits_for_pending_below () =
             ("fp:k", 3, Funct.Committed (Value.int 6)) ]))
     [ 1; 2 ]
 
-(* Built-ins with recipients, plain built-ins, and user functors with a
-   declared dependent (behind a Dep_marker) and a dynamic one, some of
+(* User functors with recipients, plain built-ins, and user functors with
+   a declared dependent (behind a Dep_marker) and a dynamic one, some of
    which abort: the real commit gives the simulated runtime's counters
    and the same notify_final calls. *)
 let test_commit_mixed_plan () =
   let setup registry e install =
+    Registry.register registry "cm-put" (fun ctx ->
+        Registry.Commit (Registry.arg ctx 0));
     Registry.register registry "cm-det" (fun ctx ->
         let x = Value.to_int (Option.get (Registry.read ctx "cm:acct")) in
         if x mod 3 = 1 then Registry.Abort
@@ -517,7 +519,7 @@ let test_commit_mixed_plan () =
     let acct = ik "cm:acct" and ctl = ik "cm:ctl" and dep = ik "cm:dep" in
     List.concat_map
       (fun v ->
-        [ install "cm:acct" v Ftype.Add
+        [ install "cm:acct" v (Ftype.User "cm-put")
             { (Funct.farg_args [ Value.int v ]) with
               Funct.recipients = [ ctl ] };
           install "cm:ctl" v (Ftype.User "cm-det")
@@ -549,11 +551,51 @@ let test_commit_mixed_plan () =
         (sim.finals = real.finals))
     [ 1; 2 ]
 
+(* A built-in with recipients is not plain: the fold refuses it, so its
+   run claims it and the commit releases it to the simulated dispatch
+   (one fallback), which computes it and sends its push.  The ADD below
+   it is folded in the bind pass, and the reader of its key above it
+   reads that ADD's value on the domains.  Every value and the push
+   count end as under the simulated runtime. *)
+let test_builtin_with_recipients_released () =
+  let setup registry e install =
+    Registry.register registry "br-read" (fun ctx ->
+        match Registry.read ctx "br:a" with
+        | Some v -> Registry.Commit v
+        | None -> Registry.Abort);
+    List.iter
+      (fun k -> Engine.load_initial e ~key:(ik k) (Value.int 0))
+      [ "br:a"; "br:u" ];
+    let a = ik "br:a" and u = ik "br:u" in
+    [ install "br:a" 1 Ftype.Add (Funct.farg_args [ Value.int 5 ]);
+      install "br:a" 2 Ftype.Add
+        { (Funct.farg_args [ Value.int 3 ]) with Funct.recipients = [ u ] };
+      install "br:u" 2 (Ftype.User "br-read")
+        { Funct.farg_empty with read_set = [ a ]; pushed_reads = [ a ] } ]
+  in
+  let sim = run_plan ~domains:0 setup in
+  List.iter
+    (fun domains ->
+      let real = run_plan ~domains setup in
+      Alcotest.(check int) "the ADD with recipients released" 1
+        (Sim.Metrics.get real.metrics "plan.real_fallback");
+      Alcotest.(check int) "the plain ADD and the reader on the domains" 2
+        (Sim.Metrics.get real.metrics "plan.real_evaluated");
+      Alcotest.(check int) "one push, as under sim"
+        (Sim.Metrics.get sim.metrics "fcc.pushes_sent")
+        (Sim.Metrics.get real.metrics "fcc.pushes_sent");
+      Alcotest.(check bool) "a@2 = 8, u@2 = 5, as under sim" true
+        (real.finals = sim.finals
+        && List.mem ("br:a", 2, Funct.Committed (Value.int 8)) real.finals
+        && List.mem ("br:u", 2, Funct.Committed (Value.int 5)) real.finals))
+    [ 1; 2 ]
+
 (* ---- real planner: the per-key fold against the simulated runtime ------ *)
 
 (* One version of a built-in key in a random plan. *)
 type fold_version =
   | Builtin of Ftype.t * int  (* a built-in with its argument *)
+  | Pushing of int  (* an ADD with recipients: the fold refuses it *)
   | User of int
       (* a user functor without a read set: it writes its argument, or
          aborts when that is negative, and stops the key's fold *)
@@ -583,6 +625,7 @@ let print_fold_spec s =
           | _ -> "?"
         in
         Printf.sprintf "%s %d" name a
+    | Pushing a -> Printf.sprintf "ADD %d, pushing" a
     | User a -> Printf.sprintf "USER %d" a
     | Blind (Some x) -> Printf.sprintf "VALUE %d" x
     | Blind None -> "DELETE"
@@ -615,8 +658,14 @@ let gen_fold_spec =
            (fun f a -> Builtin (f, a))
            (oneofl [ Ftype.Add; Ftype.Add; Ftype.Subtr; Ftype.Max; Ftype.Min ])
            (int_range (-5) 9));
+        (1,
+         map
+           (fun f -> Builtin (f, 1 lsl 61))
+           (oneofl [ Ftype.Add; Ftype.Max ]));
+        (2, map (fun a -> Pushing a) (int_range (-5) 9));
         (2, map (fun a -> User a) (int_range (-2) 9));
         (2, map (fun x -> Blind (Some x)) (int_range 0 20));
+        (1, return (Blind (Some (1 lsl 61))));
         (1, return (Blind None));
         (1, return Aborted);
         (1, return Below);
@@ -638,6 +687,7 @@ let gen_fold_spec =
    real runtime's evaluated and fallback counts. *)
 type fold_outcome = {
   notified : (string * int * Funct.final) list;
+  pushes : (string * int * string * Value.t option) list;  (* sorted *)
   records : (string * (int * Funct.final option) list) list;
   watermarks : (string * int) list;
   real_evaluated : int;
@@ -664,11 +714,15 @@ let run_fold_plan ~domains spec =
       let a = Value.to_int (Registry.arg ctx 0) in
       Registry.Commit_det
         (Value.int a, [ ("pf:m", Registry.Dep_put (Value.int (2 * a))) ]));
-  let notified = ref [] and engine = ref None in
+  let notified = ref [] and pushes = ref [] and engine = ref None in
   let callbacks =
     { Engine.is_local = (fun _ -> true);
       remote_get = (fun ~key:_ ~version:_ k -> k None);
-      send_push = (fun ~dst_key:_ ~version:_ ~src_key:_ _ -> ());
+      send_push =
+        (fun ~dst_key ~version ~src_key v ->
+          pushes :=
+            (Mvstore.Key.name dst_key, version, Mvstore.Key.name src_key, v)
+            :: !pushes);
       send_dep_write =
         (fun ~key ~version final ->
           Engine.deliver_dep_write (Option.get !engine) ~key ~version ~final);
@@ -702,6 +756,12 @@ let run_fold_plan ~domains spec =
           | Builtin (f, a) ->
               add (pending f (Funct.farg_args [ Value.int a ])) ~planned:true
                 ~aborted:false
+          | Pushing a ->
+              add
+                (pending Ftype.Add
+                   { (Funct.farg_args [ Value.int a ]) with
+                     Funct.recipients = [ ik "pf:sink" ] })
+                ~planned:true ~aborted:false
           | User a ->
               add
                 (pending (Ftype.User "pf-put") (Funct.farg_args [ Value.int a ]))
@@ -780,6 +840,7 @@ let run_fold_plan ~domains spec =
         |> List.rev
   in
   { notified = List.rev !notified;
+    pushes = List.sort compare !pushes;
     records = List.map (fun name -> (name, records name)) names;
     watermarks = List.map (fun name -> (name, Engine.watermark e ~key:(ik name))) names;
     real_evaluated = Sim.Metrics.get metrics "plan.real_evaluated";
@@ -787,11 +848,15 @@ let run_fold_plan ~domains spec =
 
 (* qcheck: random plans whose built-in runs have gaps (blind VALUE/DELETE
    versions installed final, an aborted version, a pending version left
-   out of the plan) and user functors without a read set (where the bind
-   pass's fold of the key stops, mid-segment), installed out of order,
-   with a Dep_marker and user functors that read built-in keys.  The real runtime at 1 and at 2
-   domains leaves every record and watermark as the simulated runtime
-   does and makes the same [notify_final] calls; the two domain counts
+   out of the plan), user functors without a read set (where the bind
+   pass's fold of the key stops, mid-segment), and built-ins the fold
+   refuses (ADDs with recipients, arguments wider than 60 bits, results
+   over a VALUE that wide), which the commit releases to the dispatch;
+   installed out of order, with a
+   Dep_marker and user functors that read built-in keys.  The real
+   runtime at 1 and at 2 domains leaves every record and watermark as
+   the simulated runtime does, sends the same pushes and makes the same
+   [notify_final] calls; the two domain counts
    make them in the same order and agree on the evaluated and fallback
    counts.  (Against the simulated runtime only the calls, not their
    order, can agree: it evaluates on demand in dispatch order, so a key
@@ -807,6 +872,7 @@ let prop_fold_matches_sim =
       let same_as_sim o =
         o.records = sim.records
         && o.watermarks = sim.watermarks
+        && o.pushes = sim.pushes
         && List.sort compare o.notified = List.sort compare sim.notified
       in
       same_as_sim one && same_as_sim two
@@ -817,14 +883,15 @@ let prop_fold_matches_sim =
 (* ---- real planner: silent dispatch and allocation ----------------------- *)
 
 (* [ops] ADD-1 functors over [keys] keys (key [i mod keys] at version
-   [i / keys + 1]; with [~lead], one version higher, below a user functor
+   [i / keys + 1]; with [~lead], one version higher, above a user functor
    without a read set that puts 0 at version 1), plus, with [~rejected],
    one user functor with no registered handler, which the stager leaves
-   to the dispatch.  Returns
-   the simulator, its 4-worker pool's planner on a [domains]-domain real
-   pool, the real pool and the items. *)
-let adds_plan ?(metrics = Sim.Metrics.create ()) ?(lead = false) ~domains
-    ~keys ~ops ~rejected () =
+   to the dispatch.  The items are in install order, or, with
+   [~newest_first], reversed.  Returns the simulator, its 4-worker
+   pool's planner on a [domains]-domain real pool, the real pool and the
+   items. *)
+let adds_plan ?(metrics = Sim.Metrics.create ()) ?(lead = false)
+    ?(newest_first = false) ~domains ~keys ~ops ~rejected () =
   let sim = Sim.Engine.create () in
   let pool = Sim.Worker_pool.create sim ~workers:4 in
   let callbacks =
@@ -866,6 +933,7 @@ let adds_plan ?(metrics = Sim.Metrics.create ()) ?(lead = false) ~domains
       [ install (ik "sd:x") 1 (Ftype.User "sd-absent") Funct.farg_empty ]
     else []
   in
+  let items = if newest_first then List.rev items else items in
   let rpool = Pool.create ~domains in
   let planner =
     Functor_cc.Planner.create ~engine:e ~pool ~real:rpool ~dispatch_cost_us:1
@@ -918,21 +986,25 @@ let test_folded_plan_runs_no_batch () =
 (* Plain built-ins allocate nothing per node on either fold's path: the
    bind pass, which folds an ADD-only plan whole, and [par_eval_run] on
    the workers, which folds the same ADDs over a user functor leading
-   each key (the bind pass stops at it).  The orchestrator's per-node
-   share is the bind loop, the commit and the dispatch.  4,096 ADDs over 16 keys on a 1-domain
-   pool (the caller runs every task, so [Gc.minor_words] sees all of it):
+   each key (the bind pass stops at it), or bound newest first (the bind
+   pass folds none, and each key's segment is reversed in place).  The
+   orchestrator's per-node share is the bind loop, the segment sort, the
+   commit and the dispatch.  4,096 ADDs over 16 keys on a 1-domain pool
+   (the caller runs every task, so [Gc.minor_words] sees all of it):
    with a task record per node and the [find_le] option walk on the
    workers, [Planner.run] allocated 32.3 minor words per node; with flat
    per-plan slots and the chain-index walk, 10.2 (a [prepared] record and
    an option per node); with the plan's nodes as parallel arrays and the
-   prepare loop's key cursor, 0.3.  The bound sits between the last
-   two. *)
+   prepare loop's key cursor, 0.3 (4.4 newest first, while a segment out
+   of version order was sorted in a copy).  The bound sits between the
+   last two. *)
 let test_builtin_plan_allocation () =
   let ops = 4096 in
-  let per_node ~lead =
+  let per_node ~lead ~newest_first =
     let metrics = Sim.Metrics.create () in
     let sim, planner, rpool, items =
-      adds_plan ~metrics ~lead ~domains:1 ~keys:16 ~ops ~rejected:false ()
+      adds_plan ~metrics ~lead ~newest_first ~domains:1 ~keys:16 ~ops
+        ~rejected:false ()
     in
     let w0 = Gc.minor_words () in
     ignore (Functor_cc.Planner.run planner ~items);
@@ -946,13 +1018,15 @@ let test_builtin_plan_allocation () =
     (completed, words /. float_of_int ops)
   in
   List.iter
-    (fun (lead, path, ran_batch) ->
-      let completed, per_node = per_node ~lead in
+    (fun (lead, newest_first, path, ran_batch) ->
+      let completed, per_node = per_node ~lead ~newest_first in
       Alcotest.(check bool) (path ^ ": a batch ran") ran_batch (completed > 0);
       Alcotest.(check bool)
         (Printf.sprintf "%s: minor words per node %.1f <= 2" path per_node)
         true (per_node <= 2.))
-    [ (false, "bind pass", false); (true, "worker fold", true) ]
+    [ (false, false, "bind pass", false);
+      (true, false, "worker fold", true);
+      (false, true, "newest first", true) ]
 
 let suite =
   [ Alcotest.test_case "run_batch barrier" `Quick test_batch_barrier;
@@ -972,6 +1046,8 @@ let suite =
       test_commit_mixed_plan;
     Alcotest.test_case "fold waits for a pending version below" `Quick
       test_fold_waits_for_pending_below;
+    Alcotest.test_case "built-in with recipients released" `Quick
+      test_builtin_with_recipients_released;
     QCheck_alcotest.to_alcotest prop_fold_matches_sim;
     Alcotest.test_case "evaluated plan dispatches silently" `Quick
       test_silent_dispatch;
