@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check dead-exports clean loc bench bench-smoke bench-guard real-smoke e2e-pair figs-pair chaos chaos-smoke chaos-digests chaos-digests-check replication replication-smoke availability fastpath fastpath-smoke obs-smoke
+.PHONY: all build test fmt check dead-exports clean loc bench bench-smoke bench-guard real-smoke e2e-pair e2e-pair-test figs-pair chaos chaos-smoke chaos-digests chaos-digests-check replication replication-smoke availability fastpath fastpath-smoke obs-smoke
 
 all: build
 
@@ -47,6 +47,11 @@ e2e-pair:
 	@test -n "$(BASE)" || { echo "usage: make e2e-pair BASE=<rev>"; exit 2; }
 	python3 ci/e2e_pair.py --base $(BASE) --seeds $(SEEDS) \
 	  $(foreach w,$(WORKLOADS),--workload $(w))
+
+# The verdict step's fixture tests: a WORKLOADS-restricted pair is judged
+# on the workloads it ran only.
+e2e-pair-test:
+	python3 ci/test_e2e_pair.py
 
 # Behaviour-neutrality check: the simulated figures (fig6-fig11,
 # ext-conventional, availability and fastpath, quick scale, plus the
@@ -200,8 +205,9 @@ dead-exports:
 
 # fmt + build + full test run (the fastpath suite is part of dune
 # runtest; run it alone with: dune exec test/test_main.exe -- test fastpath)
-# + the dead-export scan + the chaos digest diff.
-check: fmt build test dead-exports chaos-digests-check
+# + the dead-export scan + the e2e-pair verdict tests + the chaos digest
+# diff.
+check: fmt build test dead-exports e2e-pair-test chaos-digests-check
 
 clean:
 	dune clean

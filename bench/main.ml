@@ -160,7 +160,8 @@ let micro () =
       (Staged.stage (fun () -> tracer_sites obs ledger))
   in
   let tracer_on =
-    let l = Obs.Ledger.create ~cfg_epoch_us:10_000 ~nodes:1 ~replicas:1 () in
+    let l = Obs.Ledger.create () in
+    Obs.Ledger.set_meta l ~cfg_epoch_us:10_000 ~nodes:1 ~replicas:1;
     let ctl = Obs.Ctl.create ~sample:16 ~ledger:l () in
     let obs = Sys.opaque_identity (Some ctl) in
     let ledger = Sys.opaque_identity (Obs.Ctl.ledger ctl) in

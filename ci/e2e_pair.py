@@ -16,7 +16,9 @@ e2e-pair/base/W-seedS.txt or e2e-pair/head/W-seedS.txt (both emptied of
 earlier runs first), and the summary line of each run is echoed as it
 ends.  bench/e2e/compare.py then compares the two directories; its exit
 code is this script's.  Without --workload every workload of
-BENCHMARK.json runs.
+BENCHMARK.json runs.  compare.py judges every workload its
+BENCHMARK.json lists, so it runs from a temporary copy beside a
+BENCHMARK.json that lists only the workloads that ran.
 """
 
 import argparse
@@ -47,6 +49,21 @@ def export(rev, dest):
         sys.exit(f"e2e_pair.py: git archive {rev} failed")
 
 
+def compare(base_out, head_out, workloads):
+    """bench/e2e/compare.py's exit code for the two run directories,
+    judged on `workloads` only."""
+    bench = benchmark()
+    bench["workloads"] = [w for w in bench["workloads"] if w["name"] in workloads]
+    with tempfile.TemporaryDirectory(prefix="e2e-compare-") as tmp:
+        script_dir = os.path.join(tmp, "bench", "e2e")
+        os.makedirs(script_dir)
+        shutil.copy(os.path.join(ROOT, "bench", "e2e", "compare.py"), script_dir)
+        with open(os.path.join(tmp, "BENCHMARK.json"), "w") as f:
+            json.dump(bench, f)
+        script = os.path.join(script_dir, "compare.py")
+        return subprocess.run([sys.executable, script, base_out, head_out]).returncode
+
+
 def run_one(tree, side, workload, seed, seconds):
     cmd = [
         sys.executable,
@@ -73,7 +90,11 @@ def main():
     args = ap.parse_args()
 
     bench = benchmark()
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = args.workload or known
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        sys.exit(f"e2e_pair.py: not in BENCHMARK.json: {', '.join(unknown)}")
     seeds = [int(s) for s in args.seeds.replace(",", " ").split()]
     for side in ("base", "head"):
         # Start empty: compare.py reads every file in the directory.
@@ -96,9 +117,8 @@ def main():
                     run_one(tree, side, workload, seed, bench["run_seconds"])
     finally:
         shutil.rmtree(tmp)
-    compare = os.path.join(ROOT, "bench", "e2e", "compare.py")
     base_out, head_out = (os.path.join(OUT, s) for s in ("base", "head"))
-    sys.exit(subprocess.run([sys.executable, compare, base_out, head_out]).returncode)
+    sys.exit(compare(base_out, head_out, workloads))
 
 
 if __name__ == "__main__":

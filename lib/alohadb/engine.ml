@@ -9,7 +9,7 @@ let options_of ?seed (params : Kernel.Params.t) =
     seed = (match seed with Some s -> s | None -> base.Cluster.seed);
     epoch =
       (match params.epoch_us with
-      | Some duration_us -> { base.Cluster.epoch with Epoch.Manager.duration_us }
+      | Some duration_us -> { Epoch.Manager.duration_us }
       | None -> base.Cluster.epoch);
     faults = params.faults;
     obs = params.obs;

@@ -1,3 +1,4 @@
+module Registry = Functor_cc.Registry
 module Value = Functor_cc.Value
 
 type ('req, 'resp) node = {
@@ -40,23 +41,68 @@ module type S = sig
   val partition_of : cluster -> string -> int
 end
 
-let apply_proc funreg : Ctxn.proc =
- fun ~txn ~reads ->
-  let ops = Kernel.Txn.decode_writes (List.nth txn.Ctxn.args 0) in
-  let version = Value.to_int (List.nth txn.Ctxn.args 1) in
-  match Kernel.Apply.writes ~registry:funreg ~version ~reads ops with
-  | Some writes -> writes
-  | None ->
+exception Handler_aborted
+
+let no_static_form what =
+  invalid_arg ("Calvin.Deployment.apply: " ^ what ^ " has no static form")
+
+(* Every read observes the pre-transaction state: sibling writes are not
+   visible, exactly as ALOHA functors read strictly below the
+   transaction's version. *)
+let apply funreg (txn : Ctxn.t) ~reads =
+  let read k = Option.join (List.assoc_opt k reads) in
+  (* Matches the ALOHA built-ins: total, an absent key counts as 0. *)
+  let arith key f =
+    let prev = match read key with None -> 0 | Some v -> Value.to_int v in
+    [ (key, Value.int (f prev)) ]
+  in
+  let dep (dk, (dw : Registry.dep_write)) =
+    match dw with
+    | Dep_put w -> Some (dk, w)
+    | Dep_skip -> None
+    | Dep_delete -> no_static_form "Dep_delete"
+  in
+  let one (key, (op : Kernel.Txn.op)) =
+    match op with
+    | Put v -> [ (key, v) ]
+    | Delete -> no_static_form "Delete"
+    | Add d -> arith key (fun prev -> prev + d)
+    | Subtr d -> arith key (fun prev -> prev - d)
+    | Max d -> arith key (fun prev -> if d > prev then d else prev)
+    | Min d -> arith key (fun prev -> if d < prev then d else prev)
+    | Call { handler; read_set; args } | Det { handler; read_set; args; _ }
+      -> (
+        let h =
+          match Registry.find funreg handler with
+          | Some h -> h
+          | None -> raise Handler_aborted
+        in
+        let ctx =
+          { Registry.key;
+            version = txn.version;
+            reads = List.map (fun k -> (k, read k)) read_set;
+            args }
+        in
+        match h ctx with
+        | Commit v -> [ (key, v) ]
+        | Abort -> raise Handler_aborted
+        | Delete -> no_static_form "Delete"
+        | Commit_det (v, deps) -> (key, v) :: List.filter_map dep deps)
+  in
+  match List.concat_map one txn.writes with
+  | writes -> writes
+  | exception Handler_aborted ->
       (* Deterministic stored procedures cannot abort (the open-source
-         Calvin restriction the paper compares against); an aborting
-         handler degrades to writing nothing. *)
+         Calvin restriction the paper compares against); an aborting or
+         unregistered handler degrades to writing nothing. *)
       []
 
 let lower ~version txn =
   let d = Kernel.Txn.static_form txn in
   { Ctxn.read_set = Kernel.Txn.read_set d;
     write_set = Kernel.Txn.write_keys d;
-    args = [ Kernel.Txn.encode_writes d.Kernel.Txn.writes; Value.int version ] }
+    writes = d.Kernel.Txn.writes;
+    version }
 
 module Make (Server : SERVER) = struct
   let name = Server.name

@@ -4,12 +4,10 @@
 
     {!Make} builds the cluster around a {!SERVER} module and puts it
     behind {!Kernel.Intf.ENGINE}.  Transactions execute from their
-    [static_form] facet: the write list is encoded as a
-    {!Functor_cc.Value.t} and shipped through one generic stored
-    procedure ({!apply_proc}) that interprets it with {!Kernel.Apply}
-    against a functor registry.  Workload handlers registered through
-    [register] land in that registry and are evaluated inside the
-    procedure.
+    [static_form] facet, lowered to a {!Ctxn.t} that carries the ops as
+    they are; {!apply} interprets them against a functor registry.
+    Workload handlers registered through [register] land in that
+    registry and are evaluated inside {!apply}.
 
     Network latency (uniform 80 + U(0, 40) us) and the partitioner (the
     decimal run after a key's first [':'], else an FNV-1a hash) are
@@ -22,18 +20,26 @@ type ('req, 'resp) node = {
   node_id : int;  (** the server's address and the partition it hosts *)
   partition_of : string -> int;
   funreg : Functor_cc.Registry.t;
-      (** the cluster's functor registry, which {!apply_proc} reads *)
+      (** the cluster's functor registry, which {!apply} reads *)
   metrics : Sim.Metrics.t;
   params : Kernel.Params.t;
   seed : int;
 }
 (** What a server is built from. *)
 
-val apply_proc : Functor_cc.Registry.t -> Ctxn.proc
-(** The one stored procedure: apply the transaction's encoded writes
-    with {!Kernel.Apply} against the registry.  It cannot abort (the
+val apply :
+  Functor_cc.Registry.t ->
+  Ctxn.t ->
+  reads:(string * Functor_cc.Value.t option) list ->
+  (string * Functor_cc.Value.t) list
+(** [apply funreg txn ~reads] evaluates each of [txn]'s ops against
+    [reads], the pre-state of the full read set, and returns the full
+    write map.  Handlers see [txn.version]; arithmetic ops treat an
+    absent key as 0, as ALOHA's built-ins do.  It cannot abort (the
     open-source Calvin restriction the paper compares against): an
-    aborting handler writes nothing. *)
+    aborting or unregistered handler writes nothing.  Raises
+    [Invalid_argument] on a [Delete] op or outcome and on a
+    [Dep_delete], which have no static form. *)
 
 module type SERVER = sig
   type t

@@ -111,7 +111,7 @@ let maybe_execute t (fl : inflight) =
           (fun (key, v) ->
             if t.partition_of key = t.node_id then
               Hashtbl.replace t.store key v)
-          (Deployment.apply_proc t.funreg ~txn ~reads:fl.gathered);
+          (Deployment.apply t.funreg txn ~reads:fl.gathered);
         Sim.Stats.Histogram.add t.h_stage_proc
           (Sim.Engine.now t.sim - exec_start);
         emit t ~txn:fl.routed.Message.uid ~stage:Obs.Trace.Exec_done ();

@@ -12,9 +12,9 @@
       order, through a single-threaded lock manager;
     + once all local locks are granted, an {e executor} worker reads the
       local part of the read set, broadcasts it to the other participants,
-      waits for their reads, redundantly executes the stored procedure,
-      applies the local writes, and releases the locks (again through the
-      lock-manager thread).
+      waits for their reads, redundantly executes the ops
+      ({!Deployment.apply}), applies the local writes, and releases the
+      locks (again through the lock-manager thread).
 
     Transactions never abort (deterministic execution); the origin counts
     a transaction complete when every participant reports Done. *)

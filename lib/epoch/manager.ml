@@ -1,20 +1,23 @@
-type config = { duration_us : int; lead_us : int }
+type config = { duration_us : int }
 
-let default_config = { duration_us = 25_000; lead_us = 500 }
+let default_config = { duration_us = 25_000 }
+
+(* How far in the future the first window opens: covers grant
+   propagation. *)
+let lead_us = 500
 
 type t = {
   rpc : Protocol.rpc;
   addr : Net.Address.t;
   fes : Net.Address.t list;
   clock : Clocksync.Node_clock.t;
-  lead_us : int;
   metrics : Sim.Metrics.t;
   sim : Sim.Engine.t;
   core : Cores.Barrier.t;
 }
 
 let create ~rpc ~addr ~fes ~clock ~(config : config) ~metrics () =
-  { rpc; addr; fes; clock; lead_us = config.lead_us; metrics;
+  { rpc; addr; fes; clock; metrics;
     sim = Net.Rpc.engine rpc;
     core =
       Cores.Barrier.create
@@ -56,4 +59,4 @@ let start t =
                ~now:(Sim.Engine.now t.sim) ~local:(local t))
       | Protocol.Grant _ | Protocol.Revoke _ -> ());
   List.iter (perform t)
-    (Cores.Barrier.start t.core ~local:(local t) ~lead_us:t.lead_us)
+    (Cores.Barrier.start t.core ~local:(local t) ~lead_us)

@@ -18,10 +18,9 @@
 
 type config = {
   duration_us : int;  (** validity-window length (the paper's 25 ms) *)
-  lead_us : int;
-      (** how far in the future the first window opens (covers grant
-          propagation) *)
 }
+(** The first window opens 500 us after {!start} (covering grant
+    propagation). *)
 
 val default_config : config
 

@@ -102,7 +102,7 @@ let table1 () =
     [ "registered user handlers in the bundled workloads:";
       "cadd, occ_validate, tpcc_neworder, tpcc_stock, tpcc_payment_cust,";
       "tpcc_orderline, stpcc_neworder, stpcc_stock, stpcc_orderline";
-      "(static engines run them through the generic kernel_apply proc)" ]
+      "(Calvin and 2PL run them in Calvin.Deployment.apply)" ]
 
 (* ---- workload points ---------------------------------------------------- *)
 

@@ -80,11 +80,3 @@ val read_set : desc -> string list
 val write_keys : desc -> string list
 (** Sorted, deduplicated keys the description may write, including [Det]
     dependents. *)
-
-val encode_writes : (string * op) list -> Functor_cc.Value.t
-(** Encode a write list as a {!Functor_cc.Value.t} so it can be shipped
-    as the argument of a single generic stored procedure. *)
-
-val decode_writes : Functor_cc.Value.t -> (string * op) list
-(** Inverse of {!encode_writes}.  Raises [Invalid_argument] on malformed
-    input. *)

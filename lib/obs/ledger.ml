@@ -57,8 +57,8 @@ type t = {
   watch : (int, unit) Hashtbl.t;  (* partitions awaiting first commit *)
 }
 
-let create ?(cfg_epoch_us = 0) ?(nodes = 0) ?(replicas = 1) () =
-  { cfg_epoch_us; nodes; replicas;
+let create () =
+  { cfg_epoch_us = 0; nodes = 0; replicas = 1;
     tbl = Hashtbl.create 256;
     evs = [];
     strat = [];

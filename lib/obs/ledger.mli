@@ -70,12 +70,13 @@ type stratum = {
   s_workers : int array;  (** chunks each worker completed *)
 }
 
-val create :
-  ?cfg_epoch_us:int -> ?nodes:int -> ?replicas:int -> unit -> t
-(** [cfg_epoch_us] is the configured epoch duration the stretch ratio is
-    measured against; the cluster overrides all three via {!set_meta}. *)
+val create : unit -> t
+(** An empty ledger with no configured epoch duration, no nodes and one
+    replica; the cluster sets all three via {!set_meta}. *)
 
 val set_meta : t -> cfg_epoch_us:int -> nodes:int -> replicas:int -> unit
+(** [cfg_epoch_us] is the configured epoch duration the stretch ratio is
+    measured against. *)
 
 val wall_us : unit -> int
 (** Host wall clock in µs (the ledger's wall-time source). *)

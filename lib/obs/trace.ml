@@ -54,65 +54,10 @@ let stage_name = function
   | Promote -> "promote"
   | Fastpath_commit -> "fastpath_commit"
 
-let stage_to_int = function
-  | Submit -> 0
-  | Epoch_assign -> 1
-  | Functor_write -> 2
-  | Batch_ack -> 3
-  | Epoch_close -> 4
-  | Compute_start -> 5
-  | Compute_done -> 6
-  | Read_served -> 7
-  | Sequenced -> 8
-  | Scheduled -> 9
-  | Locks_acquired -> 10
-  | Exec_start -> 11
-  | Exec_done -> 12
-  | Lock_timeout -> 13
-  | Prepared -> 14
-  | Committed -> 15
-  | Aborted -> 16
-  | Restarted -> 17
-  | Fault_drop -> 18
-  | Fault_delay -> 19
-  | Plan_build -> 20
-  | Plan_evaluate -> 21
-  | Stratum_dispatch -> 22
-  | Wal_ship -> 23
-  | Promote -> 24
-  | Fastpath_commit -> 25
-
-let stage_of_int = function
-  | 0 -> Submit
-  | 1 -> Epoch_assign
-  | 2 -> Functor_write
-  | 3 -> Batch_ack
-  | 4 -> Epoch_close
-  | 5 -> Compute_start
-  | 6 -> Compute_done
-  | 7 -> Read_served
-  | 8 -> Sequenced
-  | 9 -> Scheduled
-  | 10 -> Locks_acquired
-  | 11 -> Exec_start
-  | 12 -> Exec_done
-  | 13 -> Lock_timeout
-  | 14 -> Prepared
-  | 15 -> Committed
-  | 16 -> Aborted
-  | 17 -> Restarted
-  | 18 -> Fault_drop
-  | 19 -> Fault_delay
-  | 20 -> Plan_build
-  | 21 -> Plan_evaluate
-  | 22 -> Stratum_dispatch
-  | 23 -> Wal_ship
-  | 24 -> Promote
-  | 25 -> Fastpath_commit
-  | n -> invalid_arg (Printf.sprintf "Trace.stage_of_int: %d" n)
-
-(* Struct-of-arrays ring buffer: one slot is six ints across parallel
-   arrays, written with plain stores.  [next] is the next write slot,
+(* Struct-of-arrays ring buffer: one slot is six immediates across
+   parallel arrays, written with plain stores ([stage] has only constant
+   constructors, so its array is flat and its store takes no write
+   barrier, like an int array's).  [next] is the next write slot,
    [total] counts every emit so wrap-around is accounted for.
 
    Domain discipline (--runtime real): plain stores mean the ring is
@@ -125,7 +70,7 @@ type t = {
   cap : int;
   sample : int;
   txn_a : int array;
-  stage_a : int array;
+  stage_a : stage array;
   node_a : int array;
   ts_a : int array;
   arg_a : int array;
@@ -140,7 +85,7 @@ let create ?(capacity = 65536) ?(sample = 1) () =
   { cap = capacity;
     sample;
     txn_a = Array.make capacity 0;
-    stage_a = Array.make capacity 0;
+    stage_a = Array.make capacity Submit;
     node_a = Array.make capacity 0;
     ts_a = Array.make capacity 0;
     arg_a = Array.make capacity 0;
@@ -156,7 +101,7 @@ let would_sample t ~txn = txn < 0 || t.sample <= 1 || txn mod t.sample = 0
 let emit t ~txn ~stage ~node ~ts ~arg ~tag =
   let i = t.next in
   t.txn_a.(i) <- txn;
-  t.stage_a.(i) <- stage_to_int stage;
+  t.stage_a.(i) <- stage;
   t.node_a.(i) <- node;
   t.ts_a.(i) <- ts;
   t.arg_a.(i) <- arg;
@@ -180,7 +125,7 @@ let dropped t = if t.total > t.cap then t.total - t.cap else 0
 
 let event_at t i =
   { txn = t.txn_a.(i);
-    stage = stage_of_int t.stage_a.(i);
+    stage = t.stage_a.(i);
     node = t.node_a.(i);
     ts = t.ts_a.(i);
     arg = t.arg_a.(i);

@@ -185,11 +185,11 @@ let rec attempt t txn ~tries ~submitted_at k =
         to_release
   in
   let proceed_commit () =
-    (* Execute the procedure, then two-phase commit. *)
+    (* Execute the ops, then two-phase commit. *)
     Sim.Worker_pool.submit t.pool ~cost:Config.cost_exec_us
       (fun () ->
         let writes =
-          Calvin.Deployment.apply_proc t.funreg ~txn ~reads:!values
+          Calvin.Deployment.apply t.funreg txn ~reads:!values
         in
         let writes_for p =
           List.filter (fun (key, _) -> t.partition_of key = p) writes

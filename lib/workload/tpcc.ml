@@ -10,7 +10,6 @@ type cfg = {
   ol_min : int;
   ol_max : int;
   invalid_item_fraction : float;
-  force_distributed : bool;
 }
 
 let default_cfg ~n_servers ~warehouses_per_host =
@@ -20,8 +19,7 @@ let default_cfg ~n_servers ~warehouses_per_host =
     items = 1_000;
     ol_min = 5;
     ol_max = 15;
-    invalid_item_fraction = 0.01;
-    force_distributed = true }
+    invalid_item_fraction = 0.01 }
 
 (* ---- keys -------------------------------------------------------------- *)
 
@@ -223,9 +221,7 @@ let draw_neworder g ~fe =
   let c = Sim.Rng.int g.rng cfg.customers in
   let n_lines = Sim.Rng.uniform_int g.rng ~lo:cfg.ol_min ~hi:cfg.ol_max in
   let invalid = Sim.Rng.bernoulli g.rng cfg.invalid_item_fraction in
-  let remote_line =
-    if cfg.force_distributed then Sim.Rng.int g.rng n_lines else -1
-  in
+  let remote_line = Sim.Rng.int g.rng n_lines in
   let invalid_line = if invalid then Sim.Rng.int g.rng n_lines else -1 in
   (* Items are distinct within an order: each order line yields one stock
      functor, and one key carries exactly one functor per transaction. *)
@@ -354,7 +350,7 @@ let gen_payment g ~fe =
   let d = Sim.Rng.int g.rng cfg.districts in
   (* The paper's setup makes every transaction distributed: the customer
      lives in a warehouse on a different server. *)
-  let cw = if cfg.force_distributed then remote_warehouse g ~fe else w in
+  let cw = remote_warehouse g ~fe in
   let cd = Sim.Rng.int g.rng cfg.districts in
   let c = Sim.Rng.int g.rng cfg.customers in
   let h = 1 + Sim.Rng.int g.rng 5000 in

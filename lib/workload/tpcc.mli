@@ -41,10 +41,9 @@ type cfg = {
   ol_min : int;  (** min order lines (5) *)
   ol_max : int;  (** max order lines (15) *)
   invalid_item_fraction : float;  (** NewOrders that must abort (0.01) *)
-  force_distributed : bool;
-      (** every transaction touches a second warehouse on a different
-          server, as in the Calvin papers' setup *)
 }
+(** Every transaction touches a second warehouse on a different server,
+    as in the Calvin papers' setup. *)
 
 val default_cfg : n_servers:int -> warehouses_per_host:int -> cfg
 

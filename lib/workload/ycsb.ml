@@ -4,15 +4,16 @@ module Txn = Kernel.Txn
 type cfg = {
   keys_per_partition : int;
   hot_keys : int;
-  rw_keys : int;
-  distributed : bool;
 }
+
+(* Keys read and updated per transaction. *)
+let rw_keys = 10
 
 let cfg_of_contention_index ?(keys_per_partition = 100_000) ci =
   if ci <= 0.0 || ci > 1.0 then invalid_arg "Ycsb: contention index";
   let hot = int_of_float (Float.round (1.0 /. ci)) in
   let hot = if hot < 1 then 1 else hot in
-  { keys_per_partition; hot_keys = hot; rw_keys = 10; distributed = true }
+  { keys_per_partition; hot_keys = hot }
 
 let key ~partition idx = Keys.int2 "y:" partition ":" idx
 
@@ -61,11 +62,12 @@ let generator cfg ~n_partitions ~seed =
           names ~partition:p ~size:cfg.keys_per_partition) }
 
 (* One hot key plus (rw_keys/participants - 1) cold keys per partition;
-   exactly one hot key per participant, as in Calvin's microbenchmark. *)
+   exactly one hot key per participant, as in Calvin's microbenchmark.
+   Every transaction spans two partitions once there are two. *)
 let draw_keys g ~fe =
   let cfg = g.cfg in
   let parts =
-    if cfg.distributed && g.n_partitions > 1 then begin
+    if g.n_partitions > 1 then begin
       let other =
         let p = Sim.Rng.int g.rng (g.n_partitions - 1) in
         if p >= fe then p + 1 else p
@@ -75,7 +77,7 @@ let draw_keys g ~fe =
     else [ fe ]
   in
   let per_part = List.length parts in
-  let keys_per = g.cfg.rw_keys / per_part in
+  let keys_per = rw_keys / per_part in
   List.concat_map
     (fun p ->
       let pn = g.part_names.(p) in

@@ -15,14 +15,12 @@
     the partition field.
 
     Increments are commutative ADD ops, so one static description serves
-    every engine: ALOHA runs them as ADD functors, Calvin/2PL through the
-    generic "kernel_apply" procedure. *)
+    every engine: ALOHA runs them as ADD functors, Calvin and 2PL execute
+    the same ops as they are. *)
 
 type cfg = {
   keys_per_partition : int;
   hot_keys : int;  (** K; contention index = 1/K *)
-  rw_keys : int;  (** keys read+updated per transaction (10) *)
-  distributed : bool;  (** two-partition transactions (the default) *)
 }
 
 val cfg_of_contention_index : ?keys_per_partition:int -> float -> cfg

@@ -2,7 +2,8 @@
    fed through the shared kernel client loop to every registered ENGINE
    adapter (ALOHA-DB, Calvin, 2PL/2PC) must leave identical per-key
    totals — increments commute, so any serializable engine reaches the
-   same state.  Also a model-based qcheck test for Calvin's lock manager. *)
+   same state.  A second script runs every op kind through every engine.
+   Also a model-based qcheck test for Calvin's lock manager. *)
 
 module Value = Functor_cc.Value
 
@@ -83,6 +84,114 @@ let test_three_engines_agree () =
         (let totals, _, _ = run_engine engine in
          totals))
     engines
+
+(* Every op kind through every engine: a script of Put, ADD, SUBTR, MAX,
+   MIN, a Call that reads keys of both partitions and Dets whose handler
+   resolves one dependent to Dep_put and the other to Dep_skip.  The
+   transactions are 100 ms apart, so each engine commits them in script
+   order and the final state is the serial one, however an engine
+   orders concurrent work. *)
+let ops_keys =
+  List.concat_map
+    (fun p ->
+      List.map (Printf.sprintf "x:%d:%c" p) [ 'a'; 'b'; 'c'; 'd'; 'e'; 'f' ])
+    [ 0; 1 ]
+
+(* Every key but x:1:f, which starts absent. *)
+let ops_loads =
+  List.combine
+    (List.filter (( <> ) "x:1:f") ops_keys)
+    [ 5; 7; 0; 0; 11; 0; 3; 10; 0; 0; 13 ]
+
+let ops_handlers =
+  let module R = Functor_cc.Registry in
+  let total (ctx : R.ctx) =
+    List.fold_left
+      (fun acc (_, v) -> acc + Option.fold ~none:0 ~some:Value.to_int v)
+      0 ctx.reads
+  in
+  let arg_int ctx i = Value.to_int (R.arg ctx i) in
+  [ ("xe_sum", fun ctx -> R.Commit (Value.int (total ctx + arg_int ctx 0)));
+    (* args: the dependent written at or above the threshold, the one
+       written below it, the threshold *)
+    ( "xe_route",
+      fun ctx ->
+        let t = total ctx in
+        let hi = Value.to_str (R.arg ctx 0) in
+        let lo = Value.to_str (R.arg ctx 1) in
+        let put = R.Dep_put (Value.int t) in
+        let deps =
+          if t >= arg_int ctx 2 then [ (hi, put); (lo, R.Dep_skip) ]
+          else [ (hi, R.Dep_skip); (lo, put) ]
+        in
+        R.Commit_det (Value.int t, deps) ) ]
+
+let ops_script =
+  let open Kernel.Txn in
+  let call read_set arg =
+    Call { handler = "xe_sum"; read_set; args = [ Value.int arg ] }
+  in
+  let route read_set ~hi ~lo threshold =
+    Det
+      { handler = "xe_route";
+        read_set;
+        args = [ Value.str hi; Value.str lo; Value.int threshold ];
+        dependents = [ hi; lo ] }
+  in
+  [ [ ("x:0:a", Put (Value.int 42)); ("x:1:a", Add 5); ("x:0:b", Subtr 2);
+      ("x:1:b", Max 20); ("x:1:f", Add 4) ];
+    [ ("x:0:a", Min 17); ("x:1:b", Max 4);
+      ("x:0:c", call [ "x:1:a"; "x:0:b" ] 1); ("x:1:e", Min 20) ];
+    [ ("x:0:d", route [ "x:0:a"; "x:1:a" ] ~hi:"x:0:e" ~lo:"x:1:c" 20) ];
+    [ ("x:1:d", route [ "x:0:c"; "x:1:d" ] ~hi:"x:1:c" ~lo:"x:0:f" 100);
+      ("x:0:b", call [ "x:1:b" ] 0) ];
+    [ ("x:1:a", Subtr 3); ("x:0:c", call [ "x:0:d"; "x:1:d" ] 0) ] ]
+
+(* [ops_script] applied serially by hand, in [ops_keys] order. *)
+let ops_expected =
+  List.map Option.some [ 17; 20; 39; 25; 25; 14; 5; 20; 0; 14; 13; 4 ]
+
+let run_ops (Kernel.Intf.Pack (module E)) =
+  let c = E.create (Kernel.Params.make ~n_servers:n ()) in
+  List.iter (fun (name, h) -> E.register c name h) ops_handlers;
+  List.iter (fun (k, v) -> E.load c k (Value.int v)) ops_loads;
+  E.start c;
+  let remaining = ref ops_script in
+  let gen ~fe:_ =
+    match !remaining with
+    | [] -> Alcotest.fail (E.name ^ ": script exhausted")
+    | ops :: tl ->
+        remaining := tl;
+        Kernel.Txn.make ops
+  in
+  let arrivals =
+    List.mapi (fun i _ -> (1_000 + (i * 100_000), i mod n)) ops_script
+  in
+  let r =
+    Kernel.Run.run
+      (module E)
+      ~cluster:c ~gen
+      ~arrival:(Kernel.Arrivals.Scripted { arrivals })
+      ~warmup_us:500 ~measure_us:3_000_000 ()
+  in
+  Alcotest.(check int)
+    (E.name ^ " committed all")
+    (List.length ops_script) r.Kernel.Result.committed;
+  let state =
+    List.map (fun k -> Option.map Value.to_int (E.read_committed c k)) ops_keys
+  in
+  E.stop c;
+  state
+
+let test_static_engines_run_every_op () =
+  let state = Alcotest.(list (option int)) in
+  let aloha = run_ops (Kernel.Intf.Pack (module Alohadb.Engine)) in
+  Alcotest.check state "aloha = serial" ops_expected aloha;
+  List.iter
+    (fun (Kernel.Intf.Pack (module E) as engine) ->
+      Alcotest.check state (E.name ^ " = aloha") aloha (run_ops engine))
+    [ Kernel.Intf.Pack (module Calvin.Engine);
+      Kernel.Intf.Pack (module Twopl.Engine) ]
 
 (* Sim-vs-real equivalence: the same scripted history through ALOHA with
    functor evaluation on simulated workers (--runtime sim) and on real
@@ -200,6 +309,8 @@ let prop_lock_manager_safety =
 
 let suite =
   [ Alcotest.test_case "three engines agree" `Slow test_three_engines_agree;
+    Alcotest.test_case "static engines run every op kind" `Quick
+      test_static_engines_run_every_op;
     Alcotest.test_case "sim vs real runtime agree" `Slow
       test_sim_vs_real_agree;
     Alcotest.test_case "real runtime evaluates on domains" `Quick

@@ -35,7 +35,7 @@ let mk ?(n = 3) ?(duration_us = 10_000) ?(straggler_opt = true) ?faults () =
     Manager.create ~rpc ~addr:em_addr
       ~fes:(List.init n Net.Address.of_int)
       ~clock:(Clocksync.Node_clock.perfect sim)
-      ~config:{ Manager.duration_us; lead_us = 500 } ~metrics ()
+      ~config:{ Manager.duration_us } ~metrics ()
   in
   { sim; rpc; metrics; manager; participants }
 

@@ -244,10 +244,7 @@ let test_stpcc_aloha_basic () =
 (* ---- YCSB ------------------------------------------------------------------ *)
 
 let test_ycsb_aloha_conservation () =
-  let cfg =
-    { Ycsb.keys_per_partition = 200; hot_keys = 4; rw_keys = 10;
-      distributed = true }
-  in
+  let cfg = { Ycsb.keys_per_partition = 200; hot_keys = 4 } in
   let c =
     aloha_cluster (fun c -> Ycsb.load cfg ~n_servers:n ~put:(Alohadb.Engine.load c))
   in
@@ -273,10 +270,7 @@ let test_ycsb_aloha_conservation () =
   Alcotest.(check int) "sum of values = increments applied" !keys_written total
 
 let test_ycsb_generator_shape () =
-  let cfg =
-    { Ycsb.keys_per_partition = 1000; hot_keys = 10; rw_keys = 10;
-      distributed = true }
-  in
+  let cfg = { Ycsb.keys_per_partition = 1000; hot_keys = 10 } in
   let gen = Ycsb.generator cfg ~n_partitions:8 ~seed:3 in
   for fe = 0 to 7 do
     let txn = Ycsb.gen gen ~fe in
