@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check dead-exports clean loc bench bench-smoke bench-guard real-smoke e2e-pair e2e-pair-test figs-pair chaos chaos-smoke chaos-digests chaos-digests-check replication replication-smoke availability fastpath fastpath-smoke obs-smoke
+.PHONY: all build test fmt check dead-exports census census-test clean loc bench bench-smoke bench-guard real-smoke e2e-pair e2e-pair-test figs-pair chaos chaos-smoke chaos-digests chaos-digests-check replication replication-smoke availability fastpath fastpath-smoke obs-smoke
 
 all: build
 
@@ -203,11 +203,26 @@ dead-exports:
 	python3 ci/test_dead_exports.py
 	python3 ci/dead_exports.py
 
+# The branch census: build the tree with `dune build --instrument-with
+# census` into _census/, run the program corpus (examples, chaos, CLI
+# runs, the quick figures; no tests, about 20 min on 2 cores), and print
+# per library the match/function arms, try handlers, then/else branches
+# and function bodies no run reached.  Exits 1 on such an arm of
+# lib/alohadb or lib/functor_cc that ci/census_allow.txt does not excuse,
+# and on a stale allowlist entry; _census/unreached.txt lists every
+# unreached arm of every library (ci/census.py).
+census:
+	python3 ci/census.py
+
+# The census report's fixture tests (the corpus itself is not run).
+census-test:
+	python3 ci/test_census.py
+
 # fmt + build + full test run (the fastpath suite is part of dune
 # runtest; run it alone with: dune exec test/test_main.exe -- test fastpath)
-# + the dead-export scan + the e2e-pair verdict tests + the chaos digest
-# diff.
-check: fmt build test dead-exports e2e-pair-test chaos-digests-check
+# + the dead-export scan + the census report tests + the e2e-pair verdict
+# tests + the chaos digest diff.
+check: fmt build test dead-exports census-test e2e-pair-test chaos-digests-check
 
 clean:
 	dune clean

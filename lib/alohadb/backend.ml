@@ -449,8 +449,7 @@ let release_closed b ~upto_epoch =
         Obs.Ledger.note_plan l ~node:b.node.node_id ~epoch:upto_epoch
           ~nodes:stats.Functor_cc.Planner.nodes
           ~edges:stats.Functor_cc.Planner.edges
-          ~strata:stats.Functor_cc.Planner.strata
-          ~critical_path:stats.Functor_cc.Planner.critical_path)
+          ~strata:stats.Functor_cc.Planner.strata)
   end;
   (* Fast-path deltas never enter a plan: fold the closed epochs'
      remainder directly.  Already-final records (folded by an on-demand

@@ -248,20 +248,13 @@ let completed f (tr : Tracker.t) ~aborted =
       if (not tr.any_aborted) && Obs.Ledger.awaiting_first_commit l then
         Obs.Ledger.note_commit l ~node:f.node.node_id ~t_us:completed_at
           ~partitions:tr.acked_ok);
-  (* On install-ack the client was answered after the write-only phase;
-     it learns the outcome by reading any functor (§IV-A). *)
   if aborted then begin
     incr f.m_aborted_compute;
-    match tr.ack with
-    | Txn.Ack_on_computed ->
-        tr.reply (Txn.Aborted { ts = Some ts; stage = `Compute })
-    | Txn.Ack_on_install -> ()
+    tr.reply (Txn.Aborted { ts = Some ts; stage = `Compute })
   end
   else begin
     incr f.m_committed;
-    match tr.ack with
-    | Txn.Ack_on_computed -> tr.reply (Txn.Committed { ts })
-    | Txn.Ack_on_install -> ()
+    tr.reply (Txn.Committed { ts })
   end
 
 let complete f tr =
@@ -275,9 +268,6 @@ let finish_write_phase f (tr : Tracker.t) =
   incr f.m_installed;
   Node.emit f.node ~txn:(Ts.to_int tr.ts) ~stage:Obs.Trace.Functor_write
     ~arg:tr.epoch ();
-  (match tr.ack with
-  | Txn.Ack_on_install -> tr.reply (Txn.Committed { ts = tr.ts })
-  | Txn.Ack_on_computed -> ());
   complete f tr
 
 (* Second round: roll back the write-only phase on every partition that
@@ -378,7 +368,7 @@ let start_fast f ~groups reply w ts ~issued_at =
         reply (Txn.Committed { ts })
       end)
 
-let start_rw f ~writes ~precondition_keys ~ack reply w ts ~submitted_at =
+let start_rw f ~writes ~precondition_keys reply w ts ~submitted_at =
   let issued_at = now f in
   let epoch = w.Cores.Auth.epoch in
   note_assigned f ts ~epoch ~submitted_at;
@@ -390,7 +380,7 @@ let start_rw f ~writes ~precondition_keys ~ack reply w ts ~submitted_at =
   then start_fast f ~groups reply w ts ~issued_at
   else begin
     let tr =
-      Tracker.create ~ts ~epoch ~issued_at ~ack ~reply
+      Tracker.create ~ts ~epoch ~issued_at ~reply
         ~partitions:(List.length groups)
     in
     Txn_tbl.replace f.tracks (Ts.to_int ts) tr;
@@ -415,11 +405,11 @@ let start_rw f ~writes ~precondition_keys ~ack reply w ts ~submitted_at =
 
 let submit f req reply =
   match req with
-  | Txn.Read_write { writes; precondition_keys; ack } ->
+  | Txn.Read_write { writes; precondition_keys } ->
       incr f.m_submitted_rw;
       let submitted_at = now f in
       with_window f (fun w ts ->
-          start_rw f ~writes ~precondition_keys ~ack reply w ts ~submitted_at)
+          start_rw f ~writes ~precondition_keys reply w ts ~submitted_at)
   | Txn.Read_only { keys } ->
       incr f.m_submitted_ro;
       with_window f (fun w ts -> delay_ro f keys reply w ts)

@@ -2,7 +2,6 @@ type t = {
   ts : Clocksync.Timestamp.t;
   epoch : int;
   issued_at : int;
-  ack : Txn.ack_mode;
   reply : Txn.result -> unit;
   expected_dones : int;
   mutable awaiting_installs : int;
@@ -14,8 +13,8 @@ type t = {
   mutable max_retrieved : int;
 }
 
-let create ~ts ~epoch ~issued_at ~ack ~reply ~partitions =
-  { ts; epoch; issued_at; ack; reply; expected_dones = partitions;
+let create ~ts ~epoch ~issued_at ~reply ~partitions =
+  { ts; epoch; issued_at; reply; expected_dones = partitions;
     awaiting_installs = partitions; install_failed = false; acked_ok = [];
     install_done_at = issued_at; done_srcs = []; any_aborted = false;
     max_retrieved = issued_at }

@@ -16,7 +16,6 @@ type t = private {
   ts : Clocksync.Timestamp.t;
   epoch : int;
   issued_at : int;
-  ack : Txn.ack_mode;
   reply : Txn.result -> unit;
       (** the frontend's, kept here so one record per transaction holds
           everything *)
@@ -40,7 +39,6 @@ val create :
   ts:Clocksync.Timestamp.t ->
   epoch:int ->
   issued_at:int ->
-  ack:Txn.ack_mode ->
   reply:(Txn.result -> unit) ->
   partitions:int ->
   t

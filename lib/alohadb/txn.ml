@@ -17,13 +17,10 @@ type op = Kernel.Txn.op =
       dependents : string list;
     }
 
-type ack_mode = Ack_on_install | Ack_on_computed
-
 type request =
   | Read_write of {
       writes : (string * op) list;
       precondition_keys : string list;
-      ack : ack_mode;
     }
   | Read_only of { keys : string list }
   | Read_at of { keys : string list; version : int }
@@ -36,8 +33,8 @@ type result =
     }
   | Values of (string * Functor_cc.Value.t option) list
 
-let read_write ?(precondition_keys = []) ?(ack = Ack_on_computed) writes =
-  Read_write { writes; precondition_keys; ack }
+let read_write ?(precondition_keys = []) writes =
+  Read_write { writes; precondition_keys }
 
 let op_commutative = function
   | Add _ | Subtr _ | Max _ | Min _ -> true

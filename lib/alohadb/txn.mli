@@ -35,18 +35,12 @@ type op = Kernel.Txn.op =
           (** dependent keys this determinate functor may write *)
     }
 
-type ack_mode =
-  | Ack_on_install  (** acknowledge when the write-only phase commits *)
-  | Ack_on_computed  (** acknowledge when every functor reached a final
-                         value — the latency the paper reports *)
-
 type request =
   | Read_write of {
       writes : (string * op) list;
       precondition_keys : string list;
           (** keys that must exist on their partition for the write-only
               phase to succeed (drives TPC-C's 1 % NewOrder aborts) *)
-      ack : ack_mode;
     }
   | Read_only of { keys : string list }  (** latest version *)
   | Read_at of { keys : string list; version : int }  (** historical *)
@@ -60,9 +54,9 @@ type result =
   | Values of (string * Functor_cc.Value.t option) list
 
 val read_write :
-  ?precondition_keys:string list -> ?ack:ack_mode ->
-  (string * op) list -> request
-(** Convenience constructor; [ack] defaults to [Ack_on_computed]. *)
+  ?precondition_keys:string list -> (string * op) list -> request
+(** Convenience constructor.  The client is answered when every functor
+    reached a final value, the latency the paper reports. *)
 
 val all_commutative :
   writes:(string * op) list -> precondition_keys:string list -> bool

@@ -476,9 +476,9 @@ let merge_delta t ~key ~version =
 
    A built-in the fold refuses (one with recipients, dependents or a read
    set, an argument or result too wide to pack, a pending record below)
-   is claimed, and released at commit.  Anything else not provably safe
-   (Dep_marker chasing, remote or still-pending reads, a missing handler)
-   is never claimed.  Either way the planner's unchanged simulated
+   is left to the dispatch, as under `--runtime sim`.  Anything else not
+   provably safe (Dep_marker chasing, remote or still-pending reads, a
+   missing handler) is never claimed.  Either way the planner's unchanged simulated
    dispatch path evaluates it with the full machinery, and
    [compute_node]'s state re-check keeps the whole arrangement
    at-most-once. *)
@@ -490,17 +490,15 @@ type par_user = {
 }
 
 (* A node's slot: [Par_free] (never claimed: left to the dispatch, or
-   folded: its [node_op] says so), [Par_claimed] (a built-in the fold
-   refused), [Par_staged] (a claimed user functor, not evaluated) or
-   [Par_done] (an evaluated user functor, with its staging's push-buffer
-   hits).  A claim is written before its node is evaluated, so if a
+   folded: its [node_op] says so), [Par_staged] (a claimed user functor,
+   not evaluated) or [Par_done] (an evaluated user functor, with its
+   staging's push-buffer hits).  A claim is written before its node is evaluated, so if a
    handler raises, the commit still sees every claimed record and
    releases it, and the run's later nodes stay [Par_free].  The final
    value is the record's; the own-key value below (for recipient pushes)
    is re-read at commit from the now-final chain. *)
 type par_slot =
   | Par_free
-  | Par_claimed
   | Par_staged of par_user
   | Par_done of Registry.outcome * int
 
@@ -669,7 +667,7 @@ let par_stage t ~now slots k nodes i =
               slots.(k) <- Par_staged { handler; reads; push_hits }))
   | Funct.Pending _ | Funct.Final _ ->
       (* Raced to final (the dispatch job no-ops), claimed already, a
-         built-in (its run folds it or claims it for the fallback) or a
+         built-in (its run folds it or leaves it to the dispatch) or a
          Dep_marker, whose resolution may chase remote determinate
          functors: the sequential machinery's. *)
       ()
@@ -695,10 +693,9 @@ let eval_user_slot slots k ~chain ~key ~ver record (p : Funct.pending) u =
    holds its version, else a [rank].  Every other node is taken after
    the stretch before it is published, so a raising handler finds the
    watermark where the per-node path would have left it: a built-in the
-   step refuses, or that is not plain, is claimed for the commit to
-   release, unless it is computing on demand already; a user functor is
-   staged (if it has no read set) and evaluated; a raise ends the run
-   with its stretch published.  One fold
+   step refuses, or that is not plain, is left to the dispatch; a user
+   functor is staged (if it has no read set) and evaluated; a raise ends
+   the run with its stretch published.  One fold
    record per run; the loop allocates nothing per built-in.  The plain
    built-ins that reach it are those of a key whose bind-pass fold
    stopped: after a user functor, above a pending version, or bound out
@@ -738,11 +735,7 @@ let par_eval_run t ~now slots nodes seg ~pos ~len =
               | Par_staged u ->
                   eval_user_slot slots k ~chain ~key:nodes.keys.(d) ~ver record
                     p u
-              | Par_free | Par_claimed | Par_done _ -> ()
-            end
-            else if p.status = Funct.Installed then begin
-              claim ~now p;
-              slots.(k) <- Par_claimed
+              | Par_free | Par_done _ -> ()
             end
           end
     done
@@ -773,7 +766,7 @@ let par_commit t slots k nodes i =
   else
     match slots.(k) with
     | Par_free -> Par_untouched
-    | Par_claimed | Par_staged _ ->
+    | Par_staged _ ->
         (* Undo the claim; the simulated dispatch job re-runs
            [ensure_computing] with the full waiting machinery. *)
         p.Funct.status <- Funct.Installed;

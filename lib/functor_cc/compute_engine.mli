@@ -165,8 +165,8 @@ val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
     earlier levels, so the worker side touches nothing but its own run's
     chain.  Workers evaluate built-ins only through the fold; a built-in
     it refuses (recipients, dependents, a read set, a value wider than 60
-    bits, a pending record below) is claimed and released to the
-    simulated dispatch at commit.  A plan keeps one {!par_slot} per node,
+    bits, a pending record below) is left to the simulated dispatch, as
+    under [--runtime sim].  A plan keeps one {!par_slot} per node,
     indexed by the node's position in the plan's key order, so a run's
     slots are contiguous: a user functor's claim, then its outcome.
     Every cross-cutting effect (pushes, dependent writes, waiters,
@@ -199,8 +199,7 @@ val par_eval_run :
     order, node [seg.(k)] in slot [k].  A plain built-in (non-zero
     [node_op]) takes the fold's step and, taken, gets its folded
     [node_op] as in the bind pass; any other built-in, and one the step
-    refuses, is claimed in its slot, unless it is computing on demand
-    already.  A user functor without a read set
+    refuses, is left to the dispatch.  A user functor without a read set
     is staged here (as {!par_stage}, touching only its own record); a
     staged one then gets chain-local work only: check that nothing
     below it is pending, run its handler, flip the record final, and

@@ -28,7 +28,6 @@ type stats = {
   nodes : int;
   edges : int;
   strata : int;
-  critical_path : int;
   subs_sent : int;
 }
 
@@ -551,10 +550,9 @@ let run t ~items =
         let depth, level = topo_levels ~next ~r_off ~r_adj ~indeg in
         (level, Array.fold_left max 0 depth)
   in
-  let critical_path = if strata = 0 then 0 else strata - 1 in
   let build_us = max 0 (Obs.Ledger.wall_us () - build_t0) in
   let stats =
-    { nodes = n; edges = !edges; strata; critical_path; subs_sent = !subs }
+    { nodes = n; edges = !edges; strata; subs_sent = !subs }
   in
   let pending_left = ref false in
   if n > 0 then begin
@@ -564,7 +562,6 @@ let run t ~items =
     t.m_subs_sent := !(t.m_subs_sent) + !subs;
     Sim.Metrics.record_latency t.metrics "plan.build_us" build_us;
     Sim.Metrics.record_latency t.metrics "plan.strata" strata;
-    Sim.Metrics.record_latency t.metrics "plan.critical_path" critical_path;
     (* 3r. Real runtime: evaluate the plan eagerly on the worker-domain
        pool before the simulated dispatch below.  That dispatch still
        runs with the same jobs (keeping the simulated timeline that of

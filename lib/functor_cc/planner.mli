@@ -48,10 +48,9 @@ type t
 type stats = {
   nodes : int;  (** prepared (still-pending) functors in the plan *)
   edges : int;  (** dependency edges (intra-key + read→write) *)
-  strata : int;  (** Kahn strata: independent waves of evaluation *)
-  critical_path : int;
-      (** edges on the longest dependency chain ([strata - 1] for a
-          non-empty plan) *)
+  strata : int;
+      (** Kahn strata: independent waves of evaluation; the longest
+          dependency chain has [strata - 1] edges *)
   subs_sent : int;  (** cross-partition plan subscriptions issued *)
 }
 

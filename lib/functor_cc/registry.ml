@@ -52,18 +52,4 @@ let register t name handler =
 
 let find t name = Hashtbl.find_opt t.handlers name
 
-(* "cadd": add arg0 to own key's value, abort when result < arg1 (floor).
-   The canonical conditional-transfer handler from Figure 5 (T3). *)
-let cadd ctx =
-  let current =
-    match read ctx ctx.key with Some v -> Value.to_int v | None -> 0
-  in
-  let delta = Value.to_int (arg ctx 0) in
-  let floor = Value.to_int (arg ctx 1) in
-  let result = current + delta in
-  if result < floor then Abort else Commit (Value.int result)
-
-let with_builtins () =
-  let t = create () in
-  register t "cadd" cadd;
-  t
+let with_builtins = create

@@ -52,6 +52,4 @@ val register : t -> string -> handler -> unit
 val find : t -> string -> handler option
 
 val with_builtins : unit -> t
-(** A registry preloaded with the example handlers used in docs and tests:
-    ["cadd"] (conditional add: abort when the result would go below the
-    floor given as second argument). *)
+(** An empty registry: each workload registers its own handlers. *)

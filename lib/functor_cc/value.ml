@@ -1,5 +1,4 @@
 type t =
-  | Unit
   | Int of int
   | Float of float
   | Str of string
@@ -20,7 +19,6 @@ let str s = Str s
 let tup l = Tup l
 
 let type_name = function
-  | Unit -> "unit"
   | Int _ -> "int"
   | Float _ -> "float"
   | Str _ -> "str"
@@ -47,17 +45,9 @@ let nth v i =
       walk i l
   | v -> type_error "tup" v
 
-let rec equal a b =
-  match (a, b) with
-  | Unit, Unit -> true
-  | Int x, Int y -> Int.equal x y
-  | Float x, Float y -> Float.equal x y
-  | Str x, Str y -> String.equal x y
-  | Tup x, Tup y -> List.length x = List.length y && List.for_all2 equal x y
-  | (Unit | Int _ | Float _ | Str _ | Tup _), _ -> false
+let equal (a : t) b = a = b
 
 let rec pp fmt = function
-  | Unit -> Format.pp_print_string fmt "()"
   | Int i -> Format.pp_print_int fmt i
   | Float f -> Format.fprintf fmt "%g" f
   | Str s -> Format.fprintf fmt "%S" s

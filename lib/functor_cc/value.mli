@@ -5,7 +5,6 @@
     this type.  All operations are pure. *)
 
 type t =
-  | Unit
   | Int of int
   | Float of float
   | Str of string

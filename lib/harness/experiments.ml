@@ -100,7 +100,7 @@ let table1 () =
       String.concat ", " (List.map fst Setup.engines) ];
   row "table1"
     [ "registered user handlers in the bundled workloads:";
-      "cadd, occ_validate, tpcc_neworder, tpcc_stock, tpcc_payment_cust,";
+      "occ_validate, tpcc_neworder, tpcc_stock, tpcc_payment_cust,";
       "tpcc_orderline, stpcc_neworder, stpcc_stock, stpcc_orderline";
       "(Calvin and 2PL run them in Calvin.Deployment.apply)" ]
 

@@ -11,7 +11,6 @@ type plan_row = {
   pl_nodes : int;
   pl_edges : int;
   pl_strata : int;
-  pl_critical_path : int;
 }
 
 type row = {
@@ -132,12 +131,9 @@ let note_group t ~node ~epoch ~partition ~ack_floor ~live_followers
   g.g_live_followers <- live_followers;
   g.g_degraded <- degraded
 
-let note_plan t ~node ~epoch ~nodes ~edges ~strata ~critical_path =
+let note_plan t ~node ~epoch ~nodes ~edges ~strata =
   let r = row t ~node ~epoch in
-  r.r_plan <-
-    Some
-      { pl_nodes = nodes; pl_edges = edges; pl_strata = strata;
-        pl_critical_path = critical_path }
+  r.r_plan <- Some { pl_nodes = nodes; pl_edges = edges; pl_strata = strata }
 
 let note_close t ~node ~epoch ~t_us ~watermark ~watermark_lag_us =
   let r = row t ~node ~epoch in
@@ -238,9 +234,8 @@ let row_json t r =
   | Some p ->
       Buffer.add_string b
         (Printf.sprintf
-           ",\"plan\":{\"nodes\":%d,\"edges\":%d,\"strata\":%d,\
-            \"critical_path\":%d}"
-           p.pl_nodes p.pl_edges p.pl_strata p.pl_critical_path));
+           ",\"plan\":{\"nodes\":%d,\"edges\":%d,\"strata\":%d}"
+           p.pl_nodes p.pl_edges p.pl_strata));
   if r.r_groups <> [] then begin
     Buffer.add_string b ",\"groups\":[";
     List.iteri

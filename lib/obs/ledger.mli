@@ -31,7 +31,6 @@ type plan_row = {
   pl_nodes : int;
   pl_edges : int;
   pl_strata : int;
-  pl_critical_path : int;
 }
 
 type row = {
@@ -111,7 +110,6 @@ val note_plan :
   nodes:int ->
   edges:int ->
   strata:int ->
-  critical_path:int ->
   unit
 
 val note_close :

@@ -252,16 +252,6 @@ let test_delete () =
   | None -> ()
   | Some v -> Alcotest.failf "expected tombstone, got %a" Value.pp v)
 
-let test_ack_on_install () =
-  let c = mk_cluster () in
-  let go = await c in
-  let r =
-    go 0
-      (Txn.read_write ~ack:Txn.Ack_on_install
-         [ ("k", Txn.Put (Value.int 5)) ])
-  in
-  ignore (commit_exn r)
-
 (* Cross-partition transfers: the destination functor reads the source
    account, owned by the other server.  With the §IV-B push optimisation
    off, neither recipient-set pushes nor the planner's subscriptions
@@ -421,7 +411,7 @@ let prop_tracker =
       let n = List.length s.oks in
       let tr =
         Tracker.create ~ts:(Clocksync.Timestamp.of_int 1) ~epoch:1
-          ~issued_at:0 ~ack:Txn.Ack_on_computed ~reply:ignore ~partitions:n
+          ~issued_at:0 ~reply:ignore ~partitions:n
       in
       let terminals = ref [] in
       let acks_in = ref 0 and dones_in = ref [] in
@@ -497,7 +487,6 @@ let suite =
     Alcotest.test_case "historical read" `Quick test_historical_read;
     Alcotest.test_case "read absent key" `Quick test_read_absent_key;
     Alcotest.test_case "delete tombstone" `Quick test_delete;
-    Alcotest.test_case "ack on install" `Quick test_ack_on_install;
     Alcotest.test_case "push off sends no plan subscriptions" `Quick
       test_push_off_no_plan_subs;
     Alcotest.test_case "pushes only to remote readers" `Quick

@@ -78,7 +78,7 @@ let test_same_epoch_read_sees_write () =
   Sim.Engine.run ~until:2_000 sim;
   let write_done = ref false and read_result = ref None in
   Cluster.submit c ~fe:0
-    (Txn.read_write ~ack:Txn.Ack_on_install [ ("v", Txn.Put (Value.int 2)) ])
+    (Txn.read_write [ ("v", Txn.Put (Value.int 2)) ])
     (fun _ -> write_done := true);
   (* Same instant, same epoch: the read's timestamp is assigned after the
      write's on the same FE clock. *)

@@ -741,8 +741,6 @@ let prop_planner_epoch =
           indexed
       in
       stats.Functor_cc.Planner.nodes = n_ops
-      && stats.Functor_cc.Planner.critical_path
-         = stats.Functor_cc.Planner.strata - 1
       && List.length final_order = n_ops
       && List.length distinct = n_ops
       && Engine.pending_count e = 0
@@ -926,7 +924,6 @@ let prop_planner_levels =
       in
       let stats_ok (s : Functor_cc.Planner.stats) =
         s.nodes = n && s.edges = !edges && s.strata = strata
-        && s.critical_path = strata - 1
       in
       let sim_stats, sim_state, _, _ = run_epoch None in
       stats_ok sim_stats && sim_state = serial
@@ -1175,7 +1172,6 @@ let prop_planner_mixed =
       in
       let stats_ok (s : Functor_cc.Planner.stats) =
         s.nodes = m && s.edges = !edges && s.strata = strata
-        && s.critical_path = (if m = 0 then 0 else strata - 1)
       in
       let sim_stats, sim_finals, sim_visible, _, _, _, sim_pending =
         run_epoch None

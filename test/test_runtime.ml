@@ -552,12 +552,12 @@ let test_commit_mixed_plan () =
     [ 1; 2 ]
 
 (* A built-in with recipients is not plain: the fold refuses it, so its
-   run claims it and the commit releases it to the simulated dispatch
-   (one fallback), which computes it and sends its push.  The ADD below
+   run leaves it to the simulated dispatch (no fallback: it was never
+   claimed), which computes it and sends its push.  The ADD below
    it is folded in the bind pass, and the reader of its key above it
    reads that ADD's value on the domains.  Every value and the push
    count end as under the simulated runtime. *)
-let test_builtin_with_recipients_released () =
+let test_builtin_with_recipients_to_dispatch () =
   let setup registry e install =
     Registry.register registry "br-read" (fun ctx ->
         match Registry.read ctx "br:a" with
@@ -577,7 +577,7 @@ let test_builtin_with_recipients_released () =
   List.iter
     (fun domains ->
       let real = run_plan ~domains setup in
-      Alcotest.(check int) "the ADD with recipients released" 1
+      Alcotest.(check int) "the ADD with recipients never claimed" 0
         (Sim.Metrics.get real.metrics "plan.real_fallback");
       Alcotest.(check int) "the plain ADD and the reader on the domains" 2
         (Sim.Metrics.get real.metrics "plan.real_evaluated");
@@ -1046,8 +1046,8 @@ let suite =
       test_commit_mixed_plan;
     Alcotest.test_case "fold waits for a pending version below" `Quick
       test_fold_waits_for_pending_below;
-    Alcotest.test_case "built-in with recipients released" `Quick
-      test_builtin_with_recipients_released;
+    Alcotest.test_case "pushing built-in is not claimed" `Quick
+      test_builtin_with_recipients_to_dispatch;
     QCheck_alcotest.to_alcotest prop_fold_matches_sim;
     Alcotest.test_case "evaluated plan dispatches silently" `Quick
       test_silent_dispatch;

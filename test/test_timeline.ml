@@ -46,8 +46,7 @@ let test_ledger_roundtrip () =
   Obs.Ledger.note_gate_wait l ~node:0 ~epoch:1 ~partition:0 ~wait_us:45;
   Obs.Ledger.note_group l ~node:0 ~epoch:1 ~partition:0 ~ack_floor:7
     ~live_followers:1 ~degraded:false;
-  Obs.Ledger.note_plan l ~node:0 ~epoch:1 ~nodes:4 ~edges:3 ~strata:2
-    ~critical_path:1;
+  Obs.Ledger.note_plan l ~node:0 ~epoch:1 ~nodes:4 ~edges:3 ~strata:2;
   Obs.Ledger.note_close l ~node:0 ~epoch:1 ~t_us:11_000 ~watermark:42
     ~watermark_lag_us:500;
   Obs.Ledger.note_stratum l ~node:0 ~t0_us:100 ~t1_us:250 ~size:4
