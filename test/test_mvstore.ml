@@ -520,6 +520,25 @@ let prop_chain_ops_match_reference =
         ops;
       !ok)
 
+(* A payload array past 256 words goes straight to the major heap, and
+   [Array.make] runs a minor collection first when its fill value is
+   young.  Growing a chain from 256 to 512 slots while inserting a payload
+   allocated after the last collection must not force one. *)
+let test_chain_growth_forces_no_minor () =
+  let c : int ref Chain.t = Chain.create () in
+  for v = 1 to 256 do
+    ignore (Chain.insert c ~version:v (ref v))
+  done;
+  Gc.minor ();
+  let young = ref 257 in
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  ignore (Chain.insert c ~version:257 young);
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "no minor collection" before after;
+  Alcotest.(check int) "grown" 257 (Chain.length c);
+  Alcotest.(check bool) "the new entry is stored" true
+    (Chain.payload_at c 256 == young)
+
 let suite =
   [ Alcotest.test_case "key interning" `Quick test_key_interning;
     Alcotest.test_case "intern dense ids and of_id" `Quick
@@ -532,6 +551,8 @@ let suite =
     Alcotest.test_case "chain watermark over a run" `Quick
       test_chain_watermark_over;
     Alcotest.test_case "chain iter_range" `Quick test_chain_iter_range;
+    Alcotest.test_case "chain growth forces no minor collection" `Quick
+      test_chain_growth_forces_no_minor;
     Alcotest.test_case "table window" `Quick test_table_window;
     Alcotest.test_case "table counts" `Quick test_table_counts;
     QCheck_alcotest.to_alcotest prop_chain_matches_reference;
