@@ -620,6 +620,24 @@ let fold_bind chain f ~idx ~now record (p : Funct.pending) =
   then folded_op f ~now p
   else op
 
+(* A folded node's final, from its [node_op]. *)
+let folded_final op =
+  match Funct.final_int (op asr 3) with
+  | Funct.Final final -> final
+  | Funct.Pending _ -> assert false
+
+(* The commit of a node either caller folded, from its [node_op]: its
+   result and waiter tag are there, so a node without waiters never reads
+   its record's waiter list. *)
+let commit_folded t ~key ~ver p op =
+  finish t ~key ~ver p (folded_final op) ~waiters:false;
+  op land 7 = folded_waiters
+
+let fire_folded_waiters (p : Funct.pending) op =
+  let waiters = p.Funct.waiters and final = folded_final op in
+  p.Funct.waiters <- [];
+  List.iter (fun w -> w final) waiters
+
 (* Claim [p] for the parallel path.  Mirrors [ensure_computing]'s entry
    bookkeeping so a release (or a raced on-demand read) observes a
    consistent record; workers never touch [status] otherwise. *)
@@ -754,13 +772,7 @@ let par_commit t slots k nodes i =
   let key = nodes.keys.(d) and ver = nodes.node_ver.(i) in
   let op = nodes.node_op.(i) in
   if is_folded op then begin
-    (* Folded by either caller: its result and waiter tag are in [op]. *)
-    let final =
-      match Funct.final_int (op asr 3) with
-      | Funct.Final final -> final
-      | Funct.Pending _ -> assert false
-    in
-    finish t ~key ~ver p final ~waiters:(op land 7 = folded_waiters);
+    if commit_folded t ~key ~ver p op then fire_folded_waiters p op;
     Par_evaluated
   end
   else

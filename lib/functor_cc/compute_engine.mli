@@ -117,7 +117,8 @@ val plain_op : Funct.pending -> int
     callers: the plan's bind pass and {!par_eval_run}.  Both leave a taken
     node's folded [node_op] (its result and whether its record had
     waiters) and stamp an unset [retrieved_at_us] with the plan's time,
-    and {!par_commit} commits both alike. *)
+    and both commit it through {!commit_folded}: the bind pass at once,
+    {!par_commit} after the batch barrier. *)
 
 type fold
 
@@ -142,6 +143,17 @@ val fold_bind :
 val is_folded : int -> bool
 (** Whether a [node_op] is a folded node's. *)
 
+val commit_folded :
+  t -> key:Mvstore.Key.t -> ver:int -> Funct.pending -> int -> bool
+(** [commit_folded t ~key ~ver p op]: the commit of the node at [ver] of
+    [key], pending as [p] until either caller folded it into [op]: its
+    counters and [notify_final], from [op] alone.  Returns whether its
+    record had waiters, which {!fire_folded_waiters} then fires. *)
+
+val fire_folded_waiters : Funct.pending -> int -> unit
+(** [fire_folded_waiters p op] fires the waiters of the record [p] was
+    the pending state of, with the final value folded into [op]. *)
+
 val compute_node : t -> nodes -> int -> unit
 (** Evaluate node [i] via [ensure_computing].  Idempotent: if the record
     turned final (or started computing) since the plan was built, this is
@@ -159,8 +171,8 @@ val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
 
     The [--runtime real] backend evaluates one planner level at a time on
     a pool of worker domains, one task per key run (a key's
-    version-ascending nodes at that level, in order, on one worker) that
-    the plan's bind pass did not fold whole ({!fold_bind}).  A level's
+    version-ascending nodes at that level, in order, on one worker) of the
+    nodes the plan's bind pass did not fold ({!fold_bind}).  A level's
     runs have distinct keys and only read other keys' values finalised by
     earlier levels, so the worker side touches nothing but its own run's
     chain.  Workers evaluate built-ins only through the fold; a built-in
@@ -216,9 +228,9 @@ type par_result =
 
 val par_commit : t -> par_slot array -> int -> nodes -> int -> par_result
 (** [par_commit t slots k nodes i], main domain, after the batch barrier.
-    A folded node ({!is_folded} [node_op]) commits from its [node_op] and
-    [pendings] entry, reading neither its slot nor its record: counting,
-    [notify_final] and its record's waiters.  An evaluated user functor
+    A node the workers' fold took ({!is_folded} [node_op]) commits
+    through {!commit_folded}, reading neither its slot nor its record,
+    then fires its record's waiters.  An evaluated user functor
     also sends its recipient pushes and dependent writes.  A claim left
     unevaluated is released ([Computing] → [Installed]) so the sequential
     dispatch re-evaluates it. *)

@@ -21,7 +21,9 @@ type t = {
   m_real_strata : int ref;
   m_real_evaluated : int ref;
   m_real_fallback : int ref;
-  metrics : Sim.Metrics.t;
+  h_build_us : Sim.Stats.Histogram.t;
+  h_strata : Sim.Stats.Histogram.t;
+  h_evaluate_us : Sim.Stats.Histogram.t;
 }
 
 type stats = {
@@ -36,7 +38,9 @@ let create ~engine ~pool ?real ~dispatch_cost_us ~metrics
     ?send_plan_sub
     ?(now = fun () -> 0) ?on_dispatch ?on_stratum ?on_stratum_done
     ?on_evaluated () =
-  let c = Sim.Metrics.counter metrics in
+  (* Counter and histogram handles, resolved here: a histogram is made on
+     first use, a 768-word array, so a plan makes none. *)
+  let c = Sim.Metrics.counter metrics and h = Sim.Metrics.histogram metrics in
   { engine; pool; real; dispatch_cost_us; is_local; send_plan_sub; now;
     on_dispatch; on_stratum; on_stratum_done; on_evaluated;
     m_plans = c "plan.plans";
@@ -46,7 +50,9 @@ let create ~engine ~pool ?real ~dispatch_cost_us ~metrics
     m_real_strata = c "plan.real_strata";
     m_real_evaluated = c "plan.real_evaluated";
     m_real_fallback = c "plan.real_fallback";
-    metrics }
+    h_build_us = h "plan.build_us";
+    h_strata = h "plan.strata";
+    h_evaluate_us = h "plan.evaluate_us" }
 
 (* Read→write edges as a CSR: the readers of node [u] are
    [adj.(off.(u)) .. adj.(off.(u + 1) - 1)]; both arrays are empty when the
@@ -72,7 +78,8 @@ let csr ~n read_edges =
 
 (* One topological pass (Kahn peeling with an array queue) over the plan
    graph: intra-key edges [u -> next.(u)] (-1: none) and the read→write
-   CSR [r_off]/[r_adj].  For every node it computes:
+   CSR [r_off]/[r_adj].  For every node it raises, from their starting
+   values (what the nodes outside the graph give it):
    - [depth]: 1 + the longest chain of edges reaching it — the Kahn
      stratum it would peel in, so the maximum depth is the stratum count;
    - [level]: the same longest path with intra-key edges weighing 0 and
@@ -80,9 +87,8 @@ let csr ~n read_edges =
    Both are maxima over predecessors, so the peeling order does not
    matter.  Edges strictly increase version, so the graph is a DAG and
    the pass consumes every node.  Consumes [indeg]. *)
-let topo_levels ~next ~r_off ~r_adj ~indeg =
+let topo_levels ~next ~r_off ~r_adj ~indeg ~depth ~level =
   let n = Array.length next in
-  let depth = Array.make n 1 and level = Array.make n 0 in
   let queue = Array.make n 0 and head = ref 0 and tail = ref 0 in
   let push v =
     queue.(!tail) <- v;
@@ -106,8 +112,7 @@ let topo_levels ~next ~r_off ~r_adj ~indeg =
         relax u r_adj.(k) ~w:1
       done
   done;
-  assert (!tail = n);
-  (depth, level)
+  assert (!tail = n)
 
 (* A plan's key runs, level by level: one key's version-ascending plan
    nodes at one level, a contiguous piece of the key's writer segment
@@ -178,29 +183,23 @@ let key_runs ~start ~seg ~level ~levels =
   { off; pos = Array.map (fun (_, p, _) -> p) a;
     len = Array.map (fun (_, _, m) -> m) a }
 
-(* Real runtime: evaluate the plan eagerly, level by level, one pool
-   batch per level and one task per key run, each a
-   {!Compute_engine.par_eval_run} over the run's nodes the bind pass did
-   not fold (a version-ordered prefix of each key's segment, all at level
-   0); a run it folded whole is no task, and a level without a task runs
-   no chunk.  Only the plan's readers (nodes with a read set, [readers] in
-   ascending plan order) are staged here, before their level's batch.
-   [run_batch] is the level barrier; [par_commit] then applies every
-   cross-cutting effect back on this domain, level by level and run by
-   run in plan order, so commit order does not depend on the domain count
-   or on which nodes were folded.  Returns how many nodes were
-   evaluated, [folded] of them in the bind pass. *)
+(* Real runtime: evaluate the nodes the bind pass left, level by level,
+   one pool batch per level and one task per key run, each a
+   {!Compute_engine.par_eval_run}; a level without a run runs no chunk.
+   Only the plan's readers (nodes with a read set, [readers] in ascending
+   plan order) are staged here, before their level's batch.  [run_batch]
+   is the level barrier; [par_commit] then applies every cross-cutting
+   effect back on this domain, level by level and run by run in plan
+   order, so commit order does not depend on the domain count.  The
+   [folded] nodes, which the bind pass committed, count in level 0's
+   size.  Returns how many nodes were evaluated here. *)
 let eval_levels t rpool ~now ~nodes ~seg ~runs ~level ~readers ~folded =
   let levels = Array.length runs.off - 1 in
   let rd_off, readers = by_level ~level ~levels readers in
   let n = Array.length seg in
   (* Slot [k] is node [seg.(k)]'s, so a run's slots are contiguous and
-     two domains never write one cache line but at a run's edge.  A plan
-     folded whole reads no slot. *)
-  let slots = Compute_engine.par_slots (if folded = n then 0 else n) in
-  let folded_at k =
-    Compute_engine.is_folded nodes.Compute_engine.node_op.(seg.(k))
-  in
+     two domains never write one cache line but at a run's edge. *)
+  let slots = Compute_engine.par_slots n in
   let slot_of =
     if Array.length readers = 0 then [||]
     else begin
@@ -212,7 +211,7 @@ let eval_levels t rpool ~now ~nodes ~seg ~runs ~level ~readers ~folded =
   let evaluated = ref 0 in
   for l = 0 to levels - 1 do
     let r0 = runs.off.(l) and r1 = runs.off.(l + 1) in
-    let size = ref 0 in
+    let size = ref (if l = 0 then folded else 0) in
     for r = r0 to r1 - 1 do
       size := !size + runs.len.(r)
     done;
@@ -228,25 +227,12 @@ let eval_levels t rpool ~now ~nodes ~seg ~runs ~level ~readers ~folded =
       | Some _ -> Runtime.Pool.worker_stats rpool
       | None -> [||]
     in
-    let tasks = ref [] in
-    for r = r1 - 1 downto r0 do
-      (* The folded nodes lead their segment: a run whose last node was
-         folded was folded whole. *)
-      let stop = runs.pos.(r) + runs.len.(r) in
-      if not (folded_at (stop - 1)) then begin
-        let pos = ref runs.pos.(r) in
-        while folded_at !pos do
-          incr pos
-        done;
-        let pos = !pos in
-        tasks :=
-          (fun () ->
-            Compute_engine.par_eval_run t.engine ~now slots nodes seg ~pos
-              ~len:(stop - pos))
-          :: !tasks
-      end
-    done;
-    Runtime.Pool.run_batch rpool (Array.of_list !tasks);
+    Runtime.Pool.run_batch rpool
+      (Array.init (r1 - r0) (fun r ->
+           let pos = runs.pos.(r0 + r) and len = runs.len.(r0 + r) in
+           fun () ->
+             Compute_engine.par_eval_run t.engine ~now slots nodes seg ~pos
+               ~len));
     (match t.on_stratum_done with
     | Some f ->
         let after = Runtime.Pool.worker_stats rpool in
@@ -278,24 +264,65 @@ end)
    has none), the chain index of its latest item found, where the next
    item of the key, usually the next version, is looked for first, and,
    under the real runtime, its fold while every node of the key bound so
-   far took the fold step. *)
+   far took the fold step; then its node count, and how many of those
+   nodes the bind pass folded, at chain indices [fold_lo .. fold_hi] but
+   for the [gaps] between them ([(a, b)]: the entries strictly between
+   folded indices [a] and [b] were final before the plan).  The folded
+   nodes are the key's lowest versions in the plan: a node folds only
+   over final records. *)
 type plan_key = {
   d : int;
   chain : Funct.t Mvstore.Chain.t;
   mutable cursor : int;
   mutable fold : Compute_engine.fold option;
+  mutable nodes : int;
+  mutable folded : int;
+  mutable fold_lo : int;
+  mutable fold_hi : int;
+  mutable gaps : (int * int) list;
 }
 
-(* Plan completion: one shared waiter on every node still pending once the
-   real runtime's level batches are done (every node, under the simulated
-   runtime), host-side only, so the evaluation histogram costs the
+(* How many of [k]'s folded nodes lie at chain indices <= [r]. *)
+let folded_upto k r =
+  let r = min r k.fold_hi in
+  List.fold_left
+    (fun m (a, b) -> m - max 0 (min r (b - 1) - a))
+    (r - k.fold_lo + 1) k.gaps
+
+(* The nodes the bind pass did not fold, as the parallel arrays of
+   {!Compute_engine.nodes}, made at the first such node, item
+   [first_item], with room for every item from there on; [item_node] maps
+   item [first_item + i] to its node (-1: none). *)
+type left = {
+  first_item : int;
+  item_node : int array;
+  node_key : int array;
+  node_ver : int array;
+  node_op : int array;
+  records : Funct.t array;
+  pendings : Funct.pending array;
+}
+
+let make_left ~real ~first_item ~n_items record p =
+  let cap = n_items - first_item in
+  { first_item;
+    item_node = Array.make cap (-1);
+    node_key = Array.make cap 0;
+    node_ver = Array.make cap 0;
+    node_op = (if real then Array.make cap 0 else [||]);
+    records = Array.make cap record;
+    pendings = Array.make cap p }
+
+(* Plan completion: one shared waiter on every plan node still pending
+   once the real runtime's level batches are done (every node, under the
+   simulated runtime), host-side only, so the evaluation histogram costs the
    simulation nothing.  A plan with nothing left pending completes now;
    [all_final] (the domains evaluated every node) skips the scan.
    Returns whether any node is left pending. *)
 let track_completion t ~sim_t0 ~(nodes : Compute_engine.nodes) ~n ~all_final =
   let finish () =
     let elapsed_us = t.now () - sim_t0 in
-    Sim.Metrics.record_latency t.metrics "plan.evaluate_us" elapsed_us;
+    Sim.Stats.Histogram.add t.h_evaluate_us elapsed_us;
     match t.on_evaluated with Some f -> f ~elapsed_us | None -> ()
   in
   let remaining = ref 0 in
@@ -317,22 +344,26 @@ let run t ~items =
   let build_t0 = Obs.Ledger.wall_us () in
   let sim_t0 = t.now () in
   let n_items = List.length items in
-  (* 1. Prepare: bind each still-pending item to its record, as plan node
-     [n] in item order.  Already-final items (blind VALUE/DELETE writes,
-     raced computations) carry no node ([item_node] -1) but still get a
-     dispatch job below, so the simulator sees one job per buffered item.
-     Every distinct key gets a dense index [d] on first sight — one
-     int-keyed probe per item — and its chain is looked up once, there.
-     Installs arrive mostly in version order, so an item's record is
-     usually the chain entry after its key's previous item's, and the
-     chain is searched only when it is not.  The real runtime evaluates
-     plain built-ins here, while the record is at hand: each key's fold
-     takes its nodes in bind order until the first it cannot take (a
-     user functor, a pending record below, a result too wide), whose key
-     leaves the rest to the level batches. *)
+  let real = Option.is_some t.real in
+  (* 1. Prepare: bind each still-pending item to its record, in item
+     order.  Already-final items (blind VALUE/DELETE writes, raced
+     computations) carry no node but still get a dispatch job below, so
+     the simulator sees one job per buffered item.  Every distinct key
+     gets a dense index [d] on first sight — one int-keyed probe per
+     item — and its chain is looked up once, there.  Installs arrive
+     mostly in version order, so an item's record is usually the chain
+     entry after its key's previous item's, and the chain is searched
+     only when it is not.  The real runtime evaluates plain built-ins
+     here, while the record is at hand: each key's fold takes its nodes in
+     bind order until the first it cannot take (a user functor, a pending
+     record below, a result too wide), whose key leaves the rest to the
+     level batches.  A node the fold takes is committed at once, in
+     install order (its waiters fire once the pass is over, so that none
+     runs while the pass holds unpublished stretches), and it gets no
+     plan entry; the others become plan node [n] of [left]. *)
   let table = Compute_engine.table t.engine in
   let key_index = Int_tbl.create 64 in
-  let seen = ref [] and n_keys = ref 0 and folded = ref 0 in
+  let seen = ref [] and n_keys = ref 0 in
   let plan_key key =
     let kid = Key.id key in
     match Int_tbl.find key_index kid with
@@ -343,23 +374,18 @@ let run t ~items =
           | Some chain -> chain
           | None -> Mvstore.Chain.create ()
         in
-        let fold =
-          if Option.is_some t.real then Some (Compute_engine.fold_start ())
-          else None
+        let fold = if real then Some (Compute_engine.fold_start ()) else None in
+        let k =
+          { d = !n_keys; chain; cursor = -1; fold; nodes = 0; folded = 0;
+            fold_lo = 0; fold_hi = 0; gaps = [] }
         in
-        let k = { d = !n_keys; chain; cursor = -1; fold } in
         seen := (key, k) :: !seen;
         Int_tbl.add key_index kid k;
         incr n_keys;
         k
   in
-  let item_node = Array.make n_items (-1) in
-  let node_key = Array.make n_items 0 and node_ver = Array.make n_items 0 in
-  let node_op = if Option.is_some t.real then Array.make n_items 0 else [||] in
-  (* [records] and [pendings] are allocated at the first node, [n_items]
-     long *)
-  let records = ref [||] and pendings = ref [||] in
-  let n = ref 0 and readers = ref [] in
+  let left = ref None and n = ref 0 and readers = ref [] in
+  let total = ref 0 and folded = ref 0 and waiting = ref [] in
   List.iteri
     (fun i { Processor.key; version } ->
       let k = plan_key key in
@@ -376,36 +402,50 @@ let run t ~items =
         match record.Funct.state with
         | Funct.Final _ -> ()
         | Funct.Pending p ->
-            let m = !n in
-            if m = 0 then begin
-              records := Array.make n_items record;
-              pendings := Array.make n_items p
-            end;
-            !records.(m) <- record;
-            !pendings.(m) <- p;
-            node_key.(m) <- k.d;
-            node_ver.(m) <- version;
-            if Array.length node_op > 0 then
-              node_op.(m) <-
-                (match k.fold with
-                | None -> Compute_engine.plain_op p
-                | Some f ->
-                    let op =
-                      Compute_engine.fold_bind chain f ~idx:j ~now:sim_t0
-                        record p
-                    in
-                    if Compute_engine.is_folded op then incr folded
-                    else begin
-                      Compute_engine.fold_publish chain f;
-                      k.fold <- None
-                    end;
-                    op);
-            if p.farg.Funct.read_set <> [] then readers := m :: !readers;
-            item_node.(i) <- m;
-            n := m + 1
+            incr total;
+            k.nodes <- k.nodes + 1;
+            let op =
+              match k.fold with
+              | None -> if real then Compute_engine.plain_op p else 0
+              | Some f ->
+                  Compute_engine.fold_bind chain f ~idx:j ~now:sim_t0 record p
+            in
+            if Compute_engine.is_folded op then begin
+              if k.folded = 0 then k.fold_lo <- j
+              else if j > k.fold_hi + 1 then k.gaps <- (k.fold_hi, j) :: k.gaps;
+              k.fold_hi <- j;
+              k.folded <- k.folded + 1;
+              incr folded;
+              if Compute_engine.commit_folded t.engine ~key ~ver:version p op
+              then waiting := (p, op) :: !waiting
+            end
+            else begin
+              (match k.fold with
+              | Some f ->
+                  Compute_engine.fold_publish chain f;
+                  k.fold <- None
+              | None -> ());
+              let a =
+                match !left with
+                | Some a -> a
+                | None ->
+                    let a = make_left ~real ~first_item:i ~n_items record p in
+                    left := Some a;
+                    a
+              in
+              let m = !n in
+              a.records.(m) <- record;
+              a.pendings.(m) <- p;
+              a.node_key.(m) <- k.d;
+              a.node_ver.(m) <- version;
+              if real then a.node_op.(m) <- op;
+              if p.farg.Funct.read_set <> [] then readers := m :: !readers;
+              a.item_node.(i - a.first_item) <- m;
+              n := m + 1
+            end
       end)
     items;
-  let n = !n and n_keys = !n_keys and folded = !folded in
+  let n = !n and n_keys = !n_keys and total = !total and folded = !folded in
   let readers = Array.of_list (List.rev !readers) in
   let seen = Array.of_list (List.rev !seen) in
   let keys = Array.map fst seen
@@ -416,11 +456,21 @@ let run t ~items =
       | Some f -> Compute_engine.fold_publish k.chain f
       | None -> ())
     seen;
-  let records = !records and pendings = !pendings in
+  List.iter
+    (fun (p, op) -> Compute_engine.fire_folded_waiters p op)
+    (List.rev !waiting);
+  t.m_real_evaluated := !(t.m_real_evaluated) + folded;
   let nodes =
-    { Compute_engine.keys; chains; node_key; node_ver; node_op; records;
-      pendings }
+    match !left with
+    | Some a ->
+        { Compute_engine.keys; chains; node_key = a.node_key;
+          node_ver = a.node_ver; node_op = a.node_op; records = a.records;
+          pendings = a.pendings }
+    | None ->
+        { Compute_engine.keys; chains; node_key = [||]; node_ver = [||];
+          node_op = [||]; records = [||]; pendings = [||] }
   in
+  let node_key = nodes.node_key and node_ver = nodes.node_ver in
   (* 2. Writer segments: a counting sort of the node indices by key.  Key
      [d]'s nodes are [seg.(start.(d)) .. seg.(start.(d + 1) - 1)], placed
      in plan order; installs arrive mostly in version order, so a segment
@@ -488,23 +538,27 @@ let run t ~items =
      at version - 1; for user functors the edge is conservative (the
      watermark publishes in version order even though their records may
      finalise out of it).  They weigh no level: a key's run is evaluated
-     in version order on one worker.  A segment of [m] nodes holds
-     [m - 1] of them. *)
-  let edges = ref 0 and longest = ref 0 in
-  for d = 0 to n_keys - 1 do
-    let m = start.(d + 1) - start.(d) in
-    if m > 0 then edges := !edges + m - 1;
-    if m > !longest then longest := m
-  done;
+     in version order on one worker.  A key of [m] nodes, folded or not,
+     holds [m - 1] of them. *)
+  let edges = ref 0 and longest = ref 0 and longest_folded = ref 0 in
+  Array.iter
+    (fun (_, k) ->
+      if k.nodes > 0 then edges := !edges + k.nodes - 1;
+      if k.nodes > !longest then longest := k.nodes;
+      if k.folded > !longest_folded then longest_folded := k.folded)
+    seen;
   let subs = ref 0 in
   (* 3b. Read→write edges for explicit read sets, own key included.  They
      weigh one level: the reader is staged on the orchestrator, which
      needs its producers final before the reader's batch starts.  The
-     real runtime stages exactly the nodes collected in [readers]. *)
-  let read_edges = ref [] in
+     real runtime stages exactly the nodes collected in [readers].  A
+     producer the bind pass folded is final already and outside the
+     graph: it only lifts its reader to level 1 and past its own depth,
+     its place in its key's folded run. *)
+  let read_edges = ref [] and folded_reads = ref [] in
   Array.iter
     (fun i ->
-      let p = pendings.(i) in
+      let p = nodes.pendings.(i) in
       let key = keys.(node_key.(i)) in
       let ver = node_ver.(i) in
       let pushed = p.Funct.farg.Funct.pushed_reads in
@@ -513,10 +567,21 @@ let run t ~items =
           if t.is_local rk then begin
             match Int_tbl.find key_index (Key.id rk) with
             | exception Not_found -> ()
-            | { d; _ } ->
-                let j = producer_le d ~bound:(ver - 1) in
+            | rk ->
+                let bound = ver - 1 in
+                let j = producer_le rk.d ~bound in
                 if j >= 0 then begin
                   read_edges := (j, i) :: !read_edges;
+                  incr edges
+                end
+                else if
+                  rk.folded > 0
+                  && Mvstore.Chain.version_at rk.chain rk.fold_lo <= bound
+                then begin
+                  let place =
+                    folded_upto rk (Mvstore.Chain.rank rk.chain ~version:bound)
+                  in
+                  folded_reads := (i, place) :: !folded_reads;
                   incr edges
                 end
           end
@@ -532,41 +597,54 @@ let run t ~items =
         p.farg.Funct.read_set)
     readers;
   (* Without read edges every node is level 0 and its depth is its
-     position in its segment plus one, so the strata are the longest
-     segment; otherwise one topological pass gives both. *)
+     position in its key's nodes plus one, so the strata are the longest
+     key; otherwise one topological pass over the nodes the bind pass left
+     gives both, a segment's head starting past its key's folded run. *)
   let level, strata =
-    match !read_edges with
-    | [] -> ([||], !longest)
-    | read_edges ->
+    match (!read_edges, !folded_reads) with
+    | [], [] -> ([||], !longest)
+    | read_edges, folded_reads ->
         let next = Array.make n (-1) and indeg = Array.make n 0 in
+        let depth = Array.make n 1 and level = Array.make n 0 in
+        Array.iter
+          (fun (_, k) ->
+            if k.nodes > k.folded then
+              depth.(seg.(start.(k.d))) <- k.folded + 1)
+          seen;
         for d = 0 to n_keys - 1 do
           for k = start.(d) + 1 to start.(d + 1) - 1 do
             next.(seg.(k - 1)) <- seg.(k);
             indeg.(seg.(k)) <- indeg.(seg.(k)) + 1
           done
         done;
+        List.iter
+          (fun (i, place) ->
+            depth.(i) <- max depth.(i) (place + 1);
+            level.(i) <- 1)
+          folded_reads;
         List.iter (fun (_, i) -> indeg.(i) <- indeg.(i) + 1) read_edges;
         let r_off, r_adj = csr ~n read_edges in
-        let depth, level = topo_levels ~next ~r_off ~r_adj ~indeg in
-        (level, Array.fold_left max 0 depth)
+        topo_levels ~next ~r_off ~r_adj ~indeg ~depth ~level;
+        (level, max !longest_folded (Array.fold_left max 0 depth))
   in
   let build_us = max 0 (Obs.Ledger.wall_us () - build_t0) in
   let stats =
-    { nodes = n; edges = !edges; strata; subs_sent = !subs }
+    { nodes = total; edges = !edges; strata; subs_sent = !subs }
   in
   let pending_left = ref false in
-  if n > 0 then begin
+  if total > 0 then begin
     incr t.m_plans;
-    t.m_nodes := !(t.m_nodes) + n;
+    t.m_nodes := !(t.m_nodes) + total;
     t.m_edges := !(t.m_edges) + !edges;
     t.m_subs_sent := !(t.m_subs_sent) + !subs;
-    Sim.Metrics.record_latency t.metrics "plan.build_us" build_us;
-    Sim.Metrics.record_latency t.metrics "plan.strata" strata;
-    (* 3r. Real runtime: evaluate the plan eagerly on the worker-domain
-       pool before the simulated dispatch below.  That dispatch still
-       runs with the same jobs (keeping the simulated timeline that of
-       `--runtime sim`): evaluated records no-op, while items the stager
-       rejected are computed there with the full machinery. *)
+    Sim.Stats.Histogram.add t.h_build_us build_us;
+    Sim.Stats.Histogram.add t.h_strata strata;
+    (* 3r. Real runtime: evaluate the nodes the bind pass left eagerly on
+       the worker-domain pool before the simulated dispatch below.  That
+       dispatch still runs with the same jobs (keeping the simulated
+       timeline that of `--runtime sim`): evaluated records no-op, while
+       items the stager rejected are computed there with the full
+       machinery. *)
     let all_final =
       match t.real with
       | Some rpool ->
@@ -582,9 +660,9 @@ let run t ~items =
   (* 4. Dispatch one job per *item* in install order, [dispatch_cost_us]
      each, as one worker-pool run, so the simulated job sequence does not
      depend on the graph's shape or the runtime.  Items without a node
-     were already final and dispatch as no-ops.  When the real runtime
-     left no node pending, every job would be a no-op: the run is silent
-     (no callback; one completion per worker lane on an idle pool).
+     (already final, or folded) dispatch as no-ops.  When the real
+     runtime left no node pending, every job would be a no-op: the run is
+     silent (no callback; one completion per worker lane on an idle pool).
      Otherwise the run releases each node as its job fires: jobs of one
      run complete in index order and node indices follow item order, so
      a fired node's entries (and every unused one past [n]) can point at
@@ -593,28 +671,32 @@ let run t ~items =
   | Some f ->
       List.iter (fun { Processor.key; version } -> f ~key ~version) items
   | None -> ());
-  if Option.is_some t.real && not !pending_left then
-    Sim.Worker_pool.submit_silent t.pool ~cost:t.dispatch_cost_us
-      ~count:n_items
-  else begin
-    let live = ref (Some nodes) in
-    if n > 0 then begin
-      Array.fill records n (n_items - n) records.(n - 1);
-      Array.fill pendings n (n_items - n) pendings.(n - 1)
-    end;
-    let job i =
-      let j = item_node.(i) in
-      match !live with
-      | Some nodes when j >= 0 ->
-          Compute_engine.compute_node t.engine nodes j;
-          if j = n - 1 then live := None
-          else begin
-            records.(j) <- records.(n - 1);
-            pendings.(j) <- pendings.(n - 1)
-          end
-      | Some _ | None -> ()
-    in
-    Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
-      job
-  end;
+  (match !left with
+  | Some a when (not real) || !pending_left ->
+      let records = a.records and pendings = a.pendings in
+      let live = ref (Some nodes) in
+      let cap = Array.length records in
+      Array.fill records n (cap - n) records.(n - 1);
+      Array.fill pendings n (cap - n) pendings.(n - 1);
+      let job i =
+        let j = if i < a.first_item then -1 else a.item_node.(i - a.first_item) in
+        match !live with
+        | Some nodes when j >= 0 ->
+            Compute_engine.compute_node t.engine nodes j;
+            if j = n - 1 then live := None
+            else begin
+              records.(j) <- records.(n - 1);
+              pendings.(j) <- pendings.(n - 1)
+            end
+        | Some _ | None -> ()
+      in
+      Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
+        job
+  | Some _ | None ->
+      if real then
+        Sim.Worker_pool.submit_silent t.pool ~cost:t.dispatch_cost_us
+          ~count:n_items
+      else
+        Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
+          (fun _ -> ()));
   stats

@@ -84,9 +84,14 @@ val create :
     version-ascending run of nodes at that level, a piece of the key's
     segment in the plan's counting sort by key, evaluated in order on one
     worker, so an epoch of built-ins alone is a single batch whose runs
-    are the key segments ({!Compute_engine.par_eval_run} folds each).  The
-    plan keeps its nodes and evaluation state flat: parallel arrays of
-    records and versions ({!Compute_engine.nodes}) and one
+    are the key segments.  The plan's bind pass folds each key's plain
+    built-ins first, in install order, and commits each node it folds at
+    once ({!Compute_engine.commit_folded}; the waiters of their records
+    fire once the pass is over); such a node gets no plan entry, so an
+    epoch of plain built-ins alone runs no batch and allocates nothing per
+    node.  The plan keeps the other nodes and their evaluation state
+    flat: parallel arrays of records and versions
+    ({!Compute_engine.nodes}), made at the first such node, and one
     {!Compute_engine.par_slot} per node in key order (claim, then
     outcome).  User functors with read sets (the readers the plan build
     collects) are staged on the calling domain before their level's

@@ -45,15 +45,19 @@ let rank_le t v =
     !ans
   end
 
-(* Make room for one more entry; capacity grows 1, 2, 4, ...  [payload],
-   the entry about to be stored, fills the new payload slots. *)
+(* Make room for one more entry; capacity grows 1, 2, 4, ...  The new
+   payload slots are filled with entry 0 ([payload], the entry about to
+   be stored, in an empty chain): an array past 256 words is made in the
+   major heap, and a young fill value, as a just-built payload is, would
+   make [Array.make] run a minor collection first. *)
 let grow t payload =
   let capacity = Array.length t.vers in
   if t.size = capacity then begin
     let new_capacity = if capacity = 0 then 1 else capacity * 2 in
     let vers = Array.make new_capacity 0 in
     Array.blit t.vers 0 vers 0 t.size;
-    let payloads = Array.make new_capacity payload in
+    let fill = if t.size > 0 then t.payloads.(0) else payload in
+    let payloads = Array.make new_capacity fill in
     Array.blit t.payloads 0 payloads 0 t.size;
     t.vers <- vers;
     t.payloads <- payloads

@@ -1023,7 +1023,9 @@ let prop_planner_mixed =
                     0 ctx.Registry.reads)));
         let finals = Hashtbl.create 64 in
         (* The level batch in progress, -1 before the first; a node's
-           level is the batch whose commit finalised it. *)
+           level is the batch whose commit finalised it, and a node the
+           bind pass folded, committed before the first batch, is at
+           level 0. *)
         let batch = ref (-1) in
         let levels = Hashtbl.create 64 in
         let callbacks =
@@ -1034,7 +1036,8 @@ let prop_planner_mixed =
             notify_final =
               (fun ~key ~version ~pending:_ ~final ->
                 Hashtbl.replace finals (Mvstore.Key.name key, version) final;
-                Hashtbl.replace levels (Mvstore.Key.name key, version) !batch);
+                Hashtbl.replace levels (Mvstore.Key.name key, version)
+                  (max 0 !batch));
             exec = (fun ~cost k -> Sim.Worker_pool.submit pool ~cost k);
             now = (fun () -> Sim.Engine.now sim) }
         in
