@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check dead-exports census census-test clean loc bench bench-smoke bench-guard real-smoke e2e-pair e2e-pair-test figs-pair chaos chaos-smoke chaos-digests chaos-digests-check replication replication-smoke availability fastpath fastpath-smoke obs-smoke
+.PHONY: all build test fmt check dead-exports census census-test clean loc bench bench-smoke bench-guard micro-pair micro-pair-test real-smoke e2e-pair e2e-pair-test figs-pair chaos chaos-smoke chaos-digests chaos-digests-check replication replication-smoke availability fastpath fastpath-smoke obs-smoke
 
 all: build
 
@@ -19,7 +19,7 @@ bench:
 # own: after fig6 in one process its ns/op read up to 200x their
 # standalone values.  Each run truncates BENCH.jsonl, so fig6's records
 # are kept as BENCH_fig6.jsonl and BENCH.jsonl holds the micro record
-# alone (the one the baseline guard reads).
+# alone.
 bench-smoke:
 	dune exec bench/main.exe -- fig6
 	mv BENCH.jsonl BENCH_fig6.jsonl
@@ -29,12 +29,25 @@ bench-smoke:
 	python3 ci/check_bench_regression.py BENCH_fig6.jsonl BENCH.jsonl \
 	  TELEMETRY.jsonl
 
-# Compare the micro suite against the committed baseline; fails on >30%
-# ns/op regressions (see ci/check_bench_regression.py for how to update).
+# The micro suite against the parent commit's, run side by side (see
+# micro-pair).
 bench-guard:
-	dune exec bench/main.exe -- micro
-	python3 ci/check_bench_regression.py BENCH.jsonl \
-	  --baseline bench/baseline_micro.jsonl
+	$(MAKE) micro-pair BASE=HEAD~1
+
+# Paired micro-benchmark runs of BASE against the working tree:
+# bench/main.exe micro five times in each tree, alternating which runs
+# first, then a gate on each micro's median: it fails on a micro more
+# than 30% slower than BASE's (BENCH_REGRESSION_THRESHOLD=0.5 makes it
+# 50%) or missing.  BASE is exported with git archive into a temporary
+# directory; the records land in micro-pair/base.jsonl and head.jsonl.
+#   make micro-pair BASE=HEAD~1
+micro-pair:
+	@test -n "$(BASE)" || { echo "usage: make micro-pair BASE=<rev>"; exit 2; }
+	python3 ci/micro_pair.py --base $(BASE)
+
+# The micro pair gate's fixture tests (no benchmark is run).
+micro-pair-test:
+	python3 ci/test_micro_pair.py
 
 # Paired end-to-end runs of BASE against the working tree: every
 # workload (or WORKLOADS="a b"), seeds 1-5 (or SEEDS=1,2,3), 20 s each,
@@ -208,7 +221,8 @@ dead-exports:
 # runs, the quick figures; no tests, about 20 min on 2 cores), and print
 # per library the match/function arms, try handlers, then/else branches
 # and function bodies no run reached.  Exits 1 on such an arm of
-# lib/alohadb or lib/functor_cc that ci/census_allow.txt does not excuse,
+# lib/alohadb, lib/functor_cc, lib/mvstore or lib/runtime that
+# ci/census_allow.txt does not excuse,
 # and on a stale allowlist entry; _census/unreached.txt lists every
 # unreached arm of every library (ci/census.py).
 census:
@@ -221,8 +235,8 @@ census-test:
 # fmt + build + full test run (the fastpath suite is part of dune
 # runtest; run it alone with: dune exec test/test_main.exe -- test fastpath)
 # + the dead-export scan + the census report tests + the e2e-pair verdict
-# tests + the chaos digest diff.
-check: fmt build test dead-exports census-test e2e-pair-test chaos-digests-check
+# and micro-pair gate tests + the chaos digest diff.
+check: fmt build test dead-exports census-test e2e-pair-test micro-pair-test chaos-digests-check
 
 clean:
 	dune clean

@@ -40,7 +40,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GATED = ("lib/alohadb", "lib/functor_cc")
+GATED = ("lib/alohadb", "lib/functor_cc", "lib/mvstore", "lib/runtime")
 ALLOW = os.path.join(ROOT, "ci", "census_allow.txt")
 REASON_KINDS = ("observer", "test fake", "mechanism", "guard")
 QUICK_FIGURES = ["table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Check measurement records, and fail CI when a micro-benchmark regresses.
+"""Check measurement records.
 
 Usage:
-    python3 ci/check_bench_regression.py FILE... [--baseline BASELINE]
+    python3 ci/check_bench_regression.py FILE...
     python3 ci/check_bench_regression.py --validate-timeline TIMELINE.jsonl
 
 Every FILE is JSONL, one measurement record per line, the shape that
@@ -20,12 +20,8 @@ records sharing suite and labels), then runs every check in CHECKS whose
 suite is present, over that suite's records from all the files.  Any
 failure exits 1.
 
-With --baseline, the micro record among the FILEs is compared with the
-baseline's micro record: the run fails if any benchmark is more than
-THRESHOLD slower (default 30%, override with BENCH_REGRESSION_THRESHOLD,
-e.g. "0.5" for 50%) or if a baseline benchmark is missing, so coverage
-cannot silently shrink.  New benchmarks are reported but do not fail
-the check until they are added to the baseline.
+Micro-benchmark regressions are gated by ci/micro_pair.py, which runs
+a base revision and the working tree side by side.
 
 --validate-timeline validates an epoch-ledger timeline (the append-only
 JSONL the `alohadb_cli timeline` subcommand emits; one meta-delimited
@@ -265,70 +261,6 @@ def run_checks(records):
     return suites, failures
 
 
-# ---- micro threshold gate -------------------------------------------------
-
-def micro_of(records, what):
-    """The one micro record's {name: ns} and the file it came from."""
-    micro = [(where, r) for where, r in records if r["suite"] == "micro"]
-    if len(micro) != 1:
-        sys.exit(f"error: expected one micro record in {what}, found "
-                 f"{len(micro)}")
-    where, rec = micro[0]
-    return ({name: m["value"] for name, m in rec["metrics"].items()},
-            where.rsplit(":", 1)[0])
-
-
-def micro_gate(current, current_path, baseline, baseline_path):
-    threshold = float(os.environ.get("BENCH_REGRESSION_THRESHOLD", "0.30"))
-    regressions = []
-    missing = sorted(set(baseline) - set(current))
-    new = sorted(set(current) - set(baseline))
-
-    print(f"{'benchmark':48} {'baseline':>12} {'current':>12} {'delta':>8}")
-    for name in sorted(baseline):
-        if name not in current:
-            continue
-        base, cur = baseline[name], current[name]
-        delta = (cur - base) / base if base > 0 else 0.0
-        flag = "  <-- REGRESSION" if delta > threshold else ""
-        print(f"{name:48} {base:10.1f}ns {cur:10.1f}ns {delta:+7.1%}{flag}")
-        if delta > threshold:
-            regressions.append((name, base, cur, delta))
-    for name in new:
-        print(f"{name:48} {'(new)':>12} {current[name]:10.1f}ns")
-
-    ok = True
-    if missing:
-        ok = False
-        print(f"\nerror: benchmark(s) missing from {current_path}:", file=sys.stderr)
-        for name in missing:
-            print(f"  - {name}", file=sys.stderr)
-    if regressions:
-        ok = False
-        print(
-            f"\nerror: {len(regressions)} benchmark(s) regressed more than "
-            f"{threshold:.0%} vs {baseline_path}:",
-            file=sys.stderr,
-        )
-        for name, base, cur, delta in regressions:
-            print(
-                f"  - {name}: {base:.1f} -> {cur:.1f} ns/op ({delta:+.1%})",
-                file=sys.stderr,
-            )
-    if not ok:
-        print(
-            "\nIf this slowdown is intentional (e.g. the primitive now does"
-            " more work), refresh the baseline and commit it:\n"
-            "    dune exec bench/main.exe -- micro\n"
-            f"    grep '\"suite\":\"micro\"' BENCH.jsonl > {baseline_path}\n"
-            "and explain the regression in the commit message.",
-            file=sys.stderr,
-        )
-        return False
-    print("\nbench regression check passed")
-    return True
-
-
 def parse_timeline(path):
     """Split a TIMELINE.jsonl into meta-delimited segments.
 
@@ -531,15 +463,8 @@ def main(argv):
         report_timeline(path, segments)
         return 0
     args = argv[1:]
-    baseline_path = None
-    if "--baseline" in args:
-        i = args.index("--baseline")
-        if i + 1 >= len(args):
-            sys.exit(f"usage: {argv[0]} FILE... [--baseline BASELINE]")
-        baseline_path = args[i + 1]
-        args = args[:i] + args[i + 2:]
     if not args:
-        sys.exit(f"usage: {argv[0]} FILE... [--baseline BASELINE]")
+        sys.exit(f"usage: {argv[0]} FILE...")
 
     records, problems = load_records(args)
     suites, failures = run_checks(records)
@@ -552,17 +477,7 @@ def main(argv):
           f"{checked} suite check(s) passed: "
           + ", ".join(f"{s} {len(rs)}" for s, rs in sorted(suites.items())))
 
-    if baseline_path is None:
-        return 0
-    baseline_records, problems = load_records([baseline_path])
-    for p in problems:
-        print(f"error: {p}", file=sys.stderr)
-    if problems:
-        return 1
-    current, current_path = micro_of(records, " ".join(args))
-    baseline, _ = micro_of(baseline_records, baseline_path)
-    ok = micro_gate(current, current_path, baseline, baseline_path)
-    return 0 if ok else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Tests for ci/check_bench_regression.py: one good file passes, and each
-shape rule, suite check and micro-gate rule fails on a fixture built to
-break it.
+shape rule and suite check fails on a fixture built to break it.
 
     python3 ci/test_check_bench_regression.py
 """
@@ -262,48 +261,6 @@ class GateTest(unittest.TestCase):
         del bad["metrics"]["tps"]
         self.assert_fails(self.replace("fastpath", "mode", "on", bad),
                           "metrics are committed, tps")
-
-    # ---- micro gate ----
-
-    def test_micro_within_threshold(self):
-        current = self.write("BENCH.jsonl", good())
-        base = self.write("base.jsonl", [micro(a=90.0, b=2.5)])
-        code, out, err = self.run_gate(current, "--baseline", base)
-        self.assertEqual(code, 0, err)
-        self.assertIn("bench regression check passed", out)
-
-    def test_micro_regression(self):
-        current = self.write("BENCH.jsonl", good())
-        base = self.write("base.jsonl", [micro(a=70.0, b=2.5)])
-        code, out, err = self.run_gate(current, "--baseline", base)
-        self.assertEqual(code, 1)
-        self.assertIn("<-- REGRESSION", out)
-        self.assertIn("regressed more than 30%", err)
-        code, _, err = self.run_gate(current, "--baseline", base,
-                                     env={"BENCH_REGRESSION_THRESHOLD": "0.50"})
-        self.assertEqual(code, 0, err)
-
-    def test_micro_missing_name(self):
-        current = self.write("BENCH.jsonl", good())
-        base = self.write("base.jsonl", [micro(a=100.0, b=2.5, c=1.0)])
-        code, _, err = self.run_gate(current, "--baseline", base)
-        self.assertEqual(code, 1)
-        self.assertIn("missing from", err)
-        self.assertIn("  - c", err)
-
-    def test_micro_new_name_only_reported(self):
-        current = self.write("BENCH.jsonl", good())
-        base = self.write("base.jsonl", [micro(a=100.0)])
-        code, out, err = self.run_gate(current, "--baseline", base)
-        self.assertEqual(code, 0, err)
-        self.assertIn("(new)", out)
-
-    def test_micro_record_required(self):
-        current = self.write("BENCH.jsonl", [r for r in good() if r["suite"] != "micro"])
-        base = self.write("base.jsonl", [micro(a=100.0)])
-        code, _, err = self.run_gate(current, "--baseline", base)
-        self.assertEqual(code, 1)
-        self.assertIn("expected one micro record", err)
 
     # ---- --validate-timeline --------------------------------------------
 

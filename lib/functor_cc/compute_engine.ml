@@ -633,7 +633,7 @@ let commit_folded t ~key ~ver p op =
   finish t ~key ~ver p (folded_final op) ~waiters:false;
   op land 7 = folded_waiters
 
-let fire_folded_waiters (p : Funct.pending) op =
+let fire_folded_waiters ((p : Funct.pending), op) =
   let waiters = p.Funct.waiters and final = folded_final op in
   p.Funct.waiters <- [];
   List.iter (fun w -> w final) waiters
@@ -772,7 +772,7 @@ let par_commit t slots k nodes i =
   let key = nodes.keys.(d) and ver = nodes.node_ver.(i) in
   let op = nodes.node_op.(i) in
   if is_folded op then begin
-    if commit_folded t ~key ~ver p op then fire_folded_waiters p op;
+    if commit_folded t ~key ~ver p op then fire_folded_waiters (p, op);
     Par_evaluated
   end
   else

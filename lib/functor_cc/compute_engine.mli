@@ -150,8 +150,8 @@ val commit_folded :
     counters and [notify_final], from [op] alone.  Returns whether its
     record had waiters, which {!fire_folded_waiters} then fires. *)
 
-val fire_folded_waiters : Funct.pending -> int -> unit
-(** [fire_folded_waiters p op] fires the waiters of the record [p] was
+val fire_folded_waiters : Funct.pending * int -> unit
+(** [fire_folded_waiters (p, op)] fires the waiters of the record [p] was
     the pending state of, with the final value folded into [op]. *)
 
 val compute_node : t -> nodes -> int -> unit

@@ -264,8 +264,8 @@ end)
    has none), the chain index of its latest item found, where the next
    item of the key, usually the next version, is looked for first, and,
    under the real runtime, its fold while every node of the key bound so
-   far took the fold step; then its node count, and how many of those
-   nodes the bind pass folded, at chain indices [fold_lo .. fold_hi] but
+   far took the fold step; then how many of its nodes the bind pass
+   folded, at chain indices [fold_lo .. fold_hi] but
    for the [gaps] between them ([(a, b)]: the entries strictly between
    folded indices [a] and [b] were final before the plan).  The folded
    nodes are the key's lowest versions in the plan: a node folds only
@@ -275,7 +275,6 @@ type plan_key = {
   chain : Funct.t Mvstore.Chain.t;
   mutable cursor : int;
   mutable fold : Compute_engine.fold option;
-  mutable nodes : int;
   mutable folded : int;
   mutable fold_lo : int;
   mutable fold_hi : int;
@@ -291,8 +290,9 @@ let folded_upto k r =
 
 (* The nodes the bind pass did not fold, as the parallel arrays of
    {!Compute_engine.nodes}, made at the first such node, item
-   [first_item], with room for every item from there on; [item_node] maps
-   item [first_item + i] to its node (-1: none). *)
+   [first_item], with room for every item from there on (empty, with
+   [first_item] past the last item, until then); [item_node] maps item
+   [first_item + i] to its node (-1: none). *)
 type left = {
   first_item : int;
   item_node : int array;
@@ -376,16 +376,21 @@ let run t ~items =
         in
         let fold = if real then Some (Compute_engine.fold_start ()) else None in
         let k =
-          { d = !n_keys; chain; cursor = -1; fold; nodes = 0; folded = 0;
-            fold_lo = 0; fold_hi = 0; gaps = [] }
+          { d = !n_keys; chain; cursor = -1; fold; folded = 0; fold_lo = 0;
+            fold_hi = 0; gaps = [] }
         in
         seen := (key, k) :: !seen;
         Int_tbl.add key_index kid k;
         incr n_keys;
         k
   in
-  let left = ref None and n = ref 0 and readers = ref [] in
-  let total = ref 0 and folded = ref 0 and waiting = ref [] in
+  let left =
+    ref
+      { first_item = n_items; item_node = [||]; node_key = [||];
+        node_ver = [||]; node_op = [||]; records = [||]; pendings = [||] }
+  in
+  let n = ref 0 and readers = ref [] in
+  let folded = ref 0 and waiting = ref [] in
   List.iteri
     (fun i { Processor.key; version } ->
       let k = plan_key key in
@@ -402,8 +407,6 @@ let run t ~items =
         match record.Funct.state with
         | Funct.Final _ -> ()
         | Funct.Pending p ->
-            incr total;
-            k.nodes <- k.nodes + 1;
             let op =
               match k.fold with
               | None -> if real then Compute_engine.plain_op p else 0
@@ -425,15 +428,9 @@ let run t ~items =
                   Compute_engine.fold_publish chain f;
                   k.fold <- None
               | None -> ());
-              let a =
-                match !left with
-                | Some a -> a
-                | None ->
-                    let a = make_left ~real ~first_item:i ~n_items record p in
-                    left := Some a;
-                    a
-              in
               let m = !n in
+              if m = 0 then left := make_left ~real ~first_item:i ~n_items record p;
+              let a = !left in
               a.records.(m) <- record;
               a.pendings.(m) <- p;
               a.node_key.(m) <- k.d;
@@ -445,7 +442,8 @@ let run t ~items =
             end
       end)
     items;
-  let n = !n and n_keys = !n_keys and total = !total and folded = !folded in
+  let n = !n and n_keys = !n_keys and folded = !folded in
+  let total = n + folded in
   let readers = Array.of_list (List.rev !readers) in
   let seen = Array.of_list (List.rev !seen) in
   let keys = Array.map fst seen
@@ -456,21 +454,14 @@ let run t ~items =
       | Some f -> Compute_engine.fold_publish k.chain f
       | None -> ())
     seen;
-  List.iter
-    (fun (p, op) -> Compute_engine.fire_folded_waiters p op)
-    (List.rev !waiting);
+  List.iter Compute_engine.fire_folded_waiters (List.rev !waiting);
   t.m_real_evaluated := !(t.m_real_evaluated) + folded;
+  let left = !left in
+  let node_key = left.node_key and node_ver = left.node_ver in
   let nodes =
-    match !left with
-    | Some a ->
-        { Compute_engine.keys; chains; node_key = a.node_key;
-          node_ver = a.node_ver; node_op = a.node_op; records = a.records;
-          pendings = a.pendings }
-    | None ->
-        { Compute_engine.keys; chains; node_key = [||]; node_ver = [||];
-          node_op = [||]; records = [||]; pendings = [||] }
+    { Compute_engine.keys; chains; node_key; node_ver; node_op = left.node_op;
+      records = left.records; pendings = left.pendings }
   in
-  let node_key = nodes.node_key and node_ver = nodes.node_ver in
   (* 2. Writer segments: a counting sort of the node indices by key.  Key
      [d]'s nodes are [seg.(start.(d)) .. seg.(start.(d + 1) - 1)], placed
      in plan order; installs arrive mostly in version order, so a segment
@@ -543,8 +534,9 @@ let run t ~items =
   let edges = ref 0 and longest = ref 0 and longest_folded = ref 0 in
   Array.iter
     (fun (_, k) ->
-      if k.nodes > 0 then edges := !edges + k.nodes - 1;
-      if k.nodes > !longest then longest := k.nodes;
+      let m = start.(k.d + 1) - start.(k.d) + k.folded in
+      if m > 0 then edges := !edges + m - 1;
+      if m > !longest then longest := m;
       if k.folded > !longest_folded then longest_folded := k.folded)
     seen;
   let subs = ref 0 in
@@ -608,7 +600,7 @@ let run t ~items =
         let depth = Array.make n 1 and level = Array.make n 0 in
         Array.iter
           (fun (_, k) ->
-            if k.nodes > k.folded then
+            if start.(k.d + 1) > start.(k.d) then
               depth.(seg.(start.(k.d))) <- k.folded + 1)
           seen;
         for d = 0 to n_keys - 1 do
@@ -617,11 +609,11 @@ let run t ~items =
             indeg.(seg.(k)) <- indeg.(seg.(k)) + 1
           done
         done;
-        List.iter
-          (fun (i, place) ->
-            depth.(i) <- max depth.(i) (place + 1);
-            level.(i) <- 1)
-          folded_reads;
+        let lift (i, place) =
+          depth.(i) <- max depth.(i) (place + 1);
+          level.(i) <- 1
+        in
+        List.iter lift folded_reads;
         List.iter (fun (_, i) -> indeg.(i) <- indeg.(i) + 1) read_edges;
         let r_off, r_adj = csr ~n read_edges in
         topo_levels ~next ~r_off ~r_adj ~indeg ~depth ~level;
@@ -671,32 +663,32 @@ let run t ~items =
   | Some f ->
       List.iter (fun { Processor.key; version } -> f ~key ~version) items
   | None -> ());
-  (match !left with
-  | Some a when (not real) || !pending_left ->
-      let records = a.records and pendings = a.pendings in
-      let live = ref (Some nodes) in
+  if real && not !pending_left then
+    Sim.Worker_pool.submit_silent t.pool ~cost:t.dispatch_cost_us
+      ~count:n_items
+  else begin
+    let records = left.records and pendings = left.pendings in
+    let live = ref (Some nodes) in
+    if n > 0 then begin
       let cap = Array.length records in
       Array.fill records n (cap - n) records.(n - 1);
-      Array.fill pendings n (cap - n) pendings.(n - 1);
-      let job i =
-        let j = if i < a.first_item then -1 else a.item_node.(i - a.first_item) in
-        match !live with
-        | Some nodes when j >= 0 ->
-            Compute_engine.compute_node t.engine nodes j;
-            if j = n - 1 then live := None
-            else begin
-              records.(j) <- records.(n - 1);
-              pendings.(j) <- pendings.(n - 1)
-            end
-        | Some _ | None -> ()
+      Array.fill pendings n (cap - n) pendings.(n - 1)
+    end;
+    let job i =
+      let j =
+        if i < left.first_item then -1 else left.item_node.(i - left.first_item)
       in
-      Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
-        job
-  | Some _ | None ->
-      if real then
-        Sim.Worker_pool.submit_silent t.pool ~cost:t.dispatch_cost_us
-          ~count:n_items
-      else
-        Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
-          (fun _ -> ()));
+      match !live with
+      | Some nodes when j >= 0 ->
+          Compute_engine.compute_node t.engine nodes j;
+          if j = n - 1 then live := None
+          else begin
+            records.(j) <- records.(n - 1);
+            pendings.(j) <- pendings.(n - 1)
+          end
+      | Some _ | None -> ()
+    in
+    Sim.Worker_pool.submit_run t.pool ~cost:t.dispatch_cost_us ~count:n_items
+      job
+  end;
   stats
