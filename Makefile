@@ -39,7 +39,9 @@ bench-guard:
 # first, then a gate on each micro's median: it fails on a micro more
 # than 30% slower than BASE's (BENCH_REGRESSION_THRESHOLD=0.5 makes it
 # 50%) or missing.  BASE is exported with git archive into a temporary
-# directory; the records land in micro-pair/base.jsonl and head.jsonl.
+# directory, where every run also writes its BENCH.jsonl (the working
+# tree's is left alone); the records land in micro-pair/base.jsonl and
+# head.jsonl.
 #   make micro-pair BASE=HEAD~1
 micro-pair:
 	@test -n "$(BASE)" || { echo "usage: make micro-pair BASE=<rev>"; exit 2; }

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Paired micro-benchmark runs: a base revision against the working tree.
 
-    python3 ci/micro_pair.py --base REV [--runs 5]
+    python3 ci/micro_pair.py --base REV
 
 Exports REV with `git archive` into a temporary directory (removed on
 exit; set TMPDIR to choose where it goes), as ci/e2e_pair.py does, builds
-bench/main.exe in both trees, then runs `bench/main.exe micro` RUNS
+bench/main.exe in both trees, then runs `bench/main.exe micro` five
 times in each, alternating which tree runs first from one round to the
-next, so that both sides meet the same host.  Each run's micro record
-(the suite's line of the BENCH.jsonl it writes in its tree) is appended
-to micro-pair/base.jsonl or micro-pair/head.jsonl.
+next, so that both sides meet the same host.  Every run has a directory
+of its side under the temporary one as its working directory, so the
+BENCH.jsonl it writes there leaves the working tree's alone; its micro
+record (the suite's line of that file) is appended to
+micro-pair/base.jsonl or micro-pair/head.jsonl.
 
 The gate compares medians over the runs of each side: it fails when a
 micro's head median is more than THRESHOLD above its base median
@@ -32,6 +34,7 @@ from e2e_pair import export
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "micro-pair")
 EXE = os.path.join("_build", "default", "bench", "main.exe")
+RUNS = 5
 
 
 def medians(runs):
@@ -89,15 +92,15 @@ def build(tree):
         sys.exit(f"micro_pair.py: building bench/main.exe in {tree} failed")
 
 
-def run_micro(tree, side):
-    """One `bench/main.exe micro` run in `tree`: its micro record, also
-    appended to micro-pair/SIDE.jsonl."""
-    proc = subprocess.run([os.path.join(tree, EXE), "micro"], cwd=tree,
+def run_micro(tree, side, cwd):
+    """One `bench/main.exe micro` run of `tree`'s build, in directory
+    `cwd`: its micro record, also appended to micro-pair/SIDE.jsonl."""
+    proc = subprocess.run([os.path.join(tree, EXE), "micro"], cwd=cwd,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-2000:])
         sys.exit(f"micro_pair.py: {side} micro run failed")
-    with open(os.path.join(tree, "BENCH.jsonl")) as f:
+    with open(os.path.join(cwd, "BENCH.jsonl")) as f:
         records = [json.loads(line) for line in f if line.strip()]
     micro = [r for r in records if r.get("suite") == "micro"]
     if len(micro) != 1:
@@ -112,7 +115,6 @@ def run_micro(tree, side):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
-    ap.add_argument("--runs", type=int, default=5)
     args = ap.parse_args()
     threshold = float(os.environ.get("BENCH_REGRESSION_THRESHOLD", "0.30"))
 
@@ -122,18 +124,22 @@ def main():
         if os.path.exists(path):
             os.remove(path)
     tmp = tempfile.mkdtemp(prefix="micro-pair-")
+    base_tree = os.path.join(tmp, "tree")
     runs = {"base": [], "head": []}
     try:
-        export(args.base, tmp)
-        print(f"base {args.base} in {tmp}; head: the working tree of {ROOT}")
-        build(tmp)
+        os.makedirs(base_tree)
+        for side in runs:
+            os.makedirs(os.path.join(tmp, side))
+        export(args.base, base_tree)
+        print(f"base {args.base} in {base_tree}; head: the working tree of {ROOT}")
+        build(base_tree)
         build(ROOT)
-        for i in range(args.runs):
-            order = [("base", tmp), ("head", ROOT)]
+        for i in range(RUNS):
+            order = [("base", base_tree), ("head", ROOT)]
             if i % 2 == 1:
                 order.reverse()
             for side, tree in order:
-                runs[side].append(run_micro(tree, side))
+                runs[side].append(run_micro(tree, side, os.path.join(tmp, side)))
     finally:
         shutil.rmtree(tmp)
     return 0 if gate(runs["base"], runs["head"], threshold) else 1

@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """Tests for ci/micro_pair.py's gate: medians within the threshold pass;
 a median past it, or a micro the head lost, fails; a micro only the head
-has is reported; one slow run on a side does not move its median.
+has is reported; one slow run on a side does not move its median.  And
+for its runs, with a stand-in for bench/main.exe: a run yields its one
+micro record, written in the run's directory and not the tree's, and a
+run that writes no micro record, or two, stops the pair.
 
     python3 ci/test_micro_pair.py
 """
 
 import contextlib
 import io
+import json
 import os
+import stat
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -54,6 +60,51 @@ class GateTest(unittest.TestCase):
         ok, out, err = gate(BASE, [{"a": 100.0, "b": 2.5, "c": 1.0}] * 3)
         self.assertTrue(ok, err)
         self.assertIn("(new)", out)
+
+
+def micro_record(ns):
+    return {"suite": "micro",
+            "metrics": {"a": {"value": ns, "unit": "ns/op"}}}
+
+
+class RunMicroTest(unittest.TestCase):
+    """run_micro against a stand-in bench/main.exe that writes the given
+    records as BENCH.jsonl in its working directory."""
+
+    def run_with(self, records):
+        tmp = tempfile.TemporaryDirectory(prefix="micro-pair-test-")
+        self.addCleanup(tmp.cleanup)
+        tree, cwd, out = (os.path.join(tmp.name, d) for d in ("tree", "run", "out"))
+        exe = os.path.join(tree, micro_pair.EXE)
+        for d in (os.path.dirname(exe), cwd, out):
+            os.makedirs(d)
+        with open(exe, "w") as f:
+            f.write("#!/usr/bin/env python3\n"
+                    f"lines = {[json.dumps(r) for r in records]!r}\n"
+                    "with open('BENCH.jsonl', 'w') as f:\n"
+                    "    f.write(''.join(line + '\\n' for line in lines))\n")
+        os.chmod(exe, os.stat(exe).st_mode | stat.S_IXUSR)
+        saved = micro_pair.OUT
+        micro_pair.OUT = out
+        self.addCleanup(setattr, micro_pair, "OUT", saved)
+        with contextlib.redirect_stdout(io.StringIO()):
+            metrics = micro_pair.run_micro(tree, "head", cwd)
+        self.assertFalse(os.path.exists(os.path.join(tree, "BENCH.jsonl")))
+        with open(os.path.join(out, "head.jsonl")) as f:
+            self.assertEqual([json.loads(line) for line in f],
+                             [r for r in records if r["suite"] == "micro"])
+        return metrics
+
+    def test_one_micro_record(self):
+        other = {"suite": "fig6", "metrics": {}}
+        self.assertEqual(self.run_with([other, micro_record(12.5)]), {"a": 12.5})
+
+    def test_micro_record_required(self):
+        for records in ([{"suite": "fig6", "metrics": {}}],
+                        [micro_record(1.0), micro_record(2.0)]):
+            with self.assertRaises(SystemExit) as cm:
+                self.run_with(records)
+            self.assertIn("expected one micro record", str(cm.exception.code))
 
 
 if __name__ == "__main__":

@@ -265,36 +265,21 @@ end)
    item of the key, usually the next version, is looked for first, and,
    under the real runtime, its fold while every node of the key bound so
    far took the fold step; then how many of its nodes the bind pass
-   folded, at chain indices [fold_lo .. fold_hi] but
-   for the [gaps] between them ([(a, b)]: the entries strictly between
-   folded indices [a] and [b] were final before the plan).  The folded
-   nodes are the key's lowest versions in the plan: a node folds only
-   over final records. *)
+   folded.  The folded nodes are the key's lowest versions in the plan: a
+   node folds only over final records. *)
 type plan_key = {
   d : int;
   chain : Funct.t Mvstore.Chain.t;
   mutable cursor : int;
   mutable fold : Compute_engine.fold option;
   mutable folded : int;
-  mutable fold_lo : int;
-  mutable fold_hi : int;
-  mutable gaps : (int * int) list;
 }
 
-(* How many of [k]'s folded nodes lie at chain indices <= [r]. *)
-let folded_upto k r =
-  let r = min r k.fold_hi in
-  List.fold_left
-    (fun m (a, b) -> m - max 0 (min r (b - 1) - a))
-    (r - k.fold_lo + 1) k.gaps
-
 (* The nodes the bind pass did not fold, as the parallel arrays of
-   {!Compute_engine.nodes}, made at the first such node, item
-   [first_item], with room for every item from there on (empty, with
-   [first_item] past the last item, until then); [item_node] maps item
-   [first_item + i] to its node (-1: none). *)
+   {!Compute_engine.nodes}, made at the first such node with room for
+   every item (empty until then); [item_node] maps an item to its node
+   (-1: none). *)
 type left = {
-  first_item : int;
   item_node : int array;
   node_key : int array;
   node_ver : int array;
@@ -303,15 +288,13 @@ type left = {
   pendings : Funct.pending array;
 }
 
-let make_left ~real ~first_item ~n_items record p =
-  let cap = n_items - first_item in
-  { first_item;
-    item_node = Array.make cap (-1);
-    node_key = Array.make cap 0;
-    node_ver = Array.make cap 0;
-    node_op = (if real then Array.make cap 0 else [||]);
-    records = Array.make cap record;
-    pendings = Array.make cap p }
+let make_left ~real ~n_items record p =
+  { item_node = Array.make n_items (-1);
+    node_key = Array.make n_items 0;
+    node_ver = Array.make n_items 0;
+    node_op = (if real then Array.make n_items 0 else [||]);
+    records = Array.make n_items record;
+    pendings = Array.make n_items p }
 
 (* Plan completion: one shared waiter on every plan node still pending
    once the real runtime's level batches are done (every node, under the
@@ -375,10 +358,7 @@ let run t ~items =
           | None -> Mvstore.Chain.create ()
         in
         let fold = if real then Some (Compute_engine.fold_start ()) else None in
-        let k =
-          { d = !n_keys; chain; cursor = -1; fold; folded = 0; fold_lo = 0;
-            fold_hi = 0; gaps = [] }
-        in
+        let k = { d = !n_keys; chain; cursor = -1; fold; folded = 0 } in
         seen := (key, k) :: !seen;
         Int_tbl.add key_index kid k;
         incr n_keys;
@@ -386,8 +366,8 @@ let run t ~items =
   in
   let left =
     ref
-      { first_item = n_items; item_node = [||]; node_key = [||];
-        node_ver = [||]; node_op = [||]; records = [||]; pendings = [||] }
+      { item_node = [||]; node_key = [||]; node_ver = [||]; node_op = [||];
+        records = [||]; pendings = [||] }
   in
   let n = ref 0 and readers = ref [] in
   let folded = ref 0 and waiting = ref [] in
@@ -414,9 +394,6 @@ let run t ~items =
                   Compute_engine.fold_bind chain f ~idx:j ~now:sim_t0 record p
             in
             if Compute_engine.is_folded op then begin
-              if k.folded = 0 then k.fold_lo <- j
-              else if j > k.fold_hi + 1 then k.gaps <- (k.fold_hi, j) :: k.gaps;
-              k.fold_hi <- j;
               k.folded <- k.folded + 1;
               incr folded;
               if Compute_engine.commit_folded t.engine ~key ~ver:version p op
@@ -429,7 +406,7 @@ let run t ~items =
                   k.fold <- None
               | None -> ());
               let m = !n in
-              if m = 0 then left := make_left ~real ~first_item:i ~n_items record p;
+              if m = 0 then left := make_left ~real ~n_items record p;
               let a = !left in
               a.records.(m) <- record;
               a.pendings.(m) <- p;
@@ -437,7 +414,7 @@ let run t ~items =
               a.node_ver.(m) <- version;
               if real then a.node_op.(m) <- op;
               if p.farg.Funct.read_set <> [] then readers := m :: !readers;
-              a.item_node.(i - a.first_item) <- m;
+              a.item_node.(i) <- m;
               n := m + 1
             end
       end)
@@ -531,23 +508,22 @@ let run t ~items =
      finalise out of it).  They weigh no level: a key's run is evaluated
      in version order on one worker.  A key of [m] nodes, folded or not,
      holds [m - 1] of them. *)
-  let edges = ref 0 and longest = ref 0 and longest_folded = ref 0 in
+  let edges = ref 0 and longest = ref 0 in
   Array.iter
     (fun (_, k) ->
       let m = start.(k.d + 1) - start.(k.d) + k.folded in
       if m > 0 then edges := !edges + m - 1;
-      if m > !longest then longest := m;
-      if k.folded > !longest_folded then longest_folded := k.folded)
+      if m > !longest then longest := m)
     seen;
   let subs = ref 0 in
   (* 3b. Read→write edges for explicit read sets, own key included.  They
      weigh one level: the reader is staged on the orchestrator, which
      needs its producers final before the reader's batch starts.  The
      real runtime stages exactly the nodes collected in [readers].  A
-     producer the bind pass folded is final already and outside the
-     graph: it only lifts its reader to level 1 and past its own depth,
-     its place in its key's folded run. *)
-  let read_edges = ref [] and folded_reads = ref [] in
+     producer the bind pass folded is final before the first batch, as
+     one below the plan is: the read takes no edge, and its reader may
+     run in level 0. *)
+  let read_edges = ref [] in
   Array.iter
     (fun i ->
       let p = nodes.pendings.(i) in
@@ -566,16 +542,6 @@ let run t ~items =
                   read_edges := (j, i) :: !read_edges;
                   incr edges
                 end
-                else if
-                  rk.folded > 0
-                  && Mvstore.Chain.version_at rk.chain rk.fold_lo <= bound
-                then begin
-                  let place =
-                    folded_upto rk (Mvstore.Chain.rank rk.chain ~version:bound)
-                  in
-                  folded_reads := (i, place) :: !folded_reads;
-                  incr edges
-                end
           end
           else
             match t.send_plan_sub with
@@ -591,11 +557,12 @@ let run t ~items =
   (* Without read edges every node is level 0 and its depth is its
      position in its key's nodes plus one, so the strata are the longest
      key; otherwise one topological pass over the nodes the bind pass left
-     gives both, a segment's head starting past its key's folded run. *)
+     gives both, a segment's head starting past its key's folded run (a
+     key the bind pass folded whole is still its length deep). *)
   let level, strata =
-    match (!read_edges, !folded_reads) with
-    | [], [] -> ([||], !longest)
-    | read_edges, folded_reads ->
+    match !read_edges with
+    | [] -> ([||], !longest)
+    | read_edges ->
         let next = Array.make n (-1) and indeg = Array.make n 0 in
         let depth = Array.make n 1 and level = Array.make n 0 in
         Array.iter
@@ -609,15 +576,10 @@ let run t ~items =
             indeg.(seg.(k)) <- indeg.(seg.(k)) + 1
           done
         done;
-        let lift (i, place) =
-          depth.(i) <- max depth.(i) (place + 1);
-          level.(i) <- 1
-        in
-        List.iter lift folded_reads;
         List.iter (fun (_, i) -> indeg.(i) <- indeg.(i) + 1) read_edges;
         let r_off, r_adj = csr ~n read_edges in
         topo_levels ~next ~r_off ~r_adj ~indeg ~depth ~level;
-        (level, max !longest_folded (Array.fold_left max 0 depth))
+        (level, max !longest (Array.fold_left max 0 depth))
   in
   let build_us = max 0 (Obs.Ledger.wall_us () - build_t0) in
   let stats =
@@ -655,7 +617,8 @@ let run t ~items =
      (already final, or folded) dispatch as no-ops.  When the real
      runtime left no node pending, every job would be a no-op: the run is
      silent (no callback; one completion per worker lane on an idle pool).
-     Otherwise the run releases each node as its job fires: jobs of one
+     Otherwise the run releases each node as its job fires (a plan with
+     no node left has no arrays, and each of its jobs no-ops): jobs of one
      run complete in index order and node indices follow item order, so
      a fired node's entries (and every unused one past [n]) can point at
      the plan's last node, whose own job drops the arrays. *)
@@ -668,18 +631,16 @@ let run t ~items =
       ~count:n_items
   else begin
     let records = left.records and pendings = left.pendings in
-    let live = ref (Some nodes) in
+    let live = ref None in
     if n > 0 then begin
-      let cap = Array.length records in
-      Array.fill records n (cap - n) records.(n - 1);
-      Array.fill pendings n (cap - n) pendings.(n - 1)
+      Array.fill records n (n_items - n) records.(n - 1);
+      Array.fill pendings n (n_items - n) pendings.(n - 1);
+      live := Some nodes
     end;
     let job i =
-      let j =
-        if i < left.first_item then -1 else left.item_node.(i - left.first_item)
-      in
       match !live with
-      | Some nodes when j >= 0 ->
+      | Some nodes when left.item_node.(i) >= 0 ->
+          let j = left.item_node.(i) in
           Compute_engine.compute_node t.engine nodes j;
           if j = n - 1 then live := None
           else begin

@@ -776,7 +776,9 @@ let kahn_strata ~n ~succs ~indeg =
 (* qcheck (planner levels): random epochs of ADD chains and "sum" user
    functors whose read sets span keys, own key included.  The plan
    statistics must equal the reference Kahn stratification's over the
-   same edges, and evaluating the plan on the real runtime at 1, 2 and 4
+   same edges (under the real runtime, less the read edges of the ADDs
+   the bind pass folds, which are final before the first batch), and
+   evaluating the plan on the real runtime at 1, 2 and 4
    domains — one batch per level, one task per key run — must leave the
    same final state as the simulated runtime, equal to serial replay in
    version order, with no item sent back to the sequential fallback. *)
@@ -887,7 +889,9 @@ let prop_planner_levels =
       in
       (* reference graph: intra-key edge from the key's next-lower plan
          version, read→write edge from each read key's largest plan
-         version <= v - 1 *)
+         version <= v - 1.  Under the real runtime the bind pass folds
+         each key's ADDs up to its first sum; a read of one takes no
+         edge. *)
       let producer k ~bound =
         let best = ref (-1) in
         Array.iteri
@@ -895,21 +899,36 @@ let prop_planner_levels =
           ops;
         !best
       in
-      let succs = Array.make n [] and indeg = Array.make n 0 in
-      let edges = ref 0 in
-      let edge src dst =
-        if src >= 0 then begin
-          succs.(src) <- dst :: succs.(src);
-          indeg.(dst) <- indeg.(dst) + 1;
-          incr edges
-        end
+      let folded j =
+        let rec adds_upto i =
+          i < 0
+          || ((fst ops.(i) <> fst ops.(j)
+              || match snd ops.(i) with `Add _ -> true | `Sum _ -> false)
+             && adds_upto (i - 1))
+        in
+        adds_upto j
       in
-      Array.iteri
-        (fun i (k, _) ->
-          edge (producer k ~bound:i) i;
-          List.iter (fun r -> edge (producer r ~bound:i) i) (reads i))
-        ops;
-      let strata = kahn_strata ~n ~succs ~indeg in
+      let reference ~real =
+        let succs = Array.make n [] and indeg = Array.make n 0 in
+        let edges = ref 0 in
+        let edge src dst =
+          if src >= 0 then begin
+            succs.(src) <- dst :: succs.(src);
+            indeg.(dst) <- indeg.(dst) + 1;
+            incr edges
+          end
+        in
+        Array.iteri
+          (fun i (k, _) ->
+            edge (producer k ~bound:i) i;
+            List.iter
+              (fun r ->
+                let j = producer r ~bound:i in
+                if not (real && j >= 0 && folded j) then edge j i)
+              (reads i))
+          ops;
+        (!edges, kahn_strata ~n ~succs ~indeg)
+      in
       (* serial replay in version order *)
       let cur = Array.make n_keys 0 in
       let serial =
@@ -922,15 +941,17 @@ let prop_planner_levels =
                  | `Sum _ -> List.fold_left (fun acc r -> acc + cur.(r)) 0 (reads i)));
                ((name k, i + 1), Funct.Committed (Value.int cur.(k)))))
       in
-      let stats_ok (s : Functor_cc.Planner.stats) =
-        s.nodes = n && s.edges = !edges && s.strata = strata
+      let stats_ok ~real (s : Functor_cc.Planner.stats) =
+        let edges, strata = reference ~real in
+        s.nodes = n && s.edges = edges && s.strata = strata
       in
       let sim_stats, sim_state, _, _ = run_epoch None in
-      stats_ok sim_stats && sim_state = serial
+      stats_ok ~real:false sim_stats && sim_state = serial
       && List.for_all
            (fun domains ->
              let stats, state, evaluated, fallback = run_epoch (Some domains) in
-             stats_ok stats && state = sim_state && evaluated = n && fallback = 0)
+             stats_ok ~real:true stats && state = sim_state && evaluated = n
+             && fallback = 0)
            [ 1; 2; 4 ])
 
 (* qcheck (planner, mixed plans): the shapes [prop_planner_levels] never
@@ -1027,7 +1048,7 @@ let prop_planner_mixed =
            bind pass folded, committed before the first batch, is at
            level 0. *)
         let batch = ref (-1) in
-        let levels = Hashtbl.create 64 in
+        let levels = Hashtbl.create 64 and early = Hashtbl.create 64 in
         let callbacks =
           { Engine.is_local = (fun _ -> true);
             remote_get = (fun ~key:_ ~version:_ k -> k None);
@@ -1037,7 +1058,9 @@ let prop_planner_mixed =
               (fun ~key ~version ~pending:_ ~final ->
                 Hashtbl.replace finals (Mvstore.Key.name key, version) final;
                 Hashtbl.replace levels (Mvstore.Key.name key, version)
-                  (max 0 !batch));
+                  (max 0 !batch);
+                if !batch < 0 then
+                  Hashtbl.replace early (Mvstore.Key.name key, version) ());
             exec = (fun ~cost k -> Sim.Worker_pool.submit pool ~cost k);
             now = (fun () -> Sim.Engine.now sim) }
         in
@@ -1109,15 +1132,22 @@ let prop_planner_mixed =
           List.filter (fun ((k, v), _) -> is_node (v - 1) && String.equal k (name (key (v - 1))))
             (sorted levels)
         in
-        (stats, sorted finals, visible, node_levels,
+        (* A node final before the first batch was folded by the bind
+           pass (under the simulated runtime nothing is). *)
+        let folded i =
+          Option.is_some real && Hashtbl.mem early (name (key i), i + 1)
+        in
+        (stats, sorted finals, visible, node_levels, folded,
          Sim.Metrics.get metrics "plan.real_evaluated",
          Sim.Metrics.get metrics "plan.real_fallback",
          Engine.pending_count e)
       in
       (* Reference graph over the nodes, in version order: an intra-key
          edge from the key's next-lower node, a read→write edge from each
-         read key's largest node version <= v - 1.  Levels: the longest
-         path with intra-key edges weighing 0 and read edges 1. *)
+         read key's largest node version <= v - 1, unless the bind pass
+         folded that node ([folded]: final before the first batch, as a
+         version below the plan is).  Levels: the longest path with
+         intra-key edges weighing 0 and read edges 1. *)
       let producer k ~bound =
         let best = ref (-1) in
         for j = 0 to bound - 1 do
@@ -1125,38 +1155,47 @@ let prop_planner_mixed =
         done;
         !best
       in
-      let succs = Array.make n [] and indeg = Array.make n 0 in
-      let level = Array.make n 0 in
-      let edges = ref 0 in
-      let edge ~w src dst =
-        if src >= 0 then begin
-          succs.(src) <- dst :: succs.(src);
-          indeg.(dst) <- indeg.(dst) + 1;
-          level.(dst) <- max level.(dst) (level.(src) + w);
-          incr edges
-        end
-      in
-      for i = 0 to n - 1 do
-        if is_node i then begin
-          edge ~w:0 (producer (key i) ~bound:i) i;
-          List.iter (fun r -> edge ~w:1 (producer r ~bound:i) i) (reads i)
-        end
-      done;
-      (* [kahn_strata] over the nodes alone: renumber them densely. *)
       let node_ids = List.filter is_node (List.init n Fun.id) in
       let m = List.length node_ids in
-      let dense = Array.make n (-1) in
-      List.iteri (fun d i -> dense.(i) <- d) node_ids;
-      let d_succs = Array.make m [] and d_indeg = Array.make m 0 in
-      List.iter
-        (fun i ->
-          d_succs.(dense.(i)) <- List.map (fun j -> dense.(j)) succs.(i);
-          d_indeg.(dense.(i)) <- indeg.(i))
-        node_ids;
-      let strata = if m = 0 then 0 else kahn_strata ~n:m ~succs:d_succs ~indeg:d_indeg in
-      let ref_levels =
-        List.map (fun i -> ((name (key i), i + 1), level.(i))) node_ids
-        |> List.sort compare
+      let reference folded =
+        let succs = Array.make n [] and indeg = Array.make n 0 in
+        let level = Array.make n 0 in
+        let edges = ref 0 in
+        let edge ~w src dst =
+          if src >= 0 then begin
+            succs.(src) <- dst :: succs.(src);
+            indeg.(dst) <- indeg.(dst) + 1;
+            level.(dst) <- max level.(dst) (level.(src) + w);
+            incr edges
+          end
+        in
+        for i = 0 to n - 1 do
+          if is_node i then begin
+            edge ~w:0 (producer (key i) ~bound:i) i;
+            List.iter
+              (fun r ->
+                let j = producer r ~bound:i in
+                if not (j >= 0 && folded j) then edge ~w:1 j i)
+              (reads i)
+          end
+        done;
+        (* [kahn_strata] over the nodes alone: renumber them densely. *)
+        let dense = Array.make n (-1) in
+        List.iteri (fun d i -> dense.(i) <- d) node_ids;
+        let d_succs = Array.make m [] and d_indeg = Array.make m 0 in
+        List.iter
+          (fun i ->
+            d_succs.(dense.(i)) <- List.map (fun j -> dense.(j)) succs.(i);
+            d_indeg.(dense.(i)) <- indeg.(i))
+          node_ids;
+        let strata =
+          if m = 0 then 0 else kahn_strata ~n:m ~succs:d_succs ~indeg:d_indeg
+        in
+        let levels =
+          List.map (fun i -> ((name (key i), i + 1), level.(i))) node_ids
+          |> List.sort compare
+        in
+        (!edges, strata, levels)
       in
       (* serial replay in version order; a rolled-back version writes
          nothing, so a read at it sees the key's value below *)
@@ -1173,19 +1212,22 @@ let prop_planner_mixed =
                 | _, `Sum _, _ -> List.fold_left ( + ) 0 reads);
             cur.(k))
       in
-      let stats_ok (s : Functor_cc.Planner.stats) =
-        s.nodes = m && s.edges = !edges && s.strata = strata
+      let stats_ok (s : Functor_cc.Planner.stats) (edges, strata, _) =
+        s.nodes = m && s.edges = edges && s.strata = strata
       in
-      let sim_stats, sim_finals, sim_visible, _, _, _, sim_pending =
+      let sim_stats, sim_finals, sim_visible, _, sim_folded, _, _, sim_pending =
         run_epoch None
       in
-      stats_ok sim_stats && sim_visible = serial && sim_pending = 0
+      stats_ok sim_stats (reference sim_folded)
+      && sim_visible = serial && sim_pending = 0
       && List.for_all
            (fun domains ->
-             let stats, finals, visible, levels, evaluated, fallback, pending =
+             let stats, finals, visible, levels, folded, evaluated, fallback,
+                 pending =
                run_epoch (Some domains)
              in
-             stats_ok stats && finals = sim_finals && visible = serial
+             let ((_, _, ref_levels) as r) = reference folded in
+             stats_ok stats r && finals = sim_finals && visible = serial
              && levels = ref_levels && evaluated = m && fallback = 0
              && pending = 0)
            [ 1; 2; 4 ])
