@@ -222,11 +222,10 @@ dead-exports:
 # census` into _census/, run the program corpus (examples, chaos, CLI
 # runs, the quick figures; no tests, about 20 min on 2 cores), and print
 # per library the match/function arms, try handlers, then/else branches
-# and function bodies no run reached.  Exits 1 on such an arm of
-# lib/alohadb, lib/functor_cc, lib/mvstore or lib/runtime that
-# ci/census_allow.txt does not excuse,
-# and on a stale allowlist entry; _census/unreached.txt lists every
-# unreached arm of every library (ci/census.py).
+# and function bodies no run reached.  Exits 1 on such an arm of any
+# lib/* library that ci/census_allow.txt does not excuse, and on a stale
+# allowlist entry; _census/unreached.txt lists every unreached arm
+# (ci/census.py).
 census:
 	python3 ci/census.py
 

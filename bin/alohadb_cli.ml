@@ -411,9 +411,8 @@ let trace_cmd =
         ~warmup_us:(warmup_ms * 1000) ~measure_us:(measure_ms * 1000) ~seed
     in
     Obs.Export.write_chrome_trace ~path:out ~engine:sys_name
-      ?ledger:(Obs.Ctl.ledger ctl)
       ~trace:(Obs.Ctl.trace ctl)
-      ~gauges:(Some (Obs.Ctl.gauges ctl))
+      ~gauges:(Obs.Ctl.gauges ctl)
       ();
     if telemetry <> "" then
       Harness.Report.write telemetry

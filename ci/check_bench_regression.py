@@ -27,7 +27,7 @@ a base revision and the working tree side by side.
 JSONL the `alohadb_cli timeline` subcommand emits; one meta-delimited
 segment per run).  It is a language-independent re-statement of the
 OCaml doctor (`alohadb_cli doctor` / Obs.Analyze.check): per-line schema
-by "type" (meta / epoch / event / stratum), contiguous closed epochs per
+by "type" (meta / epoch / event), contiguous closed epochs per
 node, monotone watermarks (a crash of that node between two closes
 excuses a reset), every crash in a replicated segment followed by a
 restart or a promotion, and every promotion with traffic still arriving
@@ -264,8 +264,8 @@ def run_checks(records):
 def parse_timeline(path):
     """Split a TIMELINE.jsonl into meta-delimited segments.
 
-    Returns a list of {"meta": dict, "rows": [...], "events": [...],
-    "strata": [...]}; exits on unreadable or schema-violating lines."""
+    Returns a list of {"meta": dict, "rows": [...], "events": [...]};
+    exits on unreadable or schema-violating lines."""
     def fail(lineno, msg):
         sys.exit(f"error: {path}:{lineno}: {msg}")
 
@@ -295,7 +295,7 @@ def parse_timeline(path):
         if typ == "meta":
             for field in ("cfg_epoch_us", "nodes", "replicas"):
                 need(lineno, rec, field, int, "meta")
-            seg = {"meta": rec, "rows": [], "events": [], "strata": []}
+            seg = {"meta": rec, "rows": [], "events": []}
             segments.append(seg)
         elif typ == "epoch":
             if seg is None:
@@ -329,20 +329,6 @@ def parse_timeline(path):
             need(lineno, rec, "node", int, "event")
             need(lineno, rec, "partition", int, "event")
             seg["events"].append(rec)
-        elif typ == "stratum":
-            if seg is None:
-                fail(lineno, "stratum line before any meta line")
-            for field in ("node", "t0_us", "t1_us", "size"):
-                need(lineno, rec, field, int, "stratum")
-            workers = rec.get("workers")
-            if not isinstance(workers, list):
-                fail(lineno, "stratum line: workers must be a list")
-            for w in workers:
-                if not isinstance(w, dict):
-                    fail(lineno, "stratum line: workers must be objects")
-                for field in ("worker", "completed"):
-                    need(lineno, w, field, int, "stratum worker")
-            seg["strata"].append(rec)
         else:
             fail(lineno, f"unknown line type {typ!r}")
     if not segments:
@@ -441,7 +427,7 @@ def report_timeline(path, segments):
         print(f"  segment {idx}: nodes={meta['nodes']} "
               f"k={meta['replicas']} epoch={meta['cfg_epoch_us']}us  "
               f"{len(seg['rows'])} epoch rows, {len(seg['events'])} events, "
-              f"{len(seg['strata'])} strata, {len(incidents)} incident(s) "
+              f"{len(incidents)} incident(s) "
               f"({resolved} resolved)")
 
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tests for ci/census.py's report on synthetic dumps: a site's counts
 sum over processes, so a site one process hit and another did not is
-reached; an unreached site of a gated library fails the report unless
-the allowlist excuses it; an unreached site elsewhere is only counted;
-an allowlist entry that excuses no unreached site fails it.
+reached; an unreached site of any library fails the report unless the
+allowlist excuses it; an allowlist entry that excuses no unreached site
+fails it.
 
     python3 ci/test_census.py
 """
@@ -21,6 +21,7 @@ HIT_ONCE = "lib/alohadb/frontend.ml:10:4 match submit Txn.Read_only { keys }"
 DEAD = "lib/alohadb/frontend.ml:20:6 else complete -"
 GUARD = "lib/functor_cc/planner.ml:30:8 match eval _ -> assert false"
 OTHER = "lib/sim/heap.ml:5:2 then pop n = 0"
+OBS = "lib/obs/x.ml:7:4 match render None"
 
 
 class Report(unittest.TestCase):
@@ -49,7 +50,7 @@ class Report(unittest.TestCase):
     def two_processes(self, dead_too):
         self.dump("census-a.txt", [(3, HIT_ONCE), (0, GUARD), (0, OTHER)]
                   + ([(0, DEAD)] if dead_too else []))
-        self.dump("census-b.txt", [(0, HIT_ONCE), (0, GUARD), (0, OTHER)]
+        self.dump("census-b.txt", [(0, HIT_ONCE), (0, GUARD), (2, OTHER)]
                   + ([(0, DEAD)] if dead_too else []))
 
     GUARD_ENTRY = ("lib/functor_cc/planner.ml eval match _ -> assert false"
@@ -78,9 +79,24 @@ class Report(unittest.TestCase):
         self.assertEqual(rc, 0, out)
         self.assertIn("lib/functor_cc      1 of    1 unreached "
                       "(1 allowlisted)", out)
-        # other libraries: counted and listed, never failing
-        self.assertIn("lib/sim             1 of    1 unreached", out)
-        self.assertIn(OTHER + "\n", listing)
+        self.assertIn("lib/sim             0 of    1 unreached "
+                      "(0 allowlisted)", out)
+        self.assertIn(GUARD + "  [guard: ", listing)
+
+    def test_every_library_is_gated(self):
+        self.two_processes(dead_too=False)
+        self.dump("census-c.txt", [(0, OBS)])
+        rc, out, listing = self.run_report([self.GUARD_ENTRY])
+        self.assertEqual(rc, 1)
+        self.assertIn("unreached, not allowlisted: " + OBS, out)
+        self.assertIn("lib/obs             1 of    1 unreached "
+                      "(0 allowlisted)", out)
+        self.assertIn(OBS + "\n", listing)
+        rc, out, _ = self.run_report([
+            self.GUARD_ENTRY,
+            "lib/obs/x.ml render match None -- observer: a render of "
+            "nothing"])
+        self.assertEqual(rc, 0, out)
 
     def test_stale_entry_fails(self):
         self.two_processes(dead_too=False)

@@ -264,24 +264,34 @@ class GateTest(unittest.TestCase):
 
     # ---- --validate-timeline --------------------------------------------
 
-    def timeline(self, worker):
+    def timeline(self, line):
         meta = {"type": "meta", "cfg_epoch_us": 10000, "nodes": 1, "replicas": 1}
-        stratum = {"type": "stratum", "node": 0, "t0_us": 100, "t1_us": 250,
-                   "size": 4, "workers": [worker]}
-        return self.write("TIMELINE.jsonl", [meta, stratum])
+        return self.write("TIMELINE.jsonl", [meta, line])
 
-    def test_timeline_stratum_passes(self):
-        path = self.timeline({"worker": 0, "completed": 3})
+    CRASH = {"type": "event", "kind": "crash", "node": 0, "t_us": 100,
+             "partition": -1}
+
+    def test_timeline_event_passes(self):
+        path = self.timeline(self.CRASH)
         code, out, err = self.run_gate("--validate-timeline", path)
         self.assertEqual(code, 0, err)
         self.assertIn("timeline ok", out)
 
-    def test_timeline_stratum_worker_without_completed(self):
-        path = self.timeline({"worker": 0})
-        code, _, err = self.run_gate("--validate-timeline", path)
+    def test_timeline_event_without_partition(self):
+        bad = dict(self.CRASH)
+        del bad["partition"]
+        code, _, err = self.run_gate("--validate-timeline", self.timeline(bad))
         self.assertEqual(code, 1)
-        self.assertIn("'completed' must be int", err)
+        self.assertIn("'partition' must be int", err)
 
+    def test_timeline_stratum_line_rejected(self):
+        # The ledger writes no per-stratum lines; the doctor rejects one.
+        stratum = {"type": "stratum", "node": 0, "t0_us": 100, "t1_us": 250,
+                   "size": 4, "workers": [{"worker": 0, "completed": 3}]}
+        code, _, err = self.run_gate("--validate-timeline",
+                                     self.timeline(stratum))
+        self.assertEqual(code, 1)
+        self.assertIn("unknown line type 'stratum'", err)
 
 if __name__ == "__main__":
     unittest.main()

@@ -131,7 +131,6 @@ let incarnation ~node ~replica ~registry =
   let rec self =
     lazy
       (let live () = (Lazy.force self).live in
-       let strat_t0 = ref 0 in
        let callbacks =
          { Functor_cc.Compute_engine.is_local = owns_in node replica;
            remote_get =
@@ -216,25 +215,6 @@ let incarnation ~node ~replica ~registry =
            ~is_local:(owns_in node replica) ?send_plan_sub
            ~now:(fun () -> Sim.Engine.now node.sim)
            ?on_dispatch
-           ~on_stratum:(fun ~size ->
-             (* The level batches of one plan run back-to-back on the
-                orchestrating domain, so a single ref carries the
-                wall-clock start from dispatch to the matching
-                [on_stratum_done]. *)
-             strat_t0 := Obs.Ledger.wall_us ();
-             if live () then
-               Node.emit node ~txn:(-1) ~stage:Obs.Trace.Stratum_dispatch
-                 ~arg:size ())
-           ?on_stratum_done:
-             (match node.ledger with
-             | None -> None
-             | Some l ->
-                 Some
-                   (fun ~size ~workers ->
-                     if live () then
-                       Obs.Ledger.note_stratum l ~node:node.node_id
-                         ~t0_us:!strat_t0 ~t1_us:(Obs.Ledger.wall_us ())
-                         ~size ~workers))
            ~on_evaluated:(fun ~elapsed_us ->
              if live () then
                Node.emit node ~txn:(-1) ~stage:Obs.Trace.Plan_evaluate

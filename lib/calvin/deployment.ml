@@ -20,7 +20,7 @@ module type SERVER = sig
   val name : string
   val create : (req, resp) node -> t
   val start : t -> unit
-  val submit : ?k:(unit -> unit) -> t -> Ctxn.t -> unit
+  val submit : t -> Ctxn.t -> k:(unit -> unit) -> unit
   val load_initial : t -> key:string -> Value.t -> unit
   val read_local : t -> string -> Value.t option
   val gauges : (string * (t -> int)) list
@@ -38,7 +38,6 @@ module type S = sig
     cluster -> (src:Net.Address.t -> dst:Net.Address.t -> unit) -> unit
 
   val drop_stats : cluster -> Net.Network.drop_stats
-  val partition_of : cluster -> string -> int
 end
 
 exception Handler_aborted
@@ -160,7 +159,6 @@ module Make (Server : SERVER) = struct
   let sim cl = cl.sim
   let metrics cl = cl.metrics
   let n_servers cl = Array.length cl.servers
-  let partition_of cl key = cl.partition_of key
   let set_trace cl f = Net.Rpc.set_trace cl.rpc f
   let drop_stats cl = Net.Rpc.drop_stats cl.rpc
 

@@ -51,7 +51,7 @@ module type SERVER = sig
 
   val create : (req, resp) node -> t
   val start : t -> unit
-  val submit : ?k:(unit -> unit) -> t -> Ctxn.t -> unit
+  val submit : t -> Ctxn.t -> k:(unit -> unit) -> unit
   (** [k] fires once the transaction is complete (or given up). *)
 
   val load_initial : t -> key:string -> Functor_cc.Value.t -> unit
@@ -77,8 +77,6 @@ module type S = sig
   (** Observe every send on the cluster's RPC plane (chaos tracing). *)
 
   val drop_stats : cluster -> Net.Network.drop_stats
-
-  val partition_of : cluster -> string -> int
 end
 
 module Make (Server : SERVER) : S

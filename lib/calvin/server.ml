@@ -13,7 +13,7 @@ type inflight = {
 type done_track = {
   submitted_at : int;
   mutable awaiting : int;
-  on_complete : (unit -> unit) option;
+  on_complete : unit -> unit;
 }
 
 type t = {
@@ -36,9 +36,9 @@ type t = {
   store : (string, Value.t) Hashtbl.t;
   lm_pool : Sim.Worker_pool.t;  (* the single-threaded lock manager *)
   exec_pool : Sim.Worker_pool.t;
-  mutable lm : Lock_manager.t;
+  lm : Lock_manager.t;
   (* sequencer *)
-  mutable seq_buffer : (int * Ctxn.t * (unit -> unit) option) list;
+  mutable seq_buffer : (int * Ctxn.t * (unit -> unit)) list;
       (* (submitted_at, txn, completion), reverse order *)
   mutable seq_epoch : int;
   (* scheduler *)
@@ -216,7 +216,7 @@ let on_batch t ~epoch ~seq_id txns =
 
 (* ---- sequencer --------------------------------------------------------- *)
 
-let submit ?k t txn =
+let submit t txn ~k =
   incr t.m_submitted;
   t.seq_buffer <- (Sim.Engine.now t.sim, txn, k) :: t.seq_buffer
 
@@ -283,7 +283,7 @@ let on_done t ~uid =
         emit t ~txn:uid ~stage:Obs.Trace.Committed ();
         Sim.Stats.Histogram.add t.h_lat_total
           (Sim.Engine.now t.sim - d.submitted_at);
-        match d.on_complete with Some k -> k () | None -> ()
+        d.on_complete ()
       end
 
 (* ---- wiring ------------------------------------------------------------ *)
@@ -332,7 +332,8 @@ let create
   let c = Sim.Metrics.counter metrics in
   let h = Sim.Metrics.histogram metrics in
   let addr = Net.Address.of_int node_id in
-  let t =
+  let rec t =
+    lazy
     { sim; rpc; address = addr; node_id; n_servers = params.n_servers;
       partition_of; funreg;
       epoch_us =
@@ -347,14 +348,16 @@ let create
       store = Hashtbl.create 65536;
       lm_pool = Sim.Worker_pool.create sim ~workers:1;
       exec_pool = Sim.Worker_pool.create sim ~workers:executors;
-      lm = Lock_manager.create ~on_ready:(fun _ -> ());  (* rewired below *)
+      lm =
+        Lock_manager.create ~on_ready:(fun uid ->
+            on_locks_ready (Lazy.force t) uid);
       seq_buffer = []; seq_epoch = 0;
       batches = Hashtbl.create 16; next_epoch = 0;
       inflight = Hashtbl.create 4096;
       pending_reads = Hashtbl.create 256;
       dones = Hashtbl.create 4096 }
   in
-  t.lm <- Lock_manager.create ~on_ready:(fun uid -> on_locks_ready t uid);
+  let t = Lazy.force t in
   Net.Rpc.serve_oneway rpc addr (fun ~src:_ wire ->
       match wire with
       | Message.Batch { epoch; seq_id; txns } ->

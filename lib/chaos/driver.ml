@@ -427,9 +427,3 @@ let run_seed ?replicas ?fastpath ?obs t ~seed ~n_servers =
   in
   run_schedule ?replicas ?fastpath ?obs t ~schedule
 
-let trace_hash_of ?replicas ?fastpath (Target (module T))
-    ~(schedule : Schedule.t) =
-  let _, out =
-    exec (module T) ?replicas ?fastpath ~schedule ~faulted:true ()
-  in
-  Trace.to_hex out.trace

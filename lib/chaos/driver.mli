@@ -89,8 +89,3 @@ val run_seed :
 (** [run_schedule] on [Schedule.generate ~seed ~n_servers] — or, when
     [replicas > 1], on [Schedule.generate_replicated ~seed ~n_servers]
     (every backend crashed once, staggered). *)
-
-val trace_hash_of :
-  ?replicas:int -> ?fastpath:bool -> packed ->
-  schedule:Schedule.t -> string
-(** One faulted run, digest only (replay verification in tests). *)

@@ -31,7 +31,6 @@ let window_lo ~time_us = make ~time_us ~node:0 ~seq:0
 let window_hi ~time_us = make ~time_us ~node:node_mask ~seq:seq_mask
 
 let ( < ) a b = Stdlib.( < ) a b
-let ( <= ) a b = Stdlib.( <= ) a b
 
 let pp fmt t =
   Format.fprintf fmt "%d.%03d@n%d" (time_us t) (seq t) (node t)

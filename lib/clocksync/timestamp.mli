@@ -40,6 +40,5 @@ val window_hi : time_us:int -> t
 (** Largest timestamp whose time field is <= [time_us]. *)
 
 val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

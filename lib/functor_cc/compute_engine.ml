@@ -410,10 +410,13 @@ type nodes = {
 (* A plain built-in's operation as one int, [(arg lsl 3) lor code] with
    its [builtin_code], so the real runtime's fold reads neither the
    pending state nor the argument list; 0 for anything else, including
-   an argument too wide to shift. *)
+   an argument too wide to shift.  A record with waiters is not plain:
+   an on-demand read that waits on it has also moved it to [Computing]
+   ([get_record]), so the fold never has waiters to fire. *)
 let plain_op (p : Funct.pending) =
   match p with
   | { status = Funct.Installed;
+      waiters = [];
       farg =
         { Funct.read_set = []; recipients = []; dependents = [];
           args = Value.Int arg :: _; _ };
@@ -583,22 +586,22 @@ let fold_step chain f ~idx ~op record =
         true
       end
 
-(* A folded node's [node_op]: [(result lsl 3) lor tag], the tag telling
-   whether the record had waiters, so the commit of a folded node without
-   any never touches its pending state: those lie in install order, not
-   in the commit's key order, and a read of each is a cache miss per node.
-   A folded record is final, so no waiter joins it after the fold.
-   [builtin_code]s stay below both tags. *)
-let folded_plain = 6
-let folded_waiters = 7
-let is_folded op = op land 7 >= folded_plain
+(* A folded node's [node_op]: [(result lsl 3) lor folded_tag], so the
+   commit of a folded node never touches its pending state: those lie in
+   install order, not in the commit's key order, and a read of each is a
+   cache miss per node.  A folded record had no waiters ([plain_op]) and
+   is final, so none joins it after the fold.  [builtin_code]s stay below
+   the tag. *)
+let folded_tag = 7
+let is_folded op = op land 7 = folded_tag
 
-(* The node the fold step just took, from either caller: stamp an unset
-   [retrieved_at_us] with [now], as a claim does, and pack the result. *)
+(* The node the fold step just took, from either caller: stamp its
+   [retrieved_at_us] with [now], as a claim does (no read reached an
+   installed record without waiters, so it is unset), and pack the
+   result. *)
 let folded_op f ~now (p : Funct.pending) =
-  if p.retrieved_at_us < 0 then p.retrieved_at_us <- now;
-  (f.acc lsl 3)
-  lor (match p.waiters with [] -> folded_plain | _ -> folded_waiters)
+  p.retrieved_at_us <- now;
+  (f.acc lsl 3) lor folded_tag
 
 (* Every entry below [idx] is final: those up to the entry the fold
    finalised last are; the ones above it (above the watermark, before the
@@ -626,17 +629,10 @@ let folded_final op =
   | Funct.Final final -> final
   | Funct.Pending _ -> assert false
 
-(* The commit of a node either caller folded, from its [node_op]: its
-   result and waiter tag are there, so a node without waiters never reads
-   its record's waiter list. *)
+(* The commit of a node either caller folded, from its [node_op] alone:
+   its record has no waiters to read. *)
 let commit_folded t ~key ~ver p op =
-  finish t ~key ~ver p (folded_final op) ~waiters:false;
-  op land 7 = folded_waiters
-
-let fire_folded_waiters ((p : Funct.pending), op) =
-  let waiters = p.Funct.waiters and final = folded_final op in
-  p.Funct.waiters <- [];
-  List.iter (fun w -> w final) waiters
+  finish t ~key ~ver p (folded_final op) ~waiters:false
 
 (* Claim [p] for the parallel path.  Mirrors [ensure_computing]'s entry
    bookkeeping so a release (or a raced on-demand read) observes a
@@ -772,7 +768,7 @@ let par_commit t slots k nodes i =
   let key = nodes.keys.(d) and ver = nodes.node_ver.(i) in
   let op = nodes.node_op.(i) in
   if is_folded op then begin
-    if commit_folded t ~key ~ver p op then fire_folded_waiters (p, op);
+    commit_folded t ~key ~ver p op;
     Par_evaluated
   end
   else

@@ -99,9 +99,9 @@ type nodes = {
 
 val plain_op : Funct.pending -> int
 (** Non-zero for a plain built-in the real runtime may fold: an installed
-    ADD/SUBTR/MAX/MIN without read set, recipients or dependents whose
-    first argument is an int (of up to 60 bits); the built-in and its
-    argument, packed in one int. *)
+    ADD/SUBTR/MAX/MIN without waiters, read set, recipients or dependents
+    whose first argument is an int (of up to 60 bits); the built-in and
+    its argument, packed in one int. *)
 
 (** {2 The fold of plain built-ins}
 
@@ -115,10 +115,9 @@ val plain_op : Funct.pending -> int
     ({!Mvstore.Chain.advance_watermark_over}).  A step allocates nothing.
     It is the only evaluator of built-ins under the real runtime, with two
     callers: the plan's bind pass and {!par_eval_run}.  Both leave a taken
-    node's folded [node_op] (its result and whether its record had
-    waiters) and stamp an unset [retrieved_at_us] with the plan's time,
-    and both commit it through {!commit_folded}: the bind pass at once,
-    {!par_commit} after the batch barrier. *)
+    node's folded [node_op] (its result), stamp its [retrieved_at_us]
+    with the plan's time, and commit it through {!commit_folded}: the
+    bind pass at once, {!par_commit} after the batch barrier. *)
 
 type fold
 
@@ -135,7 +134,7 @@ val fold_bind :
     still-pending record [record] (state [p]) at chain index [idx], when
     every earlier plan node of its key took it.  The step takes the node
     when it is a plain built-in, every entry below [idx] is final, and
-    its result packs in 60 bits; it then stamps an unset
+    its result packs in 60 bits; it then stamps its
     [retrieved_at_us] with [now] and returns the node's folded
     [node_op].  Otherwise it touches nothing and returns [plain_op p];
     the key's later nodes must not take the step. *)
@@ -144,15 +143,11 @@ val is_folded : int -> bool
 (** Whether a [node_op] is a folded node's. *)
 
 val commit_folded :
-  t -> key:Mvstore.Key.t -> ver:int -> Funct.pending -> int -> bool
+  t -> key:Mvstore.Key.t -> ver:int -> Funct.pending -> int -> unit
 (** [commit_folded t ~key ~ver p op]: the commit of the node at [ver] of
     [key], pending as [p] until either caller folded it into [op]: its
-    counters and [notify_final], from [op] alone.  Returns whether its
-    record had waiters, which {!fire_folded_waiters} then fires. *)
-
-val fire_folded_waiters : Funct.pending * int -> unit
-(** [fire_folded_waiters (p, op)] fires the waiters of the record [p] was
-    the pending state of, with the final value folded into [op]. *)
+    counters and [notify_final], from [op] alone (a folded record has no
+    waiters, {!plain_op}). *)
 
 val compute_node : t -> nodes -> int -> unit
 (** Evaluate node [i] via [ensure_computing].  Idempotent: if the record
@@ -229,11 +224,10 @@ type par_result =
 val par_commit : t -> par_slot array -> int -> nodes -> int -> par_result
 (** [par_commit t slots k nodes i], main domain, after the batch barrier.
     A node the workers' fold took ({!is_folded} [node_op]) commits
-    through {!commit_folded}, reading neither its slot nor its record,
-    then fires its record's waiters.  An evaluated user functor
-    also sends its recipient pushes and dependent writes.  A claim left
-    unevaluated is released ([Computing] → [Installed]) so the sequential
-    dispatch re-evaluates it. *)
+    through {!commit_folded}, reading neither its slot nor its record.
+    An evaluated user functor also sends its recipient pushes and
+    dependent writes.  A claim left unevaluated is released ([Computing]
+    → [Installed]) so the sequential dispatch re-evaluates it. *)
 
 val deliver_push :
   t -> key:Mvstore.Key.t -> version:int -> src_key:Mvstore.Key.t ->

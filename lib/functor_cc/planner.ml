@@ -341,9 +341,9 @@ let run t ~items =
      bind order until the first it cannot take (a user functor, a pending
      record below, a result too wide), whose key leaves the rest to the
      level batches.  A node the fold takes is committed at once, in
-     install order (its waiters fire once the pass is over, so that none
-     runs while the pass holds unpublished stretches), and it gets no
-     plan entry; the others become plan node [n] of [left]. *)
+     install order (its record has no waiters, so nothing runs while the
+     pass holds unpublished stretches), and it gets no plan entry; the
+     others become plan node [n] of [left]. *)
   let table = Compute_engine.table t.engine in
   let key_index = Int_tbl.create 64 in
   let seen = ref [] and n_keys = ref 0 in
@@ -370,7 +370,7 @@ let run t ~items =
         records = [||]; pendings = [||] }
   in
   let n = ref 0 and readers = ref [] in
-  let folded = ref 0 and waiting = ref [] in
+  let folded = ref 0 in
   List.iteri
     (fun i { Processor.key; version } ->
       let k = plan_key key in
@@ -396,8 +396,7 @@ let run t ~items =
             if Compute_engine.is_folded op then begin
               k.folded <- k.folded + 1;
               incr folded;
-              if Compute_engine.commit_folded t.engine ~key ~ver:version p op
-              then waiting := (p, op) :: !waiting
+              Compute_engine.commit_folded t.engine ~key ~ver:version p op
             end
             else begin
               (match k.fold with
@@ -431,7 +430,6 @@ let run t ~items =
       | Some f -> Compute_engine.fold_publish k.chain f
       | None -> ())
     seen;
-  List.iter Compute_engine.fire_folded_waiters (List.rev !waiting);
   t.m_real_evaluated := !(t.m_real_evaluated) + folded;
   let left = !left in
   let node_key = left.node_key and node_ver = left.node_ver in

@@ -86,10 +86,9 @@ val create :
     worker, so an epoch of built-ins alone is a single batch whose runs
     are the key segments.  The plan's bind pass folds each key's plain
     built-ins first, in install order, and commits each node it folds at
-    once ({!Compute_engine.commit_folded}; the waiters of their records
-    fire once the pass is over); such a node gets no plan entry, so an
-    epoch of plain built-ins alone runs no batch and allocates nothing per
-    node.  The plan keeps the other nodes and their evaluation state
+    once ({!Compute_engine.commit_folded}); such a node gets no plan
+    entry, so an epoch of plain built-ins alone runs no batch and
+    allocates nothing per node.  The plan keeps the other nodes and their evaluation state
     flat: parallel arrays of records and versions
     ({!Compute_engine.nodes}), made at the first such node, and one
     {!Compute_engine.par_slot} per node in key order (claim, then
@@ -102,12 +101,10 @@ val create :
     pending, the dispatch is a {!Sim.Worker_pool.submit_silent} run of
     the same count and cost, one completion per worker lane on an idle
     pool instead of one event per item.  [on_stratum] observes each
-    level's batch leaving for the domain pool (lifecycle tracing; [size]
-    counts its nodes); [on_stratum_done] fires after the batch barrier
-    with the per-worker completed-chunk deltas across the
-    batch — the occupancy feed for the epoch ledger's per-worker
-    profiling tracks.  The [plan.real_strata] counter counts these level
-    batches. *)
+    level's batch leaving for the domain pool ([size] counts its nodes);
+    [on_stratum_done] fires after the batch barrier with the per-worker
+    completed-chunk deltas across the batch.  The [plan.real_strata]
+    counter counts these level batches. *)
 
 val run : t -> items:Processor.item list -> stats
 (** Build and dispatch one plan over [items] (an epoch's drained buffer,

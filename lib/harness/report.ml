@@ -30,13 +30,16 @@ let jobj fields =
 let host =
   lazy
     (let commit =
+       (* The shell prints the fallback, so a checkout without git takes
+          the same path through this code as one with it. *)
        try
-         let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-         let line = try input_line ic with End_of_file -> "" in
-         match Unix.close_process_in ic with
-         | Unix.WEXITED 0 when line <> "" -> line
-         | _ -> "unknown"
-       with Unix.Unix_error _ | Sys_error _ -> "unknown"
+         let ic =
+           Unix.open_process_in "git rev-parse HEAD 2>/dev/null || echo unknown"
+         in
+         let line = input_line ic in
+         ignore (Unix.close_process_in ic);
+         line
+       with Unix.Unix_error _ | Sys_error _ | End_of_file -> "unknown"
      in
      jobj
        [ ("nproc", string_of_int (Domain.recommended_domain_count ()));

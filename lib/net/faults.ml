@@ -35,8 +35,6 @@ let edict ?src ?dst ?(extra_max_us = 0) kind ~p ~from_us ~until_us =
 let create ?(transport = Lossy) ~seed () =
   { rng = Sim.Rng.create seed; transport; edicts = []; partitions = [] }
 
-let transport t = t.transport
-
 let install t edicts = t.edicts <- t.edicts @ edicts
 
 let partition t ~group ~from_us ~until_us =

@@ -48,7 +48,6 @@ val edict :
 val create : ?transport:transport -> seed:int -> unit -> t
 (** [transport] defaults to [Lossy]. *)
 
-val transport : t -> transport
 
 val install : t -> edict list -> unit
 (** Append edicts (evaluated in installation order). *)

@@ -280,7 +280,6 @@ let parse_lines lines =
         | "event" ->
             let s = current () in
             cur := Some { s with events = event_of_json j :: s.events }
-        | "stratum" -> ignore (current ())
         | other ->
             failwith
               (Printf.sprintf "line %d: unknown record type %S" (i + 1)

@@ -41,7 +41,7 @@ let shards = 64
 
 let tid_of txn = if txn < 0 then 0 else txn mod shards
 
-let chrome_trace ?(engine = "aloha") ?ledger ~trace ~gauges () =
+let chrome_trace ?(engine = "aloha") ~trace ~gauges () =
   let e = start_events (Buffer.create 65536) in
   (* Process metadata: one pid per node seen in the trace. *)
   let nodes = Hashtbl.create 16 in
@@ -93,80 +93,22 @@ let chrome_trace ?(engine = "aloha") ?ledger ~trace ~gauges () =
                 txn lo (hi - lo) node
                 (tid_of txn) txn
                 (if tag <> 0 then ",\"fault\":1" else "")));
-  (* Per-worker runtime tracks: each [--runtime real] stratum recorded in
-     the epoch ledger becomes one B/E span per worker that did work in
-     it, on tid lanes above the transaction shards (tid = shards + worker
-     index, so lanes never collide).  Stratum bounds are host wall-clock,
-     rebased to the first stratum so the lanes start near the sim
-     origin. *)
-  (match ledger with
-  | None -> ()
-  | Some l ->
-      let strata = Ledger.strata l in
-      let base =
-        List.fold_left
-          (fun acc s -> min acc s.Ledger.s_t0_us)
-          max_int strata
-      in
-      let lanes = Hashtbl.create 16 in
-      List.iter
-        (fun s ->
-          Array.iteri
-            (fun w _ ->
-              if not (Hashtbl.mem lanes (s.Ledger.s_node, w)) then
-                Hashtbl.replace lanes (s.Ledger.s_node, w) ())
-            s.Ledger.s_workers)
-        strata;
-      Hashtbl.fold (fun k () acc -> k :: acc) lanes []
-      |> List.sort compare
-      |> List.iter (fun (node, w) ->
-             add_event e
-               (Printf.sprintf
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\
-                   \"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"worker %d\"}}"
-                  node (shards + w) w));
-      List.iter
-        (fun s ->
-          let open Ledger in
-          let t0 = s.s_t0_us - base in
-          let t1 = max t0 (s.s_t1_us - base) in
-          Array.iteri
-            (fun w completed ->
-              if completed > 0 then begin
-                let tid = shards + w in
-                add_event e
-                  (Printf.sprintf
-                     "{\"name\":\"stratum %d\",\"ph\":\"B\",\"ts\":%d,\
-                      \"pid\":%d,\"tid\":%d,\"args\":{\"size\":%d,\
-                      \"completed\":%d}}"
-                     s.s_size t0 s.s_node tid s.s_size completed);
-                add_event e
-                  (Printf.sprintf
-                     "{\"name\":\"stratum %d\",\"ph\":\"E\",\"ts\":%d,\
-                      \"pid\":%d,\"tid\":%d}"
-                     s.s_size t1 s.s_node tid)
-              end)
-            s.s_workers)
-        strata);
   (* Gauge series become counter tracks on pid 0. *)
-  (match gauges with
-  | None -> ()
-  | Some g ->
+  List.iter
+    (fun (name, pts) ->
       List.iter
-        (fun (name, pts) ->
-          List.iter
-            (fun (ts, v) ->
-              add_event e
-                (Printf.sprintf
-                   "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%d,\"pid\":0,\
-                    \"args\":{\"value\":%s}}"
-                   (jescape name) ts (jfloat v)))
-            pts)
-        (Gauges.series g));
+        (fun (ts, v) ->
+          add_event e
+            (Printf.sprintf
+               "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%d,\"pid\":0,\
+                \"args\":{\"value\":%s}}"
+               (jescape name) ts (jfloat v)))
+        pts)
+    (Gauges.series gauges);
   finish_events e
 
-let write_chrome_trace ~path ?engine ?ledger ~trace ~gauges () =
-  let doc = chrome_trace ?engine ?ledger ~trace ~gauges () in
+let write_chrome_trace ~path ?engine ~trace ~gauges () =
+  let doc = chrome_trace ?engine ~trace ~gauges () in
   let oc = open_out path in
   output_string oc doc;
   close_out oc

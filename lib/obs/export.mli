@@ -13,13 +13,10 @@ val jescape : string -> string
     [Harness.Report]'s records' one escaper. *)
 
 val write_chrome_trace :
-  path:string -> ?engine:string -> ?ledger:Ledger.t -> trace:Trace.t ->
-  gauges:Gauges.t option -> unit -> unit
+  path:string -> ?engine:string -> trace:Trace.t -> gauges:Gauges.t -> unit ->
+  unit
 (** Write a full Chrome trace_events JSON document to [path].
-    Transactions are folded onto 64 tid lanes (tid = txn mod 64).
-    [ledger] adds per-worker runtime tracks above those lanes
-    (tid = 64 + worker): one B/E span per worker per recorded
-    [--runtime real] stratum. *)
+    Transactions are folded onto 64 tid lanes (tid = txn mod 64). *)
 
 type rollup_row = {
   epoch : int;

@@ -38,21 +38,12 @@ type event = {
   e_partition : int;
 }
 
-type stratum = {
-  s_node : int;
-  s_t0_us : int;
-  s_t1_us : int;
-  s_size : int;
-  s_workers : int array;
-}
-
 type t = {
   mutable cfg_epoch_us : int;
   mutable nodes : int;
   mutable replicas : int;
   tbl : (int * int, row) Hashtbl.t;  (* (epoch, node) -> row *)
   mutable evs : event list;  (* newest first *)
-  mutable strat : stratum list;  (* newest first *)
   watch : (int, unit) Hashtbl.t;  (* partitions awaiting first commit *)
 }
 
@@ -60,7 +51,6 @@ let create () =
   { cfg_epoch_us = 0; nodes = 0; replicas = 1;
     tbl = Hashtbl.create 256;
     evs = [];
-    strat = [];
     watch = Hashtbl.create 4 }
 
 let set_meta t ~cfg_epoch_us ~nodes ~replicas =
@@ -152,20 +142,13 @@ let note_event t ~kind ~node ~t_us ?(partition = -1) () =
 let awaiting_first_commit t = Hashtbl.length t.watch > 0
 
 let note_commit t ~node ~t_us ~partitions =
-  if Hashtbl.length t.watch > 0 then
-    List.iter
-      (fun p ->
-        if Hashtbl.mem t.watch p then begin
-          Hashtbl.remove t.watch p;
-          note_event t ~kind:First_commit ~node ~t_us ~partition:p ()
-        end)
-      partitions
-
-let note_stratum t ~node ~t0_us ~t1_us ~size ~workers =
-  t.strat <-
-    { s_node = node; s_t0_us = t0_us; s_t1_us = t1_us; s_size = size;
-      s_workers = workers }
-    :: t.strat
+  List.iter
+    (fun p ->
+      if Hashtbl.mem t.watch p then begin
+        Hashtbl.remove t.watch p;
+        note_event t ~kind:First_commit ~node ~t_us ~partition:p ()
+      end)
+    partitions
 
 let rows t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.tbl []
@@ -175,7 +158,6 @@ let rows t =
          | c -> c)
 
 let events t = List.rev t.evs
-let strata t = List.rev t.strat
 
 let kind_name = function
   | Crash -> "crash"
@@ -187,7 +169,6 @@ let kind_name = function
 let clear t =
   Hashtbl.reset t.tbl;
   t.evs <- [];
-  t.strat <- [];
   Hashtbl.reset t.watch
 
 (* ---- JSONL rendering ---------------------------------------------------- *)
@@ -257,28 +238,10 @@ let event_json ev =
      \"partition\":%d}"
     (kind_name ev.e_kind) ev.e_node ev.e_t_us ev.e_partition
 
-let stratum_json s =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"type\":\"stratum\",\"node\":%d,\"t0_us\":%d,\"t1_us\":%d,\
-        \"size\":%d,\"workers\":["
-       s.s_node s.s_t0_us s.s_t1_us s.s_size);
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"worker\":%d,\"completed\":%d}" i c))
-    s.s_workers;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
 let to_lines t =
   let meta =
     Printf.sprintf
       "{\"type\":\"meta\",\"cfg_epoch_us\":%d,\"nodes\":%d,\"replicas\":%d}"
       t.cfg_epoch_us t.nodes t.replicas
   in
-  (meta :: List.map (row_json t) (rows t))
-  @ List.map event_json (events t)
-  @ List.map stratum_json (strata t)
+  (meta :: List.map (row_json t) (rows t)) @ List.map event_json (events t)

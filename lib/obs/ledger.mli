@@ -1,14 +1,13 @@
 (** Epoch-granularity telemetry ledger: one structured record per epoch
     per node, plus a global event stream (crash / detect / promote /
-    first-post-failover-commit) and, under [--runtime real], per-stratum
-    worker-occupancy spans.
+    first-post-failover-commit).
 
     The ledger is a passive accumulator — the engine calls the [note_*]
     setters from its existing hook sites — and rows render to JSONL
     ({!to_lines}) for the append-only TIMELINE.jsonl written through
     [Harness.Report].  Like the trace ring it is single-writer: only the
     domain driving the simulation calls [note_*] (worker domains never
-    touch it; the planner samples pool counters from the orchestrator).
+    touch it).
 
     A ledger is wired in via [Obs.Ctl.create ?ledger]; when absent every
     emit site reduces to one option test, so the default is
@@ -56,17 +55,6 @@ type event = {
   e_node : int;
   e_t_us : int;
   e_partition : int;  (** -1 when not partition-scoped *)
-}
-
-(** One real-runtime level batch evaluated on the worker pool: wall-clock
-    bounds plus the per-worker completed-chunk deltas across the batch —
-    the raw material for the per-worker Perfetto tracks in {!Export}. *)
-type stratum = {
-  s_node : int;
-  s_t0_us : int;  (** host wall clock, µs *)
-  s_t1_us : int;
-  s_size : int;  (** plan nodes in the batch *)
-  s_workers : int array;  (** chunks each worker completed *)
 }
 
 val create : unit -> t
@@ -136,31 +124,17 @@ val awaiting_first_commit : t -> bool
 
 val note_commit : t -> node:int -> t_us:int -> partitions:int list -> unit
 
-(* Real-runtime strata. *)
-
-val note_stratum :
-  t ->
-  node:int ->
-  t0_us:int ->
-  t1_us:int ->
-  size:int ->
-  workers:int array ->
-  unit
-
 (* Reads. *)
 
 val rows : t -> row list
 (** Sorted by (epoch, node). *)
-
-val strata : t -> stratum list
-(** In emission order. *)
 
 val clear : t -> unit
 (** Forget accumulated rows/events (warm-up discard); meta stays. *)
 
 val to_lines : t -> string list
 (** Render to JSONL: one meta line, then epoch rows sorted by
-    (epoch, node), events, and strata.  Ship-lag lists collapse to
+    (epoch, node), then events.  Ship-lag lists collapse to
     p50/p99 here.  The lines append to TIMELINE.jsonl via
     [Harness.Report.write_timeline]; a meta line starts a new segment, so
     appended runs stay separable. *)

@@ -21,7 +21,6 @@ type stage =
   | Fault_delay
   | Plan_build
   | Plan_evaluate
-  | Stratum_dispatch
   | Wal_ship
   | Promote
   | Fastpath_commit
@@ -49,7 +48,6 @@ let stage_name = function
   | Fault_delay -> "fault_delay"
   | Plan_build -> "plan_build"
   | Plan_evaluate -> "plan_evaluate"
-  | Stratum_dispatch -> "stratum_dispatch"
   | Wal_ship -> "wal_ship"
   | Promote -> "promote"
   | Fastpath_commit -> "fastpath_commit"
@@ -62,10 +60,9 @@ let stage_name = function
 
    Domain discipline (--runtime real): plain stores mean the ring is
    single-writer by contract.  Every emit site runs on the orchestrating
-   domain — the real runtime's workers never trace; stratum activity is
-   recorded by the orchestrator via [Stratum_dispatch] (batch sizes) and
-   the ledger's per-stratum worker counts — so no per-event synchronization
-   is needed, keeping the tracing-off fast path a single option test. *)
+   domain — the real runtime's workers never trace — so no per-event
+   synchronization is needed, keeping the tracing-off fast path a single
+   option test. *)
 type t = {
   cap : int;
   sample : int;

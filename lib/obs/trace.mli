@@ -43,9 +43,6 @@ type stage =
   | Plan_evaluate
       (** the last node of a plan finalised ([arg] = elapsed µs since the
           plan was dispatched) *)
-  | Stratum_dispatch
-      (** real runtime: a planner level batch left for the worker-domain pool
-          ([arg] = batch size) *)
   (* replication *)
   | Wal_ship
       (** a primary shipped freshly durable WAL entries to its followers

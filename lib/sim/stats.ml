@@ -54,10 +54,6 @@ module Histogram = struct
 
   let mean t = if t.count = 0 then 0.0 else t.total /. float_of_int t.count
 
-  let min t = if t.count = 0 then 0 else t.min
-
-  let max t = t.max
-
   let percentile t p =
     if p <= 0.0 || p > 100.0 then invalid_arg "Histogram.percentile";
     if t.count = 0 then 0
@@ -85,15 +81,6 @@ module Histogram = struct
         in
         scan 0 0
       end
-    end
-
-  let merge_into ~dst ~src =
-    Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
-    dst.count <- dst.count + src.count;
-    dst.total <- dst.total +. src.total;
-    if src.count > 0 then begin
-      if src.min < dst.min then dst.min <- src.min;
-      if src.max > dst.max then dst.max <- src.max
     end
 
   let clear t =

@@ -15,13 +15,11 @@ module Histogram : sig
 
   val count : t -> int
   val mean : t -> float
-  val min : t -> int
-  val max : t -> int
 
   val percentile : t -> float -> int
   (** [percentile t p] with [p] in (0, 100]; e.g. [percentile t 99.0].
-      Returns 0 for an empty histogram. *)
+      Returns 0 for an empty histogram.  The extremes are exact: a rank
+      in the first or last sample's bucket reads that sample. *)
 
-  val merge_into : dst:t -> src:t -> unit
   val clear : t -> unit
 end

@@ -26,7 +26,7 @@ type t = {
   rng : Sim.Rng.t;
   store : (string, Value.t) Hashtbl.t;
   pool : Sim.Worker_pool.t;
-  mutable lm : LM.t;
+  lm : LM.t;
   waits : (int, lock_wait) Hashtbl.t;
   prepared : (int, (string * Value.t) list) Hashtbl.t;
   mutable next_txn : int;
@@ -244,7 +244,7 @@ let rec attempt t txn ~tries ~submitted_at k =
             end))
     parts
 
-let submit ?(k = fun () -> ()) t txn =
+let submit t txn ~k =
   incr t.m_submitted;
   attempt t txn ~tries:0 ~submitted_at:(Sim.Engine.now t.sim) k
 
@@ -274,7 +274,8 @@ let create
     { Calvin.Deployment.sim; rpc; node_id; partition_of; funreg; metrics;
       params; seed } =
   let c = Sim.Metrics.counter metrics in
-  let t =
+  let rec t =
+    lazy
     { sim; rpc; address = Net.Address.of_int node_id; node_id; partition_of;
       funreg; obs = params.obs;
       m_submitted = c "twopl.submitted";
@@ -286,12 +287,12 @@ let create
       rng = Sim.Rng.create (seed + node_id);
       store = Hashtbl.create 65536;
       pool = Sim.Worker_pool.create sim ~workers:Config.cores;
-      lm = LM.create ~on_ready:(fun _ -> ());
+      lm = LM.create ~on_ready:(fun uid -> on_locks_granted (Lazy.force t) uid);
       waits = Hashtbl.create 256;
       prepared = Hashtbl.create 256;
       next_txn = node_id }
   in
-  t.lm <- LM.create ~on_ready:(fun uid -> on_locks_granted t uid);
+  let t = Lazy.force t in
   Net.Rpc.serve rpc t.address (fun ~src:_ req ~reply ->
       match req with
       | Message.Lock_and_read { uid; reads; writes } ->

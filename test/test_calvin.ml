@@ -74,10 +74,14 @@ let run_for c us =
 
 let read c k = Value.to_int (Option.get (E.read_committed c k))
 
+(* The deployment's partitioner over [mk_cluster]'s two servers. *)
+let partition_of =
+  Net.Partitioner.partition_of (Net.Partitioner.by_prefix_int ~partitions:2)
+
 let test_calvin_single_partition () =
   let c = mk_cluster () in
   E.load c "k0" (Value.int 10);
-  let fe = E.partition_of c "k0" in
+  let fe = partition_of "k0" in
   submit c ~fe [ "k0" ];
   run_for c 100_000;
   Alcotest.(check int) "incremented" 11 (read c "k0");
@@ -88,13 +92,13 @@ let test_calvin_distributed () =
   let c = mk_cluster () in
   (* Find two keys on different partitions. *)
   let k0 = "alpha" in
-  let p0 = E.partition_of c k0 in
+  let p0 = partition_of k0 in
   let rec find_other i =
     let k = Printf.sprintf "key%d" i in
-    if E.partition_of c k <> p0 then k else find_other (i + 1)
+    if partition_of k <> p0 then k else find_other (i + 1)
   in
   let k1 = find_other 0 in
-  let p1 = E.partition_of c k1 in
+  let p1 = partition_of k1 in
   Alcotest.(check bool) "keys on distinct partitions" true (p0 <> p1);
   E.load c k0 (Value.int 0);
   E.load c k1 (Value.int 100);

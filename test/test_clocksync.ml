@@ -25,7 +25,7 @@ let test_ts_windows () =
   Alcotest.(check int) "lo time" 500 (Ts.time_us lo);
   Alcotest.(check int) "hi time" 500 (Ts.time_us hi);
   let mid = Ts.make ~time_us:500 ~node:3 ~seq:7 in
-  Alcotest.(check bool) "lo <= mid <= hi" true Ts.(lo <= mid && mid <= hi);
+  Alcotest.(check bool) "lo < mid < hi" true Ts.(lo < mid && mid < hi);
   let above = Ts.make ~time_us:501 ~node:0 ~seq:0 in
   Alcotest.(check bool) "hi < next microsecond" true Ts.(hi < above)
 

@@ -8,7 +8,7 @@ let all_stages =
     Compute_start; Compute_done; Read_served; Sequenced; Scheduled;
     Locks_acquired; Exec_start; Exec_done; Lock_timeout; Prepared;
     Committed; Aborted; Restarted; Fault_drop; Fault_delay;
-    Plan_build; Plan_evaluate; Stratum_dispatch; Wal_ship; Promote;
+    Plan_build; Plan_evaluate; Wal_ship; Promote;
     Fastpath_commit ]
 
 (* The ring stores stages as ints: every stage comes back out as itself. *)
@@ -131,7 +131,7 @@ let test_chrome_export () =
   let json =
     chrome_doc (fun ~path ->
         Obs.Export.write_chrome_trace ~path ~engine:"aloha"
-          ~trace:(Obs.Ctl.trace ctl) ~gauges:None ())
+          ~trace:(Obs.Ctl.trace ctl) ~gauges:(Obs.Ctl.gauges ctl) ())
   in
   let has needle =
     let nl = String.length needle and jl = String.length json in
@@ -156,10 +156,8 @@ let test_chrome_export () =
 
 (* Chrome-trace well-formedness: parse the exported document with the
    timeline JSON reader and hold it to the trace_events contract — every
-   event carries pid/tid/ts, duration ("B"/"E") events balance per tid,
-   and counter samples are monotone in ts per series.  Includes the
-   ledger-driven per-worker tracks, which are the only emitter of "B"/"E"
-   pairs. *)
+   event carries pid and ts, every non-counter event a tid, and counter
+   samples are monotone in ts per series. *)
 let test_chrome_well_formed () =
   let ctl = Obs.Ctl.create ~gauge_interval_us:1_000 () in
   List.iteri
@@ -178,15 +176,10 @@ let test_chrome_well_formed () =
       Sim.Metrics.set_gauge metrics "gauge.tick" (float_of_int !tick));
   Obs.Gauges.arm g ~sim ~for_us:5_000;
   Sim.Engine.run ~until:6_000 sim;
-  let ledger = Obs.Ledger.create () in
-  Obs.Ledger.note_stratum ledger ~node:0 ~t0_us:1_000 ~t1_us:1_400 ~size:8
-    ~workers:[| 5; 3 |];
-  Obs.Ledger.note_stratum ledger ~node:0 ~t0_us:1_500 ~t1_us:1_650 ~size:2
-    ~workers:[| 2; 0 |];
   let doc =
     chrome_doc (fun ~path ->
-        Obs.Export.write_chrome_trace ~path ~engine:"aloha" ~ledger
-          ~trace:(Obs.Ctl.trace ctl) ~gauges:(Some g) ())
+        Obs.Export.write_chrome_trace ~path ~engine:"aloha"
+          ~trace:(Obs.Ctl.trace ctl) ~gauges:g ())
   in
   let open Obs.Analyze.Json in
   let events =
@@ -195,10 +188,8 @@ let test_chrome_well_formed () =
     | _ -> Alcotest.fail "no traceEvents array"
   in
   Alcotest.(check bool) "document holds events" true (events <> []);
-  (* Per-tid B/E balance and per-counter-series ts monotonicity. *)
-  let depth = Hashtbl.create 8 in
+  (* Per-counter-series ts monotonicity. *)
   let last_counter_ts = Hashtbl.create 8 in
-  let b_seen = ref 0 in
   List.iter
     (fun ev ->
       let ph = to_str (member "ph" ev) ~default:"?" in
@@ -211,53 +202,19 @@ let test_chrome_well_formed () =
       if ph <> "C" then
         Alcotest.(check bool) "every non-counter event has a tid" true
           (tid > min_int);
-      match ph with
-      | "B" ->
-          incr b_seen;
-          Hashtbl.replace depth (pid, tid)
-            (1
-            + (match Hashtbl.find_opt depth (pid, tid) with
-              | Some d -> d
-              | None -> 0))
-      | "E" ->
-          let d =
-            match Hashtbl.find_opt depth (pid, tid) with
-            | Some d -> d
-            | None -> 0
-          in
-          Alcotest.(check bool) "E never precedes its B" true (d > 0);
-          Hashtbl.replace depth (pid, tid) (d - 1)
-      | "C" ->
-          let name = to_str (member "name" ev) ~default:"" in
-          (match Hashtbl.find_opt last_counter_ts name with
-          | Some prev ->
-              Alcotest.(check bool)
-                (Printf.sprintf "counter %s monotone in ts" name)
-                true (ts >= prev)
-          | None -> ());
-          Hashtbl.replace last_counter_ts name ts
-      | _ -> ())
+      if ph = "C" then begin
+        let name = to_str (member "name" ev) ~default:"" in
+        (match Hashtbl.find_opt last_counter_ts name with
+        | Some prev ->
+            Alcotest.(check bool)
+              (Printf.sprintf "counter %s monotone in ts" name)
+              true (ts >= prev)
+        | None -> ());
+        Hashtbl.replace last_counter_ts name ts
+      end)
     events;
-  Hashtbl.iter
-    (fun (pid, tid) d ->
-      Alcotest.(check int)
-        (Printf.sprintf "B/E balanced on pid %d tid %d" pid tid)
-        0 d)
-    depth;
-  Alcotest.(check bool) "worker spans exported" true (!b_seen >= 3);
   Alcotest.(check bool) "counter series sampled" true
-    (Hashtbl.length last_counter_ts > 0);
-  (* Worker lanes sit above the shard lanes and are named. *)
-  let has needle =
-    let nl = String.length needle and jl = String.length doc in
-    let rec go i =
-      i + nl <= jl && (String.sub doc i nl = needle || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "worker thread names" true
-    (has "\"name\":\"worker 1\"");
-  Alcotest.(check bool) "worker tid above shards" true (has "\"tid\":65")
+    (Hashtbl.length last_counter_ts > 0)
 
 let test_epoch_rollup () =
   let t = Obs.Trace.create () in

@@ -49,8 +49,6 @@ let test_ledger_roundtrip () =
   Obs.Ledger.note_plan l ~node:0 ~epoch:1 ~nodes:4 ~edges:3 ~strata:2;
   Obs.Ledger.note_close l ~node:0 ~epoch:1 ~t_us:11_000 ~watermark:42
     ~watermark_lag_us:500;
-  Obs.Ledger.note_stratum l ~node:0 ~t0_us:100 ~t1_us:250 ~size:4
-    ~workers:[| 3; 1 |];
   (* Crash -> detect -> promote -> first commit on the watched partition. *)
   Obs.Ledger.note_event l ~kind:Obs.Ledger.Crash ~node:1 ~t_us:2_000 ();
   Obs.Ledger.note_event l ~kind:Obs.Ledger.Detect ~node:1 ~t_us:5_000 ();
@@ -107,10 +105,7 @@ let test_ledger_roundtrip () =
       Alcotest.(check bool) "ship p50" true (has "\"ship_p50_us\":120");
       Alcotest.(check bool) "ship p99" true (has "\"ship_p99_us\":200");
       Alcotest.(check bool) "gate wait" true (has "\"gate_wait_us\":45");
-      Alcotest.(check bool) "plan row" true (has "\"strata\":2");
-      Alcotest.(check bool) "stratum worker" true
-        (has "{\"worker\":0,\"completed\":3}");
-      Alcotest.(check bool) "stratum line" true (has "\"type\":\"stratum\""))
+      Alcotest.(check bool) "plan row" true (has "\"strata\":2"))
   | segs -> Alcotest.failf "expected 1 segment, got %d" (List.length segs)
 
 (* ---- fabricated violations --------------------------------------------- *)
